@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"go/types"
+	"slices"
 	"testing"
 )
 
@@ -29,7 +31,10 @@ func TestRepoSelfCheck(t *testing.T) {
 // //nabbit:bitfield directive in internal/core must declare exactly the
 // documented fields, so a layout change cannot slip through by editing
 // the directive and the constants together without touching the docs
-// and this test.
+// and this test. It pins the Node struct that carries the word the same
+// way — field by field, in one 64-byte cache line — so a field added to
+// Node fails here rather than silently spilling every task onto a second
+// line.
 func TestCoreStateLayoutPinned(t *testing.T) {
 	prog, err := Load(repoRoot, "./internal/core")
 	if err != nil {
@@ -72,6 +77,41 @@ func TestCoreStateLayoutPinned(t *testing.T) {
 		if decl.fields[i] != f {
 			t.Errorf("state field %d = %+v, want %+v", i, decl.fields[i], f)
 		}
+	}
+
+	obj := pkg.Types.Scope().Lookup("Node")
+	if obj == nil {
+		t.Fatal("internal/core declares no Node type")
+	}
+	node, ok := obj.Type().Underlying().(*types.Struct)
+	if !ok {
+		t.Fatalf("core.Node is %v, want a struct", obj.Type().Underlying())
+	}
+	wantFields := []string{
+		"key nabbitc/internal/core.Key",
+		"preds *nabbitc/internal/core.Key",
+		"succs **nabbitc/internal/core.Node",
+		"npreds int32",
+		"nsuccs int32",
+		"csuccs int32",
+		"color int32",
+		"home int32",
+		"predColor int32",
+		"predDomain int32",
+		"join int32",
+		"state sync/atomic.Uint32",
+		"_ [4]byte",
+	}
+	var gotFields []string
+	for i := 0; i < node.NumFields(); i++ {
+		f := node.Field(i)
+		gotFields = append(gotFields, f.Name()+" "+f.Type().String())
+	}
+	if !slices.Equal(gotFields, wantFields) {
+		t.Errorf("core.Node fields changed:\n got  %q\n want %q", gotFields, wantFields)
+	}
+	if sz := types.SizesFor("gc", "amd64").Sizeof(node); sz != 64 {
+		t.Errorf("core.Node is %d bytes on amd64, want one 64-byte cache line", sz)
 	}
 }
 

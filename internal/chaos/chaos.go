@@ -49,8 +49,11 @@ const (
 	// retry-layer workhorse: with MaxAttempts > TransientFails the graph
 	// completes and Stats.Retries counts exactly the injected failures.
 	Transient
-	// Hang blocks the target node's compute (on Injector.HangCh when
-	// set, else for Injector.HangDur) — watchdog fodder.
+	// Hang blocks the target node's compute — watchdog fodder. With
+	// Injector.HangCh set it blocks until the channel is released and
+	// then fails (wrapping ErrInjected) without running the body; with
+	// no channel it is a bounded stall of Injector.HangDur after which
+	// the node computes normally. See Injector.HangCh.
 	Hang
 )
 
@@ -193,8 +196,14 @@ type Injector struct {
 	// node succeeds.
 	TransientFails int
 	// HangCh, when set, is what Hang faults block on — tests close it
-	// to release every stuck compute at a chosen moment. When nil, Hang
-	// sleeps HangDur (or DefaultHangDur).
+	// to release every stuck compute at a chosen moment. A released hang
+	// returns an error wrapping ErrInjected and never runs the base
+	// body: a hang is released only after the watchdog has failed or
+	// degraded its graph, the engine drops the late return either way,
+	// and a body that ran anyway would race whatever census the caller
+	// takes of the dead graph. When nil, Hang sleeps HangDur (or
+	// DefaultHangDur) and then computes normally, so an unwatched engine
+	// still completes the graph.
 	HangCh <-chan struct{}
 	// HangDur overrides DefaultHangDur for channel-less Hang faults
 	// when positive.
@@ -222,7 +231,8 @@ func (in *Injector) Compute(base func(core.Key)) func(core.Key) {
 
 // ComputeErr wraps base as a FallibleSpec compute: Error and Transient
 // faults return errors wrapping ErrInjected (Transient succeeding once
-// its budgeted failures are spent), Hang blocks, and the panic-era
+// its budgeted failures are spent), Hang blocks (failing the same way
+// once a HangCh releases it — see Injector.HangCh), and the panic-era
 // kinds behave exactly as in Compute. base may be nil.
 func (in *Injector) ComputeErr(base func(core.Key)) func(core.Key) error {
 	return func(k core.Key) error {
@@ -254,13 +264,13 @@ func (in *Injector) ComputeErr(base func(core.Key)) func(core.Key) error {
 			case Hang:
 				if in.HangCh != nil {
 					<-in.HangCh
-				} else {
-					d := in.HangDur
-					if d <= 0 {
-						d = DefaultHangDur
-					}
-					time.Sleep(d)
+					return fmt.Errorf("graph %d node %d released hang: %w", g, k, ErrInjected)
 				}
+				d := in.HangDur
+				if d <= 0 {
+					d = DefaultHangDur
+				}
+				time.Sleep(d)
 			}
 		}
 		if base != nil {

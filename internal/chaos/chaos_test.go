@@ -105,6 +105,40 @@ func TestValueRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReleasedHangSkipsBody pins the Hang fault's two shapes without any
+// timing: a hang released through HangCh fails wrapping ErrInjected and
+// never runs the base body (its graph is already dead by the time a test
+// releases it, so a late body would race the test's census), while a
+// channel-less hang is a bounded stall after which the node computes
+// normally. Non-target nodes of a hang graph are untouched either way.
+func TestReleasedHangSkipsBody(t *testing.T) {
+	const stride = 9
+	plan := chaos.NewPlan(3, 1, chaos.Hang)
+	target := core.Key(plan.Target(0, stride))
+	other := (target + 1) % stride
+	var ran []core.Key
+	base := func(k core.Key) { ran = append(ran, k) }
+
+	released := make(chan struct{})
+	close(released)
+	fn := (&chaos.Injector{Plan: plan, Stride: stride, HangCh: released}).ComputeErr(base)
+	if err := fn(target); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("released hang returned %v, want an error wrapping ErrInjected", err)
+	}
+	if len(ran) != 0 {
+		t.Fatalf("released hang ran the base body for keys %v", ran)
+	}
+	if err := fn(other); err != nil || len(ran) != 1 || ran[0] != other {
+		t.Fatalf("non-target node: err = %v, body ran for %v, want nil and [%d]", err, ran, other)
+	}
+
+	ran = ran[:0]
+	fn = (&chaos.Injector{Plan: plan, Stride: stride, HangDur: time.Nanosecond}).ComputeErr(base)
+	if err := fn(target); err != nil || len(ran) != 1 || ran[0] != target {
+		t.Fatalf("timed hang: err = %v, body ran for %v, want nil and [%d]", err, ran, target)
+	}
+}
+
 // TestTransientChaos is the -race recovery workout for the retry-era
 // fault kinds: a seeded plan poisons concurrently submitted graphs with
 // transient failures (recover under MaxAttempts > TransientFails),
@@ -166,8 +200,9 @@ func TestTransientChaos(t *testing.T) {
 	}
 	// Hang graphs first: the watchdog fails each from the monitor
 	// goroutine even while the stuck computes pin their workers. Only
-	// then release the hangs — the late returns land on dead runs and
-	// are dropped.
+	// then release the hangs — the late returns (errors, the body never
+	// runs: see TestReleasedHangSkipsBody) land on dead runs and are
+	// dropped.
 	for g := 0; g < graphs; g++ {
 		if plan.Fault(g) != chaos.Hang {
 			continue

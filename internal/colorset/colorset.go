@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"unsafe"
 )
 
 const wordBits = 64
@@ -43,11 +44,19 @@ const InlineColors = 2 * wordBits
 // Mutating methods (Add, Remove, Clear, UnionWith, IntersectWith) use
 // pointer receivers so they work on the inline representation; predicates
 // take the set by value.
+//
+// A Set is 32 bytes — half a cache line — because one rides in every deque
+// entry the scheduler pushes and pops: the spill storage is a bare pointer
+// to its first word (the word count follows from n), not an inline slice
+// header that only sets beyond InlineColors would ever use.
 type Set struct {
-	lo, hi uint64   // inline words 0 and 1, authoritative when ext == nil
-	ext    []uint64 // all words, authoritative when n > InlineColors
-	n      int      // capacity in colors
+	lo, hi uint64  // inline words 0 and 1, authoritative when ext == nil
+	ext    *uint64 // first of wordsFor(n) spilled words, non-nil iff n > InlineColors
+	n      int     // capacity in colors
 }
+
+// words returns the spilled word slice; callers have checked ext != nil.
+func (s Set) words() []uint64 { return unsafe.Slice(s.ext, wordsFor(s.n)) }
 
 // wordsFor returns the number of 64-bit words covering n colors.
 func wordsFor(n int) int { return (n + wordBits - 1) / wordBits }
@@ -61,7 +70,8 @@ func New(n int) Set {
 	if n <= InlineColors {
 		return Set{n: n}
 	}
-	return Set{ext: make([]uint64, wordsFor(n)), n: n} //nabbit:alloc-ok spill storage, only beyond InlineColors
+	words := make([]uint64, wordsFor(n)) //nabbit:alloc-ok spill storage, only beyond InlineColors
+	return Set{ext: &words[0], n: n}
 }
 
 // Of returns a set with capacity n containing the given colors.
@@ -106,7 +116,7 @@ func (s *Set) Add(c int) {
 		}
 		return
 	}
-	s.ext[c/wordBits] |= 1 << (uint(c) % wordBits)
+	s.words()[c/wordBits] |= 1 << (uint(c) % wordBits)
 }
 
 // Remove deletes color c.
@@ -120,7 +130,7 @@ func (s *Set) Remove(c int) {
 		}
 		return
 	}
-	s.ext[c/wordBits] &^= 1 << (uint(c) % wordBits)
+	s.words()[c/wordBits] &^= 1 << (uint(c) % wordBits)
 }
 
 // Has reports whether color c is present. Colors outside the capacity are
@@ -139,10 +149,11 @@ func (s Set) Has(c int) bool {
 		}
 		return false
 	}
-	if c/wordBits >= len(s.ext) {
+	ext := s.words()
+	if c/wordBits >= len(ext) {
 		return false
 	}
-	return s.ext[c/wordBits]&(1<<(uint(c)%wordBits)) != 0
+	return ext[c/wordBits]&(1<<(uint(c)%wordBits)) != 0
 }
 
 // Empty reports whether the set has no colors.
@@ -150,7 +161,7 @@ func (s Set) Empty() bool {
 	if s.ext == nil {
 		return s.lo|s.hi == 0
 	}
-	for _, w := range s.ext {
+	for _, w := range s.words() {
 		if w != 0 {
 			return false
 		}
@@ -164,7 +175,7 @@ func (s Set) Len() int {
 		return bits.OnesCount64(s.lo) + bits.OnesCount64(s.hi)
 	}
 	total := 0
-	for _, w := range s.ext {
+	for _, w := range s.words() {
 		total += bits.OnesCount64(w)
 	}
 	return total
@@ -175,9 +186,8 @@ func (s Set) Clone() Set {
 	if s.ext == nil {
 		return s // value copy: inline words are already independent
 	}
-	c := Set{ext: make([]uint64, len(s.ext)), n: s.n}
-	copy(c.ext, s.ext)
-	return c
+	words := append([]uint64(nil), s.words()...)
+	return Set{ext: &words[0], n: s.n}
 }
 
 // Clear removes all colors in place.
@@ -186,9 +196,7 @@ func (s *Set) Clear() {
 		s.lo, s.hi = 0, 0
 		return
 	}
-	for i := range s.ext {
-		s.ext[i] = 0
-	}
+	clear(s.words())
 }
 
 func (s Set) sameCap(o Set) {
@@ -206,8 +214,9 @@ func (s *Set) UnionWith(o Set) {
 		s.hi |= o.hi
 		return
 	}
-	for i, w := range o.ext {
-		s.ext[i] |= w
+	sw := s.words()
+	for i, w := range o.words() {
+		sw[i] |= w
 	}
 }
 
@@ -219,8 +228,9 @@ func (s *Set) IntersectWith(o Set) {
 		s.hi &= o.hi
 		return
 	}
-	for i, w := range o.ext {
-		s.ext[i] &= w
+	sw := s.words()
+	for i, w := range o.words() {
+		sw[i] &= w
 	}
 }
 
@@ -230,8 +240,9 @@ func (s Set) Intersects(o Set) bool {
 	if s.ext == nil {
 		return s.lo&o.lo|s.hi&o.hi != 0
 	}
-	for i, w := range o.ext {
-		if s.ext[i]&w != 0 {
+	sw := s.words()
+	for i, w := range o.words() {
+		if sw[i]&w != 0 {
 			return true
 		}
 	}
@@ -246,8 +257,9 @@ func (s Set) Equal(o Set) bool {
 	if s.ext == nil {
 		return s.lo == o.lo && s.hi == o.hi
 	}
-	for i, w := range o.ext {
-		if s.ext[i] != w {
+	sw := s.words()
+	for i, w := range o.words() {
+		if sw[i] != w {
 			return false
 		}
 	}
@@ -257,7 +269,7 @@ func (s Set) Equal(o Set) bool {
 // word returns the i-th 64-color word.
 func (s Set) word(i int) uint64 {
 	if s.ext != nil {
-		return s.ext[i]
+		return s.words()[i]
 	}
 	if i == 0 {
 		return s.lo
@@ -266,12 +278,7 @@ func (s Set) word(i int) uint64 {
 }
 
 // numWords returns how many words the capacity spans.
-func (s Set) numWords() int {
-	if s.ext != nil {
-		return len(s.ext)
-	}
-	return wordsFor(s.n)
-}
+func (s Set) numWords() int { return wordsFor(s.n) }
 
 // Colors returns the present colors in ascending order.
 func (s Set) Colors() []int {

@@ -4,7 +4,17 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestSetSize pins the Set at half a cache line: one rides in every deque
+// entry, and the scheduler's entry budget (80 bytes, pinned in
+// internal/core) assumes it.
+func TestSetSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Set{}); sz > 32 {
+		t.Fatalf("Set is %d bytes, want <= 32", sz)
+	}
+}
 
 func TestNewEmpty(t *testing.T) {
 	s := New(100)

@@ -525,10 +525,10 @@ func TestNodeShardPadding(t *testing.T) {
 // TestNodeMapConcurrentReaders exercises the read-locked post-run paths
 // (get, count, forEach) concurrently with each other.
 func TestNodeMapConcurrentReaders(t *testing.T) {
-	nm := newNodeMap(FuncSpec{})
+	nm := newNodeMap(testView(FuncSpec{}, 1))
 	const keys = 1000
 	for k := Key(0); k < keys; k++ {
-		nm.getOrCreate(k)
+		nm.getOrCreate(k, 0, nil)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

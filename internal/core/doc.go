@@ -42,7 +42,7 @@
 // (the 25-bit stamp wraps once per 2^25 resets, at which point slots are
 // cleared the slow way once). The sharded map clears its shards in
 // place, keeping their buckets warm. Successor-list backing arrays
-// survive the same way: markComputed truncates instead of dropping them,
+// survive the same way: retirement truncates instead of dropping them,
 // so steady-state Execute and Submit cycles allocate only run
 // bookkeeping (single-digit allocations), never per-node storage.
 //
@@ -127,18 +127,97 @@
 //     successors register via addSuccessor (append under the claim bit)
 //     and predecessors decrement the join counter. The worker whose
 //     decrement reaches zero computes the node.
-//   - computed: markComputed drained the successor list and published the
-//     computed phase, the cleared claim bit, and the drained list in a
-//     single atomic store; from that instant addSuccessor refuses new
-//     registrations, so every successor is notified exactly once.
+//   - computed: retire (markComputed, or claimSkip for a degraded node)
+//     published the computed phase with one CAS from an unlocked word;
+//     from that instant addSuccessor refuses new registrations and the
+//     successor list belongs to the retiring worker alone, so every
+//     successor is notified exactly once.
 //
 // The claim bit (succLockBit) is a short CAS-acquired spin lock guarding
-// the succs slice — held across one append or one slice swap, never
-// across a spec call. It replaces the per-node sync.Mutex the
-// addSuccessor/markComputed handshake previously took: the uncontended
-// cost drops to one CAS + one store, there is no futex slow path, and
-// folding it into the lifecycle word lets one load answer "computed?"
-// on the scan fast path (previously a separate mirror atomic).
+// appends to the successor list — held across one append, never across a
+// spec call. It replaces the per-node sync.Mutex the
+// addSuccessor/markComputed handshake once took: the uncontended cost of
+// an append is one CAS + one store, there is no futex slow path, and
+// folding it into the lifecycle word lets one load answer "computed?" on
+// the scan fast path. Retirement never takes the bit at all: a CAS that
+// succeeds from an unlocked word proves no append is in flight, and the
+// computed phase it installs keeps every later one out.
+//
+// # Design note: cache-line ownership and the per-task budget
+//
+// A ~100 ns task leaves the scheduler a few hundred cycles, and most of
+// what it used to spend was the memory system fighting itself: two
+// workers' scratch words on one line, a shared counter beside fields every
+// lookup reads, a division per ring index, 144-byte deque entries copied
+// eight times per push/pop pair. The per-task path is laid out under one
+// rule: every word a worker writes per task lives either in the node being
+// processed or in that worker's own cache-line-isolated block, and what is
+// copied per push/pop fits in two lines.
+//
+// Node-owned. A Node is exactly one 64-byte line (slices as bare data
+// pointers with int32 lengths, int32 colour/home), and arena slots of any
+// arena too large for L1 are line-aligned, so creating a task, registering
+// a successor, counting down its join, computing and draining it touch one
+// line. Two summaries are folded into the node at creation, when its
+// predecessors' slots are being pulled into cache anyway: predColor (the
+// colour all predecessors share, if they do) makes grouping a
+// single-coloured predecessor list O(1) with no per-edge Color call, and
+// predDomain (the NUMA domain all their homes lie in) turns the paper's
+// per-predecessor locality accounting into one comparison — no HomeSpec
+// type assertion and call per edge, and no read of a predecessor's line
+// after another worker has written it. Only a node whose predecessors
+// straddle colours or domains looks each one up, in the arena's prefilled
+// slots (the sharded map asks the spec).
+//
+// Worker-owned. The rng state, WorkerStats, the grouping scratch (its
+// small buffers inline, its colour table bracketed by a line of slack),
+// and the loop counters sit in the worker struct between two lines of
+// padding; the words other goroutines write (park handshake, watchdog
+// publication) come after a third. Deque headers are padded the same way
+// by internal/deque. The dense arena's creation count — the one word a
+// creation writes outside its node — is striped per worker, a line apart,
+// in storage of its own: nodeTable.getOrCreate takes the worker id, the
+// stripe is a plain increment, count() sums the stripes once the run's
+// completion has ordered every creation before the reader, and reset
+// clears them with the epoch. The old single atomic counter sat on the
+// line holding index/nodes/epoch, so every creation invalidated the line
+// every lookup reads.
+//
+// Engine read-mostly. What the per-task path reads from the Engine — the
+// spec and its resolved faces, the colour → domain table, the policy
+// flags, OnComplete, the worker slice, the close flags — forms the head of
+// the struct and is never written while graphs run. The words that are
+// (parked, read by every push; the admission state; the retry counters)
+// follow, each group at least a line from that block and from each other.
+//
+// Copied per push/pop. A deque item owns no storage: it is an index range
+// into the owner node's predecessor keys or into the ready successors the
+// retiring worker compacted into the owner's dead successor array, plus
+// one colour (a *grouping only when the work spans colours). item is 40
+// bytes, colorset.Set 32, deque.Entry[item] 72 — down from 96, 48, 144 —
+// and the notify path no longer allocates a node slice per spawn. The
+// mutex deque's ring is a power of two indexed with a mask.
+//
+// Locked read-modify-writes (amd64: CAS, XADD, and XCHG — every atomic
+// Store) for an interior task of a two-predecessor, two-successor graph,
+// before → after:
+//
+//	per node   create: claim CAS, join Store, created Add, ready Store   4 → 2
+//	           (join and the stripe are plain writes the ready store
+//	           publishes)
+//	           retire: claim-bit CAS + computed Store → one CAS           2 → 1
+//	per edge   discovery edge: addSuccessor's CAS + Store → the creator
+//	           appends before publishing                                  2 → 0
+//	           later edge to a ready node: CAS + Store                    2 → 2
+//	           later edge to a computed node: CAS + Store + join Add →
+//	           refused on the load, join Add                              3 → 1
+//	           notification: join Add                                     1 → 1
+//	deque      push + pop under the mutex                                 4 → 4
+//
+// With one discovery edge and one later edge in, two notifications, and
+// one push/pop pair, that is 16 → 11: seven on the node's own line, four
+// on the worker's own deque header, none on anything shared beyond the
+// two nodes an edge joins.
 //
 // # Design note: dense arena vs sharded map
 //

@@ -37,21 +37,40 @@ import (
 // Close releases the worker goroutines after draining in-flight graphs —
 // every NewEngine must be paired with a Close.
 type Engine struct {
-	spec Spec
-	// fspec/ospec are the spec's fallible and optional faces, resolved
-	// once at construction (nil when the spec does not implement them):
-	// with fspec set the workers call ComputeErr instead of Compute and
-	// retry failures under opts.Retry; ospec marks nodes whose permanent
-	// failure degrades the graph instead of failing it.
-	fspec   FallibleSpec
+	// The first block is everything the per-task path reads from the
+	// engine, and nothing a run writes: it stays shared-clean in every
+	// worker's cache. The words the engine does write while graphs run —
+	// the parked count, the admission state, the retry counters — sit
+	// below, each group a full line away from this block and from each
+	// other (pinned by TestEngineWrittenWordsIsolated).
+	//
+	// sv is the spec's read-mostly face (HomeSpec resolved, colour →
+	// domain table) that node creation and the locality accounting
+	// consult. fspec/ospec are the spec's fallible and optional faces,
+	// resolved once at construction (nil when the spec does not implement
+	// them): with fspec set the workers call ComputeErr instead of Compute
+	// and retry failures under opts.Retry; ospec marks nodes whose
+	// permanent failure degrades the graph instead of failing it.
+	sv         *specView
+	fspec      FallibleSpec
+	onComplete func(worker int, k Key) // opts.OnComplete
+	workers    []*worker
+	colored    bool // opts.Policy.Colored
+	// watchdogOn gates the per-node execution publication (set when
+	// NodeTimeout or RunDeadline is positive).
+	watchdogOn bool
+	// closing gates Submit as soon as Close begins; closeFlag tells
+	// workers to exit once Close has drained the in-flight graphs. Both
+	// are written once per engine lifetime.
+	closing   atomic.Bool
+	closeFlag atomic.Bool
+
 	ospec   OptionalSpec
 	opts    Options
-	dense   bool   // resolved node-table backend
-	backend string // its Stats name
+	backend NodeTableBackend // resolved node-table backend
 	// dequeBackend is the resolved worker-deque substrate (see
 	// ResolveDeque); workers are built on it once and reuse it forever.
 	dequeBackend DequeBackend
-	workers      []*worker
 
 	// slots is the admission semaphore: one token per in-flight graph,
 	// capacity Options.MaxInflight. pending is the FIFO hand-off of
@@ -62,12 +81,40 @@ type Engine struct {
 	// closedCh unblocks Submit calls parked in blocking admission when
 	// the engine closes.
 	closedCh chan struct{}
-	// nextID stamps each admitted graph with a unique id.
-	nextID atomic.Uint64
 
-	// stateMu guards the run registry and table pool, and makes
-	// admission (register + pending send) atomic with respect to the
-	// stall sweep and Execute's quiescence checks.
+	// monStop/monWG manage the watchdog's monitor goroutine, and monRuns
+	// is its private scratch for run snapshots.
+	monStop chan struct{}
+	monWG   sync.WaitGroup
+	monRuns []*graphRun
+
+	mu     sync.Mutex // serializes Execute and Close
+	closed bool       // guarded by mu
+
+	// startWG releases NewEngine once every worker has announced its
+	// initial park (so the first wake tokens cannot be lost); exitWG
+	// tracks worker goroutine exit for Close.
+	startWG sync.WaitGroup
+	exitWG  sync.WaitGroup
+
+	_ [cacheLine]byte
+
+	// parked counts currently-parked workers. A wake decrements it on
+	// the waker's side (after winning the park CAS), so parked == P
+	// implies no wake token is in flight — the quiet state Execute's
+	// stats reset/gather and the stall sweep rely on. Every push reads it
+	// (noteWork), so it shares its line with nothing written per task or
+	// per graph.
+	parked atomic.Int32
+
+	_ [cacheLine]byte
+
+	// The admission state, written once or twice per graph. nextID stamps
+	// each admitted graph with a unique id. stateMu guards the run
+	// registry and table pool, and makes admission (register + pending
+	// send) atomic with respect to the stall sweep and Execute's
+	// quiescence checks.
+	nextID  atomic.Uint64
 	stateMu sync.Mutex
 	runs    []*graphRun // in-flight graphs, unordered (guarded by stateMu)
 	tables  []nodeTable // idle node-table instances (guarded by stateMu)
@@ -81,15 +128,7 @@ type Engine struct {
 	// quiescence checks can read it without stateMu.
 	active atomic.Int32
 
-	// parked counts currently-parked workers. A wake decrements it on
-	// the waker's side (after winning the park CAS), so parked == P
-	// implies no wake token is in flight — the quiet state Execute's
-	// stats reset/gather and the stall sweep rely on.
-	parked atomic.Int32
-	// closing gates Submit as soon as Close begins; closeFlag tells
-	// workers to exit once Close has drained the in-flight graphs.
-	closing   atomic.Bool
-	closeFlag atomic.Bool
+	_ [cacheLine]byte
 
 	// retryMu guards retryQ, the due-retry list: nodes whose failed
 	// ComputeErr attempt has served its backoff and must be re-executed.
@@ -102,24 +141,6 @@ type Engine struct {
 	retryQ   []retryEntry
 	retryDue atomic.Int32
 	retryOut atomic.Int32
-
-	// watchdogOn gates the per-node execution publication (set when
-	// NodeTimeout or RunDeadline is positive); monStop/monWG manage the
-	// monitor goroutine, and monRuns is its private scratch for run
-	// snapshots.
-	watchdogOn bool
-	monStop    chan struct{}
-	monWG      sync.WaitGroup
-	monRuns    []*graphRun
-
-	mu     sync.Mutex // serializes Execute and Close
-	closed bool       // guarded by mu
-
-	// startWG releases NewEngine once every worker has announced its
-	// initial park (so the first wake tokens cannot be lost); exitWG
-	// tracks worker goroutine exit for Close.
-	startWG sync.WaitGroup
-	exitWG  sync.WaitGroup
 }
 
 // ResolveNodeTable resolves the requested backend against the spec's
@@ -148,17 +169,13 @@ func ResolveNodeTable(spec Spec, backend NodeTableBackend) (NodeTableBackend, er
 	}
 }
 
-// newNodeTable picks and builds a node store per Options.NodeTable (see
-// doc.go's backend design note) and names the choice for Stats.
-func newNodeTable(spec Spec, opts Options) (nodeTable, string, error) {
-	backend, err := ResolveNodeTable(spec, opts.NodeTable)
-	if err != nil {
-		return nil, "", err
-	}
+// newNodeTable builds a node store on the resolved backend (see doc.go's
+// backend design note).
+func newNodeTable(sv *specView, backend NodeTableBackend) nodeTable {
 	if backend == NodeTableDense {
-		return newNodeArena(spec, KeyBoundOf(spec), opts.Workers), "dense", nil
+		return newNodeArena(sv, KeyBoundOf(sv.spec))
 	}
-	return newNodeMap(spec), "sharded", nil
+	return newNodeMap(sv)
 }
 
 // dequeCapacity sizes a worker's initial deque from the spec's key bound
@@ -198,13 +215,22 @@ const spinBeforePark = 64
 // item executions — the round-robin fairness bound across submissions.
 const seedStride = 64
 
+// worker is one scheduler goroutine's state. Everything a worker writes
+// per task — its rng, the grouping scratch, its statistics, the loop
+// counters — lives in this one block, bracketed by a line of padding on
+// each side so that no word of it can share a cache line with another
+// worker's block, wherever the allocator places the two (pinned by
+// TestWorkerScratchCacheLineIsolated). The few words other goroutines
+// write — the park handshake and the watchdog publication — come last,
+// a line away from the owner's own.
 type worker struct {
-	id    int // == color
-	color int
-	e     *Engine
-	dq    deque.Queue[item]
-	rng   *xrand.Rand
-	stats WorkerStats
+	_ [cacheLine]byte
+
+	id     int   // == color
+	color  int32 // id, in the width node colours are stored in
+	domain int32 // this worker's NUMA domain
+	e      *Engine
+	dq     deque.Queue[item]
 
 	// socketLo/socketHi bound this worker's socket peers (half-open
 	// worker-id range) and socketMask holds the same range as a color
@@ -214,10 +240,12 @@ type worker struct {
 	socketHi   int
 	socketMask colorset.Set
 
-	// grp and ready are owner-only scratch reused across runs so the
-	// spawn/notify hot paths allocate only what escapes into deque items.
-	grp   grouper
-	ready []*Node
+	rng   xrand.Rand
+	stats WorkerStats
+
+	// grp is owner-only scratch reused across runs so the spawn/notify
+	// hot paths allocate only what escapes into deque items.
+	grp grouper
 
 	// idleSince is the lazily started idle clock: zero until a steal
 	// probe fails, so a findWork call whose first probe succeeds never
@@ -244,6 +272,8 @@ type worker struct {
 	// never leak its growths into the next run's delta.
 	lastGrows int64
 
+	_ [cacheLine]byte
+
 	// pubSeq/pubRun/pubNode/pubStart publish what this worker is
 	// executing to the hang watchdog through a seqlock: pubSeq is odd
 	// while an update is in flight, so the monitor detects and retries
@@ -263,6 +293,8 @@ type worker struct {
 	// token per announced park, so tokens can never accumulate.
 	parkState atomic.Int32
 	parkCh    chan struct{}
+
+	_ [cacheLine]byte
 }
 
 // NewEngine builds a persistent engine for the spec: the worker pool, the
@@ -280,21 +312,22 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		spec:     spec,
-		opts:     opts,
-		dense:    backend == NodeTableDense,
-		backend:  backend.String(),
-		slots:    make(chan struct{}, opts.MaxInflight),
-		pending:  make(chan *graphRun, opts.MaxInflight),
-		closedCh: make(chan struct{}),
+		sv:         newSpecView(spec, opts.Topology),
+		onComplete: opts.OnComplete,
+		colored:    opts.Policy.Colored,
+		watchdogOn: opts.NodeTimeout > 0 || opts.RunDeadline > 0,
+		opts:       opts,
+		backend:    backend,
+		slots:      make(chan struct{}, opts.MaxInflight),
+		pending:    make(chan *graphRun, opts.MaxInflight),
+		closedCh:   make(chan struct{}),
 	}
 	e.fspec, _ = spec.(FallibleSpec)
 	e.ospec, _ = spec.(OptionalSpec)
-	e.watchdogOn = opts.NodeTimeout > 0 || opts.RunDeadline > 0
 	// Build the first table eagerly: spec problems surface here rather
 	// than on some later Submit, and the single-tenant Execute loop
 	// reuses this one instance forever.
-	e.tables = []nodeTable{e.buildTable()}
+	e.tables = []nodeTable{newNodeTable(e.sv, backend)}
 	p := opts.Policy
 	dqCap := dequeCapacity(KeyBoundOf(spec), opts.Workers)
 	e.dequeBackend = ResolveDeque(p)
@@ -315,18 +348,20 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 		for c := lo; c < hi; c++ {
 			mask.Add(c)
 		}
-		e.workers[i] = &worker{
+		w := &worker{
 			id:         i,
-			color:      i,
+			color:      int32(i),
+			domain:     e.sv.domainOf(int32(i)),
 			e:          e,
 			dq:         dq,
-			rng:        xrand.NewWorker(p.Seed, i),
 			socketLo:   lo,
 			socketHi:   hi,
 			socketMask: mask,
-			grp:        newGrouper(opts.Workers),
 			parkCh:     make(chan struct{}, 1),
 		}
+		w.rng.SeedWorker(p.Seed, i)
+		w.grp.init(opts.Workers)
+		e.workers[i] = w
 	}
 	// NewEngine returns only after every worker has announced its initial
 	// park: the first admission's wake CAS would fail against a worker
@@ -343,14 +378,6 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 		go e.monitor()
 	}
 	return e, nil
-}
-
-// buildTable constructs a node-table instance for the resolved backend.
-func (e *Engine) buildTable() nodeTable {
-	if e.dense {
-		return newNodeArena(e.spec, KeyBoundOf(e.spec), e.opts.Workers)
-	}
-	return newNodeMap(e.spec)
 }
 
 // Execute runs the task graph whose completion is marked by the sink task,
@@ -729,7 +756,7 @@ func (w *worker) trySeed() bool {
 func (w *worker) seed(r *graphRun) {
 	defer w.rescue(r)
 	w.curKey = r.sink
-	n, created := r.nt.getOrCreate(r.sink)
+	n, created := r.nt.getOrCreate(r.sink, w.id, nil)
 	if !created {
 		panic("core: sink node pre-existed at run start")
 	}
@@ -759,7 +786,7 @@ func (w *worker) exec(it item) {
 	}
 	w.markStarted(r)
 	defer w.rescue(r)
-	w.runItem(r, it)
+	w.runItem(it)
 }
 
 // rescue is the engine's panic-isolation boundary: a panic escaping a
@@ -791,26 +818,14 @@ func (w *worker) rescue(r *graphRun) {
 }
 
 // push reifies a continuation as a stealable deque item tagged with the
-// colors available inside it (the paper's cilkrts_set_next_colors) and
-// the graph it belongs to. For the single-group items the
-// binary-splitting hot path produces, the mask is the group's own color —
-// O(1), no group rescan, and with the inline colorset representation no
-// allocation.
+// colors available inside it (the paper's cilkrts_set_next_colors). For
+// the same-coloured items the binary-splitting hot path produces, the
+// mask is the item's own color — O(1), and with the inline colorset
+// representation no allocation.
 //
 //nabbit:noalloc
-func (w *worker) push(r *graphRun, it item) {
-	it.run = r
-	nw := len(w.e.workers)
-	var cs colorset.Set
-	if it.groups == nil {
-		cs = colorset.New(nw) //nabbit:alloc-ok colorset spill, only beyond InlineColors workers
-		if c := it.single.color; c >= 0 && c < nw {
-			cs.Add(c)
-		}
-	} else {
-		cs = colorsOf(it.groups, nw)
-	}
-	w.dq.PushBottom(deque.Entry[item]{Value: it, Colors: cs})
+func (w *worker) push(it item) {
+	w.dq.PushBottom(deque.Entry[item]{Value: it, Colors: it.colors(len(w.e.workers))})
 }
 
 // runItem interprets a morphing continuation: spawn_colors descends into
@@ -819,54 +834,46 @@ func (w *worker) push(r *graphRun, it item) {
 // remaining color group the same way, finally executing one leaf.
 //
 //nabbit:noalloc
-func (w *worker) runItem(r *graphRun, it item) {
-	if it.size() == 0 {
+func (w *worker) runItem(it item) {
+	if it.lo == it.hi {
 		return
 	}
-	if it.groups == nil {
-		w.runGroup(r, it.owner, it.single)
-		return
-	}
-	groups := it.groups
-	colored := w.e.opts.Policy.Colored
-	for len(groups) > 1 {
-		mid := len(groups) / 2
-		first, second := groups[:mid], groups[mid:]
-		if colored && containsColor(second, w.color) && !containsColor(first, w.color) {
-			first, second = second, first
+	if it.kind&itemGroups != 0 {
+		groups := it.multi.groups
+		lo, hi := it.lo, it.hi
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			keepLo, keepHi, pushLo, pushHi := lo, mid, mid, hi
+			if w.e.colored && containsColor(groups[mid:hi], w.color) && !containsColor(groups[lo:mid], w.color) {
+				keepLo, keepHi, pushLo, pushHi = mid, hi, lo, mid
+			}
+			w.push(it.sub(pushLo, pushHi))
+			lo, hi = keepLo, keepHi
 		}
-		if len(second) == 1 {
-			w.push(r, item{owner: it.owner, single: second[0]})
-		} else {
-			w.push(r, item{owner: it.owner, groups: second})
-		}
-		groups = first
+		it = it.sub(lo, hi)
 	}
-	w.runGroup(r, it.owner, groups[0])
+	w.runGroup(it)
 }
 
-// runGroup binary-splits a single color group, pushing inline single-group
-// continuations (no allocation), and resolves the final leaf.
+// runGroup binary-splits a single color group, pushing the upper half of
+// the index range each time (no allocation), and resolves the final leaf.
 //
 //nabbit:noalloc
-func (w *worker) runGroup(r *graphRun, owner *Node, g group) {
-	if owner != nil {
-		keys := g.keys
-		for len(keys) > 1 {
-			mid := len(keys) / 2
-			w.push(r, item{owner: owner, single: group{color: g.color, keys: keys[mid:]}})
-			keys = keys[:mid]
-		}
-		w.tryInitCompute(r, owner, keys[0])
+func (w *worker) runGroup(it item) {
+	lo, hi := it.lo, it.hi
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		rest := it
+		rest.lo = mid
+		rest.hi = hi
+		w.push(rest)
+		hi = mid
+	}
+	if it.kind&itemSucc != 0 {
+		w.computeAndNotify(it.run, it.owner.succBacking()[lo])
 		return
 	}
-	nodes := g.nodes
-	for len(nodes) > 1 {
-		mid := len(nodes) / 2
-		w.push(r, item{single: group{color: g.color, nodes: nodes[mid:]}})
-		nodes = nodes[:mid]
-	}
-	w.computeAndNotify(r, nodes[0])
+	w.tryInitCompute(it.run, it.owner, it.keys()[lo])
 }
 
 // tryInitCompute resolves one predecessor key of owner: create the
@@ -877,11 +884,11 @@ func (w *worker) runGroup(r *graphRun, owner *Node, g group) {
 //nabbit:noalloc
 func (w *worker) tryInitCompute(r *graphRun, owner *Node, pkey Key) {
 	w.curKey = pkey
-	pred, created := r.nt.getOrCreate(pkey)
+	pred, created := r.nt.getOrCreate(pkey, w.id, owner)
 	if created {
-		// We created pred, so it cannot have computed yet; owner's
-		// join will be accounted by pred's completion notification.
-		pred.addSuccessor(owner)
+		// We created pred with owner already on its successor list, and
+		// it cannot have computed yet: owner's join will be accounted by
+		// pred's completion notification.
 		w.initAndCompute(r, pred)
 		return
 	}
@@ -906,13 +913,44 @@ func (w *worker) tryInitCompute(r *graphRun, owner *Node, pkey Key) {
 //
 //nabbit:noalloc
 func (w *worker) initAndCompute(r *graphRun, n *Node) {
-	if len(n.preds) == 0 {
+	if n.npreds == 0 {
 		w.computeAndNotify(r, n)
 		return
 	}
-	it := w.groupKeys(n, n.preds)
-	it.run = r
-	w.runItem(r, it)
+	w.runItem(w.groupKeys(r, n))
+}
+
+// countAccesses is the paper's locality accounting (§V-B) for one executed
+// node: one access for the node itself plus one per predecessor, judged by
+// the data's true home domain vs. this worker's domain. The predecessors'
+// verdict was summarized at the node's creation (Node.predDomain), so the
+// common case — all of them homed in one domain — is one comparison; only
+// a node whose predecessors straddle domains looks each home up.
+//
+//nabbit:noalloc
+func (w *worker) countAccesses(r *graphRun, n *Node) {
+	acc := &w.stats.Accesses
+	sv := w.e.sv
+	if sv.domainOf(n.home) == w.domain {
+		acc.Local++
+	} else {
+		acc.Remote++
+	}
+	switch {
+	case n.npreds == 0:
+	case n.predDomain == w.domain:
+		acc.Local += int64(n.npreds)
+	case n.predDomain != predMixed:
+		acc.Remote += int64(n.npreds)
+	default:
+		for _, pk := range n.predKeys() {
+			if sv.domainOf(r.nt.homeOf(pk)) == w.domain {
+				acc.Local++
+			} else {
+				acc.Remote++
+			}
+		}
+	}
 }
 
 // computeAndNotify executes a ready node, then notifies its successors,
@@ -936,7 +974,7 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 	if e.fspec != nil {
 		cerr = e.fspec.ComputeErr(n.key)
 	} else {
-		e.spec.Compute(n.key)
+		e.sv.spec.Compute(n.key)
 	}
 	if e.watchdogOn {
 		w.clearExec()
@@ -955,40 +993,35 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 		return
 	}
 
-	// Locality accounting per the paper (§V-B): one access for the node
-	// itself plus one per predecessor, judged by the data's true home
-	// domain vs. this worker's domain. Counted only for the successful
-	// attempt — failed ComputeErr attempts are retry bookkeeping, not
-	// schedule work, and must not inflate the locality tables.
-	topo := e.opts.Topology
+	// Counted only for the successful attempt — failed ComputeErr
+	// attempts are retry bookkeeping, not schedule work, and must not
+	// inflate the locality tables.
 	w.stats.NodesExecuted++
 	if n.color == w.color {
 		w.stats.OwnColorNodes++
 	}
-	w.stats.Accesses.Count(topo, w.color, n.home)
-	for _, pk := range n.preds {
-		w.stats.Accesses.Count(topo, w.color, HomeOf(e.spec, pk))
-	}
+	w.countAccesses(r, n)
 
 	// A Compute can kill its own run (Ticket.Cancel from inside the
 	// callback); once the run is observed dead, no further OnComplete
 	// fires for it — the failed Wait has already returned, and a late
 	// callback would race with whatever the caller does next.
-	if e.opts.OnComplete != nil && r.state.Load() == runLive {
-		e.opts.OnComplete(w.id, n.key)
+	if e.onComplete != nil && r.state.Load() == runLive {
+		e.onComplete(w.id, n.key)
 	}
 
+	// The drained list is this worker's alone now (see Node.retire), so
+	// the successors that became ready are compacted into its front: a
+	// successor-work item then just names n and an index range, and the
+	// notify path allocates nothing.
 	succs := n.markComputed()
-	// ready reuses the worker's scratch; groupNodes copies out of it, and
-	// the single-ready fast path extracts the node before the recursion
-	// below reuses the scratch.
-	ready := w.ready[:0]
+	nready := 0
 	for _, s := range succs {
 		if s.decJoin() {
-			ready = append(ready, s)
+			succs[nready] = s
+			nready++
 		}
 	}
-	w.ready = ready
 	if n.key == r.sink {
 		// A DAG's sink has no successors and — since every other live
 		// item of this graph would feed an unresolved join below the
@@ -997,20 +1030,16 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 		w.e.finishRun(r)
 		return
 	}
-	switch len(ready) {
+	switch nready {
 	case 0:
-		return
 	case 1:
 		// A lone ready successor would round-trip through a one-node
 		// item whose interpretation is exactly this call; skip the
-		// wrapping (and its copy) entirely.
-		n0 := ready[0]
-		w.computeAndNotify(r, n0)
-		return
+		// wrapping entirely.
+		w.computeAndNotify(r, succs[0])
+	default:
+		w.runItem(w.groupNodes(r, n, nready))
 	}
-	it := w.groupNodes(ready)
-	it.run = r
-	w.runItem(r, it)
 }
 
 // victim picks a random worker other than w.
@@ -1145,7 +1174,7 @@ func (w *worker) hunt() (item, bool) {
 			v := w.victim()
 			w.stats.FirstStealChecks++
 			w.attempt(TierGlobalColored, true)
-			ent, out := v.dq.StealTopColored(w.color)
+			ent, out := v.dq.StealTopColored(w.id)
 			switch out {
 			case deque.StealOK:
 				w.firstStealPending = false
@@ -1178,7 +1207,7 @@ func (w *worker) hunt() (item, bool) {
 			for i := 0; i < p.ColoredStealAttempts; i++ {
 				v := w.victim()
 				w.attempt(TierGlobalColored, true)
-				ent, out := v.dq.StealTopColored(w.color)
+				ent, out := v.dq.StealTopColored(w.id)
 				if out == deque.StealOK {
 					w.hit(TierGlobalColored, true)
 					return ent.Value, true
@@ -1224,7 +1253,7 @@ func (w *worker) huntHier() (item, bool) {
 			for i := 0; i < p.OwnColorStealAttempts; i++ {
 				v := w.socketVictim()
 				w.attempt(TierOwnColor, true)
-				ent, out := v.dq.StealTopColored(w.color)
+				ent, out := v.dq.StealTopColored(w.id)
 				if out == deque.StealOK {
 					w.hit(TierOwnColor, true)
 					return ent.Value, true
@@ -1269,7 +1298,7 @@ func (w *worker) huntHier() (item, bool) {
 				v := w.victim()
 				w.attempt(TierGlobalColored, true)
 				if w.crossSocket(v) {
-					ents, out := v.dq.StealHalfColored(w.color, p.StealBatch)
+					ents, out := v.dq.StealHalfColored(w.id, p.StealBatch)
 					if out == deque.StealOK {
 						w.hit(TierGlobalColored, true)
 						return w.takeBatch(ents), true
@@ -1280,7 +1309,7 @@ func (w *worker) huntHier() (item, bool) {
 					w.noteProbeFailed()
 					continue
 				}
-				ent, out := v.dq.StealTopColored(w.color)
+				ent, out := v.dq.StealTopColored(w.id)
 				if out == deque.StealOK {
 					w.hit(TierGlobalColored, true)
 					return ent.Value, true

@@ -331,9 +331,9 @@ func TestParkWakeStress(t *testing.T) {
 // rare stamp wraparound clears slots instead of aliasing a previous run.
 func TestArenaEpochReset(t *testing.T) {
 	spec, _ := boundedChainSpec(32, nil)
-	a := newNodeArena(spec, 32, 2)
+	a := newNodeArena(testView(spec, 2), 32)
 	for k := Key(0); k < 32; k++ {
-		if _, created := a.getOrCreate(k); !created {
+		if _, created := a.getOrCreate(k, int(k)%2, nil); !created {
 			t.Fatalf("key %d not created on a fresh arena", k)
 		}
 	}
@@ -341,7 +341,7 @@ func TestArenaEpochReset(t *testing.T) {
 		t.Fatalf("count = %d, want 32", a.count())
 	}
 	// Drive some nodes to computed so retired slots carry varied phases.
-	n, _ := a.getOrCreate(5)
+	n, _ := a.getOrCreate(5, 0, nil)
 	n.markComputed()
 
 	a.reset()
@@ -353,7 +353,7 @@ func TestArenaEpochReset(t *testing.T) {
 			t.Fatalf("key %d still visible after reset", k)
 		}
 	}
-	n, created := a.getOrCreate(5)
+	n, created := a.getOrCreate(5, 0, nil)
 	if !created {
 		t.Fatal("key 5 not re-created after reset")
 	}
@@ -371,16 +371,16 @@ func TestArenaEpochReset(t *testing.T) {
 	if _, ok := a.get(5); ok {
 		t.Fatal("key 5 visible after wrap reset")
 	}
-	if _, created := a.getOrCreate(7); !created {
+	if _, created := a.getOrCreate(7, 0, nil); !created {
 		t.Fatal("create after wrap reset failed")
 	}
 }
 
 // TestNodeMapReset mirrors the arena reset contract for the sharded map.
 func TestNodeMapReset(t *testing.T) {
-	nm := newNodeMap(FuncSpec{})
+	nm := newNodeMap(testView(FuncSpec{}, 1))
 	for k := Key(0); k < 100; k++ {
-		nm.getOrCreate(k)
+		nm.getOrCreate(k, 0, nil)
 	}
 	nm.reset()
 	if nm.count() != 0 {
@@ -389,7 +389,7 @@ func TestNodeMapReset(t *testing.T) {
 	if _, ok := nm.get(3); ok {
 		t.Fatal("key 3 still visible after reset")
 	}
-	if _, created := nm.getOrCreate(3); !created {
+	if _, created := nm.getOrCreate(3, 0, nil); !created {
 		t.Fatal("create after reset failed")
 	}
 }

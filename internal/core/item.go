@@ -8,79 +8,109 @@ import "nabbitc/internal/colorset"
 // behind as a stealable continuation whose color set is advertised to the
 // runtime (cilkrts_set_next_colors). Go has no continuation stealing, so
 // that continuation is reified here as a deque item: an item *is* the
-// pending "spawn_colors(second_half)" call, carrying the remaining color
-// groups and the union of their colors for the thief's O(1) check.
+// pending "spawn_colors(second_half)" call, naming the remaining work and
+// advertising its colors for the thief's O(1) check.
 //
-// An item is one of two shapes, distinguished by owner:
-//   - owner != nil: predecessor work — the groups hold predecessor *keys*
-//     of owner, each to be resolved with tryInitCompute.
-//   - owner == nil: successor work — the groups hold ready *nodes*, each
-//     to be computed directly.
+// An item never owns storage. It is an index range [lo, hi) into work that
+// already lives somewhere for the rest of the run:
 //
-// Binary splitting produces a torrent of one-group continuations, so an
-// item stores a single group inline (the `single` field, authoritative
-// when groups == nil): the spawn hot path never allocates a one-element
-// group slice, and the pushed item's color mask is the group's color —
-// computed in O(1) instead of rescanning groups. Multi-group items carry
-// sub-slices of a grouping's freshly allocated (escaping) groups array.
+//   - predecessor work (itemSucc clear): keys of owner's predecessor list —
+//     the spec's own immutable slice, or its colour-major permutation held
+//     by a grouping — each to be resolved with tryInitCompute;
+//   - successor work (itemSucc set): the ready successors of the computed
+//     node owner, which its retiring worker compacted into the front of
+//     owner's (now otherwise dead) successor storage, each to be computed
+//     directly.
+//
+// Binary splitting produces a torrent of same-coloured continuations, and
+// for those the range and one colour are the whole item: splitting copies
+// 40 bytes and allocates nothing, and the pushed item's mask is that one
+// colour. Only work that spans several colours carries a *grouping (one
+// allocation per spawn, shared by every item split from it); while
+// itemGroups is set the range indexes the grouping's colour groups instead
+// of elements.
 
-// group is a set of same-colored work: either pred keys (with nodes nil)
-// or ready nodes (with keys nil).
-type group struct {
-	color int
-	keys  []Key
-	nodes []*Node
+const (
+	itemSucc   uint8 = 1 << iota // successor work (ready nodes), not predecessor keys
+	itemGroups                   // [lo,hi) indexes multi.groups, not elements
+)
+
+// colorRange is one colour group of a grouping: elements [lo, hi) of the
+// colour-major permutation.
+type colorRange struct {
+	color  int32
+	lo, hi int32
 }
 
-func (g group) size() int {
-	if g.keys != nil {
-		return len(g.keys)
-	}
-	return len(g.nodes)
+// grouping is the shared description of a multi-coloured spawn: the
+// colour groups in first-appearance order and, for predecessor work, the
+// permuted keys they index (successor work is permuted in place in the
+// owner's successor storage). Up to len(inline) groups live in the
+// grouping itself.
+type grouping struct {
+	keys   []Key
+	groups []colorRange
+	inline [4]colorRange
 }
 
 // item is a deque entry: a reified spawn_colors/spawn_nodes continuation.
-// When groups is nil the item holds exactly the inline single group
-// (possibly empty, for the zero item). run identifies the graph the
-// continuation belongs to — with many graphs in flight, workers
-// interleave items of different runs in one deque, and the run pointer
-// carries each item's node table and completion state along with it.
+// The zero item is empty. run identifies the graph the continuation
+// belongs to — with many graphs in flight, workers interleave items of
+// different runs in one deque, and the run pointer carries each item's
+// node table and completion state along with it.
 type item struct {
 	run    *graphRun
-	owner  *Node // non-nil for predecessor work
-	single group // inline one-group form, authoritative when groups == nil
-	groups []group
+	owner  *Node
+	multi  *grouping // non-nil iff the work was grouped by colour
+	lo, hi int32
+	color  int32 // the single colour of an element-range item
+	kind   uint8
 }
 
-// size returns the number of leaf work units in the item.
-func (it item) size() int {
-	if it.groups == nil {
-		return it.single.size()
+// sub narrows a grouped item to groups [lo, hi); a single group collapses
+// to the element-range form.
+func (it item) sub(lo, hi int32) item {
+	if hi-lo == 1 {
+		g := it.multi.groups[lo]
+		it.lo, it.hi, it.color = g.lo, g.hi, g.color
+		it.kind &^= itemGroups
+		return it
 	}
-	total := 0
-	for _, g := range it.groups {
-		total += g.size()
-	}
-	return total
+	it.lo, it.hi = lo, hi
+	return it
 }
 
-// colorsOf returns the color mask advertised for an item holding these
-// groups, sized for nworkers colors. Colors outside the worker range are
-// skipped: no worker can prefer them, so advertising them is pointless
-// (and with an invalid coloring, Table III, every mask stays empty — all
-// colored steals miss, as intended).
-func colorsOf(groups []group, nworkers int) colorset.Set {
+// keys returns the key array a predecessor-work item indexes.
+func (it item) keys() []Key {
+	if it.multi != nil {
+		return it.multi.keys
+	}
+	return it.owner.predKeys()
+}
+
+// colors returns the color mask advertised for the item, sized for
+// nworkers colors. Colors outside the worker range are skipped: no worker
+// can prefer them, so advertising them is pointless (and with an invalid
+// coloring, Table III, every mask stays empty — all colored steals miss,
+// as intended).
+func (it item) colors(nworkers int) colorset.Set {
 	s := colorset.New(nworkers) //nabbit:alloc-ok colorset spill, only beyond InlineColors workers
-	for _, g := range groups {
-		if g.color >= 0 && g.color < nworkers {
-			s.Add(g.color)
+	if it.kind&itemGroups == 0 {
+		if uint32(it.color) < uint32(nworkers) {
+			s.Add(int(it.color))
+		}
+		return s
+	}
+	for _, g := range it.multi.groups[it.lo:it.hi] {
+		if uint32(g.color) < uint32(nworkers) {
+			s.Add(int(g.color))
 		}
 	}
 	return s
 }
 
 // containsColor reports whether any group has the given color.
-func containsColor(groups []group, color int) bool {
+func containsColor(groups []colorRange, color int32) bool {
 	for _, g := range groups {
 		if g.color == color {
 			return true
@@ -93,56 +123,71 @@ func containsColor(groups []group, color int) bool {
 // a key or node list: its first-appearance index fixes the group order,
 // and off doubles as the placement cursor during the scatter pass.
 type distinctColor struct {
-	color int
+	color int32
 	count int32
 	off   int32
 }
 
-// grouper is the reusable per-worker grouping scratch that replaces the
-// per-call map[int]int: a color-indexed array with epoch stamps (O(1)
-// reset), the recorded per-element group indices from the counting pass,
-// and the distinct-color list. Only the scratch is reused — the group and
-// key/node slices a grouping emits always escape into deque items and are
-// freshly allocated per call.
+// colorSlot maps one colour to its index in the distinct list, valid iff
+// stamp equals the grouper's current pass.
+type colorSlot struct {
+	idx   int32
+	stamp uint32
+}
+
+// grouper is the reusable per-worker grouping scratch: a color-indexed
+// table with epoch stamps (O(1) reset), the recorded per-element group
+// indices from the counting pass, the distinct-color list, and the node
+// staging area of the in-place successor scatter. It is written on every
+// multi-coloured spawn, so all of it lives inside the owning worker's
+// cache-line-isolated block: the slices start on the inline arrays below
+// (growing onto the heap only for spawns wider than those), and the colour
+// table — sized by the worker count — is bracketed by a line of slack on
+// each side.
 type grouper struct {
-	colorIdx []int32 // color -> index into distinct, valid iff stamp[c] == cur
-	stamp    []uint32
+	slots    []colorSlot // color -> distinct index
 	cur      uint32
 	elemGI   []int32 // per-element group index recorded during the count pass
 	distinct []distinctColor
+	stage    []*Node
+
+	elemBuf     [16]int32
+	distinctBuf [8]distinctColor
+	stageBuf    [8]*Node
 }
 
-func newGrouper(nworkers int) grouper {
-	return grouper{
-		colorIdx: make([]int32, nworkers),
-		stamp:    make([]uint32, nworkers),
-	}
+// init sizes the scratch for nworkers colours; g must already be at its
+// final address (the slices point into it).
+func (g *grouper) init(nworkers int) {
+	const slack = cacheLine / 8 // colorSlots per cache line
+	g.slots = make([]colorSlot, nworkers+2*slack)[slack : slack+nworkers]
+	g.elemGI = g.elemBuf[:0]
+	g.distinct = g.distinctBuf[:0]
+	g.stage = g.stageBuf[:0]
 }
 
-// begin starts a grouping pass and returns the epoch stamp.
-func (g *grouper) begin() uint32 {
+// begin starts a grouping pass.
+func (g *grouper) begin() {
 	g.cur++
 	if g.cur == 0 {
 		// Epoch counter wrapped: invalidate all stamps the slow way once
 		// every 2^32 groupings.
-		for i := range g.stamp {
-			g.stamp[i] = 0
-		}
+		clear(g.slots)
 		g.cur = 1
 	}
 	g.elemGI = g.elemGI[:0]
 	g.distinct = g.distinct[:0]
-	return g.cur
 }
 
-// noteColor records one element of color c, returning its group index.
-// Colors outside [0, len(colorIdx)) — possible only under the invalid-
-// coloring ablation — fall back to a linear scan of the distinct list.
-func (g *grouper) noteColor(c int) int {
+// noteColor records one element of color c. Colors outside
+// [0, len(slots)) — possible only under the invalid-coloring ablation —
+// fall back to a linear scan of the distinct list.
+func (g *grouper) noteColor(c int32) {
 	gi := -1
-	if c >= 0 && c < len(g.colorIdx) {
-		if g.stamp[c] == g.cur {
-			gi = int(g.colorIdx[c])
+	inTable := uint32(c) < uint32(len(g.slots))
+	if inTable {
+		if s := g.slots[c]; s.stamp == g.cur {
+			gi = int(s.idx)
 		}
 	} else {
 		for i := range g.distinct {
@@ -155,107 +200,112 @@ func (g *grouper) noteColor(c int) int {
 	if gi < 0 {
 		gi = len(g.distinct)
 		g.distinct = append(g.distinct, distinctColor{color: c})
-		if c >= 0 && c < len(g.colorIdx) {
-			g.colorIdx[c] = int32(gi)
-			g.stamp[c] = g.cur
+		if inTable {
+			g.slots[c] = colorSlot{idx: int32(gi), stamp: g.cur}
 		}
 	}
 	g.distinct[gi].count++
 	g.elemGI = append(g.elemGI, int32(gi))
-	return gi
 }
 
-// offsets converts the distinct counts into placement cursors and reports
-// the group count.
-func (g *grouper) offsets() int {
+// finish converts the distinct counts into placement cursors and returns
+// the grouping describing them (keys unset).
+//
+//nabbit:alloc-ok one grouping per multi-coloured spawn escapes into deque items by contract
+func (g *grouper) finish() *grouping {
+	m := &grouping{}
+	if len(g.distinct) <= len(m.inline) {
+		m.groups = m.inline[:len(g.distinct)]
+	} else {
+		m.groups = make([]colorRange, len(g.distinct))
+	}
 	off := int32(0)
 	for i := range g.distinct {
-		g.distinct[i].off = off
-		off += g.distinct[i].count
+		d := &g.distinct[i]
+		d.off = off
+		m.groups[i] = colorRange{color: d.color, lo: off, hi: off + d.count}
+		off += d.count
 	}
-	return len(g.distinct)
+	return m
 }
 
-// groupKeys partitions pred keys by spec color, preserving first-
-// appearance order of colors (deterministic for the simulator), and
-// returns the ready-to-run item for owner. When colored scheduling is off
-// — or only one color occurs — everything lands in a single inline group
-// aliasing the input keys (preds are immutable, so aliasing is free), and
-// the call allocates nothing.
+// groupKeys returns the ready-to-run item for the predecessors of owner,
+// partitioned by color in first-appearance order (deterministic for the
+// simulator). Everything a worker usually needs was settled at owner's
+// creation: when one color covers the whole list (Node.predColor) — or
+// colored scheduling is off — the item is just the full range of the
+// spec's own slice (preds are immutable, so aliasing is free), with no
+// per-key color lookup and no allocation.
 //
-//nabbit:alloc-ok emitted group slices escape into deque items by contract; bounded by the ExecuteReuse gate
-func (w *worker) groupKeys(owner *Node, keys []Key) item {
-	spec := w.e.spec
-	if !w.e.opts.Policy.Colored || len(keys) <= 1 {
-		return item{owner: owner, single: group{color: colorOrZero(spec, keys), keys: keys}}
+//nabbit:alloc-ok the permuted key slice of a multi-coloured spawn escapes into deque items by contract; bounded by the ExecuteReuse gate
+func (w *worker) groupKeys(r *graphRun, owner *Node) item {
+	it := item{run: r, owner: owner, hi: owner.npreds, color: owner.predColor}
+	if it.color != predMixed {
+		return it
+	}
+	keys := owner.predKeys()
+	if !w.e.colored {
+		it.color = r.nt.colorOf(keys[0])
+		return it
 	}
 	g := &w.grp
 	g.begin()
 	for _, k := range keys {
-		g.noteColor(spec.Color(k))
+		g.noteColor(r.nt.colorOf(k))
 	}
-	if g.offsets() == 1 {
-		return item{owner: owner, single: group{color: g.distinct[0].color, keys: keys}}
+	if len(g.distinct) == 1 {
+		it.color = g.distinct[0].color
+		return it
 	}
-	// Scatter pass: one backing array, carved into per-group sub-slices.
-	backing := make([]Key, len(keys))
+	// Scatter pass: one backing array, carved up by the groups' ranges.
+	m := g.finish()
+	m.keys = make([]Key, len(keys))
 	for j, k := range keys {
 		d := &g.distinct[g.elemGI[j]]
-		backing[d.off] = k
+		m.keys[d.off] = k
 		d.off++
 	}
-	groups := make([]group, len(g.distinct))
-	for i := range g.distinct {
-		d := g.distinct[i]
-		start := d.off - d.count
-		groups[i] = group{color: d.color, keys: backing[start:d.off:d.off]}
-	}
-	return item{owner: owner, groups: groups}
+	it.multi, it.hi, it.kind = m, int32(len(m.groups)), itemGroups
+	return it
 }
 
-func colorOrZero(spec Spec, keys []Key) int {
-	if len(keys) == 0 {
-		return 0
-	}
-	return spec.Color(keys[0])
-}
-
-// groupNodes partitions ready nodes by their color, preserving first-
-// appearance order, and returns the successor-work item. The input may be
-// the worker's reusable ready scratch, so unlike groupKeys the output
-// never aliases it: nodes are always copied into a fresh backing array.
+// groupNodes returns the successor-work item for the ready successors of
+// the just-computed node owner — the first nready slots of its successor
+// storage — partitioned by color in first-appearance order. The nodes are
+// permuted in place (through the worker's staging scratch), so a
+// single-coloured spawn allocates nothing and a multi-coloured one only
+// its grouping.
 //
-//nabbit:alloc-ok emitted group slices escape into deque items by contract; bounded by the ExecuteReuse gate
-func (w *worker) groupNodes(nodes []*Node) item {
-	if !w.e.opts.Policy.Colored || len(nodes) <= 1 {
-		c := 0
-		if len(nodes) > 0 {
-			c = nodes[0].color
+//nabbit:noalloc
+func (w *worker) groupNodes(r *graphRun, owner *Node, nready int) item {
+	nodes := owner.succBacking()[:nready]
+	it := item{run: r, owner: owner, hi: int32(nready), color: nodes[0].color, kind: itemSucc}
+	if !w.e.colored {
+		return it
+	}
+	uniform := true
+	for _, n := range nodes[1:] {
+		if n.color != it.color {
+			uniform = false
+			break
 		}
-		cp := make([]*Node, len(nodes))
-		copy(cp, nodes)
-		return item{single: group{color: c, nodes: cp}}
+	}
+	if uniform {
+		return it
 	}
 	g := &w.grp
 	g.begin()
 	for _, n := range nodes {
 		g.noteColor(n.color)
 	}
-	backing := make([]*Node, len(nodes))
-	if g.offsets() == 1 {
-		copy(backing, nodes)
-		return item{single: group{color: g.distinct[0].color, nodes: backing}}
-	}
-	for j, n := range nodes {
+	m := g.finish() //nabbit:alloc-ok the one grouping of a multi-coloured spawn (finish, inlined)
+	g.stage = append(g.stage[:0], nodes...)
+	for j, n := range g.stage {
 		d := &g.distinct[g.elemGI[j]]
-		backing[d.off] = n
+		nodes[d.off] = n
 		d.off++
 	}
-	groups := make([]group, len(g.distinct))
-	for i := range g.distinct {
-		d := g.distinct[i]
-		start := d.off - d.count
-		groups[i] = group{color: d.color, nodes: backing[start:d.off:d.off]}
-	}
-	return item{groups: groups}
+	clear(g.stage) // drop the node references
+	it.multi, it.hi, it.kind = m, int32(len(m.groups)), itemSucc|itemGroups
+	return it
 }

@@ -1,0 +1,149 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"nabbitc/internal/deque"
+	"nabbitc/internal/numa"
+)
+
+// testView builds the spec view a node table needs, on the paper topology
+// for the given worker count.
+func testView(spec Spec, workers int) *specView {
+	return newSpecView(spec, numa.Paper(workers))
+}
+
+// TestNodeLayout pins the per-task path's size budget: a Node is exactly
+// one cache line, and an arena too big to sit in L1 anyway (the allocator
+// page-aligns objects above its 32 KB small-object limit) starts on a line
+// boundary, so no task's state straddles two lines; a deque entry (item +
+// color mask) fits the 80 bytes that keep a push/pop pair's copies to a
+// few register moves.
+// (The Node field inventory is pinned in internal/analysis's
+// TestCoreStateLayoutPinned.)
+func TestNodeLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(Node{}); sz != cacheLine {
+		t.Errorf("Node is %d bytes, want exactly one %d-byte cache line", sz, cacheLine)
+	}
+	if sz := unsafe.Sizeof(item{}); sz > 48 {
+		t.Errorf("item is %d bytes, want <= 48", sz)
+	}
+	if sz := unsafe.Sizeof(deque.Entry[item]{}); sz > 80 {
+		t.Errorf("deque.Entry[item] is %d bytes, want <= 80", sz)
+	}
+	for _, bound := range []int{513, 4097, 1 << 16} {
+		a := newNodeArena(testView(FuncSpec{}, 2), bound)
+		if off := uintptr(unsafe.Pointer(&a.nodes[0])) % cacheLine; off != 0 {
+			t.Errorf("arena of %d nodes starts %d bytes into a cache line", bound, off)
+		}
+	}
+}
+
+// TestCreateStripeLayout pins the striped creation counter: consecutive
+// workers' counters are a cache line apart, with a spare stripe on either
+// side of the ones in use.
+func TestCreateStripeLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(createStripe{}); sz != cacheLine {
+		t.Fatalf("createStripe is %d bytes, want %d", sz, cacheLine)
+	}
+	const workers = 4
+	a := newNodeArena(testView(FuncSpec{}, workers), 8)
+	if len(a.created) != workers || cap(a.created) != workers+1 {
+		t.Fatalf("created has len %d cap %d, want %d stripes plus a trailing spare", len(a.created), cap(a.created), workers)
+	}
+	for w := 1; w < workers; w++ {
+		d := uintptr(unsafe.Pointer(&a.created[w].n)) - uintptr(unsafe.Pointer(&a.created[w-1].n))
+		if d != cacheLine {
+			t.Errorf("stripes %d and %d are %d bytes apart, want %d", w-1, w, d, cacheLine)
+		}
+	}
+}
+
+// span is a half-open address range.
+type span struct {
+	name   string
+	lo, hi uintptr
+}
+
+func spanOf[T any](name string, p *T) span {
+	lo := uintptr(unsafe.Pointer(p))
+	return span{name, lo, lo + unsafe.Sizeof(*p)}
+}
+
+// sharesLine reports whether two address ranges touch a common cache line.
+func sharesLine(a, b span) bool {
+	return a.lo/cacheLine <= (b.hi-1)/cacheLine && b.lo/cacheLine <= (a.hi-1)/cacheLine
+}
+
+// TestWorkerScratchCacheLineIsolated checks the ownership rule on a built
+// engine, for every deque substrate: no two workers' per-task-written
+// state — rng, stats, grouping scratch and its colour table, loop
+// counters, the cross-thread park/publication words, the deque header —
+// falls in the same 64-byte line.
+func TestWorkerScratchCacheLineIsolated(t *testing.T) {
+	for _, dq := range []DequeBackend{DequeMutex, DequeChaseLev, DequeBlock} {
+		pol := NabbitCPolicy()
+		pol.Deque = dq
+		e, err := NewEngine(flatFanInSpec(8, 4, nil), Options{Workers: 4, Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := make([][]span, len(e.workers))
+		for i, w := range e.workers {
+			hdr := reflect.ValueOf(w.dq).Elem()
+			hlo := hdr.UnsafeAddr()
+			spans[i] = []span{
+				// Everything between the leading and trailing pads.
+				{"worker block", uintptr(unsafe.Pointer(&w.id)), uintptr(unsafe.Pointer(&w.parkCh)) + unsafe.Sizeof(w.parkCh)},
+				spanOf("rng", &w.rng),
+				spanOf("stats", &w.stats),
+				spanOf("grouper", &w.grp),
+				{"colour table", uintptr(unsafe.Pointer(&w.grp.slots[0])), uintptr(unsafe.Pointer(&w.grp.slots[0])) + uintptr(len(w.grp.slots))*unsafe.Sizeof(colorSlot{})},
+				// The deque header without its own pads.
+				{"deque header", hlo + cacheLine, hlo + hdr.Type().Size() - cacheLine},
+			}
+		}
+		for i := range spans {
+			for j := i + 1; j < len(spans); j++ {
+				for _, a := range spans[i] {
+					for _, b := range spans[j] {
+						if sharesLine(a, b) {
+							t.Errorf("%v: worker %d's %s [%#x,%#x) shares a cache line with worker %d's %s [%#x,%#x)",
+								dq, i, a.name, a.lo, a.hi, j, b.name, b.lo, b.hi)
+						}
+					}
+				}
+			}
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestEngineWrittenWordsIsolated pins the Engine's own split: the words
+// written while graphs run (parked; the admission state; the retry
+// counters) are at least a full line from the read-mostly block the
+// per-task path reads, and from each other, whatever the allocation's
+// alignment.
+func TestEngineWrittenWordsIsolated(t *testing.T) {
+	var e Engine
+	end := func(off, size uintptr) uintptr { return off + size }
+	groups := []struct {
+		name   string
+		lo, hi uintptr
+	}{
+		{"read-mostly block", unsafe.Offsetof(e.sv), end(unsafe.Offsetof(e.exitWG), unsafe.Sizeof(e.exitWG))},
+		{"parked", unsafe.Offsetof(e.parked), end(unsafe.Offsetof(e.parked), unsafe.Sizeof(e.parked))},
+		{"admission state", unsafe.Offsetof(e.nextID), end(unsafe.Offsetof(e.active), unsafe.Sizeof(e.active))},
+		{"retry state", unsafe.Offsetof(e.retryMu), end(unsafe.Offsetof(e.retryOut), unsafe.Sizeof(e.retryOut))},
+	}
+	for i := 1; i < len(groups); i++ {
+		if gap := groups[i].lo - groups[i-1].hi; groups[i].lo < groups[i-1].hi || gap < cacheLine {
+			t.Errorf("%s ends at offset %d, %s starts at %d: want >= %d bytes between them",
+				groups[i-1].name, groups[i-1].hi, groups[i].name, groups[i].lo, cacheLine)
+		}
+	}
+}

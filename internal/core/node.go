@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"nabbitc/internal/numa"
 )
 
 // Node lifecycle phases, held in the low two bits of Node.state (see
@@ -27,12 +30,12 @@ const (
 //	bits 2..4   attempt counter — failed ComputeErr attempts so far
 //	bits 0..1   lifecycle phase
 //
-// succLockBit is a short CAS-acquired spin lock guarding succs, orthogonal
-// to the phase bits. It is only ever held across a bounded handful of
-// instructions (one append, or one slice swap), so spinning is cheaper
-// than a sync.Mutex — and folding it into the lifecycle word lets
-// markComputed publish "computed, unlocked, drained" in a single atomic
-// store.
+// succLockBit is a short CAS-acquired spin lock guarding appends to succs,
+// orthogonal to the phase bits. It is only ever held across one append, so
+// spinning is cheaper than a sync.Mutex — and folding it into the
+// lifecycle word lets retirement take the list and publish "computed" in
+// a single CAS from an unlocked word, without acquiring the bit at all
+// (see Node.retire).
 //
 // The attempt counter re-arms a fallible node for retry without any side
 // storage: a failed ComputeErr bumps it (bumpAttempt) and the node —
@@ -40,8 +43,8 @@ const (
 // the graceful-degradation taint: a permanently failed optional node is
 // retired computed+skipped, and the bit propagates to its downstream
 // cone so no descendant executes user code (see Engine.degrade). Both
-// fields are cleared by the computed store (markComputed/claimSkip use
-// epochMask, which masks them out) and by the arena's fresh-epoch fill.
+// fields are cleared by the computed CAS (retire uses epochMask, which
+// masks them out) and by the arena's fresh-epoch fill.
 //
 // The epoch stamp is how the dense arena resets between Execute calls
 // without touching every slot: the arena bumps its current epoch, and any
@@ -94,96 +97,172 @@ const poisonedJoin = int32(1) << 30
 //
 // All cross-worker coordination rides the single atomic state word (phase
 // + successor-list claim bit); see doc.go for the protocol.
+//
+// Layout: a Node is exactly one 64-byte cache line, and the slots of any
+// dense arena larger than the allocator's 32 KB small-object limit start
+// on line boundaries (both pinned by TestNodeLayout), so everything the
+// scheduler does to a task — create, register a successor, count down the
+// join, compute, drain — touches one line. That is why the
+// two slices are stored as bare data pointers with int32 lengths (the
+// predecessor list's capacity is never used, the successor list's is kept
+// once) and colour/home as int32, and why the fields have no room to grow:
+// add one and the layout pin fails.
 type Node struct {
-	key   Key
-	color int
-	home  int
-	preds []Key
+	key Key
+	// preds is the first of npreds predecessor keys: the slice the spec
+	// returned, never modified (predKeys rebuilds it).
+	preds *Key
+	// succs is the first of csuccs successor slots, nsuccs of them in use.
+	// It may be touched only while holding the claim bit, by the creator
+	// before the ready store, or by the retiring worker after the computed
+	// store (see markComputed).
+	succs  **Node
+	npreds int32
+	nsuccs int32
+	csuccs int32
+	color  int32
+	home   int32
+	// predColor is the colour every predecessor shares, and predDomain the
+	// NUMA domain every predecessor's home lies in (-1: homes no worker
+	// owns), or predMixed when they differ. Both are computed once at
+	// creation, so grouping a single-coloured predecessor list and the
+	// locality accounting of a single-domain one cost no per-edge lookup.
+	predColor  int32
+	predDomain int32
 	// join counts unaccounted predecessors. The worker that decrements
-	// it to zero owns the right (and obligation) to compute the node.
-	join atomic.Int32
+	// it to zero owns the right (and obligation) to compute the node. It
+	// is written plainly by the creator before the ready store publishes
+	// the node, and only atomically afterwards.
+	join int32
 
 	// state is the lifecycle word: phase in the low bits, succLockBit on
-	// top. succs may be touched only while holding the claim bit.
+	// top.
 	state atomic.Uint32
-	succs []*Node
+	_     [4]byte
 }
+
+// predMixed marks a predColor/predDomain summary whose predecessors
+// disagree (or could not be looked up): consumers fall back to per-key
+// lookups.
+const predMixed = math.MinInt32
 
 // Key returns the node's task key.
 func (n *Node) Key() Key { return n.key }
 
 // Color returns the scheduling color the spec assigned to the task.
-func (n *Node) Color() int { return n.color }
+func (n *Node) Color() int { return int(n.color) }
 
 // Home returns the color whose memory holds the task's data.
-func (n *Node) Home() int { return n.home }
+func (n *Node) Home() int { return int(n.home) }
 
 // Preds returns the task's predecessor keys. Callers must not modify the
 // returned slice.
-func (n *Node) Preds() []Key { return n.preds }
+func (n *Node) Preds() []Key { return n.predKeys() }
 
 // Computed reports whether the task has finished executing.
 func (n *Node) Computed() bool { return nodePhase(n.state.Load()) == nodeComputed }
 
-// lockSuccs acquires the successor-list claim bit and returns the state
-// word as it was without the bit (i.e. the value to store to unlock
-// without a phase change).
-//
-//nabbit:noalloc
-func (n *Node) lockSuccs() uint32 {
-	// The holder is mid-append or mid-drain — a handful of instructions —
-	// so a short tight retry loop wins over yielding; the Gosched
-	// fallback only matters if the holder got preempted mid-hold.
-	for spins := 0; ; spins++ {
-		v := n.state.Load()
-		if v&succLockBit == 0 && n.state.CompareAndSwap(v, v|succLockBit) {
-			return v
-		}
-		if spins > 64 {
-			runtime.Gosched()
-		}
+func (n *Node) predKeys() []Key { return unsafe.Slice(n.preds, n.npreds) }
+
+func (n *Node) setPreds(ps []Key) {
+	if len(ps) > math.MaxInt32 {
+		panic("core: more than 2^31-1 predecessors")
+	}
+	n.preds, n.npreds = unsafe.SliceData(ps), int32(len(ps))
+}
+
+// succBacking returns the successor storage at full capacity. After
+// markComputed its prefix holds the ready successors (see
+// computeAndNotify), which successor-work items address by index.
+func (n *Node) succBacking() []*Node { return unsafe.Slice(n.succs, n.csuccs) }
+
+func (n *Node) setSuccs(s []*Node) {
+	n.succs, n.nsuccs, n.csuccs = unsafe.SliceData(s), int32(len(s)), int32(cap(s))
+}
+
+// spinWait is the backoff of every state-word retry loop: the word's
+// holders are mid-append or mid-publish — a handful of instructions — so a
+// short tight retry wins over yielding; the Gosched fallback only matters
+// if the holder got preempted.
+func spinWait(spins int) {
+	if spins > 64 {
+		runtime.Gosched()
 	}
 }
 
 // addSuccessor appends s to n's successor list so that n's completion will
 // account one of s's predecessors. It returns false — and appends nothing —
 // if n has already computed, in which case the caller must account the
-// predecessor itself.
+// predecessor itself. A computed node is refused on the load alone: the
+// phase is final within an epoch, so the already-computed edge costs no
+// locked operation here.
 //
 //nabbit:noalloc
 func (n *Node) addSuccessor(s *Node) bool {
-	v := n.lockSuccs()
-	if nodePhase(v) == nodeComputed {
-		n.state.Store(v)
-		return false
+	for spins := 0; ; spins++ {
+		v := n.state.Load()
+		if nodePhase(v) == nodeComputed {
+			return false
+		}
+		if v&succLockBit == 0 && n.state.CompareAndSwap(v, v|succLockBit) {
+			n.setSuccs(append(n.succBacking()[:n.nsuccs], s))
+			n.state.Store(v)
+			return true
+		}
+		spinWait(spins)
 	}
-	n.succs = append(n.succs, s)
-	n.state.Store(v)
-	return true
+}
+
+// retire moves the node to computed (OR-ing in extra, the skip taint or
+// zero) and returns the successor list to notify. One CAS from an unlocked
+// word does all of it: the claim bit was clear, so no append is in flight,
+// and from the instant the computed phase is visible addSuccessor refuses
+// and nobody else touches succs — the list belongs to the caller without
+// ever taking the claim bit. ok=false reports that the node had already
+// been retired (a watchdog claim racing a late completion, or vice versa):
+// nothing changed and the caller owes no notifications.
+//
+// The list is truncated rather than dropped: its backing array is dead to
+// everyone else for the rest of this run but a reused arena slot appends
+// into it again next epoch, which keeps repeated Execute calls
+// allocation-free on the notify path. The retiring worker may reuse the
+// storage in the meantime (computeAndNotify compacts the ready successors
+// into it). The epoch stamp is preserved: the arena's reset relies on
+// every slot a run touched carrying that run's epoch.
+//
+//nabbit:noalloc
+func (n *Node) retire(extra uint32) (succs []*Node, ok bool) {
+	for spins := 0; ; spins++ {
+		v := n.state.Load()
+		if nodePhase(v) == nodeComputed {
+			return nil, false
+		}
+		if v&succLockBit == 0 && n.state.CompareAndSwap(v, v&epochMask|extra|nodeComputed) {
+			succs = n.succBacking()[:n.nsuccs]
+			n.nsuccs = 0
+			return succs, true
+		}
+		spinWait(spins)
+	}
 }
 
 // markComputed transitions the node to computed and returns the successor
-// list to notify. The computed phase and the drained list are published by
-// one atomic store (which also releases the claim bit), so addSuccessor
-// refuses new entries from that instant on and every successor is notified
-// exactly once.
+// list to notify; every successor is notified exactly once.
 //
 //nabbit:noalloc
 func (n *Node) markComputed() []*Node {
-	v := n.lockSuccs()
-	succs := n.succs
-	// Truncate rather than nil: the backing array is dead for the rest of
-	// this run (addSuccessor refuses once computed) but a reused arena
-	// slot appends into it again next epoch, so keeping it makes repeated
-	// Execute calls allocation-free on the notify path. The caller
-	// finishes iterating the returned slice within this run, strictly
-	// before any next-epoch append can touch the backing.
-	n.succs = succs[:0]
-	// Preserve the epoch stamp: the arena's reset relies on every slot a
-	// run touched carrying that run's epoch.
-	n.state.Store(v&epochMask | nodeComputed)
+	succs, _ := n.retire(0)
 	return succs
 }
+
+// claimSkip retires a node that must never execute: the phase becomes
+// computed with nodeSkipBit set (attempt bits cleared, epoch preserved)
+// and the drained successor list is returned for notification, exactly
+// like markComputed. ok=false reports that a racing normal completion
+// already computed the node.
+//
+//nabbit:noalloc
+func (n *Node) claimSkip() (succs []*Node, ok bool) { return n.retire(nodeSkipBit) }
 
 // bumpAttempt records one failed ComputeErr attempt in the state word
 // and returns the total attempt count including it. The 3-bit counter
@@ -205,9 +284,7 @@ func (n *Node) bumpAttempt() int {
 		if v&succLockBit == 0 && n.state.CompareAndSwap(v, v+attemptUnit) {
 			return int(a) + 1
 		}
-		if spins > 64 {
-			runtime.Gosched()
-		}
+		spinWait(spins)
 	}
 }
 
@@ -229,30 +306,8 @@ func (n *Node) setSkip() {
 		if v&succLockBit == 0 && n.state.CompareAndSwap(v, v|nodeSkipBit) {
 			return
 		}
-		if spins > 64 {
-			runtime.Gosched()
-		}
+		spinWait(spins)
 	}
-}
-
-// claimSkip atomically retires a node that must never execute: the
-// phase becomes computed with nodeSkipBit set (attempt bits cleared,
-// epoch preserved) and the drained successor list is returned for
-// notification, exactly like markComputed. ok=false reports that a
-// racing normal completion already computed the node, in which case
-// nothing was changed and the caller owes no notifications.
-//
-//nabbit:noalloc
-func (n *Node) claimSkip() (succs []*Node, ok bool) {
-	v := n.lockSuccs()
-	if nodePhase(v) == nodeComputed {
-		n.state.Store(v)
-		return nil, false
-	}
-	succs = n.succs
-	n.succs = succs[:0]
-	n.state.Store(v&epochMask | nodeSkipBit | nodeComputed)
-	return succs, true
 }
 
 // decJoin accounts one predecessor and reports whether the node became
@@ -260,7 +315,7 @@ func (n *Node) claimSkip() (succs []*Node, ok bool) {
 //
 //nabbit:noalloc
 func (n *Node) decJoin() bool {
-	v := n.join.Add(-1)
+	v := atomic.AddInt32(&n.join, -1)
 	if v < 0 {
 		panic("core: join counter went negative — a predecessor was accounted twice")
 	}
@@ -279,10 +334,21 @@ type nodeTable interface {
 	// boolean reports whether this call created the node; exactly one
 	// caller per key observes true, and that caller is responsible for
 	// processing the node's predecessors (the node is returned fully
-	// initialized either way).
-	getOrCreate(k Key) (*Node, bool)
+	// initialized either way). wid is the calling worker's id: what a
+	// creation writes outside the node itself (the creation count) goes
+	// to that worker's own stripe. succ, when non-nil, is registered as
+	// the created node's first successor before the node is published, so
+	// the edge that discovers a node costs no claim-bit round trip; when
+	// the node already exists succ is ignored and the caller registers
+	// the edge itself.
+	getOrCreate(k Key, wid int, succ *Node) (*Node, bool)
 	// get returns the node for k if it has been created.
 	get(k Key) (*Node, bool)
+	// colorOf and homeOf return task k's colour and data home without
+	// creating anything: from the arena's prefilled slots, or from the
+	// spec when the table caches nothing.
+	colorOf(k Key) int32
+	homeOf(k Key) int32
 	// count returns the number of created nodes.
 	count() int
 	// reset forgets every created node so the table can serve a fresh
@@ -293,6 +359,60 @@ type nodeTable interface {
 	// in ascending order — the stall sweep's diagnostic payload. Callers
 	// must guarantee quiescence (same contract as reset).
 	pendingKeys() []Key
+}
+
+// specView is the read-mostly face of a spec that node creation consults:
+// the spec itself, its HomeSpec face resolved once (nil when homes are
+// the colours), and the colour → NUMA-domain table that replaces two
+// divisions per locality lookup. One instance is built per engine and
+// shared by all of its node tables.
+type specView struct {
+	spec    Spec
+	hspec   HomeSpec
+	domains []int32
+}
+
+func newSpecView(spec Spec, topo numa.Topology) *specView {
+	sv := &specView{spec: spec, domains: make([]int32, topo.Workers)}
+	sv.hspec, _ = spec.(HomeSpec)
+	for c := range sv.domains {
+		sv.domains[c] = int32(topo.DomainOf(c))
+	}
+	return sv
+}
+
+// colorHome returns task k's colour and true data home (HomeOf without a
+// second Color call).
+func (sv *specView) colorHome(k Key) (color, home int32) {
+	c := sv.spec.Color(k)
+	if sv.hspec != nil {
+		return int32(c), int32(sv.hspec.Home(k))
+	}
+	return int32(c), int32(c)
+}
+
+// domainOf returns the NUMA domain of colour c, or -1 for a colour no
+// worker owns (remote to everyone, as numa.Topology.Remote has it).
+func (sv *specView) domainOf(c int32) int32 {
+	if uint32(c) < uint32(len(sv.domains)) {
+		return sv.domains[c]
+	}
+	return -1
+}
+
+// predSummary folds one more predecessor's colour and home domain into
+// the running summary (i is the predecessor's index).
+func predSummary(i int, pc, pd, c, d int32) (int32, int32) {
+	if i == 0 {
+		return c, d
+	}
+	if c != pc {
+		pc = predMixed
+	}
+	if d != pd {
+		pd = predMixed
+	}
+	return pc, pd
 }
 
 // nodeShardCount is a power of two sized to keep per-shard contention low
@@ -311,12 +431,12 @@ type nodeShard struct {
 // nodeMap is the sharded-hash-map nodeTable: the fallback for specs whose
 // key universe is unbounded or too large to preallocate.
 type nodeMap struct {
-	spec   Spec
+	sv     *specView
 	shards [nodeShardCount]nodeShard
 }
 
-func newNodeMap(spec Spec) *nodeMap {
-	nm := &nodeMap{spec: spec}
+func newNodeMap(sv *specView) *nodeMap {
+	nm := &nodeMap{sv: sv}
 	for i := range nm.shards {
 		nm.shards[i].m = make(map[Key]*Node)
 	}
@@ -328,7 +448,7 @@ func shardOf(k Key) uint64 {
 	return (uint64(k) * 0x9e3779b97f4a7c15) >> (64 - 7)
 }
 
-func (nm *nodeMap) getOrCreate(k Key) (*Node, bool) {
+func (nm *nodeMap) getOrCreate(k Key, _ int, succ *Node) (*Node, bool) {
 	sh := &nm.shards[shardOf(k)]
 	// Fast path: most getOrCreate calls are lookups of existing nodes
 	// (every edge after the first names an already-created predecessor),
@@ -362,19 +482,33 @@ func (nm *nodeMap) getOrCreate(k Key) (*Node, bool) {
 	// then unwinds to the worker's rescue boundary and fails the graph.
 	defer func() {
 		if !done {
-			n.preds = nil
-			n.join.Store(poisonedJoin)
+			n.setPreds(nil)
+			n.join = poisonedJoin //nabbit:mixed-ok unpublished: the ready store below orders it
+		} else if succ != nil {
+			n.setSuccs(append(n.succBacking(), succ))
 		}
 		n.state.Store(nodeReady)
 		sh.m[k] = n
 		sh.mu.Unlock()
 	}()
-	n.color = nm.spec.Color(k)
-	n.home = HomeOf(nm.spec, k)
-	n.preds = nm.spec.Predecessors(k)
-	n.join.Store(int32(len(n.preds)))
+	sv := nm.sv
+	n.color, n.home = sv.colorHome(k)
+	preds := sv.spec.Predecessors(k)
+	n.setPreds(preds)
+	for i, pk := range preds {
+		c, h := sv.colorHome(pk)
+		n.predColor, n.predDomain = predSummary(i, n.predColor, n.predDomain, c, sv.domainOf(h))
+	}
+	n.join = int32(len(preds)) //nabbit:mixed-ok unpublished: the ready store orders it
 	done = true
 	return n, true
+}
+
+func (nm *nodeMap) colorOf(k Key) int32 { return int32(nm.sv.spec.Color(k)) }
+
+func (nm *nodeMap) homeOf(k Key) int32 {
+	_, h := nm.sv.colorHome(k)
+	return h
 }
 
 // get returns the node for k if it exists. Read-only: concurrent readers
@@ -479,11 +613,15 @@ func HomeMajorIndex(bound, workers int, homeOf func(Key) int) []int32 {
 // Key, color and home are prefilled at construction; create-or-get is a
 // single CAS on the node's lifecycle word with no lock, no hashing, and
 // no allocation (the predecessor slice comes from the spec).
+//
+// Every field but created is read-only during a run, and every lookup
+// reads them, so nothing a run writes may share their cache line: the
+// creation count — the one word a creation writes outside its node —
+// lives in per-worker stripes a line apart, in storage of its own.
 type nodeArena struct {
-	spec    Spec
-	index   []int32 // key -> slot in nodes
-	nodes   []Node
-	created atomic.Int64
+	sv    *specView
+	index []int32 // key -> slot in nodes
+	nodes []Node
 	// epoch is the current run's stamp, pre-shifted into state-word
 	// position (a multiple of epochUnit). A slot whose stamped epoch
 	// differs reads as absent; reset bumps it instead of clearing slots.
@@ -491,37 +629,50 @@ type nodeArena struct {
 	// workers during a run — the Engine's park/wake handshake provides the
 	// happens-before edge.
 	epoch uint32
+	// created[w] counts the nodes worker w created this run. A stripe is
+	// written plainly by its worker alone; count sums them once the run's
+	// completion has ordered every creation before the reader.
+	created []createStripe
 }
 
-func newNodeArena(spec Spec, bound, workers int) *nodeArena {
-	// One pass over the universe caches every key's color and true home
-	// (mirroring HomeOf without a second Color call per key), then the
-	// shared layout function turns the homes into slot assignments.
+// createStripe is one worker's creation counter, padded so consecutive
+// stripes are a cache line apart (pinned by TestCreateStripeLayout).
+type createStripe struct {
+	n int64
+	_ [cacheLine - 8]byte
+}
+
+// cacheLine is the coherence granule the per-task layout is built around.
+const cacheLine = 64
+
+func newNodeArena(sv *specView, bound int) *nodeArena {
+	// One pass over the universe caches every key's color and true home,
+	// then the shared layout function turns the homes into slot
+	// assignments.
+	workers := len(sv.domains)
 	colors := make([]int32, bound)
 	homes := make([]int32, bound)
-	hs, hasHome := spec.(HomeSpec)
 	for k := 0; k < bound; k++ {
-		c := spec.Color(Key(k))
-		h := c
-		if hasHome {
-			h = hs.Home(Key(k))
-		}
-		colors[k] = int32(c)
-		homes[k] = int32(h)
+		colors[k], homes[k] = sv.colorHome(Key(k))
 	}
 	a := &nodeArena{
-		spec:  spec,
+		sv:    sv,
 		index: HomeMajorIndex(bound, workers, func(k Key) int { return int(homes[k]) }),
 		nodes: make([]Node, bound),
+		// A spare stripe on each side keeps the first and last worker's
+		// counter off whatever the allocator placed next to the array.
+		created: make([]createStripe, workers+2)[1 : workers+1],
 	}
 	for k := 0; k < bound; k++ {
 		n := &a.nodes[a.index[k]]
 		n.key = Key(k)
-		n.color = int(colors[k])
-		n.home = int(homes[k])
+		n.color = colors[k]
+		n.home = homes[k]
 	}
 	return a
 }
+
+func (a *nodeArena) inBound(k Key) bool { return k >= 0 && int64(k) < int64(len(a.index)) }
 
 // getOrCreate claims the slot's lifecycle word: the CAS winner fills the
 // node in and publishes it with the ready store; losers (and every later
@@ -530,8 +681,8 @@ func newNodeArena(spec Spec, bound, workers int) *nodeArena {
 // creation allocates nothing.
 //
 //nabbit:noalloc
-func (a *nodeArena) getOrCreate(k Key) (*Node, bool) {
-	if k < 0 || int64(k) >= int64(len(a.index)) {
+func (a *nodeArena) getOrCreate(k Key, wid int, succ *Node) (*Node, bool) {
+	if !a.inBound(k) {
 		//nabbit:alloc-ok panic-only formatting
 		panic(fmt.Sprintf("core: key %d outside the spec's declared bound %d", k, len(a.index)))
 	}
@@ -547,7 +698,7 @@ func (a *nodeArena) getOrCreate(k Key) (*Node, bool) {
 	// claimant observed the same word, so exactly one wins.
 	for v&epochMask != cur || nodePhase(v) == nodeAbsent {
 		if n.state.CompareAndSwap(v, cur|nodeIniting) {
-			a.fill(n, k, cur)
+			a.fill(n, k, cur, wid, succ)
 			return n, true
 		}
 		v = n.state.Load()
@@ -562,39 +713,74 @@ func (a *nodeArena) getOrCreate(k Key) (*Node, bool) {
 		if v&epochMask == cur && nodePhase(v) >= nodeReady {
 			return n, false
 		}
-		if spins > 64 {
-			runtime.Gosched()
-		}
+		spinWait(spins)
 	}
 }
 
 // fill completes a slot whose creation CAS the caller just won: run the
-// spec's init (Predecessors) and publish ready. The deferred publish
-// also runs when the spec panics — with empty preds and a poisoned join
-// — so a slot can never be left at nodeIniting, where same-graph racers
-// would spin forever; the panic then unwinds to the worker's rescue
-// boundary and fails the owning graph.
-func (a *nodeArena) fill(n *Node, k Key, cur uint32) {
+// spec's init (Predecessors), summarize the predecessors, and publish
+// ready. Everything before the ready store is a plain write to a node no
+// one else may read yet — the join count, the first successor, this
+// worker's creation stripe — so a creation costs two locked operations in
+// all (the claim CAS and the publishing store). The deferred publish also
+// runs when the spec panics — with empty preds and a poisoned join — so a
+// slot can never be left at nodeIniting, where same-graph racers would
+// spin forever; the panic then unwinds to the worker's rescue boundary
+// and fails the owning graph.
+func (a *nodeArena) fill(n *Node, k Key, cur uint32, wid int, succ *Node) {
 	done := false
 	defer func() {
+		// Start from an empty list whatever the slot held: markComputed
+		// leaves retired slots truncated, but a node the previous run
+		// somehow never computed must not leak successors into this epoch.
+		succs := n.succBacking()[:0]
 		if !done {
-			n.preds = nil
-			n.join.Store(poisonedJoin)
+			n.setPreds(nil)
+			n.join = poisonedJoin //nabbit:mixed-ok unpublished: the ready store below orders it
+		} else if succ != nil {
+			succs = append(succs, succ)
 		}
-		// Defensive: markComputed leaves retired slots truncated, but a
-		// node the previous run somehow never computed must not leak
-		// successors into this epoch.
-		n.succs = n.succs[:0]
-		a.created.Add(1)
+		n.setSuccs(succs)
+		a.created[wid].n++
 		n.state.Store(cur | nodeReady)
 	}()
-	n.preds = a.spec.Predecessors(k)
-	n.join.Store(int32(len(n.preds)))
+	preds := a.sv.spec.Predecessors(k)
+	n.setPreds(preds)
+	// Reading each predecessor's prefilled slot here also pulls in the
+	// line the caller is about to getOrCreate.
+	pc, pd := int32(0), int32(0)
+	for i, pk := range preds {
+		if !a.inBound(pk) {
+			// Left for getOrCreate(pk) to report, with pk as the culprit.
+			// predMixed is absorbing for every later predecessor.
+			pc, pd = predMixed, predMixed
+			continue
+		}
+		p := &a.nodes[a.index[pk]]
+		pc, pd = predSummary(i, pc, pd, p.color, a.sv.domainOf(p.home))
+	}
+	n.predColor, n.predDomain = pc, pd
+	n.join = int32(len(preds)) //nabbit:mixed-ok unpublished: the ready store orders it
 	done = true
 }
 
+func (a *nodeArena) colorOf(k Key) int32 {
+	if !a.inBound(k) {
+		return int32(a.sv.spec.Color(k))
+	}
+	return a.nodes[a.index[k]].color
+}
+
+func (a *nodeArena) homeOf(k Key) int32 {
+	if !a.inBound(k) {
+		_, h := a.sv.colorHome(k)
+		return h
+	}
+	return a.nodes[a.index[k]].home
+}
+
 func (a *nodeArena) get(k Key) (*Node, bool) {
-	if k < 0 || int64(k) >= int64(len(a.index)) {
+	if !a.inBound(k) {
 		return nil, false
 	}
 	n := &a.nodes[a.index[k]]
@@ -605,7 +791,13 @@ func (a *nodeArena) get(k Key) (*Node, bool) {
 	return n, true
 }
 
-func (a *nodeArena) count() int { return int(a.created.Load()) }
+func (a *nodeArena) count() int {
+	total := int64(0)
+	for i := range a.created {
+		total += a.created[i].n
+	}
+	return int(total)
+}
 
 // pendingKeys lists created-but-never-computed nodes of the current
 // epoch, sorted. Stall-sweep only (quiescent), so the O(bound) scan is
@@ -636,7 +828,7 @@ func (a *nodeArena) reset() {
 		}
 	}
 	a.epoch = e
-	a.created.Store(0)
+	clear(a.created)
 }
 
 // NodeStore is an exported handle to a node table outside any engine run
@@ -652,16 +844,18 @@ func NewNodeStore(spec Spec, workers int, backend NodeTableBackend) (*NodeStore,
 	if workers < 1 {
 		return nil, fmt.Errorf("core: NewNodeStore needs workers >= 1, got %d", workers)
 	}
-	nt, _, err := newNodeTable(spec, Options{Workers: workers, NodeTable: backend})
+	backend, err := ResolveNodeTable(spec, backend)
 	if err != nil {
 		return nil, err
 	}
-	return &NodeStore{nt: nt}, nil
+	sv := newSpecView(spec, numa.Paper(workers))
+	return &NodeStore{nt: newNodeTable(sv, backend)}, nil
 }
 
 // GetOrCreate returns the node for k, creating it if absent; the boolean
-// reports creation.
-func (s *NodeStore) GetOrCreate(k Key) (*Node, bool) { return s.nt.getOrCreate(k) }
+// reports creation. Creations are counted on worker 0's stripe, so unlike
+// the engine's per-worker use a NodeStore is for one goroutine at a time.
+func (s *NodeStore) GetOrCreate(k Key) (*Node, bool) { return s.nt.getOrCreate(k, 0, nil) }
 
 // Count returns the number of created nodes.
 func (s *NodeStore) Count() int { return s.nt.count() }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -27,8 +28,8 @@ func BenchmarkGetOrCreate(b *testing.B) {
 		name string
 		mk   func() nodeTable
 	}{
-		{"dense", func() nodeTable { return newNodeArena(spec, benchBound, 8) }},
-		{"sharded", func() nodeTable { return newNodeMap(spec) }},
+		{"dense", func() nodeTable { return newNodeArena(testView(spec, 8), benchBound) }},
+		{"sharded", func() nodeTable { return newNodeMap(testView(spec, 8)) }},
 	}
 	for _, impl := range backends {
 		b.Run(impl.name, func(b *testing.B) {
@@ -45,7 +46,7 @@ func BenchmarkGetOrCreate(b *testing.B) {
 					k = 0
 					b.StartTimer()
 				}
-				nt.getOrCreate(Key(k))
+				nt.getOrCreate(Key(k), 0, nil)
 				k++
 			}
 		})
@@ -60,18 +61,18 @@ func BenchmarkGetOrCreateLookup(b *testing.B) {
 		name string
 		nt   nodeTable
 	}{
-		{"dense", newNodeArena(spec, benchBound, 8)},
-		{"sharded", newNodeMap(spec)},
+		{"dense", newNodeArena(testView(spec, 8), benchBound)},
+		{"sharded", newNodeMap(testView(spec, 8))},
 	}
 	for _, impl := range backends {
 		b.Run(impl.name, func(b *testing.B) {
 			for k := 0; k < benchBound; k++ {
-				impl.nt.getOrCreate(Key(k))
+				impl.nt.getOrCreate(Key(k), 0, nil)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				impl.nt.getOrCreate(Key(i & (benchBound - 1)))
+				impl.nt.getOrCreate(Key(i&(benchBound-1)), 0, nil)
 			}
 		})
 	}
@@ -95,9 +96,9 @@ func BenchmarkNotify(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pred.state.Store(nodeReady)
-				pred.succs = backing
+				pred.setSuccs(backing)
 				for _, s := range succs {
-					s.join.Store(1)
+					atomic.StoreInt32(&s.join, 1)
 					if !pred.addSuccessor(s) {
 						b.Fatal("addSuccessor refused before markComputed")
 					}

@@ -98,10 +98,10 @@ func TestHomeMajorLayout(t *testing.T) {
 
 	// The arena must agree with the index and prefill key/color/home.
 	spec := FuncSpec{ColorFn: func(k Key) int { return home(k) }}
-	a := newNodeArena(spec, bound, workers)
+	a := newNodeArena(testView(spec, workers), bound)
 	for k := 0; k < bound; k++ {
 		n := &a.nodes[a.index[k]]
-		if n.key != Key(k) || n.home != home(Key(k)) || n.color != home(Key(k)) {
+		if n.key != Key(k) || n.Home() != home(Key(k)) || n.Color() != home(Key(k)) {
 			t.Fatalf("slot for key %d prefilled as key=%d color=%d home=%d",
 				k, n.key, n.color, n.home)
 		}
@@ -126,7 +126,7 @@ func TestArenaGetOrCreateRace(t *testing.T) {
 		BoundFn: func() int { return bound },
 	}
 	for round := 0; round < 10; round++ {
-		a := newNodeArena(spec, bound, goroutines)
+		a := newNodeArena(testView(spec, goroutines), bound)
 		var created atomic.Int64
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -135,7 +135,7 @@ func TestArenaGetOrCreateRace(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < bound*4; i++ {
 					k := Key((i*7 + g*13) % bound)
-					n, isNew := a.getOrCreate(k)
+					n, isNew := a.getOrCreate(k, g, nil)
 					if isNew {
 						created.Add(1)
 					}
@@ -144,7 +144,7 @@ func TestArenaGetOrCreateRace(t *testing.T) {
 						return
 					}
 					// The node must be published fully initialized.
-					if got := len(n.preds); got != int(k)%3 {
+					if got := len(n.Preds()); got != int(k)%3 {
 						t.Errorf("key %d observed %d preds, want %d", k, got, int(k)%3)
 						return
 					}
@@ -173,7 +173,7 @@ func TestNotifyLifecycleRace(t *testing.T) {
 		for i := range succs {
 			succs[i] = &Node{}
 			succs[i].state.Store(nodeReady)
-			succs[i].join.Store(1)
+			atomic.StoreInt32(&succs[i].join, 1)
 		}
 
 		var start, wg sync.WaitGroup
@@ -209,9 +209,9 @@ func TestNotifyLifecycleRace(t *testing.T) {
 				round, len(drained), refused.Load(), goroutines)
 		}
 		for i, s := range succs {
-			if s.join.Load() != 0 {
+			if j := atomic.LoadInt32(&s.join); j != 0 {
 				t.Fatalf("round %d: successor %d accounted %d times",
-					round, i, 1-s.join.Load())
+					round, i, 1-j)
 			}
 		}
 		if !pred.Computed() {
@@ -282,13 +282,13 @@ func TestForcedDenseUnboundedErrors(t *testing.T) {
 // that declare a bound smaller than the keys they generate.
 func TestArenaKeyOutOfBoundPanics(t *testing.T) {
 	spec, _ := boundedChainSpec(8, nil)
-	a := newNodeArena(spec, 8, 2)
+	a := newNodeArena(testView(spec, 2), 8)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-bound key did not panic")
 		}
 	}()
-	a.getOrCreate(99)
+	a.getOrCreate(99, 0, nil)
 }
 
 // TestArenaZeroAlloc pins the dense backend's headline property: after
@@ -300,16 +300,16 @@ func TestArenaZeroAlloc(t *testing.T) {
 		ColorFn: func(k Key) int { return int(k) % 8 },
 		BoundFn: func() int { return bound },
 	}
-	a := newNodeArena(spec, bound, 8)
+	a := newNodeArena(testView(spec, 8), bound)
 	next := 0
 	if avg := testing.AllocsPerRun(bound/2, func() {
-		a.getOrCreate(Key(next))
+		a.getOrCreate(Key(next), 0, nil)
 		next++
 	}); avg != 0 {
 		t.Fatalf("arena create: %v allocs/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		a.getOrCreate(0)
+		a.getOrCreate(0, 0, nil)
 	}); avg != 0 {
 		t.Fatalf("arena lookup: %v allocs/op, want 0", avg)
 	}

@@ -21,7 +21,8 @@ type Spec interface {
 	// Color returns the color of task k: the worker whose memory is the
 	// most efficient location to execute k. Colors outside the worker
 	// range are permitted (they disable locality for that task, which
-	// the Table III ablation exploits).
+	// the Table III ablation exploits). The engine keeps colors (and
+	// homes) as int32, so values must fit one.
 	Color(k Key) int
 	// Compute performs the task. It runs exactly once per task, after
 	// all predecessors have computed.

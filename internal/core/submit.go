@@ -276,7 +276,7 @@ func (e *Engine) checkoutTableLocked() nodeTable {
 		nt.reset()
 		return nt
 	}
-	return e.buildTable()
+	return newNodeTable(e.sv, e.backend)
 }
 
 // finishRun completes a graph whose sink just computed, called by the
@@ -297,7 +297,7 @@ func (e *Engine) finishRun(r *graphRun) {
 		GraphID:      r.id,
 		Elapsed:      time.Since(r.start),
 		NodesCreated: r.nt.count(),
-		NodeBackend:  e.backend,
+		NodeBackend:  e.backend.String(),
 		DequeBackend: e.dequeBackend.String(),
 		Topology:     e.opts.Topology,
 		Retries:      r.retries.Load(),

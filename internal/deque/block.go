@@ -157,6 +157,7 @@ func (b *bkBlock[T]) summaryIntersects(mask colorset.Set) bool {
 // wake hook, and entries are opaque values (multi-graph *graphRun items
 // ride through untouched).
 type Block[T any] struct {
+	_ [cacheLine]byte
 	// head is the authoritative oldest possibly-live block. Only the
 	// owner moves it (when harvesting drained blocks), so it can never
 	// point at a recycled block and the chain it starts is always
@@ -177,6 +178,7 @@ type Block[T any] struct {
 	// whole point — see StealCASes.
 	stealCASes atomic.Int64
 	wake       func()
+	_          [cacheLine]byte
 }
 
 // NewBlock returns an empty block deque with enough preallocated blocks

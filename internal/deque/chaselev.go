@@ -55,6 +55,7 @@ import (
 // reporting StealAbort when the verdict might be stale. Misses stay
 // read-only: they never touch the reader count.
 type ChaseLev[T any] struct {
+	_      [cacheLine]byte
 	top    atomic.Int64
 	bottom atomic.Int64
 	buf    atomic.Pointer[clBuffer[T]]
@@ -69,6 +70,7 @@ type ChaseLev[T any] struct {
 	// wake is the post-push hook, set once before concurrent use and
 	// called only by the owner (inside PushBottom): no atomicity needed.
 	wake func()
+	_    [cacheLine]byte
 }
 
 // clSlot is one buffer cell. readers counts thieves between claim recheck

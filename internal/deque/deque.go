@@ -34,6 +34,13 @@ func (o StealOutcome) String() string {
 	}
 }
 
+// cacheLine is the coherence granule the deque headers are padded to. A
+// header is a small object whose words its owner rewrites on every push
+// and pop, and the allocator packs same-sized objects side by side, so
+// each implementation brackets its header with a line of padding: no two
+// workers' deque headers can share a cache line wherever they land.
+const cacheLine = 64
+
 // batchSize returns how many items a steal-half takes from a deque of n
 // items: half of it rounded up, capped at max (max <= 0 means uncapped).
 func batchSize(n, max int) int {

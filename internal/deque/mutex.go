@@ -9,21 +9,31 @@ import (
 // Mutex is a lock-protected growable ring-buffer deque. It is the engine
 // default: the owner's push/pop and a thief's steal each take the lock
 // briefly, and per-deque contention in work stealing is low by design.
+//
+// The ring's length is always a power of two, so an index wraps with one
+// AND against mask instead of a division per push and per pop. The header
+// is padded on both sides (see cacheLine): every field below is written
+// under the lock on each operation.
 type Mutex[T any] struct {
+	_     [cacheLine]byte
 	mu    sync.Mutex
 	buf   []Entry[T]
+	mask  int // len(buf) - 1
 	head  int // index of the top (oldest) element
 	n     int // number of elements
 	grows int64
 	wake  func() // post-push hook; set before concurrent use
+	_     [cacheLine]byte
 }
 
-// NewMutex returns an empty deque with the given initial capacity hint.
+// NewMutex returns an empty deque with the given initial capacity hint
+// (rounded up to a power of two).
 func NewMutex[T any](capacity int) *Mutex[T] {
-	if capacity < 4 {
-		capacity = 4
+	size := 4
+	for size < capacity {
+		size *= 2
 	}
-	return &Mutex[T]{buf: make([]Entry[T], capacity)}
+	return &Mutex[T]{buf: make([]Entry[T], size), mask: size - 1}
 }
 
 //nabbit:alloc-ok amortized growth path, counted by Grows()
@@ -34,6 +44,7 @@ func (d *Mutex[T]) grow() {
 	n := copy(nb, d.buf[d.head:])
 	copy(nb[n:], d.buf[:d.head])
 	d.buf = nb
+	d.mask = len(nb) - 1
 	d.head = 0
 	d.grows++
 }
@@ -46,7 +57,7 @@ func (d *Mutex[T]) PushBottom(e Entry[T]) {
 	if d.n == len(d.buf) {
 		d.grow() //nabbit:alloc-ok inlined amortized growth
 	}
-	d.buf[(d.head+d.n)%len(d.buf)] = e
+	d.buf[(d.head+d.n)&d.mask] = e
 	d.n++
 	d.mu.Unlock()
 	// Outside the lock: the item is already stealable, and the hook may
@@ -70,7 +81,7 @@ func (d *Mutex[T]) PopBottom() (Entry[T], bool) {
 		return zero, false
 	}
 	d.n--
-	i := (d.head + d.n) % len(d.buf)
+	i := (d.head + d.n) & d.mask
 	e := d.buf[i]
 	d.buf[i] = Entry[T]{} // release references
 	d.mu.Unlock()
@@ -89,7 +100,7 @@ func (d *Mutex[T]) StealTop() (Entry[T], StealOutcome) {
 	}
 	e := d.buf[d.head]
 	d.buf[d.head] = Entry[T]{}
-	d.head = (d.head + 1) % len(d.buf)
+	d.head = (d.head + 1) & d.mask
 	d.n--
 	d.mu.Unlock()
 	return e, StealOK
@@ -112,7 +123,7 @@ func (d *Mutex[T]) StealTopColored(color int) (Entry[T], StealOutcome) {
 	}
 	e := d.buf[d.head]
 	d.buf[d.head] = Entry[T]{}
-	d.head = (d.head + 1) % len(d.buf)
+	d.head = (d.head + 1) & d.mask
 	d.n--
 	d.mu.Unlock()
 	return e, StealOK
@@ -135,7 +146,7 @@ func (d *Mutex[T]) StealTopMasked(mask colorset.Set) (Entry[T], StealOutcome) {
 	}
 	e := d.buf[d.head]
 	d.buf[d.head] = Entry[T]{}
-	d.head = (d.head + 1) % len(d.buf)
+	d.head = (d.head + 1) & d.mask
 	d.n--
 	d.mu.Unlock()
 	return e, StealOK
@@ -148,7 +159,7 @@ func (d *Mutex[T]) stealBatchLocked(k int) []Entry[T] {
 	for i := range out {
 		out[i] = d.buf[d.head]
 		d.buf[d.head] = Entry[T]{}
-		d.head = (d.head + 1) % len(d.buf)
+		d.head = (d.head + 1) & d.mask
 	}
 	d.n -= k
 	return out
