@@ -30,30 +30,35 @@
 // NewEngine + Execute + Close. Iterative workloads — PageRank power
 // iterations, stencil time stepping — hold one Engine and Execute once
 // per outer iteration, so every construction cost (goroutine spawn,
-// deque buffers, the preallocated node arena) is paid once and
-// amortized; services with many independent small graphs Submit them
-// concurrently and let workers interleave.
+// deque buffers, the key records and node pages of the dense table) is
+// paid once and amortized; services with many independent small graphs
+// Submit them concurrently and let workers interleave.
 //
 // Between graphs a node table must forget the previous occupant. The
-// dense arena does this in O(1): the node state word reserves bits 6..30
+// dense table does this in O(1): the node state word reserves bits 6..30
 // for an epoch stamp, every lifecycle transition preserves the stamp,
-// and reset just bumps the arena's current epoch — a slot stamped with
-// any other epoch reads as absent, so there is no per-slot clearing loop
-// (the 25-bit stamp wraps once per 2^25 resets, at which point slots are
-// cleared the slow way once). The sharded map clears its shards in
-// place, keeping their buckets warm. Successor-list backing arrays
-// survive the same way: retirement truncates instead of dropping them,
-// so steady-state Execute and Submit cycles allocate only run
+// and reset just takes the table a new stamp from the engine's clock — a
+// slot stamped with any other epoch reads as absent, so there is no
+// per-slot clearing loop (what happens when the 25-bit stamp wraps is
+// the page pool's business; see the backend note below). The sharded map
+// clears its shards in place, keeping their buckets warm. Successor-list
+// backing arrays survive the same way: retirement truncates instead of
+// dropping them, and they stay with their slot wherever its page goes
+// next, so steady-state Execute and Submit cycles allocate only run
 // bookkeeping (single-digit allocations), never per-node storage.
 //
 // # Design note: multi-tenancy — per-graph runs, tables, and admission
 //
 // Each admitted graph is a graphRun: an engine-unique id, its own node
-// table instance, and a completion channel. Because epochs are a
-// property of a table instance, concurrent graphs cannot share one —
-// instead the engine keeps a pool of idle table instances under its
-// state lock; admission checks one out (reset to a fresh epoch) and
-// completion returns it. The recycle point is safe by a scheduling
+// table instance, and a completion channel. A table resolves keys for
+// one graph at a time, so concurrent graphs cannot share one — instead
+// the engine keeps a pool of idle table instances under its state lock;
+// admission checks one out (reset to a fresh stamp) and completion
+// returns it. A dense table is little more than a directory: the nodes
+// themselves live in 64-node pages that every table of the engine draws
+// from one page pool and hands back when its run ends, so what 128
+// graphs in flight cost is the pages their nodes fall in, not 128 copies
+// of the key universe. The recycle point is safe by a scheduling
 // invariant: when a run's sink computes, no deque can still hold an item
 // of that run, because any such item would be feeding a join below the
 // not-yet-computed sink. Every deque item carries its *graphRun, so
@@ -115,7 +120,7 @@
 //
 // In detail:
 //
-//   - absent: the arena slot exists but no worker has named the key yet
+//   - absent: the slot exists but no worker has named the key yet
 //     (map-backed nodes are born directly in ready — the shard lock
 //     already serializes their creation).
 //   - initializing: exactly one worker won the CAS from absent and is
@@ -155,33 +160,51 @@
 // copied per push/pop fits in two lines.
 //
 // Node-owned. A Node is exactly one 64-byte line (slices as bare data
-// pointers with int32 lengths, int32 colour/home), and arena slots of any
-// arena too large for L1 are line-aligned, so creating a task, registering
+// pointers with int32 lengths, int32 colour/home), and every page of the
+// dense table is line-aligned, so creating a task, registering
 // a successor, counting down its join, computing and draining it touch one
-// line. Two summaries are folded into the node at creation, when its
-// predecessors' slots are being pulled into cache anyway: predColor (the
+// line. Two summaries are folded into the node at creation, from the key
+// records its predecessors' lookups are about to read anyway: predColor (the
 // colour all predecessors share, if they do) makes grouping a
 // single-coloured predecessor list O(1) with no per-edge Color call, and
 // predDomain (the NUMA domain all their homes lie in) turns the paper's
 // per-predecessor locality accounting into one comparison — no HomeSpec
 // type assertion and call per edge, and no read of a predecessor's line
 // after another worker has written it. Only a node whose predecessors
-// straddle colours or domains looks each one up, in the arena's prefilled
-// slots (the sharded map asks the spec).
+// straddle colours or domains looks each one up, in the engine's key
+// records (the sharded map asks the spec).
 //
 // Worker-owned. The rng state, WorkerStats, the grouping scratch (its
 // small buffers inline, its colour table bracketed by a line of slack),
 // and the loop counters sit in the worker struct between two lines of
 // padding; the words other goroutines write (park handshake, watchdog
 // publication) come after a third. Deque headers are padded the same way
-// by internal/deque. The dense arena's creation count — the one word a
-// creation writes outside its node — is striped per worker, a line apart,
-// in storage of its own: nodeTable.getOrCreate takes the worker id, the
-// stripe is a plain increment, count() sums the stripes once the run's
-// completion has ordered every creation before the reader, and reset
-// clears them with the epoch. The old single atomic counter sat on the
-// line holding index/nodes/epoch, so every creation invalidated the line
-// every lookup reads.
+// by internal/deque. What a worker writes to a dense table outside the
+// nodes — its creation count, the list of directory entries it installed
+// a page under — is striped per worker, a line apart, in storage of its
+// own: nodeTable.getOrCreate takes the worker id, the stripe is a plain
+// increment or append, count() and release() read the stripes once the
+// run's completion has ordered every write before the reader, and reset
+// clears the counts with the stamp. A counter or list cursor shared by
+// the workers sits on a line every one of them writes: the single
+// creation counter of old invalidated the line every lookup reads, and a
+// shared cursor for the installed list — one locked add per page, 1 024
+// per run — cost the wavefront benchmark 8 %. The page pool follows the
+// same rule: each worker pushes and pops a private stack of pages, and
+// trades half a stack at a time with the locked shared list.
+//
+// What a table owns and what the engine shares (dense backend):
+//
+//	per table    directory (one pointer per 64 slots); stamp, era and
+//	             last sink; one stripe per worker (creation count,
+//	             installed entries)
+//	per engine   key records on the specView (slot, colour; homes only
+//	             for a HomeSpec) — 8 bytes a key, read-only, one line
+//	             serves a key's lookup, its fill and the summary of its
+//	             neighbouring predecessors; the page pool (slabs,
+//	             per-worker stacks, shared list); the stamp clock
+//	in flight    pages: 64 nodes, 4 KB, line-aligned, under exactly one
+//	             table's directory or in the pool
 //
 // Engine read-mostly. What the per-task path reads from the Engine — the
 // spec and its resolved faces, the colour → domain table, the policy
@@ -219,23 +242,29 @@
 // on the worker's own deque header, none on anything shared beyond the
 // two nodes an edge joins.
 //
-// # Design note: dense arena vs sharded map
+// # Design note: paged dense table vs sharded map
 //
 // The engine resolves keys through one of two nodeTable backends, chosen
 // per run (Options.NodeTable, default auto):
 //
 //   - nodeArena — used when the spec declares a bounded key universe
-//     (BoundedSpec / FuncSpec.BoundFn). One flat []Node is preallocated
-//     for the whole universe, with a key → slot index computed up front.
-//     getOrCreate is an array index plus one atomic load (lookup) or one
-//     CAS (create): no hashing, no locks, no per-node allocation. Slots
-//     are laid out home-major (HomeMajorIndex): tasks whose data lives at
-//     the same color sit contiguously, so a worker sweeping its own
-//     color's tasks walks a dense region of the arena instead of chasing
-//     map buckets — the paper's assumption that task data clusters at its
-//     home color, applied to the scheduler's own metadata. All benchmark
-//     workloads (stencil grids, CSR blocks, wavefronts) have such bounds
-//     known at spec time.
+//     (BoundedSpec / FuncSpec.BoundFn). Every key has a slot, assigned
+//     home-major (HomeMajorIndex): tasks whose data lives at the same
+//     color sit contiguously, so a worker sweeping its own color's tasks
+//     walks dense memory instead of chasing map buckets — the paper's
+//     assumption that task data clusters at its home color, applied to
+//     the scheduler's own metadata. Slots come in pages of 64. A table is
+//     a directory of page pointers, empty at checkout; the first worker
+//     to name a key in a page's range takes a page from the engine-wide
+//     pool and CASes it in, and getOrCreate is then the key's record, the
+//     directory entry and one atomic load of the slot's state word
+//     (lookup) or one CAS (create): no hashing, no locks, no per-node
+//     allocation. Nabbit creates nodes on demand, and so does the table
+//     its storage: a 17-node graph out of a million-key universe costs
+//     the two or three pages its keys fall in, and a run over the whole
+//     universe is simply the one that installs every page. All benchmark
+//     workloads (stencil grids, CSR blocks, wavefronts) have bounds known
+//     at spec time.
 //   - nodeMap — a 128-way sharded RWMutex hash map, the fallback for
 //     truly dynamic specs that cannot bound their key space.
 //
@@ -243,6 +272,44 @@
 // protocol above, so the scheduler proper is backend-oblivious, and the
 // simulator mirrors the same split with byte-identical schedules across
 // backends (see internal/sim).
+//
+// Handing pages back. The worker that completes a run (finishRun) gives
+// the table's pages back to the pool before the table itself goes back
+// on the idle list, so the engine's node memory follows the nodes in
+// flight. That is safe at exactly that point for the reason the table
+// hand-back always was — a computed sink means no item of the run is left
+// in any deque — plus two rules for the stragglers the flat arena used to
+// forgive. A worker reads nothing of a node after its own last join
+// decrement on that node's successors: the decrement may be what lets
+// another worker compute the sink, finish the run and recycle the page
+// (computeAndNotify decides sink-ness from the key it read on entry).
+// And the watchdog's monitor, the one outsider that touches a running
+// graph's nodes, pins them by holding stateMu across its runLive check
+// and its claim; the hand-back sits inside finishRun's stateMu section,
+// so it cannot overtake a monitor section that still saw the run live,
+// and until the monitor holds that pin it names the node by the key the
+// worker published, never through the pointer. Failed and hung runs keep
+// their pages with their quarantined table until a proven-quiet point.
+//
+// One exception keeps an iterative workload from paying for this: a
+// table on its first run, or asked for the same sink as the run before,
+// keeps its pages, and reset hands them back if the next graph turns out
+// to be another one. An Execute loop therefore finds every node where it
+// left it — line, successor array and all — while a stream of different
+// graphs hands back at every finish.
+//
+// Stamps and the wrap rule. Stamps come from one engine-wide clock that
+// counts table checkouts: the stamp is the count modulo 2^25 and the era
+// is the quotient. Within an era no two tables have the same stamp, so a
+// page still carrying another run's words reads as empty to its next
+// table without anyone clearing it. Across eras a stamp can repeat, so no
+// page crosses an era boundary with its words intact: tables, workers'
+// stacks and the shared list are each tagged with the era their pages'
+// words belong to, a page moving between two whose tags differ is
+// cleared on the way (64 stores), and a stack or list asked for a page of
+// a later era sweeps what it holds once and adopts that era. A table
+// checked out before a wrap and still running after it keeps drawing and
+// returning pages under its own era, at the price of a clear each way.
 //
 // # Design note: the failure model
 //
@@ -289,9 +356,10 @@
 // and the admission semaphore are untouched by construction; the failed
 // run's slot is released by the completion owner. The one subtlety is
 // the run's node table: at fail time workers may still be touching it
-// through in-flight items, so it cannot go straight back to the pool.
-// failRun quarantines it on a dead-tables list, and the engine returns
-// quarantined tables to the pool only at proven-quiet points — when
+// through in-flight items, so neither it nor the pages it holds can go
+// straight back to their pools. failRun quarantines it on a dead-tables
+// list, and the engine returns quarantined tables (and pages) to the
+// pools only at proven-quiet points — when
 // Execute observes all workers parked, or when the stall sweep runs
 // (which itself only fires from the last parking worker). Subsequent
 // graphs therefore see either a recycled clean table or a fresh one,
@@ -349,8 +417,11 @@
 // touches the stuck goroutine, which keeps running until user code
 // returns; its eventual completion lands on a dead run and is dropped
 // at the exec boundary like any canceled item. The publication holds
-// the *Node pointer rather than a key so a recycled table can never
-// make the monitor resolve a stale key in a fresh graph. One
+// the *Node pointer, so a recycled table can never make the monitor
+// resolve a stale key in a fresh graph, and the key beside it, so the
+// monitor can name the node (TimeoutError.Key, OptionalSpec.Optional)
+// without reading through a pointer whose page may have been recycled
+// since the sample. One
 // consequence: an Execute whose run was hang-degraded skips the
 // quiescence-gated per-worker stats gather (Workers stays nil, as in
 // Submit mode), because quiescing would wait on the stuck goroutine.

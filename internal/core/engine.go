@@ -11,12 +11,14 @@ import (
 
 	"nabbitc/internal/colorset"
 	"nabbitc/internal/deque"
+	"nabbitc/internal/numa"
 	"nabbitc/internal/xrand"
 )
 
 // Engine is a persistent, multi-tenant instance of the real parallel
 // scheduler: P worker goroutines, each with a work-stealing deque of
-// morphing-continuation items, plus a pool of node-table instances. The
+// morphing-continuation items, plus a pool of node-table instances (and,
+// for the dense backend, the one pool of node pages they draw from). The
 // engine is built once (NewEngine) and executes any number of task
 // graphs, reusing the worker pool, the deques, and the node tables
 // across runs — the iterative-workload shape (PageRank power iterations,
@@ -68,6 +70,10 @@ type Engine struct {
 	ospec   OptionalSpec
 	opts    Options
 	backend NodeTableBackend // resolved node-table backend
+	// pool is the dense backend's engine-wide page pool and stamp clock
+	// (nil for the sharded map); every table the engine builds draws its
+	// pages from it.
+	pool *pagePool
 	// dequeBackend is the resolved worker-deque substrate (see
 	// ResolveDeque); workers are built on it once and reuse it forever.
 	dequeBackend DequeBackend
@@ -169,11 +175,23 @@ func ResolveNodeTable(spec Spec, backend NodeTableBackend) (NodeTableBackend, er
 	}
 }
 
+// newTableShared builds what all node tables of one engine share: the
+// spec view and, for the dense backend, the key records on it and the page
+// pool the tables draw from (nil for the sharded map).
+func newTableShared(spec Spec, topo numa.Topology, backend NodeTableBackend) (*specView, *pagePool) {
+	sv := newSpecView(spec, topo)
+	if backend != NodeTableDense {
+		return sv, nil
+	}
+	sv.indexKeys(KeyBoundOf(spec))
+	return sv, newPagePool(topo.Workers)
+}
+
 // newNodeTable builds a node store on the resolved backend (see doc.go's
 // backend design note).
-func newNodeTable(sv *specView, backend NodeTableBackend) nodeTable {
+func newNodeTable(sv *specView, pool *pagePool, backend NodeTableBackend) nodeTable {
 	if backend == NodeTableDense {
-		return newNodeArena(sv, KeyBoundOf(sv.spec))
+		return newNodeArena(sv, pool)
 	}
 	return newNodeMap(sv)
 }
@@ -279,12 +297,14 @@ type worker struct {
 	// while an update is in flight, so the monitor detects and retries
 	// torn reads without ever making the worker wait (see
 	// publishExec/sampleExec in retry.go). Written only when the engine's
-	// watchdog is armed. The node is published as a pointer, not a key,
-	// so the monitor never has to look into a node table it cannot prove
-	// is still owned by the run.
+	// watchdog is armed. The node is published as a pointer, so the
+	// monitor never has to look into a node table it cannot prove is
+	// still owned by the run, and its key beside it, so the monitor never
+	// has to read a node it has not yet pinned.
 	pubSeq   atomic.Uint32
 	pubRun   atomic.Pointer[graphRun]
 	pubNode  atomic.Pointer[Node]
+	pubKey   atomic.Int64
 	pubStart atomic.Int64
 
 	// parkState (0 running, 1 parked) plus the one-token parkCh form the
@@ -311,8 +331,10 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	sv, pool := newTableShared(spec, opts.Topology, backend)
 	e := &Engine{
-		sv:         newSpecView(spec, opts.Topology),
+		sv:         sv,
+		pool:       pool,
 		onComplete: opts.OnComplete,
 		colored:    opts.Policy.Colored,
 		watchdogOn: opts.NodeTimeout > 0 || opts.RunDeadline > 0,
@@ -327,7 +349,7 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 	// Build the first table eagerly: spec problems surface here rather
 	// than on some later Submit, and the single-tenant Execute loop
 	// reuses this one instance forever.
-	e.tables = []nodeTable{newNodeTable(e.sv, backend)}
+	e.tables = []nodeTable{newNodeTable(sv, pool, backend)}
 	p := opts.Policy
 	dqCap := dequeCapacity(KeyBoundOf(spec), opts.Workers)
 	e.dequeBackend = ResolveDeque(p)
@@ -397,8 +419,9 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 // on an internal lock (and against Close), each running in turn.
 //
 // Repeated calls reuse the engine's workers, deques, and node table: the
-// dense arena retires the previous run's nodes by bumping an epoch stamp
-// (no reallocation, no per-slot clearing), the sharded map by clearing its
+// dense table retires the previous run's nodes by taking a new epoch stamp
+// (no reallocation, no per-slot clearing) and, asked for the same sink
+// again, keeps its pages where they were; the sharded map clears its
 // shards in place. Specs may mutate state between calls (e.g. advance an
 // iteration counter); the engine guarantees no worker touches spec or
 // graph state across the call boundary.
@@ -461,6 +484,7 @@ func (e *Engine) execute(ctx context.Context, sink Key) (*Stats, error) {
 		w.firstStealPending = pol.Colored && pol.ForceFirstColoredSteal && i != 0
 		w.lastGrows = w.dq.Grows()
 	}
+	r.start = time.Now() // after the quiesce: Elapsed is the run, not the wait for the pool
 	e.admitLocked(r)
 	e.stateMu.Unlock()
 	e.wakeOne()
@@ -928,7 +952,7 @@ func (w *worker) initAndCompute(r *graphRun, n *Node) {
 // a node whose predecessors straddle domains looks each home up.
 //
 //nabbit:noalloc
-func (w *worker) countAccesses(r *graphRun, n *Node) {
+func (w *worker) countAccesses(n *Node) {
 	acc := &w.stats.Accesses
 	sv := w.e.sv
 	if sv.domainOf(n.home) == w.domain {
@@ -944,7 +968,7 @@ func (w *worker) countAccesses(r *graphRun, n *Node) {
 		acc.Remote += int64(n.npreds)
 	default:
 		for _, pk := range n.predKeys() {
-			if sv.domainOf(r.nt.homeOf(pk)) == w.domain {
+			if sv.domainOf(sv.homeOf(pk)) == w.domain {
 				acc.Local++
 			} else {
 				acc.Remote++
@@ -958,7 +982,11 @@ func (w *worker) countAccesses(r *graphRun, n *Node) {
 //
 //nabbit:noalloc
 func (w *worker) computeAndNotify(r *graphRun, n *Node) {
-	w.curKey = n.key
+	// The key is read once, up front: after this worker's last join
+	// decrement below another worker may compute the sink, finish the run
+	// and recycle n's page, so nothing of n may be read past that point.
+	k := n.key
+	w.curKey = k
 	e := w.e
 	if n.state.Load()&nodeSkipBit != 0 {
 		// A skipped ancestor tainted this node before its join drained:
@@ -968,13 +996,13 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 		return
 	}
 	if e.watchdogOn {
-		w.publishExec(r, n)
+		w.publishExec(r, n, k)
 	}
 	var cerr error
 	if e.fspec != nil {
-		cerr = e.fspec.ComputeErr(n.key)
+		cerr = e.fspec.ComputeErr(k)
 	} else {
-		e.sv.spec.Compute(n.key)
+		e.sv.spec.Compute(k)
 	}
 	if e.watchdogOn {
 		w.clearExec()
@@ -1000,14 +1028,14 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 	if n.color == w.color {
 		w.stats.OwnColorNodes++
 	}
-	w.countAccesses(r, n)
+	w.countAccesses(n)
 
 	// A Compute can kill its own run (Ticket.Cancel from inside the
 	// callback); once the run is observed dead, no further OnComplete
 	// fires for it — the failed Wait has already returned, and a late
 	// callback would race with whatever the caller does next.
 	if e.onComplete != nil && r.state.Load() == runLive {
-		e.onComplete(w.id, n.key)
+		e.onComplete(w.id, k)
 	}
 
 	// The drained list is this worker's alone now (see Node.retire), so
@@ -1022,12 +1050,12 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 			nready++
 		}
 	}
-	if n.key == r.sink {
+	if k == r.sink {
 		// A DAG's sink has no successors and — since every other live
 		// item of this graph would feed an unresolved join below the
 		// sink — no items of this graph remain in any deque, so the
-		// graph's table can be recycled right here (see finishRun).
-		w.e.finishRun(r)
+		// graph's pages can be recycled right here (see finishRun).
+		w.e.finishRun(r, w.id)
 		return
 	}
 	switch nready {

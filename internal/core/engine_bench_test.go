@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"runtime"
+	"testing"
+)
 
 // BenchmarkExecuteReuse measures repeated Execute on one persistent
 // engine (dense backend): the iterative-workload steady state. CI's
@@ -36,65 +40,101 @@ func BenchmarkExecuteReuse(b *testing.B) {
 	}
 }
 
-// fanInSpecPre is flatFanInSpec with a precomputed predecessor slice, so
-// a benchmark's per-graph allocation count isolates the engine's own
-// admission/completion bookkeeping from spec-side allocation.
-func fanInSpecPre(n int) FuncSpec {
-	ps := make([]Key, n)
-	for i := range ps {
-		ps[i] = Key(i)
+// conesSpecPre is coneSpec with precomputed predecessor slices and a
+// single colour, so a benchmark's per-graph allocation count isolates the
+// engine's own admission/completion bookkeeping from spec-side allocation
+// and from colour grouping.
+func conesSpecPre(cones, width int) FuncSpec {
+	stride := width + 1
+	leaves := make([][]Key, cones)
+	for g := range leaves {
+		ls := make([]Key, width)
+		for i := range ls {
+			ls[i] = Key(g*stride + i)
+		}
+		leaves[g] = ls
 	}
 	return FuncSpec{
 		PredsFn: func(k Key) []Key {
-			if k != Key(n) {
+			if int(k)%stride != width {
 				return nil
 			}
-			return ps
+			return leaves[int(k)/stride]
 		},
 		ColorFn:   func(Key) int { return 0 },
 		ComputeFn: func(Key) {},
-		BoundFn:   func() int { return n + 1 },
+		BoundFn:   func() int { return cones * stride },
 	}
 }
 
 // BenchmarkSubmitThroughput measures the per-graph cost of the
-// Submit/Wait path: one small graph admitted, seeded, computed, and
-// completed per iteration. CI's bench-smoke job hard-gates its allocs/op
-// at a small constant — the steady state allocates only the per-graph
-// run bookkeeping (graphRun, completion channel, Stats), never tables or
-// deques. A single worker and sequential submissions keep the number
-// deterministic enough to gate tightly.
+// Submit/Wait path at both ends of the tenancy range: 33-node cones out of
+// a universe of 1 024, kept MaxInflight deep — 1 is the single-request
+// path (admit, seed, compute, complete, one graph at a time), 128 the
+// tenancy path (128 live node tables over one page pool). CI's bench-smoke
+// job hard-gates allocs/op on both rows at a small constant — the steady
+// state allocates only the per-graph run bookkeeping (graphRun, completion
+// channel, Ticket, Stats), never tables, pages or deques — and reports the
+// ratio of the rows' graphs/s (ROADMAP item 2: throughput must not fall as
+// tenancy rises). live-B/graph is the heap the engine holds per graph in
+// flight: heap in use after a GC with the engine warm, less the heap
+// before it was built, over MaxInflight. A single worker keeps the
+// allocation count deterministic enough to gate tightly.
 func BenchmarkSubmitThroughput(b *testing.B) {
-	const n = 32
-	spec := fanInSpecPre(n)
-	e, err := NewEngine(spec, Options{Workers: 1, Policy: NabbitCPolicy()})
-	if err != nil {
-		b.Fatal(err)
+	const cones, width = 1024, 32
+	spec := conesSpecPre(cones, width)
+	heapInUse := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
 	}
-	defer e.Close()
-	for r := 0; r < 2; r++ {
-		tk, err := e.Submit(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := tk.Wait(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tk, err := e.Submit(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st, err := tk.Wait()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.NodesCreated != n+1 {
-			b.Fatalf("NodesCreated = %d, want %d", st.NodesCreated, n+1)
-		}
+	for _, inflight := range []int{1, 128} {
+		b.Run(fmt.Sprintf("inflight-%d", inflight), func(b *testing.B) {
+			before := heapInUse()
+			e, err := NewEngine(spec, Options{Workers: 1, Policy: NabbitCPolicy(), MaxInflight: inflight})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			ring := make([]*Ticket, inflight)
+			head, n := 0, 0
+			wait := func() {
+				st, err := ring[head].Wait()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.NodesCreated != width+1 {
+					b.Fatalf("NodesCreated = %d, want %d", st.NodesCreated, width+1)
+				}
+				head, n = (head+1)%inflight, n-1
+			}
+			submit := func(i int) {
+				if n == inflight {
+					wait()
+				}
+				tk, err := e.Submit(coneSink(i*7%cones, width))
+				if err != nil {
+					b.Fatal(err)
+				}
+				ring[(head+n)%inflight] = tk
+				n++
+			}
+			for i := 0; i < 2*inflight; i++ { // warm up: every table built, the pool at its peak
+				submit(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				submit(i)
+			}
+			for n > 0 {
+				wait()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "graphs/s")
+			b.ReportMetric(float64(heapInUse()-before)/float64(inflight), "live-B/graph")
+		})
 	}
 }
 

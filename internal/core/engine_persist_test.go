@@ -326,29 +326,52 @@ func TestParkWakeStress(t *testing.T) {
 	}
 }
 
-// TestArenaEpochReset unit-tests the epoch-stamped reset: retired nodes
-// read as absent, counts reset, and slots are recreated cleanly — and the
-// rare stamp wraparound clears slots instead of aliasing a previous run.
+// TestArenaEpochReset unit-tests the stamped reset: retired nodes read as
+// absent, counts reset, and slots are recreated cleanly — and because the
+// stamp comes from one engine-wide clock and pages move between tables, it
+// drives two tables of one pool across the clock's wrap: no slot stamped
+// before the wrap may read as created to a table stamped after it, however
+// the page got there, and count() stays exact throughout.
 func TestArenaEpochReset(t *testing.T) {
-	spec, _ := boundedChainSpec(32, nil)
-	a := newNodeArena(testView(spec, 2), 32)
-	for k := Key(0); k < 32; k++ {
-		if _, created := a.getOrCreate(k, int(k)%2, nil); !created {
-			t.Fatalf("key %d not created on a fresh arena", k)
+	const bound = 4 * pageNodes
+	spec, _ := boundedChainSpec(bound, nil)
+	a := testArena(spec, 2, bound)
+	createAll := func(a *nodeArena, what string) {
+		t.Helper()
+		for k := Key(0); k < bound; k++ {
+			if _, ok := a.get(k); ok {
+				t.Fatalf("%s: key %d visible before its creation", what, k)
+			}
+			if _, created := a.getOrCreate(k, int(k)%2, nil); !created {
+				t.Fatalf("%s: key %d not created", what, k)
+			}
+		}
+		if a.count() != bound {
+			t.Fatalf("%s: count = %d, want %d", what, a.count(), bound)
 		}
 	}
-	if a.count() != 32 {
-		t.Fatalf("count = %d, want 32", a.count())
+	// Every reset below names a sink the table has not just served, and
+	// both tables are primed with a first one, so no run keeps its pages
+	// (TestArenaKeepsPagesForSameSink covers that).
+	sink := Key(0)
+	reset := func(a *nodeArena) {
+		sink++
+		a.reset(sink)
 	}
+	reset(a)
+	createAll(a, "fresh arena")
 	// Drive some nodes to computed so retired slots carry varied phases.
 	n, _ := a.getOrCreate(5, 0, nil)
 	n.markComputed()
 
-	a.reset()
+	reset(a)
 	if a.count() != 0 {
 		t.Fatalf("count after reset = %d, want 0", a.count())
 	}
-	for k := Key(0); k < 32; k++ {
+	if held := a.held(); held != 0 {
+		t.Fatalf("table still holds %d pages after reset", held)
+	}
+	for k := Key(0); k < bound; k++ {
 		if _, ok := a.get(k); ok {
 			t.Fatalf("key %d still visible after reset", k)
 		}
@@ -361,19 +384,55 @@ func TestArenaEpochReset(t *testing.T) {
 		t.Fatal("re-created node inherited computed phase from the previous epoch")
 	}
 
-	// Force the wraparound: the next reset rolls the stamp to zero and
-	// must clear every slot the slow way.
-	a.epoch = epochMask
-	a.reset()
-	if a.epoch != 0 {
-		t.Fatalf("epoch after wrap = %#x, want 0", a.epoch)
+	// The wrap. Table a takes the last stamp of era 0 and fills every page
+	// with it; table b shares the pool. Then the clock is wound so that b's
+	// next checkout gets the very same stamp, one era later. Whichever way
+	// a's pages reach b — handed back before b's checkout or after it,
+	// through a worker's stack or the shared list — b must find every slot
+	// absent.
+	pool := a.pool
+	b := newNodeArena(a.sv, pool)
+	reset(b)
+	for _, via := range []int{0, 1, -1} {
+		for _, releaseFirst := range []bool{true, false} {
+			era := pool.clock.Load() / epochsPerEra
+			pool.clock.Store((era+1)*epochsPerEra - 1)
+			reset(a)
+			if want := uint32(epochsPerEra-1) * epochUnit; a.stamp != want || a.era != era {
+				t.Fatalf("last stamp of era %d = %#x in era %d, want %#x", era, a.stamp, a.era, want)
+			}
+			createAll(a, "before the wrap")
+			if releaseFirst {
+				a.release(via)
+			}
+			pool.clock.Store((era+2)*epochsPerEra - 1)
+			reset(b)
+			if b.stamp != a.stamp || b.era != era+1 {
+				t.Fatalf("wound clock issued stamp %#x era %d, want %#x era %d", b.stamp, b.era, a.stamp, era+1)
+			}
+			if !releaseFirst {
+				a.release(via)
+			}
+			createAll(b, "after the wrap")
+			b.release(via)
+		}
 	}
-	if _, ok := a.get(5); ok {
-		t.Fatal("key 5 visible after wrap reset")
+	// An old-era table that is still running after the wrap keeps drawing
+	// pages: they must come to it clean too, and go back clean.
+	era := pool.clock.Load() / epochsPerEra
+	pool.clock.Store((era+1)*epochsPerEra - 1)
+	reset(a)
+	reset(b) // first stamp of the next era
+	createAll(b, "new era")
+	b.release(0)
+	createAll(a, "old era, pages last stamped in the new one")
+	a.release(0)
+	pool.clock.Store((era+1)*epochsPerEra + uint64(a.stamp/epochUnit))
+	reset(b)
+	if b.stamp != a.stamp {
+		t.Fatalf("wound clock issued stamp %#x, want %#x", b.stamp, a.stamp)
 	}
-	if _, created := a.getOrCreate(7, 0, nil); !created {
-		t.Fatal("create after wrap reset failed")
-	}
+	createAll(b, "new era, pages last stamped by the old-era table")
 }
 
 // TestNodeMapReset mirrors the arena reset contract for the sharded map.
@@ -382,7 +441,7 @@ func TestNodeMapReset(t *testing.T) {
 	for k := Key(0); k < 100; k++ {
 		nm.getOrCreate(k, 0, nil)
 	}
-	nm.reset()
+	nm.reset(0)
 	if nm.count() != 0 {
 		t.Fatalf("count after reset = %d, want 0", nm.count())
 	}

@@ -245,13 +245,13 @@ func (w *worker) groupKeys(r *graphRun, owner *Node) item {
 	}
 	keys := owner.predKeys()
 	if !w.e.colored {
-		it.color = r.nt.colorOf(keys[0])
+		it.color = w.e.sv.colorOf(keys[0])
 		return it
 	}
 	g := &w.grp
 	g.begin()
 	for _, k := range keys {
-		g.noteColor(r.nt.colorOf(k))
+		g.noteColor(w.e.sv.colorOf(k))
 	}
 	if len(g.distinct) == 1 {
 		it.color = g.distinct[0].color

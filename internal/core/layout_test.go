@@ -15,12 +15,31 @@ func testView(spec Spec, workers int) *specView {
 	return newSpecView(spec, numa.Paper(workers))
 }
 
+// testArena builds a dense table over [0, bound) the way an engine would:
+// key records on the spec view, a page pool of its own.
+func testArena(spec Spec, workers, bound int) *nodeArena {
+	sv := testView(spec, workers)
+	sv.indexKeys(bound)
+	return newNodeArena(sv, newPagePool(workers))
+}
+
+// held counts the pages a table currently holds.
+func (a *nodeArena) held() int {
+	n := 0
+	for i := range a.dir {
+		if a.dir[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // TestNodeLayout pins the per-task path's size budget: a Node is exactly
-// one cache line, and an arena too big to sit in L1 anyway (the allocator
-// page-aligns objects above its 32 KB small-object limit) starts on a line
-// boundary, so no task's state straddles two lines; a deque entry (item +
-// color mask) fits the 80 bytes that keep a push/pop pair's copies to a
-// few register moves.
+// one cache line and a page exactly 64 of them, and every page the pool
+// carves — its slabs are above the allocator's 32 KB small-object limit, so
+// page-aligned and headerless — starts on a line boundary, so no task's
+// state straddles two lines; a deque entry (item + color mask) fits the 80
+// bytes that keep a push/pop pair's copies to a few register moves.
 // (The Node field inventory is pinned in internal/analysis's
 // TestCoreStateLayoutPinned.)
 func TestNodeLayout(t *testing.T) {
@@ -33,28 +52,39 @@ func TestNodeLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(deque.Entry[item]{}); sz > 80 {
 		t.Errorf("deque.Entry[item] is %d bytes, want <= 80", sz)
 	}
-	for _, bound := range []int{513, 4097, 1 << 16} {
-		a := newNodeArena(testView(FuncSpec{}, 2), bound)
-		if off := uintptr(unsafe.Pointer(&a.nodes[0])) % cacheLine; off != 0 {
-			t.Errorf("arena of %d nodes starts %d bytes into a cache line", bound, off)
+	if sz := unsafe.Sizeof(nodePage{}); sz != pageNodes*cacheLine {
+		t.Errorf("nodePage is %d bytes, want %d", sz, pageNodes*cacheLine)
+	}
+	for _, bound := range []int{1, 513, 4097} {
+		a := testArena(FuncSpec{}, 2, bound)
+		for k := 0; k < bound; k++ {
+			a.getOrCreate(Key(k), k%2, nil)
+		}
+		if got, want := a.held(), (bound+pageNodes-1)/pageNodes; got != want {
+			t.Errorf("universe of %d keys holds %d pages, want %d", bound, got, want)
+		}
+		for i := range a.dir {
+			if off := uintptr(unsafe.Pointer(a.dir[i].Load())) % cacheLine; off != 0 {
+				t.Errorf("universe of %d keys: page %d starts %d bytes into a cache line", bound, i, off)
+			}
 		}
 	}
 }
 
-// TestCreateStripeLayout pins the striped creation counter: consecutive
-// workers' counters are a cache line apart, with a spare stripe on either
-// side of the ones in use.
+// TestCreateStripeLayout pins the arena's per-worker stripes (creation
+// count, installed-page list): consecutive workers' stripes are a cache
+// line apart, with a spare stripe on either side of the ones in use.
 func TestCreateStripeLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(createStripe{}); sz != cacheLine {
-		t.Fatalf("createStripe is %d bytes, want %d", sz, cacheLine)
+	if sz := unsafe.Sizeof(arenaStripe{}); sz != cacheLine {
+		t.Fatalf("arenaStripe is %d bytes, want %d", sz, cacheLine)
 	}
 	const workers = 4
-	a := newNodeArena(testView(FuncSpec{}, workers), 8)
-	if len(a.created) != workers || cap(a.created) != workers+1 {
-		t.Fatalf("created has len %d cap %d, want %d stripes plus a trailing spare", len(a.created), cap(a.created), workers)
+	a := testArena(FuncSpec{}, workers, 8)
+	if len(a.stripes) != workers || cap(a.stripes) != workers+1 {
+		t.Fatalf("stripes has len %d cap %d, want %d stripes plus a trailing spare", len(a.stripes), cap(a.stripes), workers)
 	}
 	for w := 1; w < workers; w++ {
-		d := uintptr(unsafe.Pointer(&a.created[w].n)) - uintptr(unsafe.Pointer(&a.created[w-1].n))
+		d := uintptr(unsafe.Pointer(&a.stripes[w])) - uintptr(unsafe.Pointer(&a.stripes[w-1]))
 		if d != cacheLine {
 			t.Errorf("stripes %d and %d are %d bytes apart, want %d", w-1, w, d, cacheLine)
 		}

@@ -16,7 +16,7 @@ import (
 // doc.go for the full state machine). The phase is monotonic within a run:
 // absent → initializing → ready → computed.
 const (
-	nodeAbsent   uint32 = iota // arena slot exists, node not yet created
+	nodeAbsent   uint32 = iota // slot exists, node not yet created
 	nodeIniting                // creator won the claim and is filling fields
 	nodeReady                  // fields published; successors may register
 	nodeComputed               // Compute finished; successor list drained
@@ -44,14 +44,16 @@ const (
 // retired computed+skipped, and the bit propagates to its downstream
 // cone so no descendant executes user code (see Engine.degrade). Both
 // fields are cleared by the computed CAS (retire uses epochMask, which
-// masks them out) and by the arena's fresh-epoch fill.
+// masks them out) and by the dense table's fresh-epoch fill.
 //
-// The epoch stamp is how the dense arena resets between Execute calls
-// without touching every slot: the arena bumps its current epoch, and any
-// slot whose stamp differs reads as absent (see nodeArena.reset). Within a
-// run every lifecycle transition preserves the stamp, so markComputed and
-// addSuccessor never need to know the current epoch. Map-backed nodes are
-// freshly allocated per run and keep stamp 0 forever.
+// The epoch stamp is how a dense table forgets a run without touching
+// every slot, and how a page that moves from one graph's table to
+// another's reads as empty there: each table checkout takes a stamp from
+// the engine-wide clock, and any slot whose stamp differs reads as absent
+// (see nodeArena.reset and pagePool). Within a run every lifecycle
+// transition preserves the stamp, so markComputed and addSuccessor never
+// need to know the current epoch. Map-backed nodes are freshly allocated
+// per run and keep stamp 0 forever.
 //
 // The directive below is machine-checked: nabbitvet's atomicbits
 // analyzer proves these constants carve exactly the declared bit
@@ -98,9 +100,10 @@ const poisonedJoin = int32(1) << 30
 // All cross-worker coordination rides the single atomic state word (phase
 // + successor-list claim bit); see doc.go for the protocol.
 //
-// Layout: a Node is exactly one 64-byte cache line, and the slots of any
-// dense arena larger than the allocator's 32 KB small-object limit start
-// on line boundaries (both pinned by TestNodeLayout), so everything the
+// Layout: a Node is exactly one 64-byte cache line, and the dense table's
+// pages — 64 nodes, carved from slabs above the allocator's 32 KB
+// small-object limit — start on line boundaries (both pinned by
+// TestNodeLayout), so everything the
 // scheduler does to a task — create, register a successor, count down the
 // join, compute, drain — touches one line. That is why the
 // two slices are stored as bare data pointers with int32 lengths (the
@@ -223,11 +226,11 @@ func (n *Node) addSuccessor(s *Node) bool {
 // nothing changed and the caller owes no notifications.
 //
 // The list is truncated rather than dropped: its backing array is dead to
-// everyone else for the rest of this run but a reused arena slot appends
-// into it again next epoch, which keeps repeated Execute calls
+// everyone else for the rest of this run but a reused dense-table slot
+// appends into it again next epoch, which keeps repeated Execute calls
 // allocation-free on the notify path. The retiring worker may reuse the
 // storage in the meantime (computeAndNotify compacts the ready successors
-// into it). The epoch stamp is preserved: the arena's reset relies on
+// into it). The epoch stamp is preserved: stale-slot detection relies on
 // every slot a run touched carrying that run's epoch.
 //
 //nabbit:noalloc
@@ -326,35 +329,37 @@ func (n *Node) decJoin() bool {
 // create-or-get that Nabbit's dynamic exploration relies on (the paper's
 // "atomically attempt to create a predecessor with key pkey"). Two
 // backends implement it: nodeMap, a sharded hash map for arbitrary key
-// universes, and nodeArena, a flat preallocated array for specs that
-// declare a bounded key universe (BoundedSpec). getOrCreate and get are
-// worker-hot; count is post-run only.
+// universes, and nodeArena, a paged table for specs that declare a bounded
+// key universe (BoundedSpec). getOrCreate and get are worker-hot; count is
+// post-run only.
 type nodeTable interface {
 	// getOrCreate returns the node for k, creating it if absent. The
 	// boolean reports whether this call created the node; exactly one
 	// caller per key observes true, and that caller is responsible for
 	// processing the node's predecessors (the node is returned fully
 	// initialized either way). wid is the calling worker's id: what a
-	// creation writes outside the node itself (the creation count) goes
-	// to that worker's own stripe. succ, when non-nil, is registered as
-	// the created node's first successor before the node is published, so
-	// the edge that discovers a node costs no claim-bit round trip; when
-	// the node already exists succ is ignored and the caller registers
-	// the edge itself.
+	// creation writes outside the node itself (the creation count, the
+	// arena's page stack) is that worker's own. succ, when non-nil, is
+	// registered as the created node's first successor before the node is
+	// published, so the edge that discovers a node costs no claim-bit round
+	// trip; when the node already exists succ is ignored and the caller
+	// registers the edge itself.
 	getOrCreate(k Key, wid int, succ *Node) (*Node, bool)
 	// get returns the node for k if it has been created.
 	get(k Key) (*Node, bool)
-	// colorOf and homeOf return task k's colour and data home without
-	// creating anything: from the arena's prefilled slots, or from the
-	// spec when the table caches nothing.
-	colorOf(k Key) int32
-	homeOf(k Key) int32
 	// count returns the number of created nodes.
 	count() int
+	// release ends the table's run: it may give back whatever node
+	// storage the table borrowed for it (the arena's pages; the map owns
+	// its nodes and keeps them until reset). wid is the calling worker, or
+	// -1 off the worker pool. The nodes are gone afterwards — same
+	// quiescence contract as reset — but count still answers for the
+	// finished run.
+	release(wid int)
 	// reset forgets every created node so the table can serve a fresh
-	// run. Callers must guarantee quiescence: no worker touches the table
-	// (or any node it handed out) across a reset.
-	reset()
+	// run, the one rooted at sink. Callers must guarantee quiescence: no
+	// worker touches the table (or any node it handed out) across a reset.
+	reset(sink Key)
 	// pendingKeys returns the keys of created-but-never-computed nodes
 	// in ascending order — the stall sweep's diagnostic payload. Callers
 	// must guarantee quiescence (same contract as reset).
@@ -366,10 +371,28 @@ type nodeTable interface {
 // the colours), and the colour → NUMA-domain table that replaces two
 // divisions per locality lookup. One instance is built per engine and
 // shared by all of its node tables.
+//
+// For the dense backend it also holds everything static about a key —
+// its home-major slot, colour and home — in one record array (indexKeys),
+// so the engine keeps one copy however many tables are in flight, and one
+// cache line of records answers the lookup of a key, the fill of its node
+// and the summary of a run of neighbouring predecessors.
 type specView struct {
 	spec    Spec
 	hspec   HomeSpec
 	domains []int32
+	// recs[k] is key k's record; nil unless indexKeys ran. homes[k] is its
+	// data home, kept only for a HomeSpec — otherwise the home is the
+	// colour and the record alone says it.
+	recs  []keyRec
+	homes []int32
+}
+
+// keyRec is the static half of a dense-table node: the slot HomeMajorIndex
+// assigned to the key and the colour the spec gave it.
+type keyRec struct {
+	slot  int32
+	color int32
 }
 
 func newSpecView(spec Spec, topo numa.Topology) *specView {
@@ -381,14 +404,61 @@ func newSpecView(spec Spec, topo numa.Topology) *specView {
 	return sv
 }
 
-// colorHome returns task k's colour and true data home (HomeOf without a
-// second Color call).
+// indexKeys builds the key records for the universe [0, bound): one pass
+// caches every key's colour and true home, then the layout function shared
+// with the simulator turns the homes into slot assignments.
+func (sv *specView) indexKeys(bound int) {
+	sv.recs = make([]keyRec, bound)
+	homes := make([]int32, bound)
+	for k := range sv.recs {
+		sv.recs[k].color, homes[k] = sv.colorHome(Key(k))
+	}
+	idx := HomeMajorIndex(bound, len(sv.domains), func(k Key) int { return int(homes[k]) })
+	for k := range sv.recs {
+		sv.recs[k].slot = idx[k]
+	}
+	if sv.hspec != nil {
+		sv.homes = homes
+	}
+}
+
+// indexed reports whether k has a key record.
+func (sv *specView) indexed(k Key) bool { return uint64(k) < uint64(len(sv.recs)) }
+
+// homeOfRec returns the home of indexed key k, whose record says color.
+func (sv *specView) homeOfRec(k Key, color int32) int32 {
+	if sv.homes != nil {
+		return sv.homes[k]
+	}
+	return color
+}
+
+// colorHome asks the spec for task k's colour and true data home (HomeOf
+// without a second Color call).
 func (sv *specView) colorHome(k Key) (color, home int32) {
 	c := sv.spec.Color(k)
 	if sv.hspec != nil {
 		return int32(c), int32(sv.hspec.Home(k))
 	}
 	return int32(c), int32(c)
+}
+
+// colorOf and homeOf return task k's colour and data home without creating
+// anything: from the key records when the universe is indexed, from the
+// spec otherwise.
+func (sv *specView) colorOf(k Key) int32 {
+	if sv.indexed(k) {
+		return sv.recs[k].color
+	}
+	return int32(sv.spec.Color(k))
+}
+
+func (sv *specView) homeOf(k Key) int32 {
+	if sv.indexed(k) {
+		return sv.homeOfRec(k, sv.recs[k].color)
+	}
+	_, h := sv.colorHome(k)
+	return h
 }
 
 // domainOf returns the NUMA domain of colour c, or -1 for a colour no
@@ -504,13 +574,6 @@ func (nm *nodeMap) getOrCreate(k Key, _ int, succ *Node) (*Node, bool) {
 	return n, true
 }
 
-func (nm *nodeMap) colorOf(k Key) int32 { return int32(nm.sv.spec.Color(k)) }
-
-func (nm *nodeMap) homeOf(k Key) int32 {
-	_, h := nm.sv.colorHome(k)
-	return h
-}
-
 // get returns the node for k if it exists. Read-only: concurrent readers
 // (post-run stats, checkers) share the lock instead of serializing.
 func (nm *nodeMap) get(k Key) (*Node, bool) {
@@ -521,10 +584,13 @@ func (nm *nodeMap) get(k Key) (*Node, bool) {
 	return n, ok
 }
 
+// release is a no-op: the map's nodes are its own, dropped by reset.
+func (nm *nodeMap) release(int) {}
+
 // reset drops every node. clear() keeps each map's buckets allocated, so
 // a reused engine's later runs insert into warm tables instead of
 // re-growing them from scratch.
-func (nm *nodeMap) reset() {
+func (nm *nodeMap) reset(Key) {
 	for i := range nm.shards {
 		sh := &nm.shards[i]
 		sh.mu.Lock()
@@ -576,7 +642,7 @@ func (nm *nodeMap) forEach(fn func(*Node)) {
 	}
 }
 
-// HomeMajorIndex computes the dense arena's key → slot assignment: slots
+// HomeMajorIndex computes the dense table's key → slot assignment: slots
 // are ordered by home color (keys with the same home contiguous, homes
 // ascending), stable by key within a home. Homes outside [0, workers) —
 // colors the scheduler cannot localize anyway — share one overflow bucket
@@ -606,231 +672,6 @@ func HomeMajorIndex(bound, workers int, homeOf func(Key) int) []int32 {
 	return idx
 }
 
-// nodeArena is the dense nodeTable: one flat []Node preallocated for the
-// whole key universe [0, bound), laid out home-major (HomeMajorIndex) so
-// tasks whose data lives at the same color are contiguous in memory — the
-// cache/NUMA-locality layout the paper's locality-aware variant assumes.
-// Key, color and home are prefilled at construction; create-or-get is a
-// single CAS on the node's lifecycle word with no lock, no hashing, and
-// no allocation (the predecessor slice comes from the spec).
-//
-// Every field but created is read-only during a run, and every lookup
-// reads them, so nothing a run writes may share their cache line: the
-// creation count — the one word a creation writes outside its node —
-// lives in per-worker stripes a line apart, in storage of its own.
-type nodeArena struct {
-	sv    *specView
-	index []int32 // key -> slot in nodes
-	nodes []Node
-	// epoch is the current run's stamp, pre-shifted into state-word
-	// position (a multiple of epochUnit). A slot whose stamped epoch
-	// differs reads as absent; reset bumps it instead of clearing slots.
-	// Written only between runs (all workers quiescent), read by all
-	// workers during a run — the Engine's park/wake handshake provides the
-	// happens-before edge.
-	epoch uint32
-	// created[w] counts the nodes worker w created this run. A stripe is
-	// written plainly by its worker alone; count sums them once the run's
-	// completion has ordered every creation before the reader.
-	created []createStripe
-}
-
-// createStripe is one worker's creation counter, padded so consecutive
-// stripes are a cache line apart (pinned by TestCreateStripeLayout).
-type createStripe struct {
-	n int64
-	_ [cacheLine - 8]byte
-}
-
-// cacheLine is the coherence granule the per-task layout is built around.
-const cacheLine = 64
-
-func newNodeArena(sv *specView, bound int) *nodeArena {
-	// One pass over the universe caches every key's color and true home,
-	// then the shared layout function turns the homes into slot
-	// assignments.
-	workers := len(sv.domains)
-	colors := make([]int32, bound)
-	homes := make([]int32, bound)
-	for k := 0; k < bound; k++ {
-		colors[k], homes[k] = sv.colorHome(Key(k))
-	}
-	a := &nodeArena{
-		sv:    sv,
-		index: HomeMajorIndex(bound, workers, func(k Key) int { return int(homes[k]) }),
-		nodes: make([]Node, bound),
-		// A spare stripe on each side keeps the first and last worker's
-		// counter off whatever the allocator placed next to the array.
-		created: make([]createStripe, workers+2)[1 : workers+1],
-	}
-	for k := 0; k < bound; k++ {
-		n := &a.nodes[a.index[k]]
-		n.key = Key(k)
-		n.color = colors[k]
-		n.home = homes[k]
-	}
-	return a
-}
-
-func (a *nodeArena) inBound(k Key) bool { return k >= 0 && int64(k) < int64(len(a.index)) }
-
-// getOrCreate claims the slot's lifecycle word: the CAS winner fills the
-// node in and publishes it with the ready store; losers (and every later
-// lookup) take the phase-load fast path. Unlike the sharded map, a lookup
-// costs one array index and one atomic load — no hashing, no lock — and
-// creation allocates nothing.
-//
-//nabbit:noalloc
-func (a *nodeArena) getOrCreate(k Key, wid int, succ *Node) (*Node, bool) {
-	if !a.inBound(k) {
-		//nabbit:alloc-ok panic-only formatting
-		panic(fmt.Sprintf("core: key %d outside the spec's declared bound %d", k, len(a.index)))
-	}
-	n := &a.nodes[a.index[k]]
-	cur := a.epoch
-	v := n.state.Load()
-	if v&epochMask == cur && nodePhase(v) >= nodeReady {
-		return n, false
-	}
-	// Absent this epoch: an absent phase (the zero word of a fresh or
-	// wrap-cleared arena) or a stale stamp left by a previous Execute.
-	// Claim it by CAS from the exact observed word; any concurrent
-	// claimant observed the same word, so exactly one wins.
-	for v&epochMask != cur || nodePhase(v) == nodeAbsent {
-		if n.state.CompareAndSwap(v, cur|nodeIniting) {
-			a.fill(n, k, cur, wid, succ)
-			return n, true
-		}
-		v = n.state.Load()
-	}
-	// Lost the creation race: the winner is inside the (cheap, by spec
-	// contract) Predecessors call. Spin until the ready store publishes
-	// the fields; the atomic load pairs with it, so everything the winner
-	// wrote is visible here. A winner whose spec panicked still publishes
-	// (poisoned — see fill), so this spin is bounded even on failure.
-	for spins := 0; ; spins++ {
-		v = n.state.Load()
-		if v&epochMask == cur && nodePhase(v) >= nodeReady {
-			return n, false
-		}
-		spinWait(spins)
-	}
-}
-
-// fill completes a slot whose creation CAS the caller just won: run the
-// spec's init (Predecessors), summarize the predecessors, and publish
-// ready. Everything before the ready store is a plain write to a node no
-// one else may read yet — the join count, the first successor, this
-// worker's creation stripe — so a creation costs two locked operations in
-// all (the claim CAS and the publishing store). The deferred publish also
-// runs when the spec panics — with empty preds and a poisoned join — so a
-// slot can never be left at nodeIniting, where same-graph racers would
-// spin forever; the panic then unwinds to the worker's rescue boundary
-// and fails the owning graph.
-func (a *nodeArena) fill(n *Node, k Key, cur uint32, wid int, succ *Node) {
-	done := false
-	defer func() {
-		// Start from an empty list whatever the slot held: markComputed
-		// leaves retired slots truncated, but a node the previous run
-		// somehow never computed must not leak successors into this epoch.
-		succs := n.succBacking()[:0]
-		if !done {
-			n.setPreds(nil)
-			n.join = poisonedJoin //nabbit:mixed-ok unpublished: the ready store below orders it
-		} else if succ != nil {
-			succs = append(succs, succ)
-		}
-		n.setSuccs(succs)
-		a.created[wid].n++
-		n.state.Store(cur | nodeReady)
-	}()
-	preds := a.sv.spec.Predecessors(k)
-	n.setPreds(preds)
-	// Reading each predecessor's prefilled slot here also pulls in the
-	// line the caller is about to getOrCreate.
-	pc, pd := int32(0), int32(0)
-	for i, pk := range preds {
-		if !a.inBound(pk) {
-			// Left for getOrCreate(pk) to report, with pk as the culprit.
-			// predMixed is absorbing for every later predecessor.
-			pc, pd = predMixed, predMixed
-			continue
-		}
-		p := &a.nodes[a.index[pk]]
-		pc, pd = predSummary(i, pc, pd, p.color, a.sv.domainOf(p.home))
-	}
-	n.predColor, n.predDomain = pc, pd
-	n.join = int32(len(preds)) //nabbit:mixed-ok unpublished: the ready store orders it
-	done = true
-}
-
-func (a *nodeArena) colorOf(k Key) int32 {
-	if !a.inBound(k) {
-		return int32(a.sv.spec.Color(k))
-	}
-	return a.nodes[a.index[k]].color
-}
-
-func (a *nodeArena) homeOf(k Key) int32 {
-	if !a.inBound(k) {
-		_, h := a.sv.colorHome(k)
-		return h
-	}
-	return a.nodes[a.index[k]].home
-}
-
-func (a *nodeArena) get(k Key) (*Node, bool) {
-	if !a.inBound(k) {
-		return nil, false
-	}
-	n := &a.nodes[a.index[k]]
-	v := n.state.Load()
-	if v&epochMask != a.epoch || nodePhase(v) < nodeReady {
-		return nil, false
-	}
-	return n, true
-}
-
-func (a *nodeArena) count() int {
-	total := int64(0)
-	for i := range a.created {
-		total += a.created[i].n
-	}
-	return int(total)
-}
-
-// pendingKeys lists created-but-never-computed nodes of the current
-// epoch, sorted. Stall-sweep only (quiescent), so the O(bound) scan is
-// off every hot path.
-func (a *nodeArena) pendingKeys() []Key {
-	var keys []Key
-	for i := range a.nodes {
-		n := &a.nodes[i]
-		v := n.state.Load()
-		if v&epochMask == a.epoch &&
-			nodePhase(v) != nodeAbsent && nodePhase(v) != nodeComputed {
-			keys = append(keys, n.key)
-		}
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-// reset retires every node by bumping the arena's epoch — O(1), no slot
-// clearing, no allocation. The 25-bit stamp wraps once per 2^25 resets; on
-// wrap the (then-ambiguous) slot words are cleared the slow way, so a
-// stamp can never alias a run thirty-three million executes old.
-func (a *nodeArena) reset() {
-	e := (a.epoch + epochUnit) & epochMask
-	if e == 0 {
-		for i := range a.nodes {
-			a.nodes[i].state.Store(0)
-		}
-	}
-	a.epoch = e
-	clear(a.created)
-}
-
 // NodeStore is an exported handle to a node table outside any engine run
 // — the hook the harness's deterministic alloc ablation and external
 // benchmarks use to measure the backends' create-or-get paths directly.
@@ -848,8 +689,8 @@ func NewNodeStore(spec Spec, workers int, backend NodeTableBackend) (*NodeStore,
 	if err != nil {
 		return nil, err
 	}
-	sv := newSpecView(spec, numa.Paper(workers))
-	return &NodeStore{nt: newNodeTable(sv, backend)}, nil
+	sv, pool := newTableShared(spec, numa.Paper(workers), backend)
+	return &NodeStore{nt: newNodeTable(sv, pool, backend)}, nil
 }
 
 // GetOrCreate returns the node for k, creating it if absent; the boolean

@@ -28,7 +28,7 @@ func BenchmarkGetOrCreate(b *testing.B) {
 		name string
 		mk   func() nodeTable
 	}{
-		{"dense", func() nodeTable { return newNodeArena(testView(spec, 8), benchBound) }},
+		{"dense", func() nodeTable { return testArena(spec, 8, benchBound) }},
 		{"sharded", func() nodeTable { return newNodeMap(testView(spec, 8)) }},
 	}
 	for _, impl := range backends {
@@ -61,7 +61,7 @@ func BenchmarkGetOrCreateLookup(b *testing.B) {
 		name string
 		nt   nodeTable
 	}{
-		{"dense", newNodeArena(testView(spec, 8), benchBound)},
+		{"dense", testArena(spec, 8, benchBound)},
 		{"sharded", newNodeMap(testView(spec, 8))},
 	}
 	for _, impl := range backends {

@@ -96,13 +96,21 @@ func TestHomeMajorLayout(t *testing.T) {
 		}
 	}
 
-	// The arena must agree with the index and prefill key/color/home.
+	// The key records must agree with the index, and a created node must
+	// land in its slot with key/color/home filled in.
 	spec := FuncSpec{ColorFn: func(k Key) int { return home(k) }}
-	a := newNodeArena(testView(spec, workers), bound)
+	a := testArena(spec, workers, bound)
 	for k := 0; k < bound; k++ {
-		n := &a.nodes[a.index[k]]
+		if got := a.sv.recs[k]; got.slot != idx[k] || int(got.color) != home(Key(k)) {
+			t.Fatalf("key %d recorded as slot=%d color=%d, want slot=%d color=%d",
+				k, got.slot, got.color, idx[k], home(Key(k)))
+		}
+		n, _ := a.getOrCreate(Key(k), 0, nil)
+		if pg := a.dir[idx[k]>>pageShift].Load(); n != &pg[idx[k]&pageMask] {
+			t.Fatalf("key %d not created in slot %d", k, idx[k])
+		}
 		if n.key != Key(k) || n.Home() != home(Key(k)) || n.Color() != home(Key(k)) {
-			t.Fatalf("slot for key %d prefilled as key=%d color=%d home=%d",
+			t.Fatalf("node for key %d filled as key=%d color=%d home=%d",
 				k, n.key, n.color, n.home)
 		}
 	}
@@ -126,7 +134,7 @@ func TestArenaGetOrCreateRace(t *testing.T) {
 		BoundFn: func() int { return bound },
 	}
 	for round := 0; round < 10; round++ {
-		a := newNodeArena(testView(spec, goroutines), bound)
+		a := testArena(spec, goroutines, bound)
 		var created atomic.Int64
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -282,7 +290,7 @@ func TestForcedDenseUnboundedErrors(t *testing.T) {
 // that declare a bound smaller than the keys they generate.
 func TestArenaKeyOutOfBoundPanics(t *testing.T) {
 	spec, _ := boundedChainSpec(8, nil)
-	a := newNodeArena(testView(spec, 2), 8)
+	a := testArena(spec, 2, 8)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-bound key did not panic")
@@ -300,7 +308,7 @@ func TestArenaZeroAlloc(t *testing.T) {
 		ColorFn: func(k Key) int { return int(k) % 8 },
 		BoundFn: func() int { return bound },
 	}
-	a := newNodeArena(testView(spec, 8), bound)
+	a := testArena(spec, 8, bound)
 	next := 0
 	if avg := testing.AllocsPerRun(bound/2, func() {
 		a.getOrCreate(Key(next), 0, nil)

@@ -214,7 +214,7 @@ const (
 	NodeTableAuto NodeTableBackend = iota
 	// NodeTableSharded forces the sharded hash map.
 	NodeTableSharded
-	// NodeTableDense forces the flat arena; the run fails to start if the
+	// NodeTableDense forces the dense arena; the run fails to start if the
 	// spec declares no key bound.
 	NodeTableDense
 )
@@ -234,8 +234,9 @@ func (b NodeTableBackend) String() string {
 }
 
 // DenseAutoMaxKeys is the largest declared key bound the auto backend
-// will preallocate an arena for (~2M nodes, a few hundred MB — well past
-// the paper's 102400-node graphs). Larger universes fall back to the
+// will index for the dense arena (~2M keys: 16 MB of key records per
+// engine, and node pages only for the keys a graph names — well past the
+// paper's 102400-node graphs). Larger universes fall back to the
 // sharded map unless NodeTableDense is forced explicitly.
 const DenseAutoMaxKeys = 1 << 21
 

@@ -53,7 +53,7 @@ func (w *worker) computeFailed(r *graphRun, n *Node, cerr error) {
 		return
 	}
 	if e.ospec != nil && e.ospec.Optional(n.key) && r.takeBudget(e.opts.ErrorBudget) {
-		if e.degrade(r, n, false) {
+		if e.degrade(r, n, false, w.id) {
 			return
 		}
 		r.giveBudget() // lost the retire race; nothing was consumed
@@ -161,16 +161,16 @@ func (w *worker) execRetry(r *graphRun, n *Node) {
 // (takeBudget); ok=false reports that a racing completion retired the
 // node first, in which case nothing happened and the caller should
 // refund the budget. Worker callers need no lock — see tryRetry's
-// table-safety argument; the monitor calls this under stateMu via
-// nodeOverdue.
-func (e *Engine) degrade(r *graphRun, n *Node, timedOut bool) bool {
+// table-safety argument; the monitor runs the same steps itself under
+// stateMu (nodeOverdue). wid is the calling worker.
+func (e *Engine) degrade(r *graphRun, n *Node, timedOut bool, wid int) bool {
 	succs, ok := n.claimSkip()
 	if !ok {
 		return false
 	}
 	r.noteFailed(n.key, timedOut)
 	if e.notifySkipped(r, n, succs) {
-		e.finishRun(r)
+		e.finishRun(r, wid)
 	}
 	return true
 }
@@ -208,7 +208,7 @@ func (w *worker) skipReady(r *graphRun, n *Node) {
 	if succs, ok := n.claimSkip(); ok {
 		r.noteSkipped(n.key)
 		if w.e.notifySkipped(r, n, succs) {
-			w.e.finishRun(r)
+			w.e.finishRun(r, w.id)
 		}
 	}
 }
@@ -216,11 +216,15 @@ func (w *worker) skipReady(r *graphRun, n *Node) {
 // publishExec opens this worker's seqlock window and publishes the
 // execution the watchdog should time: the run, the node (as a pointer —
 // the monitor must never look up a table it cannot prove is still owned
-// by the run), and the start timestamp.
-func (w *worker) publishExec(r *graphRun, n *Node) {
+// by the run), the node's key (by value — the monitor names the node in
+// its error and asks the spec about it before it has pinned the run, when
+// the pointer may already lead into a recycled page), and the start
+// timestamp.
+func (w *worker) publishExec(r *graphRun, n *Node, k Key) {
 	w.pubSeq.Add(1) // odd: update in flight
 	w.pubRun.Store(r)
 	w.pubNode.Store(n)
+	w.pubKey.Store(int64(k))
 	w.pubStart.Store(time.Now().UnixNano())
 	w.pubSeq.Add(1) // even: stable
 }
@@ -238,7 +242,7 @@ func (w *worker) clearExec() {
 // number of times for a stable (even, unchanged) sequence around the
 // reads, giving up — this tick; the next will try again — rather than
 // spinning against a busy worker.
-func (w *worker) sampleExec() (r *graphRun, n *Node, startNs int64, ok bool) {
+func (w *worker) sampleExec() (r *graphRun, n *Node, k Key, startNs int64, ok bool) {
 	for try := 0; try < 4; try++ {
 		s := w.pubSeq.Load()
 		if s%2 != 0 {
@@ -246,12 +250,13 @@ func (w *worker) sampleExec() (r *graphRun, n *Node, startNs int64, ok bool) {
 		}
 		r = w.pubRun.Load()
 		n = w.pubNode.Load()
+		k = Key(w.pubKey.Load())
 		startNs = w.pubStart.Load()
 		if w.pubSeq.Load() == s {
-			return r, n, startNs, r != nil && n != nil
+			return r, n, k, startNs, r != nil && n != nil
 		}
 	}
-	return nil, nil, 0, false
+	return nil, nil, 0, 0, false
 }
 
 // monitor is the hang-watchdog goroutine, started by NewEngine when
@@ -290,14 +295,14 @@ func (e *Engine) sweepOverdue() {
 	now := time.Now()
 	if nt := e.opts.NodeTimeout; nt > 0 {
 		for _, w := range e.workers {
-			r, n, startNs, ok := w.sampleExec()
+			r, n, k, startNs, ok := w.sampleExec()
 			if !ok || now.UnixNano()-startNs <= int64(nt) {
 				continue
 			}
 			if r.state.Load() != runLive {
 				continue
 			}
-			e.nodeOverdue(r, n, nt)
+			e.nodeOverdue(r, n, k, nt)
 		}
 	}
 	if rd := e.opts.RunDeadline; rd > 0 {
@@ -322,12 +327,15 @@ func (e *Engine) sweepOverdue() {
 //
 // The degrade path runs under stateMu with a runLive re-check: the
 // monitor is the one degrader that does not own the node's execution,
-// and the lock is what pins the run's table — checkout, reset, and
-// reclaim all require stateMu — so a racing completion cannot recycle
-// the table mid-claim. (Touching n.key alone is safe lock-free: keys
-// are immutable, arena slots keep theirs across runs.)
-func (e *Engine) nodeOverdue(r *graphRun, n *Node, nt time.Duration) {
-	if e.ospec != nil && e.ospec.Optional(n.key) {
+// and the lock is what pins the run's nodes — a finished run hands its
+// pages back inside finishRun's stateMu section, and checkout, reset and
+// reclaim all require stateMu too — so a racing completion cannot recycle
+// the page under n mid-claim. Until the run is pinned, n itself is not
+// safe to read at all: the sampled run may have finished since, and its
+// page may already hold another graph's node. The node is therefore named
+// by k, the key the worker published beside the pointer.
+func (e *Engine) nodeOverdue(r *graphRun, n *Node, k Key, nt time.Duration) {
+	if e.ospec != nil && e.ospec.Optional(k) {
 		e.stateMu.Lock()
 		if r.state.Load() != runLive {
 			e.stateMu.Unlock()
@@ -342,16 +350,16 @@ func (e *Engine) nodeOverdue(r *graphRun, n *Node, nt time.Duration) {
 				e.stateMu.Unlock()
 				return
 			}
-			r.noteFailed(n.key, true)
+			r.noteFailed(k, true)
 			r.hung.Add(1)
 			sinkDone := e.notifySkipped(r, n, succs)
 			e.stateMu.Unlock()
 			if sinkDone {
-				e.finishRun(r)
+				e.finishRun(r, -1)
 			}
 			return
 		}
 		e.stateMu.Unlock()
 	}
-	e.failRun(r, &TimeoutError{GraphID: r.id, Key: n.key, Node: true, Limit: nt})
+	e.failRun(r, &TimeoutError{GraphID: r.id, Key: k, Node: true, Limit: nt})
 }

@@ -109,13 +109,13 @@ func HomeOf(s Spec, k Key) int {
 // BoundedSpec is implemented by specs whose key universe is a bounded
 // dense integer range: every key the graph can name lies in
 // [0, KeyBound()). Declaring a bound lets the engines replace the sharded
-// node map with a flat preallocated arena (lock-free create-or-get,
+// node map with the dense paged arena (lock-free create-or-get,
 // home-major layout; see doc.go) and size worker deques up front. A
 // KeyBound() <= 0 means "unbounded" — the spec behaves as if the
 // interface were absent.
 //
 // Color (and Home, when implemented) must be total over the whole range —
-// they are evaluated for every key in [0, KeyBound()) at arena
+// they are evaluated for every key in [0, KeyBound()) at engine
 // construction, including keys the graph never reaches. Predecessors is
 // still only called for keys actually named.
 type BoundedSpec interface {

@@ -37,8 +37,9 @@ type graphRun struct {
 	// nt is this graph's node table, checked out of the engine's pool
 	// at admission and returned when the sink computes — or quarantined
 	// when the run fails mid-flight (see Engine.reclaimTablesLocked).
-	// Tables are never shared between in-flight graphs, so the
-	// per-table epoch reset needs no cross-graph coordination.
+	// Tables are never shared between in-flight graphs; what they do
+	// share, the dense backend's pages, moves between them only through
+	// the engine's page pool.
 	nt    nodeTable
 	start time.Time
 	// state is the completion word (runLive/runDone/runFailed); see the
@@ -65,6 +66,12 @@ type graphRun struct {
 	failMu      sync.Mutex
 	failedKeys  []Key
 	skippedKeys []Key
+
+	// regIdx is the run's position in Engine.runs while it is registered
+	// (guarded by stateMu), so completion removes it without a scan. It is
+	// rewritten when another run's removal moves this one, so it sits down
+	// here, off the lines the workers running this graph read.
+	regIdx int
 }
 
 // takeBudget consumes one unit of the graph's error budget, reporting
@@ -221,7 +228,9 @@ func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 			return nil, cancelErr(0, ctx.Err())
 		}
 	}
-	r := &graphRun{id: e.nextID.Add(1), sink: sink, done: make(chan struct{})}
+	// The admission clock is read before the lock, not under it: stateMu is
+	// the one lock every admission and every completion shares.
+	r := &graphRun{id: e.nextID.Add(1), sink: sink, done: make(chan struct{}), start: time.Now()}
 	e.stateMu.Lock()
 	if e.closing.Load() {
 		// Close won the race after our slot acquire; its drain loop may
@@ -250,46 +259,53 @@ func (e *Engine) watchCtx(ctx context.Context, r *graphRun) {
 }
 
 // admitLocked registers an admitted graph (caller holds stateMu and the
-// graph's admission slot): check out a node table, enter the run
-// registry, and enqueue the graph for seeding. Registering and enqueuing
+// graph's admission slot, and has set r.start): check out a node table,
+// enter the run registry, and enqueue the graph for seeding. Registering and enqueuing
 // in one critical section means the stall sweep can never observe a
 // registered graph that is invisible to the workers.
 func (e *Engine) admitLocked(r *graphRun) {
-	r.nt = e.checkoutTableLocked()
+	r.nt = e.checkoutTableLocked(r.sink)
+	r.regIdx = len(e.runs)
 	e.runs = append(e.runs, r)
 	e.active.Add(1)
-	r.start = time.Now()
 	// pending has MaxInflight capacity and every pending graph holds an
 	// admission slot, so this send cannot block.
 	e.pending <- r
 }
 
-// checkoutTableLocked pops an idle node-table instance from the pool
-// (resetting it to forget its previous graph) or builds a new one when
-// every instance is in use. Pool capacity converges to the peak
+// checkoutTableLocked pops an idle node-table instance from the pool or
+// builds a new one when every instance is in use, and resets it for the
+// graph rooted at sink (forgetting its previous graph). Pool capacity converges to the peak
 // in-flight graph count, bounded by MaxInflight.
-func (e *Engine) checkoutTableLocked() nodeTable {
+func (e *Engine) checkoutTableLocked(sink Key) nodeTable {
+	var nt nodeTable
 	if n := len(e.tables); n > 0 {
-		nt := e.tables[n-1]
+		nt = e.tables[n-1]
 		e.tables[n-1] = nil
 		e.tables = e.tables[:n-1]
-		nt.reset()
-		return nt
+	} else {
+		nt = newNodeTable(e.sv, e.pool, e.backend)
 	}
-	return newNodeTable(e.sv, e.backend)
+	nt.reset(sink)
+	return nt
 }
 
 // finishRun completes a graph whose sink just computed, called by the
-// computing worker. At this instant no items of the graph remain in any
-// deque (every live item would feed an unresolved join below the sink,
-// contradicting the sink having computed) and no other worker holds a
-// reference into the graph's nodes, so its table can be returned to the
-// pool immediately. If a concurrent Cancel/ctx expiry won the
-// completion CAS first, that winner owns the cleanup and the computed
-// result is discarded.
+// computing worker (wid; -1 from the watchdog's monitor). At this instant
+// no items of the graph remain in any deque (every live item would feed an
+// unresolved join below the sink, contradicting the sink having computed)
+// and no other worker holds a reference into the graph's nodes, so the
+// table's pages go back to the page pool and the table to the table pool
+// immediately — table memory follows the nodes in flight, not the graphs
+// admitted. The hand-back sits inside the stateMu section on purpose: the
+// watchdog pins a live run's nodes by holding stateMu across its runLive
+// check and its claim (nodeOverdue), so a page may not move until any such
+// section that still saw this run live has ended. If a concurrent
+// Cancel/ctx expiry won the completion CAS first, that winner owns the
+// cleanup and the computed result is discarded.
 //
 //nabbit:alloc-ok once-per-graph epilogue: the Stats snapshot allocates
-func (e *Engine) finishRun(r *graphRun) {
+func (e *Engine) finishRun(r *graphRun, wid int) {
 	if !r.state.CompareAndSwap(runLive, runDone) {
 		return
 	}
@@ -311,11 +327,12 @@ func (e *Engine) finishRun(r *graphRun) {
 	if r.hung.Load() > 0 {
 		// A watchdog-degraded node's worker is still stuck inside its
 		// compute, holding pointers into this run's nodes: quarantine
-		// the table like a failed run's (reclaimed at the next
-		// proven-quiet point) instead of pooling it.
+		// the table, pages and all, like a failed run's (reclaimed at
+		// the next proven-quiet point) instead of pooling it.
 		e.deadTables = append(e.deadTables, r.nt)
 		e.quarantined.Store(int32(len(e.deadTables)))
 	} else {
+		r.nt.release(wid)
 		e.tables = append(e.tables, r.nt)
 	}
 	e.removeRunLocked(r)
@@ -332,8 +349,8 @@ func (e *Engine) finishRun(r *graphRun) {
 // boundary (one atomic load per item), which is how a dead graph's work
 // drains out of every deque with no queue surgery. The node table is
 // quarantined rather than pooled: workers may still be mid-item on the
-// graph's nodes, so the table is recycled only at a proven-quiet point
-// (see reclaimTablesLocked).
+// graph's nodes, so the table — and every page it holds — is recycled
+// only at a proven-quiet point (see reclaimTablesLocked).
 func (e *Engine) failRun(r *graphRun, err error) bool {
 	if !r.state.CompareAndSwap(runLive, runFailed) {
 		return false
@@ -349,19 +366,19 @@ func (e *Engine) failRun(r *graphRun, err error) bool {
 	return true
 }
 
-// removeRunLocked drops r from the run registry (caller holds stateMu).
+// removeRunLocked drops r from the run registry (caller holds stateMu):
+// the last run takes r's place, so removal is O(1) however many graphs are
+// in flight.
 func (e *Engine) removeRunLocked(r *graphRun) {
-	for i, q := range e.runs {
-		if q == r {
-			last := len(e.runs) - 1
-			e.runs[i] = e.runs[last]
-			e.runs[last] = nil
-			e.runs = e.runs[:last]
-			e.active.Add(-1)
-			return
-		}
+	i, last := r.regIdx, len(e.runs)-1
+	if i > last || e.runs[i] != r {
+		panic("core: finished graph not in run registry")
 	}
-	panic("core: finished graph not in run registry")
+	e.runs[i] = e.runs[last]
+	e.runs[i].regIdx = i
+	e.runs[last] = nil
+	e.runs = e.runs[:last]
+	e.active.Add(-1)
 }
 
 // failStalled is the stall sweep: called by a worker whose park
@@ -398,6 +415,7 @@ func (e *Engine) failStalled() {
 			// A concurrent Cancel/ctx expiry won this run's completion
 			// and is about to remove it (it owns the slot release and
 			// done close); leave the run to its winner.
+			r.regIdx = len(keep)
 			keep = append(keep, r)
 			continue
 		}
@@ -408,8 +426,9 @@ func (e *Engine) failStalled() {
 		}
 		se.Pending = pend
 		r.err = se
-		// Every worker is parked, so unlike failRun the table can go
-		// straight back to the pool.
+		// Every worker is parked, so unlike failRun the table and its
+		// pages can go straight back to their pools.
+		r.nt.release(-1)
 		e.tables = append(e.tables, r.nt)
 		e.active.Add(-1)
 		// Non-blocking by construction: the failing run still holds its
@@ -423,8 +442,9 @@ func (e *Engine) failStalled() {
 	e.runs = keep
 }
 
-// reclaimTablesLocked recycles the node tables of failed runs back into
-// the pool. A failed run's table is quarantined at failure time because
+// reclaimTablesLocked recycles the node tables of failed runs, and the
+// pages they still hold, back into their pools. A failed run's table is
+// quarantined at failure time because
 // workers may still be executing an in-flight item that touches its
 // nodes; callers hold stateMu at a proven-quiet point (every worker
 // parked, nothing pending), where no worker can hold a reference into
@@ -433,8 +453,9 @@ func (e *Engine) reclaimTablesLocked() {
 	if len(e.deadTables) == 0 {
 		return
 	}
-	e.tables = append(e.tables, e.deadTables...)
-	for i := range e.deadTables {
+	for i, nt := range e.deadTables {
+		nt.release(-1)
+		e.tables = append(e.tables, nt)
 		e.deadTables[i] = nil
 	}
 	e.deadTables = e.deadTables[:0]

@@ -16,9 +16,10 @@ import (
 //
 //   - arena/getorcreate: allocs/op and bytes/op of the two backends'
 //     create and lookup paths (ReadMemStats deltas, GC off — the same
-//     methodology as the alloc experiment). The dense rows must report
-//     exactly zero; CI additionally hard-gates the equivalent
-//     BenchmarkGetOrCreate numbers.
+//     methodology as the alloc experiment). The dense lookup row must
+//     report exactly zero and the create row only the page slabs a fresh
+//     store carves (about one allocation per thousand nodes); CI
+//     additionally hard-gates the equivalent BenchmarkGetOrCreate numbers.
 //   - arena/real-heat: whole-run heap allocations of the real engine on
 //     the heat benchmark under each backend. One worker keeps the run —
 //     and therefore its allocation sequence — fully deterministic.

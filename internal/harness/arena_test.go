@@ -9,9 +9,11 @@ import (
 )
 
 // TestArenaReport pins the arena ablation's load-bearing numbers: the
-// dense backend's create and lookup paths allocate nothing, the dense
-// real-engine run allocates strictly less than the sharded one, and the
-// two backends' simulated schedules match.
+// dense backend's lookup path allocates nothing and its create path
+// nothing per node (a fresh store carves its pages as it goes: one slab
+// per 1 024 nodes plus the pool's lists), the dense real-engine run
+// allocates strictly less than the sharded one, and the two backends'
+// simulated schedules match.
 func TestArenaReport(t *testing.T) {
 	cfg := Config{Scale: bench.ScaleSmall, Cores: []int{1, 20}}.withDefaults()
 	rep, err := arenaReport(cfg)
@@ -25,7 +27,11 @@ func TestArenaReport(t *testing.T) {
 	goc := rep.Tables[0]
 	for _, row := range goc.Rows {
 		switch row.Key {
-		case "dense/create", "dense/lookup", "sharded/lookup":
+		case "dense/create":
+			if a := row.Values["allocs_op"]; a > 1.0/256 {
+				t.Errorf("dense/create: %v allocs/op, want page slabs only (<= 1 per 256 creates)", a)
+			}
+		case "dense/lookup", "sharded/lookup":
 			if row.Values["allocs_op"] != 0 {
 				t.Errorf("%s: %v allocs/op, want 0", row.Key, row.Values["allocs_op"])
 			}
