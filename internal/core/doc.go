@@ -87,29 +87,122 @@
 // slot: an atomic parkState flag plus a one-token channel. A worker that
 // completes spinBeforePark unsuccessful probe sweeps parks: it announces
 // parkState (and the global parked count), re-checks its wake condition
-// (shutdown / pending submissions / any deque non-empty), and only then
-// blocks on the channel. A waker CASes parkState parked→running and, on
-// winning, decrements the parked count and sends exactly one token;
-// losing the CAS means someone else owns the wake. Announce-then-recheck
-// on one side and publish-then-scan on the other make the classic Dekker
-// argument: a producer either observes the parked announcement (and
-// delivers a token) or published its work before the recheck (and the
-// park is abandoned) — no lost wakeups, which the race-stress test pins.
-// Decrementing parked on the waker side (not when the sleeper resumes)
-// keeps the quiet-state reading exact: parked == workers implies no wake
-// token is in flight.
+// (shutdown / pending submissions / due retries / any deque non-empty),
+// and only then blocks on the channel. A waker CASes parkState
+// parked→running and, on winning, decrements the parked count and sends
+// exactly one token; losing the CAS means someone else owns the wake.
+// Announce-then-recheck on one side and publish-then-scan on the other
+// make the classic Dekker argument: a producer either observes the parked
+// announcement (and delivers a token) or published its work before the
+// recheck (and the park is abandoned) — no lost wakeups, which the
+// race-stress test pins. Decrementing parked on the waker side (not when
+// the sleeper resumes) keeps the quiet-state reading exact: parked ==
+// workers implies no wake token is in flight.
 //
-// Wake sources: every deque PushBottom fires a hook that wakes one
-// parked worker when any are parked (one atomic load otherwise);
-// admission (Submit or Execute) wakes one worker to seed the new graph;
-// Close wakes everyone. Every park unwinds to the worker's main loop
-// before hunting again, so each wake re-polls the pending queue and
-// re-runs first-steal enforcement. The all-parked state doubles as the
-// engine's quiescence barrier — Execute takes occupancy and gathers
-// stats only when every worker is parked, which is what makes resetting
-// per-worker stats race-free without locking the hot paths; it is also
-// the trigger for the stall sweep above. Parks, Wakes, and SpinRounds
-// are reported per worker in WorkerStats.
+// Who owes which wake. Producers do not wake on every push. The engine
+// keeps a searching count (Engine.searching, beside parked): one for each
+// worker that has run out of local work and is hunting, one for each wake
+// from the instant its waker wins the CAS until the woken worker finds
+// work or parks again. Every wake for published work is decided in one
+// function, Engine.signal: a producer — a deque push, an admission, a due
+// retry — wakes a parked worker only if it reads the count zero (and the
+// deferred wake below not armed); otherwise whoever holds a count owes
+// the next wake, and pays it when the count is given up:
+//
+//   - A searcher that finds work by stealing and was the last one
+//     searching wakes another worker (the victim pushed those items
+//     earlier, so no push is coming to signal for the rest); one that
+//     finds work by seeding a pending graph or claiming a retry does so
+//     only if more work is visible — the graph it seeds signals for
+//     itself with its first push.
+//   - A searcher that gives up parks: it drops its count first, announces,
+//     and the full re-check covers whatever a producer left to it.
+//   - At most max(1, P/2) workers search at once. A worker that runs dry
+//     while that many already hold a count does not hunt: it yields its P
+//     a few times (yieldBeforePark), polling the pending and retry queues
+//     in between, then parks, re-checking only for shutdown — the
+//     searchers, not it, answer for what is there.
+//
+// This is the Go runtime's spinning-M rule, and the same argument carries
+// it: every hand-over is "publish, then read the count" against "drop the
+// count, then look", so some party always sees the other.
+//
+// Caller-run Wait. A goroutine in Ticket.Wait whose run is still live does
+// not sleep if a worker is parked: it wins that worker's parkState CAS as
+// a waker would but sends no token, so the worker's goroutine stays asleep
+// on its channel, and runs the worker's loop itself (worker.loop — the
+// one loop, with a second exit) on the worker's deque, rng, grouping
+// scratch and page stripe, each item inside the usual rescue boundary. To
+// the stall sweep, lockQuiet, table reclaim and Close the worker is
+// simply running. The guest leaves when its run completes or where the
+// worker would park, and hands the worker back by performing the park
+// announcement on the sleeping goroutine's behalf (worker.handBack):
+// announce, run the stall-sweep check, re-check shutdown / pending /
+// retries / deques, and — where the goroutine itself would have abandoned
+// the park — wake it through the ordinary CAS, which a concurrent waker
+// may win instead. Either way exactly one token follows an announcement
+// that needed one. The run is re-checked between winning the CAS and
+// touching the worker: a live run keeps the engine from going quiet, and
+// Execute resets worker state only in the quiet state; a worker won for a
+// run that completed in between is announced parked again untouched.
+// Runs admitted with a ctx, and every run of an engine with the watchdog
+// armed, are never run this way: their Wait must return while a Compute
+// is still stuck. Execute keeps waking a worker and sleeping on the run —
+// measured on the coarse kernels, running the graph from Execute bought
+// nothing once the wake was no longer wasted.
+//
+// The deferred wake. Borrowing alone gains nothing if admission has
+// already woken a worker (60-200 us away, by which time a small graph is
+// done and the worker spins against the next one). So a Submit into a
+// fully idle engine — every worker parked, no other graph in flight, a
+// run its waiter may run — does not wake: it publishes a deadline
+// deferDelay ahead in a word of its own, Engine.deferUntil, and while that
+// word is non-zero signal wakes nobody. There is one way to retire it,
+// Engine.wakeNow: store zero, then look at the queues and signal if
+// anything waits. Who calls it:
+//
+//   - every producer that is not the idle engine's own admission: an
+//     admission into an engine with a graph in flight or a worker awake, a
+//     ctx or watchdog run, a due retry;
+//   - everybody about to sleep on the engine instead of running its graphs:
+//     Ticket.Done, a Wait that found nobody to borrow, Execute's and Close's
+//     quiesce;
+//   - whoever finds the deadline passed: a running worker (or guest) at its
+//     stride poll, which is how a graph that outlives the delay gets its
+//     second worker, and the deferral's timer.
+//
+// A hand-back retires nothing: the next idle admission moves the deadline,
+// any other calls wakeNow, and in a Submit-then-Wait loop the timer, pushed
+// along by each admission, does not fire. The deferral carries no count and
+// its retirement is a plain store, so retirements may race each other and
+// an arming admission freely. What keeps a graph from being lost is two
+// orders. Arming happens under stateMu after the graph is published, and
+// wakeNow stores before it looks, so whoever wipes a deadline sees the
+// graph it stood for; a producer's signal reads the word after its push, so
+// either it sees the word cleared or the retirer's look sees the push. And
+// the timer is set after the deadline is visible, by the admission that
+// published it (a firing that finds a deadline still ahead sets it again),
+// so no armed deferral is ever without a pending timer: liveness rests on
+// the timer alone, and a caller of wakeNow that is missing costs a delay,
+// not a hang. That delay is the contract for a Submit into an idle engine
+// that nobody waits on, asks Done of, or follows with other engine work:
+// the Go runtime serves the timers of an all-idle process from a netpoll
+// sleep of 1 ms granularity, so such a graph starts after 1.0-1.6 ms
+// (BenchmarkSubmitNeverWaited; an immediate wake took 9-190 us), not after
+// deferDelay. A caller that will not Wait asks for the wake with Done.
+//
+// Wake sources, then: signal — from a deque push, from the last searcher
+// to find work, from wakeNow — when nobody is searching and no deferral is
+// armed; a hand-back whose re-check found work; Execute's own admission
+// into the quiet engine; Close, which wakes everyone. Every park unwinds to the worker's loop before hunting again,
+// so each wake re-polls the pending queue and re-runs first-steal
+// enforcement. The all-parked state doubles as the engine's quiescence
+// barrier — Execute takes occupancy and gathers stats only when every
+// worker is parked, which is what makes resetting per-worker stats
+// race-free without locking the hot paths; it is also the trigger for the
+// stall sweep above. Parks, Wakes, and SpinRounds are reported per worker
+// in WorkerStats (a tenancy is neither a park nor a wake); a worker no
+// run needed is never woken and records none.
 //
 // # Design note: the node lifecycle word
 //

@@ -25,7 +25,8 @@ import (
 // stencil time stepping) where per-run construction cost would otherwise
 // dominate, and the service shape where many small graphs are in flight
 // at once. Idle workers park on a per-worker notify slot instead of
-// spinning (see doc.go's parking design note).
+// spinning, and a goroutine in Ticket.Wait runs a parked worker's loop
+// itself instead of sleeping (see doc.go's parking design note).
 //
 // Graphs enter through two front doors:
 //
@@ -58,6 +59,12 @@ type Engine struct {
 	onComplete func(worker int, k Key) // opts.OnComplete
 	workers    []*worker
 	colored    bool // opts.Policy.Colored
+	// maxSearch caps how many workers hunt at once: max(1, Workers/2).
+	maxSearch int32
+	// yield, when set, is called at the park protocol's hand-over points
+	// (see yieldPoint). Tests install it right after NewEngine, while every
+	// worker is parked, to drive interleavings without sleeping.
+	yield func(yieldPoint, *worker)
 	// watchdogOn gates the per-node execution publication (set when
 	// NodeTimeout or RunDeadline is positive).
 	watchdogOn bool
@@ -108,10 +115,14 @@ type Engine struct {
 	// parked counts currently-parked workers. A wake decrements it on
 	// the waker's side (after winning the park CAS), so parked == P
 	// implies no wake token is in flight — the quiet state Execute's
-	// stats reset/gather and the stall sweep rely on. Every push reads it
-	// (noteWork), so it shares its line with nothing written per task or
-	// per graph.
-	parked atomic.Int32
+	// stats reset/gather and the stall sweep rely on. searching counts the
+	// workers hunting for work and every wake from its waker's CAS until the
+	// woken worker finds work or parks again: a producer that reads it
+	// non-zero leaves the wake to whoever holds the count (see doc.go's
+	// parking design note). Every push reads both (signal), so they share
+	// their line with nothing written per task or per graph.
+	parked    atomic.Int32
+	searching atomic.Int32
 
 	_ [cacheLine]byte
 
@@ -133,6 +144,17 @@ type Engine struct {
 	// active mirrors len(runs) atomically so the stall sweep and
 	// quiescence checks can read it without stateMu.
 	active atomic.Int32
+	// deferUntil is the deferred wake: zero when none is armed, otherwise
+	// the instant (nanoseconds since epoch) before which the graph last
+	// admitted into a fully idle engine is left to its waiter. It is a word
+	// of its own that signal consults: armed under stateMu by that admission
+	// (see submit), retired by a store of zero (see wakeNow), and backed by
+	// deferTimer. The timer is made by the first admission that may defer
+	// (under stateMu): an engine that only ever Executes has none, so its
+	// idle Ps sleep without a timer to watch.
+	deferUntil atomic.Int64
+	deferTimer *time.Timer
+	epoch      time.Time
 
 	_ [cacheLine]byte
 
@@ -227,6 +249,32 @@ func dequeCapacity(bound, workers int) int {
 // worker burns microseconds — not wall-clock — before sleeping.
 const spinBeforePark = 64
 
+// yieldBeforePark is the budget of a worker that runs dry while enough
+// others are searching, and so may not search itself: yields of its P, each
+// followed by a poll of the pending and retry queues, before it parks. What
+// dried it up is often a submitter that a worker has just readied by
+// completing a graph and that cannot run — and submit more — until a worker
+// lets go of its P; a few yields let it, where parking at once costs the
+// worker a wake latency when those graphs arrive microseconds later (128
+// graphs in flight: parks per graph 0.008 at 0, 0.0027 at 1, 0.001 at 4).
+const yieldBeforePark = 4
+
+// deferDelay is how long the wake for a graph admitted into a fully idle
+// engine is held back (see submit): about what a caller needs to reach
+// Ticket.Wait and finish a small graph itself. It is the deadline everybody
+// who looks at the engine honours — a running worker's stride poll, anyone
+// about to sleep on the engine — and the least the backstop timer waits.
+// The most is the Go runtime's to say: with every P idle its timers are
+// served from a netpoll sleep of 1 ms granularity. So the contract for a
+// Submit into an idle engine whose caller neither waits, nor asks for Done,
+// nor gives the engine other work is a start within about a millisecond,
+// not within deferDelay: BenchmarkSubmitNeverWaited measures 1.0-1.1 ms from
+// Submit to the sink of a 17-node graph for a caller asleep on a channel and
+// 1.4-1.6 ms for one that spins, against 9-14 us and 110-190 us when the
+// admission woke a worker at once. README states it, and names Done as the
+// call that asks for the wake now.
+const deferDelay = 20 * time.Microsecond
+
 // seedStride bounds how many consecutive local items a worker runs
 // before polling the pending queue: with every worker busy on admitted
 // graphs, a newly submitted graph still gets seeded within seedStride
@@ -279,6 +327,17 @@ type worker struct {
 	// streak counts consecutive locally popped items since the last
 	// pending-queue poll; at seedStride the worker polls (fairness).
 	streak int
+	// searching reports that this worker holds one count of
+	// Engine.searching. Like the rest of this block it belongs to whoever
+	// owns the worker: its goroutine, or between a parkState 1→0 CAS and the
+	// hand-over that follows (token or hand-back), the waker or guest.
+	searching bool
+	// guest is the run a goroutine in Ticket.Wait is running this worker's
+	// loop for, nil on the worker's own goroutine. A guest cannot sleep on
+	// the notify slot: where the worker would park it sets parkDue instead
+	// and the loop returns the worker to its goroutine (see handBack).
+	guest   *graphRun
+	parkDue bool
 	// curKey names the node this worker is currently processing — a
 	// plain owner-written field kept fresh so the rescue boundary can
 	// attribute a recovered panic to the node whose spec callback blew
@@ -337,6 +396,8 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 		pool:       pool,
 		onComplete: opts.OnComplete,
 		colored:    opts.Policy.Colored,
+		maxSearch:  max(1, int32(opts.Workers/2)),
+		epoch:      time.Now(),
 		watchdogOn: opts.NodeTimeout > 0 || opts.RunDeadline > 0,
 		opts:       opts,
 		backend:    backend,
@@ -364,7 +425,7 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 		default:
 			dq = deque.NewMutex[item](dqCap)
 		}
-		dq.SetWake(e.noteWork)
+		dq.SetWake(e.signal)
 		lo, hi := opts.Topology.SocketWorkers(i)
 		mask := colorset.New(opts.Workers)
 		for c := lo; c < hi; c++ {
@@ -533,6 +594,7 @@ func (e *Engine) execute(ctx context.Context, sink Key) (*Stats, error) {
 // either).
 func (e *Engine) lockQuiet() {
 	for i := 0; ; i++ {
+		e.wakeNow() // the pool cannot go quiet around a graph whose wake is still held back
 		e.stateMu.Lock()
 		if e.active.Load() == 0 && len(e.pending) == 0 &&
 			e.parked.Load() == int32(len(e.workers)) {
@@ -567,6 +629,7 @@ func (e *Engine) Close() error {
 	// Drain: workers keep running (closeFlag is still down) until every
 	// admitted graph has finished or been failed by the stall sweep.
 	for i := 0; ; i++ {
+		e.wakeNow()
 		e.stateMu.Lock()
 		idle := e.active.Load() == 0 && len(e.pending) == 0
 		e.stateMu.Unlock()
@@ -584,6 +647,9 @@ func (e *Engine) Close() error {
 	e.closeFlag.Store(true)
 	e.wakeAll()
 	e.exitWG.Wait()
+	if e.deferTimer != nil {
+		e.deferTimer.Stop()
+	}
 	// Stop the watchdog only after the drain: an in-flight graph hung on
 	// a stuck Compute still needs the monitor to time it out, or the
 	// drain loop above would never see the engine go idle.
@@ -617,7 +683,8 @@ func RunNabbitC(spec Spec, sink Key, workers int) (*Stats, error) {
 }
 
 // anyWork reports whether any worker's deque holds a stealable item. Used
-// only as a park-abandon check, so the O(P) scan is off every hot path.
+// only by the park re-check and the wake owners, so the O(P) scan is off
+// every hot path.
 func (e *Engine) anyWork() bool {
 	for _, w := range e.workers {
 		if w.dq.Len() > 0 {
@@ -627,13 +694,82 @@ func (e *Engine) anyWork() bool {
 	return false
 }
 
-// noteWork is the deque push hook: some worker just published a stealable
-// item; wake one parked worker to go steal it. The common case (nobody
-// parked) is a single atomic load.
-func (e *Engine) noteWork() {
-	if e.parked.Load() != 0 {
+// hasWork reports whether anything is waiting for a worker: a graph to
+// seed, a due retry, or a stealable item.
+func (e *Engine) hasWork() bool {
+	return len(e.pending) > 0 || e.retryDue.Load() > 0 || e.anyWork()
+}
+
+// yieldPoint names a hand-over point of the park protocol for the
+// test-only Engine.yield hook.
+type yieldPoint int
+
+const (
+	yieldWoken     yieldPoint = iota // a waker won the park CAS; its token is not sent yet
+	yieldBorrowed                    // a guest won the park CAS; the run is not re-checked yet
+	yieldAnnounced                   // a park (or hand-back) is announced; its re-check has not run yet
+	yieldArmed                       // an admission published a deferred wake; its timer is not set yet
+	yieldTimer                       // the deferred wake's timer fired; it has read nothing yet
+)
+
+func (e *Engine) at(p yieldPoint, w *worker) {
+	if e.yield != nil {
+		e.yield(p, w)
+	}
+}
+
+// signal is the one place a wake for newly published work is decided, and
+// the deque push hook: wake one parked worker unless somebody already owes
+// that wake — a hunting worker or a wake in flight (the searching count),
+// or the deferred wake while it is armed. The common cases (nobody parked,
+// or somebody searching) are two atomic loads on one line.
+func (e *Engine) signal() {
+	if e.parked.Load() != 0 && e.searching.Load() == 0 && e.deferUntil.Load() == 0 {
 		e.wakeOne()
 	}
+}
+
+// wakeNow retires the deferred wake, armed or not, and signals for whatever
+// is waiting for a worker. It is the one call for everybody who must not
+// wait the deferral out: a producer that is not the idle engine's own
+// admission (a further admission, a due retry), anybody about to sleep on
+// the engine rather than run its graphs (Done, a Wait that cannot borrow,
+// Execute, Close), and whoever finds the deadline passed (the timer, a
+// running worker's stride poll). Retiring is a plain store of zero, so any
+// number of these may race each other and an arming admission: the store
+// comes before the look at the queues here and after the publication there,
+// so a deferral is never lost without its graph being seen.
+func (e *Engine) wakeNow() {
+	if e.deferUntil.Load() != 0 {
+		e.deferUntil.Store(0)
+	}
+	if e.hasWork() {
+		e.signal()
+	}
+}
+
+// deferredDue reports whether a deferred wake is armed and past its
+// deadline.
+func (e *Engine) deferredDue() bool {
+	d := e.deferUntil.Load()
+	return d != 0 && int64(time.Since(e.epoch)) >= d
+}
+
+// deferredWake is deferTimer's callback, the backstop that makes liveness
+// independent of everybody else who calls wakeNow: every arming sets the
+// timer after publishing its deadline, and a firing that finds a deadline
+// still ahead (it moved since) sets it again for the remainder.
+func (e *Engine) deferredWake() {
+	e.at(yieldTimer, nil)
+	d := e.deferUntil.Load()
+	if d == 0 {
+		return
+	}
+	if rem := d - int64(time.Since(e.epoch)); rem > 0 {
+		e.deferTimer.Reset(time.Duration(rem))
+		return
+	}
+	e.wakeNow()
 }
 
 func (e *Engine) wakeOne() {
@@ -652,74 +788,159 @@ func (e *Engine) wakeAll() {
 
 // wake delivers one token to the worker if it is parked. Winning the CAS
 // makes this caller the park's sole waker, so the one-slot channel send
-// can never block. The waker also retires the worker's parked count:
-// from the instant the CAS wins the worker is committed to running, and
-// keeping parked == P equivalent to "no token in flight" is what lets
-// Execute treat the all-parked state as fully quiescent.
+// can never block. The waker also retires the worker's parked count and
+// takes a searching count on its behalf: from the instant the CAS wins the
+// worker is committed to running and looking for work, keeping parked == P
+// equivalent to "no token in flight" is what lets Execute treat the
+// all-parked state as fully quiescent, and counting the search from here
+// rather than from when the sleeper resumes is what stops every producer
+// in between from waking a worker of its own.
 func (w *worker) wake() bool {
-	if w.parkState.CompareAndSwap(1, 0) {
-		w.e.parked.Add(-1)
-		w.parkCh <- struct{}{}
-		return true
+	if !w.parkState.CompareAndSwap(1, 0) {
+		return false
 	}
-	return false
+	e := w.e
+	e.parked.Add(-1)
+	w.startSearch()
+	e.at(yieldWoken, w)
+	w.parkCh <- struct{}{}
+	return true
 }
 
-// park puts the worker to sleep on its notify slot until a wake token
-// arrives. The protocol is announce → recheck → block: cancel is
-// evaluated only after the parked announcement is visible, so a producer
+// announcePark publishes the worker as parked and reports whether the park
+// must be abandoned. The protocol is announce → re-check → block: the
+// re-check runs only after the announcement is visible, so a producer
 // either sees the announcement (and delivers a token) or published its
-// work before the recheck (and cancel abandons the park) — no lost
-// wakeups. If a waker wins the race against a cancelling parker, the
-// parker consumes the in-flight token anyway so it cannot leak into a
-// later park.
+// work before the re-check (and the park is abandoned) — no lost wakeups.
+// recheckWork is false for a worker that parks without having searched
+// because enough others are searching: they, not it, owe the wake for
+// whatever is there, and re-checking would send it straight back here.
 //
-// Every park is also a stall-sweep site: if this announcement made the
-// whole pool parked while graphs are still registered, no worker can
-// ever make progress on them again, and the sweep fails them (see
-// failStalled). announced, when non-nil, runs right after the
-// announcement (the NewEngine start barrier).
-func (w *worker) park(cancel func() bool, announced func()) {
+// Every announcement is also a stall-sweep site: if it made the whole pool
+// parked while graphs are still registered, no worker can ever make
+// progress on them again, and the sweep fails them (see failStalled).
+//
+// The caller owns the worker up to the announcement and nothing of it
+// afterwards: a waker or a guest may take it over at once.
+func (w *worker) announcePark(recheckWork bool) bool {
 	e := w.e
-	w.stats.Parks++
 	w.parkState.Store(1)
 	e.parked.Add(1)
-	if announced != nil {
-		announced()
-	}
+	e.at(yieldAnnounced, w)
 	if e.parked.Load() == int32(len(e.workers)) &&
 		(e.active.Load() > 0 || e.quarantined.Load() > 0) {
 		e.failStalled()
 	}
-	if cancel != nil && cancel() {
-		if w.parkState.CompareAndSwap(1, 0) {
-			e.parked.Add(-1)
-			w.stats.Parks--
-			return
-		}
-		// Lost to a concurrent waker: its token is in flight (and the
-		// waker already retired our parked count). Fall through and
-		// consume it.
+	return e.closeFlag.Load() || recheckWork && e.hasWork()
+}
+
+// park puts the worker to sleep on its notify slot until a wake token
+// arrives, giving up its searching count first: the re-check that follows
+// the announcement covers anything a producer left to that count. If a
+// waker wins the race against an abandoning parker, the parker consumes
+// the in-flight token anyway so it cannot leak into a later park.
+// announced, when non-nil, runs right after the announcement (the
+// NewEngine start barrier). A guest does not park: it flags the loop to
+// return, and its hand-back is the announcement.
+func (w *worker) park(recheckWork bool, announced func()) {
+	e := w.e
+	w.endSearch()
+	if w.guest != nil {
+		w.parkDue = true
+		return
 	}
+	w.stats.Parks++
+	abandon := w.announcePark(recheckWork)
+	if announced != nil {
+		announced()
+	}
+	if abandon && w.parkState.CompareAndSwap(1, 0) {
+		e.parked.Add(-1)
+		w.stats.Parks--
+		return
+	}
+	// Not abandoning, or lost to a concurrent waker whose token is in
+	// flight (it already retired our parked count): sleep, or consume it.
 	<-w.parkCh
 	w.stats.Wakes++
 }
 
-// main is the persistent worker goroutine: seed pending graphs, drain
-// the local deque, steal, park when idle, exit on close.
+// borrow takes over a parked worker for a goroutine waiting on r: it wins
+// the worker's park CAS as a waker would, but sends no token — the
+// worker's goroutine stays asleep on its notify slot while the guest runs
+// the worker's loop in its place. The run is re-checked after the CAS and
+// before the worker is touched: a live run keeps the engine from going
+// quiet, which is what entitles the guest to the owner's fields (Execute
+// resets them only in the quiet state); a run that finished in between
+// gets the worker parked again untouched.
+func (e *Engine) borrow(r *graphRun) *worker {
+	if e.parked.Load() == 0 {
+		return nil
+	}
+	for _, w := range e.workers {
+		if !w.parkState.CompareAndSwap(1, 0) {
+			continue
+		}
+		e.parked.Add(-1)
+		e.at(yieldBorrowed, w)
+		if r.state.Load() != runLive {
+			w.repark()
+			return nil
+		}
+		w.startSearch()
+		w.guest = r
+		return w
+	}
+	return nil
+}
+
+// handBack ends a guest's tenure: it clears the guest's marks and performs
+// the park announcement on the sleeping goroutine's behalf. It reports
+// whether the guest left because the worker ran out of work (rather than
+// because its run completed).
+func (w *worker) handBack() (idle bool) {
+	idle = w.parkDue
+	w.guest, w.parkDue = nil, false
+	w.endSearch()
+	w.repark()
+	return idle
+}
+
+// repark is park for somebody who is not the worker's goroutine: announce,
+// run the stall-sweep check and the full re-check, and where the goroutine
+// itself would have abandoned the park, wake it.
+func (w *worker) repark() {
+	if w.announcePark(true) {
+		w.wake()
+	}
+}
+
+// main is the persistent worker goroutine.
 func (w *worker) main() {
 	e := w.e
 	defer e.exitWG.Done()
-	if e.opts.PinWorkers {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	// Initial park: announce through the start barrier so NewEngine
 	// returns only once this worker's notify slot is live.
-	w.park(nil, e.startWG.Done)
+	w.park(false, e.startWG.Done)
+	w.loop()
+}
+
+// loop is the worker loop: seed pending graphs, drain the local deque,
+// steal, park when idle. It has two exits. On the worker's own goroutine it
+// runs until the engine closes. Under a guest (w.guest set, see
+// Ticket.Wait) it also returns once the guest's run has completed or the
+// worker would park; the guest then hands the worker back.
+func (w *worker) loop() {
+	e := w.e
 	for !e.closeFlag.Load() {
+		if g := w.guest; g != nil && (w.parkDue || g.state.Load() != runLive) {
+			return
+		}
 		if w.streak >= seedStride {
 			w.streak = 0
+			if e.deferredDue() {
+				e.wakeNow()
+			}
 			if w.trySeed() {
 				continue
 			}
@@ -739,9 +960,64 @@ func (w *worker) main() {
 		if w.tryRetry() {
 			continue
 		}
+		if !w.searching {
+			if e.searching.Load() >= e.maxSearch {
+				// Enough others are searching: no hunting, only a few
+				// yields, polling this worker's own sources in between.
+				if w.spins < yieldBeforePark {
+					w.spins++
+					runtime.Gosched()
+					continue
+				}
+				w.spins = 0
+				w.park(false, nil)
+				continue
+			}
+			w.startSearch()
+		}
 		if it, ok := w.findWork(); ok {
 			w.exec(it)
 		}
+	}
+}
+
+// startSearch takes a searching count for the worker; endSearch gives it up
+// without owing anybody a wake (the worker found nothing — see stopSearching
+// for the other way out). Both are for whoever owns the worker just then.
+func (w *worker) startSearch() {
+	w.searching = true
+	w.e.searching.Add(1)
+}
+
+func (w *worker) endSearch() {
+	if w.searching {
+		w.searching = false
+		w.e.searching.Add(-1)
+	}
+}
+
+// gotWork notes that the worker acquired something to run, ending its
+// search if it was on one.
+//
+//nabbit:noalloc
+func (w *worker) gotWork(stolen bool) {
+	w.spins = 0
+	if w.searching {
+		w.stopSearching(stolen)
+	}
+}
+
+// stopSearching gives up the worker's searching count on finding work. The
+// last searcher to stop re-issues the wake producers were leaving to it if
+// anything is left for another worker: always after a steal (the victim
+// pushed those items before this worker took one, so no push is coming to
+// signal for the rest), otherwise only if work is visible — a freshly
+// seeded graph signals for itself with its first push.
+func (w *worker) stopSearching(stolen bool) {
+	w.searching = false
+	e := w.e
+	if e.searching.Add(-1) == 0 && (stolen || e.hasWork()) {
+		e.signal()
 	}
 }
 
@@ -762,7 +1038,7 @@ func (w *worker) bail() bool {
 func (w *worker) trySeed() bool {
 	select {
 	case r := <-w.e.pending:
-		w.spins = 0
+		w.gotWork(false)
 		if r.state.Load() != runLive {
 			return true
 		}
@@ -803,7 +1079,7 @@ func (w *worker) markStarted(r *graphRun) {
 //
 //nabbit:noalloc
 func (w *worker) exec(it item) {
-	w.spins = 0
+	w.gotWork(false)
 	r := it.run
 	if r.state.Load() != runLive {
 		return
@@ -1149,11 +1425,7 @@ func (w *worker) idleSweep() bool {
 		return false
 	}
 	w.spins = 0
-	e := w.e
-	w.park(func() bool {
-		return e.closeFlag.Load() || len(e.pending) > 0 ||
-			e.retryDue.Load() > 0 || e.anyWork()
-	}, nil)
+	w.park(true, nil)
 	return true
 }
 
@@ -1170,6 +1442,9 @@ func (w *worker) idleSweep() bool {
 // parked counts as idle.
 func (w *worker) findWork() (item, bool) {
 	it, ok := w.hunt()
+	if ok {
+		w.gotWork(true)
+	}
 	if !w.idleSince.IsZero() {
 		w.stats.IdleTime += time.Since(w.idleSince)
 		w.idleSince = time.Time{}
@@ -1189,10 +1464,7 @@ func (w *worker) hunt() (item, bool) {
 		// instead of the historical 100%-CPU Gosched ping-pong; a new
 		// graph or close wakes us.
 		w.noteProbeFailed()
-		w.park(func() bool {
-			return e.closeFlag.Load() || len(e.pending) > 0 ||
-				e.retryDue.Load() > 0
-		}, nil)
+		w.park(true, nil)
 		return item{}, false
 	}
 

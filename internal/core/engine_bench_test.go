@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // BenchmarkExecuteReuse measures repeated Execute on one persistent
@@ -40,11 +42,11 @@ func BenchmarkExecuteReuse(b *testing.B) {
 	}
 }
 
-// conesSpecPre is coneSpec with precomputed predecessor slices and a
-// single colour, so a benchmark's per-graph allocation count isolates the
-// engine's own admission/completion bookkeeping from spec-side allocation
-// and from colour grouping.
-func conesSpecPre(cones, width int) FuncSpec {
+// conesSpecPre is coneSpec with precomputed predecessor slices, so a
+// benchmark's per-graph allocation count isolates the engine's own
+// admission/completion bookkeeping from spec-side allocation (and, with one
+// colour, from colour grouping).
+func conesSpecPre(cones, width, colors int, compute func(Key)) FuncSpec {
 	stride := width + 1
 	leaves := make([][]Key, cones)
 	for g := range leaves {
@@ -61,8 +63,8 @@ func conesSpecPre(cones, width int) FuncSpec {
 			}
 			return leaves[int(k)/stride]
 		},
-		ColorFn:   func(Key) int { return 0 },
-		ComputeFn: func(Key) {},
+		ColorFn:   func(k Key) int { return int(k) % colors },
+		ComputeFn: compute,
 		BoundFn:   func() int { return cones * stride },
 	}
 }
@@ -82,7 +84,7 @@ func conesSpecPre(cones, width int) FuncSpec {
 // allocation count deterministic enough to gate tightly.
 func BenchmarkSubmitThroughput(b *testing.B) {
 	const cones, width = 1024, 32
-	spec := conesSpecPre(cones, width)
+	spec := conesSpecPre(cones, width, 1, func(Key) {})
 	heapInUse := func() uint64 {
 		var ms runtime.MemStats
 		runtime.GC()
@@ -134,6 +136,118 @@ func BenchmarkSubmitThroughput(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "graphs/s")
 			b.ReportMetric(float64(heapInUse()-before)/float64(inflight), "live-B/graph")
+		})
+	}
+}
+
+// BenchmarkSubmitWaitCone17 is the single-request latency path in the shape
+// of the repository benchmark's submit-lo workload: Submit then Wait of one
+// 17-node cone (16 leaves of ~100 ns feeding a sink, two colours) at a time
+// on a 2-worker engine. Besides us/op it reports what the workers did per
+// graph, from their own counters: parks, wakes and steal attempts. A caller
+// that waits at once should run the whole graph itself on a borrowed worker
+// — all three near zero — rather than hand 17 tiny tasks to two goroutines.
+func BenchmarkSubmitWaitCone17(b *testing.B) {
+	const cones, width, workers = 1024, 16, 2
+	vals := make([]uint64, cones*(width+1))
+	spec := conesSpecPre(cones, width, workers, func(k Key) {
+		x := uint64(k) | 1
+		for i := 0; i < 64; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+		}
+		vals[k] = x
+	})
+	e, err := NewEngine(spec, Options{Workers: workers, Policy: NabbitCPolicy(), MaxInflight: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	op := func(i int) {
+		tk, err := e.Submit(coneSink(i*7%cones, width))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tk.Wait(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// counters sums the workers' cumulative counters (Submit mode never
+	// resets them) in the quiet state, the one point they may be read.
+	counters := func() (parks, wakes, attempts int64) {
+		e.lockQuiet()
+		defer e.stateMu.Unlock()
+		for _, w := range e.workers {
+			parks += w.stats.Parks
+			wakes += w.stats.Wakes
+			attempts += w.stats.StealAttempts
+		}
+		return
+	}
+	for i := 0; i < 2*cones; i++ {
+		op(i)
+	}
+	p0, w0, a0 := counters()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+	b.StopTimer()
+	p1, w1, a1 := counters()
+	n := float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/n, "us/op")
+	b.ReportMetric(float64(p1-p0)/n, "parks/op")
+	b.ReportMetric(float64(w1-w0)/n, "wakes/op")
+	b.ReportMetric(float64(a1-a0)/n, "steal-attempts/op")
+}
+
+// BenchmarkSubmitNeverWaited measures what the deferred wake costs a caller
+// who does not wait: one 17-node cone submitted to an idle engine of 2
+// workers, timed from Submit to the sink's OnComplete, with the submitter
+// asleep on a channel the hook feeds (blocked) or polling a flag without
+// ever yielding its P (spinning). Nobody calls Wait or Done, so the graph is
+// started by the deferral's timer alone: this is the contract's far end, a
+// wake latency without the deferral and about a millisecond with it.
+func BenchmarkSubmitNeverWaited(b *testing.B) {
+	const cones, width, workers = 64, 16, 2
+	for _, mode := range []string{"blocked", "spinning"} {
+		b.Run(mode, func(b *testing.B) {
+			var sunk atomic.Int64 // the sink most recently computed, +1
+			woken := make(chan struct{}, 1)
+			spec := conesSpecPre(cones, width, workers, func(Key) {})
+			e, err := NewEngine(spec, Options{Workers: workers, Policy: NabbitCPolicy(), MaxInflight: 1,
+				OnComplete: func(_ int, k Key) {
+					if int(k)%(width+1) == width {
+						sunk.Store(int64(k) + 1)
+						if mode == "blocked" {
+							woken <- struct{}{}
+						}
+					}
+				}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			var total time.Duration
+			for i := 0; i < b.N; i++ {
+				e.lockQuiet() // every worker parked again: the engine is idle
+				e.stateMu.Unlock()
+				sink := coneSink(i*7%cones, width)
+				start := time.Now()
+				if _, err := e.Submit(sink); err != nil {
+					b.Fatal(err)
+				}
+				if mode == "blocked" {
+					<-woken
+				} else {
+					for sunk.Load() != int64(sink)+1 {
+					}
+				}
+				total += time.Since(start)
+			}
+			b.ReportMetric(float64(total.Microseconds())/float64(b.N), "us/graph")
 		})
 	}
 }

@@ -69,10 +69,10 @@ func TestEngineReuse(t *testing.T) {
 						want == NodeTableSharded && st.NodeBackend != "sharded" {
 						t.Fatalf("run %d: backend %q", r, st.NodeBackend)
 					}
-					// Every worker ends the run parked on the quiescence
-					// barrier, so parks must cover the whole pool.
-					if p := st.Parks(); p < workers {
-						t.Fatalf("run %d: %d parks, want >= %d (idle workers must park)", r, p, workers)
+					// Every worker the run woke ends it parked on the quiescence
+					// barrier; a worker nobody needed stays asleep.
+					if p, w := st.Parks(), st.Wakes(); w < 1 || p != w {
+						t.Fatalf("run %d: %d parks for %d wakes, want equal and >= 1 (woken workers must park again)", r, p, w)
 					}
 					rec.verify(t, spec, keys)
 					// Reset the recorder for the next run.
@@ -315,8 +315,8 @@ func TestParkWakeStress(t *testing.T) {
 					if res.err != nil {
 						t.Fatalf("run %d: %v", r, res.err)
 					}
-					if res.st.Parks() < workers {
-						t.Fatalf("run %d: only %d parks across %d workers", r, res.st.Parks(), workers)
+					if p, w := res.st.Parks(), res.st.Wakes(); w < 1 || p != w {
+						t.Fatalf("run %d: %d parks for %d wakes, want equal and >= 1", r, p, w)
 					}
 				case <-time.After(60 * time.Second):
 					t.Fatalf("run %d: Execute hung — lost wakeup in the park protocol", r)

@@ -325,15 +325,12 @@ type Options struct {
 	// Topology groups worker colors into NUMA domains for the locality
 	// accounting; defaults to numa.Paper(Workers).
 	Topology numa.Topology
-	// PinWorkers locks each worker goroutine to an OS thread. Go cannot
-	// bind threads to cores, but pinning at least prevents goroutine
-	// migration between threads mid-task, the closest available
-	// approximation to the paper's pthread pinning.
-	PinWorkers bool
 	// OnComplete, if set, is called after each task computes, with the
 	// executing worker's id — the schedule-recording hook the paper's
-	// §V-B replay methodology uses. It is called from worker goroutines
-	// concurrently and must be safe for concurrent use.
+	// §V-B replay methodology uses. It is called concurrently, from worker
+	// goroutines and from goroutines running a graph inside Ticket.Wait
+	// (which report the id of the worker they borrowed), and must be safe
+	// for concurrent use.
 	OnComplete func(worker int, k Key)
 	// NodeTable selects the node-store backend (default NodeTableAuto:
 	// dense arena for bounded specs, sharded map otherwise).

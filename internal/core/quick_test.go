@@ -296,24 +296,6 @@ func TestHierRealEngineTierAccounting(t *testing.T) {
 	}
 }
 
-// Pinned workers (LockOSThread) must behave identically.
-func TestPinnedWorkers(t *testing.T) {
-	rec := newRecorder()
-	spec, sink, keys := layeredDAG(8, 24, rec, func(k Key) int { return int(k) % 4 })
-	st, err := Run(spec, sink, Options{
-		Workers:    4,
-		Policy:     NabbitCPolicy(),
-		PinWorkers: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(st.TotalNodes()) != len(keys) {
-		t.Fatalf("executed %d, want %d", st.TotalNodes(), len(keys))
-	}
-	rec.verify(t, spec, keys)
-}
-
 // OnComplete must see every task exactly once, attributed to a valid
 // worker.
 func TestOnCompleteHook(t *testing.T) {

@@ -111,7 +111,7 @@ func (e *Engine) enqueueRetry(r *graphRun, n *Node) {
 	e.retryQ = append(e.retryQ, retryEntry{r: r, n: n})
 	e.retryDue.Store(int32(len(e.retryQ)))
 	e.retryMu.Unlock()
-	e.wakeOne()
+	e.wakeNow()
 }
 
 // tryRetry pops one due retry and re-executes its node inside the
@@ -139,7 +139,7 @@ func (w *worker) tryRetry() bool {
 	e.retryQ = e.retryQ[:nq-1]
 	e.retryDue.Store(int32(nq - 1))
 	e.retryMu.Unlock()
-	w.spins = 0
+	w.gotWork(false)
 	if ent.r.state.Load() != runLive {
 		return true
 	}

@@ -45,10 +45,20 @@ type graphRun struct {
 	// state is the completion word (runLive/runDone/runFailed); see the
 	// constants above for the single-completion protocol.
 	state atomic.Uint32
-	// done is closed exactly once, after stats/err are final.
-	done  chan struct{}
-	stats *Stats
-	err   error
+	// done is closed exactly once, after stats/err are final. stats is nil
+	// until a run that completed points it at statsBuf; the run's Ticket and
+	// Stats live in the run itself, so a graph costs one allocation for the
+	// run and one for done.
+	done     chan struct{}
+	stats    *Stats
+	err      error
+	statsBuf Stats
+	ticket   Ticket
+	// callerRuns marks a run whose Ticket.Wait may run it on the waiting
+	// goroutine: admitted without a ctx into an engine without the
+	// watchdog. Those two promise that Wait returns while a Compute is
+	// still stuck, which a goroutine inside that Compute cannot do.
+	callerRuns bool
 
 	// Transient-failure bookkeeping (see retry.go); all failure-path —
 	// a healthy run only ever loads the counters once, in finishRun.
@@ -142,20 +152,51 @@ type Ticket struct {
 // per-worker counters (Stats.Workers) are nil: workers interleave many
 // graphs, so per-worker activity cannot be attributed to one submission —
 // use Execute for a fully attributed run. Wait may be called any number
-// of times, from any goroutine. On failure the stats are nil and the
-// error is typed: *ComputeError for a recovered panic or an exhausted
-// retry budget, ErrCanceled (wrapped) for Cancel/ctx aborts,
-// *TimeoutError for a watchdog kill, *StallError for a graph whose sink
-// can never compute. A degraded completion returns BOTH non-nil stats
-// and a non-nil *PartialError (see Options.ErrorBudget).
+// of times, from any goroutine, including from inside a Compute. On
+// failure the stats are nil and the error is typed: *ComputeError for a
+// recovered panic or an exhausted retry budget, ErrCanceled (wrapped) for
+// Cancel/ctx aborts, *TimeoutError for a watchdog kill, *StallError for a
+// graph whose sink can never compute. A degraded completion returns BOTH
+// non-nil stats and a non-nil *PartialError (see Options.ErrorBudget).
+//
+// Wait does not sleep while it could work: if the run is still live and a
+// worker is parked, the waiting goroutine borrows that worker — it runs
+// the worker's loop, under the worker's id, on the worker's deque — until
+// the run completes or the worker finds nothing to do, then hands it back.
+// So the graph's tasks (and, as on any worker, tasks of other graphs in
+// flight) may run on the goroutine that called Wait, a Compute panic there
+// is recovered into this Wait's *ComputeError like any other, and Wait
+// returns at the first task boundary after the run completes or is
+// canceled. Runs admitted through SubmitCtx, and every run of an engine
+// with NodeTimeout or RunDeadline set, only ever block here: their Wait
+// must return even while a Compute is stuck.
 func (t *Ticket) Wait() (*Stats, error) {
-	<-t.r.done
-	return t.r.stats, t.r.err
+	r, e := t.r, t.e
+	if r.callerRuns {
+		for r.state.Load() == runLive {
+			w := e.borrow(r)
+			if w == nil {
+				break
+			}
+			w.loop()
+			if w.handBack() {
+				break // every task of the run is in some other worker's hands
+			}
+		}
+	}
+	if r.state.Load() == runLive {
+		e.wakeNow() // about to sleep on the run: its wake must not be waiting for us
+	}
+	<-r.done
+	return r.stats, r.err
 }
 
 // Done returns a channel closed when the graph completes, for callers
-// multiplexing many tickets with select.
+// multiplexing many tickets with select. The caller is about to sleep on
+// the graph rather than run it from Wait, so a wake still held back for it
+// is issued now.
 func (t *Ticket) Done() <-chan struct{} {
+	t.e.wakeNow()
 	return t.r.done
 }
 
@@ -165,15 +206,24 @@ func (t *Ticket) Done() <-chan struct{} {
 // matching errors.Is(err, ErrCanceled). Cancel reports whether this
 // call aborted the run; false means the run had already finished,
 // failed, or been canceled. Cancellation is asynchronous with respect
-// to in-flight nodes — a worker may still be finishing the node it had
-// started — but no further nodes of the graph are begun.
+// to in-flight nodes — a worker, or a goroutine running the graph from
+// Wait, may still be finishing the node it had started — but no further
+// nodes of the graph are begun, and such a Wait returns at its next task
+// boundary.
 func (t *Ticket) Cancel() bool {
 	return t.e.failRun(t.r, cancelErr(t.r.id, nil))
 }
 
 // Submit admits the task graph whose completion is marked by the sink
 // task and returns immediately with a Ticket; workers compute the graph
-// concurrently with any other in-flight submissions. Admission is
+// concurrently with any other in-flight submissions — and so does a
+// goroutine that calls Ticket.Wait while the graph is live, under a parked
+// worker's id (see Wait). A graph submitted to an idle engine is left to
+// such a waiter before a worker is woken for it: for deferDelay if anybody
+// looks at the engine in the meantime (Wait, Done, another Submit, Execute),
+// for about a millisecond — the Go runtime's timer granularity on an idle
+// process — if nobody does. It completes whether or not anybody waits; a
+// caller that will not Wait and minds the millisecond calls Done. Admission is
 // bounded by Options.MaxInflight: when the bound is reached, Submit
 // blocks until a slot frees (Options.AdmissionBlock, the default) or
 // fails fast with ErrSaturated (Options.AdmissionReject). A graph whose
@@ -195,7 +245,7 @@ func (e *Engine) SubmitCtx(ctx context.Context, sink Key) (*Ticket, error) {
 
 // submit is the shared admission path; ctx is nil for plain Submit,
 // keeping the no-ctx fast path free of watcher goroutines and ctx
-// plumbing (its steady-state cost stays at the graphRun + done + Ticket
+// plumbing (its steady-state cost stays at the graphRun + done
 // allocations the throughput gate pins).
 func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 	if e.closing.Load() {
@@ -231,6 +281,8 @@ func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 	// The admission clock is read before the lock, not under it: stateMu is
 	// the one lock every admission and every completion shares.
 	r := &graphRun{id: e.nextID.Add(1), sink: sink, done: make(chan struct{}), start: time.Now()}
+	r.ticket = Ticket{e: e, r: r}
+	r.callerRuns = ctx == nil && !e.watchdogOn
 	e.stateMu.Lock()
 	if e.closing.Load() {
 		// Close won the race after our slot acquire; its drain loop may
@@ -239,13 +291,42 @@ func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 		<-e.slots
 		return nil, ErrClosed
 	}
+	// The deferred wake. A graph admitted into a fully idle engine — no
+	// other graph in flight, every worker parked — whose waiter may run it
+	// (callerRuns) is not worth a wake yet: its caller most likely waits at
+	// once, and a small graph is finished on the waiting goroutine (see
+	// Ticket.Wait) before a woken worker could reach it. So the admission
+	// publishes a deadline instead, which makes signal hold every wake back
+	// until somebody retires it (wakeNow). It is armed here, under stateMu and
+	// after the graph is published, so a later admission's wakeNow cannot
+	// come before it, and whoever retires it sees the graph; the timer is set
+	// after the deadline is visible, so no armed deferral is without one. An
+	// admission that finds the last deferral still armed (its graph was
+	// canceled, or ran on its waiter) simply moves the deadline.
+	if r.callerRuns && e.deferTimer == nil {
+		e.deferTimer = time.AfterFunc(time.Hour, e.deferredWake)
+		e.deferTimer.Stop()
+	}
+	idle := e.active.Load() == 0
 	e.admitLocked(r)
+	// parked is read after the graph is published: a worker that was still
+	// on its way to parking either is counted here or re-checks pending
+	// after its announcement.
+	deferred := idle && r.callerRuns && e.parked.Load() == int32(len(e.workers))
+	if deferred {
+		e.deferUntil.Store(int64(r.start.Sub(e.epoch) + deferDelay))
+	}
 	e.stateMu.Unlock()
-	e.wakeOne()
+	if deferred {
+		e.at(yieldArmed, nil)
+		e.deferTimer.Reset(deferDelay)
+	} else {
+		e.wakeNow()
+	}
 	if ctx != nil {
 		go e.watchCtx(ctx, r)
 	}
-	return &Ticket{e: e, r: r}, nil
+	return &r.ticket, nil
 }
 
 // watchCtx fails the run when its context expires before the run
@@ -268,9 +349,36 @@ func (e *Engine) admitLocked(r *graphRun) {
 	r.regIdx = len(e.runs)
 	e.runs = append(e.runs, r)
 	e.active.Add(1)
-	// pending has MaxInflight capacity and every pending graph holds an
-	// admission slot, so this send cannot block.
-	e.pending <- r
+	select {
+	case e.pending <- r:
+	default:
+		e.sweepPendingLocked()
+		e.pending <- r // cannot block: the sweep freed a place (see there)
+	}
+}
+
+// sweepPendingLocked drops the runs that are no longer live from a full
+// pending queue (caller holds stateMu). pending has MaxInflight capacity
+// and every live pending graph holds an admission slot, as does the graph
+// being admitted, so a full queue holds at least one stale entry: a run
+// canceled before any worker reached it gave its slot back but stays queued
+// until somebody polls it out (see trySeed). With the wake deferred nobody
+// is awake to poll, so a Submit-then-Cancel loop on an idle engine fills the
+// queue within microseconds, and blocking on it here would hold stateMu
+// against the very workers that could drain it (finishRun needs the lock).
+// One pass over the queue is enough: only admissions send, they hold stateMu
+// as the caller does, and receivers only make more room.
+func (e *Engine) sweepPendingLocked() {
+	for n := len(e.pending); n > 0; n-- {
+		select {
+		case p := <-e.pending:
+			if p.state.Load() == runLive {
+				e.pending <- p
+			}
+		default:
+			return
+		}
+	}
 }
 
 // checkoutTableLocked pops an idle node-table instance from the pool or
@@ -304,12 +412,12 @@ func (e *Engine) checkoutTableLocked(sink Key) nodeTable {
 // Cancel/ctx expiry won the completion CAS first, that winner owns the
 // cleanup and the computed result is discarded.
 //
-//nabbit:alloc-ok once-per-graph epilogue: the Stats snapshot allocates
+//nabbit:alloc-ok once-per-graph epilogue: a degraded run builds its PartialError
 func (e *Engine) finishRun(r *graphRun, wid int) {
 	if !r.state.CompareAndSwap(runLive, runDone) {
 		return
 	}
-	r.stats = &Stats{
+	r.statsBuf = Stats{
 		GraphID:      r.id,
 		Elapsed:      time.Since(r.start),
 		NodesCreated: r.nt.count(),
@@ -320,6 +428,7 @@ func (e *Engine) finishRun(r *graphRun, wid int) {
 		TimedOut:     int(r.timedOut.Load()),
 		Skipped:      int(r.skippedN.Load()),
 	}
+	r.stats = &r.statsBuf
 	if r.failed.Load() > 0 {
 		r.err = r.partialError()
 	}
