@@ -9,6 +9,7 @@ package nabbitc
 
 import (
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -143,6 +144,49 @@ func BenchmarkSimHeatNabbitCHier80(b *testing.B) {
 }
 func BenchmarkSimPageUKNabbitCHier80(b *testing.B) {
 	benchSim(b, "page-uk-2002", 80, core.NabbitCHierPolicy())
+}
+
+// BenchmarkSimTable1Pass is the benchmark's sim-table1 pass without the
+// benchmark module: the six Table I models it uses at ScaleDefault under
+// Nabbit, NabbitC and hierarchical NabbitC on 80 simulated cores, 18 runs
+// an iteration. ns/node and allocs/node are the simulator's per-task cost
+// (allocs/op, the gated figure, is allocs/node × the pass's node count;
+// both include what the models' Predecessors allocate).
+func BenchmarkSimTable1Pass(b *testing.B) {
+	b.ReportAllocs()
+	type run struct {
+		spec core.CostSpec
+		sink core.Key
+		pol  core.Policy
+	}
+	var runs []run
+	for _, app := range []string{"heat", "sw", "mg", "cg", "page-uk-2002", "life"} {
+		bm, err := suite.Build(app, bench.ScaleDefault)
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec, sink := bm.Model(80)
+		for _, pol := range []core.Policy{core.NabbitPolicy(), core.NabbitCPolicy(), core.NabbitCHierPolicy()} {
+			runs = append(runs, run{spec, sink, pol})
+		}
+	}
+	var nodes int64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range runs {
+			res, err := sim.Run(r.spec, r.sink, sim.Options{Workers: 80, Policy: r.pol})
+			if err != nil {
+				b.Fatal(err)
+			}
+			nodes += res.TotalNodes()
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(nodes), "allocs/node")
 }
 
 // BenchmarkSimOMP measures the simulated OpenMP loop baseline.

@@ -28,6 +28,16 @@ func (pg *nodePage) clear() {
 	}
 }
 
+// scrub is clear for a page that outlives others: besides reading as absent
+// it names no node any more, so the successor pointers its slots' arrays
+// still carry cannot keep a dropped slab alive. Quiescent callers only.
+func (pg *nodePage) scrub() {
+	for i := range pg {
+		clear(pg[i].succBacking())
+		pg[i].state.Store(0)
+	}
+}
+
 // nodeArena is the dense nodeTable: a two-level table over the key
 // universe's slots, laid out home-major (HomeMajorIndex) so tasks whose
 // data lives at the same color are contiguous in memory — the
@@ -333,12 +343,14 @@ const epochsPerEra = uint64(epochMask/epochUnit) + 1
 
 // pagePool is the one source of node pages for every dense table of an
 // engine, and of the stamps that tell their runs apart. Pages are carved
-// from slabs and never freed, so the pool's size follows the peak number
-// of nodes in flight. In front of the locked shared list each worker has a
-// private stack: a graph's pages are mostly installed and released by the
-// same one or two workers, so the common page operation is a push or pop
-// of the caller's own array, and the lock is taken once per pageBatch
-// pages.
+// from slabs, so while graphs are in flight the pool's size follows the
+// peak number of nodes in flight; an engine that goes idle falls back to
+// its oldest keepSlabs slabs (see trim), so what it holds between bursts
+// does not depend on how high the last burst happened to reach. In front
+// of the locked shared list each worker has a private stack: a graph's
+// pages are mostly installed and released by the same one or two workers,
+// so the common page operation is a push or pop of the caller's own array,
+// and the lock is taken once per pageBatch pages.
 //
 // Stamps and the wrap rule. clock counts table checkouts; a table's stamp
 // is the count modulo epochsPerEra (shifted into the state word's epoch
@@ -360,9 +372,13 @@ type pagePool struct {
 	_     [cacheLine - 8]byte
 
 	mu        sync.Mutex
-	shared    []*nodePage // guarded by mu
-	sharedEra uint64      // guarded by mu
-	carved    int         // pages ever carved from slabs (guarded by mu)
+	shared    []*nodePage  // guarded by mu
+	sharedEra uint64       // guarded by mu
+	slabs     [][]nodePage // every slab the pool owns, oldest first (guarded by mu)
+	peak      int          // most pages ever owned at once (guarded by mu)
+	// keepSlabs is how many slabs an idle pool keeps: a batch for every
+	// worker's stack and two slabs on the shared list.
+	keepSlabs int
 }
 
 // pageStack is one worker's private pages, touched by that worker alone
@@ -376,7 +392,7 @@ type pageStack struct {
 }
 
 func newPagePool(workers int) *pagePool {
-	return &pagePool{stacks: make([]pageStack, workers)}
+	return &pagePool{stacks: make([]pageStack, workers), keepSlabs: workers*pageBatch/slabPages + 2}
 }
 
 // nextStamp issues the stamp and era of one table checkout.
@@ -446,15 +462,57 @@ func (p *pagePool) takeShared(dst []*nodePage, era uint64) int {
 // grow carves one more slab into the shared list, and keeps the list's
 // capacity at the pool's page count so that no later append can allocate.
 //
-//nabbit:alloc-ok slab growth: the pool's one allocation site, 16 pages at a time, never freed
+//nabbit:alloc-ok slab growth: the pool's one allocation site, 16 pages at a time
 func (p *pagePool) grow() {
-	p.carved += slabPages
-	if cap(p.shared) < p.carved {
-		p.shared = append(make([]*nodePage, 0, 2*p.carved), p.shared...)
-	}
 	slab := make([]nodePage, slabPages)
+	p.slabs = append(p.slabs, slab)
+	carved := len(p.slabs) * slabPages
+	p.peak = max(p.peak, carved)
+	if cap(p.shared) < carved {
+		p.shared = append(make([]*nodePage, 0, 2*carved), p.shared...)
+	}
 	for i := range slab {
 		p.shared = append(p.shared, &slab[i])
+	}
+}
+
+// trim shrinks an idle pool to its oldest keepSlabs slabs and leaves the
+// rest to the collector. The caller holds the engine's stateMu and has
+// found no run registered and no table quarantined, so no worker can be
+// inside take or give (pages move only on behalf of a run, and admission
+// needs the lock) and every stack is the caller's to read: a worker's last
+// write to its stack is ordered before here by the join decrements that
+// led to its run's sink and the finishRun that followed. A pool some of
+// whose pages sit under an idle table (one kept for its graph's next run,
+// see release) is left alone: which slabs those pages pin is not recorded.
+// The slabs that stay are scrubbed, so they fit whatever era asks next and
+// pin none of the slabs that go.
+func (p *pagePool) trim() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.slabs) <= p.keepSlabs {
+		return
+	}
+	free := len(p.shared)
+	for i := range p.stacks {
+		free += p.stacks[i].n
+	}
+	if free != len(p.slabs)*slabPages {
+		return
+	}
+	clear(p.slabs[p.keepSlabs:])
+	p.slabs = p.slabs[:p.keepSlabs]
+	for i := range p.stacks {
+		p.stacks[i].n = 0
+		clear(p.stacks[i].pages[:])
+	}
+	clear(p.shared[:cap(p.shared)])
+	p.shared = p.shared[:0]
+	for _, slab := range p.slabs {
+		for i := range slab {
+			slab[i].scrub()
+			p.shared = append(p.shared, &slab[i])
+		}
 	}
 }
 

@@ -17,12 +17,12 @@ func pagesOfCone(sv *specView, g, width int) int {
 	return len(seen)
 }
 
-// carvedPages reads how many pages the pool has ever carved: pages are
-// never freed, so that is every page the pool and all tables hold.
+// carvedPages reads the most pages the pool has owned at once: every page
+// it and all tables held at the engine's busiest moment.
 func carvedPages(p *pagePool) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.carved
+	return p.peak
 }
 
 // TestSubmitFootprintTracksInflight pins what the paging is for: with 128
@@ -98,6 +98,148 @@ func TestSubmitFootprintTracksInflight(t *testing.T) {
 		if held := nt.(*nodeArena).held(); held > perCone {
 			t.Errorf("an idle table holds %d pages, want at most the %d of one cone it may serve again", held, perCone)
 		}
+	}
+}
+
+// TestPagePoolTrim pins what an idle pool falls back to: its oldest
+// keepSlabs slabs, every page of them on the shared list, reading as absent
+// and naming no node, with the workers' stacks empty — and that a pool with
+// a page still out, or no more slabs than it keeps, is left as it is.
+func TestPagePoolTrim(t *testing.T) {
+	const workers = 2
+	p := newPagePool(workers)
+	keep := p.keepSlabs
+	var out []*nodePage
+	for i := 0; i < (keep+3)*slabPages; i++ {
+		out = append(out, p.take(i%(workers+1)-1, 0))
+	}
+	for i, pg := range out {
+		// What a run leaves behind: a stamped word and a successor array
+		// naming a node of some other page.
+		n := &pg[i%pageNodes]
+		n.state.Store(epochUnit | nodeComputed)
+		n.setSuccs([]*Node{&out[(i+1)%len(out)][0]})
+	}
+	owned := func() int { return len(p.slabs) * slabPages }
+	free := func() int {
+		n := len(p.shared)
+		for i := range p.stacks {
+			n += p.stacks[i].n
+		}
+		return n
+	}
+
+	for i, pg := range out[1:] {
+		p.give(i%(workers+1)-1, 0, pg)
+	}
+	before := owned()
+	p.trim()
+	if owned() != before || free() != before-1 {
+		t.Fatalf("trim with a page out: pool owns %d pages, %d free; want %d and %d untouched", owned(), free(), before, before-1)
+	}
+
+	p.give(0, 0, out[0])
+	p.trim()
+	if owned() != keep*slabPages || free() != owned() || len(p.shared) != owned() {
+		t.Fatalf("trimmed pool owns %d pages, %d free, %d shared; want all of %d slabs on the shared list",
+			owned(), free(), len(p.shared), keep)
+	}
+	if p.peak != before {
+		t.Errorf("peak = %d, want the %d pages owned before the trim", p.peak, before)
+	}
+	seen := map[*nodePage]bool{}
+	for _, pg := range p.shared {
+		if seen[pg] {
+			t.Fatalf("page %p is on the shared list twice", pg)
+		}
+		seen[pg] = true
+		for i := range pg {
+			if v := pg[i].state.Load(); v != 0 {
+				t.Fatalf("kept page %p slot %d reads %#x, want 0", pg, i, v)
+			}
+			for _, sn := range pg[i].succBacking() {
+				if sn != nil {
+					t.Fatalf("kept page %p slot %d still names node %p", pg, i, sn)
+				}
+			}
+		}
+	}
+	for _, slab := range p.slabs {
+		for i := range slab {
+			if !seen[&slab[i]] {
+				t.Fatalf("page %d of a kept slab is not on the shared list", i)
+			}
+		}
+	}
+	for i := range p.stacks {
+		for j, pg := range p.stacks[i].pages {
+			if pg != nil {
+				t.Fatalf("stack %d still names a page at %d", i, j)
+			}
+		}
+	}
+
+	p.trim()
+	if owned() != keep*slabPages || free() != owned() {
+		t.Fatalf("a second trim moved the pool: owns %d, free %d", owned(), free())
+	}
+}
+
+// TestIdleTrimBetweenBursts is the trim's race workout: bursts of 128
+// graphs in flight with the engine idle between them, on a pool told to
+// keep a single slab so that every burst outgrows it and every lull trims
+// it while the workers are still on their way to parking. Every visit of a
+// cone must compute each of its keys exactly once on whatever pages the
+// pool carved for that burst. Run under -race in CI.
+func TestIdleTrimBetweenBursts(t *testing.T) {
+	const cones, width, workers, window, bursts = 1024, 16, 2, 128, 24
+	stride := width + 1
+	counts := make([]atomic.Int32, cones*stride)
+	spec := coneSpec(cones, width, workers, func(k Key) { counts[k].Add(1) })
+	e, err := NewEngine(spec, Options{Workers: workers, Policy: NabbitCPolicy(), MaxInflight: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.pool.keepSlabs = 1
+	visits := make([]int32, cones)
+	tks := make([]*Ticket, 0, window)
+	for b := 0; b < bursts; b++ {
+		tks = tks[:0]
+		for i := 0; i < window; i++ {
+			g := (b*window + i) * 7 % cones
+			visits[g]++
+			tk, err := e.Submit(coneSink(g, width))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tks = append(tks, tk)
+		}
+		for _, tk := range tks {
+			if st, err := tk.Wait(); err != nil || st.NodesCreated != stride {
+				t.Fatalf("burst %d: stats %+v, err %v", b, st, err)
+			}
+		}
+	}
+	for g := 0; g < cones; g++ {
+		for k := g * stride; k < (g+1)*stride; k++ {
+			if got := counts[k].Load(); got != visits[g] {
+				t.Fatalf("key %d computed %d times over %d visits of its cone", k, got, visits[g])
+			}
+		}
+	}
+	e.stateMu.Lock()
+	defer e.stateMu.Unlock()
+	for _, nt := range e.tables {
+		if nt.(*nodeArena).held() > 0 {
+			return // a table kept its pages for a repeat: the last trim stood aside
+		}
+	}
+	if e.pool.peak <= slabPages {
+		t.Errorf("peak = %d pages: no burst outgrew the one slab kept, the test exercised nothing", e.pool.peak)
+	}
+	if owned := len(e.pool.slabs); owned != 1 {
+		t.Errorf("idle engine owns %d slabs, want the 1 it was told to keep", owned)
 	}
 }
 

@@ -391,6 +391,12 @@
 // left it — line, successor array and all — while a stream of different
 // graphs hands back at every finish.
 //
+// The pool itself grows a slab at a time while graphs are in flight and
+// falls back to a fixed few slabs when the last of them finishes
+// (pagePool.trim, inside the same stateMu section): how many graphs were
+// seeded but unfinished at once is a matter of timing, and an idle engine
+// should not carry the high-water mark of its worst moment.
+//
 // Stamps and the wrap rule. Stamps come from one engine-wide clock that
 // counts table checkouts: the stamp is the count modulo 2^25 and the era
 // is the quotient. Within an era no two tables have the same stamp, so a

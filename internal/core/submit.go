@@ -408,9 +408,11 @@ func (e *Engine) checkoutTableLocked(sink Key) nodeTable {
 // admitted. The hand-back sits inside the stateMu section on purpose: the
 // watchdog pins a live run's nodes by holding stateMu across its runLive
 // check and its claim (nodeOverdue), so a page may not move until any such
-// section that still saw this run live has ended. If a concurrent
-// Cancel/ctx expiry won the completion CAS first, that winner owns the
-// cleanup and the computed result is discarded.
+// section that still saw this run live has ended. The run that leaves the
+// engine idle also trims the page pool (see pagePool.trim), so an idle
+// engine's node memory does not depend on how many pages its busiest
+// moment needed. If a concurrent Cancel/ctx expiry won the completion CAS
+// first, that winner owns the cleanup and the computed result is discarded.
 //
 //nabbit:alloc-ok once-per-graph epilogue: a degraded run builds its PartialError
 func (e *Engine) finishRun(r *graphRun, wid int) {
@@ -445,6 +447,9 @@ func (e *Engine) finishRun(r *graphRun, wid int) {
 		e.tables = append(e.tables, r.nt)
 	}
 	e.removeRunLocked(r)
+	if len(e.runs) == 0 && len(e.deadTables) == 0 && e.pool != nil {
+		e.pool.trim()
+	}
 	e.stateMu.Unlock()
 	<-e.slots
 	close(r.done)

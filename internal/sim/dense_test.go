@@ -86,6 +86,7 @@ func runSchedule(t *testing.T, spec core.CostSpec, sink core.Key, opts Options) 
 // order — and identical end-to-end results. The node table is storage; it
 // must never leak into scheduling.
 func TestQuickDenseShardedScheduleIdentity(t *testing.T) {
+	t.Parallel()
 	f := func(seed uint64, layersRaw, widthRaw, workersRaw uint8) bool {
 		layers := int(layersRaw)%5 + 2
 		width := int(widthRaw)%10 + 1
@@ -137,9 +138,9 @@ func TestQuickDenseShardedScheduleIdentity(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 40}
+	cfg := &quick.Config{MaxCount: quickCount}
 	if testing.Short() {
-		cfg.MaxCount = 10
+		cfg.MaxCount = quickCount / 4
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)

@@ -14,52 +14,60 @@ import (
 // node is the simulator's task state. The simulator is single-threaded, so
 // no atomics are needed; the lifecycle (on-demand creation, join counter,
 // successor lists) mirrors core.Node exactly — created mirrors the
-// absent → ready transition of the real engine's lifecycle word (the
-// dense-arena backend preallocates slots that no worker has named yet).
+// absent → ready transition of the real engine's lifecycle word (a page
+// of the dense backend holds slots that no worker has named yet).
+//
+// A node owns no storage beyond the spec's predecessor slice: the
+// successors waiting on it are a circular list of registrations cut from
+// the engine's per-run pool. succs is the latest one and succs.next the
+// earliest, so a registration is appended in O(1) and notification walks
+// them in registration order — which decides the order ready successors
+// are handed on in, and a successor that names a predecessor twice is
+// registered twice.
 type node struct {
-	key       core.Key
-	color     int
-	home      int
-	preds     []core.Key
-	predHomes []int
-	fp        core.Footprint
-	join      int
-	succs     []*node
-	computed  bool
-	created   bool
+	key      core.Key
+	preds    []core.Key
+	color    int
+	home     int
+	succs    *succEdge
+	join     int32
+	computed bool
+	created  bool
 }
 
+// succEdge is one registration of owner as waiting on a node.
+type succEdge struct {
+	owner *node
+	next  *succEdge
+}
+
+// group is a run of same-colored keys: predecessors of an item's owner or,
+// in an item without an owner, ready nodes.
 type group struct {
 	color int
 	keys  []core.Key
-	nodes []*node
-}
-
-func (g group) size() int {
-	if g.keys != nil {
-		return len(g.keys)
-	}
-	return len(g.nodes)
 }
 
 // item mirrors the real engine's morphing continuation, including its
 // inline single-group form (authoritative when groups == nil): binary
 // splitting pushes single-group items whose color mask is the group's own
 // color, so the mask construction stays in lockstep with internal/core.
+// Items travel by value and own no storage: their key slices are cut from
+// the spec's predecessor slices or from the engine's per-run key pool.
 type item struct {
-	owner  *node
+	owner  *node // nil for successor work: the keys name ready nodes
 	single group // inline one-group form, authoritative when groups == nil
 	groups []group
 }
 
 // size returns the number of leaf work units in the item.
-func (it item) size() int {
+func (it *item) size() int {
 	if it.groups == nil {
-		return it.single.size()
+		return len(it.single.keys)
 	}
 	total := 0
 	for _, g := range it.groups {
-		total += g.size()
+		total += len(g.keys)
 	}
 	return total
 }
@@ -70,10 +78,16 @@ type entry struct {
 }
 
 // wdeque is a single-threaded deque: owner pushes/pops at the tail,
-// thieves take from the head.
+// thieves take from the head. Vacated slots are not cleared: everything an
+// entry refers to lives exactly as long as the run does.
 type wdeque struct {
 	buf  []entry
 	head int
+	// e is the engine the deque belongs to: its first push cuts the buffer
+	// from e.dequePool, and every push, pop and steal keeps e.queued, the
+	// count of entries in all deques together, current — what lets a failed
+	// probe learn that nothing is stealable without visiting them.
+	e *engine
 	// block mirrors the block substrate's steal granularity (see
 	// stealHalf): absStolen counts head-side removals over the deque's
 	// lifetime, fixing the 32-entry block grid the way the real block
@@ -84,44 +98,64 @@ type wdeque struct {
 
 func (d *wdeque) len() int { return len(d.buf) - d.head }
 
-func (d *wdeque) pushBottom(e entry) { d.buf = append(d.buf, e) }
-
-func (d *wdeque) popBottom() (entry, bool) {
-	if d.len() == 0 {
-		return entry{}, false
+func (d *wdeque) pushBottom(ent entry) {
+	if cap(d.buf) == 0 {
+		d.buf = carve(&d.e.dequePool, dequeCap)
 	}
-	e := d.buf[len(d.buf)-1]
-	d.buf[len(d.buf)-1] = entry{}
+	d.buf = append(d.buf, ent)
+	d.e.queued++
+}
+
+// removed accounts for one entry taken from either end. An empty deque
+// restarts at the front of its buffer, so the slots thieves vacated are
+// reused rather than left as a dead prefix behind later pushes.
+func (d *wdeque) removed() {
+	d.e.queued--
+	if d.head == len(d.buf) {
+		d.buf, d.head = d.buf[:0], 0
+	}
+}
+
+func (d *wdeque) popBottom() (item, bool) {
+	if d.len() == 0 {
+		return item{}, false
+	}
+	it := d.buf[len(d.buf)-1].it
 	d.buf = d.buf[:len(d.buf)-1]
-	return e, true
+	d.removed()
+	return it, true
 }
 
-func (d *wdeque) top() (entry, bool) {
+// top returns the oldest entry in place (nil when empty), valid until the
+// deque's next operation.
+func (d *wdeque) top() *entry {
 	if d.len() == 0 {
-		return entry{}, false
+		return nil
 	}
-	return d.buf[d.head], true
+	return &d.buf[d.head]
 }
 
-func (d *wdeque) stealTop() (entry, bool) {
+func (d *wdeque) stealTop() (item, bool) {
 	if d.len() == 0 {
-		return entry{}, false
+		return item{}, false
 	}
-	e := d.buf[d.head]
-	d.buf[d.head] = entry{}
+	it := d.buf[d.head].it
 	d.head++
 	d.absStolen++
+	d.removed()
 	if d.head > 64 && d.head*2 > len(d.buf) {
 		// Compact to keep memory bounded.
 		d.buf = append(d.buf[:0], d.buf[d.head:]...)
 		d.head = 0
 	}
-	return e, true
+	return it, true
 }
 
 // stealHalf removes a batch of the oldest items, oldest first — the
-// virtual-time mirror of the real deques' batched steal. The simulator is
-// single-threaded, so unlike Chase–Lev this batch really is atomic.
+// virtual-time mirror of the real deques' batched steal — returning the
+// first and moving the rest, in order, onto the thief's deque; n is the
+// batch size, 0 from an empty deque. The simulator is single-threaded, so
+// unlike Chase–Lev this batch really is atomic.
 //
 // Per-item substrates take min(ceil(n/2), max). With block set, the batch
 // mirrors the block deque's sealed-block claim instead: everything left
@@ -129,10 +163,10 @@ func (d *wdeque) stealTop() (entry, bool) {
 // to half-batching only when the remaining items all sit in the newest,
 // unsealed block — the same legal victim-order deviation the real
 // substrate documents.
-func (d *wdeque) stealHalf(max int) []entry {
-	n := d.len()
+func (d *wdeque) stealHalf(max int, thief *wdeque) (first item, n int) {
+	n = d.len()
 	if n == 0 {
-		return nil
+		return item{}, 0
 	}
 	k := (n + 1) / 2
 	if d.block {
@@ -143,11 +177,13 @@ func (d *wdeque) stealHalf(max int) []entry {
 	if max > 0 && k > max {
 		k = max
 	}
-	out := make([]entry, k)
-	for i := range out {
-		out[i], _ = d.stealTop()
+	first, _ = d.stealTop()
+	for i := 1; i < k; i++ {
+		ent := *d.top()
+		d.stealTop()
+		thief.pushBottom(ent)
 	}
-	return out
+	return first, k
 }
 
 type eventKind uint8
@@ -157,74 +193,127 @@ const (
 	evSteal
 )
 
+// event is a worker's pending wake-up; which queue holds it says whether
+// it is a completion or a steal probe.
 type event struct {
-	at   int64
-	seq  int64 // FIFO tie-break for determinism
-	wid  int
-	kind eventKind
+	at  int64
+	seq int64 // push order over both queues: the FIFO tie-break for determinism
+	wid int32
 }
 
-// eventHeap is a binary min-heap on (at, seq).
-type eventHeap struct {
-	evs     []event
-	nextSeq int64
+func (a event) before(b event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-func (h *eventHeap) push(at int64, wid int, kind eventKind) {
-	h.evs = append(h.evs, event{at: at, seq: h.nextSeq, wid: wid, kind: kind})
-	h.nextSeq++
-	i := len(h.evs) - 1
+// eventQueue pops events in (at, seq) order (see the package comment). A
+// worker has at most one pending event, so both halves are bounded by the
+// worker count and sized once: completions sit in a binary min-heap, steal
+// probes in a ring kept sorted by insertion from the tail. A probe carries
+// the highest seq so far, so it goes behind every probe with the same time.
+type eventQueue struct {
+	probes     []event // ring of len(probes) = mask+1, live in [head, tail)
+	head, tail uint
+	mask       uint
+	comps      []event
+	nextSeq    int64
+}
+
+func newEventQueue(workers int) eventQueue {
+	n := 1
+	for n < workers {
+		n <<= 1
+	}
+	return eventQueue{
+		probes: make([]event, n),
+		mask:   uint(n - 1),
+		comps:  make([]event, 0, workers),
+	}
+}
+
+func (q *eventQueue) stamp(at int64, wid int) event {
+	q.nextSeq++
+	return event{at: at, seq: q.nextSeq - 1, wid: int32(wid)}
+}
+
+func (q *eventQueue) pushProbe(at int64, wid int) {
+	if q.tail-q.head > q.mask {
+		panic("sim: more pending steal probes than workers")
+	}
+	ev := q.stamp(at, wid)
+	i := q.tail
+	for ; i != q.head && q.probes[(i-1)&q.mask].at > at; i-- {
+		q.probes[i&q.mask] = q.probes[(i-1)&q.mask]
+	}
+	q.probes[i&q.mask] = ev
+	q.tail++
+}
+
+func (q *eventQueue) pushComplete(at int64, wid int) {
+	ev := q.stamp(at, wid)
+	q.comps = append(q.comps, ev)
+	i := len(q.comps) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.less(i, p) {
+		if !ev.before(q.comps[p]) {
 			break
 		}
-		h.evs[i], h.evs[p] = h.evs[p], h.evs[i]
+		q.comps[i] = q.comps[p]
 		i = p
 	}
+	q.comps[i] = ev
 }
 
-func (h *eventHeap) less(i, j int) bool {
-	a, b := h.evs[i], h.evs[j]
-	if a.at != b.at {
-		return a.at < b.at
+// earliestCompletion returns the soonest pending task completion, or
+// (0, false) when no worker is executing.
+func (q *eventQueue) earliestCompletion() (int64, bool) {
+	if len(q.comps) == 0 {
+		return 0, false
 	}
-	return a.seq < b.seq
+	return q.comps[0].at, true
 }
 
-func (h *eventHeap) pop() (event, bool) {
-	if len(h.evs) == 0 {
-		return event{}, false
+// pop removes the earlier of the two queues' heads.
+func (q *eventQueue) pop() (event, eventKind, bool) {
+	if q.head != q.tail {
+		p := q.probes[q.head&q.mask]
+		if len(q.comps) == 0 || p.before(q.comps[0]) {
+			q.head++
+			return p, evSteal, true
+		}
+	} else if len(q.comps) == 0 {
+		return event{}, 0, false
 	}
-	top := h.evs[0]
-	last := len(h.evs) - 1
-	h.evs[0] = h.evs[last]
-	h.evs = h.evs[:last]
+	top := q.comps[0]
+	last := len(q.comps) - 1
+	ev := q.comps[last]
+	q.comps = q.comps[:last]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h.evs) && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < len(h.evs) && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= last {
 			break
 		}
-		h.evs[i], h.evs[smallest] = h.evs[smallest], h.evs[i]
-		i = smallest
+		if c+1 < last && q.comps[c+1].before(q.comps[c]) {
+			c++
+		}
+		if !q.comps[c].before(ev) {
+			break
+		}
+		q.comps[i] = q.comps[c]
+		i = c
 	}
-	return top, true
+	if last > 0 {
+		q.comps[i] = ev
+	}
+	return top, evComplete, true
 }
 
 type worker struct {
 	id    int
 	color int
 	dq    wdeque
-	rng   *xrand.Rand
-	stats WorkerStats
+	rng   xrand.Rand
+	stats *WorkerStats // the worker's element of engine.stats
 
 	// socketLo/socketHi bound the worker's socket peers and socketMask is
 	// the same range as a color mask (hierarchical steal tiers).
@@ -235,7 +324,6 @@ type worker struct {
 	firstStealPending bool
 	stealPhase        int
 	running           *node
-	completeAt        int64
 	startedWork       bool
 }
 
@@ -243,28 +331,61 @@ type engine struct {
 	opts    Options
 	spec    core.CostSpec
 	nodes   map[core.Key]*node
-	workers []*worker
-	// arena/arenaIdx are the dense node-table mirror (non-nil when the
-	// run uses the dense backend): a flat slot array laid out home-major
-	// by the same core.HomeMajorIndex the real engine uses, with nodes
-	// replaced by preallocated slots and map presence by node.created.
-	arena    []node
-	arenaIdx []int32
+	workers []worker
+	// stats holds the workers' counters; the Result takes it over.
+	stats []WorkerStats
+	// pages is the dense node-table mirror (non-nil when the run uses the
+	// dense backend), paged like core's arena: key k's slot is k%pageSize
+	// of page k/pageSize, a page is cut from nodePool when one of its keys
+	// is first named, and map presence is replaced by node.created. bound
+	// is the spec's declared key bound.
+	pages    []*[pageSize]node
+	bound    int
 	sinkKey  core.Key
-	evq      eventHeap
+	evq      eventQueue
+	queued   int // entries in all workers' deques together
 	done     bool
 	makespan int64
 	created  int
-	// ready is reusable scratch for complete()'s ready list (the
-	// simulator is single-threaded, so one engine-wide buffer suffices);
-	// groupNodes always copies out of it.
-	ready []*node
+	// Per-run pools (see carve) that nodes, deque buffers, successor
+	// registrations and the keys and groups of regrouped items are cut
+	// from, so that none of them is an allocation of its own.
+	nodePool  []node
+	dequePool []entry
+	succPool  []succEdge
+	keyPool   []core.Key
+	groupPool []group
+	// homeSpec is spec's HomeSpec side, nil when homes are colors.
+	homeSpec core.HomeSpec
+	// ready and the classify results are reusable scratch (the simulator
+	// is single-threaded, so one engine-wide buffer of each suffices).
+	ready  []core.Key
+	gidx   []int32
+	gcolor []int
+	gcount []int
 }
+
+const (
+	// pageSize is the dense node table's page, core's 64 nodes.
+	pageSize = 64
+	// dequeCap is the capacity a worker's deque gets on its first push, cut
+	// from the engine's pool; a deque that outgrows it reallocates on its
+	// own.
+	dequeCap = 4
+)
 
 // Run executes the task graph on the simulated machine and returns virtual
 // timing, steal, and locality statistics. Runs are deterministic: the same
 // spec, sink, and options produce identical results.
 func Run(spec core.CostSpec, sink core.Key, opts Options) (*Result, error) {
+	e, err := newEngine(spec, sink, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.run()
+}
+
+func newEngine(spec core.CostSpec, sink core.Key, opts Options) (*engine, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -273,44 +394,49 @@ func Run(spec core.CostSpec, sink core.Key, opts Options) (*Result, error) {
 		opts:    opts,
 		spec:    spec,
 		sinkKey: sink,
+		evq:     newEventQueue(opts.Workers),
 	}
+	e.homeSpec, _ = spec.(core.HomeSpec)
 	backend, err := core.ResolveNodeTable(spec, opts.NodeTable)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if backend == core.NodeTableDense {
-		bound := core.KeyBoundOf(spec)
-		e.arena = make([]node, bound)
-		e.arenaIdx = core.HomeMajorIndex(bound, opts.Workers, func(k core.Key) int {
-			return core.HomeOf(spec, k)
-		})
+		e.bound = core.KeyBoundOf(spec)
+		e.pages = make([]*[pageSize]node, (e.bound+pageSize-1)/pageSize)
 	} else {
 		e.nodes = make(map[core.Key]*node)
 	}
 	p := opts.Policy
 	blockDeque := core.ResolveDeque(p) == core.DequeBlock
-	e.workers = make([]*worker, opts.Workers)
+	e.workers = make([]worker, opts.Workers)
+	e.stats = make([]WorkerStats, opts.Workers)
 	for i := range e.workers {
 		lo, hi := opts.Topology.SocketWorkers(i)
 		mask := colorset.New(opts.Workers)
 		for c := lo; c < hi; c++ {
 			mask.Add(c)
 		}
-		e.workers[i] = &worker{
+		w := &e.workers[i]
+		*w = worker{
 			id:                i,
 			color:             i,
-			dq:                wdeque{block: blockDeque},
-			rng:               xrand.NewWorker(p.Seed, i),
+			dq:                wdeque{e: e, block: blockDeque},
+			stats:             &e.stats[i],
 			socketLo:          lo,
 			socketHi:          hi,
 			socketMask:        mask,
 			firstStealPending: p.Colored && p.ForceFirstColoredSteal && i != 0,
 		}
+		w.rng.SeedWorker(p.Seed, i)
 	}
+	return e, nil
+}
 
+func (e *engine) run() (*Result, error) {
 	// Worker 0 seeds the computation with the sink node at t = 0.
-	w0 := e.workers[0]
-	sinkNode, _ := e.getOrCreate(sink)
+	w0 := &e.workers[0]
+	sinkNode, _ := e.getOrCreate(e.sinkKey)
 	t := e.opts.Cost.NodeOverhead
 	w0.stats.BusyTime += e.opts.Cost.NodeOverhead
 	if len(sinkNode.preds) == 0 {
@@ -320,15 +446,13 @@ func Run(spec core.CostSpec, sink core.Key, opts Options) (*Result, error) {
 		e.acquire(w0, t)
 	}
 	// All other workers begin hunting for work.
-	for _, w := range e.workers[1:] {
-		if opts.Workers > 1 {
-			e.evq.push(e.opts.Cost.StealAttemptCost, w.id, evSteal)
-		}
+	for i := 1; i < len(e.workers); i++ {
+		e.evq.pushProbe(e.opts.Cost.StealAttemptCost, i)
 	}
 
 	var last int64 // latest event time processed, the partial makespan
 	for !e.done {
-		ev, ok := e.evq.pop()
+		ev, kind, ok := e.evq.pop()
 		if !ok {
 			// Dependence deadlock: nothing executing, nothing stealable,
 			// no event to make progress. Report the same typed stall
@@ -347,7 +471,7 @@ func Run(spec core.CostSpec, sink core.Key, opts Options) (*Result, error) {
 				pe.Skipped = pend
 				return e.result(last), pe
 			}
-			se := &core.StallError{Sink: sink, PendingTotal: len(pend)}
+			se := &core.StallError{Sink: e.sinkKey, PendingTotal: len(pend)}
 			if len(pend) > core.StallPendingMax {
 				pend = pend[:core.StallPendingMax]
 			}
@@ -361,8 +485,8 @@ func Run(spec core.CostSpec, sink core.Key, opts Options) (*Result, error) {
 			return nil, &core.TimeoutError{Limit: time.Duration(dl)}
 		}
 		last = ev.at
-		w := e.workers[ev.wid]
-		switch ev.kind {
+		w := &e.workers[ev.wid]
+		switch kind {
 		case evComplete:
 			e.complete(w, ev.at)
 		case evSteal:
@@ -376,19 +500,17 @@ func Run(spec core.CostSpec, sink core.Key, opts Options) (*Result, error) {
 // makespan (the sink's completion time, or the last processed event
 // time for a degraded run).
 func (e *engine) result(makespan int64) *Result {
-	res := &Result{
+	for i := range e.workers {
+		if w := &e.workers[i]; !w.startedWork {
+			w.stats.TimeToFirstWork = makespan
+		}
+	}
+	return &Result{
 		Makespan:     makespan,
-		Workers:      make([]WorkerStats, len(e.workers)),
+		Workers:      e.stats,
 		NodesCreated: e.created,
 		Topology:     e.opts.Topology,
 	}
-	for i, w := range e.workers {
-		if !w.startedWork {
-			w.stats.TimeToFirstWork = makespan
-		}
-		res.Workers[i] = w.stats
-	}
-	return res
 }
 
 // pendingKeys lists created-but-never-computed nodes, sorted — the
@@ -396,11 +518,12 @@ func (e *engine) result(makespan int64) *Result {
 // nodeTable.pendingKeys.
 func (e *engine) pendingKeys() []core.Key {
 	var keys []core.Key
-	if e.arena != nil {
-		for i := range e.arena {
-			n := &e.arena[i]
-			if n.created && !n.computed {
-				keys = append(keys, n.key)
+	if e.pages != nil {
+		for _, pg := range e.pages {
+			for i := 0; pg != nil && i < pageSize; i++ {
+				if n := &pg[i]; n.created && !n.computed {
+					keys = append(keys, n.key)
+				}
 			}
 		}
 	} else {
@@ -418,90 +541,123 @@ func (e *engine) pendingKeys() []core.Key {
 	return keys
 }
 
+// lookup returns the slot of key k, nil when the map backend has none yet.
+func (e *engine) lookup(k core.Key) *node {
+	if e.pages == nil {
+		return e.nodes[k]
+	}
+	if k < 0 || int64(k) >= int64(e.bound) {
+		panic(fmt.Sprintf("sim: key %d outside the spec's declared bound %d", k, e.bound))
+	}
+	pg := e.pages[k/pageSize]
+	if pg == nil {
+		pg = (*[pageSize]node)(carve(&e.nodePool, pageSize)[:pageSize])
+		e.pages[k/pageSize] = pg
+	}
+	return &pg[k%pageSize]
+}
+
+// homeOf is core.HomeOf with the spec's type resolved once per run.
+func (e *engine) homeOf(k core.Key) int {
+	if e.homeSpec != nil {
+		return e.homeSpec.Home(k)
+	}
+	return e.spec.Color(k)
+}
+
 func (e *engine) getOrCreate(k core.Key) (*node, bool) {
-	var n *node
-	if e.arena != nil {
-		if k < 0 || int64(k) >= int64(len(e.arenaIdx)) {
-			panic(fmt.Sprintf("sim: key %d outside the spec's declared bound %d", k, len(e.arenaIdx)))
-		}
-		n = &e.arena[e.arenaIdx[k]]
-		if n.created {
-			return n, false
-		}
-	} else if m, ok := e.nodes[k]; ok {
-		return m, false
-	} else {
-		n = &node{}
+	n := e.lookup(k)
+	if n == nil {
+		n = carveOne(&e.nodePool)
 		e.nodes[k] = n
+	} else if n.created {
+		return n, false
 	}
 	preds := e.spec.Predecessors(k)
 	n.key = k
 	n.color = e.spec.Color(k)
-	n.home = core.HomeOf(e.spec, k)
+	n.home = e.homeOf(k)
 	n.preds = preds
-	n.fp = e.spec.FootprintOf(k)
-	n.join = len(preds)
+	n.join = int32(len(preds))
 	n.created = true
-	if len(preds) > 0 {
-		n.predHomes = make([]int, len(preds))
-		for i, p := range preds {
-			n.predHomes[i] = core.HomeOf(e.spec, p)
-		}
-	}
 	e.created++
 	return n, true
 }
 
-// groupKeys partitions pred keys by spec color (first-appearance order,
-// deterministic) into the owner's item. Single-group outcomes use the
-// inline form; the group colors match the historical map-based grouping
-// exactly (in particular, the uncolored/one-key form keeps color 0).
-func (e *engine) groupKeys(owner *node, keys []core.Key) item {
-	if !e.opts.Policy.Colored || len(keys) <= 1 {
-		return item{owner: owner, single: group{keys: keys}}
+// addSucc registers owner as waiting on pred, behind earlier registrations.
+func (e *engine) addSucc(pred, owner *node) {
+	s := carveOne(&e.succPool)
+	s.owner, s.next = owner, s
+	if last := pred.succs; last != nil {
+		s.next, last.next = last.next, s
 	}
-	index := make(map[int]int, 8)
-	var groups []group
-	for _, k := range keys {
-		c := e.spec.Color(k)
-		gi, ok := index[c]
-		if !ok {
-			gi = len(groups)
-			index[c] = gi
-			groups = append(groups, group{color: c})
-		}
-		groups[gi].keys = append(groups[gi].keys, k)
-	}
-	if len(groups) == 1 {
-		return item{owner: owner, single: groups[0]}
-	}
-	return item{owner: owner, groups: groups}
+	pred.succs = s
 }
 
-// groupNodes partitions ready nodes by color into a successor-work item.
-// The input may be the engine's reusable ready scratch, so the output
-// never aliases it.
-func (e *engine) groupNodes(nodes []*node) item {
-	if !e.opts.Policy.Colored || len(nodes) <= 1 {
-		cp := make([]*node, len(nodes))
-		copy(cp, nodes)
-		return item{single: group{nodes: cp}}
+// carve cuts an empty slice of capacity n off the front of *pool's spare
+// capacity, first replacing an exhausted pool with a fresh block (doubling
+// up to 4096 elements; earlier cuts keep the block they came from).
+func carve[T any](pool *[]T, n int) []T {
+	if cap(*pool)-len(*pool) < n {
+		*pool = make([]T, 0, max(n, min(2*cap(*pool), 4096), 32))
 	}
-	index := make(map[int]int, 8)
-	var groups []group
-	for _, n := range nodes {
-		gi, ok := index[n.color]
-		if !ok {
-			gi = len(groups)
-			index[n.color] = gi
-			groups = append(groups, group{color: n.color})
+	at := len(*pool)
+	*pool = (*pool)[:at+n]
+	return (*pool)[at : at : at+n]
+}
+
+func carveOne[T any](pool *[]T) *T { return &carve(pool, 1)[:1][0] }
+
+// classify sorts keys into one group per distinct spec color, in order of
+// first appearance: gidx[i] is keys[i]'s group, gcolor and gcount each
+// group's color and size. It returns the number of groups.
+func (e *engine) classify(keys []core.Key) int {
+	e.gidx, e.gcolor, e.gcount = e.gidx[:0], e.gcolor[:0], e.gcount[:0]
+	for _, k := range keys {
+		c := e.spec.Color(k)
+		g := 0
+		for g < len(e.gcolor) && e.gcolor[g] != c {
+			g++
 		}
-		groups[gi].nodes = append(groups[gi].nodes, n)
+		if g == len(e.gcolor) {
+			e.gcolor = append(e.gcolor, c)
+			e.gcount = append(e.gcount, 0)
+		}
+		e.gcount[g]++
+		e.gidx = append(e.gidx, int32(g))
 	}
-	if len(groups) == 1 {
-		return item{single: groups[0]}
+	return len(e.gcolor)
+}
+
+// groupKeys partitions keys by spec color (first-appearance order,
+// deterministic) into an item of owner's predecessors or, without an owner,
+// of ready nodes. Single-group outcomes use the inline form, and the
+// uncolored/one-key form keeps color 0. Ready keys arrive in the engine's
+// reusable scratch, so an ownerless item never aliases its input.
+func (e *engine) groupKeys(owner *node, keys []core.Key) item {
+	ng, color := 1, 0
+	if e.opts.Policy.Colored && len(keys) > 1 {
+		ng = e.classify(keys)
+		color = e.gcolor[0]
 	}
-	return item{groups: groups}
+	if ng == 1 {
+		if owner == nil {
+			keys = append(carve(&e.keyPool, len(keys)), keys...)
+		}
+		return item{owner: owner, single: group{color: color, keys: keys}}
+	}
+	groups := carve(&e.groupPool, ng)[:ng]
+	store := carve(&e.keyPool, len(keys))[:len(keys)]
+	for g := range groups {
+		n := e.gcount[g]
+		groups[g] = group{color: e.gcolor[g], keys: store[:0:n]}
+		store = store[n:]
+	}
+	for i, k := range keys {
+		g := &groups[e.gidx[i]]
+		g.keys = append(g.keys, k)
+	}
+	return item{owner: owner, groups: groups}
 }
 
 // push mirrors the real engine's mask construction: single-group items
@@ -565,22 +721,16 @@ func (e *engine) interpret(w *worker, t int64, it item) (*node, int64) {
 // interpretGroup binary-splits a single color group, pushing inline
 // single-group continuations, and resolves the final leaf.
 func (e *engine) interpretGroup(w *worker, t int64, owner *node, g group) (*node, int64) {
-	if owner != nil {
-		keys := g.keys
-		for len(keys) > 1 {
-			mid := len(keys) / 2
-			e.push(w, item{owner: owner, single: group{color: g.color, keys: keys[mid:]}})
-			keys = keys[:mid]
-		}
-		return e.tryInitCompute(w, t, owner, keys[0])
+	keys := g.keys
+	for len(keys) > 1 {
+		mid := len(keys) / 2
+		e.push(w, item{owner: owner, single: group{color: g.color, keys: keys[mid:]}})
+		keys = keys[:mid]
 	}
-	nodes := g.nodes
-	for len(nodes) > 1 {
-		mid := len(nodes) / 2
-		e.push(w, item{single: group{color: g.color, nodes: nodes[mid:]}})
-		nodes = nodes[:mid]
+	if owner == nil {
+		return e.lookup(keys[0]), t
 	}
-	return nodes[0], t
+	return e.tryInitCompute(w, t, owner, keys[0])
 }
 
 // tryInitCompute resolves one predecessor edge of owner, charging creation
@@ -591,7 +741,7 @@ func (e *engine) tryInitCompute(w *worker, t int64, owner *node, pkey core.Key) 
 	if created {
 		t += m.NodeOverhead
 		w.stats.BusyTime += m.NodeOverhead
-		pred.succs = append(pred.succs, owner)
+		e.addSucc(pred, owner)
 		if len(pred.preds) == 0 {
 			return pred, t
 		}
@@ -601,7 +751,7 @@ func (e *engine) tryInitCompute(w *worker, t int64, owner *node, pkey core.Key) 
 	t += m.EdgeOverhead
 	w.stats.BusyTime += m.EdgeOverhead
 	if !pred.computed {
-		pred.succs = append(pred.succs, owner)
+		e.addSucc(pred, owner)
 		return nil, t
 	}
 	owner.join--
@@ -618,7 +768,7 @@ func (e *engine) tryInitCompute(w *worker, t int64, owner *node, pkey core.Key) 
 // yields a node to execute; with an empty deque the worker turns thief.
 func (e *engine) acquire(w *worker, t int64) {
 	for {
-		ent, ok := w.dq.popBottom()
+		it, ok := w.dq.popBottom()
 		if !ok {
 			if len(e.workers) == 1 {
 				// A lone worker with an empty deque and no completion in
@@ -627,10 +777,10 @@ func (e *engine) acquire(w *worker, t int64) {
 				// the stall as a typed error.
 				return
 			}
-			e.evq.push(t+e.opts.Cost.StealAttemptCost, w.id, evSteal)
+			e.evq.pushProbe(t+e.opts.Cost.StealAttemptCost, w.id)
 			return
 		}
-		n, t2 := e.interpret(w, t, ent.it)
+		n, t2 := e.interpret(w, t, it)
 		t = t2
 		if n != nil {
 			e.startExec(w, t, n)
@@ -640,8 +790,8 @@ func (e *engine) acquire(w *worker, t int64) {
 }
 
 func (e *engine) nodeCost(w *worker, n *node) int64 {
-	return n.fp.Cost(e.opts.Cost, e.opts.Topology, w.color, n.home,
-		len(n.preds), func(i int) int { return n.predHomes[i] })
+	return e.spec.FootprintOf(n.key).Cost(e.opts.Cost, e.opts.Topology, w.color, n.home,
+		len(n.preds), func(i int) int { return e.homeOf(n.preds[i]) })
 }
 
 func (e *engine) startExec(w *worker, t int64, n *node) {
@@ -651,9 +801,8 @@ func (e *engine) startExec(w *worker, t int64, n *node) {
 	}
 	cost := e.nodeCost(w, n)
 	w.running = n
-	w.completeAt = t + cost
 	w.stats.BusyTime += cost
-	e.evq.push(t+cost, w.id, evComplete)
+	e.evq.pushComplete(t+cost, w.id)
 }
 
 func (e *engine) complete(w *worker, t int64) {
@@ -665,8 +814,8 @@ func (e *engine) complete(w *worker, t int64) {
 		w.stats.OwnColorNodes++
 	}
 	w.stats.Accesses.Count(topo, w.color, n.home)
-	for _, ph := range n.predHomes {
-		w.stats.Accesses.Count(topo, w.color, ph)
+	for _, p := range n.preds {
+		w.stats.Accesses.Count(topo, w.color, e.homeOf(p))
 	}
 
 	if e.opts.OnComplete != nil {
@@ -674,20 +823,28 @@ func (e *engine) complete(w *worker, t int64) {
 	}
 
 	n.computed = true
-	succs := n.succs
-	n.succs = nil
 	ready := e.ready[:0]
-	for _, s := range succs {
-		s.join--
-		if s.join < 0 {
+	var first *node
+	nsuccs := int64(0)
+	for s := n.succs; s != nil; {
+		s = s.next // from the latest registration round to the earliest, then on
+		nsuccs++
+		s.owner.join--
+		if s.owner.join < 0 {
 			panic("sim: join counter went negative in notify")
 		}
-		if s.join == 0 {
-			ready = append(ready, s)
+		if s.owner.join == 0 {
+			if len(ready) == 0 {
+				first = s.owner
+			}
+			ready = append(ready, s.owner.key)
+		}
+		if s == n.succs {
+			break
 		}
 	}
 	e.ready = ready
-	notifyOverhead := e.opts.Cost.EdgeOverhead * int64(len(succs))
+	notifyOverhead := e.opts.Cost.EdgeOverhead * nsuccs
 	t += notifyOverhead
 	w.stats.BusyTime += notifyOverhead
 
@@ -701,11 +858,11 @@ func (e *engine) complete(w *worker, t int64) {
 		// interpreted to exactly this node; skip the round trip (as the
 		// real engine does). The event loop is single-threaded, so no
 		// steal could have intervened between that push and pop.
-		e.startExec(w, t, ready[0])
+		e.startExec(w, t, first)
 		return
 	}
 	if len(ready) > 0 {
-		e.push(w, e.groupNodes(ready))
+		e.push(w, e.groupKeys(nil, ready))
 	}
 	e.acquire(w, t)
 }
@@ -716,31 +873,7 @@ func (e *engine) victim(w *worker) *worker {
 	if v >= w.id {
 		v++
 	}
-	return e.workers[v]
-}
-
-// anyStealable reports whether any deque currently holds an item.
-func (e *engine) anyStealable() bool {
-	for _, w := range e.workers {
-		if w.dq.len() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// earliestCompletion returns the soonest pending task completion, or
-// (0, false) when no worker is executing.
-func (e *engine) earliestCompletion() (int64, bool) {
-	best := int64(0)
-	found := false
-	for _, w := range e.workers {
-		if w.running != nil && (!found || w.completeAt < best) {
-			best = w.completeAt
-			found = true
-		}
-	}
-	return best, found
+	return &e.workers[v]
 }
 
 // socketVictim picks a random same-socket worker other than w; callers
@@ -750,22 +883,19 @@ func (e *engine) socketVictim(w *worker) *worker {
 	if v >= w.id {
 		v++
 	}
-	return e.workers[v]
+	return &e.workers[v]
 }
 
 // stealSucceeded charges the steal-success cost (once, even for a batch —
-// that single charge is the amortization batching buys), adopts every
-// batch item after the first into the thief's own deque, and continues the
-// thief on the first stolen item.
-func (e *engine) stealSucceeded(w *worker, t int64, ents []entry) {
+// that single charge is the amortization batching buys; stealHalf has
+// already adopted every batch item after the first into the thief's own
+// deque) and continues the thief on the first stolen item.
+func (e *engine) stealSucceeded(w *worker, t int64, it item) {
 	m := e.opts.Cost
 	w.stats.StealsOK++
 	t += m.StealSuccessCost
 	w.stats.BusyTime += m.StealSuccessCost
-	for _, ex := range ents[1:] {
-		w.dq.pushBottom(ex)
-	}
-	n, t2 := e.interpret(w, t, ents[0].it)
+	n, t2 := e.interpret(w, t, it)
 	if n != nil {
 		e.startExec(w, t2, n)
 	} else {
@@ -781,8 +911,8 @@ func (e *engine) stealSucceeded(w *worker, t int64, ents []entry) {
 func (e *engine) scheduleNextProbe(w *worker, t int64) {
 	m := e.opts.Cost
 	next := t + m.StealAttemptCost
-	if !e.anyStealable() {
-		c, busy := e.earliestCompletion()
+	if e.queued == 0 {
+		c, busy := e.evq.earliestCompletion()
 		if !busy {
 			// Every worker idle, every deque empty, nothing executing:
 			// a dependence deadlock. Stop scheduling probes so the event
@@ -793,7 +923,7 @@ func (e *engine) scheduleNextProbe(w *worker, t int64) {
 			next = c + 1
 		}
 	}
-	e.evq.push(next, w.id, evSteal)
+	e.evq.pushProbe(next, w.id)
 }
 
 // stealAttempt performs one probe under the stealing policy. The attempt
@@ -802,7 +932,7 @@ func (e *engine) stealAttempt(w *worker, t int64) {
 	if e.done {
 		return
 	}
-	p := e.opts.Policy
+	p := &e.opts.Policy
 
 	// The enforced first colored steal is the same (global, exact-color)
 	// protocol under flat and hierarchical policies.
@@ -811,11 +941,11 @@ func (e *engine) stealAttempt(w *worker, t int64) {
 		w.stats.StealAttempts++
 		w.stats.ColoredAttempts++
 		w.stats.TierAttempts[core.TierGlobalColored]++
-		var ent entry
+		var it item
 		var ok bool
-		if top, has := v.dq.top(); has {
+		if top := v.dq.top(); top != nil {
 			if top.colors.Has(w.color) {
-				ent, ok = v.dq.stealTop()
+				it, ok = v.dq.stealTop()
 			} else {
 				w.stats.ColoredMisses++
 			}
@@ -826,7 +956,7 @@ func (e *engine) stealAttempt(w *worker, t int64) {
 			w.stats.FirstStealForcedOK = true
 			w.stats.ColoredStealsOK++
 			w.stats.TierSteals[core.TierGlobalColored]++
-			e.stealSucceeded(w, t, []entry{ent})
+			e.stealSucceeded(w, t, it)
 			return
 		}
 		if w.stats.FirstStealChecks >=
@@ -845,15 +975,15 @@ func (e *engine) stealAttempt(w *worker, t int64) {
 
 	v := e.victim(w)
 	colored := p.Colored && w.stealPhase < p.ColoredStealAttempts
-	var ent entry
+	var it item
 	var ok bool
 	w.stats.StealAttempts++
 	if colored {
 		w.stats.ColoredAttempts++
 		w.stats.TierAttempts[core.TierGlobalColored]++
-		if top, has := v.dq.top(); has {
+		if top := v.dq.top(); top != nil {
 			if top.colors.Has(w.color) {
-				ent, ok = v.dq.stealTop()
+				it, ok = v.dq.stealTop()
 			} else {
 				w.stats.ColoredMisses++
 			}
@@ -861,7 +991,7 @@ func (e *engine) stealAttempt(w *worker, t int64) {
 		w.stealPhase++
 	} else {
 		w.stats.TierAttempts[core.TierGlobalRandom]++
-		ent, ok = v.dq.stealTop()
+		it, ok = v.dq.stealTop()
 		w.stealPhase = 0
 	}
 
@@ -872,7 +1002,7 @@ func (e *engine) stealAttempt(w *worker, t int64) {
 		} else {
 			w.stats.TierSteals[core.TierGlobalRandom]++
 		}
-		e.stealSucceeded(w, t, []entry{ent})
+		e.stealSucceeded(w, t, it)
 		return
 	}
 	e.scheduleNextProbe(w, t)
@@ -886,7 +1016,7 @@ func (e *engine) stealAttempt(w *worker, t int64) {
 // tiers batched. A success restarts the walk from the top (the real
 // engine's fresh findWork round); the tier-5 fallback also wraps back.
 func (e *engine) stealAttemptHier(w *worker, t int64) {
-	p := e.opts.Policy
+	p := &e.opts.Policy
 	// As in the real engine, socket tiers are skipped when the socket
 	// spans the whole machine (they would duplicate the global tiers).
 	sockN := w.socketHi - w.socketLo
@@ -936,36 +1066,31 @@ func (e *engine) stealAttemptHier(w *worker, t int64) {
 		w.stats.ColoredAttempts++
 	}
 
-	var ents []entry
-	if top, has := v.dq.top(); has {
+	// Colored tiers take the victim's oldest entry only if its mask admits
+	// the thief (its own color, or under TierSocketColored any color of
+	// its socket); a cross-socket steal takes a batch.
+	var it item
+	stolen := 0
+	if top := v.dq.top(); top != nil {
+		admits := true
 		switch tier {
 		case core.TierOwnColor, core.TierGlobalColored:
-			if !top.colors.Has(w.color) {
-				w.stats.ColoredMisses++
-			} else if cross {
-				ents = v.dq.stealHalf(p.StealBatch)
-			} else {
-				ent, _ := v.dq.stealTop()
-				ents = []entry{ent}
-			}
+			admits = top.colors.Has(w.color)
 		case core.TierSocketColored:
-			if !top.colors.Intersects(w.socketMask) {
-				w.stats.ColoredMisses++
-			} else {
-				ent, _ := v.dq.stealTop()
-				ents = []entry{ent}
-			}
-		default: // TierSocketRandom, TierGlobalRandom
-			if cross {
-				ents = v.dq.stealHalf(p.StealBatch)
-			} else {
-				ent, _ := v.dq.stealTop()
-				ents = []entry{ent}
-			}
+			admits = top.colors.Intersects(w.socketMask)
+		}
+		switch {
+		case !admits:
+			w.stats.ColoredMisses++
+		case cross:
+			it, stolen = v.dq.stealHalf(p.StealBatch, &w.dq)
+		default:
+			it, _ = v.dq.stealTop()
+			stolen = 1
 		}
 	}
 
-	if len(ents) > 0 {
+	if stolen > 0 {
 		w.stealPhase = 0
 		w.stats.TierSteals[tier]++
 		if tierColored {
@@ -973,9 +1098,9 @@ func (e *engine) stealAttemptHier(w *worker, t int64) {
 		}
 		if cross {
 			w.stats.BatchOps++
-			w.stats.BatchItems += int64(len(ents))
+			w.stats.BatchItems += int64(stolen)
 		}
-		e.stealSucceeded(w, t, ents)
+		e.stealSucceeded(w, t, it)
 		return
 	}
 	if tier == core.TierGlobalRandom {

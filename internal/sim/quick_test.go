@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,10 +62,32 @@ func randomDAG(seed uint64, layers, width, workers int) (core.FuncSpec, core.Key
 	}, sink
 }
 
-// Property: on any random DAG, under any policy and worker count, the
-// simulator executes every reachable task exactly once, in dependence
+// quickPolicies are the three scheduling policies the random-DAG properties
+// run under; the hierarchical one gets a synthetic multi-socket topology so
+// its socket tiers engage at these worker counts.
+func quickPolicies(workers int, seed uint64) []Options {
+	opts := []Options{
+		{Workers: workers, Policy: core.NabbitCPolicy()},
+		{Workers: workers, Policy: core.NabbitPolicy()},
+		{Workers: workers, Policy: core.NabbitCHierPolicy(),
+			Topology: numa.Topology{Workers: workers, CoresPerDomain: 3}},
+	}
+	for i := range opts {
+		opts[i].Policy.FirstStealMaxRounds = 2
+		opts[i].Policy.Seed = seed + 7
+	}
+	return opts
+}
+
+// quickCount is how many random DAGs each property draws.
+const quickCount = 2000
+
+// Property: on any random DAG, under every policy and any worker count,
+// the simulator executes every reachable task exactly once, in dependence
 // order, deterministically, and within Theorem 1's (empirical) bound.
 func TestQuickSimRandomDAGs(t *testing.T) {
+	t.Parallel()
+	m := numa.DefaultCostModel()
 	f := func(seed uint64, layersRaw, widthRaw, workersRaw uint8) bool {
 		layers := int(layersRaw)%5 + 2
 		width := int(widthRaw)%10 + 1
@@ -76,65 +99,61 @@ func TestQuickSimRandomDAGs(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-
-		var pol core.Policy
-		var topo numa.Topology
-		switch seed % 3 {
-		case 0:
-			pol = core.NabbitCPolicy()
-		case 1:
-			pol = core.NabbitPolicy()
-		default:
-			// Hierarchical on a synthetic multi-socket topology.
-			pol = core.NabbitCHierPolicy()
-			topo = numa.Topology{Workers: workers, CoresPerDomain: 3}
-		}
-		pol.FirstStealMaxRounds = 2
-		pol.Seed = seed + 7
-
-		finished := map[core.Key]int{}
-		seq := 0
-		opts := Options{
-			Workers:  workers,
-			Policy:   pol,
-			Topology: topo,
-			OnComplete: func(_ int64, _ int, k core.Key) {
-				finished[k] = seq
-				seq++
-			},
-		}
-		res, err := Run(spec, sink, opts)
+		t1, tinf, mpath, d, err := WorkSpan(spec, sink, m)
 		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
+			t.Log(err)
 			return false
 		}
-		if int(res.TotalNodes()) != len(order) {
-			t.Logf("seed %d: executed %d, want %d", seed, res.TotalNodes(), len(order))
-			return false
-		}
-		for _, k := range order {
-			s, ok := finished[k]
-			if !ok {
-				t.Logf("seed %d: task %d never finished", seed, k)
+
+		for pi, opts := range quickPolicies(workers, seed) {
+			finished := make(map[core.Key]int, len(order))
+			opts.OnComplete = func(_ int64, _ int, k core.Key) {
+				finished[k] = len(finished)
+			}
+			res, err := Run(spec, sink, opts)
+			if err != nil {
+				t.Logf("seed %d policy %d: %v", seed, pi, err)
 				return false
 			}
-			for _, p := range spec.Predecessors(k) {
-				if finished[p] > s {
-					t.Logf("seed %d: task %d before pred %d", seed, k, p)
+			if int(res.TotalNodes()) != len(order) || len(finished) != len(order) {
+				t.Logf("seed %d policy %d: executed %d (%d distinct), want %d",
+					seed, pi, res.TotalNodes(), len(finished), len(order))
+				return false
+			}
+			for _, k := range order {
+				s, ok := finished[k]
+				if !ok {
+					t.Logf("seed %d policy %d: task %d never finished", seed, pi, k)
 					return false
 				}
+				for _, p := range spec.Predecessors(k) {
+					if finished[p] > s {
+						t.Logf("seed %d policy %d: task %d before pred %d", seed, pi, k, p)
+						return false
+					}
+				}
 			}
-		}
-		// Determinism: a second run (without the hook) must agree on
-		// makespan and per-worker stats.
-		res2, err := Run(spec, sink, Options{Workers: workers, Policy: pol, Topology: topo})
-		if err != nil || res2.Makespan != res.Makespan {
-			t.Logf("seed %d: rerun makespan %d != %d", seed, res2.Makespan, res.Makespan)
-			return false
+			if bound := theorem1Bound(m, workers, t1, tinf, mpath, d, res.FirstStealChecks()); float64(res.Makespan) > bound {
+				t.Logf("seed %d policy %d P=%d: makespan %d exceeds bound %.0f (T1=%d T∞=%d M=%d d=%d)",
+					seed, pi, workers, res.Makespan, bound, t1, tinf, mpath, d)
+				return false
+			}
+			// Determinism: a second run (without the hook) must agree on
+			// makespan and per-worker stats; one policy per DAG keeps the
+			// property inside its time budget.
+			if pi != int(seed%3) {
+				continue
+			}
+			opts.OnComplete = nil
+			res2, err := Run(spec, sink, opts)
+			if err != nil || res2.Makespan != res.Makespan || !slices.Equal(res2.Workers, res.Workers) {
+				t.Logf("seed %d policy %d: rerun differs (makespan %d vs %d)", seed, pi, res2.Makespan, res.Makespan)
+				return false
+			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: quickCount}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -142,6 +161,7 @@ func TestQuickSimRandomDAGs(t *testing.T) {
 // Property: makespan never beats the span nor the work/P of the same
 // graph (no free lunch from scheduling), on any random DAG.
 func TestQuickSimLowerBounds(t *testing.T) {
+	t.Parallel()
 	f := func(seed uint64, workersRaw uint8) bool {
 		workers := int(workersRaw)%16 + 1
 		spec, sink := randomDAG(seed, 4, 8, workers)
@@ -168,7 +188,7 @@ func TestQuickSimLowerBounds(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: quickCount}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -50,7 +50,6 @@ func TestTheorem1BoundHolds(t *testing.T) {
 		}{"chain", s, sink})
 	}
 
-	const slack = 6.0 // covers remote penalty (2.5x) × scheduling constants
 	for _, sh := range shapes {
 		t1, tinf, mpath, d, err := WorkSpan(sh.spec, sh.sink, m)
 		if err != nil {
@@ -62,12 +61,7 @@ func TestTheorem1BoundHolds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lgd := math.Log2(float64(d) + 2)
-				cTerm := float64(res.FirstStealChecks()) * float64(m.StealAttemptCost)
-				bound := slack * (float64(t1)/float64(p) + float64(tinf) +
-					float64(mpath)*lgd*float64(m.EdgeOverhead) +
-					math.Log2(float64(p)+2)*float64(m.StealSuccessCost) +
-					cTerm/float64(p))
+				bound := theorem1Bound(m, p, t1, tinf, mpath, d, res.FirstStealChecks())
 				if float64(res.Makespan) > bound {
 					t.Errorf("%s P=%d colored=%v: makespan %d exceeds bound %.0f (T1=%d T∞=%d M=%d d=%d)",
 						sh.name, p, pol.Colored, res.Makespan, bound, t1, tinf, mpath, d)
@@ -75,6 +69,22 @@ func TestTheorem1BoundHolds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// theorem1Bound is the bound TestTheorem1BoundHolds and the random-DAG
+// property check a makespan against: the theorem's terms for a graph of
+// work t1, span tinf, longest path mpath and maximum in-degree d on p
+// workers whose enforced first steals made checks probes (the C term),
+// times a slack constant that covers the remote penalty (2.5x) × the
+// scheduling constants.
+func theorem1Bound(m numa.CostModel, p int, t1, tinf int64, mpath, d int, checks int64) float64 {
+	const slack = 6.0
+	lgd := math.Log2(float64(d) + 2)
+	cTerm := float64(checks) * float64(m.StealAttemptCost)
+	return slack * (float64(t1)/float64(p) + float64(tinf) +
+		float64(mpath)*lgd*float64(m.EdgeOverhead) +
+		math.Log2(float64(p)+2)*float64(m.StealSuccessCost) +
+		cTerm/float64(p))
 }
 
 // chainSpecFor builds a pure chain of n tasks.
