@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // cacheLine is the coherence granule the per-task layout is built around.
@@ -80,6 +81,16 @@ type nodeArena struct {
 	// boundary (see release).
 	sink   Key
 	repeat bool
+	// What a replay rests on (see rearm). clean: the table still holds the
+	// nodes of its last run, which computed every one it created (release
+	// said so). armed: the current run, or between runs the last, is a
+	// replay — which is also when every successor list is whole and stripe 0
+	// lists all the table's pages in slot order. unstable: the spec has
+	// returned a different predecessor slice for a key of this sink's
+	// graph, so the table does not ask again. root is the replay root, a
+	// node of no key whose successors are the armed run's sources.
+	clean, armed, unstable bool
+	root                   Node
 	// stripes[w] is worker w's share of the run's bookkeeping. A stripe is
 	// written plainly by its worker alone; count and release read them all
 	// once the run's completion has ordered every write before the reader.
@@ -193,11 +204,10 @@ func (a *nodeArena) install(di int32, wid int) *nodePage {
 func (a *nodeArena) fill(n *Node, k Key, color int32, cur uint32, wid int, succ *Node) {
 	done := false
 	defer func() {
-		// Start from an empty list whatever the slot held: markComputed
-		// leaves retired slots truncated, but a node some earlier run never
-		// computed must not leak successors into this one. The backing
-		// array itself stays with the slot, whichever table holds the page
-		// next.
+		// Start from an empty list whatever the slot held: retired slots
+		// keep theirs for a replay, and no run's successors may leak into
+		// another. The backing array itself stays with the slot, whichever
+		// table holds the page next.
 		succs := n.succBacking()[:0]
 		if !done {
 			n.setPreds(nil)
@@ -286,12 +296,13 @@ func (a *nodeArena) pendingKeys() []Key {
 // under the same entries, every node's successor array already the right
 // size and its lines where the workers' caches last saw them (handing the
 // wavefront benchmark's pages back and drawing them again in another order
-// costs it 8 %), so they stay, and reset hands them back if the guess was
-// wrong. Pages that go
-// back keep their stamps: no other table of this era can mistake them for
-// its own, and a table of a later era clears them on the way in (see
-// pagePool).
-func (a *nodeArena) release(wid int) {
+// costs it 8 %) — and, asked inside Execute, can replay the run outright —
+// so they stay, and reset hands them back if the guess was wrong. Pages
+// that go back keep their stamps: no other table of this era can mistake
+// them for its own, and a table of a later era clears them on the way in
+// (see pagePool).
+func (a *nodeArena) release(wid int, clean bool) {
+	a.clean = clean && a.repeat
 	if !a.repeat {
 		a.drop(wid)
 	}
@@ -306,6 +317,7 @@ func (a *nodeArena) drop(wid int) {
 		}
 		st.installed = st.installed[:0]
 	}
+	a.root.setSuccs(nil) // name no node of a page that is gone
 }
 
 // reset readies the table for a run from sink: a fresh stamp from the
@@ -313,17 +325,116 @@ func (a *nodeArena) drop(wid int) {
 // install read as absent — no slot clearing, no allocation. Whatever pages
 // the table kept go back first unless this is the graph they were kept
 // for, and always when the new stamp opens a new era, which no page's
-// words may cross.
-func (a *nodeArena) reset(sink Key) {
+// words may cross. A table that kept them, was told its last run was clean
+// and is reset in the quiet state tries to replay that run instead (rearm).
+// A pass that gives up half-way has stamped some nodes, so discovery gets a
+// stamp of its own.
+func (a *nodeArena) reset(sink Key, quiet bool) *Node {
+	prev, clean, listed := a.stamp, a.clean, a.armed
+	a.clean, a.armed = false, false
 	stamp, era := a.pool.nextStamp()
 	a.repeat = (sink == a.sink || a.sink < 0) && era == a.era
+	rearmed := 0
+	if quiet && clean && a.repeat && !a.unstable {
+		if rearmed = a.rearm(prev, stamp, listed); rearmed == 0 {
+			stamp, era = a.pool.nextStamp()
+			a.repeat = era == a.era
+		}
+	}
 	if !a.repeat {
 		a.drop(-1)
+		a.unstable = false
 	}
 	a.sink, a.stamp, a.era = sink, stamp, era
 	for i := range a.stripes {
 		a.stripes[i].created = 0
 	}
+	if rearmed == 0 {
+		return nil
+	}
+	a.armed = true
+	a.stripes[0].created = int64(rearmed)
+	return &a.root
+}
+
+// rearm is the replay pass (doc.go's replay note has the argument): every
+// node the last run computed — its word is exactly prev|computed — becomes
+// ready under stamp with its join count back at its in-degree, and the ones
+// without predecessors become the root's successors, in slot order. It
+// returns how many nodes it armed, zero if the run cannot be replayed: the
+// spec no longer returns the very predecessor slice a node recorded
+// (remembered in unstable), a Predecessors call panicked (the discovery
+// that follows meets the panic inside the run's failure boundary), or
+// there is no source. The caller holds the engine's quiet state, which is
+// what makes the pass's plain stores sound (see Node.arm).
+//
+// listed says the successor lists are whole, as a replay leaves them and a
+// discovery does not: an edge whose predecessor had computed by the time
+// it registered was accounted on the spot (tryInitCompute) and never
+// listed. So the first pass of a streak gathers the table's pages into one
+// sorted list — valid for the streak, a replay installs nothing — and
+// rebuilds every list from the predecessor lists, successors in slot order.
+func (a *nodeArena) rearm(prev, stamp uint32, listed bool) (rearmed int) {
+	defer func() {
+		if recover() != nil {
+			rearmed = 0
+		}
+	}()
+	pages := &a.stripes[0].installed
+	if !listed {
+		for i := 1; i < len(a.stripes); i++ {
+			st := &a.stripes[i]
+			*pages = append(*pages, st.installed...)
+			st.installed = st.installed[:0]
+		}
+		slices.Sort(*pages)
+	}
+	spec := a.sv.spec
+	was, now := prev|nodeComputed, stamp|nodeReady
+	sources := a.root.succBacking()[:0]
+	for _, di := range *pages {
+		pg := a.dir[di].Load()
+		for i := range pg {
+			n := &pg[i]
+			if n.state.Load() != was {
+				continue
+			}
+			ps := spec.Predecessors(n.key)
+			if len(ps) != int(n.npreds) || len(ps) > 0 && unsafe.SliceData(ps) != n.preds {
+				a.unstable = true
+				return 0
+			}
+			if !listed {
+				n.nsuccs = 0
+			}
+			n.arm(now)
+			if n.npreds == 0 {
+				sources = append(sources, n)
+			}
+			rearmed++
+		}
+	}
+	a.root.setSuccs(sources)
+	if len(sources) == 0 {
+		return 0
+	}
+	if !listed {
+		for _, di := range *pages {
+			pg := a.dir[di].Load()
+			for i := range pg {
+				n := &pg[i]
+				if n.state.Load() != now {
+					continue
+				}
+				for _, pk := range n.predKeys() {
+					slot := a.sv.recs[pk].slot
+					p := &a.dir[slot>>pageShift].Load()[slot&pageMask]
+					p.setSuccs(append(p.succBacking()[:p.nsuccs], n))
+				}
+			}
+		}
+	}
+	return rearmed
 }
 
 // Pool geometry. A slab is one allocation carved into pages; anything over

@@ -253,7 +253,7 @@ func TestArenaKeepsPagesForSameSink(t *testing.T) {
 	spec, _ := boundedChainSpec(bound, nil)
 	a := testArena(spec, 2, bound)
 	run := func(sink Key) (nodes []*Node) {
-		a.reset(sink)
+		a.reset(sink, false)
 		for k := Key(0); k < bound; k++ {
 			n, created := a.getOrCreate(k, int(k)%2, nil)
 			if !created {
@@ -264,7 +264,7 @@ func TestArenaKeepsPagesForSameSink(t *testing.T) {
 		if a.count() != bound {
 			t.Fatalf("sink %d: count = %d, want %d", sink, a.count(), bound)
 		}
-		a.release(0)
+		a.release(0, false)
 		return nodes
 	}
 	first := run(7)
@@ -277,11 +277,11 @@ func TestArenaKeepsPagesForSameSink(t *testing.T) {
 			t.Fatalf("key %d moved from %p to %p between runs of the same sink", k, first[k], second[k])
 		}
 	}
-	a.reset(8)
+	a.reset(8, false)
 	if held := a.held(); held != 0 {
 		t.Fatalf("table still holds %d pages kept for sink 7 when reset for sink 8", held)
 	}
-	a.release(0)
+	a.release(0, false)
 	run(9)
 	if held := a.held(); held != 0 {
 		t.Fatalf("a run after a change of sink left %d pages in the table", held)

@@ -42,10 +42,12 @@
 // per-slot clearing loop (what happens when the 25-bit stamp wraps is
 // the page pool's business; see the backend note below). The sharded map
 // clears its shards in place, keeping their buckets warm. Successor-list
-// backing arrays survive the same way: retirement truncates instead of
-// dropping them, and they stay with their slot wherever its page goes
-// next, so steady-state Execute and Submit cycles allocate only run
-// bookkeeping (single-digit allocations), never per-node storage.
+// backing arrays survive the same way: retirement leaves them in place,
+// and they stay with their slot wherever its page goes next, so
+// steady-state Execute and Submit cycles allocate only run bookkeeping
+// (single-digit allocations), never per-node storage. An Execute of the
+// sink the table has just served goes further and forgets nothing: it
+// re-arms the last run's nodes where they lie (see the replay note).
 //
 // # Design note: multi-tenancy — per-graph runs, tables, and admission
 //
@@ -308,7 +310,7 @@
 //
 // Copied per push/pop. A deque item owns no storage: it is an index range
 // into the owner node's predecessor keys or into the ready successors the
-// retiring worker compacted into the owner's dead successor array, plus
+// retiring worker moved to the front of the owner's successor array, plus
 // one colour (a *grouping only when the work spans colours). item is 40
 // bytes, colorset.Set 32, deque.Entry[item] 72 — down from 96, 48, 144 —
 // and the notify path no longer allocates a node slice per spawn. The
@@ -409,6 +411,98 @@
 // a later era sweeps what it holds once and adopts that era. A table
 // checked out before a wrap and still running after it keeps drawing and
 // returning pages under its own era, at the price of a clear each way.
+//
+// # Design note: replay
+//
+// NabbitC inherits Nabbit's dynamic variant: every node is created on
+// demand from the sink. The original Nabbit also has a static variant for
+// graphs whose shape is known up front, and after one Execute the engine
+// knows exactly that. The table kept its pages (above), so every node's
+// predecessor list and in-degree, and most of its successor list, survived
+// the run; discovering them again costs an interior wavefront task two
+// spec callbacks, a creation CAS, two edge registrations and a predecessor
+// item through the deque — about three quarters of what the scheduler
+// spends on it. A repeat Execute therefore replays the last run instead:
+// nodeArena.reset, finding itself eligible, makes one pass over the table's
+// pages (rearm) that leaves every node the last run computed ready again
+// under the new stamp, join count back at its in-degree, and hangs the
+// nodes without predecessors on a table-owned root node as its successor
+// list. worker.seed roots the run with a successor-work item over that
+// root instead of creating the sink, and from there the run is the notify
+// cascade that exists anyway — computeAndNotify, decJoin, groupNodes, the
+// deque — from the sources up to the sink, whose completion finishes the
+// run as ever. No node is created, no edge registered, no predecessor item
+// pushed; none of the per-task functions knows it is replaying. Stats
+// reports the run as Replayed, with NodesCreated the number re-armed.
+//
+// Eligibility. All of: the table is checked out by Execute (below); the
+// sink is the one it served last, in the same era, so it still holds that
+// run's pages; that run ended at its sink through finishRun with no node
+// failed, skipped or timed out (release is told, and a failed, canceled,
+// stalled or hung run's table comes back through quarantine, which tells
+// it the opposite); and the spec has not been caught returning a different
+// slice (next paragraph). Everything else discovers, exactly as before:
+// every first run, every Submit, the sharded map, the run after a
+// failure, a changed sink, the first run of a new era. A pass that gives
+// up half-way has stamped some nodes ready, so the discovery that follows
+// takes a stamp of its own and finds them all absent.
+//
+// The identity check, and what it cannot see. The pass calls Predecessors
+// once per node, on the goroutine calling Execute, and requires the very
+// slice the node recorded — same array, same length. That is the whole
+// test that the graph has not changed shape, and it is exact under one
+// rule, now part of the Spec contract: a spec never rewrites a slice it
+// has returned. A spec that rewrote one in place between runs would be
+// replayed with the old edges' join counts and successor lists and the new
+// keys' values — not detected, therefore forbidden. A spec that builds a
+// new slice per call is fine: the first node with predecessors fails the
+// check, the table remembers (unstable) and never asks again for that
+// sink, so such a spec pays for one short pass, not one per Execute. A
+// Predecessors that panics aborts the pass too; the discovery run meets
+// the same panic inside a worker's rescue boundary, where it fails the
+// graph with the usual *ComputeError.
+//
+// Successor lists are rebuilt once per streak. After a discovery run a
+// node's list holds only the successors that registered before it
+// computed; an edge whose predecessor had already computed was accounted
+// on the spot (tryInitCompute) and never listed, and which edges those are
+// depends on the schedule. So the first pass after a discovery run rebuilds
+// every list from the predecessor lists — each edge once, duplicates
+// twice, successors in slot order (listing a wavefront node's row
+// neighbour before its column neighbour is the serial walk's order; the
+// reverse order costs a 256x256 run a fifth more on one worker and a third
+// more on two) — after sorting the table's pages into one list. Later passes of the streak find the lists
+// whole, because a run no longer consumes them: retire leaves the length
+// alone (creation resets it) and computeAndNotify moves the ready
+// successors to the front by swapping, so a list is permuted from run to
+// run but never shortened. On one worker the schedule is still a function
+// of the engine's history (TestRepeatedExecuteDeterminism), and a fan-in
+// replays in the order it was discovered in.
+//
+// Why only under Execute. The pass is single-threaded, linear in the
+// graph (5-7 ns a node, 0.3-0.4 ms of a 65 536-node run's 2.7-3.1, counted
+// in Elapsed) and writes nodes with plain stores. Execute has already proven the state that makes both
+// acceptable — lockQuiet: no run registered, every worker parked, no wake
+// in flight — so the workers' last writes to those nodes are ordered before
+// the pass by their park announcements, the wake that starts the run
+// publishes the pass to them. The only one kept waiting is a Submit that
+// arrives during the pass, behind stateMu as it would be behind the stats
+// reset in the same section. A Submit's own checkout is the opposite case:
+// it holds stateMu in front of every other tenant's admission and
+// completion while workers are anywhere, so it never replays, and the
+// feature adds no wait, wake or CAS to any protocol.
+//
+// What it buys, and the grain that is left (2 cores, 2.1 GHz Xeon, 256x256
+// wavefront, task bodies of 5-490 ns): a replayed task costs the scheduler
+// 30-50 ns on one worker where a discovered one costs about 200 (the
+// 128x128 BenchmarkExecutePerTask rows: 1w 53, 2w 54, discover-1w 200,
+// discover-2w 145 ns/task around a 5 ns body). At two workers the wall
+// clock per task is roughly 40 ns + half the body replaying and 135 ns +
+// half the body discovering, so two workers beat the serial walk of the
+// same Compute calls for bodies above about 80 ns when replaying and about
+// 250 ns when discovering, and lose below: at 40 ns bodies replay reads
+// 1.3x the walk's time. The floor is no longer creation; it is the pass
+// itself and two workers trading node lines along adjacent wavefront rows.
 //
 // # Design note: the failure model
 //

@@ -486,6 +486,17 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 // shards in place. Specs may mutate state between calls (e.g. advance an
 // iteration counter); the engine guarantees no worker touches spec or
 // graph state across the call boundary.
+//
+// A repeat of the sink the dense table served last, after a run that
+// computed every node, is replayed rather than discovered: before the run
+// starts, on the calling goroutine, the table calls Predecessors once per
+// node of the last run, and if each returns the very slice it returned
+// then, re-arms those nodes and starts the run from its sources
+// (Stats.Replayed; see doc.go's replay note). The graph is then taken to
+// have the shape it had: state the tasks read may change between calls,
+// returned predecessor slices may not (see Spec.Predecessors). Anything
+// else — another sink, a failed or degraded run before, a spec that builds
+// its slices per call — is discovered from the sink as always.
 func (e *Engine) Execute(sink Key) (*Stats, error) {
 	return e.execute(nil, sink)
 }
@@ -546,7 +557,7 @@ func (e *Engine) execute(ctx context.Context, sink Key) (*Stats, error) {
 		w.lastGrows = w.dq.Grows()
 	}
 	r.start = time.Now() // after the quiesce: Elapsed is the run, not the wait for the pool
-	e.admitLocked(r)
+	e.admitLocked(r, true)
 	e.stateMu.Unlock()
 	e.wakeOne()
 	if ctx != nil {
@@ -1050,12 +1061,20 @@ func (w *worker) trySeed() bool {
 	}
 }
 
-// seed roots a just-admitted graph inside its failure boundary. The sink
-// must be new — each graph owns a freshly reset table, so a pre-existing
-// sink means the reset protocol broke (the panic fails only this graph).
+// seed roots a just-admitted graph inside its failure boundary. A replayed
+// run starts at the other end: its table armed every node of the last run
+// and handed out a root whose successors are that run's sources, all ready,
+// so the run is the notify cascade from them and creates nothing. Otherwise
+// the run discovers its graph from the sink, which must be new — each graph
+// owns a freshly reset table, so a pre-existing sink means the reset
+// protocol broke (the panic fails only this graph).
 func (w *worker) seed(r *graphRun) {
 	defer w.rescue(r)
 	w.curKey = r.sink
+	if root := r.root; root != nil {
+		w.runItem(w.groupNodes(r, root, int(root.nsuccs)))
+		return
+	}
 	n, created := r.nt.getOrCreate(r.sink, w.id, nil)
 	if !created {
 		panic("core: sink node pre-existed at run start")
@@ -1315,14 +1334,17 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 	}
 
 	// The drained list is this worker's alone now (see Node.retire), so
-	// the successors that became ready are compacted into its front: a
+	// the successors that became ready are moved to its front: a
 	// successor-work item then just names n and an index range, and the
-	// notify path allocates nothing.
+	// notify path allocates nothing. Moved by swapping, so the list still
+	// holds every successor when a later run replays it. The list is only
+	// written while this worker holds a ready successor, which keeps the
+	// run — and so n's storage — alive.
 	succs := n.markComputed()
 	nready := 0
-	for _, s := range succs {
+	for i, s := range succs {
 		if s.decJoin() {
-			succs[nready] = s
+			succs[i], succs[nready] = succs[nready], s
 			nready++
 		}
 	}

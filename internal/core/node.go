@@ -225,13 +225,15 @@ func (n *Node) addSuccessor(s *Node) bool {
 // been retired (a watchdog claim racing a late completion, or vice versa):
 // nothing changed and the caller owes no notifications.
 //
-// The list is truncated rather than dropped: its backing array is dead to
-// everyone else for the rest of this run but a reused dense-table slot
-// appends into it again next epoch, which keeps repeated Execute calls
-// allocation-free on the notify path. The retiring worker may reuse the
-// storage in the meantime (computeAndNotify compacts the ready successors
-// into it). The epoch stamp is preserved: stale-slot detection relies on
-// every slot a run touched carrying that run's epoch.
+// The list stays where it is, length and all: it is dead to everyone else
+// for the rest of this run, but a dense-table slot that is created again
+// next epoch appends into the same array from the front (fill resets the
+// length), which keeps repeated Execute calls allocation-free on the notify
+// path, and a slot that is re-armed instead (see nodeArena.rearm) notifies
+// the very same list again. So the retiring worker may reorder the list
+// (computeAndNotify moves the ready successors to its front) but never
+// drops an entry. The epoch stamp is preserved: stale-slot detection relies
+// on every slot a run touched carrying that run's epoch.
 //
 //nabbit:noalloc
 func (n *Node) retire(extra uint32) (succs []*Node, ok bool) {
@@ -241,9 +243,7 @@ func (n *Node) retire(extra uint32) (succs []*Node, ok bool) {
 			return nil, false
 		}
 		if v&succLockBit == 0 && n.state.CompareAndSwap(v, v&epochMask|extra|nodeComputed) {
-			succs = n.succBacking()[:n.nsuccs]
-			n.nsuccs = 0
-			return succs, true
+			return n.succBacking()[:n.nsuccs], true
 		}
 		spinWait(spins)
 	}
@@ -313,6 +313,19 @@ func (n *Node) setSkip() {
 	}
 }
 
+// arm makes a computed node ready to compute again, for a replay: the join
+// count back at the in-degree and word — a stamp and the ready phase — as
+// the whole lifecycle word. Both are plain stores, the word's through a cast
+// because an atomic store is a locked exchange, which at one per node was an
+// eighth of a replayed wavefront run. That is sound only where
+// nodeArena.rearm calls it: in the engine's quiet state, with every worker's
+// last access ordered before by its park announcement and the next ordered
+// after by the wake that starts the run.
+func (n *Node) arm(word uint32) {
+	n.join = n.npreds //nabbit:mixed-ok quiet state: the wake that starts the run publishes it
+	*(*uint32)(unsafe.Pointer(&n.state)) = word
+}
+
 // decJoin accounts one predecessor and reports whether the node became
 // ready (join reached zero).
 //
@@ -352,14 +365,22 @@ type nodeTable interface {
 	// release ends the table's run: it may give back whatever node
 	// storage the table borrowed for it (the arena's pages; the map owns
 	// its nodes and keeps them until reset). wid is the calling worker, or
-	// -1 off the worker pool. The nodes are gone afterwards — same
-	// quiescence contract as reset — but count still answers for the
-	// finished run.
-	release(wid int)
+	// -1 off the worker pool. clean reports that the run computed every
+	// node it created — it ended at its sink with nothing failed, skipped
+	// or timed out — which is what a later replay of it rests on. The
+	// nodes are gone afterwards — same quiescence contract as reset — but
+	// count still answers for the finished run.
+	release(wid int, clean bool)
 	// reset forgets every created node so the table can serve a fresh
 	// run, the one rooted at sink. Callers must guarantee quiescence: no
 	// worker touches the table (or any node it handed out) across a reset.
-	reset(sink Key)
+	// quiet reports more: the caller holds the engine's quiet state (see
+	// lockQuiet), so the reset may take as long as a pass over the table's
+	// nodes. Only then may a table replay the run it served last: it
+	// returns the root whose successor list is that run's sources, every
+	// node armed to compute again, or nil when the run is to discover its
+	// graph from the sink (see doc.go's replay note).
+	reset(sink Key, quiet bool) (root *Node)
 	// pendingKeys returns the keys of created-but-never-computed nodes
 	// in ascending order — the stall sweep's diagnostic payload. Callers
 	// must guarantee quiescence (same contract as reset).
@@ -585,18 +606,19 @@ func (nm *nodeMap) get(k Key) (*Node, bool) {
 }
 
 // release is a no-op: the map's nodes are its own, dropped by reset.
-func (nm *nodeMap) release(int) {}
+func (nm *nodeMap) release(int, bool) {}
 
-// reset drops every node. clear() keeps each map's buckets allocated, so
-// a reused engine's later runs insert into warm tables instead of
-// re-growing them from scratch.
-func (nm *nodeMap) reset(Key) {
+// reset drops every node, so the map never replays. clear() keeps each
+// map's buckets allocated, so a reused engine's later runs insert into warm
+// tables instead of re-growing them from scratch.
+func (nm *nodeMap) reset(Key, bool) *Node {
 	for i := range nm.shards {
 		sh := &nm.shards[i]
 		sh.mu.Lock()
 		clear(sh.m)
 		sh.mu.Unlock()
 	}
+	return nil
 }
 
 func (nm *nodeMap) count() int {

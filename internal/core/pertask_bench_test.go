@@ -14,6 +14,7 @@ type wavefrontSpec struct {
 	n, workers int
 	preds      [][]Key
 	val        []uint64
+	salt       uint64 // folded into every value; tests change it between runs
 }
 
 func newWavefrontSpec(n, workers int) *wavefrontSpec {
@@ -44,7 +45,7 @@ func (s *wavefrontSpec) Compute(k Key) {
 	if s.val == nil {
 		return
 	}
-	x := uint64(k) + 1
+	x := uint64(k) + 1 + s.salt
 	for _, p := range s.preds[k] {
 		x += s.val[p]
 	}
@@ -53,35 +54,50 @@ func (s *wavefrontSpec) Compute(k Key) {
 
 // BenchmarkExecutePerTask measures the scheduler's per-task path on a
 // persistent engine: one Execute of a 128×128 wavefront per iteration, so
-// construction is amortized away and ns/task is node table + grouping +
-// push/pop + notify. CI's bench-smoke job gates its allocs/op.
+// construction is amortized away. The 1w/2w rows time what a repeat Execute
+// costs — a replay: the re-arm pass, then compute + notify + push/pop per
+// task. The discover rows run the same wavefront through freshSliceSpec,
+// which keeps every run on the discovery path (node table + grouping +
+// push/pop + notify per task): still every first run, every Submit, and
+// every spec without stable slices. CI's bench-smoke job gates the
+// allocs/op of all four.
 func BenchmarkExecutePerTask(b *testing.B) {
 	const n = 128
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("%dw", workers), func(b *testing.B) {
-			spec := newWavefrontSpec(n, workers)
-			e, err := NewEngine(spec, Options{Workers: workers, Policy: NabbitCPolicy()})
-			if err != nil {
-				b.Fatal(err)
+	for _, discover := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("%dw", workers)
+			if discover {
+				name = "discover-" + name
 			}
-			defer e.Close()
-			for r := 0; r < 2; r++ {
-				if _, err := e.Execute(spec.sink()); err != nil {
-					b.Fatal(err)
+			b.Run(name, func(b *testing.B) {
+				wf := newWavefrontSpec(n, workers)
+				var spec Spec = wf
+				if discover {
+					spec = newFreshSliceSpec(wf)
 				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st, err := e.Execute(spec.sink())
+				e, err := NewEngine(spec, Options{Workers: workers, Policy: NabbitCPolicy()})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if st.NodesCreated != n*n {
-					b.Fatalf("NodesCreated = %d, want %d", st.NodesCreated, n*n)
+				defer e.Close()
+				for r := 0; r < 2; r++ {
+					if _, err := e.Execute(wf.sink()); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n*n), "ns/task")
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					st, err := e.Execute(wf.sink())
+					if err != nil {
+						b.Fatal(err)
+					}
+					if st.NodesCreated != n*n || st.Replayed == discover {
+						b.Fatalf("NodesCreated = %d, Replayed = %v, want %d, %v", st.NodesCreated, st.Replayed, n*n, !discover)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n*n), "ns/task")
+			})
+		}
 	}
 }

@@ -16,7 +16,14 @@ type Key int64
 // color() function that is the single extension NabbitC asks of the user.
 type Spec interface {
 	// Predecessors returns the keys of the tasks that must complete
-	// before k may execute. It is called once per created node.
+	// before k may execute. It is called once per node per discovery, on
+	// the worker that creates the node, and once per re-armed node between
+	// runs, on the goroutine calling Execute, so it must be cheap. The
+	// engine keeps the returned slice for as long as the node may be
+	// replayed and takes a later call that returns the very same slice
+	// (same array, same length) to mean the same predecessors: a spec must
+	// never rewrite a slice it has returned. One that builds a new slice
+	// per call is fine, and simply is never replayed (see Engine.Execute).
 	Predecessors(k Key) []Key
 	// Color returns the color of task k: the worker whose memory is the
 	// most efficient location to execute k. Colors outside the worker

@@ -86,8 +86,18 @@ type Stats struct {
 	Workers []WorkerStats
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
-	// NodesCreated is the number of task-graph nodes materialized.
+	// NodesCreated is the number of task-graph nodes materialized: created
+	// on demand from the sink, or, on a replayed run, re-armed where the
+	// last run left them. Either way it is the number of tasks of the graph.
 	NodesCreated int
+	// Replayed reports that the run created nothing: it was an Execute of
+	// the sink the engine's dense table had just served, in a run that
+	// computed every node, and the table re-armed that run's nodes instead
+	// of discovering them again (see doc.go's replay note). False for every
+	// first run, every Submit, the sharded backend, the run after a failed
+	// or degraded one, and a spec that returns a fresh predecessor slice
+	// per call. Not part of Metrics.
+	Replayed bool
 	// NodeBackend names the node-table backend the run used ("dense" or
 	// "sharded"; see Options.NodeTable).
 	NodeBackend string

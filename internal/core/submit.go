@@ -40,7 +40,10 @@ type graphRun struct {
 	// Tables are never shared between in-flight graphs; what they do
 	// share, the dense backend's pages, moves between them only through
 	// the engine's page pool.
-	nt    nodeTable
+	nt nodeTable
+	// root is the replay root the table handed out at checkout, nil for a
+	// run that discovers its graph from the sink (see worker.seed).
+	root  *Node
 	start time.Time
 	// state is the completion word (runLive/runDone/runFailed); see the
 	// constants above for the single-completion protocol.
@@ -308,7 +311,7 @@ func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 		e.deferTimer.Stop()
 	}
 	idle := e.active.Load() == 0
-	e.admitLocked(r)
+	e.admitLocked(r, false)
 	// parked is read after the graph is published: a worker that was still
 	// on its way to parking either is counted here or re-checks pending
 	// after its announcement.
@@ -343,9 +346,12 @@ func (e *Engine) watchCtx(ctx context.Context, r *graphRun) {
 // graph's admission slot, and has set r.start): check out a node table,
 // enter the run registry, and enqueue the graph for seeding. Registering and enqueuing
 // in one critical section means the stall sweep can never observe a
-// registered graph that is invisible to the workers.
-func (e *Engine) admitLocked(r *graphRun) {
-	r.nt = e.checkoutTableLocked(r.sink)
+// registered graph that is invisible to the workers. quiet reports that the
+// caller holds the engine's quiet state (Execute), where the table may spend
+// a pass over its nodes on a replay; a Submit's checkout sits in front of
+// every other tenant and never does.
+func (e *Engine) admitLocked(r *graphRun, quiet bool) {
+	r.nt, r.root = e.checkoutTableLocked(r.sink, quiet)
 	r.regIdx = len(e.runs)
 	e.runs = append(e.runs, r)
 	e.active.Add(1)
@@ -385,7 +391,7 @@ func (e *Engine) sweepPendingLocked() {
 // builds a new one when every instance is in use, and resets it for the
 // graph rooted at sink (forgetting its previous graph). Pool capacity converges to the peak
 // in-flight graph count, bounded by MaxInflight.
-func (e *Engine) checkoutTableLocked(sink Key) nodeTable {
+func (e *Engine) checkoutTableLocked(sink Key, quiet bool) (nodeTable, *Node) {
 	var nt nodeTable
 	if n := len(e.tables); n > 0 {
 		nt = e.tables[n-1]
@@ -394,8 +400,7 @@ func (e *Engine) checkoutTableLocked(sink Key) nodeTable {
 	} else {
 		nt = newNodeTable(e.sv, e.pool, e.backend)
 	}
-	nt.reset(sink)
-	return nt
+	return nt, nt.reset(sink, quiet)
 }
 
 // finishRun completes a graph whose sink just computed, called by the
@@ -423,6 +428,7 @@ func (e *Engine) finishRun(r *graphRun, wid int) {
 		GraphID:      r.id,
 		Elapsed:      time.Since(r.start),
 		NodesCreated: r.nt.count(),
+		Replayed:     r.root != nil,
 		NodeBackend:  e.backend.String(),
 		DequeBackend: e.dequeBackend.String(),
 		Topology:     e.opts.Topology,
@@ -443,7 +449,7 @@ func (e *Engine) finishRun(r *graphRun, wid int) {
 		e.deadTables = append(e.deadTables, r.nt)
 		e.quarantined.Store(int32(len(e.deadTables)))
 	} else {
-		r.nt.release(wid)
+		r.nt.release(wid, r.err == nil) // a degraded run (failed, skipped, timed out) left r.err
 		e.tables = append(e.tables, r.nt)
 	}
 	e.removeRunLocked(r)
@@ -542,7 +548,7 @@ func (e *Engine) failStalled() {
 		r.err = se
 		// Every worker is parked, so unlike failRun the table and its
 		// pages can go straight back to their pools.
-		r.nt.release(-1)
+		r.nt.release(-1, false)
 		e.tables = append(e.tables, r.nt)
 		e.active.Add(-1)
 		// Non-blocking by construction: the failing run still holds its
@@ -568,7 +574,7 @@ func (e *Engine) reclaimTablesLocked() {
 		return
 	}
 	for i, nt := range e.deadTables {
-		nt.release(-1)
+		nt.release(-1, false)
 		e.tables = append(e.tables, nt)
 		e.deadTables[i] = nil
 	}
