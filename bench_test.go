@@ -283,14 +283,14 @@ func sizedHeatRun(fatalf func(format string, args ...any), dq core.DequeBackend)
 // TestRealHeatDequeSizing runs the pin under plain `go test` so the
 // regression actually gates CI (benchmarks only run when asked for).
 func TestRealHeatDequeSizing(t *testing.T) {
-	for _, dq := range []core.DequeBackend{core.DequeMutex, core.DequeChaseLev, core.DequeBlock} {
+	for _, dq := range []core.DequeBackend{core.DequeMutex, core.DequeChaseLev} {
 		t.Run(dq.String(), func(t *testing.T) { sizedHeatRun(t.Fatalf, dq) })
 	}
 }
 
 // BenchmarkRealHeatDequeSizing times the same sized run.
 func BenchmarkRealHeatDequeSizing(b *testing.B) {
-	for _, dq := range []core.DequeBackend{core.DequeMutex, core.DequeChaseLev, core.DequeBlock} {
+	for _, dq := range []core.DequeBackend{core.DequeMutex, core.DequeChaseLev} {
 		b.Run(dq.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -408,7 +408,7 @@ func BenchmarkStealThroughput(b *testing.B) {
 				go func() {
 					defer wg.Done()
 					for {
-						batch, out := q.StealHalf(0)
+						batch, out := q.Steal(nil, 0, nil)
 						switch out {
 						case deque.StealOK:
 							stolen.Add(int64(len(batch)))
@@ -453,6 +453,8 @@ func BenchmarkPushPopSteal(b *testing.B) {
 				}
 			}
 			e := deque.Entry[int]{Value: 1, Colors: colorset.Of(80, 3)}
+			own := colorset.Of(80, 3)
+			buf := make([]deque.Entry[int], 0, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -461,7 +463,7 @@ func BenchmarkPushPopSteal(b *testing.B) {
 				if _, ok := q.PopBottom(); !ok {
 					b.Fatal("pop failed")
 				}
-				if _, out := q.StealTopColored(3); out != deque.StealOK {
+				if _, out := q.Steal(&own, 1, buf[:0]); out != deque.StealOK {
 					b.Fatalf("colored steal = %v", out)
 				}
 			}

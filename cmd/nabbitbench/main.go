@@ -222,7 +222,7 @@ func runExperiments(args []string) int {
 	csv := fs.Bool("csv", false, "emit CSV (deprecated: use -format csv)")
 	seed := fs.Int64("seed", 0, "scheduling seed override (0 = policy default)")
 	dequeFlag := fs.String("deque", "auto",
-		"deque backend override: auto, mutex, chaselev, or block (auto = per-policy resolution)")
+		"deque backend override: auto, mutex, or chaselev (auto = mutex)")
 	iterations := fs.Int("iterations", 0,
 		"engine-reuse iterations for the persist experiment (0 = default 4)")
 	out := fs.String("out", "", "write output to this file instead of stdout")
@@ -381,7 +381,7 @@ func runBench(args []string) int {
 	repeats := fs.Int("repeats", 3, "runs per configuration; min wall time is reported")
 	seed := fs.Int64("seed", 0, "scheduling seed override (0 = policy default)")
 	dequeFlag := fs.String("deque", "auto",
-		"deque backend override: auto, mutex, chaselev, or block (auto = per-policy resolution)")
+		"deque backend override: auto, mutex, or chaselev (auto = mutex)")
 	iterations := fs.Int("iterations", 0,
 		"engine-reuse iterations for the persist rows (0 = default 8, negative disables)")
 	rev := fs.String("rev", "", "revision stamp (default: git short hash, else \"local\")")

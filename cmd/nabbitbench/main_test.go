@@ -18,6 +18,7 @@ func TestDequeFlagValidation(t *testing.T) {
 	}{
 		{"experiments/bogus", runExperiments, []string{"-deque", "bogus"}, 2},
 		{"experiments/empty", runExperiments, []string{"-deque", ""}, 2},
+		{"experiments/block", runExperiments, []string{"-deque", "block"}, 2},
 		{"bench/bogus", runBench, []string{"-deque", "bogus"}, 2},
 		{"bench/casing", runBench, []string{"-deque", "ChaseLev"}, 2},
 	}
@@ -81,7 +82,7 @@ func TestFaultFlagsAccepted(t *testing.T) {
 // to completion (exit 0) and emits parseable output under every backend
 // name the flag documents.
 func TestDequeFlagAccepted(t *testing.T) {
-	for _, dq := range []string{"auto", "mutex", "chaselev", "block"} {
+	for _, dq := range []string{"auto", "mutex", "chaselev"} {
 		t.Run(dq, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "steal.json")
 			args := []string{

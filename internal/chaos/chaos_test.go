@@ -280,7 +280,7 @@ func TestTransientChaos(t *testing.T) {
 	}
 }
 
-// TestChaosStress is the -race chaos workout: across all three deque
+// TestChaosStress is the -race chaos workout: across both engine deque
 // substrates × both node-table backends, a seeded plan poisons roughly
 // half of 48 concurrently submitted graphs with panics, delays, and
 // mid-compute cancellations. Healthy (and delayed) graphs must complete
@@ -300,7 +300,7 @@ func TestChaosStress(t *testing.T) {
 	deques := []struct {
 		name string
 		b    core.DequeBackend
-	}{{"mutex", core.DequeMutex}, {"chaselev", core.DequeChaseLev}, {"block", core.DequeBlock}}
+	}{{"mutex", core.DequeMutex}, {"chaselev", core.DequeChaseLev}}
 	tables := []struct {
 		name string
 		b    core.NodeTableBackend

@@ -243,27 +243,9 @@ func TestChaseLevEngine(t *testing.T) {
 		spec, sink, keys := layeredDAG(10, 40, rec, func(k Key) int { return int(k) % 8 })
 		p := NabbitCPolicy()
 		p.Colored = colored
-		p.UseChaseLev = true
+		p.Deque = DequeChaseLev
 		if _, err := Run(spec, sink, Options{Workers: 8, Policy: p}); err != nil {
 			t.Fatal(err)
-		}
-		rec.verify(t, spec, keys)
-	}
-}
-
-func TestBlockDequeEngine(t *testing.T) {
-	for _, colored := range []bool{false, true} {
-		rec := newRecorder()
-		spec, sink, keys := layeredDAG(10, 40, rec, func(k Key) int { return int(k) % 8 })
-		p := NabbitCPolicy()
-		p.Colored = colored
-		p.Deque = DequeBlock
-		st, err := Run(spec, sink, Options{Workers: 8, Policy: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.DequeBackend != "block" {
-			t.Fatalf("stats report deque %q, want block", st.DequeBackend)
 		}
 		rec.verify(t, spec, keys)
 	}
@@ -461,7 +443,7 @@ func TestSerialParallelSameResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	specP, sumP := build()
-	if _, err := RunNabbitC(specP, 100, 8); err != nil {
+	if _, err := Run(specP, 100, Options{Workers: 8, Policy: NabbitCPolicy()}); err != nil {
 		t.Fatal(err)
 	}
 	if sumS.Load() != sumP.Load() {

@@ -206,6 +206,22 @@
 // in WorkerStats (a tenancy is neither a park nor a wake); a worker no
 // run needed is never woken and records none.
 //
+// # Design note: the steal plan
+//
+// The victim order is data, written once: StealPlan turns a Policy, the
+// topology and a worker id into steps — tier, victim range, colour filter,
+// budget, cross-socket batch — and both machines walk that list. The
+// engine's hunt is one loop over it, a sweep per pass, starting at the top
+// on every hunt; the simulator makes one probe per event and keeps its
+// place in a phase counter. A probe draws a victim from the step's range
+// and calls the deque's one Steal with the step's filter, taking a batch
+// only from a cross-socket victim of a batching step. The enforced first
+// colored steal probes the plan's global colored step, unbatched. The
+// one rule the machines do not share is written where it lives: a flat
+// colored hit in the simulator keeps its place in the sweep instead of
+// starting over (TestFlatColoredHitKeepsSweep), a divergence kept because
+// fixing it changes the pinned schedules.
+//
 // # Design note: the node lifecycle word
 //
 // Every Node carries one atomic state word encoding its lifecycle phase

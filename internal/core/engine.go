@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nabbitc/internal/colorset"
 	"nabbitc/internal/deque"
 	"nabbitc/internal/numa"
 	"nabbitc/internal/xrand"
@@ -298,13 +297,11 @@ type worker struct {
 	e      *Engine
 	dq     deque.Queue[item]
 
-	// socketLo/socketHi bound this worker's socket peers (half-open
-	// worker-id range) and socketMask holds the same range as a color
-	// mask; both precomputed from the topology for the hierarchical
-	// steal tiers.
-	socketLo   int
-	socketHi   int
-	socketMask colorset.Set
+	// plan is this worker's victim order (see StealPlan; nil for a lone
+	// worker, which has no victims) and stealBuf the scratch every steal
+	// appends into, sized to the largest batch the plan takes.
+	plan     []StealStep
+	stealBuf []deque.Entry[item]
 
 	rng   xrand.Rand
 	stats WorkerStats
@@ -417,30 +414,23 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 	e.workers = make([]*worker, opts.Workers)
 	for i := range e.workers {
 		var dq deque.Queue[item]
-		switch e.dequeBackend {
-		case DequeChaseLev:
+		if e.dequeBackend == DequeChaseLev {
 			dq = deque.NewChaseLev[item](dqCap)
-		case DequeBlock:
-			dq = deque.NewBlock[item](dqCap)
-		default:
+		} else {
 			dq = deque.NewMutex[item](dqCap)
 		}
 		dq.SetWake(e.signal)
-		lo, hi := opts.Topology.SocketWorkers(i)
-		mask := colorset.New(opts.Workers)
-		for c := lo; c < hi; c++ {
-			mask.Add(c)
-		}
 		w := &worker{
-			id:         i,
-			color:      int32(i),
-			domain:     e.sv.domainOf(int32(i)),
-			e:          e,
-			dq:         dq,
-			socketLo:   lo,
-			socketHi:   hi,
-			socketMask: mask,
-			parkCh:     make(chan struct{}, 1),
+			id:     i,
+			color:  int32(i),
+			domain: e.sv.domainOf(int32(i)),
+			e:      e,
+			dq:     dq,
+			parkCh: make(chan struct{}, 1),
+		}
+		if opts.Workers > 1 {
+			w.plan = StealPlan(p, opts.Topology, i)
+			w.stealBuf = make([]deque.Entry[item], 0, max(1, p.StealBatch))
 		}
 		w.rng.SeedWorker(p.Seed, i)
 		w.grp.init(opts.Workers)
@@ -681,16 +671,6 @@ func Run(spec Spec, sink Key, opts Options) (*Stats, error) {
 	}
 	defer e.Close()
 	return e.Execute(sink)
-}
-
-// RunNabbit runs the graph under plain Nabbit (random stealing).
-func RunNabbit(spec Spec, sink Key, workers int) (*Stats, error) {
-	return Run(spec, sink, Options{Workers: workers, Policy: NabbitPolicy()})
-}
-
-// RunNabbitC runs the graph under NabbitC (colored scheduling).
-func RunNabbitC(spec Spec, sink Key, workers int) (*Stats, error) {
-	return Run(spec, sink, Options{Workers: workers, Policy: NabbitCPolicy()})
 }
 
 // anyWork reports whether any worker's deque holds a stealable item. Used
@@ -1368,28 +1348,14 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 	}
 }
 
-// victim picks a random worker other than w.
-func (w *worker) victim() *worker {
-	v := w.rng.Intn(len(w.e.workers) - 1)
+// victimIn picks a random worker of [lo, hi) other than w, which the range
+// holds.
+func (w *worker) victimIn(lo, hi int) *worker {
+	v := lo + w.rng.Intn(hi-lo-1)
 	if v >= w.id {
 		v++
 	}
 	return w.e.workers[v]
-}
-
-// socketVictim picks a random same-socket worker other than w; callers
-// ensure the socket holds at least two workers.
-func (w *worker) socketVictim() *worker {
-	v := w.socketLo + w.rng.Intn(w.socketHi-w.socketLo-1)
-	if v >= w.id {
-		v++
-	}
-	return w.e.workers[v]
-}
-
-// crossSocket reports whether v lives in a different socket than w.
-func (w *worker) crossSocket(v *worker) bool {
-	return v.id < w.socketLo || v.id >= w.socketHi
 }
 
 // attempt and hit account one steal probe / one successful steal of the
@@ -1411,18 +1377,6 @@ func (w *worker) hit(t StealTier, colored bool) {
 	if colored {
 		w.stats.ColoredStealsOK++
 	}
-}
-
-// takeBatch accounts a successful batched steal and adopts every item
-// after the first into w's own deque; the first (oldest) is returned for
-// immediate execution.
-func (w *worker) takeBatch(ents []deque.Entry[item]) item {
-	w.stats.BatchOps++
-	w.stats.BatchItems += int64(len(ents))
-	for _, ent := range ents[1:] {
-		w.dq.PushBottom(ent)
-	}
-	return ents[0].Value
 }
 
 // noteProbeFailed starts the idle clock if it is not already running.
@@ -1453,10 +1407,8 @@ func (w *worker) idleSweep() bool {
 
 // findWork implements the stealing policy: while enforcing the first
 // colored steal, only colored attempts count (bounded by
-// FirstStealMaxRounds sweeps); afterwards, the flat protocol makes
-// ColoredStealAttempts colored probes before each random steal, and the
-// hierarchical protocol walks the socket-tier victim order (see
-// Policy.Hierarchical).
+// FirstStealMaxRounds sweeps); afterwards the worker walks its steal plan
+// (see StealPlan).
 //
 // Idle time accrues from the first failed probe to the return — the
 // all-hits fast path performs zero clock reads (cheap idle accounting;
@@ -1474,10 +1426,11 @@ func (w *worker) findWork() (item, bool) {
 	return it, ok
 }
 
-// hunt is findWork without the idle-clock bookkeeping.
+// hunt is findWork without the idle-clock bookkeeping. Every hunt starts
+// its walk at the top of the plan; a bail or a park ends it only between
+// sweeps.
 func (w *worker) hunt() (item, bool) {
 	e := w.e
-	p := e.opts.Policy
 	nw := len(e.workers)
 	if nw == 1 {
 		// A lone worker has no victims, and nothing outside this
@@ -1491,22 +1444,17 @@ func (w *worker) hunt() (item, bool) {
 	}
 
 	if w.firstStealPending {
-		maxChecks := int64(p.FirstStealMaxRounds) * int64(nw-1)
+		// The enforcement probes the plan's global colored step, unbatched.
+		first := w.plan[len(w.plan)-2]
+		first.Batch = 0
+		maxChecks := int64(e.opts.Policy.FirstStealMaxRounds) * int64(nw-1)
 		for !w.bail() {
-			v := w.victim()
 			w.stats.FirstStealChecks++
-			w.attempt(TierGlobalColored, true)
-			ent, out := v.dq.StealTopColored(w.id)
-			switch out {
-			case deque.StealOK:
+			if it, ok := w.probe(&first); ok {
 				w.firstStealPending = false
 				w.stats.FirstStealForcedOK = true
-				w.hit(TierGlobalColored, true)
-				return ent.Value, true
-			case deque.StealMiss:
-				w.stats.ColoredMisses++
+				return it, true
 			}
-			w.noteProbeFailed()
 			if w.stats.FirstStealChecks >= maxChecks {
 				w.firstStealPending = false
 				break
@@ -1520,34 +1468,15 @@ func (w *worker) hunt() (item, bool) {
 		}
 	}
 
-	if p.Hierarchical {
-		return w.huntHier()
-	}
-
 	for !w.bail() {
-		if p.Colored {
-			for i := 0; i < p.ColoredStealAttempts; i++ {
-				v := w.victim()
-				w.attempt(TierGlobalColored, true)
-				ent, out := v.dq.StealTopColored(w.id)
-				if out == deque.StealOK {
-					w.hit(TierGlobalColored, true)
-					return ent.Value, true
+		for i := range w.plan {
+			s := &w.plan[i]
+			for range s.Budget {
+				if it, ok := w.probe(s); ok {
+					return it, true
 				}
-				if out == deque.StealMiss {
-					w.stats.ColoredMisses++
-				}
-				w.noteProbeFailed()
 			}
 		}
-		v := w.victim()
-		w.attempt(TierGlobalRandom, false)
-		ent, out := v.dq.StealTop()
-		if out == deque.StealOK {
-			w.hit(TierGlobalRandom, false)
-			return ent.Value, true
-		}
-		w.noteProbeFailed()
 		if w.idleSweep() {
 			return item{}, false
 		}
@@ -1555,113 +1484,35 @@ func (w *worker) hunt() (item, bool) {
 	return item{}, false
 }
 
-// huntHier walks the two-level victim order: same-color and
-// socket-colored probes among socket peers, then socket-random, then the
-// global colored and random tiers with batched cross-socket steals.
-func (w *worker) huntHier() (item, bool) {
-	e := w.e
-	p := e.opts.Policy
-	// Socket tiers only make sense when the socket has peers AND is a
-	// strict subset of the machine; on a single-socket topology they
-	// would just duplicate the global tiers, so the protocol degenerates
-	// to the flat one there.
-	sockN := w.socketHi - w.socketLo
-	if sockN >= len(e.workers) {
-		sockN = 1
+// probe makes one steal attempt of step s. A cross-socket victim of a
+// batching step gives up to s.Batch items: the oldest is returned for
+// immediate execution and the rest are adopted into w's own deque.
+func (w *worker) probe(s *StealStep) (item, bool) {
+	v := w.victimIn(s.Lo, s.Hi)
+	colored := s.Filter != nil
+	w.attempt(s.Tier, colored)
+	batch := s.Batch > 0 && v.domain != w.domain
+	take := 1
+	if batch {
+		take = s.Batch
 	}
-	for !w.bail() {
-		if sockN > 1 && p.Colored {
-			// Tier 1: own color among socket peers.
-			for i := 0; i < p.OwnColorStealAttempts; i++ {
-				v := w.socketVictim()
-				w.attempt(TierOwnColor, true)
-				ent, out := v.dq.StealTopColored(w.id)
-				if out == deque.StealOK {
-					w.hit(TierOwnColor, true)
-					return ent.Value, true
-				}
-				if out == deque.StealMiss {
-					w.stats.ColoredMisses++
-				}
-				w.noteProbeFailed()
-			}
-			// Tier 2: any color homed in this socket, among socket peers.
-			for i := 0; i < p.SocketColoredAttempts; i++ {
-				v := w.socketVictim()
-				w.attempt(TierSocketColored, true)
-				ent, out := v.dq.StealTopMasked(w.socketMask)
-				if out == deque.StealOK {
-					w.hit(TierSocketColored, true)
-					return ent.Value, true
-				}
-				if out == deque.StealMiss {
-					w.stats.ColoredMisses++
-				}
-				w.noteProbeFailed()
-			}
-		}
-		if sockN > 1 {
-			// Tier 3: anything among socket peers.
-			for i := 0; i < p.SocketRandomAttempts; i++ {
-				v := w.socketVictim()
-				w.attempt(TierSocketRandom, false)
-				ent, out := v.dq.StealTop()
-				if out == deque.StealOK {
-					w.hit(TierSocketRandom, false)
-					return ent.Value, true
-				}
-				w.noteProbeFailed()
-			}
-		}
-		if p.Colored {
-			// Tier 4: exact color anywhere; cross-socket hits take a
-			// batch to amortize the remote visit.
-			for i := 0; i < p.ColoredStealAttempts; i++ {
-				v := w.victim()
-				w.attempt(TierGlobalColored, true)
-				if w.crossSocket(v) {
-					ents, out := v.dq.StealHalfColored(w.id, p.StealBatch)
-					if out == deque.StealOK {
-						w.hit(TierGlobalColored, true)
-						return w.takeBatch(ents), true
-					}
-					if out == deque.StealMiss {
-						w.stats.ColoredMisses++
-					}
-					w.noteProbeFailed()
-					continue
-				}
-				ent, out := v.dq.StealTopColored(w.id)
-				if out == deque.StealOK {
-					w.hit(TierGlobalColored, true)
-					return ent.Value, true
-				}
-				if out == deque.StealMiss {
-					w.stats.ColoredMisses++
-				}
-				w.noteProbeFailed()
-			}
-		}
-		// Tier 5: anything anywhere; cross-socket steals batch.
-		v := w.victim()
-		w.attempt(TierGlobalRandom, false)
-		if w.crossSocket(v) {
-			ents, out := v.dq.StealHalf(p.StealBatch)
-			if out == deque.StealOK {
-				w.hit(TierGlobalRandom, false)
-				return w.takeBatch(ents), true
-			}
-		} else {
-			ent, out := v.dq.StealTop()
-			if out == deque.StealOK {
-				w.hit(TierGlobalRandom, false)
-				return ent.Value, true
-			}
+	ents, out := v.dq.Steal(s.Filter, take, w.stealBuf[:0])
+	if out != deque.StealOK {
+		if out == deque.StealMiss {
+			w.stats.ColoredMisses++
 		}
 		w.noteProbeFailed()
-		if w.idleSweep() {
-			return item{}, false
+		return item{}, false
+	}
+	w.hit(s.Tier, colored)
+	if batch {
+		w.stats.BatchOps++
+		w.stats.BatchItems += int64(len(ents))
+		for _, ent := range ents[1:] {
+			w.dq.PushBottom(ent)
 		}
 	}
-	return item{}, false
+	it := ents[0].Value
+	clear(ents) // the scratch must not keep a finished run reachable
+	return it, true
 }

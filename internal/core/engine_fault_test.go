@@ -16,7 +16,7 @@ func faultMatrix(t *testing.T, fn func(t *testing.T, dq DequeBackend, nt NodeTab
 	deques := []struct {
 		name string
 		b    DequeBackend
-	}{{"mutex", DequeMutex}, {"chaselev", DequeChaseLev}, {"block", DequeBlock}}
+	}{{"mutex", DequeMutex}, {"chaselev", DequeChaseLev}}
 	tables := []struct {
 		name string
 		b    NodeTableBackend

@@ -67,11 +67,11 @@ func (f *freshSliceSpec) Predecessors(k Key) []Key {
 }
 
 // TestEngineReuse pins the tentpole property: one engine executes many
-// runs, each run re-exploring the whole graph exactly once, on all three
-// deque substrates and both node-table backends.
+// runs, each run re-exploring the whole graph exactly once, on both deque
+// substrates and both node-table backends.
 func TestEngineReuse(t *testing.T) {
 	const n, workers, runs = 256, 8, 10
-	for _, dq := range []DequeBackend{DequeMutex, DequeChaseLev, DequeBlock} {
+	for _, dq := range []DequeBackend{DequeMutex, DequeChaseLev} {
 		for _, backend := range []NodeTableBackend{NodeTableDense, NodeTableSharded} {
 			t.Run(fmt.Sprintf("%v/%v", dq, backend), func(t *testing.T) {
 				rec := newRecorder()
@@ -360,7 +360,7 @@ func TestParkWakeStress(t *testing.T) {
 			}
 		},
 	}
-	for _, dq := range []DequeBackend{DequeMutex, DequeChaseLev, DequeBlock} {
+	for _, dq := range []DequeBackend{DequeMutex, DequeChaseLev} {
 		t.Run(dq.String(), func(t *testing.T) {
 			pol := NabbitCPolicy()
 			pol.Deque = dq

@@ -113,7 +113,7 @@ func sharesLine(a, b span) bool {
 // counters, the cross-thread park/publication words, the deque header —
 // falls in the same 64-byte line.
 func TestWorkerScratchCacheLineIsolated(t *testing.T) {
-	for _, dq := range []DequeBackend{DequeMutex, DequeChaseLev, DequeBlock} {
+	for _, dq := range []DequeBackend{DequeMutex, DequeChaseLev} {
 		pol := NabbitCPolicy()
 		pol.Deque = dq
 		e, err := NewEngine(flatFanInSpec(8, 4, nil), Options{Workers: 4, Policy: pol})

@@ -237,7 +237,7 @@ func TestNotifyLifecycleRace(t *testing.T) {
 // verifies exactly-once dependence-ordered execution each way.
 func TestEngineBackendsAgree(t *testing.T) {
 	for _, backend := range []NodeTableBackend{NodeTableDense, NodeTableSharded} {
-		for _, cl := range []bool{false, true} {
+		for _, dq := range []DequeBackend{DequeMutex, DequeChaseLev} {
 			rec := newRecorder()
 			const n = 800
 			spec := FuncSpec{
@@ -256,10 +256,10 @@ func TestEngineBackendsAgree(t *testing.T) {
 				BoundFn:   func() int { return n },
 			}
 			pol := NabbitCPolicy()
-			pol.UseChaseLev = cl
+			pol.Deque = dq
 			st, err := Run(spec, n-1, Options{Workers: 8, Policy: pol, NodeTable: backend})
 			if err != nil {
-				t.Fatalf("backend %v cl %v: %v", backend, cl, err)
+				t.Fatalf("backend %v deque %v: %v", backend, dq, err)
 			}
 			if want := backend.String(); st.NodeBackend != want {
 				t.Fatalf("backend %v: stats report %q", backend, st.NodeBackend)

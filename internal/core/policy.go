@@ -28,15 +28,9 @@ type Policy struct {
 	// worker gives up and reverts to the normal policy. Without a bound
 	// an invalid coloring (Table III) would spin forever.
 	FirstStealMaxRounds int
-	// UseChaseLev selects the lock-free Chase–Lev deque instead of the
-	// default mutex deque (deque-substrate ablation). Deque, when set,
-	// takes precedence; UseChaseLev remains as the legacy two-substrate
-	// toggle.
-	UseChaseLev bool
-	// Deque selects the worker deque substrate explicitly (see
-	// DequeBackend); DequeAuto defers to UseChaseLev, then to the
-	// policy-based default (block for hierarchical policies, mutex
-	// otherwise — see ResolveDeque).
+	// Deque selects the worker deque substrate (see DequeBackend);
+	// DequeAuto is the mutex deque, for flat and hierarchical policies
+	// alike (see ResolveDeque).
 	Deque DequeBackend
 	// Seed drives victim selection; runs with equal seeds and worker
 	// counts make identical scheduling decisions in the simulator.
@@ -45,7 +39,8 @@ type Policy struct {
 	// Hierarchical extends the flat colored-steal protocol with the
 	// machine's socket structure. An idle worker walks a two-level victim
 	// order, each tier with its own attempt budget, before falling back
-	// to a random steal:
+	// to a random steal (StealPlan writes the order down; both machines
+	// walk it):
 	//
 	//	1. same-color:         same-socket victims, top item must contain
 	//	                       this worker's exact color
@@ -57,11 +52,11 @@ type Policy struct {
 	//	5. global random:       any victim, any item
 	//
 	// Steals in tiers 4-5 whose victim sits in another socket are batched
-	// (steal-half, capped by StealBatch) to amortize remote-steal
-	// latency. On a single-socket topology (the socket spans the whole
-	// machine) tiers 1-3 are skipped and the protocol degenerates to the
-	// flat one. The colored tiers (1, 2, 4) additionally require
-	// Colored.
+	// (half the victim's deque, capped by StealBatch) to amortize
+	// remote-steal latency. On a single-socket topology (the socket spans
+	// the whole machine) tiers 1-3 are skipped and the protocol
+	// degenerates to the flat one. The colored tiers (1, 2, 4)
+	// additionally require Colored.
 	Hierarchical bool
 	// OwnColorStealAttempts is the tier-1 budget: same-socket probes for
 	// the worker's exact color.
@@ -107,9 +102,6 @@ func NabbitCHierPolicy() Policy {
 	return p
 }
 
-// withDefaults fills unset tunables.
-func (p Policy) withDefaults() Policy { return p.WithDefaults() }
-
 // WithDefaults returns the policy with unset tunables filled in, exactly
 // as the engines apply it. Both the real engine and the simulator
 // normalize through this single function so their interpretations of a
@@ -145,19 +137,12 @@ func (p Policy) WithDefaults() Policy {
 type DequeBackend int
 
 const (
-	// DequeAuto defers to Policy.UseChaseLev when set, otherwise picks
-	// the block deque for hierarchical policies (their batched
-	// cross-socket steals are what its single-CAS whole-block claims
-	// amortize) and the mutex deque for flat ones.
+	// DequeAuto picks the mutex deque.
 	DequeAuto DequeBackend = iota
 	// DequeMutex forces the lock-based ring deque.
 	DequeMutex
 	// DequeChaseLev forces the lock-free Chase–Lev deque.
 	DequeChaseLev
-	// DequeBlock forces the block-structured deque (single-CAS batch
-	// steals; steal victim order may legally differ from the per-item
-	// substrates — see the deque package's design note).
-	DequeBlock
 )
 
 // String names the backend.
@@ -169,37 +154,27 @@ func (b DequeBackend) String() string {
 		return "mutex"
 	case DequeChaseLev:
 		return "chaselev"
-	case DequeBlock:
-		return "block"
 	default:
 		return fmt.Sprintf("deque(%d)", int(b))
 	}
 }
 
-// ParseDequeBackend maps a substrate name ("auto", "mutex", "chaselev",
-// "block") to its DequeBackend, for CLI flags.
+// ParseDequeBackend maps a substrate name ("auto", "mutex", "chaselev")
+// to its DequeBackend, for CLI flags.
 func ParseDequeBackend(s string) (DequeBackend, error) {
-	for _, b := range []DequeBackend{DequeAuto, DequeMutex, DequeChaseLev, DequeBlock} {
+	for _, b := range []DequeBackend{DequeAuto, DequeMutex, DequeChaseLev} {
 		if s == b.String() {
 			return b, nil
 		}
 	}
-	return DequeAuto, fmt.Errorf("core: unknown deque backend %q (want auto, mutex, chaselev, or block)", s)
+	return DequeAuto, fmt.Errorf("core: unknown deque backend %q (want auto, mutex, or chaselev)", s)
 }
 
 // ResolveDeque resolves a policy's deque choice to a concrete substrate:
-// an explicit Policy.Deque wins, then the legacy UseChaseLev toggle, then
-// the policy-shaped default (block for hierarchical policies, mutex
-// otherwise).
+// an explicit Policy.Deque wins, and DequeAuto is the mutex deque.
 func ResolveDeque(p Policy) DequeBackend {
 	if p.Deque != DequeAuto {
 		return p.Deque
-	}
-	if p.UseChaseLev {
-		return DequeChaseLev
-	}
-	if p.Hierarchical {
-		return DequeBlock
 	}
 	return DequeMutex
 }
@@ -373,7 +348,7 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Admission != AdmissionBlock && o.Admission != AdmissionReject {
 		return o, fmt.Errorf("core: unknown admission policy %v", o.Admission)
 	}
-	if o.Policy.Deque < DequeAuto || o.Policy.Deque > DequeBlock {
+	if o.Policy.Deque < DequeAuto || o.Policy.Deque > DequeChaseLev {
 		return o, fmt.Errorf("core: unknown deque backend %v", o.Policy.Deque)
 	}
 	if o.Topology == (numa.Topology{}) {
@@ -400,6 +375,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.ErrorBudget < 0 {
 		return o, fmt.Errorf("core: negative ErrorBudget %d", o.ErrorBudget)
 	}
-	o.Policy = o.Policy.withDefaults()
+	o.Policy = o.Policy.WithDefaults()
 	return o, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -131,7 +132,7 @@ func TestQuickRandomDAGsChaseLev(t *testing.T) {
 		spec, sink, _, rec := randomDAG(seed, 5, 10, 6)
 		keys := reachable(spec, sink)
 		pol := NabbitCPolicy()
-		pol.UseChaseLev = true
+		pol.Deque = DequeChaseLev
 		pol.FirstStealMaxRounds = 2
 		st, err := Run(spec, sink, Options{Workers: 6, Policy: pol})
 		if err != nil || int(st.TotalNodes()) != len(keys) {
@@ -151,42 +152,13 @@ func TestQuickRandomDAGsChaseLev(t *testing.T) {
 	}
 }
 
-// Property: the block-deque-backed engine satisfies the same contract.
-func TestQuickRandomDAGsBlock(t *testing.T) {
-	f := func(seed uint64) bool {
-		spec, sink, _, rec := randomDAG(seed, 5, 10, 6)
-		keys := reachable(spec, sink)
-		pol := NabbitCPolicy()
-		pol.Deque = DequeBlock
-		pol.FirstStealMaxRounds = 2
-		st, err := Run(spec, sink, Options{Workers: 6, Policy: pol})
-		if err != nil || int(st.TotalNodes()) != len(keys) {
-			return false
-		}
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
-		for _, k := range keys {
-			if rec.count[k] != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the three deque substrates are interchangeable. For any
-// random DAG and policy — flat or hierarchical — runs on the mutex,
-// Chase–Lev, and block deques compute the same task set (every reachable
-// task exactly once, in dependence order) and report identical
-// NodesExecuted totals. The property deliberately checks computed-sets
-// and per-substrate correctness, not byte-identical schedules: the block
-// deque's whole-block claims may legally reorder steal victims relative
-// to the per-item substrates.
+// Property: the deque substrates are interchangeable. For any random DAG
+// and policy — flat or hierarchical — runs on the mutex and Chase–Lev
+// deques compute the same task set (every reachable task exactly once, in
+// dependence order) and report identical NodesExecuted totals. Real-engine
+// schedules are not reproducible, so computed-sets are what it compares.
 func TestQuickCrossSubstrateEquivalence(t *testing.T) {
-	backends := []DequeBackend{DequeMutex, DequeChaseLev, DequeBlock}
+	backends := []DequeBackend{DequeMutex, DequeChaseLev}
 	f := func(seed uint64, workersRaw uint8) bool {
 		workers := int(workersRaw)%7 + 2
 		var topo numa.Topology
@@ -255,45 +227,88 @@ func TestQuickCrossSubstrateEquivalence(t *testing.T) {
 }
 
 // The hierarchical engine must complete correctly on a multi-socket
-// topology with the ChaseLev substrate under heavy stealing pressure, and
-// its tier counters must reconcile with the aggregate steal counters.
+// topology under heavy stealing pressure on both substrates, its tier
+// counters must reconcile with the aggregate steal counters, and every
+// worker's probes must be whole sweeps of its steal plan — for the flat
+// policies too.
 func TestHierRealEngineTierAccounting(t *testing.T) {
-	for _, backend := range []DequeBackend{DequeMutex, DequeChaseLev, DequeBlock} {
-		rec := newRecorder()
-		spec, sink, keys := layeredDAG(10, 40, rec, func(k Key) int { return int(k) % 8 })
-		pol := NabbitCHierPolicy()
-		pol.Deque = backend
-		st, err := Run(spec, sink, Options{
-			Workers:  8,
-			Policy:   pol,
-			Topology: numa.Topology{Workers: 8, CoresPerDomain: 2},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int(st.TotalNodes()) != len(keys) {
-			t.Fatalf("deque=%v: executed %d, want %d", backend, st.TotalNodes(), len(keys))
-		}
-		at, ts := st.TierAttempts(), st.TierSteals()
-		var atSum, tsSum int64
-		for tier := StealTier(0); tier < NumStealTiers; tier++ {
-			atSum += at[tier]
-			tsSum += ts[tier]
-			if ts[tier] > at[tier] {
-				t.Fatalf("deque=%v tier %v: %d steals exceed %d attempts",
-					backend, tier, ts[tier], at[tier])
+	topo := numa.Topology{Workers: 8, CoresPerDomain: 2}
+	for _, pol := range []Policy{NabbitCHierPolicy(), NabbitCPolicy(), NabbitPolicy()} {
+		for _, backend := range []DequeBackend{DequeMutex, DequeChaseLev} {
+			rec := newRecorder()
+			spec, sink, keys := layeredDAG(10, 40, rec, func(k Key) int { return int(k) % 8 })
+			pol.Deque = backend
+			st, err := Run(spec, sink, Options{Workers: 8, Policy: pol, Topology: topo})
+			if err != nil {
+				t.Fatal(err)
 			}
+			name := fmt.Sprintf("hier=%v colored=%v deque=%v", pol.Hierarchical, pol.Colored, backend)
+			if int(st.TotalNodes()) != len(keys) {
+				t.Fatalf("%s: executed %d, want %d", name, st.TotalNodes(), len(keys))
+			}
+			at, ts := st.TierAttempts(), st.TierSteals()
+			var atSum, tsSum int64
+			for tier := StealTier(0); tier < NumStealTiers; tier++ {
+				atSum += at[tier]
+				tsSum += ts[tier]
+				if ts[tier] > at[tier] {
+					t.Fatalf("%s tier %v: %d steals exceed %d attempts", name, tier, ts[tier], at[tier])
+				}
+			}
+			if atSum != st.StealAttempts() {
+				t.Fatalf("%s: tier attempts %d != StealAttempts %d", name, atSum, st.StealAttempts())
+			}
+			total, _ := st.SuccessfulSteals()
+			if tsSum != total {
+				t.Fatalf("%s: tier steals %d != StealsOK %d", name, tsSum, total)
+			}
+			for wid, ws := range st.Workers {
+				if err := checkPlanSweeps(StealPlan(pol, topo, wid), ws, 0); err != nil {
+					t.Fatalf("%s worker %d: %v", name, wid, err)
+				}
+			}
+			rec.verify(t, spec, keys)
 		}
-		if atSum != st.StealAttempts() {
-			t.Fatalf("deque=%v: tier attempts %d != StealAttempts %d",
-				backend, atSum, st.StealAttempts())
-		}
-		total, _ := st.SuccessfulSteals()
-		if tsSum != total {
-			t.Fatalf("deque=%v: tier steals %d != StealsOK %d", backend, tsSum, total)
-		}
-		rec.verify(t, spec, keys)
 	}
+}
+
+// checkPlanSweeps checks that a worker's tier counters are whole sweeps of
+// its plan, where a sweep ends at the plan's end or at a hit: the S sweeps
+// that ended in a global-random miss spent every step's budget; a sweep
+// that hit spent the budget of each step before the hit's, one to all of
+// it at the hit's step, and nothing after. Probes of the enforced first
+// steal are taken out first. trailing sweeps may have been cut off with no
+// hit (the run ended mid-walk); the engine has none, since a bail or park
+// only ever falls between sweeps.
+func checkPlanSweeps(plan []StealStep, ws WorkerStats, trailing int64) error {
+	at, hits := ws.TierAttempts, ws.TierSteals
+	at[TierGlobalColored] -= ws.FirstStealChecks
+	if ws.FirstStealForcedOK {
+		hits[TierGlobalColored]--
+	}
+	inPlan := map[StealTier]bool{}
+	for _, s := range plan {
+		inPlan[s.Tier] = true
+	}
+	for tier := StealTier(0); tier < NumStealTiers; tier++ {
+		if !inPlan[tier] && (at[tier] != 0 || hits[tier] != 0) {
+			return fmt.Errorf("tier %v is not in the plan but has %d probes", tier, at[tier])
+		}
+	}
+	sweeps := at[TierGlobalRandom] - hits[TierGlobalRandom]
+	var hitsAfter int64
+	for i := len(plan) - 1; i >= 0; i-- {
+		s := plan[i]
+		b := int64(s.Budget)
+		base := (sweeps + hitsAfter) * b
+		lo, hi := base+hits[s.Tier], base+(hits[s.Tier]+trailing)*b
+		if at[s.Tier] < lo || at[s.Tier] > hi {
+			return fmt.Errorf("tier %v: %d probes, want %d..%d for %d sweeps, %d hits there and %d after (budget %d)",
+				s.Tier, at[s.Tier], lo, hi, sweeps, hits[s.Tier], hitsAfter, b)
+		}
+		hitsAfter += hits[s.Tier]
+	}
+	return nil
 }
 
 // OnComplete must see every task exactly once, attributed to a valid

@@ -102,22 +102,9 @@ func (b *bkBlock[T]) addSummary(c colorset.Set) {
 	}
 }
 
-// summaryHas reports whether any entry pushed into the block this
-// incarnation could contain color. Stale-tolerant; see the type comment.
-func (b *bkBlock[T]) summaryHas(color int) bool {
-	if b.sumSpill.Load() {
-		return true // spilled sets are gated by the slot shadow instead
-	}
-	if color < 0 || color >= colorset.InlineColors {
-		return false
-	}
-	if color < 64 {
-		return b.sumLo.Load()&(1<<uint(color)) != 0
-	}
-	return b.sumHi.Load()&(1<<uint(color-64)) != 0
-}
-
-// summaryIntersects is summaryHas for a color mask.
+// summaryIntersects reports whether any entry pushed into the block this
+// incarnation could share a color with mask. Stale-tolerant; see the type
+// comment.
 func (b *bkBlock[T]) summaryIntersects(mask colorset.Set) bool {
 	if b.sumSpill.Load() {
 		return true
@@ -135,7 +122,7 @@ func (b *bkBlock[T]) summaryIntersects(mask colorset.Set) bool {
 // blocks behind it, oldest first — and on a sealed block a batched steal
 // claims every remaining item with a single CAS, instead of the
 // CAS-per-item tax the Chase–Lev layout makes structural (see
-// ChaseLev.StealHalf for why a multi-item top CAS is unsound there; the
+// ChaseLev.Steal for why a multi-item top CAS is unsound there; the
 // seal flag is exactly the missing guarantee, because the owner never
 // pops from a sealed block).
 //
@@ -293,11 +280,16 @@ func (d *Block[T]) harvestHead() *bkBlock[T] {
 	return h
 }
 
-// resetBlock retires a detached, drained block for reuse: bump the epoch
-// (every in-flight claim CAS now fails), drain claimants still copying
-// values out, then clear slots so stale Entry values (which may pin
-// engine run state) are released.
+// resetBlock retires a detached, drained block for reuse: zero the commit
+// count, bump the epoch (every in-flight claim CAS now fails), drain
+// claimants still copying values out, then clear slots so stale Entry
+// values (which may pin engine run state) are released. The commit count
+// goes first: a thief that reads the new index word (steal index 0) and
+// then the old commit count would take the block for live and claim slot
+// 0 — an item already consumed, or a cleared slot — and leave the reused
+// block's steal index ahead of its first push.
 func (d *Block[T]) resetBlock(b *bkBlock[T]) {
+	b.commit.Store(0)
 	for {
 		w := b.ss.Load()
 		if b.ss.CompareAndSwap(w, bkEpoch(w)+bkEpochInc) {
@@ -321,7 +313,6 @@ func (d *Block[T]) resetBlock(b *bkBlock[T]) {
 	if b.sumSpill.Load() {
 		b.sumSpill.Store(false)
 	}
-	b.commit.Store(0)
 	b.next.Store(nil)
 	b.prev = nil
 }
@@ -402,21 +393,20 @@ func (d *Block[T]) claimOne(blk *bkBlock[T], w uint64) (Entry[T], StealOutcome) 
 }
 
 // claimBatch claims k items starting at the steal index of w from sealed
-// blk with a single CAS.
-func (d *Block[T]) claimBatch(blk *bkBlock[T], w uint64, k int) ([]Entry[T], StealOutcome) {
+// blk with a single CAS and appends them to into.
+func (d *Block[T]) claimBatch(blk *bkBlock[T], w uint64, k int, into []Entry[T]) ([]Entry[T], StealOutcome) {
 	s := bkSteal(w)
 	blk.readers.Add(1)
 	d.stealCASes.Add(1)
 	if !blk.ss.CompareAndSwap(w, w+uint64(k)) {
 		blk.readers.Add(-1)
-		return nil, StealAbort
+		return into, StealAbort
 	}
-	out := make([]Entry[T], k)
-	for i := range out {
-		out[i] = blk.slots[s+int64(i)].val
+	for i := range k {
+		into = append(into, blk.slots[s+int64(i)].val) //nabbit:alloc-ok grows only a caller's undersized scratch
 	}
 	blk.readers.Add(-1)
-	return out, StealOK
+	return into, StealOK
 }
 
 // scanFrom walks the chain from start and returns the first block holding
@@ -479,47 +469,6 @@ func (d *Block[T]) StealTop() (Entry[T], StealOutcome) {
 	return d.claimOne(blk, w)
 }
 
-// StealTopColored removes the oldest item only if its color mask contains
-// color. The block summary rejects whole blocks in O(1); the slot shadow
-// is the exact gate on the top item.
-//
-//nabbit:noalloc
-func (d *Block[T]) StealTopColored(color int) (Entry[T], StealOutcome) {
-	var zero Entry[T]
-	blk, w, _ := d.firstLive()
-	if blk == nil {
-		return zero, StealEmpty
-	}
-	if !blk.summaryHas(color) || !blk.slots[bkSteal(w)].shadow.has(color) {
-		// Re-validate that the block still serves the inspected
-		// incarnation and index; if not, the miss verdict is stale.
-		if blk.ss.Load() != w {
-			return zero, StealAbort
-		}
-		return zero, StealMiss
-	}
-	return d.claimOne(blk, w)
-}
-
-// StealTopMasked removes the oldest item only if its color mask
-// intersects mask.
-//
-//nabbit:noalloc
-func (d *Block[T]) StealTopMasked(mask colorset.Set) (Entry[T], StealOutcome) {
-	var zero Entry[T]
-	blk, w, _ := d.firstLive()
-	if blk == nil {
-		return zero, StealEmpty
-	}
-	if !blk.summaryIntersects(mask) || !blk.slots[bkSteal(w)].shadow.intersects(mask) {
-		if blk.ss.Load() != w {
-			return zero, StealAbort
-		}
-		return zero, StealMiss
-	}
-	return d.claimOne(blk, w)
-}
-
 // stealBatch takes a batch from blk, which was observed live with index
 // word w and commit c. Sealed block: every remaining item (capped by
 // max) in one CAS — this may exceed ceil(n/2), the block-granular
@@ -527,61 +476,52 @@ func (d *Block[T]) StealTopMasked(mask colorset.Set) (Entry[T], StealOutcome) {
 // only reachable here when it is the oldest live block): fall back to
 // Chase–Lev-style repeated single claims honoring batchSize, since the
 // owner may be popping concurrently.
-func (d *Block[T]) stealBatch(blk *bkBlock[T], w uint64, c int64, max int) ([]Entry[T], StealOutcome) {
+func (d *Block[T]) stealBatch(blk *bkBlock[T], w uint64, c int64, max int, into []Entry[T]) ([]Entry[T], StealOutcome) {
 	if bkSealed(w) {
 		k := int(c - bkSteal(w))
 		if max > 0 && k > max {
 			k = max
 		}
-		return d.claimBatch(blk, w, k)
+		return d.claimBatch(blk, w, k, into)
 	}
-	k := batchSize(int(c-bkSteal(w)), max)
-	var out []Entry[T]
-	for len(out) < k {
+	n := len(into)
+	for k := batchSize(int(c-bkSteal(w)), max); k > 0; k-- {
 		e, o := d.claimOne(blk, w)
 		if o != StealOK {
 			break
 		}
-		if out == nil {
-			out = make([]Entry[T], 0, k)
-		}
-		out = append(out, e)
+		into = append(into, e) //nabbit:alloc-ok grows only a caller's undersized scratch
 		w = blk.ss.Load()
 		if bkSealed(w) || blk.commit.Load() <= bkSteal(w) {
 			break
 		}
 	}
-	if len(out) == 0 {
-		return nil, StealAbort
+	if len(into) == n {
+		return into, StealAbort
 	}
-	return out, StealOK
+	return into, StealOK
 }
 
-// StealHalf removes a batch of the oldest items during a single victim
-// visit; on a sealed block the whole remainder (capped by max) moves
-// with one CAS.
-func (d *Block[T]) StealHalf(max int) ([]Entry[T], StealOutcome) {
+// Steal takes a batch of the oldest items during a single victim visit if
+// filter admits the oldest: on a sealed block the whole remainder (capped
+// by max) moves with one CAS. The block summary rejects whole blocks in
+// O(1); the slot shadow is the exact gate on the oldest item.
+//
+//nabbit:noalloc
+func (d *Block[T]) Steal(filter *colorset.Set, max int, into []Entry[T]) ([]Entry[T], StealOutcome) {
 	blk, w, c := d.firstLive()
 	if blk == nil {
-		return nil, StealEmpty
+		return into, StealEmpty
 	}
-	return d.stealBatch(blk, w, c, max)
-}
-
-// StealHalfColored is StealHalf gated on the oldest item containing
-// color (later batch items ride along, as on the other substrates).
-func (d *Block[T]) StealHalfColored(color int, max int) ([]Entry[T], StealOutcome) {
-	blk, w, c := d.firstLive()
-	if blk == nil {
-		return nil, StealEmpty
-	}
-	if !blk.summaryHas(color) || !blk.slots[bkSteal(w)].shadow.has(color) {
+	if filter != nil && (!blk.summaryIntersects(*filter) || !blk.slots[bkSteal(w)].shadow.intersects(*filter)) {
+		// Re-validate that the block still serves the inspected
+		// incarnation and index; if not, the miss verdict is stale.
 		if blk.ss.Load() != w {
-			return nil, StealAbort
+			return into, StealAbort
 		}
-		return nil, StealMiss
+		return into, StealMiss
 	}
-	return d.stealBatch(blk, w, c, max)
+	return d.stealBatch(blk, w, c, max, into)
 }
 
 // Len returns an advisory item count (chain scan).

@@ -16,9 +16,9 @@ func TestBlockRecycling(t *testing.T) {
 		}
 		seen := make([]bool, perRound)
 		for q.Len() > 0 {
-			batch, out := q.StealHalf(0)
+			batch, out := q.Steal(nil, 0, nil)
 			if out != StealOK {
-				t.Fatalf("round %d: StealHalf = %v with %d items left", round, out, q.Len())
+				t.Fatalf("round %d: Steal = %v with %d items left", round, out, q.Len())
 			}
 			for _, e := range batch {
 				if seen[e.Value] {
@@ -63,7 +63,7 @@ func TestBlockRecyclingPopDrain(t *testing.T) {
 }
 
 // TestBlockSealedWholeBlockClaim pins the single-CAS batch: once older
-// blocks are sealed, an uncapped StealHalf takes an entire block in one
+// blocks are sealed, an uncapped Steal takes an entire block in one
 // claim CAS, so CAS-per-stolen-item collapses to 1/blockSize.
 func TestBlockSealedWholeBlockClaim(t *testing.T) {
 	const n = 4 * blockSize // three sealed blocks + the active tail
@@ -72,9 +72,9 @@ func TestBlockSealedWholeBlockClaim(t *testing.T) {
 		q.PushBottom(entry(i, i%testColors))
 	}
 	base := q.StealCASes()
-	batch, out := q.StealHalf(0)
+	batch, out := q.Steal(nil, 0, nil)
 	if out != StealOK {
-		t.Fatalf("StealHalf = %v", out)
+		t.Fatalf("Steal = %v", out)
 	}
 	if len(batch) != blockSize {
 		t.Fatalf("sealed-block batch took %d items, want the whole block (%d)", len(batch), blockSize)
@@ -89,7 +89,7 @@ func TestBlockSealedWholeBlockClaim(t *testing.T) {
 	}
 	// A capped batch still claims with one CAS and leaves the rest.
 	base = q.StealCASes()
-	batch, out = q.StealHalf(5)
+	batch, out = q.Steal(nil, 5, nil)
 	if out != StealOK || len(batch) != 5 || batch[0].Value != blockSize {
 		t.Fatalf("capped batch = (%d items, %v), first %v; want 5 items starting at %d",
 			len(batch), out, batch[0].Value, blockSize)
@@ -103,8 +103,8 @@ func TestBlockSealedWholeBlockClaim(t *testing.T) {
 }
 
 // TestBlockUnsealedBatchMatchesChaseLev pins that while everything still
-// lives in the owner's unsealed tail block, StealHalf honours the exact
-// batchSize contract the other substrates implement (TestStealHalfSemantics
+// lives in the owner's unsealed tail block, Steal honours the exact
+// batchSize contract the other substrates implement (TestStealContract
 // depends on this), one claim CAS per item.
 func TestBlockUnsealedBatchMatchesChaseLev(t *testing.T) {
 	q := NewBlock[int](64)
@@ -112,9 +112,9 @@ func TestBlockUnsealedBatchMatchesChaseLev(t *testing.T) {
 		q.PushBottom(entry(i, i%testColors))
 	}
 	base := q.StealCASes()
-	batch, out := q.StealHalf(0)
+	batch, out := q.Steal(nil, 0, nil)
 	if out != StealOK || len(batch) != 5 {
-		t.Fatalf("unsealed StealHalf(0) = (%d items, %v), want ceil(10/2) = 5", len(batch), out)
+		t.Fatalf("unsealed uncapped Steal = (%d items, %v), want ceil(10/2) = 5", len(batch), out)
 	}
 	if cas := q.StealCASes() - base; cas != 5 {
 		t.Fatalf("unsealed batch used %d CASes, want 1 per item (5)", cas)
@@ -130,17 +130,17 @@ func TestBlockColoredGates(t *testing.T) {
 	for i := 0; i < n; i++ {
 		q.PushBottom(entry(i, 3)) // every entry colored 3
 	}
-	if _, out := q.StealTopColored(7); out != StealMiss {
-		t.Fatalf("StealTopColored(absent) = %v, want miss", out)
+	if _, out := q.Steal(colors(7), 1, nil); out != StealMiss {
+		t.Fatalf("single colored Steal(absent) = %v, want miss", out)
 	}
-	if _, out := q.StealHalfColored(7, 0); out != StealMiss {
-		t.Fatalf("StealHalfColored(absent) = %v, want miss", out)
+	if _, out := q.Steal(colors(7), 0, nil); out != StealMiss {
+		t.Fatalf("batched colored Steal(absent) = %v, want miss", out)
 	}
-	batch, out := q.StealHalfColored(3, 0)
+	batch, out := q.Steal(colors(3), 0, nil)
 	if out != StealOK || len(batch) != blockSize {
-		t.Fatalf("StealHalfColored(present) = (%d items, %v), want full sealed block", len(batch), out)
+		t.Fatalf("batched colored Steal(present) = (%d items, %v), want full sealed block", len(batch), out)
 	}
-	if e, out := q.StealTopColored(3); out != StealOK || e.Value != blockSize {
-		t.Fatalf("StealTopColored(present) = (%v, %v), want value %d", e.Value, out, blockSize)
+	if ents, out := q.Steal(colors(3), 1, nil); out != StealOK || ents[0].Value != blockSize {
+		t.Fatalf("single colored Steal(present) = (%v, %v), want value %d", ents, out, blockSize)
 	}
 }

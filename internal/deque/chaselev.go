@@ -237,58 +237,10 @@ func (d *ChaseLev[T]) StealTop() (Entry[T], StealOutcome) {
 	return d.claim(buf.slot(t), t)
 }
 
-// StealTopColored removes the oldest item only if its color mask contains
-// color.
+// Steal takes the oldest item if filter admits it and then, up to
+// min(ceil(n/2), max) in all, the items behind it during the same visit.
 //
-//nabbit:noalloc
-func (d *ChaseLev[T]) StealTopColored(color int) (Entry[T], StealOutcome) {
-	var zero Entry[T]
-	t := d.top.Load()
-	b := d.bottom.Load()
-	if b <= t {
-		return zero, StealEmpty
-	}
-	buf := d.buf.Load()
-	s := buf.slot(t)
-	if !s.shadow.has(color) {
-		// Re-validate that the slot we inspected still serves the top
-		// index; if not, the miss verdict is stale and the caller should
-		// retry.
-		if d.top.Load() != t {
-			return zero, StealAbort
-		}
-		return zero, StealMiss
-	}
-	return d.claim(s, t)
-}
-
-// StealTopMasked removes the oldest item only if its color mask intersects
-// mask.
-//
-//nabbit:noalloc
-func (d *ChaseLev[T]) StealTopMasked(mask colorset.Set) (Entry[T], StealOutcome) {
-	var zero Entry[T]
-	t := d.top.Load()
-	b := d.bottom.Load()
-	if b <= t {
-		return zero, StealEmpty
-	}
-	buf := d.buf.Load()
-	s := buf.slot(t)
-	if !s.shadow.intersects(mask) {
-		// Same stale-verdict re-validation as StealTopColored.
-		if d.top.Load() != t {
-			return zero, StealAbort
-		}
-		return zero, StealMiss
-	}
-	return d.claim(s, t)
-}
-
-// StealHalf removes up to min(ceil(n/2), max) of the oldest items during a
-// single victim visit.
-//
-// Unlike the mutex deque this is NOT one atomic multi-item pop, and it
+// Unlike the mutex deque a batch is NOT one atomic multi-item pop, and it
 // cannot soundly be one: a batch CAS of top from t to t+k (after reading
 // slots t..t+k-1) would race with the owner's PopBottom, which
 // synchronizes with thieves through top only when it takes the LAST
@@ -301,48 +253,37 @@ func (d *ChaseLev[T]) StealTopMasked(mask colorset.Set) (Entry[T], StealOutcome)
 // remote cache-miss latency over one visit, which is what the cross-socket
 // protocol needs. A lost race or emptied deque mid-batch simply ends the
 // batch early.
-func (d *ChaseLev[T]) StealHalf(max int) ([]Entry[T], StealOutcome) {
-	n := d.bottom.Load() - d.top.Load()
-	if n <= 0 {
-		return nil, StealEmpty
+//
+// The filter reads the slot's color shadow before the claim. If the
+// verdict is a miss, top is re-validated: a slot that no longer serves
+// the top index makes the miss stale, reported as StealAbort.
+//
+//nabbit:noalloc
+func (d *ChaseLev[T]) Steal(filter *colorset.Set, max int, into []Entry[T]) ([]Entry[T], StealOutcome) {
+	t := d.top.Load()
+	b := d.bottom.Load()
+	if b <= t {
+		return into, StealEmpty
 	}
-	k := batchSize(int(n), max)
-	out := make([]Entry[T], 0, k)
-	for len(out) < k {
-		e, o := d.StealTop()
-		if o != StealOK {
-			if len(out) > 0 {
-				return out, StealOK
-			}
-			return nil, o
+	s := d.buf.Load().slot(t)
+	if filter != nil && !s.shadow.intersects(*filter) {
+		if d.top.Load() != t {
+			return into, StealAbort
 		}
-		out = append(out, e)
+		return into, StealMiss
 	}
-	return out, StealOK
-}
-
-// StealHalfColored is StealHalf gated on the top item containing color:
-// the first element is taken with a colored steal, the rest of the batch
-// with plain steals (see StealHalf for why the batch is not atomic).
-func (d *ChaseLev[T]) StealHalfColored(color int, max int) ([]Entry[T], StealOutcome) {
-	n := d.bottom.Load() - d.top.Load()
-	if n <= 0 {
-		return nil, StealEmpty
+	e, out := d.claim(s, t)
+	if out != StealOK {
+		return into, out
 	}
-	k := batchSize(int(n), max)
-	first, o := d.StealTopColored(color)
-	if o != StealOK {
-		return nil, o
-	}
-	out := append(make([]Entry[T], 0, k), first)
-	for len(out) < k {
-		e, o := d.StealTop()
-		if o != StealOK {
+	into = append(into, e) //nabbit:alloc-ok grows only a caller's undersized scratch
+	for k := batchSize(int(b-t), max) - 1; k > 0; k-- {
+		if e, out = d.StealTop(); out != StealOK {
 			break
 		}
-		out = append(out, e)
+		into = append(into, e) //nabbit:alloc-ok grows only a caller's undersized scratch
 	}
-	return out, StealOK
+	return into, StealOK
 }
 
 // Grows returns how many times the circular buffer has grown.

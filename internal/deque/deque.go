@@ -61,8 +61,8 @@ type Entry[T any] struct {
 	Colors colorset.Set
 }
 
-// Queue is the owner/thief protocol shared by both deque implementations.
-// PushBottom and PopBottom may be called only by the owning worker; all
+// Queue is the owner/thief protocol shared by the deque implementations.
+// PushBottom and PopBottom may be called only by the owning worker; the
 // steal methods may be called by any worker concurrently.
 type Queue[T any] interface {
 	// PushBottom adds an item at the bottom (owner only).
@@ -72,33 +72,18 @@ type Queue[T any] interface {
 	PopBottom() (Entry[T], bool)
 	// StealTop removes and returns the oldest item regardless of color.
 	StealTop() (Entry[T], StealOutcome)
-	// StealTopColored removes the oldest item only if its color set
-	// contains color.
-	StealTopColored(color int) (Entry[T], StealOutcome)
-	// StealTopMasked removes the oldest item only if its color set
-	// intersects mask. The mask must have the same capacity as the
-	// entries' color sets (both sides are sized to the worker count).
-	// Hierarchical thieves pass their socket's color range so that any
-	// task homed in their socket qualifies, not just their own color.
-	StealTopMasked(mask colorset.Set) (Entry[T], StealOutcome)
-	// StealHalf removes a batch of the oldest items in one visit — the
-	// batched steal used on cross-socket victims to amortize remote-steal
-	// latency. The baseline contract is up to min(ceil(n/2), max) items
-	// (max <= 0 means uncapped); the returned slice is oldest first and
-	// non-empty iff the outcome is StealOK. Implementations that cannot
-	// take several items atomically (Chase–Lev) may take them one CAS at
-	// a time under the single visit and return fewer than requested, and
-	// block-granular implementations (Block) may instead take MORE than
-	// ceil(n/2) — up to max, or a whole sealed block when uncapped —
-	// because their claim unit is a block, not an item.
-	StealHalf(max int) ([]Entry[T], StealOutcome)
-	// StealHalfColored is StealHalf gated on the top item containing
-	// color: if the victim's oldest item does not contain the thief's
-	// color it reports StealMiss and takes nothing; otherwise it steals a
-	// batch exactly as StealHalf does (later items in the batch need not
-	// contain the color — once a colored steal has paid for the remote
-	// visit, the rest of the batch rides along).
-	StealHalfColored(color int, max int) ([]Entry[T], StealOutcome)
+	// Steal is the one steal of the scheduler: it removes up to
+	// min(ceil(n/2), max) of the oldest items (max <= 0 means uncapped,
+	// max 1 is a single-item steal) and appends them to into, oldest
+	// first, returning the extended slice; what into held is kept. With a
+	// non-nil filter the oldest item must share a color with it, or the
+	// steal reports StealMiss and takes nothing; the items behind it ride
+	// along unchecked. The filter must have the entries' capacity (both
+	// are sized to the worker count). StealOK means at least one item was
+	// appended. Chase–Lev takes a batch one claim at a time and may stop
+	// short; the block deque's claim unit is a block, so uncapped it may
+	// take a whole sealed block, more than half.
+	Steal(filter *colorset.Set, max int, into []Entry[T]) ([]Entry[T], StealOutcome)
 	// Len returns the current number of items. It is advisory under
 	// concurrency.
 	Len() int

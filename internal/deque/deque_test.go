@@ -1,6 +1,7 @@
 package deque
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,13 +17,40 @@ func entry(v int, colors ...int) Entry[int] {
 	return Entry[int]{Value: v, Colors: colorset.Of(testColors, colors...)}
 }
 
+// substrates lists every implementation with a constructor for a fresh,
+// small instance.
+var substrates = []struct {
+	name string
+	mk   func() Queue[int]
+}{
+	{"mutex", func() Queue[int] { return NewMutex[int](4) }},
+	{"chaselev", func() Queue[int] { return NewChaseLev[int](4) }},
+	{"block", func() Queue[int] { return NewBlock[int](4) }},
+}
+
 // queues returns one fresh instance of every implementation.
 func queues() map[string]Queue[int] {
-	return map[string]Queue[int]{
-		"mutex":    NewMutex[int](4),
-		"chaselev": NewChaseLev[int](4),
-		"block":    NewBlock[int](4),
+	m := make(map[string]Queue[int], len(substrates))
+	for _, s := range substrates {
+		m[s.name] = s.mk()
 	}
+	return m
+}
+
+// colors returns a steal filter of the given colors.
+func colors(cs ...int) *colorset.Set {
+	s := colorset.Of(testColors, cs...)
+	return &s
+}
+
+// ownFilters returns one single-color filter per test color, built up front
+// so that concurrent thieves allocate nothing per steal.
+func ownFilters() []colorset.Set {
+	fs := make([]colorset.Set, testColors)
+	for c := range fs {
+		fs[c] = colorset.Of(testColors, c)
+	}
+	return fs
 }
 
 func TestEmpty(t *testing.T) {
@@ -34,8 +62,8 @@ func TestEmpty(t *testing.T) {
 			if _, out := q.StealTop(); out != StealEmpty {
 				t.Fatalf("StealTop on empty = %v, want empty", out)
 			}
-			if _, out := q.StealTopColored(1); out != StealEmpty {
-				t.Fatalf("StealTopColored on empty = %v, want empty", out)
+			if _, out := q.Steal(colors(1), 1, nil); out != StealEmpty {
+				t.Fatalf("colored Steal on empty = %v, want empty", out)
 			}
 			if q.Len() != 0 {
 				t.Fatalf("Len = %d, want 0", q.Len())
@@ -88,18 +116,18 @@ func TestColoredStealMissAndHit(t *testing.T) {
 			q.PushBottom(entry(1, 3, 5))
 			q.PushBottom(entry(2, 7))
 			// Top item has colors {3,5}: thief of color 7 misses.
-			if _, out := q.StealTopColored(7); out != StealMiss {
+			if _, out := q.Steal(colors(7), 1, nil); out != StealMiss {
 				t.Fatalf("steal color 7 = %v, want miss", out)
 			}
 			// Thief of color 5 hits and takes the top item.
-			e, out := q.StealTopColored(5)
-			if out != StealOK || e.Value != 1 {
-				t.Fatalf("steal color 5 = %v,%v, want value 1", e.Value, out)
+			ents, out := q.Steal(colors(5), 1, nil)
+			if out != StealOK || len(ents) != 1 || ents[0].Value != 1 {
+				t.Fatalf("steal color 5 = %v,%v, want value 1", ents, out)
 			}
 			// Now the top is {7}.
-			e, out = q.StealTopColored(7)
-			if out != StealOK || e.Value != 2 {
-				t.Fatalf("steal color 7 = %v,%v, want value 2", e.Value, out)
+			ents, out = q.Steal(colors(7), 1, nil)
+			if out != StealOK || len(ents) != 1 || ents[0].Value != 2 {
+				t.Fatalf("steal color 7 = %v,%v, want value 2", ents, out)
 			}
 		})
 	}
@@ -110,7 +138,7 @@ func TestColoredStealDoesNotDisturb(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			q.PushBottom(entry(1, 2))
 			for i := 0; i < 10; i++ {
-				if _, out := q.StealTopColored(9); out != StealMiss {
+				if _, out := q.Steal(colors(9), 1, nil); out != StealMiss {
 					t.Fatalf("attempt %d = %v, want miss", i, out)
 				}
 			}
@@ -190,16 +218,7 @@ func TestGrowth(t *testing.T) {
 // Property: any sequence of operations keeps the deque consistent with a
 // reference slice model (single-threaded).
 func TestQuickModelEquivalence(t *testing.T) {
-	impls := []struct {
-		name string
-		mk   func() Queue[int]
-	}{
-		{"mutex", func() Queue[int] { return NewMutex[int](4) }},
-		{"chaselev", func() Queue[int] { return NewChaseLev[int](4) }},
-		{"block", func() Queue[int] { return NewBlock[int](4) }},
-	}
-	for _, impl := range impls {
-		impl := impl
+	for _, impl := range substrates {
 		t.Run(impl.name, func(t *testing.T) {
 			f := func(ops []uint8) bool {
 				q := impl.mk()
@@ -250,16 +269,7 @@ func TestQuickModelEquivalence(t *testing.T) {
 // Concurrent stress: one owner pushing/popping, many thieves stealing.
 // Every pushed value must be consumed exactly once.
 func TestConcurrentStress(t *testing.T) {
-	impls := []struct {
-		name string
-		mk   func() Queue[int]
-	}{
-		{"mutex", func() Queue[int] { return NewMutex[int](4) }},
-		{"chaselev", func() Queue[int] { return NewChaseLev[int](4) }},
-		{"block", func() Queue[int] { return NewBlock[int](4) }},
-	}
-	for _, impl := range impls {
-		impl := impl
+	for _, impl := range substrates {
 		t.Run(impl.name, func(t *testing.T) {
 			const (
 				total   = 50000
@@ -276,16 +286,18 @@ func TestConcurrentStress(t *testing.T) {
 				go func(id int) {
 					defer wg.Done()
 					r := xrand.NewWorker(99, id)
+					own := ownFilters()
+					buf := make([]Entry[int], 0, 1)
 					for {
-						var e Entry[int]
+						var ents []Entry[int]
 						var out StealOutcome
 						if r.Intn(2) == 0 {
-							e, out = q.StealTopColored(r.Intn(testColors))
+							ents, out = q.Steal(&own[r.Intn(testColors)], 1, buf[:0])
 						} else {
-							e, out = q.StealTop()
+							ents, out = q.Steal(nil, 1, buf[:0])
 						}
 						if out == StealOK {
-							consumed[e.Value].Add(1)
+							consumed[ents[0].Value].Add(1)
 							taken.Add(1)
 						}
 						select {
@@ -353,16 +365,7 @@ func TestConcurrentStress(t *testing.T) {
 // Colored concurrent stress: thieves only steal their own color and must
 // never receive an item whose mask excludes that color.
 func TestConcurrentColoredNoFalseSteal(t *testing.T) {
-	impls := []struct {
-		name string
-		mk   func() Queue[int]
-	}{
-		{"mutex", func() Queue[int] { return NewMutex[int](4) }},
-		{"chaselev", func() Queue[int] { return NewChaseLev[int](4) }},
-		{"block", func() Queue[int] { return NewBlock[int](4) }},
-	}
-	for _, impl := range impls {
-		impl := impl
+	for _, impl := range substrates {
 		t.Run(impl.name, func(t *testing.T) {
 			const total = 20000
 			q := impl.mk()
@@ -374,8 +377,8 @@ func TestConcurrentColoredNoFalseSteal(t *testing.T) {
 				go func(color int) {
 					defer wg.Done()
 					for {
-						e, out := q.StealTopColored(color)
-						if out == StealOK && !e.Colors.Has(color) {
+						ents, out := q.Steal(colors(color), 1, nil)
+						if out == StealOK && !ents[0].Colors.Has(color) {
 							bad.Add(1)
 						}
 						select {
@@ -406,22 +409,22 @@ func TestConcurrentColoredNoFalseSteal(t *testing.T) {
 func TestStealTopMasked(t *testing.T) {
 	for name, q := range queues() {
 		t.Run(name, func(t *testing.T) {
-			if _, out := q.StealTopMasked(colorset.Of(testColors, 1)); out != StealEmpty {
+			if _, out := q.Steal(colors(1), 1, nil); out != StealEmpty {
 				t.Fatalf("masked steal on empty = %v, want empty", out)
 			}
 			q.PushBottom(entry(1, 3, 5))
 			q.PushBottom(entry(2, 7))
 			// Mask {6,7} misses the top {3,5}.
-			if _, out := q.StealTopMasked(colorset.Of(testColors, 6, 7)); out != StealMiss {
+			if _, out := q.Steal(colors(6, 7), 1, nil); out != StealMiss {
 				t.Fatalf("disjoint mask = %v, want miss", out)
 			}
 			if q.Len() != 2 {
 				t.Fatalf("Len = %d after miss, want 2", q.Len())
 			}
 			// Mask {5,9} intersects {3,5}.
-			e, out := q.StealTopMasked(colorset.Of(testColors, 5, 9))
-			if out != StealOK || e.Value != 1 {
-				t.Fatalf("intersecting mask = %v,%v, want value 1", e.Value, out)
+			ents, out := q.Steal(colors(5, 9), 1, nil)
+			if out != StealOK || len(ents) != 1 || ents[0].Value != 1 {
+				t.Fatalf("intersecting mask = %v,%v, want value 1", ents, out)
 			}
 		})
 	}
@@ -430,14 +433,14 @@ func TestStealTopMasked(t *testing.T) {
 func TestStealHalfSemantics(t *testing.T) {
 	for name, q := range queues() {
 		t.Run(name, func(t *testing.T) {
-			if _, out := q.StealHalf(4); out != StealEmpty {
+			if _, out := q.Steal(nil, 4, nil); out != StealEmpty {
 				t.Fatalf("steal-half on empty = %v, want empty", out)
 			}
 			for i := 0; i < 10; i++ {
 				q.PushBottom(entry(i, i%testColors))
 			}
 			// Half of 10 is 5, capped at 3.
-			ents, out := q.StealHalf(3)
+			ents, out := q.Steal(nil, 3, nil)
 			if out != StealOK || len(ents) != 3 {
 				t.Fatalf("steal-half = %d items,%v, want 3,ok", len(ents), out)
 			}
@@ -447,7 +450,7 @@ func TestStealHalfSemantics(t *testing.T) {
 				}
 			}
 			// 7 remain; uncapped takes ceil(7/2) = 4.
-			ents, out = q.StealHalf(0)
+			ents, out = q.Steal(nil, 0, nil)
 			if out != StealOK || len(ents) != 4 {
 				t.Fatalf("uncapped steal-half = %d items,%v, want 4,ok", len(ents), out)
 			}
@@ -457,7 +460,7 @@ func TestStealHalfSemantics(t *testing.T) {
 			// A single remaining item is still stealable as a "half".
 			q2 := queues()[name]
 			q2.PushBottom(entry(42, 1))
-			ents, out = q2.StealHalf(8)
+			ents, out = q2.Steal(nil, 8, nil)
 			if out != StealOK || len(ents) != 1 || ents[0].Value != 42 {
 				t.Fatalf("steal-half of 1 = %v,%v", ents, out)
 			}
@@ -473,7 +476,7 @@ func TestStealHalfColored(t *testing.T) {
 			q.PushBottom(entry(2, 9))
 			q.PushBottom(entry(3, 9))
 			// Top has color 3: thief of color 9 misses, nothing taken.
-			if _, out := q.StealHalfColored(9, 4); out != StealMiss {
+			if _, out := q.Steal(colors(9), 4, nil); out != StealMiss {
 				t.Fatalf("colored steal-half = %v, want miss", out)
 			}
 			if q.Len() != 4 {
@@ -481,12 +484,101 @@ func TestStealHalfColored(t *testing.T) {
 			}
 			// Thief of color 3 hits and drags half the deque along, even
 			// though the later items are color 9.
-			ents, out := q.StealHalfColored(3, 4)
+			ents, out := q.Steal(colors(3), 4, nil)
 			if out != StealOK || len(ents) != 2 {
 				t.Fatalf("colored steal-half = %d items,%v, want 2,ok", len(ents), out)
 			}
 			if ents[0].Value != 0 || ents[1].Value != 1 {
 				t.Fatalf("batch = %v, want values 0,1", ents)
+			}
+		})
+	}
+}
+
+// TestStealContract is the one table for Steal on every substrate: each
+// filter (none, the thief's own color, its socket's colors, and one that
+// misses the oldest item but matches every item behind it) × each cap
+// (single item, 3, uncapped) × each depth (empty, one item, a short deque,
+// and one deep enough that the block deque's oldest block is sealed). The
+// oldest item has colors {2,5}, the rest {9}; the thief's own color is 5
+// and its socket {0,1,2,3}. It checks the outcome and
+// the item count — min(ceil(n/2), max), or on the block deque up to a
+// whole sealed block — oldest-first order, that the filter gates only the
+// oldest item, that a miss takes nothing however often it is repeated,
+// that what into held is kept, and that the items left are exactly the
+// rest, in order.
+func TestStealContract(t *testing.T) {
+	filters := []struct {
+		name string
+		f    *colorset.Set
+		hits bool
+	}{
+		{"any", nil, true},
+		{"own", colors(5), true},
+		{"socket", colors(0, 1, 2, 3), true},
+		{"disjoint", colors(9), false},
+	}
+	for _, sub := range substrates {
+		t.Run(sub.name, func(t *testing.T) {
+			for _, f := range filters {
+				for _, max := range []int{1, 3, 0} {
+					for _, depth := range []int{0, 1, 5, blockSize + 8} {
+						name := fmt.Sprintf("%s/max%d/depth%d", f.name, max, depth)
+						q := sub.mk()
+						for i := 0; i < depth; i++ {
+							if i == 0 {
+								q.PushBottom(entry(i, 2, 5))
+							} else {
+								q.PushBottom(entry(i, 9))
+							}
+						}
+						want := 0
+						if depth > 0 && f.hits {
+							want = (depth + 1) / 2
+							if sub.name == "block" && depth > blockSize {
+								want = blockSize // the sealed oldest block
+							}
+							if max > 0 && want > max {
+								want = max
+							}
+						}
+						wantOut := StealOK
+						switch {
+						case depth == 0:
+							wantOut = StealEmpty
+						case !f.hits:
+							wantOut = StealMiss
+						}
+						for try := 0; try < 3; try++ {
+							into := []Entry[int]{entry(-1)}
+							got, out := q.Steal(f.f, max, into)
+							if out != wantOut {
+								t.Fatalf("%s: outcome %v, want %v", name, out, wantOut)
+							}
+							if len(got) != 1+want || got[0].Value != -1 {
+								t.Fatalf("%s: into came back as %d entries led by %v, want the sentinel and %d items",
+									name, len(got), got[0].Value, want)
+							}
+							for i, e := range got[1:] {
+								if e.Value != i {
+									t.Fatalf("%s: item %d is %d, want %d (oldest first)", name, i, e.Value, i)
+								}
+							}
+							if out != StealMiss {
+								break
+							}
+						}
+						if q.Len() != depth-want {
+							t.Fatalf("%s: Len %d after the steal, want %d", name, q.Len(), depth-want)
+						}
+						for i := want; i < depth; i++ {
+							ents, out := q.Steal(nil, 1, nil)
+							if out != StealOK || ents[0].Value != i {
+								t.Fatalf("%s: next oldest left = %v (%v), want %d", name, ents, out, i)
+							}
+						}
+					}
+				}
 			}
 		})
 	}
@@ -524,6 +616,7 @@ func TestConcurrentStealHalfStress(t *testing.T) {
 				go func(id int) {
 					defer wg.Done()
 					r := xrand.NewWorker(41, id)
+					own := ownFilters()
 					consume := func(ents []Entry[int]) {
 						for _, e := range ents {
 							consumed[e.Value].Add(1)
@@ -534,9 +627,9 @@ func TestConcurrentStealHalfStress(t *testing.T) {
 						var ents []Entry[int]
 						var out StealOutcome
 						if r.Intn(2) == 0 {
-							ents, out = q.StealHalf(r.Intn(8) + 1)
+							ents, out = q.Steal(nil, r.Intn(8)+1, nil)
 						} else {
-							ents, out = q.StealHalfColored(r.Intn(testColors), r.Intn(8)+1)
+							ents, out = q.Steal(&own[r.Intn(testColors)], r.Intn(8)+1, nil)
 						}
 						if out == StealOK {
 							if len(ents) == 0 {
@@ -548,7 +641,7 @@ func TestConcurrentStealHalfStress(t *testing.T) {
 						select {
 						case <-done:
 							for {
-								ents, out := q.StealHalf(0)
+								ents, out := q.Steal(nil, 0, nil)
 								if out != StealOK {
 									return
 								}
@@ -581,7 +674,7 @@ func TestConcurrentStealHalfStress(t *testing.T) {
 			close(done)
 			wg.Wait()
 			for {
-				ents, out := q.StealHalf(0)
+				ents, out := q.Steal(nil, 0, nil)
 				if out != StealOK {
 					break
 				}
@@ -604,16 +697,8 @@ func TestConcurrentStealHalfStress(t *testing.T) {
 }
 
 // Colored batches must start with an item containing the thief's color.
-func TestConcurrentStealHalfColoredFirstItem(t *testing.T) {
-	for _, impl := range []struct {
-		name string
-		mk   func() Queue[int]
-	}{
-		{"mutex", func() Queue[int] { return NewMutex[int](4) }},
-		{"chaselev", func() Queue[int] { return NewChaseLev[int](4) }},
-		{"block", func() Queue[int] { return NewBlock[int](4) }},
-	} {
-		impl := impl
+func TestConcurrentColoredBatchFirstItem(t *testing.T) {
+	for _, impl := range substrates {
 		t.Run(impl.name, func(t *testing.T) {
 			total := 20000
 			if testing.Short() {
@@ -628,7 +713,7 @@ func TestConcurrentStealHalfColoredFirstItem(t *testing.T) {
 				go func(color int) {
 					defer wg.Done()
 					for {
-						ents, out := q.StealHalfColored(color, 4)
+						ents, out := q.Steal(colors(color), 4, nil)
 						if out == StealOK && !ents[0].Colors.Has(color) {
 							bad.Add(1)
 						}
@@ -740,13 +825,15 @@ func TestUnboxedSlotIntegrity(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			r := xrand.NewWorker(7, id)
+			own := ownFilters()
+			buf := make([]Entry[int], 0, 1)
 			for {
 				color := r.Intn(testColors)
-				if e, out := q.StealTopColored(color); out == StealOK {
-					if !e.Colors.Has(color) {
+				if ents, out := q.Steal(&own[color], 1, buf[:0]); out == StealOK {
+					if !ents[0].Colors.Has(color) {
 						bad.Add(1)
 					}
-					check(e)
+					check(ents[0])
 				}
 				select {
 				case <-done:

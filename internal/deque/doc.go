@@ -12,15 +12,34 @@
 // committing to a steal. Here each deque item carries a colorset.Set,
 // which is the same structure without the parallel-array bookkeeping.
 //
+// Thieves have one steal, Steal(filter, max, into): it takes up to
+// min(ceil(n/2), max) of the oldest items (max 1 is a single-item steal,
+// which is what every in-socket probe of the scheduler makes; a batch is
+// what a cross-socket probe of the hierarchical policy takes), gated on the
+// oldest item sharing a color with filter (nil: any item; a thief's own
+// color is a one-bit set, its socket a range of bits). The items behind the
+// oldest ride along unchecked — once a colored steal has paid for the
+// visit, the rest of the batch comes with it. Stolen items are appended to
+// the thief's scratch slice, so a steal allocates nothing. StealTop, the
+// unfiltered single-item steal, stays beside it for callers that want one
+// entry by value.
+//
 // Three implementations share the Queue interface: Mutex (a ring buffer
-// under a lock; the engine default for flat policies — per-deque
-// contention is a single owner plus occasional thieves, so an uncontended
-// lock costs a couple of atomic operations, same as the lock-free path),
-// ChaseLev (the classic dynamic circular work-stealing deque of Chase and
-// Lev, provided for the ablation comparing deque substrates), and Block
-// (a block-structured deque in the BWoS style, the engine default for
-// hierarchical policies, whose batched cross-socket steals it was built
-// for).
+// under a lock; the engine default — per-deque contention is a single
+// owner plus occasional thieves, so an uncontended lock costs a couple of
+// atomic operations, same as the lock-free path), ChaseLev (the classic
+// dynamic circular work-stealing deque of Chase and Lev, provided for the
+// ablation comparing deque substrates), and Block (a block-structured
+// deque in the BWoS style). The engine and the simulator run on Mutex and
+// ChaseLev only: Block handed out items twice from PR 7 on (resetBlock
+// zeroed a recycled block's commit count after bumping its epoch, so a
+// thief could pair the new index word with the old count and claim a
+// consumed slot; fixed, and TestConcurrentStress/block pins it), was the
+// slowest substrate at push+pop, and the only box available has one NUMA
+// domain, so the cross-socket batch it was built for never won a workload.
+// It stays in the package only because the benchmark module's deque probes
+// build one (benchmarks/nabbitperf/probes.go), which a perf PR may not
+// edit; it goes with the PR that drops that probe row (ROADMAP item 1).
 //
 // # Design note: unboxed Chase–Lev slots
 //
@@ -58,10 +77,9 @@
 //
 // Every slot access is ordered by a bottom, top, or reader-count edge, so
 // the protocol is race-free under the Go memory model (and under the race
-// detector), not merely "benign". Batched steals (StealHalf and
-// StealHalfColored) remain sequences of single-element claims; see the
-// method comments for why a multi-item CAS batch would be unsound against
-// an owner popping inside the candidate range.
+// detector), not merely "benign". Batched steals remain sequences of
+// single-element claims; see ChaseLev.Steal for why a multi-item CAS batch
+// would be unsound against an owner popping inside the candidate range.
 //
 // # Design note: the block deque's single-CAS batch steal
 //
@@ -93,10 +111,9 @@
 //
 // The cost of block-granular claiming is victim order: a whole-block
 // claim hands over up to blockSize items at once, so under concurrency
-// the global steal order can legally differ from the per-item order
-// Chase–Lev would produce (per-substrate schedules stay deterministic
-// for a fixed interleaving, and every item is still consumed exactly
-// once; cross-substrate comparisons therefore check computed-sets, not
-// byte-identical schedules). StealHalf on a sealed block may also exceed
-// the baseline ceil(n/2) contract — the claim unit is the block.
+// the global steal order can differ from the per-item order Chase–Lev
+// would produce. An uncapped Steal on a sealed block may also exceed the
+// ceil(n/2) contract — the claim unit is the block. The argument above is
+// the design, not a proof: it missed the resetBlock ordering bug above,
+// which only the stress tests caught.
 package deque

@@ -92,107 +92,36 @@ func (d *Mutex[T]) PopBottom() (Entry[T], bool) {
 //
 //nabbit:noalloc
 func (d *Mutex[T]) StealTop() (Entry[T], StealOutcome) {
-	d.mu.Lock()
-	if d.n == 0 {
-		d.mu.Unlock()
-		var zero Entry[T]
-		return zero, StealEmpty
+	var one [1]Entry[T]
+	ents, out := d.Steal(nil, 1, one[:0])
+	if out != StealOK {
+		return Entry[T]{}, out
 	}
-	e := d.buf[d.head]
-	d.buf[d.head] = Entry[T]{}
-	d.head = (d.head + 1) & d.mask
-	d.n--
-	d.mu.Unlock()
-	return e, StealOK
+	return ents[0], out
 }
 
-// StealTopColored removes the oldest item only if its color set contains
-// color; otherwise it reports StealMiss and leaves the deque unchanged.
+// Steal takes min(ceil(n/2), max) of the oldest items under one lock
+// acquisition — a true atomic batch — if filter admits the oldest.
 //
 //nabbit:noalloc
-func (d *Mutex[T]) StealTopColored(color int) (Entry[T], StealOutcome) {
+func (d *Mutex[T]) Steal(filter *colorset.Set, max int, into []Entry[T]) ([]Entry[T], StealOutcome) {
 	d.mu.Lock()
-	var zero Entry[T]
 	if d.n == 0 {
 		d.mu.Unlock()
-		return zero, StealEmpty
+		return into, StealEmpty
 	}
-	if !d.buf[d.head].Colors.Has(color) {
+	if filter != nil && !d.buf[d.head].Colors.Intersects(*filter) {
 		d.mu.Unlock()
-		return zero, StealMiss
+		return into, StealMiss
 	}
-	e := d.buf[d.head]
-	d.buf[d.head] = Entry[T]{}
-	d.head = (d.head + 1) & d.mask
-	d.n--
-	d.mu.Unlock()
-	return e, StealOK
-}
-
-// StealTopMasked removes the oldest item only if its color set intersects
-// mask; otherwise it reports StealMiss and leaves the deque unchanged.
-//
-//nabbit:noalloc
-func (d *Mutex[T]) StealTopMasked(mask colorset.Set) (Entry[T], StealOutcome) {
-	d.mu.Lock()
-	var zero Entry[T]
-	if d.n == 0 {
-		d.mu.Unlock()
-		return zero, StealEmpty
-	}
-	if !d.buf[d.head].Colors.Intersects(mask) {
-		d.mu.Unlock()
-		return zero, StealMiss
-	}
-	e := d.buf[d.head]
-	d.buf[d.head] = Entry[T]{}
-	d.head = (d.head + 1) & d.mask
-	d.n--
-	d.mu.Unlock()
-	return e, StealOK
-}
-
-// stealBatchLocked removes k items from the top; the caller holds the lock
-// and guarantees k <= d.n.
-func (d *Mutex[T]) stealBatchLocked(k int) []Entry[T] {
-	out := make([]Entry[T], k)
-	for i := range out {
-		out[i] = d.buf[d.head]
+	for k := batchSize(d.n, max); k > 0; k-- {
+		into = append(into, d.buf[d.head]) //nabbit:alloc-ok grows only a caller's undersized scratch
 		d.buf[d.head] = Entry[T]{}
 		d.head = (d.head + 1) & d.mask
+		d.n--
 	}
-	d.n -= k
-	return out
-}
-
-// StealHalf removes up to min(ceil(n/2), max) of the oldest items under a
-// single lock acquisition — a true atomic batch.
-func (d *Mutex[T]) StealHalf(max int) ([]Entry[T], StealOutcome) {
-	d.mu.Lock()
-	if d.n == 0 {
-		d.mu.Unlock()
-		return nil, StealEmpty
-	}
-	out := d.stealBatchLocked(batchSize(d.n, max))
 	d.mu.Unlock()
-	return out, StealOK
-}
-
-// StealHalfColored is StealHalf gated on the top item containing color; on
-// a miss nothing is taken.
-func (d *Mutex[T]) StealHalfColored(color int, max int) ([]Entry[T], StealOutcome) {
-	d.mu.Lock()
-	if d.n == 0 {
-		d.mu.Unlock()
-		return nil, StealEmpty
-	}
-	if !d.buf[d.head].Colors.Has(color) {
-		d.mu.Unlock()
-		return nil, StealMiss
-	}
-	out := d.stealBatchLocked(batchSize(d.n, max))
-	d.mu.Unlock()
-	return out, StealOK
+	return into, StealOK
 }
 
 // Len returns the number of items.

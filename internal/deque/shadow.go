@@ -64,21 +64,6 @@ func (s *colorShadow) copyFrom(o *colorShadow) {
 	s.big.Store(o.big.Load())
 }
 
-// has reports whether the shadow contains color. The verdict may be
-// stale; see the type comment.
-func (s *colorShadow) has(color int) bool {
-	if big := s.big.Load(); big != nil {
-		return big.Has(color)
-	}
-	if color < 0 || color >= colorset.InlineColors {
-		return false
-	}
-	if color < 64 {
-		return s.lo.Load()&(1<<uint(color)) != 0
-	}
-	return s.hi.Load()&(1<<uint(color-64)) != 0
-}
-
 // intersects reports whether the shadow intersects mask. The verdict may
 // be stale; see the type comment.
 func (s *colorShadow) intersects(mask colorset.Set) bool {

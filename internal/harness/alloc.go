@@ -114,9 +114,11 @@ func allocScenarios() []struct {
 					q.PopBottom()
 				}
 			}
+			own := colorset.Of(allocColors, 3)
+			buf := make([]deque.Entry[int], 0, 1)
 			return func() {
 				q.PushBottom(e)
-				if _, out := q.StealTopColored(3); out != deque.StealOK {
+				if _, out := q.Steal(&own, 1, buf[:0]); out != deque.StealOK {
 					panic("alloc: colored steal missed its own color")
 				}
 			}

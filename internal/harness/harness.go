@@ -48,10 +48,10 @@ type Config struct {
 	// baselines must use the default.
 	Seed uint64
 	// Deque, when not DequeAuto, overrides the deque backend of every
-	// policy the experiments run. Like Seed, a non-default value changes
-	// the emitted document (the sim mirrors block-granular batching), so
-	// baselines use the default, and like Seed it is deliberately not
-	// echoed into the report envelope.
+	// policy the experiments run. Simulated schedules do not depend on it,
+	// but the real-engine rows run on it, so baselines use the default,
+	// and like Seed it is deliberately not echoed into the report
+	// envelope.
 	Deque core.DequeBackend
 	// Iterations is how many Execute reuses the persist experiment
 	// measures per engine (default 4; baselines use the default). Other

@@ -57,7 +57,7 @@ func stealSubstrates() []struct {
 
 // stealDrainCounted fills `workers` deques with stealFill entries each
 // and drains them with scripted round-robin steal visits — batched
-// (StealHalf, uncapped) or single-item (StealTop). It returns the visit
+// (Steal, uncapped) or single-item (StealTop). It returns the visit
 // count (including the final StealEmpty probe that retires each deque),
 // items stolen, and claim CAS attempts summed over all deques (zero for
 // substrates without a counter, i.e. the mutex deque).
@@ -82,7 +82,7 @@ func stealDrainCounted(mk func(hint int) deque.Queue[int], workers int, batched 
 		var out deque.StealOutcome
 		if batched {
 			var batch []deque.Entry[int]
-			batch, out = qs[v].StealHalf(0)
+			batch, out = qs[v].Steal(nil, 0, nil)
 			if out == deque.StealOK {
 				items += int64(len(batch))
 			}
@@ -113,7 +113,7 @@ func stealReport(cfg Config) (*perf.Report, error) {
 		key, caption string
 		batched      bool
 	}{
-		{"batch", "Steal: scripted round-robin drain, batched StealHalf (uncapped) — visits and claim CASes per stolen item", true},
+		{"batch", "Steal: scripted round-robin drain, batched Steal (uncapped) — visits and claim CASes per stolen item", true},
 		{"single", "Steal: scripted round-robin drain, single-item StealTop — visits and claim CASes per stolen item", false},
 	} {
 		subs := stealSubstrates()

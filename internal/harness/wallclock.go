@@ -252,7 +252,7 @@ func wallclockStealTable(cfg WallclockConfig) (*perf.Table, error) {
 					go func() {
 						defer wg.Done()
 						for {
-							batch, out := q.StealHalf(0)
+							batch, out := q.Steal(nil, 0, nil)
 							switch out {
 							case deque.StealOK:
 								stolen.Add(int64(len(batch)))

@@ -7,7 +7,6 @@ import (
 
 	"nabbitc/internal/colorset"
 	"nabbitc/internal/core"
-	"nabbitc/internal/deque"
 	"nabbitc/internal/xrand"
 )
 
@@ -88,12 +87,6 @@ type wdeque struct {
 	// count of entries in all deques together, current — what lets a failed
 	// probe learn that nothing is stealable without visiting them.
 	e *engine
-	// block mirrors the block substrate's steal granularity (see
-	// stealHalf): absStolen counts head-side removals over the deque's
-	// lifetime, fixing the 32-entry block grid the way the real block
-	// chain's slot positions do.
-	block     bool
-	absStolen int64
 }
 
 func (d *wdeque) len() int { return len(d.buf) - d.head }
@@ -141,7 +134,6 @@ func (d *wdeque) stealTop() (item, bool) {
 	}
 	it := d.buf[d.head].it
 	d.head++
-	d.absStolen++
 	d.removed()
 	if d.head > 64 && d.head*2 > len(d.buf) {
 		// Compact to keep memory bounded.
@@ -151,29 +143,17 @@ func (d *wdeque) stealTop() (item, bool) {
 	return it, true
 }
 
-// stealHalf removes a batch of the oldest items, oldest first — the
-// virtual-time mirror of the real deques' batched steal — returning the
-// first and moving the rest, in order, onto the thief's deque; n is the
+// stealHalf removes min(ceil(n/2), max) of the oldest items, oldest first
+// — the virtual-time mirror of the real deques' batched steal — returning
+// the first and moving the rest, in order, onto the thief's deque; n is the
 // batch size, 0 from an empty deque. The simulator is single-threaded, so
 // unlike Chase–Lev this batch really is atomic.
-//
-// Per-item substrates take min(ceil(n/2), max). With block set, the batch
-// mirrors the block deque's sealed-block claim instead: everything left
-// in the oldest 32-entry block (which may exceed ceil(n/2)), falling back
-// to half-batching only when the remaining items all sit in the newest,
-// unsealed block — the same legal victim-order deviation the real
-// substrate documents.
 func (d *wdeque) stealHalf(max int, thief *wdeque) (first item, n int) {
 	n = d.len()
 	if n == 0 {
 		return item{}, 0
 	}
 	k := (n + 1) / 2
-	if d.block {
-		if remain := deque.BlockSize - int(d.absStolen%deque.BlockSize); n > remain {
-			k = remain
-		}
-	}
 	if max > 0 && k > max {
 		k = max
 	}
@@ -315,16 +295,17 @@ type worker struct {
 	rng   xrand.Rand
 	stats *WorkerStats // the worker's element of engine.stats
 
-	// socketLo/socketHi bound the worker's socket peers and socketMask is
-	// the same range as a color mask (hierarchical steal tiers).
-	socketLo   int
-	socketHi   int
-	socketMask colorset.Set
+	// plan is the worker's victim order (core.StealPlan).
+	plan []core.StealStep
 
 	firstStealPending bool
-	stealPhase        int
-	running           *node
-	startedWork       bool
+	// stealStep and stealUsed place the next probe in the current sweep
+	// of the plan: its step, and how many of that step's budget the sweep
+	// has spent.
+	stealStep   int
+	stealUsed   int
+	running     *node
+	startedWork bool
 }
 
 type engine struct {
@@ -408,24 +389,16 @@ func newEngine(spec core.CostSpec, sink core.Key, opts Options) (*engine, error)
 		e.nodes = make(map[core.Key]*node)
 	}
 	p := opts.Policy
-	blockDeque := core.ResolveDeque(p) == core.DequeBlock
 	e.workers = make([]worker, opts.Workers)
 	e.stats = make([]WorkerStats, opts.Workers)
 	for i := range e.workers {
-		lo, hi := opts.Topology.SocketWorkers(i)
-		mask := colorset.New(opts.Workers)
-		for c := lo; c < hi; c++ {
-			mask.Add(c)
-		}
 		w := &e.workers[i]
 		*w = worker{
 			id:                i,
 			color:             i,
-			dq:                wdeque{e: e, block: blockDeque},
+			dq:                wdeque{e: e},
 			stats:             &e.stats[i],
-			socketLo:          lo,
-			socketHi:          hi,
-			socketMask:        mask,
+			plan:              core.StealPlan(p, opts.Topology, i),
 			firstStealPending: p.Colored && p.ForceFirstColoredSteal && i != 0,
 		}
 		w.rng.SeedWorker(p.Seed, i)
@@ -867,19 +840,10 @@ func (e *engine) complete(w *worker, t int64) {
 	e.acquire(w, t)
 }
 
-// victim picks a random other worker.
-func (e *engine) victim(w *worker) *worker {
-	v := w.rng.Intn(len(e.workers) - 1)
-	if v >= w.id {
-		v++
-	}
-	return &e.workers[v]
-}
-
-// socketVictim picks a random same-socket worker other than w; callers
-// ensure the socket holds at least two workers.
-func (e *engine) socketVictim(w *worker) *worker {
-	v := w.socketLo + w.rng.Intn(w.socketHi-w.socketLo-1)
+// victimIn picks a random worker of [lo, hi) other than w, which the range
+// holds.
+func (e *engine) victimIn(w *worker, lo, hi int) *worker {
+	v := lo + w.rng.Intn(hi-lo-1)
 	if v >= w.id {
 		v++
 	}
@@ -926,187 +890,82 @@ func (e *engine) scheduleNextProbe(w *worker, t int64) {
 	e.evq.pushProbe(next, w.id)
 }
 
-// stealAttempt performs one probe under the stealing policy. The attempt
-// cost was charged when the event was scheduled.
+// stealAttempt performs one probe of the worker's steal plan (the
+// enforced first colored steal while it is pending); the attempt cost was
+// charged when the event was scheduled. Probe by probe, stealStep and
+// stealUsed walk the plan's steps in order and wrap after the last.
 func (e *engine) stealAttempt(w *worker, t int64) {
 	if e.done {
 		return
 	}
 	p := &e.opts.Policy
-
-	// The enforced first colored steal is the same (global, exact-color)
-	// protocol under flat and hierarchical policies.
+	s := &w.plan[w.stealStep]
 	if w.firstStealPending {
-		v := e.victim(w)
-		w.stats.StealAttempts++
-		w.stats.ColoredAttempts++
-		w.stats.TierAttempts[core.TierGlobalColored]++
-		var it item
-		var ok bool
-		if top := v.dq.top(); top != nil {
-			if top.colors.Has(w.color) {
-				it, ok = v.dq.stealTop()
-			} else {
-				w.stats.ColoredMisses++
-			}
-		}
-		w.stats.FirstStealChecks++
-		if ok {
-			w.firstStealPending = false
-			w.stats.FirstStealForcedOK = true
-			w.stats.ColoredStealsOK++
-			w.stats.TierSteals[core.TierGlobalColored]++
-			e.stealSucceeded(w, t, it)
-			return
-		}
-		if w.stats.FirstStealChecks >=
-			int64(p.FirstStealMaxRounds)*int64(len(e.workers)-1) {
-			// Give up the enforcement (bounded, see DESIGN.md §4).
-			w.firstStealPending = false
-		}
-		e.scheduleNextProbe(w, t)
-		return
+		// The enforcement probes the plan's global colored step, unbatched.
+		first := w.plan[len(w.plan)-2]
+		first.Batch = 0
+		s = &first
 	}
-
-	if p.Hierarchical {
-		e.stealAttemptHier(w, t)
-		return
-	}
-
-	v := e.victim(w)
-	colored := p.Colored && w.stealPhase < p.ColoredStealAttempts
-	var it item
-	var ok bool
+	v := e.victimIn(w, s.Lo, s.Hi)
+	colored := s.Filter != nil
+	batch := s.Batch > 0 && !e.opts.Topology.SameDomain(v.id, w.id)
 	w.stats.StealAttempts++
+	w.stats.TierAttempts[s.Tier]++
 	if colored {
 		w.stats.ColoredAttempts++
-		w.stats.TierAttempts[core.TierGlobalColored]++
-		if top := v.dq.top(); top != nil {
-			if top.colors.Has(w.color) {
-				it, ok = v.dq.stealTop()
-			} else {
-				w.stats.ColoredMisses++
-			}
-		}
-		w.stealPhase++
-	} else {
-		w.stats.TierAttempts[core.TierGlobalRandom]++
-		it, ok = v.dq.stealTop()
-		w.stealPhase = 0
 	}
-
-	if ok {
-		if colored {
-			w.stats.ColoredStealsOK++
-			w.stats.TierSteals[core.TierGlobalColored]++
-		} else {
-			w.stats.TierSteals[core.TierGlobalRandom]++
-		}
-		e.stealSucceeded(w, t, it)
-		return
-	}
-	e.scheduleNextProbe(w, t)
-}
-
-// stealAttemptHier performs one probe of the hierarchical protocol. The
-// worker's stealPhase indexes into the concatenated tier budgets, so
-// consecutive failed probes walk the same victim order as the real
-// engine's findWorkHier: own-color → socket-colored → socket-random →
-// global-colored → global-random, with cross-socket steals in the global
-// tiers batched. A success restarts the walk from the top (the real
-// engine's fresh findWork round); the tier-5 fallback also wraps back.
-func (e *engine) stealAttemptHier(w *worker, t int64) {
-	p := &e.opts.Policy
-	// As in the real engine, socket tiers are skipped when the socket
-	// spans the whole machine (they would duplicate the global tiers).
-	sockN := w.socketHi - w.socketLo
-	if sockN >= len(e.workers) {
-		sockN = 1
-	}
-
-	b1, b2, b3, b4 := 0, 0, 0, 0
-	if sockN > 1 && p.Colored {
-		b1, b2 = p.OwnColorStealAttempts, p.SocketColoredAttempts
-	}
-	if sockN > 1 {
-		b3 = p.SocketRandomAttempts
-	}
-	if p.Colored {
-		b4 = p.ColoredStealAttempts
-	}
-
-	ph := w.stealPhase
-	var tier core.StealTier
-	switch {
-	case ph < b1:
-		tier = core.TierOwnColor
-	case ph < b1+b2:
-		tier = core.TierSocketColored
-	case ph < b1+b2+b3:
-		tier = core.TierSocketRandom
-	case ph < b1+b2+b3+b4:
-		tier = core.TierGlobalColored
-	default:
-		tier = core.TierGlobalRandom
-	}
-
-	var v *worker
-	if tier <= core.TierSocketRandom {
-		v = e.socketVictim(w)
-	} else {
-		v = e.victim(w)
-	}
-	cross := v.id < w.socketLo || v.id >= w.socketHi
-
-	tierColored := tier == core.TierOwnColor || tier == core.TierSocketColored ||
-		tier == core.TierGlobalColored
-	w.stats.StealAttempts++
-	w.stats.TierAttempts[tier]++
-	if tierColored {
-		w.stats.ColoredAttempts++
-	}
-
-	// Colored tiers take the victim's oldest entry only if its mask admits
-	// the thief (its own color, or under TierSocketColored any color of
-	// its socket); a cross-socket steal takes a batch.
 	var it item
 	stolen := 0
 	if top := v.dq.top(); top != nil {
-		admits := true
-		switch tier {
-		case core.TierOwnColor, core.TierGlobalColored:
-			admits = top.colors.Has(w.color)
-		case core.TierSocketColored:
-			admits = top.colors.Intersects(w.socketMask)
-		}
 		switch {
-		case !admits:
+		case colored && !top.colors.Intersects(*s.Filter):
 			w.stats.ColoredMisses++
-		case cross:
-			it, stolen = v.dq.stealHalf(p.StealBatch, &w.dq)
+		case batch:
+			it, stolen = v.dq.stealHalf(s.Batch, &w.dq)
 		default:
 			it, _ = v.dq.stealTop()
 			stolen = 1
 		}
 	}
 
-	if stolen > 0 {
-		w.stealPhase = 0
-		w.stats.TierSteals[tier]++
-		if tierColored {
-			w.stats.ColoredStealsOK++
+	switch {
+	case w.firstStealPending:
+		w.stats.FirstStealChecks++
+		if stolen > 0 {
+			w.firstStealPending = false
+			w.stats.FirstStealForcedOK = true
+		} else if w.stats.FirstStealChecks >=
+			int64(p.FirstStealMaxRounds)*int64(len(e.workers)-1) {
+			// Give up the enforcement (bounded, see DESIGN.md §4).
+			w.firstStealPending = false
 		}
-		if cross {
-			w.stats.BatchOps++
-			w.stats.BatchItems += int64(stolen)
+	case stolen > 0 && (p.Hierarchical || !colored):
+		w.stealStep, w.stealUsed = 0, 0
+	default:
+		// A miss moves the sweep on by one probe. So does a flat colored
+		// hit, unlike every other hit here and every hunt of the real
+		// engine, which restart the sweep: kept so that schedules stay
+		// byte-identical, since restarting changes them
+		// (TestFlatColoredHitKeepsSweep).
+		if w.stealUsed++; w.stealUsed == s.Budget {
+			w.stealUsed = 0
+			if w.stealStep++; w.stealStep == len(w.plan) {
+				w.stealStep = 0
+			}
 		}
-		e.stealSucceeded(w, t, it)
+	}
+
+	if stolen == 0 {
+		e.scheduleNextProbe(w, t)
 		return
 	}
-	if tier == core.TierGlobalRandom {
-		w.stealPhase = 0
-	} else {
-		w.stealPhase++
+	w.stats.TierSteals[s.Tier]++
+	if colored {
+		w.stats.ColoredStealsOK++
 	}
-	e.scheduleNextProbe(w, t)
+	if batch {
+		w.stats.BatchOps++
+		w.stats.BatchItems += int64(stolen)
+	}
+	e.stealSucceeded(w, t, it)
 }

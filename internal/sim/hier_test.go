@@ -170,3 +170,93 @@ func TestHierBatchedStealsMoveWork(t *testing.T) {
 		t.Logf("note: avg batch size %.2f (graph may drain too fast to batch)", res.AvgBatchSize())
 	}
 }
+
+// Every worker's probes must be whole sweeps of its core.StealPlan, on the
+// paper's 10-core sockets and on 2-core ones: a sweep ends at the plan's
+// end or at a hit, and at most one sweep per worker is cut off by the end
+// of the run.
+func TestHierProbesFollowPlan(t *testing.T) {
+	spec, sink, _ := stencilSpec(6, 200, 20, testFP)
+	for _, topo := range []numa.Topology{numa.Paper(20), {Workers: 20, CoresPerDomain: 2}} {
+		opts := Options{Workers: 20, Policy: core.NabbitCHierPolicy(), Topology: topo}
+		res, err := Run(spec, sink, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for wid, ws := range res.Workers {
+			if err := checkPlanSweeps(core.StealPlan(opts.Policy, topo, wid), ws); err != nil {
+				t.Fatalf("%+v worker %d: %v", topo, wid, err)
+			}
+		}
+	}
+}
+
+// checkPlanSweeps is internal/core's test of the same name for a simulated
+// worker, which may stop mid-sweep when the run ends.
+func checkPlanSweeps(plan []core.StealStep, ws WorkerStats) error {
+	at, hits := ws.TierAttempts, ws.TierSteals
+	at[core.TierGlobalColored] -= ws.FirstStealChecks
+	if ws.FirstStealForcedOK {
+		hits[core.TierGlobalColored]--
+	}
+	var inPlan [core.NumStealTiers]bool
+	for _, s := range plan {
+		inPlan[s.Tier] = true
+	}
+	for tier := range at {
+		if !inPlan[tier] && (at[tier] != 0 || hits[tier] != 0) {
+			return fmt.Errorf("tier %v is not in the plan but has %d probes", core.StealTier(tier), at[tier])
+		}
+	}
+	sweeps := at[core.TierGlobalRandom] - hits[core.TierGlobalRandom]
+	var hitsAfter int64
+	for i := len(plan) - 1; i >= 0; i-- {
+		s := plan[i]
+		b := int64(s.Budget)
+		base := (sweeps + hitsAfter) * b
+		lo, hi := base+hits[s.Tier], base+(hits[s.Tier]+1)*b
+		if at[s.Tier] < lo || at[s.Tier] > hi {
+			return fmt.Errorf("tier %v: %d probes, want %d..%d for %d sweeps, %d hits there and %d after (budget %d)",
+				s.Tier, at[s.Tier], lo, hi, sweeps, hits[s.Tier], hitsAfter, b)
+		}
+		hitsAfter += hits[s.Tier]
+	}
+	return nil
+}
+
+// TestFlatColoredHitKeepsSweep pins a known divergence so that fixing it is
+// a visible decision: under the flat policy a simulated worker's colored
+// hit does not restart its sweep — it goes on with the next colored probe —
+// where the hierarchical policy and every hunt of the real engine start
+// over at the top of the plan. So every global-random probe closes exactly
+// one sweep of ColoredStealAttempts colored probes, hits or not. The PR
+// that makes a flat colored hit restart the sweep changes schedules and
+// flips this test (then each colored hit adds at least one colored probe,
+// and the workers below hit more often than one sweep holds).
+func TestFlatColoredHitKeepsSweep(t *testing.T) {
+	spec, sink, _ := stencilSpec(30, 64, 8, testFP)
+	res, err := Run(spec, sink, Options{Workers: 8, Policy: core.NabbitCPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := int64(core.NabbitCPolicy().WithDefaults().ColoredStealAttempts)
+	var biting int
+	for wid, ws := range res.Workers {
+		colored := ws.TierAttempts[core.TierGlobalColored] - ws.FirstStealChecks
+		random := ws.TierAttempts[core.TierGlobalRandom]
+		if colored < random*c || colored > random*c+c {
+			t.Fatalf("worker %d: %d colored probes around %d random ones, want %d..%d",
+				wid, colored, random, random*c, random*c+c)
+		}
+		hits := ws.TierSteals[core.TierGlobalColored]
+		if ws.FirstStealForcedOK {
+			hits--
+		}
+		if hits > c {
+			biting++
+		}
+	}
+	if biting == 0 {
+		t.Fatalf("no worker made more than %d colored hits: the test cannot tell the two behaviours apart", c)
+	}
+}

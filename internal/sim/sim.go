@@ -106,7 +106,7 @@ func (o Options) withDefaults() (Options, error) {
 	if err := o.Cost.Validate(); err != nil {
 		return o, err
 	}
-	if o.Policy.Deque < core.DequeAuto || o.Policy.Deque > core.DequeBlock {
+	if o.Policy.Deque < core.DequeAuto || o.Policy.Deque > core.DequeChaseLev {
 		return o, fmt.Errorf("sim: unknown deque backend %v", o.Policy.Deque)
 	}
 	if o.Deadline < 0 {
