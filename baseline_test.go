@@ -23,10 +23,6 @@ func TestCheckedInBaseline(t *testing.T) {
 	if doc.Kind != perf.KindSim {
 		t.Fatalf("baseline kind = %q, want %q", doc.Kind, perf.KindSim)
 	}
-	if doc.Revision != "" || doc.CreatedAt != "" {
-		t.Fatalf("baseline must be stamp-free for determinism (revision=%q created_at=%q)",
-			doc.Revision, doc.CreatedAt)
-	}
 	got := make([]string, len(doc.Reports))
 	for i, rep := range doc.Reports {
 		got[i] = rep.Experiment

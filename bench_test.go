@@ -262,12 +262,10 @@ func BenchmarkRealHeatNabbitCHier(b *testing.B) {
 // capacity of 64, so the bound-derived size — not the old default — is
 // what the assertion exercises (the clamp policy itself is pinned by
 // core's TestDequeCapacitySizing).
-func sizedHeatRun(fatalf func(format string, args ...any), dq core.DequeBackend) {
+func sizedHeatRun(fatalf func(format string, args ...any)) {
 	r := stencil.Heat(bench.ScaleSmall).NewReal()
 	spec, sink := r.Spec(2)
-	pol := core.NabbitCPolicy()
-	pol.Deque = dq
-	st, err := core.Run(spec, sink, core.Options{Workers: 2, Policy: pol})
+	st, err := core.Run(spec, sink, core.Options{Workers: 2, Policy: core.NabbitCPolicy()})
 	if err != nil {
 		fatalf("%v", err)
 		return
@@ -281,23 +279,20 @@ func sizedHeatRun(fatalf func(format string, args ...any), dq core.DequeBackend)
 }
 
 // TestRealHeatDequeSizing runs the pin under plain `go test` so the
-// regression actually gates CI (benchmarks only run when asked for).
+// regression actually gates CI (benchmarks only run when asked for). The
+// subtest keeps the engine deque's name.
 func TestRealHeatDequeSizing(t *testing.T) {
-	for _, dq := range []core.DequeBackend{core.DequeMutex, core.DequeChaseLev} {
-		t.Run(dq.String(), func(t *testing.T) { sizedHeatRun(t.Fatalf, dq) })
-	}
+	t.Run("mutex", func(t *testing.T) { sizedHeatRun(t.Fatalf) })
 }
 
 // BenchmarkRealHeatDequeSizing times the same sized run.
 func BenchmarkRealHeatDequeSizing(b *testing.B) {
-	for _, dq := range []core.DequeBackend{core.DequeMutex, core.DequeChaseLev} {
-		b.Run(dq.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sizedHeatRun(b.Fatalf, dq)
-			}
-		})
-	}
+	b.Run("mutex", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sizedHeatRun(b.Fatalf)
+		}
+	})
 }
 
 func BenchmarkRealHeatOpenMPStatic(b *testing.B) {

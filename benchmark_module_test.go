@@ -10,8 +10,10 @@ import (
 // repository's benchmark. benchmarks/nabbitperf is a module of its own
 // (so `go build ./... && go test ./...` here never descends into it) that
 // compiles against internal packages through a replace directive:
-// deque.Entry[T]{Value, Colors}, deque.Queue[T] and the three
-// constructors, colorset.Of/Has, core.NewNodeStore + GetOrCreate/Count,
+// deque.Entry[T]{Value, Colors}, deque.Queue[T]'s PushBottom/PopBottom/
+// StealTop and the three constructors (the engine runs only NewMutex's
+// deque; NewChaseLev and NewBlock exist for these probes),
+// colorset.Of/Has, core.NewNodeStore + GetOrCreate/Count,
 // core.NewEngine/Options/Policy/Stats/Ticket. A change that breaks any of
 // those breaks the benchmark every later change is judged by, so vet it
 // from tier-1. Skipped in -short mode (it type-checks a second module).

@@ -15,19 +15,16 @@
 //	nabbitbench compare BASELINE.json NEW.json   # perf gate: exit 1 on regression
 //	nabbitbench compare -tol 0.02 -strict a.json b.json
 //	nabbitbench validate r.json                  # schema check: exit 2 on error
-//	nabbitbench bench -scale small               # wall-clock real-engine suite
-//	                                             # (emits BENCH_<rev>.json)
 //
-// The experiment and bench modes accept -cpuprofile/-memprofile to write
-// pprof profiles of the run alongside its report output, -seed to
-// override the scheduling seed (checked-in baselines use the default),
-// -iterations to size the persistent-engine reuse measurements (the
-// persist experiment / the bench mode's wallclock persist rows), and the
-// chaos trio -fault-rate/-fault-kinds/-retries to override the fault
-// injection of the retry experiment and to arm it in the bench mode's
-// submit table (baselines use the defaults). All flags are validated
-// before any workload runs, including that -out's parent directory
-// exists.
+// The experiment mode accepts -cpuprofile/-memprofile to write pprof
+// profiles of the run alongside its report output, -seed to override the
+// scheduling seed (checked-in baselines use the default), -iterations to
+// size the persist experiment's engine-reuse measurements, and the chaos
+// trio -fault-rate/-fault-kinds/-retries to override the fault injection
+// of the retry experiment (baselines use the defaults). All flags are
+// validated before any workload runs, including that -out's parent
+// directory exists. Wall-clock measurements of the real engine are the
+// benchmark module's (benchmarks/), not this command's.
 //
 // Exit codes: 0 success, 1 perf regression (compare), 2 usage or schema
 // error.
@@ -39,7 +36,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
@@ -61,8 +57,6 @@ func main() {
 			os.Exit(runCompare(os.Args[2:]))
 		case "validate":
 			os.Exit(runValidate(os.Args[2:]))
-		case "bench":
-			os.Exit(runBench(os.Args[2:]))
 		}
 	}
 	os.Exit(runExperiments(os.Args[1:]))
@@ -113,13 +107,13 @@ func checkIterations(iters int) error {
 	return nil
 }
 
-// faultFlags registers the chaos-injection flags shared by the
-// experiment and bench modes — -fault-rate, -fault-kinds, -retries —
-// and returns a hook that validates them up front (exit-2 material,
-// before any workload runs) and resolves the override set.
+// faultFlags registers the chaos-injection flags — -fault-rate,
+// -fault-kinds, -retries — and returns a hook that validates them up
+// front (exit-2 material, before any workload runs) and resolves the
+// override set.
 func faultFlags(fs *flag.FlagSet) (resolve func() (rate float64, rateSet bool, kinds []chaos.Kind, retries int, err error)) {
 	rate := fs.Float64("fault-rate", -1,
-		"chaos fault-injection rate in [0, 1] (retry experiment / bench submit table; negative = keep defaults)")
+		"chaos fault-injection rate in [0, 1] (retry experiment; negative = keep defaults)")
 	kindsFlag := fs.String("fault-kinds", "",
 		"comma-separated chaos fault kinds to inject (panic, delay, cancel, error, transient, hang; default transient)")
 	retries := fs.Int("retries", 0,
@@ -139,18 +133,6 @@ func faultFlags(fs *flag.FlagSet) (resolve func() (rate float64, rateSet bool, k
 	}
 }
 
-// checkWorkers validates a -workers value (0 = auto).
-func checkWorkers(workers int) error {
-	if workers < 0 {
-		return fmt.Errorf("bad worker count %d (must be >= 0; 0 = auto)", workers)
-	}
-	const max = 4096
-	if workers > max {
-		return fmt.Errorf("bad worker count %d (max %d)", workers, max)
-	}
-	return nil
-}
-
 // openOut returns the output writer for -out ("" or "-" = stdout).
 func openOut(path string) (io.Writer, func() error, error) {
 	if path == "" || path == "-" {
@@ -167,7 +149,7 @@ func openOut(path string) (io.Writer, func() error, error) {
 // start/finish hooks bracketing the profiled work: start begins the CPU
 // profile, finish stops it and writes the heap profile. Both are no-ops
 // for unset flags, so the emit → compare workflow can capture pprof
-// profiles from any mode without changing its output.
+// profiles without changing its output.
 func profileFlags(fs *flag.FlagSet) (start func() error, finish func() error) {
 	cpu := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	mem := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -219,10 +201,7 @@ func runExperiments(args []string) int {
 	scale := fs.String("scale", "default", "benchmark scale: default or small")
 	format := fs.String("format", "",
 		fmt.Sprintf("output format: %s (default table)", strings.Join(harness.Formats(), ", ")))
-	csv := fs.Bool("csv", false, "emit CSV (deprecated: use -format csv)")
 	seed := fs.Int64("seed", 0, "scheduling seed override (0 = policy default)")
-	dequeFlag := fs.String("deque", "auto",
-		"deque backend override: auto, mutex, or chaselev (auto = mutex)")
 	iterations := fs.Int("iterations", 0,
 		"engine-reuse iterations for the persist experiment (0 = default 4)")
 	out := fs.String("out", "", "write output to this file instead of stdout")
@@ -230,7 +209,7 @@ func runExperiments(args []string) int {
 	profStart, profFinish := profileFlags(fs)
 	fs.Parse(args)
 	if fs.NArg() > 0 {
-		return fail(2, "unexpected argument %q (modes: compare, validate, bench)", fs.Arg(0))
+		return fail(2, "unexpected argument %q (modes: compare, validate)", fs.Arg(0))
 	}
 
 	// Validate everything up front, before any experiment runs.
@@ -239,10 +218,6 @@ func runExperiments(args []string) int {
 			*experiment, strings.Join(harness.Experiments(), ", "))
 	}
 	if err := checkSeed(*seed); err != nil {
-		return fail(2, "%v", err)
-	}
-	dq, err := core.ParseDequeBackend(*dequeFlag)
-	if err != nil {
 		return fail(2, "%v", err)
 	}
 	if err := checkIterations(*iterations); err != nil {
@@ -256,7 +231,7 @@ func runExperiments(args []string) int {
 		return fail(2, "%v", err)
 	}
 	cfg := harness.Config{
-		CSV: *csv, Format: *format, Seed: uint64(*seed), Deque: dq, Iterations: *iterations,
+		Format: *format, Seed: uint64(*seed), Iterations: *iterations,
 		FaultRate: faultRate, FaultRateSet: faultRateSet, FaultKinds: faultKinds, Retries: retries,
 	}
 	sc, err := parseScale(*scale)
@@ -359,105 +334,5 @@ func runValidate(args []string) int {
 	}
 	fmt.Printf("%s: ok (schema v%d, kind %s, %d reports, %d tables, %d rows)\n",
 		fs.Arg(0), doc.SchemaVersion, doc.Kind, len(doc.Reports), tables, rows)
-	return 0
-}
-
-// gitRevision returns the short HEAD hash, or "local" when git is
-// unavailable (the runner must work from exported tarballs too).
-func gitRevision() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "local"
-	}
-	return strings.TrimSpace(string(out))
-}
-
-func runBench(args []string) int {
-	fs := flag.NewFlagSet("nabbitbench bench", flag.ExitOnError)
-	benches := fs.String("bench", "",
-		fmt.Sprintf("comma-separated benchmarks (default all: %s)", strings.Join(suite.Names(), ",")))
-	scale := fs.String("scale", "small", "benchmark scale: default or small")
-	workers := fs.Int("workers", 0, "host workers (default min(8, NumCPU))")
-	repeats := fs.Int("repeats", 3, "runs per configuration; min wall time is reported")
-	seed := fs.Int64("seed", 0, "scheduling seed override (0 = policy default)")
-	dequeFlag := fs.String("deque", "auto",
-		"deque backend override: auto, mutex, or chaselev (auto = mutex)")
-	iterations := fs.Int("iterations", 0,
-		"engine-reuse iterations for the persist rows (0 = default 8, negative disables)")
-	rev := fs.String("rev", "", "revision stamp (default: git short hash, else \"local\")")
-	out := fs.String("out", "", "output file (default BENCH_<rev>.json)")
-	faultResolve := faultFlags(fs)
-	profStart, profFinish := profileFlags(fs)
-	fs.Parse(args)
-	if fs.NArg() > 0 {
-		return fail(2, "unexpected argument %q", fs.Arg(0))
-	}
-	if err := checkWorkers(*workers); err != nil {
-		return fail(2, "%v", err)
-	}
-	if err := checkSeed(*seed); err != nil {
-		return fail(2, "%v", err)
-	}
-	dq, err := core.ParseDequeBackend(*dequeFlag)
-	if err != nil {
-		return fail(2, "%v", err)
-	}
-	if *iterations > 0 {
-		if err := checkIterations(*iterations); err != nil {
-			return fail(2, "%v", err)
-		}
-	}
-	faultRate, faultRateSet, faultKinds, retries, err := faultResolve()
-	if err != nil {
-		return fail(2, "%v", err)
-	}
-	if err := checkOutPath(*out); err != nil {
-		return fail(2, "%v", err)
-	}
-	cfg := harness.WallclockConfig{
-		Workers: *workers, Repeats: *repeats, Revision: *rev,
-		Seed: uint64(*seed), Deque: dq, Iterations: *iterations,
-		FaultRate: faultRate, FaultRateSet: faultRateSet, FaultKinds: faultKinds, Retries: retries,
-	}
-	sc, err := parseScale(*scale)
-	if err != nil {
-		return fail(2, "%v", err)
-	}
-	cfg.Scale = sc
-	if *benches != "" {
-		cfg.Benchmarks = strings.Split(*benches, ",")
-		for _, b := range cfg.Benchmarks {
-			if _, err := suite.Build(b, cfg.Scale); err != nil {
-				return fail(2, "%v", err)
-			}
-		}
-	}
-	if cfg.Revision == "" {
-		cfg.Revision = gitRevision()
-	}
-	if err := profStart(); err != nil {
-		return fail(2, "%v", err)
-	}
-	doc, err := harness.WallclockDocument(cfg)
-	if perr := profFinish(); err == nil && perr != nil {
-		err = perr
-	}
-	if err != nil {
-		return fail(1, "%v", err)
-	}
-	path := *out
-	if path == "" {
-		path = "BENCH_" + cfg.Revision + ".json"
-	}
-	if path == "-" {
-		if err := perf.Encode(os.Stdout, doc); err != nil {
-			return fail(1, "%v", err)
-		}
-		return 0
-	}
-	if err := perf.Store(path, doc); err != nil {
-		return fail(1, "%v", err)
-	}
-	fmt.Printf("wrote %s (revision %s)\n", path, cfg.Revision)
 	return 0
 }

@@ -13,8 +13,8 @@ import (
 //  1. Holding a sync.Mutex/RWMutex across an operation that can block
 //     indefinitely or re-enter the scheduler: channel sends/receives,
 //     select statements, time.Sleep, and calls into the work-stealing
-//     deques (a Queue call under a shard lock is a lock-ordering
-//     hazard against the deque's wake hooks). The region tracking is a
+//     deques (a deque call under a shard lock is a lock-ordering
+//     hazard against the deque's own lock). The region tracking is a
 //     straight-line approximation: Lock()...Unlock() within one
 //     statement list, with defer Unlock() holding to function end.
 //
@@ -242,9 +242,9 @@ func report(pass *Pass, pos token.Pos, format string, held *heldSet) {
 }
 
 // isQueueCall reports whether call is a work-stealing deque operation
-// that can hand off control (run wake hooks, spin on a contended word):
-// a Push*/Pop*/Steal* method on a named type declared in internal/deque
-// or on any type named Queue (the engine-side interface). Internal
+// that can hand off control (take the deque's lock, spin on a contended
+// word): a Push*/Pop*/Steal* method on a named type declared in
+// internal/deque or on any type named Queue (its interface). Internal
 // helpers and atomic accessors (Grows, Len, StealCASes) are exempt —
 // they neither block nor re-enter.
 func isQueueCall(pass *Pass, call *ast.CallExpr) bool {

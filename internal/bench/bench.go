@@ -50,7 +50,7 @@ type Benchmark interface {
 // task graph over live data on the host, runnable through the real engine
 // (core.Run over Spec) or serially. Each benchmark sub-package's NewReal
 // returns a concrete type satisfying this; the suite registry exposes them
-// uniformly via suite.BuildReal for the wall-clock perf runner.
+// uniformly via suite.BuildReal for the harness's real-engine experiments.
 type RealGraph interface {
 	// Spec returns the executable task graph for p workers and its sink.
 	Spec(p int) (core.CostSpec, core.Key)

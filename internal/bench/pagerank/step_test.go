@@ -39,7 +39,7 @@ func TestStepSpecMatchesSerial(t *testing.T) {
 }
 
 // TestIterativeGraphContract pins that the suite's iterative benchmarks
-// actually satisfy the interface the wall-clock reuse runner asserts.
+// actually satisfy the interface the persist experiment asserts.
 func TestIterativeGraphContract(t *testing.T) {
 	var _ bench.IterativeGraph = UK2002(bench.ScaleSmall).NewReal()
 }

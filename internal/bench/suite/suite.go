@@ -16,8 +16,7 @@ import (
 type entry struct {
 	name  string
 	build func(bench.Scale) bench.Benchmark
-	// real builds a fresh wall-clock instance (live data on the host)
-	// for the perf runner.
+	// real builds a fresh real-engine instance (live data on the host).
 	real func(bench.Scale) bench.RealGraph
 	// iterative records whether real's instances implement
 	// bench.IterativeGraph — registry metadata so callers can select the

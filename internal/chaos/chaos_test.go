@@ -3,7 +3,6 @@ package chaos_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -280,8 +279,8 @@ func TestTransientChaos(t *testing.T) {
 	}
 }
 
-// TestChaosStress is the -race chaos workout: across both engine deque
-// substrates × both node-table backends, a seeded plan poisons roughly
+// TestChaosStress is the -race chaos workout: across both node-table
+// backends, a seeded plan poisons roughly
 // half of 48 concurrently submitted graphs with panics, delays, and
 // mid-compute cancellations. Healthy (and delayed) graphs must complete
 // exactly-once, panic graphs must report *ComputeError with the exact
@@ -297,10 +296,6 @@ func TestChaosStress(t *testing.T) {
 		seed       = 0xC0FFEE
 		rate       = 0.5
 	)
-	deques := []struct {
-		name string
-		b    core.DequeBackend
-	}{{"mutex", core.DequeMutex}, {"chaselev", core.DequeChaseLev}}
 	tables := []struct {
 		name string
 		b    core.NodeTableBackend
@@ -317,115 +312,111 @@ func TestChaosStress(t *testing.T) {
 		}
 	}
 
-	for _, dq := range deques {
-		for _, tb := range tables {
-			t.Run(fmt.Sprintf("%s/%s", dq.name, tb.name), func(t *testing.T) {
-				counts := make([]atomic.Int32, graphs*stride)
-				cancels := make([]context.CancelFunc, graphs)
-				inj := &chaos.Injector{
-					Plan:     plan,
-					Stride:   stride,
-					OnCancel: func(g int) { cancels[g]() },
-				}
-				spec := coneSpec(graphs, width, workers, inj.Compute(func(k core.Key) {
-					counts[int(k)].Add(1)
-				}))
-				pol := core.NabbitCPolicy()
-				pol.Deque = dq.b
-				e, err := core.NewEngine(spec, core.Options{
-					Workers: workers, Policy: pol, NodeTable: tb.b, MaxInflight: 16,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer e.Close()
+	for _, tb := range tables {
+		t.Run("mutex/"+tb.name, func(t *testing.T) {
+			counts := make([]atomic.Int32, graphs*stride)
+			cancels := make([]context.CancelFunc, graphs)
+			inj := &chaos.Injector{
+				Plan:     plan,
+				Stride:   stride,
+				OnCancel: func(g int) { cancels[g]() },
+			}
+			spec := coneSpec(graphs, width, workers, inj.Compute(func(k core.Key) {
+				counts[int(k)].Add(1)
+			}))
+			e, err := core.NewEngine(spec, core.Options{
+				Workers: workers, Policy: core.NabbitCPolicy(), NodeTable: tb.b, MaxInflight: 16,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
 
-				tickets := make([]*core.Ticket, graphs)
-				serrs := make([]error, graphs)
-				var wg sync.WaitGroup
-				for s := 0; s < submitters; s++ {
-					wg.Add(1)
-					go func(s int) {
-						defer wg.Done()
-						for g := s; g < graphs; g += submitters {
-							if plan.Fault(g) == chaos.Cancel {
-								ctx, cancel := context.WithCancel(context.Background())
-								defer cancel()
-								cancels[g] = cancel
-								tickets[g], serrs[g] = e.SubmitCtx(ctx, coneSink(g, stride))
-								continue
-							}
-							tickets[g], serrs[g] = e.Submit(coneSink(g, stride))
+			tickets := make([]*core.Ticket, graphs)
+			serrs := make([]error, graphs)
+			var wg sync.WaitGroup
+			for s := 0; s < submitters; s++ {
+				wg.Add(1)
+				go func(s int) {
+					defer wg.Done()
+					for g := s; g < graphs; g += submitters {
+						if plan.Fault(g) == chaos.Cancel {
+							ctx, cancel := context.WithCancel(context.Background())
+							defer cancel()
+							cancels[g] = cancel
+							tickets[g], serrs[g] = e.SubmitCtx(ctx, coneSink(g, stride))
+							continue
 						}
-					}(s)
-				}
-				wg.Wait()
-
-				for g := 0; g < graphs; g++ {
-					if serrs[g] != nil {
-						t.Fatalf("submit graph %d: %v", g, serrs[g])
+						tickets[g], serrs[g] = e.Submit(coneSink(g, stride))
 					}
-					_, werr := tickets[g].Wait()
+				}(s)
+			}
+			wg.Wait()
+
+			for g := 0; g < graphs; g++ {
+				if serrs[g] != nil {
+					t.Fatalf("submit graph %d: %v", g, serrs[g])
+				}
+				_, werr := tickets[g].Wait()
+				switch plan.Fault(g) {
+				case chaos.Panic:
+					var ce *core.ComputeError
+					if !errors.As(werr, &ce) {
+						t.Fatalf("panic graph %d: err = %v, want *ComputeError", g, werr)
+					}
+					want := chaos.Value{Graph: g, Key: core.Key(g*stride + plan.Target(g, stride))}
+					if ce.Value != want {
+						t.Fatalf("panic graph %d: Value = %#v, want %#v", g, ce.Value, want)
+					}
+				case chaos.Cancel:
+					// The cancel races the sink: finishing first is
+					// legitimate, but any failure must be the typed one.
+					if werr != nil && !errors.Is(werr, core.ErrCanceled) {
+						t.Fatalf("cancel graph %d: err = %v, want nil or ErrCanceled", g, werr)
+					}
+				default:
+					if werr != nil {
+						t.Fatalf("%v graph %d failed: %v", plan.Fault(g), g, werr)
+					}
+				}
+			}
+
+			for g := 0; g < graphs; g++ {
+				target := g*stride + plan.Target(g, stride)
+				for k := g * stride; k < (g+1)*stride; k++ {
+					c := counts[k].Load()
 					switch plan.Fault(g) {
-					case chaos.Panic:
-						var ce *core.ComputeError
-						if !errors.As(werr, &ce) {
-							t.Fatalf("panic graph %d: err = %v, want *ComputeError", g, werr)
+					case chaos.None, chaos.Delay:
+						if c != 1 {
+							t.Fatalf("%v graph %d key %d computed %d times, want 1", plan.Fault(g), g, k, c)
 						}
-						want := chaos.Value{Graph: g, Key: core.Key(g*stride + plan.Target(g, stride))}
-						if ce.Value != want {
-							t.Fatalf("panic graph %d: Value = %#v, want %#v", g, ce.Value, want)
+					case chaos.Panic:
+						if c > 1 || (k == target && c != 0) {
+							t.Fatalf("panic graph %d key %d computed %d times", g, k, c)
 						}
 					case chaos.Cancel:
-						// The cancel races the sink: finishing first is
-						// legitimate, but any failure must be the typed one.
-						if werr != nil && !errors.Is(werr, core.ErrCanceled) {
-							t.Fatalf("cancel graph %d: err = %v, want nil or ErrCanceled", g, werr)
-						}
-					default:
-						if werr != nil {
-							t.Fatalf("%v graph %d failed: %v", plan.Fault(g), g, werr)
+						if c > 1 {
+							t.Fatalf("cancel graph %d key %d computed %d times", g, k, c)
 						}
 					}
 				}
+			}
 
-				for g := 0; g < graphs; g++ {
-					target := g*stride + plan.Target(g, stride)
-					for k := g * stride; k < (g+1)*stride; k++ {
-						c := counts[k].Load()
-						switch plan.Fault(g) {
-						case chaos.None, chaos.Delay:
-							if c != 1 {
-								t.Fatalf("%v graph %d key %d computed %d times, want 1", plan.Fault(g), g, k, c)
-							}
-						case chaos.Panic:
-							if c > 1 || (k == target && c != 0) {
-								t.Fatalf("panic graph %d key %d computed %d times", g, k, c)
-							}
-						case chaos.Cancel:
-							if c > 1 {
-								t.Fatalf("cancel graph %d key %d computed %d times", g, k, c)
-							}
-						}
-					}
+			// The engine must serve new graphs after the carnage.
+			healthy := -1
+			for g := 0; g < graphs; g++ {
+				if plan.Fault(g) == chaos.None {
+					healthy = g
+					break
 				}
-
-				// The engine must serve new graphs after the carnage.
-				healthy := -1
-				for g := 0; g < graphs; g++ {
-					if plan.Fault(g) == chaos.None {
-						healthy = g
-						break
-					}
-				}
-				st, err := e.Execute(coneSink(healthy, stride))
-				if err != nil {
-					t.Fatalf("Execute after chaos: %v", err)
-				}
-				if st.NodesCreated != stride {
-					t.Fatalf("post-chaos NodesCreated = %d, want %d", st.NodesCreated, stride)
-				}
-			})
-		}
+			}
+			st, err := e.Execute(coneSink(healthy, stride))
+			if err != nil {
+				t.Fatalf("Execute after chaos: %v", err)
+			}
+			if st.NodesCreated != stride {
+				t.Fatalf("post-chaos NodesCreated = %d, want %d", st.NodesCreated, stride)
+			}
+		})
 	}
 }

@@ -237,20 +237,6 @@ func TestInvalidColoringCompletes(t *testing.T) {
 	}
 }
 
-func TestChaseLevEngine(t *testing.T) {
-	for _, colored := range []bool{false, true} {
-		rec := newRecorder()
-		spec, sink, keys := layeredDAG(10, 40, rec, func(k Key) int { return int(k) % 8 })
-		p := NabbitCPolicy()
-		p.Colored = colored
-		p.Deque = DequeChaseLev
-		if _, err := Run(spec, sink, Options{Workers: 8, Policy: p}); err != nil {
-			t.Fatal(err)
-		}
-		rec.verify(t, spec, keys)
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	rec := newRecorder()
 	spec, sink, keys := layeredDAG(8, 32, rec, func(k Key) int { return int(k) % 4 })

@@ -80,9 +80,6 @@ type Engine struct {
 	// (nil for the sharded map); every table the engine builds draws its
 	// pages from it.
 	pool *pagePool
-	// dequeBackend is the resolved worker-deque substrate (see
-	// ResolveDeque); workers are built on it once and reuse it forever.
-	dequeBackend DequeBackend
 
 	// slots is the admission semaphore: one token per in-flight graph,
 	// capacity Options.MaxInflight. pending is the FIFO hand-off of
@@ -295,7 +292,7 @@ type worker struct {
 	color  int32 // id, in the width node colours are stored in
 	domain int32 // this worker's NUMA domain
 	e      *Engine
-	dq     deque.Queue[item]
+	dq     *deque.Mutex[item]
 
 	// plan is this worker's victim order (see StealPlan; nil for a lone
 	// worker, which has no victims) and stealBuf the scratch every steal
@@ -410,22 +407,14 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 	e.tables = []nodeTable{newNodeTable(sv, pool, backend)}
 	p := opts.Policy
 	dqCap := dequeCapacity(KeyBoundOf(spec), opts.Workers)
-	e.dequeBackend = ResolveDeque(p)
 	e.workers = make([]*worker, opts.Workers)
 	for i := range e.workers {
-		var dq deque.Queue[item]
-		if e.dequeBackend == DequeChaseLev {
-			dq = deque.NewChaseLev[item](dqCap)
-		} else {
-			dq = deque.NewMutex[item](dqCap)
-		}
-		dq.SetWake(e.signal)
 		w := &worker{
 			id:     i,
 			color:  int32(i),
 			domain: e.sv.domainOf(int32(i)),
 			e:      e,
-			dq:     dq,
+			dq:     deque.NewMutex[item](dqCap),
 			parkCh: make(chan struct{}, 1),
 		}
 		if opts.Workers > 1 {
@@ -710,7 +699,8 @@ func (e *Engine) at(p yieldPoint, w *worker) {
 }
 
 // signal is the one place a wake for newly published work is decided, and
-// the deque push hook: wake one parked worker unless somebody already owes
+// every deque push calls it once the item is stealable (push, and probe's
+// batch adoption): wake one parked worker unless somebody already owes
 // that wake — a hunting worker or a wake in flight (the searching count),
 // or the deferred wake while it is armed. The common cases (nobody parked,
 // or somebody searching) are two atomic loads on one line.
@@ -1120,11 +1110,13 @@ func (w *worker) rescue(r *graphRun) {
 // colors available inside it (the paper's cilkrts_set_next_colors). For
 // the same-coloured items the binary-splitting hot path produces, the
 // mask is the item's own color — O(1), and with the inline colorset
-// representation no allocation.
+// representation no allocation. The item is stealable once PushBottom
+// returns, so the wake decision follows it.
 //
 //nabbit:noalloc
 func (w *worker) push(it item) {
 	w.dq.PushBottom(deque.Entry[item]{Value: it, Colors: it.colors(len(w.e.workers))})
+	w.e.signal()
 }
 
 // runItem interprets a morphing continuation: spawn_colors descends into
@@ -1510,6 +1502,7 @@ func (w *worker) probe(s *StealStep) (item, bool) {
 		w.stats.BatchItems += int64(len(ents))
 		for _, ent := range ents[1:] {
 			w.dq.PushBottom(ent)
+			w.e.signal()
 		}
 	}
 	it := ents[0].Value

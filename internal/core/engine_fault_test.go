@@ -9,31 +9,25 @@ import (
 	"time"
 )
 
-// faultMatrix runs fn across every deque substrate × node-table backend
-// × the pinned worker counts — the full combination space the failure
-// model must hold on.
-func faultMatrix(t *testing.T, fn func(t *testing.T, dq DequeBackend, nt NodeTableBackend, workers int)) {
-	deques := []struct {
-		name string
-		b    DequeBackend
-	}{{"mutex", DequeMutex}, {"chaselev", DequeChaseLev}}
+// faultMatrix runs fn across every node-table backend × the pinned worker
+// counts — the full combination space the failure model must hold on.
+// Subtests keep the engine deque's name as their first element.
+func faultMatrix(t *testing.T, fn func(t *testing.T, nt NodeTableBackend, workers int)) {
 	tables := []struct {
 		name string
 		b    NodeTableBackend
 	}{{"dense", NodeTableDense}, {"sharded", NodeTableSharded}}
-	for _, dq := range deques {
-		for _, nt := range tables {
-			for _, workers := range []int{1, 4, 8} {
-				t.Run(fmt.Sprintf("%s/%s/w%d", dq.name, nt.name, workers), func(t *testing.T) {
-					fn(t, dq.b, nt.b, workers)
-				})
-			}
+	for _, nt := range tables {
+		for _, workers := range []int{1, 4, 8} {
+			t.Run(fmt.Sprintf("mutex/%s/w%d", nt.name, workers), func(t *testing.T) {
+				fn(t, nt.b, workers)
+			})
 		}
 	}
 }
 
-// TestPanicIsolationMatrix pins the panic-isolation tentpole across all
-// substrates: a graph whose Compute panics fails its own Ticket with a
+// TestPanicIsolationMatrix pins the panic-isolation tentpole across the
+// fault matrix: a graph whose Compute panics fails its own Ticket with a
 // *ComputeError (key, graph, recovered value, stack) while a
 // concurrently submitted healthy graph on the same engine completes
 // with an exactly-once census, and the engine remains fully reusable.
@@ -41,7 +35,7 @@ func TestPanicIsolationMatrix(t *testing.T) {
 	const width = 24
 	stride := width + 1
 	panicKey := Key(3) // leaf 3 of graph 0
-	faultMatrix(t, func(t *testing.T, dq DequeBackend, ntb NodeTableBackend, workers int) {
+	faultMatrix(t, func(t *testing.T, ntb NodeTableBackend, workers int) {
 		counts := make([]atomic.Int32, 2*stride)
 		compute := func(k Key) {
 			if k == panicKey {
@@ -49,10 +43,8 @@ func TestPanicIsolationMatrix(t *testing.T) {
 			}
 			counts[int(k)].Add(1)
 		}
-		pol := NabbitCPolicy()
-		pol.Deque = dq
 		e, err := NewEngine(coneSpec(2, width, workers, compute), Options{
-			Workers: workers, Policy: pol, NodeTable: ntb,
+			Workers: workers, Policy: NabbitCPolicy(), NodeTable: ntb,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -67,55 +67,51 @@ func (f *freshSliceSpec) Predecessors(k Key) []Key {
 }
 
 // TestEngineReuse pins the tentpole property: one engine executes many
-// runs, each run re-exploring the whole graph exactly once, on both deque
-// substrates and both node-table backends.
+// runs, each run re-exploring the whole graph exactly once, on both
+// node-table backends.
 func TestEngineReuse(t *testing.T) {
 	const n, workers, runs = 256, 8, 10
-	for _, dq := range []DequeBackend{DequeMutex, DequeChaseLev} {
-		for _, backend := range []NodeTableBackend{NodeTableDense, NodeTableSharded} {
-			t.Run(fmt.Sprintf("%v/%v", dq, backend), func(t *testing.T) {
-				rec := newRecorder()
-				spec := flatFanInSpec(n, workers, rec.record)
-				pol := NabbitCPolicy()
-				pol.Deque = dq
-				e, err := NewEngine(spec, Options{Workers: workers, Policy: pol, NodeTable: backend})
+	for _, backend := range []NodeTableBackend{NodeTableDense, NodeTableSharded} {
+		t.Run(fmt.Sprintf("mutex/%v", backend), func(t *testing.T) {
+			rec := newRecorder()
+			spec := flatFanInSpec(n, workers, rec.record)
+			e, err := NewEngine(spec, Options{Workers: workers, Policy: NabbitCPolicy(), NodeTable: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			keys := make([]Key, n+1)
+			for i := range keys {
+				keys[i] = Key(i)
+			}
+			for r := 0; r < runs; r++ {
+				st, err := e.Execute(Key(n))
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("run %d: %v", r, err)
 				}
-				defer e.Close()
-				keys := make([]Key, n+1)
-				for i := range keys {
-					keys[i] = Key(i)
+				if int(st.TotalNodes()) != n+1 || st.NodesCreated != n+1 {
+					t.Fatalf("run %d: executed %d created %d, want %d",
+						r, st.TotalNodes(), st.NodesCreated, n+1)
 				}
-				for r := 0; r < runs; r++ {
-					st, err := e.Execute(Key(n))
-					if err != nil {
-						t.Fatalf("run %d: %v", r, err)
-					}
-					if int(st.TotalNodes()) != n+1 || st.NodesCreated != n+1 {
-						t.Fatalf("run %d: executed %d created %d, want %d",
-							r, st.TotalNodes(), st.NodesCreated, n+1)
-					}
-					// The fan-in's slices are stable, so the dense table replays
-					// every run but the first; the sharded map never does.
-					if want := r > 0 && backend == NodeTableDense; st.Replayed != want {
-						t.Fatalf("run %d: Replayed = %v, want %v", r, st.Replayed, want)
-					}
-					if want := backend; want == NodeTableDense && st.NodeBackend != "dense" ||
-						want == NodeTableSharded && st.NodeBackend != "sharded" {
-						t.Fatalf("run %d: backend %q", r, st.NodeBackend)
-					}
-					// Every worker the run woke ends it parked on the quiescence
-					// barrier; a worker nobody needed stays asleep.
-					if p, w := st.Parks(), st.Wakes(); w < 1 || p != w {
-						t.Fatalf("run %d: %d parks for %d wakes, want equal and >= 1 (woken workers must park again)", r, p, w)
-					}
-					rec.verify(t, spec, keys)
-					// Reset the recorder for the next run.
-					*rec = *newRecorder()
+				// The fan-in's slices are stable, so the dense table replays
+				// every run but the first; the sharded map never does.
+				if want := r > 0 && backend == NodeTableDense; st.Replayed != want {
+					t.Fatalf("run %d: Replayed = %v, want %v", r, st.Replayed, want)
 				}
-			})
-		}
+				if want := backend; want == NodeTableDense && st.NodeBackend != "dense" ||
+					want == NodeTableSharded && st.NodeBackend != "sharded" {
+					t.Fatalf("run %d: backend %q", r, st.NodeBackend)
+				}
+				// Every worker the run woke ends it parked on the quiescence
+				// barrier; a worker nobody needed stays asleep.
+				if p, w := st.Parks(), st.Wakes(); w < 1 || p != w {
+					t.Fatalf("run %d: %d parks for %d wakes, want equal and >= 1 (woken workers must park again)", r, p, w)
+				}
+				rec.verify(t, spec, keys)
+				// Reset the recorder for the next run.
+				*rec = *newRecorder()
+			}
+		})
 	}
 }
 
@@ -360,39 +356,35 @@ func TestParkWakeStress(t *testing.T) {
 			}
 		},
 	}
-	for _, dq := range []DequeBackend{DequeMutex, DequeChaseLev} {
-		t.Run(dq.String(), func(t *testing.T) {
-			pol := NabbitCPolicy()
-			pol.Deque = dq
-			e, err := NewEngine(spec, Options{Workers: workers, Policy: pol})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("mutex", func(t *testing.T) {
+		e, err := NewEngine(spec, Options{Workers: workers, Policy: NabbitCPolicy()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		for r := 0; r < runs; r++ {
+			type result struct {
+				st  *Stats
+				err error
 			}
-			defer e.Close()
-			for r := 0; r < runs; r++ {
-				type result struct {
-					st  *Stats
-					err error
+			ch := make(chan result, 1)
+			go func() {
+				st, err := e.Execute(link(chain - 1))
+				ch <- result{st, err}
+			}()
+			select {
+			case res := <-ch:
+				if res.err != nil {
+					t.Fatalf("run %d: %v", r, res.err)
 				}
-				ch := make(chan result, 1)
-				go func() {
-					st, err := e.Execute(link(chain - 1))
-					ch <- result{st, err}
-				}()
-				select {
-				case res := <-ch:
-					if res.err != nil {
-						t.Fatalf("run %d: %v", r, res.err)
-					}
-					if p, w := res.st.Parks(), res.st.Wakes(); w < 1 || p != w {
-						t.Fatalf("run %d: %d parks for %d wakes, want equal and >= 1", r, p, w)
-					}
-				case <-time.After(60 * time.Second):
-					t.Fatalf("run %d: Execute hung — lost wakeup in the park protocol", r)
+				if p, w := res.st.Parks(), res.st.Wakes(); w < 1 || p != w {
+					t.Fatalf("run %d: %d parks for %d wakes, want equal and >= 1", r, p, w)
 				}
+			case <-time.After(60 * time.Second):
+				t.Fatalf("run %d: Execute hung — lost wakeup in the park protocol", r)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestArenaEpochReset unit-tests the stamped reset: retired nodes read as

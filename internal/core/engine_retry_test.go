@@ -28,8 +28,8 @@ func flakyConeSpec(width, workers int, flaky Key, fails int32, counts []atomic.I
 	return spec
 }
 
-// TestRetryMatrix pins the retry tentpole across every deque substrate ×
-// node-table backend × worker count: a transiently failing node (2
+// TestRetryMatrix pins the retry tentpole across every node-table backend
+// × worker count: a transiently failing node (2
 // failures, MaxAttempts 3, real backoff timers) recovers, the graph and
 // a concurrent healthy graph both complete with an exactly-once census,
 // Stats.Retries ledgers exactly the injected failures, and the engine
@@ -38,13 +38,11 @@ func TestRetryMatrix(t *testing.T) {
 	const width = 24
 	stride := width + 1
 	flaky := Key(3) // leaf 3 of graph 0
-	faultMatrix(t, func(t *testing.T, dq DequeBackend, ntb NodeTableBackend, workers int) {
+	faultMatrix(t, func(t *testing.T, ntb NodeTableBackend, workers int) {
 		counts := make([]atomic.Int32, 2*stride)
 		var attempts atomic.Int32
-		pol := NabbitCPolicy()
-		pol.Deque = dq
 		e, err := NewEngine(flakyConeSpec(width, workers, flaky, 2, counts, &attempts), Options{
-			Workers: workers, Policy: pol, NodeTable: ntb,
+			Workers: workers, Policy: NabbitCPolicy(), NodeTable: ntb,
 			Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: 200 * time.Microsecond, Multiplier: 2, Jitter: 0.5},
 		})
 		if err != nil {

@@ -108,48 +108,44 @@ func sharesLine(a, b span) bool {
 }
 
 // TestWorkerScratchCacheLineIsolated checks the ownership rule on a built
-// engine, for every deque substrate: no two workers' per-task-written
+// engine: no two workers' per-task-written
 // state — rng, stats, grouping scratch and its colour table, loop
 // counters, the cross-thread park/publication words, the deque header —
 // falls in the same 64-byte line.
 func TestWorkerScratchCacheLineIsolated(t *testing.T) {
-	for _, dq := range []DequeBackend{DequeMutex, DequeChaseLev} {
-		pol := NabbitCPolicy()
-		pol.Deque = dq
-		e, err := NewEngine(flatFanInSpec(8, 4, nil), Options{Workers: 4, Policy: pol})
-		if err != nil {
-			t.Fatal(err)
+	e, err := NewEngine(flatFanInSpec(8, 4, nil), Options{Workers: 4, Policy: NabbitCPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := make([][]span, len(e.workers))
+	for i, w := range e.workers {
+		hdr := reflect.ValueOf(w.dq).Elem()
+		hlo := hdr.UnsafeAddr()
+		spans[i] = []span{
+			// Everything between the leading and trailing pads.
+			{"worker block", uintptr(unsafe.Pointer(&w.id)), uintptr(unsafe.Pointer(&w.parkCh)) + unsafe.Sizeof(w.parkCh)},
+			spanOf("rng", &w.rng),
+			spanOf("stats", &w.stats),
+			spanOf("grouper", &w.grp),
+			{"colour table", uintptr(unsafe.Pointer(&w.grp.slots[0])), uintptr(unsafe.Pointer(&w.grp.slots[0])) + uintptr(len(w.grp.slots))*unsafe.Sizeof(colorSlot{})},
+			// The deque header without its own pads.
+			{"deque header", hlo + cacheLine, hlo + hdr.Type().Size() - cacheLine},
 		}
-		spans := make([][]span, len(e.workers))
-		for i, w := range e.workers {
-			hdr := reflect.ValueOf(w.dq).Elem()
-			hlo := hdr.UnsafeAddr()
-			spans[i] = []span{
-				// Everything between the leading and trailing pads.
-				{"worker block", uintptr(unsafe.Pointer(&w.id)), uintptr(unsafe.Pointer(&w.parkCh)) + unsafe.Sizeof(w.parkCh)},
-				spanOf("rng", &w.rng),
-				spanOf("stats", &w.stats),
-				spanOf("grouper", &w.grp),
-				{"colour table", uintptr(unsafe.Pointer(&w.grp.slots[0])), uintptr(unsafe.Pointer(&w.grp.slots[0])) + uintptr(len(w.grp.slots))*unsafe.Sizeof(colorSlot{})},
-				// The deque header without its own pads.
-				{"deque header", hlo + cacheLine, hlo + hdr.Type().Size() - cacheLine},
-			}
-		}
-		for i := range spans {
-			for j := i + 1; j < len(spans); j++ {
-				for _, a := range spans[i] {
-					for _, b := range spans[j] {
-						if sharesLine(a, b) {
-							t.Errorf("%v: worker %d's %s [%#x,%#x) shares a cache line with worker %d's %s [%#x,%#x)",
-								dq, i, a.name, a.lo, a.hi, j, b.name, b.lo, b.hi)
-						}
+	}
+	for i := range spans {
+		for j := i + 1; j < len(spans); j++ {
+			for _, a := range spans[i] {
+				for _, b := range spans[j] {
+					if sharesLine(a, b) {
+						t.Errorf("worker %d's %s [%#x,%#x) shares a cache line with worker %d's %s [%#x,%#x)",
+							i, a.name, a.lo, a.hi, j, b.name, b.lo, b.hi)
 					}
 				}
 			}
 		}
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

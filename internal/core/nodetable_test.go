@@ -233,45 +233,41 @@ func TestNotifyLifecycleRace(t *testing.T) {
 }
 
 // TestEngineBackendsAgree runs the same bounded graph through the real
-// engine under both node-table backends (and both deque substrates) and
-// verifies exactly-once dependence-ordered execution each way.
+// engine under both node-table backends and verifies exactly-once
+// dependence-ordered execution each way.
 func TestEngineBackendsAgree(t *testing.T) {
 	for _, backend := range []NodeTableBackend{NodeTableDense, NodeTableSharded} {
-		for _, dq := range []DequeBackend{DequeMutex, DequeChaseLev} {
-			rec := newRecorder()
-			const n = 800
-			spec := FuncSpec{
-				PredsFn: func(k Key) []Key {
-					if k == 0 {
-						return nil
-					}
-					ps := []Key{k - 1}
-					if k >= 17 {
-						ps = append(ps, k-17)
-					}
-					return ps
-				},
-				ColorFn:   func(k Key) int { return int(k) % 8 },
-				ComputeFn: rec.record,
-				BoundFn:   func() int { return n },
-			}
-			pol := NabbitCPolicy()
-			pol.Deque = dq
-			st, err := Run(spec, n-1, Options{Workers: 8, Policy: pol, NodeTable: backend})
-			if err != nil {
-				t.Fatalf("backend %v deque %v: %v", backend, dq, err)
-			}
-			if want := backend.String(); st.NodeBackend != want {
-				t.Fatalf("backend %v: stats report %q", backend, st.NodeBackend)
-			}
-			keys := make([]Key, n)
-			for i := range keys {
-				keys[i] = Key(i)
-			}
-			rec.verify(t, spec, keys)
-			if st.NodesCreated != n {
-				t.Fatalf("backend %v: created %d, want %d", backend, st.NodesCreated, n)
-			}
+		rec := newRecorder()
+		const n = 800
+		spec := FuncSpec{
+			PredsFn: func(k Key) []Key {
+				if k == 0 {
+					return nil
+				}
+				ps := []Key{k - 1}
+				if k >= 17 {
+					ps = append(ps, k-17)
+				}
+				return ps
+			},
+			ColorFn:   func(k Key) int { return int(k) % 8 },
+			ComputeFn: rec.record,
+			BoundFn:   func() int { return n },
+		}
+		st, err := Run(spec, n-1, Options{Workers: 8, Policy: NabbitCPolicy(), NodeTable: backend})
+		if err != nil {
+			t.Fatalf("backend %v: %v", backend, err)
+		}
+		if want := backend.String(); st.NodeBackend != want {
+			t.Fatalf("backend %v: stats report %q", backend, st.NodeBackend)
+		}
+		keys := make([]Key, n)
+		for i := range keys {
+			keys[i] = Key(i)
+		}
+		rec.verify(t, spec, keys)
+		if st.NodesCreated != n {
+			t.Fatalf("backend %v: created %d, want %d", backend, st.NodesCreated, n)
 		}
 	}
 }

@@ -28,10 +28,6 @@ type Policy struct {
 	// worker gives up and reverts to the normal policy. Without a bound
 	// an invalid coloring (Table III) would spin forever.
 	FirstStealMaxRounds int
-	// Deque selects the worker deque substrate (see DequeBackend);
-	// DequeAuto is the mutex deque, for flat and hierarchical policies
-	// alike (see ResolveDeque).
-	Deque DequeBackend
 	// Seed drives victim selection; runs with equal seeds and worker
 	// counts make identical scheduling decisions in the simulator.
 	Seed uint64
@@ -131,52 +127,6 @@ func (p Policy) WithDefaults() Policy {
 		p.Seed = 1
 	}
 	return p
-}
-
-// DequeBackend selects the worker deque substrate.
-type DequeBackend int
-
-const (
-	// DequeAuto picks the mutex deque.
-	DequeAuto DequeBackend = iota
-	// DequeMutex forces the lock-based ring deque.
-	DequeMutex
-	// DequeChaseLev forces the lock-free Chase–Lev deque.
-	DequeChaseLev
-)
-
-// String names the backend.
-func (b DequeBackend) String() string {
-	switch b {
-	case DequeAuto:
-		return "auto"
-	case DequeMutex:
-		return "mutex"
-	case DequeChaseLev:
-		return "chaselev"
-	default:
-		return fmt.Sprintf("deque(%d)", int(b))
-	}
-}
-
-// ParseDequeBackend maps a substrate name ("auto", "mutex", "chaselev")
-// to its DequeBackend, for CLI flags.
-func ParseDequeBackend(s string) (DequeBackend, error) {
-	for _, b := range []DequeBackend{DequeAuto, DequeMutex, DequeChaseLev} {
-		if s == b.String() {
-			return b, nil
-		}
-	}
-	return DequeAuto, fmt.Errorf("core: unknown deque backend %q (want auto, mutex, or chaselev)", s)
-}
-
-// ResolveDeque resolves a policy's deque choice to a concrete substrate:
-// an explicit Policy.Deque wins, and DequeAuto is the mutex deque.
-func ResolveDeque(p Policy) DequeBackend {
-	if p.Deque != DequeAuto {
-		return p.Deque
-	}
-	return DequeMutex
 }
 
 // NodeTableBackend selects the engine's key → node store (see doc.go's
@@ -347,9 +297,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Admission != AdmissionBlock && o.Admission != AdmissionReject {
 		return o, fmt.Errorf("core: unknown admission policy %v", o.Admission)
-	}
-	if o.Policy.Deque < DequeAuto || o.Policy.Deque > DequeChaseLev {
-		return o, fmt.Errorf("core: unknown deque backend %v", o.Policy.Deque)
 	}
 	if o.Topology == (numa.Topology{}) {
 		o.Topology = numa.Paper(o.Workers)

@@ -126,149 +126,45 @@ func TestQuickRandomDAGs(t *testing.T) {
 	}
 }
 
-// Property: the ChaseLev-backed engine satisfies the same contract.
-func TestQuickRandomDAGsChaseLev(t *testing.T) {
-	f := func(seed uint64) bool {
-		spec, sink, _, rec := randomDAG(seed, 5, 10, 6)
-		keys := reachable(spec, sink)
-		pol := NabbitCPolicy()
-		pol.Deque = DequeChaseLev
-		pol.FirstStealMaxRounds = 2
-		st, err := Run(spec, sink, Options{Workers: 6, Policy: pol})
-		if err != nil || int(st.TotalNodes()) != len(keys) {
-			return false
-		}
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
-		for _, k := range keys {
-			if rec.count[k] != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the deque substrates are interchangeable. For any random DAG
-// and policy — flat or hierarchical — runs on the mutex and Chase–Lev
-// deques compute the same task set (every reachable task exactly once, in
-// dependence order) and report identical NodesExecuted totals. Real-engine
-// schedules are not reproducible, so computed-sets are what it compares.
-func TestQuickCrossSubstrateEquivalence(t *testing.T) {
-	backends := []DequeBackend{DequeMutex, DequeChaseLev}
-	f := func(seed uint64, workersRaw uint8) bool {
-		workers := int(workersRaw)%7 + 2
-		var topo numa.Topology
-		pol := NabbitCPolicy()
-		switch seed % 3 {
-		case 0:
-			// flat NabbitC
-		case 1:
-			pol = NabbitPolicy()
-		default:
-			pol = NabbitCHierPolicy()
-			topo = numa.Topology{Workers: workers, CoresPerDomain: 2}
-		}
-		pol.FirstStealMaxRounds = 2
-		pol.Seed = seed + 3
-
-		totals := make([]int64, len(backends))
-		for i, backend := range backends {
-			spec, sink, _, rec := randomDAG(seed, 5, 10, workers)
-			keys := reachable(spec, sink)
-			p := pol
-			p.Deque = backend
-			st, err := Run(spec, sink, Options{Workers: workers, Policy: p, Topology: topo})
-			if err != nil {
-				t.Logf("seed %d deque=%v: %v", seed, backend, err)
-				return false
-			}
-			if st.DequeBackend != backend.String() {
-				t.Logf("seed %d: stats report deque %q, want %q", seed, st.DequeBackend, backend)
-				return false
-			}
-			totals[i] = st.TotalNodes()
-			if int(totals[i]) != len(keys) {
-				t.Logf("seed %d deque=%v: executed %d, want %d",
-					seed, backend, totals[i], len(keys))
-				return false
-			}
-			rec.mu.Lock()
-			for _, k := range keys {
-				if rec.count[k] != 1 {
-					rec.mu.Unlock()
-					t.Logf("seed %d deque=%v: task %d executed %d times",
-						seed, backend, k, rec.count[k])
-					return false
-				}
-				for _, pk := range spec.Predecessors(k) {
-					if rec.seq[pk] > rec.seq[k] {
-						rec.mu.Unlock()
-						t.Logf("seed %d deque=%v: task %d before pred %d",
-							seed, backend, k, pk)
-						return false
-					}
-				}
-			}
-			rec.mu.Unlock()
-			if totals[i] != totals[0] {
-				t.Logf("seed %d: substrates computed %d vs %d nodes", seed, totals[0], totals[i])
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // The hierarchical engine must complete correctly on a multi-socket
-// topology under heavy stealing pressure on both substrates, its tier
-// counters must reconcile with the aggregate steal counters, and every
-// worker's probes must be whole sweeps of its steal plan — for the flat
-// policies too.
+// topology under heavy stealing pressure, its tier counters must reconcile
+// with the aggregate steal counters, and every worker's probes must be
+// whole sweeps of its steal plan — for the flat policies too.
 func TestHierRealEngineTierAccounting(t *testing.T) {
 	topo := numa.Topology{Workers: 8, CoresPerDomain: 2}
 	for _, pol := range []Policy{NabbitCHierPolicy(), NabbitCPolicy(), NabbitPolicy()} {
-		for _, backend := range []DequeBackend{DequeMutex, DequeChaseLev} {
-			rec := newRecorder()
-			spec, sink, keys := layeredDAG(10, 40, rec, func(k Key) int { return int(k) % 8 })
-			pol.Deque = backend
-			st, err := Run(spec, sink, Options{Workers: 8, Policy: pol, Topology: topo})
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("hier=%v colored=%v deque=%v", pol.Hierarchical, pol.Colored, backend)
-			if int(st.TotalNodes()) != len(keys) {
-				t.Fatalf("%s: executed %d, want %d", name, st.TotalNodes(), len(keys))
-			}
-			at, ts := st.TierAttempts(), st.TierSteals()
-			var atSum, tsSum int64
-			for tier := StealTier(0); tier < NumStealTiers; tier++ {
-				atSum += at[tier]
-				tsSum += ts[tier]
-				if ts[tier] > at[tier] {
-					t.Fatalf("%s tier %v: %d steals exceed %d attempts", name, tier, ts[tier], at[tier])
-				}
-			}
-			if atSum != st.StealAttempts() {
-				t.Fatalf("%s: tier attempts %d != StealAttempts %d", name, atSum, st.StealAttempts())
-			}
-			total, _ := st.SuccessfulSteals()
-			if tsSum != total {
-				t.Fatalf("%s: tier steals %d != StealsOK %d", name, tsSum, total)
-			}
-			for wid, ws := range st.Workers {
-				if err := checkPlanSweeps(StealPlan(pol, topo, wid), ws, 0); err != nil {
-					t.Fatalf("%s worker %d: %v", name, wid, err)
-				}
-			}
-			rec.verify(t, spec, keys)
+		rec := newRecorder()
+		spec, sink, keys := layeredDAG(10, 40, rec, func(k Key) int { return int(k) % 8 })
+		st, err := Run(spec, sink, Options{Workers: 8, Policy: pol, Topology: topo})
+		if err != nil {
+			t.Fatal(err)
 		}
+		name := fmt.Sprintf("hier=%v colored=%v", pol.Hierarchical, pol.Colored)
+		if int(st.TotalNodes()) != len(keys) {
+			t.Fatalf("%s: executed %d, want %d", name, st.TotalNodes(), len(keys))
+		}
+		at, ts := st.TierAttempts(), st.TierSteals()
+		var atSum, tsSum int64
+		for tier := StealTier(0); tier < NumStealTiers; tier++ {
+			atSum += at[tier]
+			tsSum += ts[tier]
+			if ts[tier] > at[tier] {
+				t.Fatalf("%s tier %v: %d steals exceed %d attempts", name, tier, ts[tier], at[tier])
+			}
+		}
+		if atSum != st.StealAttempts() {
+			t.Fatalf("%s: tier attempts %d != StealAttempts %d", name, atSum, st.StealAttempts())
+		}
+		total, _ := st.SuccessfulSteals()
+		if tsSum != total {
+			t.Fatalf("%s: tier steals %d != StealsOK %d", name, tsSum, total)
+		}
+		for wid, ws := range st.Workers {
+			if err := checkPlanSweeps(StealPlan(pol, topo, wid), ws, 0); err != nil {
+				t.Fatalf("%s worker %d: %v", name, wid, err)
+			}
+		}
+		rec.verify(t, spec, keys)
 	}
 }
 

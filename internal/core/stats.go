@@ -101,9 +101,6 @@ type Stats struct {
 	// NodeBackend names the node-table backend the run used ("dense" or
 	// "sharded"; see Options.NodeTable).
 	NodeBackend string
-	// DequeBackend names the worker-deque substrate the run used
-	// ("mutex", "chaselev", or "block"; see Policy.Deque/ResolveDeque).
-	DequeBackend string
 	// Topology is the topology the run was accounted against.
 	Topology numa.Topology
 	// Retries counts failed FallibleSpec attempts that were re-enqueued

@@ -430,7 +430,6 @@ func (e *Engine) finishRun(r *graphRun, wid int) {
 		NodesCreated: r.nt.count(),
 		Replayed:     r.root != nil,
 		NodeBackend:  e.backend.String(),
-		DequeBackend: e.dequeBackend.String(),
 		Topology:     e.opts.Topology,
 		Retries:      r.retries.Load(),
 		TimedOut:     int(r.timedOut.Load()),

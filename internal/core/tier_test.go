@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"nabbitc/internal/colorset"
@@ -95,9 +96,15 @@ func TestStealPlan(t *testing.T) {
 // another socket: worker 2 of a 2+2 machine takes half of worker 1's six
 // items across the socket boundary (one to run, two adopted into its own
 // deque), but one item from its socket peer 3, and one from worker 1
-// under a step that does not batch. The probes run on the parked engine's
-// workers from the test goroutine, with the push hook unset so that no
-// worker wakes for the test's graphless items.
+// under a step that does not batch. The test goroutine drives the probes
+// itself, holding every worker the way a guest holds a borrowed one (park
+// CAS won, parked count retired), so no push can wake a worker goroutine
+// into the test's items. Adopting is pushing, and a push wakes a parked
+// worker: the last step hands worker 0 back to the pool and checks that
+// one cross-socket probe woke it — at the wake itself, which only the
+// test goroutine can issue while the others are held, and in worker 0's
+// Wakes book once the pool is quiet again. The items belong to a finished
+// run, so a woken worker that steals them discards them unrun.
 func TestProbeBatchesCrossSocket(t *testing.T) {
 	topo := numa.Topology{Workers: 4, CoresPerDomain: 2}
 	e, err := NewEngine(flatFanInSpec(8, 4, nil), Options{Workers: 4, Policy: NabbitCHierPolicy(), Topology: topo})
@@ -105,10 +112,49 @@ func TestProbeBatchesCrossSocket(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	var (
+		mu    sync.Mutex
+		woken []int // ids of the workers woken so far
+	)
+	e.yield = func(p yieldPoint, w *worker) {
+		if p == yieldWoken {
+			mu.Lock()
+			woken = append(woken, w.id)
+			mu.Unlock()
+		}
+	}
+	held := make([]bool, len(e.workers))
 	for _, w := range e.workers {
-		w.dq.SetWake(nil)
+		if !w.parkState.CompareAndSwap(1, 0) {
+			t.Fatalf("worker %d is not parked", w.id)
+		}
+		e.parked.Add(-1)
+		held[w.id] = true
+	}
+	handBack := func(ws ...*worker) {
+		for _, w := range ws {
+			if held[w.id] {
+				held[w.id] = false
+				w.repark()
+			}
+		}
+	}
+	defer handBack(e.workers...) // before Close, which must find them parked
+	done := &graphRun{}
+	done.state.Store(runDone)
+	fill := func(v *worker) {
+		for i := 0; i < 6; i++ {
+			v.dq.PushBottom(deque.Entry[item]{Value: item{run: done, lo: int32(i)}, Colors: colorset.New(4)})
+		}
+	}
+	drain := func(ws ...*worker) {
+		for _, w := range ws {
+			for _, ok := w.dq.PopBottom(); ok; _, ok = w.dq.PopBottom() {
+			}
+		}
 	}
 	thief := e.workers[2]
+	cross := StealStep{Tier: TierGlobalRandom, Lo: 1, Hi: 3, Budget: 1, Batch: 8}
 	for _, tc := range []struct {
 		name    string
 		step    StealStep // the range holds the thief and one victim
@@ -116,14 +162,12 @@ func TestProbeBatchesCrossSocket(t *testing.T) {
 		stolen  int
 		batched bool
 	}{
-		{"cross-socket", StealStep{Tier: TierGlobalRandom, Lo: 1, Hi: 3, Budget: 1, Batch: 8}, 1, 3, true},
+		{"cross-socket", cross, 1, 3, true},
 		{"same-socket", StealStep{Tier: TierGlobalRandom, Lo: 2, Hi: 4, Budget: 1, Batch: 8}, 3, 1, false},
 		{"unbatched", StealStep{Tier: TierGlobalRandom, Lo: 1, Hi: 3, Budget: 1}, 1, 1, false},
 	} {
 		v := e.workers[tc.victim]
-		for i := 0; i < 6; i++ {
-			v.dq.PushBottom(deque.Entry[item]{Value: item{lo: int32(i)}, Colors: colorset.New(4)})
-		}
+		fill(v)
 		thief.stats = WorkerStats{}
 		it, ok := thief.probe(&tc.step)
 		if !ok || it.lo != 0 {
@@ -139,9 +183,26 @@ func TestProbeBatchesCrossSocket(t *testing.T) {
 			t.Fatalf("%s: BatchOps %d BatchItems %d, want batched=%v",
 				tc.name, thief.stats.BatchOps, thief.stats.BatchItems, tc.batched)
 		}
-		for _, w := range []*worker{v, thief} {
-			for _, ok := w.dq.PopBottom(); ok; _, ok = w.dq.PopBottom() {
-			}
-		}
+		drain(v, thief)
+	}
+
+	w0 := e.workers[0]
+	wakes := w0.stats.Wakes
+	handBack(w0)
+	fill(e.workers[1])
+	if _, ok := thief.probe(&cross); !ok {
+		t.Fatal("wake step: cross-socket probe stole nothing")
+	}
+	mu.Lock()
+	got := slices.Clone(woken)
+	mu.Unlock()
+	if !slices.Equal(got, []int{0}) {
+		t.Fatalf("adopting a cross-socket batch woke workers %v, want [0]", got)
+	}
+	drain(e.workers[1], thief)
+	handBack(e.workers...)
+	checkQuiet(t, e)
+	if got := w0.stats.Wakes - wakes; got != 1 {
+		t.Fatalf("worker 0 counts %d wakes, want 1", got)
 	}
 }

@@ -140,9 +140,7 @@ func (b *bkBlock[T]) summaryIntersects(mask colorset.Set) bool {
 // Invariants shared with the other substrates: steady-state pushes, pops
 // and single-item steals allocate nothing (blocks are recycled through an
 // owner-private free list sized from the capacity hint; Grows counts
-// block-list growth past it), SetWake publishes the engine's post-push
-// wake hook, and entries are opaque values (multi-graph *graphRun items
-// ride through untouched).
+// block-list growth past it), and entries are opaque values.
 type Block[T any] struct {
 	_ [cacheLine]byte
 	// head is the authoritative oldest possibly-live block. Only the
@@ -164,7 +162,6 @@ type Block[T any] struct {
 	// batch claim is one attempt regardless of batch size, which is the
 	// whole point — see StealCASes.
 	stealCASes atomic.Int64
-	wake       func()
 	_          [cacheLine]byte
 }
 
@@ -186,9 +183,6 @@ func NewBlock[T any](capacityHint int) *Block[T] {
 	}
 	return d
 }
-
-// SetWake installs the post-push hook.
-func (d *Block[T]) SetWake(fn func()) { d.wake = fn }
 
 // Grows returns how many times the block list grew past the preallocated
 // free list.
@@ -216,10 +210,6 @@ func (d *Block[T]) PushBottom(e Entry[T]) {
 	sl.shadow.set(e.Colors)
 	blk.addSummary(e.Colors)
 	blk.commit.Store(c + 1)
-	// After the commit bump: the item is already stealable.
-	if d.wake != nil {
-		d.wake()
-	}
 }
 
 // advance seals the full tail block and links a fresh one behind it.

@@ -59,18 +59,10 @@ type ChaseLev[T any] struct {
 	top    atomic.Int64
 	bottom atomic.Int64
 	buf    atomic.Pointer[clBuffer[T]]
-	// grows is owner-written (inside PushBottom) and read only when the
-	// owner is quiescent, so it needs no atomicity — but the race
-	// detector sees the post-run read from another goroutine, so it is
-	// stored atomically anyway (off the hot path: only on grow).
-	grows atomic.Int64
 	// stealCASes counts thief-side claim CAS attempts (the contended
 	// instruction batched steals exist to amortize); see StealCASes.
 	stealCASes atomic.Int64
-	// wake is the post-push hook, set once before concurrent use and
-	// called only by the owner (inside PushBottom): no atomicity needed.
-	wake func()
-	_    [cacheLine]byte
+	_          [cacheLine]byte
 }
 
 // clSlot is one buffer cell. readers counts thieves between claim recheck
@@ -127,14 +119,7 @@ func (d *ChaseLev[T]) PushBottom(e Entry[T]) {
 	s.val = e
 	s.shadow.set(e.Colors)
 	d.bottom.Store(b + 1)
-	// After the bottom bump: the item is already stealable.
-	if d.wake != nil {
-		d.wake()
-	}
 }
-
-// SetWake installs the post-push hook.
-func (d *ChaseLev[T]) SetWake(fn func()) { d.wake = fn }
 
 // grow copies the live window [t, b) into a buffer twice the size and
 // publishes it. Grows are amortized and absent in steady state. Thieves
@@ -143,7 +128,7 @@ func (d *ChaseLev[T]) SetWake(fn func()) { d.wake = fn }
 // owner's future pushes to the new buffer never contend with, and any
 // claim is still serialized through the shared top counter.
 //
-//nabbit:alloc-ok amortized growth path; fresh buffers are counted by Grows()
+//nabbit:alloc-ok amortized growth path
 func (d *ChaseLev[T]) grow(buf *clBuffer[T], t, b int64) *clBuffer[T] {
 	nb := newCLBuffer[T](log2(buf.size()) + 1)
 	for i := t; i < b; i++ {
@@ -153,7 +138,6 @@ func (d *ChaseLev[T]) grow(buf *clBuffer[T], t, b int64) *clBuffer[T] {
 		ns.shadow.copyFrom(&os.shadow)
 	}
 	d.buf.Store(nb)
-	d.grows.Add(1)
 	return nb
 }
 
@@ -285,9 +269,6 @@ func (d *ChaseLev[T]) Steal(filter *colorset.Set, max int, into []Entry[T]) ([]E
 	}
 	return into, StealOK
 }
-
-// Grows returns how many times the circular buffer has grown.
-func (d *ChaseLev[T]) Grows() int64 { return d.grows.Load() }
 
 // StealCASes returns how many thief-side claim CAS attempts the deque has
 // absorbed — one per single-item claim, so CAS-per-stolen-item is exactly

@@ -63,7 +63,11 @@ type Entry[T any] struct {
 
 // Queue is the owner/thief protocol shared by the deque implementations.
 // PushBottom and PopBottom may be called only by the owning worker; the
-// steal methods may be called by any worker concurrently.
+// steal methods may be called by any worker concurrently. The engine holds
+// a concrete *Mutex and does not use it: Queue is what lets one loop run
+// the same probe over every substrate — the benchmark module's deque
+// probes, the harness steal and alloc experiments, the root package's
+// deque benchmarks, and this package's tests.
 type Queue[T any] interface {
 	// PushBottom adds an item at the bottom (owner only).
 	PushBottom(e Entry[T])
@@ -87,14 +91,4 @@ type Queue[T any] interface {
 	// Len returns the current number of items. It is advisory under
 	// concurrency.
 	Len() int
-	// SetWake installs a hook invoked after each PushBottom has published
-	// its item — the engine's "work appeared" signal for waking parked
-	// idle workers. Install before any concurrent use (nil clears it);
-	// the hook must be cheap and must not touch the deque.
-	SetWake(fn func())
-	// Grows returns how many times the deque's buffer has grown since
-	// construction — the growth-churn signal the engine sizes initial
-	// capacities to eliminate. Owner-written; read it only when the owner
-	// is quiescent (e.g. after a run).
-	Grows() int64
 }

@@ -25,21 +25,29 @@
 // entry by value.
 //
 // Three implementations share the Queue interface: Mutex (a ring buffer
-// under a lock; the engine default — per-deque contention is a single
-// owner plus occasional thieves, so an uncontended lock costs a couple of
-// atomic operations, same as the lock-free path), ChaseLev (the classic
-// dynamic circular work-stealing deque of Chase and Lev, provided for the
-// ablation comparing deque substrates), and Block (a block-structured
-// deque in the BWoS style). The engine and the simulator run on Mutex and
-// ChaseLev only: Block handed out items twice from PR 7 on (resetBlock
-// zeroed a recycled block's commit count after bumping its epoch, so a
-// thief could pair the new index word with the old count and claim a
-// consumed slot; fixed, and TestConcurrentStress/block pins it), was the
-// slowest substrate at push+pop, and the only box available has one NUMA
-// domain, so the cross-socket batch it was built for never won a workload.
-// It stays in the package only because the benchmark module's deque probes
-// build one (benchmarks/nabbitperf/probes.go), which a perf PR may not
-// edit; it goes with the PR that drops that probe row (ROADMAP item 1).
+// under a lock), ChaseLev (the classic dynamic circular work-stealing
+// deque of Chase and Lev) and Block (a block-structured deque in the BWoS
+// style). The engine holds a concrete *Mutex per worker and calls it
+// directly; per-deque contention is a single owner plus occasional
+// thieves, so an uncontended lock costs a couple of atomic operations,
+// same as the lock-free path. The simulator models no deque substrate.
+//
+// ChaseLev and Block are probe-only. Forced into the engine, ChaseLev won
+// none of the benchmark's four engine workloads against Mutex (10
+// alternating 20 s pairs each on a 2-core host): it came closest on
+// fine-grid, ahead in 8 of 10 pairs by a median 5 % that is inside
+// Mutex's own run-to-run spread, while holding 5 % more live memory
+// there and 21-29 % more on submit-lo and submit-hi. Its probed steals
+// are slower and its drain rate about half of Mutex's. Block once
+// handed out items twice (resetBlock zeroed a recycled block's commit
+// count after bumping its epoch, so a thief could pair the new index word
+// with the old count and claim a consumed slot; fixed, and
+// TestConcurrentStress/block pins it), was the slowest substrate at
+// push+pop, and the cross-socket batch it was built for never won a
+// workload on a one-domain host. Both stay in the package only because the
+// benchmark module's deque probes build them
+// (benchmarks/nabbitperf/probes.go); they go, with shadow.go, in the same
+// change that drops those probe rows.
 //
 // # Design note: unboxed Chase–Lev slots
 //
@@ -103,8 +111,8 @@
 // last-item race are the proven protocol, just block-local. Blocks
 // recycle through an owner-private free list (epoch bump, drain the
 // per-block reader count, clear slots), so steady-state pushes allocate
-// nothing and Grows() counts block-list growth exactly as the other
-// substrates count buffer growth. Colored steals keep the slot shadow
+// nothing and Grows() counts block-list growth exactly as Mutex counts
+// buffer growth. Colored steals keep the slot shadow
 // gate (rule 4) and add a per-block color summary — the owner ORs each
 // pushed mask into two words, so a colored miss rejects a whole block in
 // O(1) without touching any slot.

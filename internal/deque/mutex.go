@@ -6,9 +6,9 @@ import (
 	"nabbitc/internal/colorset"
 )
 
-// Mutex is a lock-protected growable ring-buffer deque. It is the engine
-// default: the owner's push/pop and a thief's steal each take the lock
-// briefly, and per-deque contention in work stealing is low by design.
+// Mutex is a lock-protected growable ring-buffer deque, and the one the
+// engine runs on: the owner's push/pop and a thief's steal each take the
+// lock briefly, and per-deque contention in work stealing is low by design.
 //
 // The ring's length is always a power of two, so an index wraps with one
 // AND against mask instead of a division per push and per pop. The header
@@ -22,7 +22,6 @@ type Mutex[T any] struct {
 	head  int // index of the top (oldest) element
 	n     int // number of elements
 	grows int64
-	wake  func() // post-push hook; set before concurrent use
 	_     [cacheLine]byte
 }
 
@@ -60,15 +59,7 @@ func (d *Mutex[T]) PushBottom(e Entry[T]) {
 	d.buf[(d.head+d.n)&d.mask] = e
 	d.n++
 	d.mu.Unlock()
-	// Outside the lock: the item is already stealable, and the hook may
-	// do its own (cheap) synchronization.
-	if d.wake != nil {
-		d.wake()
-	}
 }
-
-// SetWake installs the post-push hook.
-func (d *Mutex[T]) SetWake(fn func()) { d.wake = fn }
 
 // PopBottom removes the newest item.
 //
@@ -132,7 +123,9 @@ func (d *Mutex[T]) Len() int {
 	return n
 }
 
-// Grows returns how many times the ring buffer has grown.
+// Grows returns how many times the ring buffer has grown since
+// construction — the growth-churn signal the engine sizes initial
+// capacities to eliminate.
 func (d *Mutex[T]) Grows() int64 {
 	d.mu.Lock()
 	g := d.grows

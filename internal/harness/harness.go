@@ -47,12 +47,6 @@ type Config struct {
 	// default). Changing it changes the emitted document — regenerated
 	// baselines must use the default.
 	Seed uint64
-	// Deque, when not DequeAuto, overrides the deque backend of every
-	// policy the experiments run. Simulated schedules do not depend on it,
-	// but the real-engine rows run on it, so baselines use the default,
-	// and like Seed it is deliberately not echoed into the report
-	// envelope.
-	Deque core.DequeBackend
 	// Iterations is how many Execute reuses the persist experiment
 	// measures per engine (default 4; baselines use the default). Other
 	// experiments ignore it, so it is deliberately not echoed into the
@@ -75,9 +69,6 @@ type Config struct {
 	// Format selects the renderer: FormatTable (default), FormatCSV, or
 	// FormatJSON (one perf.Document over the whole run).
 	Format string
-	// CSV is the deprecated spelling of Format = FormatCSV, kept for
-	// callers that predate the structured pipeline.
-	CSV bool
 	// Out receives the rendered output.
 	Out io.Writer
 }
@@ -96,11 +87,7 @@ func (c Config) withDefaults() Config {
 		c.Iterations = 4
 	}
 	if c.Format == "" {
-		if c.CSV {
-			c.Format = FormatCSV
-		} else {
-			c.Format = FormatTable
-		}
+		c.Format = FormatTable
 	}
 	return c
 }
@@ -270,28 +257,13 @@ func (c Config) serialTime(b bench.Benchmark) (int64, error) {
 	return sim.SerialTime(spec, sink, c.Cost)
 }
 
-// applySeed is the one definition of what a seed override means, shared
-// by the experiment and wall-clock runners: nonzero replaces the policy's
-// seed, zero keeps its default.
-func applySeed(pol core.Policy, seed uint64) core.Policy {
-	if seed != 0 {
-		pol.Seed = seed
-	}
-	return pol
-}
-
-// applyDeque is the matching definition for the deque-backend override:
-// non-auto replaces the policy's backend, auto keeps its resolution.
-func applyDeque(pol core.Policy, dq core.DequeBackend) core.Policy {
-	if dq != core.DequeAuto {
-		pol.Deque = dq
-	}
-	return pol
-}
-
-// policy applies the config's seed and deque overrides to pol.
+// policy applies the config's seed override to pol: nonzero replaces the
+// policy's seed, zero keeps its default.
 func (c Config) policy(pol core.Policy) core.Policy {
-	return applyDeque(applySeed(pol, c.Seed), c.Deque)
+	if c.Seed != 0 {
+		pol.Seed = c.Seed
+	}
+	return pol
 }
 
 // runTaskGraph runs benchmark b under the given policy on p simulated

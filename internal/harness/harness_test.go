@@ -53,7 +53,7 @@ func TestUnknownBenchmark(t *testing.T) {
 func TestCSVOutput(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := smallCfg(&buf)
-	cfg.CSV = true
+	cfg.Format = FormatCSV
 	if err := Run("table1", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -143,37 +143,6 @@ func TestSelfCompare(t *testing.T) {
 	}
 	if c.Ok() || len(c.Regressions()) != 1 {
 		t.Fatalf("mutated document passed the gate: %+v", c.Regressions())
-	}
-}
-
-// TestWallclock runs the real-engine perf runner on one small benchmark
-// and checks the schema comes out coherent.
-func TestWallclock(t *testing.T) {
-	doc, err := WallclockDocument(WallclockConfig{
-		Scale:      bench.ScaleSmall,
-		Benchmarks: []string{"heat"},
-		Workers:    4,
-		Repeats:    1,
-		Revision:   "test",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Kind != perf.KindWallclock || doc.Revision != "test" || doc.CreatedAt == "" {
-		t.Fatalf("bad envelope: %+v", doc)
-	}
-	var buf bytes.Buffer
-	if err := perf.Encode(&buf, doc); err != nil {
-		t.Fatalf("wallclock document does not validate: %v", err)
-	}
-	tab := doc.Reports[0].Tables[0]
-	if len(tab.Rows) != 4 { // serial + three policies
-		t.Fatalf("expected serial+3 policy rows, got %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if row.Values["wall_ns_min"] <= 0 {
-			t.Fatalf("%s: non-positive wall_ns_min", row.Key)
-		}
 	}
 }
 

@@ -30,8 +30,8 @@ import (
 //     single-use Run produces — engine reuse must not change scheduling.
 //
 // Wall-clock reuse numbers are inherently noisy and therefore live in the
-// bench (wallclock) document instead — see WallclockReport's persist
-// table.
+// benchmark module instead (benchmarks/: the fine-grid workload is
+// repeated Execute on one persistent engine).
 
 // persistIterative builds the single-iteration formulation of the named
 // benchmark (which must implement bench.IterativeGraph).

@@ -14,9 +14,10 @@ import (
 // substrate, at 1/4/8-worker shapes. The numbers come from a scripted
 // single-threaded drain (thieves visit victims round-robin, one steal op
 // per turn), so the emitted document is exactly reproducible and can
-// live in the byte-compared sim-kind baseline. The companion wall-clock
-// steals/sec table (WallclockReport) measures the same drain with real
-// concurrent thieves, where throughput is meaningful but nondeterministic.
+// live in the byte-compared sim-kind baseline. Timed steals and a drain
+// with a real concurrent thief, where throughput is meaningful but
+// nondeterministic, are the benchmark module's deque probes
+// (benchmarks/, deque.steal_ns.* and deque.drain_items_per_s.*).
 //
 // The point being pinned: on the block substrate a batched steal claims a
 // whole sealed block with a single CAS, so cas_per_item approaches

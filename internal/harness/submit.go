@@ -28,9 +28,9 @@ import (
 //     rejected with ErrSaturated, and every admitted graph drains once
 //     the gate opens.
 //
-// Wall-clock throughput (graphs/sec, p50/p99 completion latency, the
-// saturation sweep) is inherently noisy and therefore lives in the bench
-// (wallclock) document instead — see WallclockReport's submit table.
+// Wall-clock throughput and latency (graphs/sec, p50/p90/p99 completion
+// latency) are inherently noisy and therefore live in the benchmark
+// module instead (benchmarks/: the submit-lo and submit-hi workloads).
 
 // submitConeSpec is a forest of disjoint fan-in cones: graph g owns keys
 // [g*(width+1), g*(width+1)+width], with width leaves feeding one sink.

@@ -36,8 +36,6 @@
 //
 // Encode is byte-deterministic for a given Document: maps serialize with
 // sorted keys (encoding/json), floats round-trip exactly, and nothing in
-// the envelope is time-dependent unless the producer explicitly stamps
-// CreatedAt (the wall-clock runner does; the simulator harness does not).
-// Two runs of the deterministic simulator therefore produce byte-identical
+// the envelope is time- or revision-dependent. Two runs of the deterministic simulator therefore produce byte-identical
 // files, which is what lets CI diff them.
 package perf

@@ -365,7 +365,7 @@ func TestCompareDisjointConfigsError(t *testing.T) {
 func TestCompareKindMismatchError(t *testing.T) {
 	base := fixedDocument()
 	cur := fixedDocument()
-	cur.Kind = KindWallclock
+	cur.Kind = "wallclock"
 	if _, err := Compare(base, cur, Options{}); err == nil {
 		t.Fatal("kind mismatch accepted")
 	}

@@ -9,12 +9,10 @@ import (
 // comment for the versioning policy).
 const SchemaVersion = 1
 
-// Document kinds. A document's kind tells the comparator whether metric
-// values are reproducible (sim) or noisy (wallclock).
-const (
-	KindSim       = "sim"
-	KindWallclock = "wallclock"
-)
+// KindSim is the one document kind: every harness experiment is
+// deterministic, so its values are reproducible. Wall-clock measurements
+// live in the benchmark module (benchmarks/), not in this schema.
+const KindSim = "sim"
 
 // Direction declares how a metric should be judged by the comparator.
 type Direction string
@@ -107,15 +105,13 @@ type RunConfig struct {
 	Scale      string             `json:"scale,omitempty"`
 	Cores      []int              `json:"cores,omitempty"`
 	Benchmarks []string           `json:"benchmarks,omitempty"`
-	Workers    int                `json:"workers,omitempty"`
-	Repeats    int                `json:"repeats,omitempty"`
 	Cost       map[string]float64 `json:"cost,omitempty"`
 }
 
 // Report is every table one experiment produced.
 type Report struct {
 	// Experiment is the harness experiment name (fig6, table2, hier,
-	// wallclock, ...).
+	// ...).
 	Experiment string    `json:"experiment"`
 	Config     RunConfig `json:"config"`
 	Tables     []*Table  `json:"tables"`
@@ -127,16 +123,9 @@ func (r *Report) AddTable(t *Table) { r.Tables = append(r.Tables, t) }
 // Document is the versioned envelope a run emits.
 type Document struct {
 	SchemaVersion int `json:"schema_version"`
-	// Kind is KindSim or KindWallclock.
-	Kind string `json:"kind"`
-	// Revision optionally names the source revision (wall-clock runs
-	// stamp it; deterministic sim runs leave it empty so output is
-	// revision-independent).
-	Revision string `json:"revision,omitempty"`
-	// CreatedAt is an RFC 3339 stamp, set only for wall-clock runs
-	// (deterministic output must not depend on the clock).
-	CreatedAt string    `json:"created_at,omitempty"`
-	Reports   []*Report `json:"reports"`
+	// Kind is KindSim.
+	Kind    string    `json:"kind"`
+	Reports []*Report `json:"reports"`
 }
 
 // NewDocument returns an empty document of the given kind at the current
@@ -160,7 +149,7 @@ func (d *Document) Validate() error {
 		return fmt.Errorf("perf: schema_version %d is newer than this tool understands (%d)",
 			d.SchemaVersion, SchemaVersion)
 	}
-	if d.Kind != KindSim && d.Kind != KindWallclock {
+	if d.Kind != KindSim {
 		return fmt.Errorf("perf: unknown document kind %q", d.Kind)
 	}
 	seenRep := map[string]bool{}

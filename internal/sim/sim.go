@@ -106,20 +106,13 @@ func (o Options) withDefaults() (Options, error) {
 	if err := o.Cost.Validate(); err != nil {
 		return o, err
 	}
-	if o.Policy.Deque < core.DequeAuto || o.Policy.Deque > core.DequeChaseLev {
-		return o, fmt.Errorf("sim: unknown deque backend %v", o.Policy.Deque)
-	}
 	if o.Deadline < 0 {
 		return o, fmt.Errorf("sim: negative Deadline %d", o.Deadline)
 	}
-	o.Policy = policyWithDefaults(o.Policy)
-	return o, nil
-}
-
-func policyWithDefaults(p core.Policy) core.Policy {
 	// One normalization shared with the real engine, so a policy can
 	// never mean different things to the two machines.
-	return p.WithDefaults()
+	o.Policy = o.Policy.WithDefaults()
+	return o, nil
 }
 
 // WorkerStats are per-simulated-worker counters; times are virtual.
