@@ -13,7 +13,7 @@ import (
 //
 //	//nabbit:noalloc
 //
-// (the deque Push/Pop/Steal entry points, the dense arena's
+// (the deque Push/Pop/Steal entry points, the node table's
 // create-or-get, the node lifecycle transitions on the exec path) must
 // not contain a compiler-proven per-call heap allocation — an "escapes
 // to heap" or "moved to heap" site — and neither may anything it

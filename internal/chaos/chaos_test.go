@@ -279,8 +279,8 @@ func TestTransientChaos(t *testing.T) {
 	}
 }
 
-// TestChaosStress is the -race chaos workout: across both node-table
-// backends, a seeded plan poisons roughly
+// TestChaosStress is the -race chaos workout: with the bound declared
+// and hidden, a seeded plan poisons roughly
 // half of 48 concurrently submitted graphs with panics, delays, and
 // mid-compute cancellations. Healthy (and delayed) graphs must complete
 // exactly-once, panic graphs must report *ComputeError with the exact
@@ -296,10 +296,12 @@ func TestChaosStress(t *testing.T) {
 		seed       = 0xC0FFEE
 		rate       = 0.5
 	)
+	// The two slot rules: "dense" runs the cone forest with its bound
+	// declared, "unbounded" with it hidden, every key its own slot.
 	tables := []struct {
 		name string
-		b    core.NodeTableBackend
-	}{{"dense", core.NodeTableDense}, {"sharded", core.NodeTableSharded}}
+		hide bool
+	}{{"dense", false}, {"unbounded", true}}
 
 	plan := chaos.NewPlan(seed, rate, chaos.Panic, chaos.Delay, chaos.Cancel)
 	kindCount := map[chaos.Kind]int{}
@@ -324,8 +326,11 @@ func TestChaosStress(t *testing.T) {
 			spec := coneSpec(graphs, width, workers, inj.Compute(func(k core.Key) {
 				counts[int(k)].Add(1)
 			}))
+			if tb.hide {
+				spec.BoundFn = nil
+			}
 			e, err := core.NewEngine(spec, core.Options{
-				Workers: workers, Policy: core.NabbitCPolicy(), NodeTable: tb.b, MaxInflight: 16,
+				Workers: workers, Policy: core.NabbitCPolicy(), MaxInflight: 16,
 			})
 			if err != nil {
 				t.Fatal(err)

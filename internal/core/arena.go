@@ -11,7 +11,7 @@ import (
 // cacheLine is the coherence granule the per-task layout is built around.
 const cacheLine = 64
 
-// A dense table addresses nodes by slot, and slots come in pages: 64 nodes,
+// A node table addresses nodes by slot, and slots come in pages: 64 nodes,
 // 4 KB, every node on a cache line of its own. A table holds only the
 // pages its graph has named a key in.
 const (
@@ -39,30 +39,43 @@ func (pg *nodePage) scrub() {
 	}
 }
 
-// nodeArena is the dense nodeTable: a two-level table over the key
-// universe's slots, laid out home-major (HomeMajorIndex) so tasks whose
-// data lives at the same color are contiguous in memory — the
-// cache/NUMA-locality layout the paper's locality-aware variant assumes.
-// The first level is a small directory, slot>>pageShift → page; a page is
-// installed by CAS the first time a worker names a key in its range, drawn
-// from the engine-wide pagePool, and handed back when the run is over
-// (release; a table serving the same graph again keeps them). A graph
-// therefore costs memory for the nodes it names, not for the spec's
-// universe, and a full-universe run is simply the case where every
-// directory entry gets a page. Everything static about a key
-// lives once per engine in the specView's records; create-or-get is a
-// record load, a directory load and a single CAS on the node's lifecycle
-// word, with no lock, no hashing, and no allocation (the predecessor slice
-// comes from the spec).
+// nodeArena is the engine's node table, the atomic create-or-get that
+// Nabbit's on-demand exploration relies on (the paper's "atomically attempt
+// to create a predecessor with key pkey"): a two-level table over the key
+// space's slots. The first level is a directory, page number → page; a
+// page is installed by CAS the first time a worker names a key in its
+// range, drawn from the engine-wide pagePool, and handed back when the run
+// is over (release; a table serving the same graph again keeps them). A
+// graph therefore costs memory for the nodes it names, not for its key
+// space.
 //
-// Every field is read-only during a run, and every lookup reads them, so
-// nothing a run writes may share their cache line: what a worker writes
-// per creation and per installed page lives in per-worker stripes a line
-// apart, in storage of its own.
+// A key finds its slot by one of two rules (slotOf). A spec that declares a
+// bound of at most maxIndexedKeys has a record per key on the specView,
+// laid out home-major (HomeMajorIndex) so tasks whose data lives at the
+// same color are contiguous in memory — the cache/NUMA-locality layout the
+// paper's locality-aware variant assumes — and its directory is one flat
+// leaf of a page per 64 slots, so create-or-get is a record load, a
+// directory load and a single CAS on the node's lifecycle word. Any other
+// key is its own slot, and its page number indexes a radix tree of
+// directory levels (see walk). Either way there is no lock, no hashing and
+// no allocation per node (the predecessor slice comes from the spec).
+//
+// Every field but top is read-only during a run, and every lookup reads
+// them, so nothing a run writes per node or per page may share their cache
+// line: what a worker writes per creation and per installed page lives in
+// per-worker stripes a line apart, in storage of its own. top is written
+// once per level a raw-key tree grows by, at most ten times in the
+// table's life.
 type nodeArena struct {
 	sv   *specView
 	pool *pagePool
+	// dir is the leaf for page numbers [0, len(dir)): an indexed table's
+	// whole directory, and a raw-key table's first leaf, which stays child 0
+	// of child 0 all the way down however far the tree grows. leaf is that
+	// level, and top the tree's root, &leaf until the tree grows.
 	dir  []atomic.Pointer[nodePage]
+	leaf dirLevel
+	top  atomic.Pointer[dirLevel]
 	// stamp is the current run's epoch, pre-shifted into state-word
 	// position (a multiple of epochUnit), and era the pool clock's count
 	// of stamp wraps when it was issued. A slot whose stamped epoch differs
@@ -74,18 +87,18 @@ type nodeArena struct {
 	// edge.
 	stamp uint32
 	era   uint64
-	// sink is the sink of the table's current (or last) run, -1 before
-	// the first, and repeat whether the run before it had the same one or
-	// there was none. A table that is asked for the same graph again — an
-	// iterative workload's Execute loop — keeps its pages over the run
-	// boundary (see release).
-	sink   Key
-	repeat bool
+	// sink is the sink of the table's current (or last) run, and primed
+	// whether there was one. repeat says the run before the current one had
+	// the same sink, or there was none. A table that is asked for the same
+	// graph again — an iterative workload's Execute loop — keeps its pages
+	// over the run boundary (see release).
+	sink           Key
+	primed, repeat bool
 	// What a replay rests on (see rearm). clean: the table still holds the
 	// nodes of its last run, which computed every one it created (release
 	// said so). armed: the current run, or between runs the last, is a
 	// replay — which is also when every successor list is whole and stripe 0
-	// lists all the table's pages in slot order. unstable: the spec has
+	// lists all the table's pages in page order. unstable: the spec has
 	// returned a different predecessor slice for a key of this sink's
 	// graph, so the table does not ask again. root is the replay root, a
 	// node of no key whose successors are the armed run's sources.
@@ -97,55 +110,166 @@ type nodeArena struct {
 	stripes []arenaStripe
 }
 
+// dirFan is the fan-out of an interior directory level, and of a raw-key
+// table's leaves: 64 entries, one 512-byte allocation.
+const (
+	dirShift = 6
+	dirFan   = 1 << dirShift
+)
+
+// dirLevel is one level of the page directory. A leaf (shift 0) holds page
+// pointers; an interior level holds dirFan children, each covering
+// 1<<shift page numbers. Only a raw-key table's tree grows past its first
+// leaf, and its leaves are dirFan wide, so every shift is a multiple of
+// dirShift.
+type dirLevel struct {
+	shift uint
+	pages []atomic.Pointer[nodePage]
+	kids  []atomic.Pointer[dirLevel]
+}
+
 // arenaStripe is what one worker writes outside the nodes of a table:
 // created counts the nodes it created this run, and installed lists the
-// directory entries it put a page under, so release costs O(pages
-// touched), not O(universe). (One list behind a shared atomic cursor — a
-// locked add per page, on a line both workers want — cost the wavefront
-// benchmark 8 %.) The list's storage is kept across runs. Stripes are
-// padded so that consecutive ones are a cache line apart (pinned by
+// page numbers it put a page under, so release costs O(pages touched), not
+// O(key space). (One list behind a shared atomic cursor — a locked add per
+// page, on a line both workers want — cost the wavefront benchmark 8 %.)
+// The list's storage is kept across runs. Stripes are padded so that
+// consecutive ones are a cache line apart (pinned by
 // TestCreateStripeLayout).
 type arenaStripe struct {
 	created   int64
-	installed []int32
+	installed []uint64
 	_         [cacheLine - 32]byte
 }
 
-// newNodeArena builds an empty table over sv's indexed universe.
+// newNodeArena builds an empty table for sv's keys: a directory leaf of a
+// page per 64 slots when sv indexes them, of dirFan pages otherwise.
 func newNodeArena(sv *specView, pool *pagePool) *nodeArena {
 	workers := len(sv.domains)
-	npages := (len(sv.recs) + pageNodes - 1) >> pageShift
+	npages := dirFan
+	if sv.recs != nil {
+		npages = (len(sv.recs) + pageNodes - 1) >> pageShift
+	}
+	dir := make([]atomic.Pointer[nodePage], npages)
 	a := &nodeArena{
 		sv:   sv,
 		pool: pool,
-		dir:  make([]atomic.Pointer[nodePage], npages),
+		dir:  dir,
+		leaf: dirLevel{pages: dir},
 		// A spare stripe on each side keeps the first and last worker's
 		// off whatever the allocator placed next to the array.
 		stripes: make([]arenaStripe, workers+2)[1 : workers+1],
-		sink:    -1,
 	}
+	a.top.Store(&a.leaf)
 	a.stamp, a.era = pool.nextStamp()
 	return a
 }
 
-// getOrCreate claims the slot's lifecycle word: the CAS winner fills the
-// node in and publishes it with the ready store; losers (and every later
-// lookup) take the phase-load fast path. Unlike the sharded map, a lookup
-// costs three dependent loads — record, directory entry, state word — with
-// no hashing and no lock, and creation allocates nothing.
+// slotOf places key k: its page number and its index in the page. An
+// indexed key's slot is its record's. Any other key is its own slot, its
+// page number k>>6 zigzag-folded (0, -1, 1, -2, … → 0, 1, 2, 3, …) so that
+// keys of small magnitude, negative or not, stay under shallow levels; only
+// keys near ±2^63 need all ten. ok is false for a key outside a declared
+// bound.
+func (a *nodeArena) slotOf(k Key) (pn uint64, i int, ok bool) {
+	if a.sv.indexed(k) {
+		s := a.sv.recs[k].slot
+		return uint64(s >> pageShift), int(s & pageMask), true
+	}
+	p := int64(k) >> pageShift
+	return uint64(p<<1) ^ uint64(p>>63), int(k & pageMask), a.sv.recs == nil
+}
+
+// entry returns the directory entry of page number pn: straight from the
+// first leaf when it is in range — always, for an indexed table — else
+// through walk.
+func (a *nodeArena) entry(pn uint64, grow bool) *atomic.Pointer[nodePage] {
+	if pn < uint64(len(a.dir)) {
+		return &a.dir[pn]
+	}
+	return a.walk(pn, grow)
+}
+
+// walk finds page number pn's entry in the radix tree, the shape of the Go
+// runtime's heap-arena map. Levels are installed by CAS the first time a
+// page number under them is named and never freed while the table lives,
+// so a reader needs no more than the atomic loads on its way down. A page
+// number past the root's reach grows the tree upwards: a new root whose
+// child 0 is the old one, CASed in. Either CAS's loser drops its level and
+// takes the winner's. Without grow a missing level yields nil.
+//
+//nabbit:alloc-ok directory growth: one level per 64 of the level below, kept for the table's life
+func (a *nodeArena) walk(pn uint64, grow bool) *atomic.Pointer[nodePage] {
+	d := a.top.Load()
+	for pn>>d.shift >= uint64(len(d.pages)+len(d.kids)) {
+		if !grow {
+			return nil
+		}
+		up := &dirLevel{shift: d.shift + dirShift, kids: make([]atomic.Pointer[dirLevel], dirFan)}
+		up.kids[0].Store(d)
+		if !a.top.CompareAndSwap(d, up) {
+			up = a.top.Load()
+		}
+		d = up
+	}
+	for d.shift > 0 {
+		e := &d.kids[pn>>d.shift]
+		pn &= 1<<d.shift - 1
+		next := e.Load()
+		if next == nil {
+			if !grow {
+				return nil
+			}
+			if d.shift > dirShift {
+				next = &dirLevel{shift: d.shift - dirShift, kids: make([]atomic.Pointer[dirLevel], dirFan)}
+			} else {
+				next = &dirLevel{pages: make([]atomic.Pointer[nodePage], dirFan)}
+			}
+			if !e.CompareAndSwap(nil, next) {
+				next = e.Load()
+			}
+		}
+		d = next
+	}
+	return &d.pages[pn]
+}
+
+// page returns the page under page number pn, nil if there is none.
+func (a *nodeArena) page(pn uint64) *nodePage {
+	if e := a.entry(pn, false); e != nil {
+		return e.Load()
+	}
+	return nil
+}
+
+// getOrCreate returns the node for k, creating it if absent; the boolean
+// reports whether this call created it. Exactly one caller per key
+// observes true, and that caller is responsible for processing the node's
+// predecessors (the node is returned fully initialized either way). wid is
+// the calling worker: what a creation writes outside the node itself (the
+// creation count, the page stack) is that worker's own. succ, when
+// non-nil, is registered as a created node's first successor before the
+// node is published, so the edge that discovers a node costs no claim-bit
+// round trip; when the node already exists succ is ignored and the caller
+// registers the edge itself.
+//
+// The CAS winner on the slot's lifecycle word fills the node in and
+// publishes it with the ready store; losers (and every later lookup) take
+// the phase-load fast path.
 //
 //nabbit:noalloc
 func (a *nodeArena) getOrCreate(k Key, wid int, succ *Node) (*Node, bool) {
-	if !a.sv.indexed(k) {
+	pn, i, ok := a.slotOf(k)
+	if !ok {
 		//nabbit:alloc-ok panic-only formatting
 		panic(fmt.Sprintf("core: key %d outside the spec's declared bound %d", k, len(a.sv.recs)))
 	}
-	rec := a.sv.recs[k]
-	pg := a.dir[rec.slot>>pageShift].Load()
+	e := a.entry(pn, true)
+	pg := e.Load()
 	if pg == nil {
-		pg = a.install(rec.slot>>pageShift, wid)
+		pg = a.install(e, pn, wid)
 	}
-	n := &pg[rec.slot&pageMask]
+	n := &pg[i]
 	cur := a.stamp
 	v := n.state.Load()
 	if v&epochMask == cur && nodePhase(v) >= nodeReady {
@@ -157,7 +281,7 @@ func (a *nodeArena) getOrCreate(k Key, wid int, succ *Node) (*Node, bool) {
 	// claimant observed the same word, so exactly one wins.
 	for v&epochMask != cur || nodePhase(v) == nodeAbsent {
 		if n.state.CompareAndSwap(v, cur|nodeIniting) {
-			a.fill(n, k, rec.color, cur, wid, succ)
+			a.fill(n, k, cur, wid, succ)
 			return n, true
 		}
 		v = n.state.Load()
@@ -176,24 +300,25 @@ func (a *nodeArena) getOrCreate(k Key, wid int, succ *Node) (*Node, bool) {
 	}
 }
 
-// install puts a page under directory entry di: take one from the pool,
-// CAS it in, and record the entry for release. A loser of the CAS gives
-// its page straight back — nothing was stamped on it — and uses the
+// install puts a page under directory entry e, page number pn: take one
+// from the pool, CAS it in, and record pn for release. A loser of the CAS
+// gives its page straight back — nothing was stamped on it — and uses the
 // winner's.
-func (a *nodeArena) install(di int32, wid int) *nodePage {
+func (a *nodeArena) install(e *atomic.Pointer[nodePage], pn uint64, wid int) *nodePage {
 	pg := a.pool.take(wid, a.era)
-	if a.dir[di].CompareAndSwap(nil, pg) {
+	if e.CompareAndSwap(nil, pg) {
 		st := &a.stripes[wid]
-		st.installed = append(st.installed, di)
+		st.installed = append(st.installed, pn)
 		return pg
 	}
 	a.pool.give(wid, a.era, pg)
-	return a.dir[di].Load()
+	return e.Load()
 }
 
 // fill completes a slot whose creation CAS the caller just won: write the
-// key's static fields from its record, run the spec's init (Predecessors),
-// summarize the predecessors, and publish ready. Everything before the
+// key's static fields (from its record, or from the spec for a key without
+// one), run the spec's init (Predecessors), summarize the predecessors, and
+// publish ready. Everything before the
 // ready store is a plain write to a node no one else may read yet — the
 // join count, the first successor, this worker's stripe — so a
 // creation costs two locked operations in all (the claim CAS and the
@@ -201,7 +326,7 @@ func (a *nodeArena) install(di int32, wid int) *nodePage {
 // with empty preds and a poisoned join — so a slot can never be left at
 // nodeIniting, where same-graph racers would spin forever; the panic then
 // unwinds to the worker's rescue boundary and fails the owning graph.
-func (a *nodeArena) fill(n *Node, k Key, color int32, cur uint32, wid int, succ *Node) {
+func (a *nodeArena) fill(n *Node, k Key, cur uint32, wid int, succ *Node) {
 	done := false
 	defer func() {
 		// Start from an empty list whatever the slot held: retired slots
@@ -220,39 +345,25 @@ func (a *nodeArena) fill(n *Node, k Key, color int32, cur uint32, wid int, succ 
 		n.state.Store(cur | nodeReady)
 	}()
 	sv := a.sv
-	n.key, n.color, n.home = k, color, sv.homeOfRec(k, color)
+	n.key = k
+	n.color, n.home = sv.place(k)
 	preds := sv.spec.Predecessors(k)
 	n.setPreds(preds)
 	pc, pd := int32(0), int32(0)
 	for i, pk := range preds {
-		if !sv.indexed(pk) {
-			// Left for getOrCreate(pk) to report, with pk as the culprit.
-			// predMixed is absorbing for every later predecessor.
+		if !sv.indexed(pk) && sv.recs != nil {
+			// Outside the declared bound: left for getOrCreate(pk) to
+			// report, with pk as the culprit. predMixed is absorbing for
+			// every later predecessor.
 			pc, pd = predMixed, predMixed
 			continue
 		}
-		c := sv.recs[pk].color
-		pc, pd = predSummary(i, pc, pd, c, sv.domainOf(sv.homeOfRec(pk, c)))
+		c, h := sv.place(pk)
+		pc, pd = predSummary(i, pc, pd, c, sv.domainOf(h))
 	}
 	n.predColor, n.predDomain = pc, pd
 	n.join = int32(len(preds)) //nabbit:mixed-ok unpublished: the ready store orders it
 	done = true
-}
-
-func (a *nodeArena) get(k Key) (*Node, bool) {
-	if !a.sv.indexed(k) {
-		return nil, false
-	}
-	slot := a.sv.recs[k].slot
-	pg := a.dir[slot>>pageShift].Load()
-	if pg == nil {
-		return nil, false
-	}
-	n := &pg[slot&pageMask]
-	if !a.live(n.state.Load()) {
-		return nil, false
-	}
-	return n, true
 }
 
 // live reports whether state word v belongs to a node this table's current
@@ -275,8 +386,8 @@ func (a *nodeArena) count() int {
 func (a *nodeArena) pendingKeys() []Key {
 	var keys []Key
 	for i := range a.stripes {
-		for _, di := range a.stripes[i].installed {
-			pg := a.dir[di].Load()
+		for _, pn := range a.stripes[i].installed {
+			pg := a.page(pn)
 			for j := range pg {
 				n := &pg[j]
 				if v := n.state.Load(); a.live(v) && nodePhase(v) != nodeComputed {
@@ -312,8 +423,8 @@ func (a *nodeArena) release(wid int, clean bool) {
 func (a *nodeArena) drop(wid int) {
 	for i := range a.stripes {
 		st := &a.stripes[i]
-		for _, di := range st.installed {
-			a.pool.give(wid, a.era, a.dir[di].Swap(nil))
+		for _, pn := range st.installed {
+			a.pool.give(wid, a.era, a.entry(pn, false).Swap(nil))
 		}
 		st.installed = st.installed[:0]
 	}
@@ -333,7 +444,7 @@ func (a *nodeArena) reset(sink Key, quiet bool) *Node {
 	prev, clean, listed := a.stamp, a.clean, a.armed
 	a.clean, a.armed = false, false
 	stamp, era := a.pool.nextStamp()
-	a.repeat = (sink == a.sink || a.sink < 0) && era == a.era
+	a.repeat = (sink == a.sink || !a.primed) && era == a.era
 	rearmed := 0
 	if quiet && clean && a.repeat && !a.unstable {
 		if rearmed = a.rearm(prev, stamp, listed); rearmed == 0 {
@@ -345,7 +456,7 @@ func (a *nodeArena) reset(sink Key, quiet bool) *Node {
 		a.drop(-1)
 		a.unstable = false
 	}
-	a.sink, a.stamp, a.era = sink, stamp, era
+	a.sink, a.primed, a.stamp, a.era = sink, true, stamp, era
 	for i := range a.stripes {
 		a.stripes[i].created = 0
 	}
@@ -360,7 +471,8 @@ func (a *nodeArena) reset(sink Key, quiet bool) *Node {
 // rearm is the replay pass (doc.go's replay note has the argument): every
 // node the last run computed — its word is exactly prev|computed — becomes
 // ready under stamp with its join count back at its in-degree, and the ones
-// without predecessors become the root's successors, in slot order. It
+// without predecessors become the root's successors, in page order (slot
+// order for an indexed table). It
 // returns how many nodes it armed, zero if the run cannot be replayed: the
 // spec no longer returns the very predecessor slice a node recorded
 // (remembered in unstable), a Predecessors call panicked (the discovery
@@ -373,7 +485,7 @@ func (a *nodeArena) reset(sink Key, quiet bool) *Node {
 // it registered was accounted on the spot (tryInitCompute) and never
 // listed. So the first pass of a streak gathers the table's pages into one
 // sorted list — valid for the streak, a replay installs nothing — and
-// rebuilds every list from the predecessor lists, successors in slot order.
+// rebuilds every list from the predecessor lists, successors in page order.
 func (a *nodeArena) rearm(prev, stamp uint32, listed bool) (rearmed int) {
 	defer func() {
 		if recover() != nil {
@@ -392,8 +504,8 @@ func (a *nodeArena) rearm(prev, stamp uint32, listed bool) (rearmed int) {
 	spec := a.sv.spec
 	was, now := prev|nodeComputed, stamp|nodeReady
 	sources := a.root.succBacking()[:0]
-	for _, di := range *pages {
-		pg := a.dir[di].Load()
+	for _, pn := range *pages {
+		pg := a.page(pn)
 		for i := range pg {
 			n := &pg[i]
 			if n.state.Load() != was {
@@ -419,16 +531,16 @@ func (a *nodeArena) rearm(prev, stamp uint32, listed bool) (rearmed int) {
 		return 0
 	}
 	if !listed {
-		for _, di := range *pages {
-			pg := a.dir[di].Load()
+		for _, pn := range *pages {
+			pg := a.page(pn)
 			for i := range pg {
 				n := &pg[i]
 				if n.state.Load() != now {
 					continue
 				}
 				for _, pk := range n.predKeys() {
-					slot := a.sv.recs[pk].slot
-					p := &a.dir[slot>>pageShift].Load()[slot&pageMask]
+					ppn, pi, _ := a.slotOf(pk)
+					p := &a.page(ppn)[pi]
 					p.setSuccs(append(p.succBacking()[:p.nsuccs], n))
 				}
 			}
@@ -452,7 +564,7 @@ const (
 // holds: the pool clock enters a new era each time it has issued them all.
 const epochsPerEra = uint64(epochMask/epochUnit) + 1
 
-// pagePool is the one source of node pages for every dense table of an
+// pagePool is the one source of node pages for every node table of an
 // engine, and of the stamps that tell their runs apart. Pages are carved
 // from slabs, so while graphs are in flight the pool's size follows the
 // peak number of nodes in flight; an engine that goes idle falls back to

@@ -95,7 +95,7 @@ func TestSubmitFootprintTracksInflight(t *testing.T) {
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
 	for _, nt := range e.tables {
-		if held := nt.(*nodeArena).held(); held > perCone {
+		if held := nt.held(); held > perCone {
 			t.Errorf("an idle table holds %d pages, want at most the %d of one cone it may serve again", held, perCone)
 		}
 	}
@@ -231,7 +231,7 @@ func TestIdleTrimBetweenBursts(t *testing.T) {
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
 	for _, nt := range e.tables {
-		if nt.(*nodeArena).held() > 0 {
+		if nt.held() > 0 {
 			return // a table kept its pages for a repeat: the last trim stood aside
 		}
 	}

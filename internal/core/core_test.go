@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"nabbitc/internal/numa"
 )
@@ -479,45 +478,4 @@ func TestFootprintCost(t *testing.T) {
 	if got != want {
 		t.Fatalf("remote cost = %d, want %d", got, want)
 	}
-}
-
-// TestNodeShardPadding pins the sharded node map's anti-false-sharing
-// property: each shard occupies a whole number of 64-byte cache lines, so
-// two shards never share a line.
-func TestNodeShardPadding(t *testing.T) {
-	if sz := unsafe.Sizeof(nodeShard{}); sz%64 != 0 {
-		t.Fatalf("nodeShard is %d bytes, not a multiple of a 64-byte cache line", sz)
-	}
-}
-
-// TestNodeMapConcurrentReaders exercises the read-locked post-run paths
-// (get, count, forEach) concurrently with each other.
-func TestNodeMapConcurrentReaders(t *testing.T) {
-	nm := newNodeMap(testView(FuncSpec{}, 1))
-	const keys = 1000
-	for k := Key(0); k < keys; k++ {
-		nm.getOrCreate(k, 0, nil)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := Key(0); k < keys; k++ {
-				if _, ok := nm.get(k); !ok {
-					t.Errorf("key %d missing", k)
-					return
-				}
-			}
-			if got := nm.count(); got != keys {
-				t.Errorf("count = %d, want %d", got, keys)
-			}
-			seen := 0
-			nm.forEach(func(*Node) { seen++ })
-			if seen != keys {
-				t.Errorf("forEach visited %d, want %d", seen, keys)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -30,18 +30,17 @@
 // NewEngine + Execute + Close. Iterative workloads — PageRank power
 // iterations, stencil time stepping — hold one Engine and Execute once
 // per outer iteration, so every construction cost (goroutine spawn,
-// deque buffers, the key records and node pages of the dense table) is
+// deque buffers, the key records and node pages of the node table) is
 // paid once and amortized; services with many independent small graphs
 // Submit them concurrently and let workers interleave.
 //
-// Between graphs a node table must forget the previous occupant. The
-// dense table does this in O(1): the node state word reserves bits 6..30
+// Between graphs a node table must forget the previous occupant. It does
+// this in O(1): the node state word reserves bits 6..30
 // for an epoch stamp, every lifecycle transition preserves the stamp,
 // and reset just takes the table a new stamp from the engine's clock — a
 // slot stamped with any other epoch reads as absent, so there is no
 // per-slot clearing loop (what happens when the 25-bit stamp wraps is
-// the page pool's business; see the backend note below). The sharded map
-// clears its shards in place, keeping their buckets warm. Successor-list
+// the page pool's business; see the node-table note below). Successor-list
 // backing arrays survive the same way: retirement leaves them in place,
 // and they stay with their slot wherever its page goes next, so
 // steady-state Execute and Submit cycles allocate only run bookkeeping
@@ -56,7 +55,7 @@
 // one graph at a time, so concurrent graphs cannot share one — instead
 // the engine keeps a pool of idle table instances under its state lock;
 // admission checks one out (reset to a fresh stamp) and completion
-// returns it. A dense table is little more than a directory: the nodes
+// returns it. A table is little more than a directory: the nodes
 // themselves live in 64-node pages that every table of the engine draws
 // from one page pool and hands back when its run ends, so what 128
 // graphs in flight cost is the pages their nodes fall in, not 128 copies
@@ -231,9 +230,7 @@
 //
 // In detail:
 //
-//   - absent: the slot exists but no worker has named the key yet
-//     (map-backed nodes are born directly in ready — the shard lock
-//     already serializes their creation).
+//   - absent: the slot exists but no worker has named the key yet.
 //   - initializing: exactly one worker won the CAS from absent and is
 //     filling in the predecessor list and join counter. Losers of the CAS
 //     spin (briefly — Predecessors is cheap by Spec contract) until the
@@ -272,7 +269,7 @@
 //
 // Node-owned. A Node is exactly one 64-byte line (slices as bare data
 // pointers with int32 lengths, int32 colour/home), and every page of the
-// dense table is line-aligned, so creating a task, registering
+// node table is line-aligned, so creating a task, registering
 // a successor, counting down its join, computing and draining it touch one
 // line. Two summaries are folded into the node at creation, from the key
 // records its predecessors' lookups are about to read anyway: predColor (the
@@ -283,17 +280,17 @@
 // type assertion and call per edge, and no read of a predecessor's line
 // after another worker has written it. Only a node whose predecessors
 // straddle colours or domains looks each one up, in the engine's key
-// records (the sharded map asks the spec).
+// records (for a key without one, the spec).
 //
 // Worker-owned. The rng state, WorkerStats, the grouping scratch (its
 // small buffers inline, its colour table bracketed by a line of slack),
 // and the loop counters sit in the worker struct between two lines of
 // padding; the words other goroutines write (park handshake, watchdog
 // publication) come after a third. Deque headers are padded the same way
-// by internal/deque. What a worker writes to a dense table outside the
-// nodes — its creation count, the list of directory entries it installed
-// a page under — is striped per worker, a line apart, in storage of its
-// own: nodeTable.getOrCreate takes the worker id, the stripe is a plain
+// by internal/deque. What a worker writes to a node table outside the
+// nodes — its creation count, the list of page numbers it installed a
+// page under — is striped per worker, a line apart, in storage of its
+// own: nodeArena.getOrCreate takes the worker id, the stripe is a plain
 // increment or append, count() and release() read the stripes once the
 // run's completion has ordered every write before the reader, and reset
 // clears the counts with the stamp. A counter or list cursor shared by
@@ -304,11 +301,12 @@
 // same rule: each worker pushes and pops a private stack of pages, and
 // trades half a stack at a time with the locked shared list.
 //
-// What a table owns and what the engine shares (dense backend):
+// What a table owns and what the engine shares:
 //
-//	per table    directory (one pointer per 64 slots); stamp, era and
-//	             last sink; one stripe per worker (creation count,
-//	             installed entries)
+//	per table    directory (one pointer per 64 slots, or a radix tree of
+//	             them; see the node-table note); stamp, era and last
+//	             sink; one stripe per worker (creation count, installed
+//	             page numbers)
 //	per engine   key records on the specView (slot, colour; homes only
 //	             for a HomeSpec) — 8 bytes a key, read-only, one line
 //	             serves a key's lookup, its fill and the summary of its
@@ -353,36 +351,66 @@
 // on the worker's own deque header, none on anything shared beyond the
 // two nodes an edge joins.
 //
-// # Design note: paged dense table vs sharded map
+// # Design note: one node table, two slot rules
 //
-// The engine resolves keys through one of two nodeTable backends, chosen
-// per run (Options.NodeTable, default auto):
+// The paper asks of the node store nothing but an atomic create-or-get,
+// whatever the key space, and the engine has one: nodeArena, a directory
+// of 64-node pages. A table is empty at checkout; the first worker to
+// name a key in a page's range takes a page from the engine-wide pool and
+// CASes it in, and getOrCreate is then a walk to the directory entry and
+// one atomic load of the slot's state word (lookup) or one CAS (create):
+// no hashing, no locks, no per-node allocation. Nabbit creates nodes on
+// demand, and so does the table its storage: a 17-node graph out of a
+// million-key universe costs the two or three pages its keys fall in.
+// Page pool, epoch stamps, hand-back and replay are one mechanism for
+// every spec. What differs is how a key finds its slot (slotOf):
 //
-//   - nodeArena — used when the spec declares a bounded key universe
-//     (BoundedSpec / FuncSpec.BoundFn). Every key has a slot, assigned
-//     home-major (HomeMajorIndex): tasks whose data lives at the same
-//     color sit contiguously, so a worker sweeping its own color's tasks
-//     walks dense memory instead of chasing map buckets — the paper's
-//     assumption that task data clusters at its home color, applied to
-//     the scheduler's own metadata. Slots come in pages of 64. A table is
-//     a directory of page pointers, empty at checkout; the first worker
-//     to name a key in a page's range takes a page from the engine-wide
-//     pool and CASes it in, and getOrCreate is then the key's record, the
-//     directory entry and one atomic load of the slot's state word
-//     (lookup) or one CAS (create): no hashing, no locks, no per-node
-//     allocation. Nabbit creates nodes on demand, and so does the table
-//     its storage: a 17-node graph out of a million-key universe costs
-//     the two or three pages its keys fall in, and a run over the whole
-//     universe is simply the one that installs every page. All benchmark
-//     workloads (stencil grids, CSR blocks, wavefronts) have bounds known
-//     at spec time.
-//   - nodeMap — a 128-way sharded RWMutex hash map, the fallback for
-//     truly dynamic specs that cannot bound their key space.
+//   - Indexed. A spec that declares a bound of at most 2^21 keys
+//     (BoundedSpec / FuncSpec.BoundFn) gets a record per key, built once
+//     per engine, assigning slots home-major (HomeMajorIndex): tasks whose
+//     data lives at the same color sit contiguously, so a worker sweeping
+//     its own color's tasks walks dense memory — the paper's assumption
+//     that task data clusters at its home color, applied to the
+//     scheduler's own metadata. The directory is one flat leaf of a page
+//     per 64 slots that never grows, so a lookup is three dependent loads:
+//     record, directory entry, state word. A key outside the declared
+//     bound is a spec error, reported as such. All benchmark workloads
+//     (stencil grids, CSR blocks, wavefronts) declare bounds.
+//   - Raw. Any other key — no bound, or a bound past 2^21 — is its own
+//     slot: index k&63 of page k>>6, the page number zigzag-folded so that
+//     keys of small magnitude, negative or not, stay shallow. Page numbers
+//     index a radix tree in the shape of the Go runtime's heap-arena map:
+//     64-way levels, installed by CAS the first time a page number under
+//     them is named and never freed while the table lives, the root grown
+//     upwards by CASing in a new level whose child 0 is the old root. The
+//     first 64 pages (keys -2048..2047) answer from the first leaf
+//     without a walk; page numbers past it cost one load per level, up to
+//     ten for keys near ±2^63. Colour and home come from the spec at fill.
+//     Creating a raw key costs ~48 ns and looking one up ~9 ns against
+//     ~240 ns and ~26 ns in the sharded RWMutex map this table replaced
+//     (BenchmarkGetOrCreate/GetOrCreateLookup, 2-CPU Xeon VM; indexed keys
+//     ~45 ns and ~4.4 ns), and raw-key graphs replay like indexed ones.
 //
-// Both backends hand out identical *Node values running the lifecycle
-// protocol above, so the scheduler proper is backend-oblivious, and the
-// simulator mirrors the same split with byte-identical schedules across
-// backends (see internal/sim).
+// The memory trade. A page is 4 KB whichever rule placed its keys, so a
+// key space the graph fills densely costs its 64 B a node, and a sparse
+// one costs a page per touched 64-key block: 4 183 B per node when every
+// key falls in a block of its own (BenchmarkGetOrCreateScattered
+// stride-64, directory levels and slab included), 7 191 B when the keys
+// are 2^40 apart and each also needs interior levels of its own
+// (stride-2^40) — against the 138 B a node cost the map. A spec whose
+// keys are hashes pays that; one that can number its tasks densely
+// should, and declaring the bound buys it the home-major layout too.
+//
+// The simulator mirrors the one table with the same page geometry and
+// schedules that do not depend on whether a spec declares its bound
+// (TestQuickDenseShardedScheduleIdentity in internal/sim).
+//
+// The directory's two CAS installs — an interior level under a nil
+// entry, and a new root over the old — are a protocol of their own: every
+// racer must end on the winner's level, and no page may be installed
+// under a level that lost. TestArenaGetOrCreateRace's unbounded row
+// stresses them; they are a target for a deterministic interleaving
+// explorer once the repository has one.
 //
 // Handing pages back. The worker that completes a run (finishRun) gives
 // the table's pages back to the pool before the table itself goes back
@@ -458,8 +486,8 @@
 // stalled or hung run's table comes back through quarantine, which tells
 // it the opposite); and the spec has not been caught returning a different
 // slice (next paragraph). Everything else discovers, exactly as before:
-// every first run, every Submit, the sharded map, the run after a
-// failure, a changed sink, the first run of a new era. A pass that gives
+// every first run, every Submit, the run after a failure, a changed sink,
+// the first run of a new era. A pass that gives
 // up half-way has stamped some nodes ready, so the discovery that follows
 // takes a stamp of its own and finds them all absent.
 //
@@ -534,8 +562,8 @@
 // key the worker was processing, the recovered value, and the stack,
 // then fails the owning run. The worker goroutine itself survives and
 // goes back to its deque. A spec callback that panics mid-creation
-// would otherwise leave a node stuck in initializing (arena) or a shard
-// lock exposed (map); both backends therefore publish a poisoned node
+// would otherwise leave a node stuck in initializing, so the table
+// publishes a poisoned node
 // on the panic path — empty predecessors and an unreachable join count
 // — so racing workers never spin forever on a half-built node.
 //

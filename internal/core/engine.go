@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -16,8 +15,8 @@ import (
 
 // Engine is a persistent, multi-tenant instance of the real parallel
 // scheduler: P worker goroutines, each with a work-stealing deque of
-// morphing-continuation items, plus a pool of node-table instances (and,
-// for the dense backend, the one pool of node pages they draw from). The
+// morphing-continuation items, plus a pool of node tables and the one pool
+// of node pages they draw from. The
 // engine is built once (NewEngine) and executes any number of task
 // graphs, reusing the worker pool, the deques, and the node tables
 // across runs — the iterative-workload shape (PageRank power iterations,
@@ -73,12 +72,10 @@ type Engine struct {
 	closing   atomic.Bool
 	closeFlag atomic.Bool
 
-	ospec   OptionalSpec
-	opts    Options
-	backend NodeTableBackend // resolved node-table backend
-	// pool is the dense backend's engine-wide page pool and stamp clock
-	// (nil for the sharded map); every table the engine builds draws its
-	// pages from it.
+	ospec OptionalSpec
+	opts  Options
+	// pool is the engine-wide page pool and stamp clock; every table the
+	// engine builds draws its pages from it.
 	pool *pagePool
 
 	// slots is the admission semaphore: one token per in-flight graph,
@@ -129,13 +126,13 @@ type Engine struct {
 	// quiescence checks.
 	nextID  atomic.Uint64
 	stateMu sync.Mutex
-	runs    []*graphRun // in-flight graphs, unordered (guarded by stateMu)
-	tables  []nodeTable // idle node-table instances (guarded by stateMu)
+	runs    []*graphRun  // in-flight graphs, unordered (guarded by stateMu)
+	tables  []*nodeArena // idle node tables (guarded by stateMu)
 	// deadTables quarantines the node tables of failed runs until the
 	// pool is provably quiet (guarded by stateMu; see
 	// reclaimTablesLocked); quarantined mirrors its length atomically so
 	// the park-site reclaim trigger can read it without stateMu.
-	deadTables  []nodeTable
+	deadTables  []*nodeArena
 	quarantined atomic.Int32
 	// active mirrors len(runs) atomically so the stall sweep and
 	// quiescence checks can read it without stateMu.
@@ -167,51 +164,21 @@ type Engine struct {
 	retryOut atomic.Int32
 }
 
-// ResolveNodeTable resolves the requested backend against the spec's
-// declared bound: NodeTableAuto picks dense for bounds in
-// (0, DenseAutoMaxKeys], and forcing dense without a bound is an error.
-// The simulator resolves through this same function, so the two machines
-// can never pick different backends for the same spec (the same reason
-// HomeMajorIndex is shared).
-func ResolveNodeTable(spec Spec, backend NodeTableBackend) (NodeTableBackend, error) {
-	bound := KeyBoundOf(spec)
-	switch backend {
-	case NodeTableSharded:
-		return NodeTableSharded, nil
-	case NodeTableDense:
-		if bound <= 0 {
-			return 0, fmt.Errorf("core: NodeTableDense requires a spec with a positive key bound (got %d)", bound)
-		}
-		return NodeTableDense, nil
-	case NodeTableAuto:
-		if bound > 0 && bound <= DenseAutoMaxKeys {
-			return NodeTableDense, nil
-		}
-		return NodeTableSharded, nil
-	default:
-		return 0, fmt.Errorf("core: unknown node-table backend %v", backend)
-	}
-}
+// maxIndexedKeys is the largest declared key bound whose keys get records
+// (see specView): ~2M keys, 16 MB of records per engine, built at
+// construction — well past the paper's 102400-node graphs. Past it, as
+// without a bound, every key is its own slot.
+const maxIndexedKeys = 1 << 21
 
 // newTableShared builds what all node tables of one engine share: the
-// spec view and, for the dense backend, the key records on it and the page
-// pool the tables draw from (nil for the sharded map).
-func newTableShared(spec Spec, topo numa.Topology, backend NodeTableBackend) (*specView, *pagePool) {
+// spec view, with a record per key when the spec's bound allows, and the
+// page pool the tables draw from.
+func newTableShared(spec Spec, topo numa.Topology) (*specView, *pagePool) {
 	sv := newSpecView(spec, topo)
-	if backend != NodeTableDense {
-		return sv, nil
+	if b := KeyBoundOf(spec); b > 0 && b <= maxIndexedKeys {
+		sv.indexKeys(b)
 	}
-	sv.indexKeys(KeyBoundOf(spec))
 	return sv, newPagePool(topo.Workers)
-}
-
-// newNodeTable builds a node store on the resolved backend (see doc.go's
-// backend design note).
-func newNodeTable(sv *specView, pool *pagePool, backend NodeTableBackend) nodeTable {
-	if backend == NodeTableDense {
-		return newNodeArena(sv, pool)
-	}
-	return newNodeMap(sv)
 }
 
 // dequeCapacity sizes a worker's initial deque from the spec's key bound
@@ -380,11 +347,7 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	backend, err := ResolveNodeTable(spec, opts.NodeTable)
-	if err != nil {
-		return nil, err
-	}
-	sv, pool := newTableShared(spec, opts.Topology, backend)
+	sv, pool := newTableShared(spec, opts.Topology)
 	e := &Engine{
 		sv:         sv,
 		pool:       pool,
@@ -394,7 +357,6 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 		epoch:      time.Now(),
 		watchdogOn: opts.NodeTimeout > 0 || opts.RunDeadline > 0,
 		opts:       opts,
-		backend:    backend,
 		slots:      make(chan struct{}, opts.MaxInflight),
 		pending:    make(chan *graphRun, opts.MaxInflight),
 		closedCh:   make(chan struct{}),
@@ -404,7 +366,7 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 	// Build the first table eagerly: spec problems surface here rather
 	// than on some later Submit, and the single-tenant Execute loop
 	// reuses this one instance forever.
-	e.tables = []nodeTable{newNodeTable(sv, pool, backend)}
+	e.tables = []*nodeArena{newNodeArena(sv, pool)}
 	p := opts.Policy
 	dqCap := dequeCapacity(KeyBoundOf(spec), opts.Workers)
 	e.workers = make([]*worker, opts.Workers)
@@ -459,14 +421,13 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 // on an internal lock (and against Close), each running in turn.
 //
 // Repeated calls reuse the engine's workers, deques, and node table: the
-// dense table retires the previous run's nodes by taking a new epoch stamp
+// table retires the previous run's nodes by taking a new epoch stamp
 // (no reallocation, no per-slot clearing) and, asked for the same sink
-// again, keeps its pages where they were; the sharded map clears its
-// shards in place. Specs may mutate state between calls (e.g. advance an
+// again, keeps its pages where they were. Specs may mutate state between calls (e.g. advance an
 // iteration counter); the engine guarantees no worker touches spec or
 // graph state across the call boundary.
 //
-// A repeat of the sink the dense table served last, after a run that
+// A repeat of the sink the table served last, after a run that
 // computed every node, is replayed rather than discovered: before the run
 // starts, on the calling goroutine, the table calls Predecessors once per
 // node of the last run, and if each returns the very slice it returned
@@ -1235,7 +1196,7 @@ func (w *worker) countAccesses(n *Node) {
 		acc.Remote += int64(n.npreds)
 	default:
 		for _, pk := range n.predKeys() {
-			if sv.domainOf(sv.homeOf(pk)) == w.domain {
+			if _, h := sv.place(pk); sv.domainOf(h) == w.domain {
 				acc.Local++
 			} else {
 				acc.Remote++

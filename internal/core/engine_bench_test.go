@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkExecuteReuse measures repeated Execute on one persistent
-// engine (dense backend): the iterative-workload steady state, which is a
+// engine (bound declared): the iterative-workload steady state, which is a
 // replay of the 512-block fan-in. CI's bench-smoke job hard-gates its
 // allocs/op at the run's own bookkeeping (3: the run, its done channel,
 // the per-worker stats) plus two — an Execute that rebuilt the node arena,
@@ -37,8 +37,8 @@ func BenchmarkExecuteReuse(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st.NodeBackend != "dense" || !st.Replayed {
-			b.Fatalf("backend %q replayed %v, want a replay on dense", st.NodeBackend, st.Replayed)
+		if !st.Replayed {
+			b.Fatal("a repeat Execute was not replayed")
 		}
 	}
 }

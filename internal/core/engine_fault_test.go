@@ -9,18 +9,14 @@ import (
 	"time"
 )
 
-// faultMatrix runs fn across every node-table backend × the pinned worker
-// counts — the full combination space the failure model must hold on.
-// Subtests keep the engine deque's name as their first element.
-func faultMatrix(t *testing.T, fn func(t *testing.T, nt NodeTableBackend, workers int)) {
-	tables := []struct {
-		name string
-		b    NodeTableBackend
-	}{{"dense", NodeTableDense}, {"sharded", NodeTableSharded}}
-	for _, nt := range tables {
+// faultMatrix runs fn across both slot rules (tableRows) × the pinned
+// worker counts — the full combination space the failure model must hold
+// on. Subtests keep the engine deque's name as their first element.
+func faultMatrix(t *testing.T, fn func(t *testing.T, row tableRow, workers int)) {
+	for _, row := range tableRows {
 		for _, workers := range []int{1, 4, 8} {
-			t.Run(fmt.Sprintf("mutex/%s/w%d", nt.name, workers), func(t *testing.T) {
-				fn(t, nt.b, workers)
+			t.Run(fmt.Sprintf("mutex/%s/w%d", row.name, workers), func(t *testing.T) {
+				fn(t, row, workers)
 			})
 		}
 	}
@@ -35,7 +31,7 @@ func TestPanicIsolationMatrix(t *testing.T) {
 	const width = 24
 	stride := width + 1
 	panicKey := Key(3) // leaf 3 of graph 0
-	faultMatrix(t, func(t *testing.T, ntb NodeTableBackend, workers int) {
+	faultMatrix(t, func(t *testing.T, row tableRow, workers int) {
 		counts := make([]atomic.Int32, 2*stride)
 		compute := func(k Key) {
 			if k == panicKey {
@@ -43,8 +39,8 @@ func TestPanicIsolationMatrix(t *testing.T) {
 			}
 			counts[int(k)].Add(1)
 		}
-		e, err := NewEngine(coneSpec(2, width, workers, compute), Options{
-			Workers: workers, Policy: NabbitCPolicy(), NodeTable: ntb,
+		e, err := NewEngine(row.spec(coneSpec(2, width, workers, compute)), Options{
+			Workers: workers, Policy: NabbitCPolicy(),
 		})
 		if err != nil {
 			t.Fatal(err)

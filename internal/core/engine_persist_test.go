@@ -67,15 +67,15 @@ func (f *freshSliceSpec) Predecessors(k Key) []Key {
 }
 
 // TestEngineReuse pins the tentpole property: one engine executes many
-// runs, each run re-exploring the whole graph exactly once, on both
-// node-table backends.
+// runs, each run computing the whole graph exactly once, under both slot
+// rules.
 func TestEngineReuse(t *testing.T) {
 	const n, workers, runs = 256, 8, 10
-	for _, backend := range []NodeTableBackend{NodeTableDense, NodeTableSharded} {
-		t.Run(fmt.Sprintf("mutex/%v", backend), func(t *testing.T) {
+	for _, row := range tableRows {
+		t.Run("mutex/"+row.name, func(t *testing.T) {
 			rec := newRecorder()
-			spec := flatFanInSpec(n, workers, rec.record)
-			e, err := NewEngine(spec, Options{Workers: workers, Policy: NabbitCPolicy(), NodeTable: backend})
+			spec := row.spec(flatFanInSpec(n, workers, rec.record))
+			e, err := NewEngine(spec, Options{Workers: workers, Policy: NabbitCPolicy()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,14 +93,10 @@ func TestEngineReuse(t *testing.T) {
 					t.Fatalf("run %d: executed %d created %d, want %d",
 						r, st.TotalNodes(), st.NodesCreated, n+1)
 				}
-				// The fan-in's slices are stable, so the dense table replays
-				// every run but the first; the sharded map never does.
-				if want := r > 0 && backend == NodeTableDense; st.Replayed != want {
+				// The fan-in's slices are stable, so the table replays every
+				// run but the first, whichever rule placed its keys.
+				if want := r > 0; st.Replayed != want {
 					t.Fatalf("run %d: Replayed = %v, want %v", r, st.Replayed, want)
-				}
-				if want := backend; want == NodeTableDense && st.NodeBackend != "dense" ||
-					want == NodeTableSharded && st.NodeBackend != "sharded" {
-					t.Fatalf("run %d: backend %q", r, st.NodeBackend)
 				}
 				// Every worker the run woke ends it parked on the quiescence
 				// barrier; a worker nobody needed stays asleep.
@@ -237,7 +233,7 @@ func TestRepeatedExecuteDeterminism(t *testing.T) {
 }
 
 // TestExecuteReuseNoArenaRealloc pins the acceptance criterion: repeated
-// Execute calls on the dense backend must not reallocate the node arena —
+// Execute calls must not reallocate the node table —
 // per-run allocations stay a small constant (run bookkeeping), nowhere
 // near the per-node costs a rebuild would show.
 func TestExecuteReuseNoArenaRealloc(t *testing.T) {
@@ -258,8 +254,8 @@ func TestExecuteReuseNoArenaRealloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.NodeBackend != "dense" {
-		t.Fatalf("backend %q, want dense", st.NodeBackend)
+	if !st.Replayed {
+		t.Fatal("a repeat Execute of the fan-in was not replayed")
 	}
 	if st.Parks() < 1 {
 		t.Fatal("idle worker did not park across Execute reuse")
@@ -496,20 +492,25 @@ func TestArenaEpochReset(t *testing.T) {
 	createAll(b, "new era, pages last stamped by the old-era table")
 }
 
-// TestNodeMapReset mirrors the arena reset contract for the sharded map.
+// TestNodeMapReset pins the reset contract on a table without key
+// records, the one an unbounded spec gets: after a reset for another sink
+// nothing is visible, nothing is counted and no page is held, and a key
+// is created afresh.
 func TestNodeMapReset(t *testing.T) {
-	nm := newNodeMap(testView(FuncSpec{}, 1))
-	for k := Key(0); k < 100; k++ {
-		nm.getOrCreate(k, 0, nil)
+	a := testRawArena(FuncSpec{}, 1)
+	for k := Key(-50); k < 100; k++ {
+		a.getOrCreate(k*1000, 0, nil)
 	}
-	nm.reset(0, false)
-	if nm.count() != 0 {
-		t.Fatalf("count after reset = %d, want 0", nm.count())
+	a.reset(0, false)
+	a.release(0, false)
+	a.reset(1, false)
+	if a.count() != 0 || a.held() != 0 {
+		t.Fatalf("after reset: count = %d, %d pages held, want 0 and 0", a.count(), a.held())
 	}
-	if _, ok := nm.get(3); ok {
-		t.Fatal("key 3 still visible after reset")
+	if _, ok := a.get(3000); ok {
+		t.Fatal("key 3000 still visible after reset")
 	}
-	if _, created := nm.getOrCreate(3, 0, nil); !created {
+	if _, created := a.getOrCreate(3000, 0, nil); !created {
 		t.Fatal("create after reset failed")
 	}
 }

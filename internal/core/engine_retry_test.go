@@ -28,8 +28,8 @@ func flakyConeSpec(width, workers int, flaky Key, fails int32, counts []atomic.I
 	return spec
 }
 
-// TestRetryMatrix pins the retry tentpole across every node-table backend
-// × worker count: a transiently failing node (2
+// TestRetryMatrix pins the retry tentpole across both slot rules × worker
+// count: a transiently failing node (2
 // failures, MaxAttempts 3, real backoff timers) recovers, the graph and
 // a concurrent healthy graph both complete with an exactly-once census,
 // Stats.Retries ledgers exactly the injected failures, and the engine
@@ -38,11 +38,11 @@ func TestRetryMatrix(t *testing.T) {
 	const width = 24
 	stride := width + 1
 	flaky := Key(3) // leaf 3 of graph 0
-	faultMatrix(t, func(t *testing.T, ntb NodeTableBackend, workers int) {
+	faultMatrix(t, func(t *testing.T, row tableRow, workers int) {
 		counts := make([]atomic.Int32, 2*stride)
 		var attempts atomic.Int32
-		e, err := NewEngine(flakyConeSpec(width, workers, flaky, 2, counts, &attempts), Options{
-			Workers: workers, Policy: NabbitCPolicy(), NodeTable: ntb,
+		e, err := NewEngine(row.spec(flakyConeSpec(width, workers, flaky, 2, counts, &attempts)), Options{
+			Workers: workers, Policy: NabbitCPolicy(),
 			Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: 200 * time.Microsecond, Multiplier: 2, Jitter: 0.5},
 		})
 		if err != nil {
@@ -486,7 +486,7 @@ func TestCancelVsWatchdog(t *testing.T) {
 }
 
 // TestStallPendingDiagnostics pins StallError's shape on a graph whose
-// pending set exceeds StallPendingMax, on both node-table backends: the
+// pending set exceeds StallPendingMax, under both slot rules: the
 // sample is ascending and truncated while PendingTotal keeps the true
 // count.
 func TestStallPendingDiagnostics(t *testing.T) {
@@ -503,13 +503,10 @@ func TestStallPendingDiagnostics(t *testing.T) {
 		FootprintFn: func(Key) Footprint { return Footprint{Compute: 1} },
 		BoundFn:     func() int { return nodes },
 	}
-	for _, ntb := range []struct {
-		name string
-		b    NodeTableBackend
-	}{{"dense", NodeTableDense}, {"sharded", NodeTableSharded}} {
-		t.Run(ntb.name, func(t *testing.T) {
-			e, err := NewEngine(spec, Options{
-				Workers: 2, Policy: NabbitCPolicy(), NodeTable: ntb.b,
+	for _, row := range tableRows {
+		t.Run(row.name, func(t *testing.T) {
+			e, err := NewEngine(row.spec(spec), Options{
+				Workers: 2, Policy: NabbitCPolicy(),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -377,7 +377,7 @@ func TestExecuteAfterFailedRun(t *testing.T) {
 	}
 }
 
-// deepChainSpec is an unbounded (sharded, default deque capacity) graph
+// deepChainSpec is an unbounded (raw-key slots, default deque capacity) graph
 // that drives one worker's deque depth to ~links: chain link i depends
 // on link i-1 and a private side leaf, so the depth-first descent pushes
 // one side item per level before anything pops. badSink additionally
@@ -409,7 +409,7 @@ func deepChainSpec() FuncSpec {
 		},
 		ColorFn:   func(Key) int { return 0 },
 		ComputeFn: func(Key) {},
-		// No BoundFn: sharded backend, default 64-entry deques, so the
+		// No BoundFn: raw-key slots, default 64-entry deques, so the
 		// ~200-deep frontier must grow the deque.
 	}
 }

@@ -23,13 +23,30 @@ func testArena(spec Spec, workers, bound int) *nodeArena {
 	return newNodeArena(sv, newPagePool(workers))
 }
 
+// testRawArena builds a table without key records, as an engine does for
+// an unbounded spec: every key is its own slot.
+func testRawArena(spec Spec, workers int) *nodeArena {
+	return newNodeArena(testView(spec, workers), newPagePool(workers))
+}
+
+// get returns the node for k if the table's current run has created it.
+func (a *nodeArena) get(k Key) (*Node, bool) {
+	pn, i, ok := a.slotOf(k)
+	if !ok {
+		return nil, false
+	}
+	pg := a.page(pn)
+	if pg == nil || !a.live(pg[i].state.Load()) {
+		return nil, false
+	}
+	return &pg[i], true
+}
+
 // held counts the pages a table currently holds.
 func (a *nodeArena) held() int {
 	n := 0
-	for i := range a.dir {
-		if a.dir[i].Load() != nil {
-			n++
-		}
+	for i := range a.stripes {
+		n += len(a.stripes[i].installed)
 	}
 	return n
 }

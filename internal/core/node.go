@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -44,16 +42,15 @@ const (
 // retired computed+skipped, and the bit propagates to its downstream
 // cone so no descendant executes user code (see Engine.degrade). Both
 // fields are cleared by the computed CAS (retire uses epochMask, which
-// masks them out) and by the dense table's fresh-epoch fill.
+// masks them out) and by the table's fresh-epoch fill.
 //
-// The epoch stamp is how a dense table forgets a run without touching
+// The epoch stamp is how a table forgets a run without touching
 // every slot, and how a page that moves from one graph's table to
 // another's reads as empty there: each table checkout takes a stamp from
 // the engine-wide clock, and any slot whose stamp differs reads as absent
 // (see nodeArena.reset and pagePool). Within a run every lifecycle
 // transition preserves the stamp, so markComputed and addSuccessor never
-// need to know the current epoch. Map-backed nodes are freshly allocated
-// per run and keep stamp 0 forever.
+// need to know the current epoch.
 //
 // The directive below is machine-checked: nabbitvet's atomicbits
 // analyzer proves these constants carve exactly the declared bit
@@ -100,7 +97,7 @@ const poisonedJoin = int32(1) << 30
 // All cross-worker coordination rides the single atomic state word (phase
 // + successor-list claim bit); see doc.go for the protocol.
 //
-// Layout: a Node is exactly one 64-byte cache line, and the dense table's
+// Layout: a Node is exactly one 64-byte cache line, and the node table's
 // pages — 64 nodes, carved from slabs above the allocator's 32 KB
 // small-object limit — start on line boundaries (both pinned by
 // TestNodeLayout), so everything the
@@ -226,7 +223,7 @@ func (n *Node) addSuccessor(s *Node) bool {
 // nothing changed and the caller owes no notifications.
 //
 // The list stays where it is, length and all: it is dead to everyone else
-// for the rest of this run, but a dense-table slot that is created again
+// for the rest of this run, but a table slot that is created again
 // next epoch appends into the same array from the front (fill resets the
 // length), which keeps repeated Execute calls allocation-free on the notify
 // path, and a slot that is re-armed instead (see nodeArena.rearm) notifies
@@ -338,66 +335,18 @@ func (n *Node) decJoin() bool {
 	return v == 0
 }
 
-// nodeTable is the engine's key → node store, providing the atomic
-// create-or-get that Nabbit's dynamic exploration relies on (the paper's
-// "atomically attempt to create a predecessor with key pkey"). Two
-// backends implement it: nodeMap, a sharded hash map for arbitrary key
-// universes, and nodeArena, a paged table for specs that declare a bounded
-// key universe (BoundedSpec). getOrCreate and get are worker-hot; count is
-// post-run only.
-type nodeTable interface {
-	// getOrCreate returns the node for k, creating it if absent. The
-	// boolean reports whether this call created the node; exactly one
-	// caller per key observes true, and that caller is responsible for
-	// processing the node's predecessors (the node is returned fully
-	// initialized either way). wid is the calling worker's id: what a
-	// creation writes outside the node itself (the creation count, the
-	// arena's page stack) is that worker's own. succ, when non-nil, is
-	// registered as the created node's first successor before the node is
-	// published, so the edge that discovers a node costs no claim-bit round
-	// trip; when the node already exists succ is ignored and the caller
-	// registers the edge itself.
-	getOrCreate(k Key, wid int, succ *Node) (*Node, bool)
-	// get returns the node for k if it has been created.
-	get(k Key) (*Node, bool)
-	// count returns the number of created nodes.
-	count() int
-	// release ends the table's run: it may give back whatever node
-	// storage the table borrowed for it (the arena's pages; the map owns
-	// its nodes and keeps them until reset). wid is the calling worker, or
-	// -1 off the worker pool. clean reports that the run computed every
-	// node it created — it ended at its sink with nothing failed, skipped
-	// or timed out — which is what a later replay of it rests on. The
-	// nodes are gone afterwards — same quiescence contract as reset — but
-	// count still answers for the finished run.
-	release(wid int, clean bool)
-	// reset forgets every created node so the table can serve a fresh
-	// run, the one rooted at sink. Callers must guarantee quiescence: no
-	// worker touches the table (or any node it handed out) across a reset.
-	// quiet reports more: the caller holds the engine's quiet state (see
-	// lockQuiet), so the reset may take as long as a pass over the table's
-	// nodes. Only then may a table replay the run it served last: it
-	// returns the root whose successor list is that run's sources, every
-	// node armed to compute again, or nil when the run is to discover its
-	// graph from the sink (see doc.go's replay note).
-	reset(sink Key, quiet bool) (root *Node)
-	// pendingKeys returns the keys of created-but-never-computed nodes
-	// in ascending order — the stall sweep's diagnostic payload. Callers
-	// must guarantee quiescence (same contract as reset).
-	pendingKeys() []Key
-}
-
 // specView is the read-mostly face of a spec that node creation consults:
 // the spec itself, its HomeSpec face resolved once (nil when homes are
 // the colours), and the colour → NUMA-domain table that replaces two
 // divisions per locality lookup. One instance is built per engine and
 // shared by all of its node tables.
 //
-// For the dense backend it also holds everything static about a key —
-// its home-major slot, colour and home — in one record array (indexKeys),
-// so the engine keeps one copy however many tables are in flight, and one
-// cache line of records answers the lookup of a key, the fill of its node
-// and the summary of a run of neighbouring predecessors.
+// For a spec that declares a bound of at most maxIndexedKeys it also holds
+// everything static about a key — its home-major slot, colour and home —
+// in one record array (indexKeys), so the engine keeps one copy however
+// many tables are in flight, and one cache line of records answers the
+// lookup of a key, the fill of its node and the summary of a run of
+// neighbouring predecessors.
 type specView struct {
 	spec    Spec
 	hspec   HomeSpec
@@ -409,8 +358,8 @@ type specView struct {
 	homes []int32
 }
 
-// keyRec is the static half of a dense-table node: the slot HomeMajorIndex
-// assigned to the key and the colour the spec gave it.
+// keyRec is the static half of an indexed key's node: the slot
+// HomeMajorIndex assigned to the key and the colour the spec gave it.
 type keyRec struct {
 	slot  int32
 	color int32
@@ -464,8 +413,8 @@ func (sv *specView) colorHome(k Key) (color, home int32) {
 	return int32(c), int32(c)
 }
 
-// colorOf and homeOf return task k's colour and data home without creating
-// anything: from the key records when the universe is indexed, from the
+// colorOf and place return task k's colour, and its colour and data home,
+// without creating anything: from k's record when it has one, from the
 // spec otherwise.
 func (sv *specView) colorOf(k Key) int32 {
 	if sv.indexed(k) {
@@ -474,12 +423,12 @@ func (sv *specView) colorOf(k Key) int32 {
 	return int32(sv.spec.Color(k))
 }
 
-func (sv *specView) homeOf(k Key) int32 {
+func (sv *specView) place(k Key) (color, home int32) {
 	if sv.indexed(k) {
-		return sv.homeOfRec(k, sv.recs[k].color)
+		c := sv.recs[k].color
+		return c, sv.homeOfRec(k, c)
 	}
-	_, h := sv.colorHome(k)
-	return h
+	return sv.colorHome(k)
 }
 
 // domainOf returns the NUMA domain of colour c, or -1 for a colour no
@@ -506,165 +455,7 @@ func predSummary(i int, pc, pd, c, d int32) (int32, int32) {
 	return pc, pd
 }
 
-// nodeShardCount is a power of two sized to keep per-shard contention low
-// at the paper's 80-worker scale.
-const nodeShardCount = 128
-
-type nodeShard struct {
-	mu sync.RWMutex
-	m  map[Key]*Node
-	// pad rounds the shard up to a whole 64-byte cache line so adjacent
-	// shards never share one (RWMutex 24B + map header 8B = 32B; see the
-	// size assertion in core_test.go).
-	_ [64 - (unsafe.Sizeof(sync.RWMutex{})+unsafe.Sizeof(map[Key]*Node(nil)))%64]byte
-}
-
-// nodeMap is the sharded-hash-map nodeTable: the fallback for specs whose
-// key universe is unbounded or too large to preallocate.
-type nodeMap struct {
-	sv     *specView
-	shards [nodeShardCount]nodeShard
-}
-
-func newNodeMap(sv *specView) *nodeMap {
-	nm := &nodeMap{sv: sv}
-	for i := range nm.shards {
-		nm.shards[i].m = make(map[Key]*Node)
-	}
-	return nm
-}
-
-func shardOf(k Key) uint64 {
-	// Fibonacci hashing spreads sequential keys across shards.
-	return (uint64(k) * 0x9e3779b97f4a7c15) >> (64 - 7)
-}
-
-func (nm *nodeMap) getOrCreate(k Key, _ int, succ *Node) (*Node, bool) {
-	sh := &nm.shards[shardOf(k)]
-	// Fast path: most getOrCreate calls are lookups of existing nodes
-	// (every edge after the first names an already-created predecessor),
-	// and an RLock neither contends with other readers nor pays the
-	// RWMutex writer-lock's extra bookkeeping.
-	sh.mu.RLock()
-	if n, ok := sh.m[k]; ok {
-		sh.mu.RUnlock()
-		return n, false
-	}
-	sh.mu.RUnlock()
-	sh.mu.Lock()
-	if n, ok := sh.m[k]; ok {
-		sh.mu.Unlock()
-		return n, false
-	}
-	// Initialize outside the shard lock? Predecessors() may be
-	// arbitrarily expensive, but releasing the lock would let a second
-	// creator race. Keep initialization under the lock: Predecessors is
-	// required to be cheap per call (specs precompute), and a placeholder
-	// protocol would trade a rare stall for a subtle
-	// published-before-initialized hazard. (The arena backend does run
-	// the placeholder protocol — its lifecycle word makes the hazard
-	// tractable; see nodeArena.getOrCreate.)
-	n := &Node{key: k}
-	done := false
-	// The deferred publish also runs when a spec callback below panics:
-	// the node is published poisoned (empty preds, a join no decrement
-	// sequence can drain) and the shard is unlocked, so a panicking spec
-	// can never leave a shard locked or a key half-created — the panic
-	// then unwinds to the worker's rescue boundary and fails the graph.
-	defer func() {
-		if !done {
-			n.setPreds(nil)
-			n.join = poisonedJoin //nabbit:mixed-ok unpublished: the ready store below orders it
-		} else if succ != nil {
-			n.setSuccs(append(n.succBacking(), succ))
-		}
-		n.state.Store(nodeReady)
-		sh.m[k] = n
-		sh.mu.Unlock()
-	}()
-	sv := nm.sv
-	n.color, n.home = sv.colorHome(k)
-	preds := sv.spec.Predecessors(k)
-	n.setPreds(preds)
-	for i, pk := range preds {
-		c, h := sv.colorHome(pk)
-		n.predColor, n.predDomain = predSummary(i, n.predColor, n.predDomain, c, sv.domainOf(h))
-	}
-	n.join = int32(len(preds)) //nabbit:mixed-ok unpublished: the ready store orders it
-	done = true
-	return n, true
-}
-
-// get returns the node for k if it exists. Read-only: concurrent readers
-// (post-run stats, checkers) share the lock instead of serializing.
-func (nm *nodeMap) get(k Key) (*Node, bool) {
-	sh := &nm.shards[shardOf(k)]
-	sh.mu.RLock()
-	n, ok := sh.m[k]
-	sh.mu.RUnlock()
-	return n, ok
-}
-
-// release is a no-op: the map's nodes are its own, dropped by reset.
-func (nm *nodeMap) release(int, bool) {}
-
-// reset drops every node, so the map never replays. clear() keeps each
-// map's buckets allocated, so a reused engine's later runs insert into warm
-// tables instead of re-growing them from scratch.
-func (nm *nodeMap) reset(Key, bool) *Node {
-	for i := range nm.shards {
-		sh := &nm.shards[i]
-		sh.mu.Lock()
-		clear(sh.m)
-		sh.mu.Unlock()
-	}
-	return nil
-}
-
-func (nm *nodeMap) count() int {
-	total := 0
-	for i := range nm.shards {
-		sh := &nm.shards[i]
-		sh.mu.RLock()
-		total += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return total
-}
-
-// pendingKeys lists created-but-never-computed nodes, sorted. Called
-// only from the stall sweep's proven-quiet point, so the shard locks are
-// uncontended formality.
-func (nm *nodeMap) pendingKeys() []Key {
-	var keys []Key
-	for i := range nm.shards {
-		sh := &nm.shards[i]
-		sh.mu.RLock()
-		for k, n := range sh.m {
-			if nodePhase(n.state.Load()) != nodeComputed {
-				keys = append(keys, k)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-// forEach visits every created node. Not for use while workers run; not
-// part of the nodeTable contract (nothing engine-side iterates nodes).
-func (nm *nodeMap) forEach(fn func(*Node)) {
-	for i := range nm.shards {
-		sh := &nm.shards[i]
-		sh.mu.RLock()
-		for _, n := range sh.m {
-			fn(n)
-		}
-		sh.mu.RUnlock()
-	}
-}
-
-// HomeMajorIndex computes the dense table's key → slot assignment: slots
+// HomeMajorIndex computes an indexed table's key → slot assignment: slots
 // are ordered by home color (keys with the same home contiguous, homes
 // ascending), stable by key within a home. Homes outside [0, workers) —
 // colors the scheduler cannot localize anyway — share one overflow bucket
@@ -696,29 +487,29 @@ func HomeMajorIndex(bound, workers int, homeOf func(Key) int) []int32 {
 
 // NodeStore is an exported handle to a node table outside any engine run
 // — the hook the harness's deterministic alloc ablation and external
-// benchmarks use to measure the backends' create-or-get paths directly.
-// The engine builds its own table per run; a NodeStore never feeds one.
-type NodeStore struct{ nt nodeTable }
+// benchmarks use to measure the create-or-get path directly. The engine
+// builds its own table per run; a NodeStore never feeds one.
+type NodeStore struct{ a *nodeArena }
 
-// NewNodeStore builds a standalone node table for spec with the given
-// backend (NodeTableAuto resolves exactly as a run would). Unlike Run
-// there is no withDefaults step here, so workers is validated directly.
-func NewNodeStore(spec Spec, workers int, backend NodeTableBackend) (*NodeStore, error) {
+// NewNodeStore builds a standalone node table for spec: NodeTableDense
+// indexes the keys as a run would, NodeTableSharded ignores the spec's
+// bound and places every key by its own value. Unlike Run there is no
+// withDefaults step here, so workers is validated directly.
+func NewNodeStore(spec Spec, workers int, slots NodeTableBackend) (*NodeStore, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("core: NewNodeStore needs workers >= 1, got %d", workers)
 	}
-	backend, err := ResolveNodeTable(spec, backend)
-	if err != nil {
-		return nil, err
+	sv, pool := newTableShared(spec, numa.Paper(workers))
+	if slots == NodeTableSharded {
+		sv.recs, sv.homes = nil, nil
 	}
-	sv, pool := newTableShared(spec, numa.Paper(workers), backend)
-	return &NodeStore{nt: newNodeTable(sv, pool, backend)}, nil
+	return &NodeStore{a: newNodeArena(sv, pool)}, nil
 }
 
 // GetOrCreate returns the node for k, creating it if absent; the boolean
 // reports creation. Creations are counted on worker 0's stripe, so unlike
 // the engine's per-worker use a NodeStore is for one goroutine at a time.
-func (s *NodeStore) GetOrCreate(k Key) (*Node, bool) { return s.nt.getOrCreate(k, 0, nil) }
+func (s *NodeStore) GetOrCreate(k Key) (*Node, bool) { return s.a.getOrCreate(k, 0, nil) }
 
 // Count returns the number of created nodes.
-func (s *NodeStore) Count() int { return s.nt.count() }
+func (s *NodeStore) Count() int { return s.a.count() }

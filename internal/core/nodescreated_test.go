@@ -23,8 +23,8 @@ func (f *faultySpec) Compute(k Key) {
 }
 
 // TestNodesCreatedExactUnderStriping pins Stats.NodesCreated now that the
-// dense arena counts creations in per-worker stripes: on a wavefront and
-// on a cone forest, for both node-table backends and 1–8 workers, the
+// table counts creations in per-worker stripes: on a wavefront and on a
+// cone forest, under both slot rules (tableRows) and 1–8 workers, the
 // count equals the graph's key count exactly — for Execute, for each of
 // 64 concurrently submitted graphs (every graph sums
 // its own table's stripes while the workers keep writing other tables'),
@@ -62,13 +62,17 @@ func TestNodesCreatedExactUnderStriping(t *testing.T) {
 		},
 	}
 	for _, g := range graphs {
-		for _, backend := range []NodeTableBackend{NodeTableDense, NodeTableSharded} {
+		for _, row := range tableRows {
 			for _, workers := range []int{1, 2, 4, 8} {
-				name := fmt.Sprintf("%s/%v/mutex/%dw", g.name, backend, workers)
+				name := fmt.Sprintf("%s/%s/mutex/%dw", g.name, row.name, workers)
 				t.Run(name, func(t *testing.T) {
-					spec := &faultySpec{BoundedSpec: g.spec(workers), at: g.fault}
+					var inner BoundedSpec = g.spec(workers)
+					if row.hide {
+						inner = unboundedSpec{inner}
+					}
+					spec := &faultySpec{BoundedSpec: inner, at: g.fault}
 					e, err := NewEngine(spec, Options{
-						Workers: workers, Policy: NabbitCPolicy(), NodeTable: backend, MaxInflight: cones,
+						Workers: workers, Policy: NabbitCPolicy(), MaxInflight: cones,
 					})
 					if err != nil {
 						t.Fatal(err)

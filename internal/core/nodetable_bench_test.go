@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -17,21 +18,29 @@ func benchSpec() FuncSpec {
 	}
 }
 
-// BenchmarkGetOrCreate measures the create path of both node-table
-// backends. The dense arena case must report exactly 0 allocs/op (CI's
-// bench-smoke job hard-gates it): creation is one CAS plus field stores
-// into preallocated slots, while the sharded map pays a &Node allocation
-// plus map growth per create.
-func BenchmarkGetOrCreate(b *testing.B) {
+// getOrCreateTables are the two slot rules the node-table benchmarks
+// measure: the spec's keys indexed, and the same spec with every key its
+// own slot (an unbounded spec's; benchBound keys fill 512 pages, so the
+// tree is two levels deep).
+func getOrCreateTables() []struct {
+	name string
+	mk   func() *nodeArena
+} {
 	spec := benchSpec()
-	backends := []struct {
+	return []struct {
 		name string
-		mk   func() nodeTable
+		mk   func() *nodeArena
 	}{
-		{"dense", func() nodeTable { return testArena(spec, 8, benchBound) }},
-		{"sharded", func() nodeTable { return newNodeMap(testView(spec, 8)) }},
+		{"dense", func() *nodeArena { return testArena(spec, 8, benchBound) }},
+		{"unbounded", func() *nodeArena { return testRawArena(spec, 8) }},
 	}
-	for _, impl := range backends {
+}
+
+// BenchmarkGetOrCreate measures the create path under both slot rules.
+// Both must report exactly 0 allocs/op (CI's bench-smoke job hard-gates
+// them): creation is one CAS plus field stores into pooled pages.
+func BenchmarkGetOrCreate(b *testing.B) {
+	for _, impl := range getOrCreateTables() {
 		b.Run(impl.name, func(b *testing.B) {
 			nt := impl.mk()
 			k := 0
@@ -56,24 +65,53 @@ func BenchmarkGetOrCreate(b *testing.B) {
 // BenchmarkGetOrCreateLookup measures the (far more common) lookup path:
 // every edge after a node's first naming resolves to an existing node.
 func BenchmarkGetOrCreateLookup(b *testing.B) {
-	spec := benchSpec()
-	backends := []struct {
-		name string
-		nt   nodeTable
-	}{
-		{"dense", testArena(spec, 8, benchBound)},
-		{"sharded", newNodeMap(testView(spec, 8))},
-	}
-	for _, impl := range backends {
+	for _, impl := range getOrCreateTables() {
 		b.Run(impl.name, func(b *testing.B) {
+			nt := impl.mk()
 			for k := 0; k < benchBound; k++ {
-				impl.nt.getOrCreate(Key(k), 0, nil)
+				nt.getOrCreate(Key(k), 0, nil)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				impl.nt.getOrCreate(Key(i&(benchBound-1)), 0, nil)
+				nt.getOrCreate(Key(i&(benchBound-1)), 0, nil)
 			}
+		})
+	}
+}
+
+// BenchmarkGetOrCreateScattered measures what a sparse key space costs the
+// raw-key table: every created key on a page of its own, so every create
+// installs a 4 KB page, and the tree grows whatever interior levels the
+// keys' spread asks for. It reports heap bytes per created node — pages,
+// slabs and directory levels together — to set against the 138 B a node
+// cost the sharded map the table replaced. stride-64 takes one key of
+// each 64-key block in a row; stride-2^40 spreads them 2^40 apart over
+// negative and positive keys, which gives each key interior levels of its
+// own below the top two.
+func BenchmarkGetOrCreateScattered(b *testing.B) {
+	const nodes = 4096
+	for _, sc := range []struct {
+		name string
+		key  func(j int) Key
+	}{
+		{"stride-64", func(j int) Key { return Key(j) * pageNodes }},
+		{"stride-2^40", func(j int) Key { return Key(j-nodes/2)<<40 + Key(j) }},
+	} {
+		b.Run(sc.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a := testRawArena(benchSpec(), 8)
+				for j := 0; j < nodes; j++ {
+					a.getOrCreate(sc.key(j), 0, nil)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*nodes), "B/node")
 		})
 	}
 }

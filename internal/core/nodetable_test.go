@@ -1,10 +1,39 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// tableRow is one of the two slot rules the engine-level table tests run a
+// spec under: "dense" runs the spec as declared, so its keys have records;
+// "unbounded" hides its bound, so every key is its own slot under the radix
+// directory.
+type tableRow struct {
+	name string
+	hide bool
+}
+
+var tableRows = []tableRow{{"dense", false}, {"unbounded", true}}
+
+// spec returns s as the row runs it.
+func (r tableRow) spec(s FuncSpec) FuncSpec {
+	if r.hide {
+		s.BoundFn = nil
+	}
+	return s
+}
+
+// hideBound is tableRow.spec's hiding for a replay rig's wrap.
+func hideBound(s FuncSpec) Spec { return tableRow{hide: true}.spec(s) }
+
+// unboundedSpec hides the bound of a spec that is not a FuncSpec.
+type unboundedSpec struct{ BoundedSpec }
+
+func (unboundedSpec) KeyBound() int { return 0 }
 
 // boundedChainSpec is a dense chain 0 <- 1 <- ... <- n-1 declaring its
 // bound.
@@ -118,9 +147,12 @@ func TestHomeMajorLayout(t *testing.T) {
 
 // TestArenaGetOrCreateRace hammers concurrent create-or-get over the
 // lifecycle word: every key must be created exactly once, and every
-// returned node must already be fully initialized (run with -race).
+// returned node must already be fully initialized (run with -race). The
+// unbounded row's keys are 64 apart from 2^40 up, each on a page of its
+// own and all past a fresh tree's reach, so the workers' first creations
+// race to grow the root and to install the same interior levels.
 func TestArenaGetOrCreateRace(t *testing.T) {
-	const bound = 512
+	const keys = 512
 	const goroutines = 8
 	spec := FuncSpec{
 		PredsFn: func(k Key) []Key {
@@ -131,41 +163,114 @@ func TestArenaGetOrCreateRace(t *testing.T) {
 			return ps
 		},
 		ColorFn: func(k Key) int { return int(k) % goroutines },
-		BoundFn: func() int { return bound },
+		BoundFn: func() int { return keys },
 	}
-	for round := 0; round < 10; round++ {
-		a := testArena(spec, goroutines, bound)
-		var created atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < bound*4; i++ {
-					k := Key((i*7 + g*13) % bound)
-					n, isNew := a.getOrCreate(k, g, nil)
-					if isNew {
-						created.Add(1)
-					}
-					if n.key != k {
-						t.Errorf("key %d resolved to node with key %d", k, n.key)
-						return
-					}
-					// The node must be published fully initialized.
-					if got := len(n.Preds()); got != int(k)%3 {
-						t.Errorf("key %d observed %d preds, want %d", k, got, int(k)%3)
-						return
-					}
+	rows := []struct {
+		name  string
+		table func() *nodeArena
+		key   func(i int) Key
+	}{
+		{"bounded", func() *nodeArena { return testArena(spec, goroutines, keys) }, func(i int) Key { return Key(i) }},
+		{"unbounded", func() *nodeArena { return testRawArena(spec, goroutines) }, func(i int) Key { return 1<<40 + Key(i)*pageNodes }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			for round := 0; round < 10; round++ {
+				a := row.table()
+				var created atomic.Int64
+				var start, wg sync.WaitGroup
+				start.Add(1)
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						start.Wait()
+						for i := 0; i < keys*4; i++ {
+							k := row.key((i*7 + g*13) % keys)
+							n, isNew := a.getOrCreate(k, g, nil)
+							if isNew {
+								created.Add(1)
+							}
+							if n.key != k {
+								t.Errorf("key %d resolved to node with key %d", k, n.key)
+								return
+							}
+							// The node must be published fully initialized.
+							if got := len(n.Preds()); got != int(k)%3 {
+								t.Errorf("key %d observed %d preds, want %d", k, got, int(k)%3)
+								return
+							}
+						}
+					}(g)
 				}
-			}(g)
+				start.Done()
+				wg.Wait()
+				if created.Load() != keys {
+					t.Fatalf("round %d: %d creations for %d keys", round, created.Load(), keys)
+				}
+				if a.count() != keys {
+					t.Fatalf("round %d: count = %d, want %d", round, a.count(), keys)
+				}
+			}
+		})
+	}
+}
+
+// TestArenaRawKeyEdges places the keys the raw-key rule must fold —
+// negatives, both ends of Key, keys 2^40 apart — and checks that each gets
+// a slot of its own, is found again, is counted, and is listed by
+// pendingKeys in order until it computes. Keys of small magnitude, either
+// sign, keep the tree at its first leaf; math.MinInt64 grows it to exactly
+// the ten levels 2^58 page numbers need.
+func TestArenaRawKeyEdges(t *testing.T) {
+	a := testRawArena(FuncSpec{}, 2)
+	for k := Key(-pageNodes * dirFan / 2); k < pageNodes*dirFan/2; k++ {
+		a.getOrCreate(k, 0, nil)
+	}
+	if top := a.top.Load(); top.shift != 0 || a.held() != dirFan {
+		t.Fatalf("keys of magnitude < 2048: tree at shift %d holding %d pages, want the first leaf's %d", top.shift, a.held(), dirFan)
+	}
+	a.reset(1, false)
+	a.reset(2, false)
+
+	keys := []Key{
+		math.MinInt64, math.MinInt64 + 1, -3 << 40, -2 << 40, -1 << 40, -65, -64, -1,
+		0, 1, 63, 64, 1 << 40, 2 << 40, 3 << 40, math.MaxInt64 - 1, math.MaxInt64,
+	}
+	nodes := map[*Node]Key{}
+	for i, k := range keys {
+		n, created := a.getOrCreate(k, i%2, nil)
+		if !created || n.key != k {
+			t.Fatalf("key %d: created %v, node of key %d", k, created, n.key)
 		}
-		wg.Wait()
-		if created.Load() != bound {
-			t.Fatalf("round %d: %d creations for %d keys", round, created.Load(), bound)
+		if other, dup := nodes[n]; dup {
+			t.Fatalf("keys %d and %d share a slot", other, k)
 		}
-		if a.count() != bound {
-			t.Fatalf("round %d: count = %d, want %d", round, a.count(), bound)
+		nodes[n] = k
+	}
+	for _, k := range keys {
+		if n, ok := a.get(k); !ok || n.key != k {
+			t.Fatalf("key %d not found again", k)
 		}
+		if n, created := a.getOrCreate(k, 0, nil); created || n.key != k {
+			t.Fatalf("key %d created twice", k)
+		}
+	}
+	if got := a.count(); got != len(keys) {
+		t.Fatalf("count = %d, want %d", got, len(keys))
+	}
+	if got := a.pendingKeys(); !slices.Equal(got, keys) {
+		t.Fatalf("pendingKeys = %v, want %v", got, keys)
+	}
+	for _, k := range keys[:3] {
+		n, _ := a.get(k)
+		n.markComputed()
+	}
+	if got := a.pendingKeys(); !slices.Equal(got, keys[3:]) {
+		t.Fatalf("pendingKeys after three computed = %v, want %v", got, keys[3:])
+	}
+	if top := a.top.Load(); top.shift != 9*dirShift {
+		t.Fatalf("tree over ±2^63 at shift %d, want %d (ten levels)", top.shift, 9*dirShift)
 	}
 }
 
@@ -232,14 +337,14 @@ func TestNotifyLifecycleRace(t *testing.T) {
 	}
 }
 
-// TestEngineBackendsAgree runs the same bounded graph through the real
-// engine under both node-table backends and verifies exactly-once
+// TestEngineBackendsAgree runs the same graph through the real engine
+// under both slot rules (tableRows) and verifies exactly-once
 // dependence-ordered execution each way.
 func TestEngineBackendsAgree(t *testing.T) {
-	for _, backend := range []NodeTableBackend{NodeTableDense, NodeTableSharded} {
+	for _, row := range tableRows {
 		rec := newRecorder()
 		const n = 800
-		spec := FuncSpec{
+		spec := row.spec(FuncSpec{
 			PredsFn: func(k Key) []Key {
 				if k == 0 {
 					return nil
@@ -253,13 +358,10 @@ func TestEngineBackendsAgree(t *testing.T) {
 			ColorFn:   func(k Key) int { return int(k) % 8 },
 			ComputeFn: rec.record,
 			BoundFn:   func() int { return n },
-		}
-		st, err := Run(spec, n-1, Options{Workers: 8, Policy: NabbitCPolicy(), NodeTable: backend})
+		})
+		st, err := Run(spec, n-1, Options{Workers: 8, Policy: NabbitCPolicy()})
 		if err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if want := backend.String(); st.NodeBackend != want {
-			t.Fatalf("backend %v: stats report %q", backend, st.NodeBackend)
+			t.Fatalf("%s: %v", row.name, err)
 		}
 		keys := make([]Key, n)
 		for i := range keys {
@@ -267,18 +369,8 @@ func TestEngineBackendsAgree(t *testing.T) {
 		}
 		rec.verify(t, spec, keys)
 		if st.NodesCreated != n {
-			t.Fatalf("backend %v: created %d, want %d", backend, st.NodesCreated, n)
+			t.Fatalf("%s: created %d, want %d", row.name, st.NodesCreated, n)
 		}
-	}
-}
-
-// TestForcedDenseUnboundedErrors pins the loud failure mode: forcing the
-// arena on a spec with no key bound must error, not silently fall back.
-func TestForcedDenseUnboundedErrors(t *testing.T) {
-	spec := FuncSpec{ComputeFn: func(Key) {}}
-	_, err := Run(spec, 0, Options{Workers: 2, NodeTable: NodeTableDense})
-	if err == nil {
-		t.Fatal("NodeTableDense on an unbounded spec did not error")
 	}
 }
 
@@ -295,7 +387,7 @@ func TestArenaKeyOutOfBoundPanics(t *testing.T) {
 	a.getOrCreate(99, 0, nil)
 }
 
-// TestArenaZeroAlloc pins the dense backend's headline property: after
+// TestArenaZeroAlloc pins the indexed table's headline property: after
 // construction, create-or-get allocates nothing (the predecessor slice
 // here is nil; spec-owned allocations are the spec's business).
 func TestArenaZeroAlloc(t *testing.T) {

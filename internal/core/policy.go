@@ -129,26 +129,22 @@ func (p Policy) WithDefaults() Policy {
 	return p
 }
 
-// NodeTableBackend selects the engine's key → node store (see doc.go's
-// backend design note).
+// NodeTableBackend is NewNodeStore's choice of slot rule, kept only for
+// the benchmark module's node-store probes, which name it: the engine has
+// one node table and picks the rule from the spec (see doc.go's node-table
+// note). To be deleted once those probes name their rows by spec kind.
 type NodeTableBackend int
 
 const (
-	// NodeTableAuto picks the dense arena when the spec declares a key
-	// bound no larger than DenseAutoMaxKeys, the sharded map otherwise.
-	NodeTableAuto NodeTableBackend = iota
-	// NodeTableSharded forces the sharded hash map.
+	// NodeTableDense indexes the spec's declared bound, as a run would.
+	NodeTableDense NodeTableBackend = iota
+	// NodeTableSharded ignores the bound: every key is its own slot.
 	NodeTableSharded
-	// NodeTableDense forces the dense arena; the run fails to start if the
-	// spec declares no key bound.
-	NodeTableDense
 )
 
-// String names the backend.
+// String names the slot rule.
 func (b NodeTableBackend) String() string {
 	switch b {
-	case NodeTableAuto:
-		return "auto"
 	case NodeTableSharded:
 		return "sharded"
 	case NodeTableDense:
@@ -157,13 +153,6 @@ func (b NodeTableBackend) String() string {
 		return fmt.Sprintf("backend(%d)", int(b))
 	}
 }
-
-// DenseAutoMaxKeys is the largest declared key bound the auto backend
-// will index for the dense arena (~2M keys: 16 MB of key records per
-// engine, and node pages only for the keys a graph names — well past the
-// paper's 102400-node graphs). Larger universes fall back to the
-// sharded map unless NodeTableDense is forced explicitly.
-const DenseAutoMaxKeys = 1 << 21
 
 // AdmissionPolicy selects what Submit does when MaxInflight graphs are
 // already in flight.
@@ -257,9 +246,6 @@ type Options struct {
 	// (which report the id of the worker they borrowed), and must be safe
 	// for concurrent use.
 	OnComplete func(worker int, k Key)
-	// NodeTable selects the node-store backend (default NodeTableAuto:
-	// dense arena for bounded specs, sharded map otherwise).
-	NodeTable NodeTableBackend
 	// MaxInflight bounds how many admitted graphs may be in flight at
 	// once (Submit tickets not yet completed, plus any Execute in
 	// progress). Admission beyond the bound blocks or rejects per

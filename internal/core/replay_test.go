@@ -133,7 +133,8 @@ func uniformColors(n, workers int) []int {
 
 // TestReplayProperty is the replay's property test: random stable-slice
 // DAGs of 2-400 keys with duplicate edges and the odd invalid colour, 1-3
-// workers, eight Executes per engine with a Compute panic in run 4. Every
+// workers, eight Executes per engine with a Compute panic in run 4, every
+// other DAG with its bound hidden so its keys are their own slots. Every
 // healthy run computes each reachable key exactly once after its
 // predecessors and reports the same node count; runs 0 and 5 — the first,
 // and the one after the failure — discover the graph, every other healthy
@@ -157,14 +158,18 @@ func TestReplayProperty(t *testing.T) {
 		}
 		var panicAt atomic.Int64
 		panicAt.Store(-1)
+		var wrap func(FuncSpec) Spec
+		if d%2 == 1 {
+			wrap = hideBound
+		}
 		g := newReplayRig(t, preds, colors, Options{Workers: workers}, func(k Key) {
 			if int64(k) == panicAt.Load() {
 				panic("injected")
 			}
-		}, nil)
+		}, wrap)
 		victim := g.keys[r.Intn(len(g.keys))]
 		for run := 0; run < 8; run++ {
-			what := fmt.Sprintf("dag %d (%d keys, %d workers) run %d", d, n, workers, run)
+			what := fmt.Sprintf("dag %d (%d keys, %d workers, unbounded %v) run %d", d, n, workers, wrap != nil, run)
 			if run == 4 {
 				panicAt.Store(int64(victim))
 				st, err := g.e.Execute(g.sink)
@@ -377,10 +382,12 @@ func TestReplayFallback(t *testing.T) {
 		g.execute("third of the new era", true)
 	})
 
-	t.Run("sharded backend", func(t *testing.T) {
-		g := rig(t, Options{NodeTable: NodeTableSharded}, nil, nil)
+	// Not a fallback: the same spec with its bound hidden, every key its
+	// own slot, replays exactly as the indexed one does.
+	t.Run("unbounded", func(t *testing.T) {
+		g := rig(t, Options{}, nil, hideBound)
 		for run := 0; run < 3; run++ {
-			g.execute(fmt.Sprintf("run %d", run), false)
+			g.execute(fmt.Sprintf("run %d", run), run > 0)
 		}
 	})
 

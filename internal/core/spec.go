@@ -115,11 +115,13 @@ func HomeOf(s Spec, k Key) int {
 
 // BoundedSpec is implemented by specs whose key universe is a bounded
 // dense integer range: every key the graph can name lies in
-// [0, KeyBound()). Declaring a bound lets the engines replace the sharded
-// node map with the dense paged arena (lock-free create-or-get,
-// home-major layout; see doc.go) and size worker deques up front. A
-// KeyBound() <= 0 means "unbounded" — the spec behaves as if the
-// interface were absent.
+// [0, KeyBound()). Every spec gets the same node table either way (see
+// doc.go); a bound of up to 2^21 keys buys it a record per key, so that
+// node slots are laid out home-major (tasks whose data lives at the same
+// colour are contiguous) and a lookup is one record load away from its
+// page, and any bound sizes the worker deques up front. A key outside the
+// declared bound is a spec error the engine reports. A KeyBound() <= 0
+// means "unbounded" — the spec behaves as if the interface were absent.
 //
 // Color (and Home, when implemented) must be total over the whole range —
 // they are evaluated for every key in [0, KeyBound()) at engine

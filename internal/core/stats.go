@@ -91,16 +91,13 @@ type Stats struct {
 	// last run left them. Either way it is the number of tasks of the graph.
 	NodesCreated int
 	// Replayed reports that the run created nothing: it was an Execute of
-	// the sink the engine's dense table had just served, in a run that
+	// the sink the engine's node table had just served, in a run that
 	// computed every node, and the table re-armed that run's nodes instead
 	// of discovering them again (see doc.go's replay note). False for every
-	// first run, every Submit, the sharded backend, the run after a failed
-	// or degraded one, and a spec that returns a fresh predecessor slice
-	// per call. Not part of Metrics.
+	// first run, every Submit, the run after a failed or degraded one, and
+	// a spec that returns a fresh predecessor slice per call. Not part of
+	// Metrics.
 	Replayed bool
-	// NodeBackend names the node-table backend the run used ("dense" or
-	// "sharded"; see Options.NodeTable).
-	NodeBackend string
 	// Topology is the topology the run was accounted against.
 	Topology numa.Topology
 	// Retries counts failed FallibleSpec attempts that were re-enqueued

@@ -38,9 +38,9 @@ type graphRun struct {
 	// at admission and returned when the sink computes — or quarantined
 	// when the run fails mid-flight (see Engine.reclaimTablesLocked).
 	// Tables are never shared between in-flight graphs; what they do
-	// share, the dense backend's pages, moves between them only through
-	// the engine's page pool.
-	nt nodeTable
+	// share, the pages, moves between them only through the engine's page
+	// pool.
+	nt *nodeArena
 	// root is the replay root the table handed out at checkout, nil for a
 	// run that discovers its graph from the sink (see worker.seed).
 	root  *Node
@@ -387,18 +387,18 @@ func (e *Engine) sweepPendingLocked() {
 	}
 }
 
-// checkoutTableLocked pops an idle node-table instance from the pool or
-// builds a new one when every instance is in use, and resets it for the
+// checkoutTableLocked pops an idle node table from the pool or builds a
+// new one when every table is in use, and resets it for the
 // graph rooted at sink (forgetting its previous graph). Pool capacity converges to the peak
 // in-flight graph count, bounded by MaxInflight.
-func (e *Engine) checkoutTableLocked(sink Key, quiet bool) (nodeTable, *Node) {
-	var nt nodeTable
+func (e *Engine) checkoutTableLocked(sink Key, quiet bool) (*nodeArena, *Node) {
+	var nt *nodeArena
 	if n := len(e.tables); n > 0 {
 		nt = e.tables[n-1]
 		e.tables[n-1] = nil
 		e.tables = e.tables[:n-1]
 	} else {
-		nt = newNodeTable(e.sv, e.pool, e.backend)
+		nt = newNodeArena(e.sv, e.pool)
 	}
 	return nt, nt.reset(sink, quiet)
 }
@@ -429,7 +429,6 @@ func (e *Engine) finishRun(r *graphRun, wid int) {
 		Elapsed:      time.Since(r.start),
 		NodesCreated: r.nt.count(),
 		Replayed:     r.root != nil,
-		NodeBackend:  e.backend.String(),
 		Topology:     e.opts.Topology,
 		Retries:      r.retries.Load(),
 		TimedOut:     int(r.timedOut.Load()),
@@ -452,7 +451,7 @@ func (e *Engine) finishRun(r *graphRun, wid int) {
 		e.tables = append(e.tables, r.nt)
 	}
 	e.removeRunLocked(r)
-	if len(e.runs) == 0 && len(e.deadTables) == 0 && e.pool != nil {
+	if len(e.runs) == 0 && len(e.deadTables) == 0 {
 		e.pool.trim()
 	}
 	e.stateMu.Unlock()

@@ -10,39 +10,52 @@ import (
 	"nabbitc/internal/sim"
 )
 
-// The arena experiment surfaces the dense node-table backend against the
-// sharded map in the structured report pipeline, with only deterministic
-// measurements so it can live in the byte-compared sim-kind document:
+// The arena experiment surfaces the node table under its two slot rules —
+// a spec's declared bound indexed (bounded), and the same spec with its
+// bound hidden so every key is its own slot (unbounded) — in the
+// structured report pipeline, with only deterministic measurements so it
+// can live in the byte-compared sim-kind document:
 //
-//   - arena/getorcreate: allocs/op and bytes/op of the two backends'
-//     create and lookup paths (ReadMemStats deltas, GC off — the same
-//     methodology as the alloc experiment). The dense lookup row must
-//     report exactly zero and the create row only the page slabs a fresh
-//     store carves (about one allocation per thousand nodes); CI
-//     additionally hard-gates the equivalent BenchmarkGetOrCreate numbers.
+//   - arena/getorcreate: allocs/op and bytes/op of the create and lookup
+//     paths (ReadMemStats deltas, GC off — the same methodology as the
+//     alloc experiment). The lookup rows must report exactly zero and the
+//     create rows only the page slabs and directory levels a fresh store
+//     carves (about one allocation per thousand nodes); CI additionally
+//     hard-gates the equivalent BenchmarkGetOrCreate numbers.
 //   - arena/real-heat: whole-run heap allocations of the real engine on
-//     the heat benchmark under each backend. One worker keeps the run —
-//     and therefore its allocation sequence — fully deterministic.
+//     the heat benchmark under each rule. One worker keeps the run — and
+//     therefore its allocation sequence — fully deterministic.
 //   - arena/schedule-identity: the load-bearing correctness claim, pinned
 //     as data: simulated schedules (FNV-1a over the completion sequence)
-//     and makespans are identical under both backends.
+//     and makespans are identical whether or not the spec declares its
+//     bound.
 
 // arenaBound is the key universe of the getorcreate scenarios.
 const arenaBound = allocIters
 
-// arenaSpec is a minimal bounded spec: no predecessors, so the backends'
-// own allocation behavior is measured, not the spec's.
-func arenaSpec() core.FuncSpec {
-	return core.FuncSpec{
-		ColorFn: func(k core.Key) int { return int(k) % allocColors },
-		BoundFn: func() int { return arenaBound },
+// arenaSpec is a minimal spec: no predecessors, so the table's own
+// allocation behavior is measured, not the spec's. bounded declares the
+// key bound.
+func arenaSpec(bounded bool) core.FuncSpec {
+	spec := core.FuncSpec{ColorFn: func(k core.Key) int { return int(k) % allocColors }}
+	if bounded {
+		spec.BoundFn = func() int { return arenaBound }
 	}
+	return spec
 }
 
-func arenaStore(backend core.NodeTableBackend) *core.NodeStore {
-	s, err := core.NewNodeStore(arenaSpec(), allocColors, backend)
+// hideBound returns spec with its declared key bound hidden. The benchmark
+// suite's specs are FuncSpecs, so every other face stays as it was.
+func hideBound(spec core.CostSpec) core.CostSpec {
+	fs := spec.(core.FuncSpec)
+	fs.BoundFn = nil
+	return fs
+}
+
+func arenaStore(bounded bool) *core.NodeStore {
+	s, err := core.NewNodeStore(arenaSpec(bounded), allocColors, core.NodeTableDense)
 	if err != nil {
-		panic(err) // arenaSpec is bounded; construction cannot fail
+		panic(err) // allocColors >= 1; construction cannot fail
 	}
 	return s
 }
@@ -51,21 +64,19 @@ func arenaStore(backend core.NodeTableBackend) *core.NodeStore {
 func arenaScenarios() []struct {
 	name    string
 	expect  float64 // documented steady-state allocs/op bound
-	backend core.NodeTableBackend
+	bounded bool
 	lookup  bool
 } {
 	return []struct {
 		name    string
 		expect  float64
-		backend core.NodeTableBackend
+		bounded bool
 		lookup  bool
 	}{
-		{"dense/create", 0, core.NodeTableDense, false},
-		{"dense/lookup", 0, core.NodeTableDense, true},
-		// The sharded map boxes every node and grows its buckets: at
-		// least one allocation per create, never zero.
-		{"sharded/create", 1, core.NodeTableSharded, false},
-		{"sharded/lookup", 0, core.NodeTableSharded, true},
+		{"bounded/create", 0, true, false},
+		{"bounded/lookup", 0, true, true},
+		{"unbounded/create", 0, false, false},
+		{"unbounded/lookup", 0, false, true},
 	}
 }
 
@@ -79,7 +90,7 @@ func arenaGetOrCreateTable() *perf.Table {
 	for _, sc := range arenaScenarios() {
 		sc := sc
 		setup := func() func() {
-			s := arenaStore(sc.backend)
+			s := arenaStore(sc.bounded)
 			if sc.lookup {
 				for k := 0; k < arenaBound; k++ {
 					s.GetOrCreate(core.Key(k))
@@ -107,18 +118,16 @@ func arenaGetOrCreateTable() *perf.Table {
 }
 
 // arenaRealHeatTable measures whole-run allocations of the real engine on
-// heat under each backend. A single worker makes the run deterministic
-// (no steal races), so the numbers are stable enough for the byte-compared
-// document; the drop from sharded to dense is the per-node &Node + map
-// bookkeeping the arena eliminates.
+// heat with its bound declared and hidden. A single worker makes the run
+// deterministic (no steal races), so the numbers are stable enough for the
+// byte-compared document.
 func arenaRealHeatTable(cfg Config) (*perf.Table, error) {
 	t := perf.NewTable("arena/real-heat",
 		"Arena ablation: real-engine heat allocations per run (1 worker, deterministic)",
-		"backend",
+		"spec",
 		perf.M("allocs_run", "", perf.LowerIsBetter),
 		perf.M("bytes_run", "B", perf.LowerIsBetter))
-	for _, backend := range []core.NodeTableBackend{core.NodeTableDense, core.NodeTableSharded} {
-		backend := backend
+	for _, kind := range []string{"bounded", "unbounded"} {
 		var runErr error
 		setup := func() func() {
 			r, err := suite.BuildReal("heat", cfg.Scale)
@@ -127,9 +136,12 @@ func arenaRealHeatTable(cfg Config) (*perf.Table, error) {
 				return func() {}
 			}
 			spec, sink := r.Spec(1)
+			if kind == "unbounded" {
+				spec = hideBound(spec)
+			}
 			return func() {
 				if _, err := core.Run(spec, sink, core.Options{
-					Workers: 1, Policy: core.NabbitCPolicy(), NodeTable: backend,
+					Workers: 1, Policy: core.NabbitCPolicy(),
 				}); err != nil {
 					runErr = err
 				}
@@ -139,7 +151,7 @@ func arenaRealHeatTable(cfg Config) (*perf.Table, error) {
 		if runErr != nil {
 			return nil, runErr
 		}
-		t.AddRow(backend.String(), map[string]float64{
+		t.AddRow(kind, map[string]float64{
 			"allocs_run": allocs,
 			"bytes_run":  bytes,
 		})
@@ -170,15 +182,15 @@ func scheduleHash(spec core.CostSpec, sink core.Key, opts sim.Options) (uint64, 
 	return h.Sum64(), res, nil
 }
 
-// arenaScheduleTable pins backend schedule identity on real benchmark
-// graphs at the sweep's largest core count.
+// arenaScheduleTable pins that a declared bound does not move a schedule,
+// on real benchmark graphs at the sweep's largest core count.
 func arenaScheduleTable(cfg Config) (*perf.Table, error) {
 	p := cfg.Cores[len(cfg.Cores)-1]
 	t := perf.NewTable("arena/schedule-identity",
-		fmt.Sprintf("Arena ablation (P=%d): sim schedules are identical under both backends", p),
+		fmt.Sprintf("Arena ablation (P=%d): sim schedules are identical with the bound declared or hidden", p),
 		"benchmark",
-		perf.M("makespan_dense", "cycles", perf.Neutral),
-		perf.M("makespan_sharded", "cycles", perf.Neutral),
+		perf.M("makespan_bounded", "cycles", perf.Neutral),
+		perf.M("makespan_unbounded", "cycles", perf.Neutral),
 		perf.M("schedule_match", "", perf.HigherIsBetter))
 	for _, name := range []string{"heat", "page-uk-2002"} {
 		b, err := suite.Build(name, cfg.Scale)
@@ -187,15 +199,11 @@ func arenaScheduleTable(cfg Config) (*perf.Table, error) {
 		}
 		spec, sink := b.Model(p)
 		opts := sim.Options{Workers: p, Policy: cfg.policy(core.NabbitCPolicy()), Cost: cfg.Cost}
-		dOpts := opts
-		dOpts.NodeTable = core.NodeTableDense
-		sOpts := opts
-		sOpts.NodeTable = core.NodeTableSharded
-		dh, dres, err := scheduleHash(spec, sink, dOpts)
+		bh, bres, err := scheduleHash(spec, sink, opts)
 		if err != nil {
 			return nil, err
 		}
-		sh, sres, err := scheduleHash(spec, sink, sOpts)
+		uh, ures, err := scheduleHash(hideBound(spec), sink, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -204,19 +212,19 @@ func arenaScheduleTable(cfg Config) (*perf.Table, error) {
 		// on 1.0, so a break still fails loudly while the emitted
 		// document shows what actually happened.
 		match := 0.0
-		if dh == sh {
+		if bh == uh {
 			match = 1.0
 		}
 		t.AddRow(name, map[string]float64{
-			"makespan_dense":   float64(dres.Makespan),
-			"makespan_sharded": float64(sres.Makespan),
-			"schedule_match":   match,
+			"makespan_bounded":   float64(bres.Makespan),
+			"makespan_unbounded": float64(ures.Makespan),
+			"schedule_match":     match,
 		})
 	}
 	return t, nil
 }
 
-// arenaReport builds the arena-vs-map ablation report.
+// arenaReport builds the bounded-vs-unbounded node-table report.
 func arenaReport(cfg Config) (*perf.Report, error) {
 	rep := cfg.newReport("arena")
 	rep.AddTable(arenaGetOrCreateTable())

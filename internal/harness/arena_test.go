@@ -8,12 +8,13 @@ import (
 	"nabbitc/internal/perf"
 )
 
-// TestArenaReport pins the arena ablation's load-bearing numbers: the
-// dense backend's lookup path allocates nothing and its create path
+// TestArenaReport pins the arena ablation's load-bearing numbers: under
+// either slot rule the lookup path allocates nothing and the create path
 // nothing per node (a fresh store carves its pages as it goes: one slab
-// per 1 024 nodes plus the pool's lists), the dense real-engine run
-// allocates strictly less than the sharded one, and the two backends'
-// simulated schedules match.
+// per 1 024 nodes plus the pool's lists, and for the unbounded rule the
+// directory levels), heat's real-engine run allocates no more with its
+// bound hidden than a few directory levels, and the simulated schedules
+// match.
 func TestArenaReport(t *testing.T) {
 	cfg := Config{Scale: bench.ScaleSmall, Cores: []int{1, 20}}.withDefaults()
 	rep, err := arenaReport(cfg)
@@ -27,17 +28,13 @@ func TestArenaReport(t *testing.T) {
 	goc := rep.Tables[0]
 	for _, row := range goc.Rows {
 		switch row.Key {
-		case "dense/create":
+		case "bounded/create", "unbounded/create":
 			if a := row.Values["allocs_op"]; a > 1.0/256 {
-				t.Errorf("dense/create: %v allocs/op, want page slabs only (<= 1 per 256 creates)", a)
+				t.Errorf("%s: %v allocs/op, want page slabs and directory levels only (<= 1 per 256 creates)", row.Key, a)
 			}
-		case "dense/lookup", "sharded/lookup":
+		case "bounded/lookup", "unbounded/lookup":
 			if row.Values["allocs_op"] != 0 {
 				t.Errorf("%s: %v allocs/op, want 0", row.Key, row.Values["allocs_op"])
-			}
-		case "sharded/create":
-			if row.Values["allocs_op"] < 1 {
-				t.Errorf("sharded/create: %v allocs/op, want >= 1", row.Values["allocs_op"])
 			}
 		default:
 			t.Errorf("unexpected getorcreate row %q", row.Key)
@@ -49,8 +46,8 @@ func TestArenaReport(t *testing.T) {
 	for _, row := range heat.Rows {
 		byKey[row.Key] = row.Values["allocs_run"]
 	}
-	if byKey["dense"] >= byKey["sharded"] {
-		t.Errorf("real-heat allocs: dense %v not below sharded %v", byKey["dense"], byKey["sharded"])
+	if b, u := byKey["bounded"], byKey["unbounded"]; b == 0 || u > b+8 {
+		t.Errorf("real-heat allocs: unbounded %v, bounded %v; want at most a few directory levels more", u, b)
 	}
 
 	sched := rep.Tables[2]
@@ -61,8 +58,8 @@ func TestArenaReport(t *testing.T) {
 		if row.Values["schedule_match"] != 1 {
 			t.Errorf("%s: schedule_match = %v, want 1", row.Key, row.Values["schedule_match"])
 		}
-		if row.Values["makespan_dense"] != row.Values["makespan_sharded"] {
-			t.Errorf("%s: makespans differ across backends", row.Key)
+		if row.Values["makespan_bounded"] != row.Values["makespan_unbounded"] {
+			t.Errorf("%s: makespans differ with the bound declared and hidden", row.Key)
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // sim-kind document:
 //
 //   - persist/reuse: per-iteration heap cost of repeated Execute on one
-//     engine (heat single-sweep spec, 1 worker, dense arena; ReadMemStats
+//     engine (heat single-sweep spec, 1 worker, bound declared; ReadMemStats
 //     deltas with GC off, minimum across trials — the alloc experiment's
 //     methodology). Steady-state iterations must stay at a small constant:
 //     a rebuilt arena or node table would show hundreds of allocs. The
@@ -78,7 +78,7 @@ func persistReuseTable(cfg Config) (*perf.Table, error) {
 		}
 		spec, sink := ig.StepSpec(1)
 		e, err := core.NewEngine(spec, core.Options{
-			Workers: 1, Policy: cfg.policy(core.NabbitCPolicy()), NodeTable: core.NodeTableDense,
+			Workers: 1, Policy: cfg.policy(core.NabbitCPolicy()),
 		})
 		if err != nil {
 			return nil, err

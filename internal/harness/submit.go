@@ -16,7 +16,7 @@ import (
 // sim-kind document:
 //
 //   - submit/reuse: per-graph heap cost of the steady-state Submit/Wait
-//     cycle (1 worker, dense arena; ReadMemStats deltas with GC off,
+//     cycle (1 worker, bound declared; ReadMemStats deltas with GC off,
 //     minimum across trials — the alloc experiment's methodology). The
 //     engine recycles node tables through its pool, so a steady-state
 //     graph must cost only the constant run bookkeeping.
@@ -83,7 +83,7 @@ func submitReuseTable(cfg Config) (*perf.Table, error) {
 	var nodes int
 	for trial := 0; trial < allocMaxTrials && seenMin < allocMinTrials; trial++ {
 		e, err := core.NewEngine(spec, core.Options{
-			Workers: 1, Policy: cfg.policy(core.NabbitCPolicy()), NodeTable: core.NodeTableDense,
+			Workers: 1, Policy: cfg.policy(core.NabbitCPolicy()),
 		})
 		if err != nil {
 			return nil, err

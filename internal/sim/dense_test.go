@@ -11,8 +11,8 @@ import (
 
 // randomDenseDAG builds a pseudo-random layered DAG over a dense key
 // universe [0, layers*width] (sink = layers*width) that declares its
-// bound, so the dense arena backend engages. Colors include out-of-range
-// ones, exercising the arena's overflow home bucket.
+// bound. Colors include out-of-range ones, exercising the layout's
+// overflow home bucket.
 func randomDenseDAG(seed uint64, layers, width, workers int) (core.FuncSpec, core.Key) {
 	r := xrand.New(seed)
 	key := func(l, i int) core.Key { return core.Key(l*width + i) }
@@ -80,11 +80,11 @@ func runSchedule(t *testing.T, spec core.CostSpec, sink core.Key, opts Options) 
 	return sched, res
 }
 
-// Property: on any random dense DAG, under any policy, the dense-arena
-// and sharded-map node-table backends produce identical schedules — the
-// same tasks, on the same workers, at the same virtual times, in the same
-// order — and identical end-to-end results. The node table is storage; it
-// must never leak into scheduling.
+// Property: on any random dense DAG, under any policy, the spec as
+// declared and the same spec with its bound hidden produce identical
+// schedules — the same tasks, on the same workers, at the same virtual
+// times, in the same order — and identical end-to-end results. Where the
+// node table finds a page is storage; it must never leak into scheduling.
 func TestQuickDenseShardedScheduleIdentity(t *testing.T) {
 	t.Parallel()
 	f := func(seed uint64, layersRaw, widthRaw, workersRaw uint8) bool {
@@ -108,32 +108,30 @@ func TestQuickDenseShardedScheduleIdentity(t *testing.T) {
 		pol.FirstStealMaxRounds = 2
 		pol.Seed = seed + 7
 
-		base := Options{Workers: workers, Policy: pol, Topology: topo}
-		optsD := base
-		optsD.NodeTable = core.NodeTableDense
-		optsS := base
-		optsS.NodeTable = core.NodeTableSharded
+		opts := Options{Workers: workers, Policy: pol, Topology: topo}
+		hidden := spec
+		hidden.BoundFn = nil
 
-		schedD, resD := runSchedule(t, spec, sink, optsD)
-		schedS, resS := runSchedule(t, spec, sink, optsS)
+		schedB, resB := runSchedule(t, spec, sink, opts)
+		schedU, resU := runSchedule(t, hidden, sink, opts)
 
-		if len(schedD) != len(schedS) {
-			t.Logf("seed %d: dense ran %d completions, sharded %d", seed, len(schedD), len(schedS))
+		if len(schedB) != len(schedU) {
+			t.Logf("seed %d: bounded ran %d completions, unbounded %d", seed, len(schedB), len(schedU))
 			return false
 		}
-		for i := range schedD {
-			if schedD[i] != schedS[i] {
-				t.Logf("seed %d: completion %d differs: dense %+v, sharded %+v",
-					seed, i, schedD[i], schedS[i])
+		for i := range schedB {
+			if schedB[i] != schedU[i] {
+				t.Logf("seed %d: completion %d differs: bounded %+v, unbounded %+v",
+					seed, i, schedB[i], schedU[i])
 				return false
 			}
 		}
-		if resD.Makespan != resS.Makespan {
-			t.Logf("seed %d: makespan dense %d != sharded %d", seed, resD.Makespan, resS.Makespan)
+		if resB.Makespan != resU.Makespan {
+			t.Logf("seed %d: makespan bounded %d != unbounded %d", seed, resB.Makespan, resU.Makespan)
 			return false
 		}
-		if resD.NodesCreated != resS.NodesCreated {
-			t.Logf("seed %d: created dense %d != sharded %d", seed, resD.NodesCreated, resS.NodesCreated)
+		if resB.NodesCreated != resU.NodesCreated {
+			t.Logf("seed %d: created bounded %d != unbounded %d", seed, resB.NodesCreated, resU.NodesCreated)
 			return false
 		}
 		return true
@@ -144,31 +142,5 @@ func TestQuickDenseShardedScheduleIdentity(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// The auto backend must pick the dense arena for a bounded spec and the
-// map for an unbounded one, without changing either schedule.
-func TestAutoBackendMatchesForced(t *testing.T) {
-	spec, sink := randomDenseDAG(3, 4, 6, 8)
-	opts := Options{Workers: 8, Policy: core.NabbitCPolicy()}
-	schedAuto, _ := runSchedule(t, spec, sink, opts)
-	forced := opts
-	forced.NodeTable = core.NodeTableDense
-	schedDense, _ := runSchedule(t, spec, sink, forced)
-	if len(schedAuto) != len(schedDense) {
-		t.Fatalf("auto ran %d completions, dense %d", len(schedAuto), len(schedDense))
-	}
-	for i := range schedAuto {
-		if schedAuto[i] != schedDense[i] {
-			t.Fatalf("completion %d differs between auto and forced dense", i)
-		}
-	}
-
-	// Unbounded spec + forced dense must fail loudly, not fall back.
-	unbounded := spec
-	unbounded.BoundFn = nil
-	if _, err := Run(unbounded, sink, forced); err == nil {
-		t.Fatal("forced dense on an unbounded spec did not error")
 	}
 }

@@ -14,7 +14,7 @@ import (
 // no atomics are needed; the lifecycle (on-demand creation, join counter,
 // successor lists) mirrors core.Node exactly — created mirrors the
 // absent → ready transition of the real engine's lifecycle word (a page
-// of the dense backend holds slots that no worker has named yet).
+// holds slots that no worker has named yet).
 //
 // A node owns no storage beyond the spec's predecessor slice: the
 // successors waiting on it are a circular list of registrations cut from
@@ -311,16 +311,17 @@ type worker struct {
 type engine struct {
 	opts    Options
 	spec    core.CostSpec
-	nodes   map[core.Key]*node
 	workers []worker
 	// stats holds the workers' counters; the Result takes it over.
 	stats []WorkerStats
-	// pages is the dense node-table mirror (non-nil when the run uses the
-	// dense backend), paged like core's arena: key k's slot is k%pageSize
-	// of page k/pageSize, a page is cut from nodePool when one of its keys
-	// is first named, and map presence is replaced by node.created. bound
-	// is the spec's declared key bound.
+	// The node table, paged like core's: key k is slot k&(pageSize-1) of
+	// page k>>pageShift, a page is cut from nodePool when one of its keys
+	// is first named, and node.created says whether a slot holds a node.
+	// pages lists the pages of a declared bound (up to maxListedPages of
+	// them); far holds every other page by number — all of an unbounded
+	// spec's. bound is the spec's declared key bound, 0 for none.
 	pages    []*[pageSize]node
+	far      map[int64]*[pageSize]node
 	bound    int
 	sinkKey  core.Key
 	evq      eventQueue
@@ -347,8 +348,11 @@ type engine struct {
 }
 
 const (
-	// pageSize is the dense node table's page, core's 64 nodes.
-	pageSize = 64
+	// pageSize is the node table's page, core's 64 nodes.
+	pageShift = 6
+	pageSize  = 1 << pageShift
+	// maxListedPages caps the pages list at core's 2^21 indexed keys.
+	maxListedPages = 1 << 21 / pageSize
 	// dequeCap is the capacity a worker's deque gets on its first push, cut
 	// from the engine's pool; a deque that outgrows it reallocates on its
 	// own.
@@ -378,16 +382,8 @@ func newEngine(spec core.CostSpec, sink core.Key, opts Options) (*engine, error)
 		evq:     newEventQueue(opts.Workers),
 	}
 	e.homeSpec, _ = spec.(core.HomeSpec)
-	backend, err := core.ResolveNodeTable(spec, opts.NodeTable)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if backend == core.NodeTableDense {
-		e.bound = core.KeyBoundOf(spec)
-		e.pages = make([]*[pageSize]node, (e.bound+pageSize-1)/pageSize)
-	} else {
-		e.nodes = make(map[core.Key]*node)
-	}
+	e.bound = core.KeyBoundOf(spec)
+	e.pages = make([]*[pageSize]node, min((e.bound+pageSize-1)/pageSize, maxListedPages))
 	p := opts.Policy
 	e.workers = make([]worker, opts.Workers)
 	e.stats = make([]WorkerStats, opts.Workers)
@@ -488,46 +484,57 @@ func (e *engine) result(makespan int64) *Result {
 
 // pendingKeys lists created-but-never-computed nodes, sorted — the
 // drained-queue stall diagnostic, mirroring the real engine's
-// nodeTable.pendingKeys.
+// nodeArena.pendingKeys.
 func (e *engine) pendingKeys() []core.Key {
 	var keys []core.Key
-	if e.pages != nil {
-		for _, pg := range e.pages {
-			for i := 0; pg != nil && i < pageSize; i++ {
-				if n := &pg[i]; n.created && !n.computed {
-					keys = append(keys, n.key)
-				}
+	pending := func(pg *[pageSize]node) {
+		for i := range pg {
+			if n := &pg[i]; n.created && !n.computed {
+				keys = append(keys, n.key)
 			}
 		}
-	} else {
-		// Iteration order doesn't reach the result: keys are sorted below,
-		// and this runs only on the post-drain failure path (no scheduling
-		// decision depends on it).
-		//nabbit:nondeterministic-ok
-		for k, n := range e.nodes {
-			if !n.computed {
-				keys = append(keys, k)
-			}
+	}
+	for _, pg := range e.pages {
+		if pg != nil {
+			pending(pg)
 		}
+	}
+	// Iteration order doesn't reach the result: keys are sorted below, and
+	// this runs only on the post-drain failure path (no scheduling decision
+	// depends on it).
+	//nabbit:nondeterministic-ok
+	for _, pg := range e.far {
+		pending(pg)
 	}
 	slices.Sort(keys)
 	return keys
 }
 
-// lookup returns the slot of key k, nil when the map backend has none yet.
+// lookup returns the slot of key k, cutting its page from nodePool the
+// first time one of the page's keys is named.
 func (e *engine) lookup(k core.Key) *node {
-	if e.pages == nil {
-		return e.nodes[k]
-	}
-	if k < 0 || int64(k) >= int64(e.bound) {
+	if e.bound > 0 && uint64(k) >= uint64(e.bound) {
 		panic(fmt.Sprintf("sim: key %d outside the spec's declared bound %d", k, e.bound))
 	}
-	pg := e.pages[k/pageSize]
-	if pg == nil {
-		pg = (*[pageSize]node)(carve(&e.nodePool, pageSize)[:pageSize])
-		e.pages[k/pageSize] = pg
+	p := int64(k) >> pageShift
+	var pg *[pageSize]node
+	if uint64(p) < uint64(len(e.pages)) {
+		if pg = e.pages[p]; pg == nil {
+			pg = e.newPage()
+			e.pages[p] = pg
+		}
+	} else if pg = e.far[p]; pg == nil {
+		if e.far == nil {
+			e.far = make(map[int64]*[pageSize]node)
+		}
+		pg = e.newPage()
+		e.far[p] = pg
 	}
-	return &pg[k%pageSize]
+	return &pg[k&(pageSize-1)]
+}
+
+func (e *engine) newPage() *[pageSize]node {
+	return (*[pageSize]node)(carve(&e.nodePool, pageSize)[:pageSize])
 }
 
 // homeOf is core.HomeOf with the spec's type resolved once per run.
@@ -540,10 +547,7 @@ func (e *engine) homeOf(k core.Key) int {
 
 func (e *engine) getOrCreate(k core.Key) (*node, bool) {
 	n := e.lookup(k)
-	if n == nil {
-		n = carveOne(&e.nodePool)
-		e.nodes[k] = n
-	} else if n.created {
+	if n.created {
 		return n, false
 	}
 	preds := e.spec.Predecessors(k)

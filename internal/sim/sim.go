@@ -64,12 +64,6 @@ type Options struct {
 	// harness uses to replay schedules and that tests use to verify
 	// dependence order.
 	OnComplete func(virtualTime int64, worker int, k core.Key)
-	// NodeTable mirrors core.Options.NodeTable: dense arena for bounded
-	// specs (default auto) or the map fallback. The choice never affects
-	// scheduling decisions — schedules are byte-identical across backends
-	// (pinned by a property test) — only the storage the deterministic
-	// machine mirrors.
-	NodeTable core.NodeTableBackend
 	// Deadline, when positive, bounds the run's virtual time: the run
 	// fails with a *core.TimeoutError as soon as an event would fire
 	// past the budget — the simulator's mirror of core's
