@@ -199,9 +199,12 @@
 // so each wake re-polls the pending queue and re-runs first-steal
 // enforcement. The all-parked state doubles as the engine's quiescence
 // barrier — Execute takes occupancy and gathers stats only when every
-// worker is parked, which is what makes resetting per-worker stats
-// race-free without locking the hot paths; it is also the trigger for the
-// stall sweep above. Parks, Wakes, and SpinRounds are reported per worker
+// worker is parked and nothing can wake one (quietLocked: no pending graph,
+// no deque work, no retry due or in backoff, since a backoff timer's enqueue
+// wakes a worker; a failed run's timers are stopped, not waited out), which
+// is what makes resetting per-worker
+// stats race-free without locking the hot paths; the same predicate gates
+// the stall sweep above. Parks, Wakes, and SpinRounds are reported per worker
 // in WorkerStats (a tenancy is neither a park nor a wake); a worker no
 // run needed is never woken and records none.
 //
@@ -213,10 +216,16 @@
 // engine's hunt is one loop over it, a sweep per pass, starting at the top
 // on every hunt; the simulator makes one probe per event and keeps its
 // place in a phase counter. A probe draws a victim from the step's range
-// and calls the deque's one Steal with the step's filter, taking a batch
-// only from a cross-socket victim of a batching step. The enforced first
-// colored steal probes the plan's global colored step, unbatched. The
-// one rule the machines do not share is written where it lives: a flat
+// (StealStep.Victim) and calls the deque's one Steal with the step's
+// filter, taking a batch only from a cross-socket victim of a batching
+// step. The enforced first colored steal probes the plan's global colored
+// step, unbatched (FirstStealStep), until it steals or reaches
+// Policy.FirstStealLimit. Both machines also count in one vocabulary: their
+// per-worker records embed one counter block, Counters, every probe is
+// recorded by its one recorder (Counters.Probe, Counters.FirstSteal), and
+// every aggregate — totals, remote share, tier anatomy, the shared part of
+// Metrics — is written once, on PerWorker, which Stats and sim.Result
+// embed. The one rule the machines do not share is written where it lives: a flat
 // colored hit in the simulator keeps its place in the sweep instead of
 // starting over (TestFlatColoredHitKeepsSweep), a divergence kept because
 // fixing it changes the pinned schedules.

@@ -381,7 +381,7 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 		}
 		if opts.Workers > 1 {
 			w.plan = StealPlan(p, opts.Topology, i)
-			w.stealBuf = make([]deque.Entry[item], 0, max(1, p.StealBatch))
+			w.stealBuf = make([]deque.Entry[item], 0, stealBatch)
 		}
 		w.rng.SeedWorker(p.Seed, i)
 		w.grp.init(opts.Workers)
@@ -539,20 +539,34 @@ func (e *Engine) execute(ctx context.Context, sink Key) (*Stats, error) {
 	return st, r.err
 }
 
+// quietLocked reports, for a caller holding stateMu, that no worker runs
+// and nothing already in motion can wake one: nothing pending, every
+// worker parked (which, with the waker-side parked decrement, implies no
+// wake token is in flight either), every deque empty, and no retry due or
+// in backoff — a backoff timer's enqueue wakes a worker. failRun stops a
+// failed run's timers, so of those only one already firing is waited for.
+// It is the one quiet predicate: the stall sweep and lockQuiet both ask it.
+func (e *Engine) quietLocked() bool {
+	return e.parked.Load() == int32(len(e.workers)) && !e.hasWork() && e.retryOut.Load() == 0
+}
+
 // lockQuiet acquires stateMu in the engine's quiet state: no graph in
-// flight, nothing pending, and every worker parked (which, with the
-// waker-side parked decrement, implies no wake token is in flight
-// either).
+// flight, and quietLocked.
 func (e *Engine) lockQuiet() {
+	e.lockWhen(func() bool { return e.active.Load() == 0 && e.quietLocked() })
+	// Quiet implies no worker can be touching a failed run's nodes: recycle
+	// any quarantined tables before the caller checks one out.
+	e.reclaimTablesLocked()
+}
+
+// lockWhen acquires stateMu at a moment cond, asked under it, holds. Each
+// try first calls wakeNow: the pool cannot drain a graph whose wake is
+// still held back.
+func (e *Engine) lockWhen(cond func() bool) {
 	for i := 0; ; i++ {
-		e.wakeNow() // the pool cannot go quiet around a graph whose wake is still held back
+		e.wakeNow()
 		e.stateMu.Lock()
-		if e.active.Load() == 0 && len(e.pending) == 0 &&
-			e.parked.Load() == int32(len(e.workers)) {
-			// Quiet implies no worker can be touching a failed run's
-			// nodes: recycle any quarantined tables before the caller
-			// checks one out.
-			e.reclaimTablesLocked()
+		if cond() {
 			return
 		}
 		e.stateMu.Unlock()
@@ -578,23 +592,11 @@ func (e *Engine) Close() error {
 	e.closing.Store(true)
 	close(e.closedCh)
 	// Drain: workers keep running (closeFlag is still down) until every
-	// admitted graph has finished or been failed by the stall sweep.
-	for i := 0; ; i++ {
-		e.wakeNow()
-		e.stateMu.Lock()
-		idle := e.active.Load() == 0 && len(e.pending) == 0
-		e.stateMu.Unlock()
-		if idle {
-			break
-		}
-		if i < 256 {
-			runtime.Gosched()
-		} else {
-			// The drain sleep holds only e.mu (stateMu is released each
-			// sweep), and e.mu is the Close/Execute exclusivity lock.
-			time.Sleep(10 * time.Microsecond) //nabbit:lockheld-ok Close holds e.mu by design
-		}
-	}
+	// admitted graph has finished or been failed by the stall sweep. The
+	// wait holds e.mu, the Close/Execute exclusivity lock, as Execute's
+	// quiesce does.
+	e.lockWhen(func() bool { return e.active.Load() == 0 && len(e.pending) == 0 })
+	e.stateMu.Unlock()
 	e.closeFlag.Store(true)
 	e.wakeAll()
 	e.exitWG.Wait()
@@ -624,8 +626,8 @@ func Run(spec Spec, sink Key, opts Options) (*Stats, error) {
 }
 
 // anyWork reports whether any worker's deque holds a stealable item. Used
-// only by the park re-check and the wake owners, so the O(P) scan is off
-// every hot path.
+// only by the park re-check, the wake owners and quietLocked (lockQuiet and
+// the stall sweep), so the O(P) scan is off every hot path.
 func (e *Engine) anyWork() bool {
 	for _, w := range e.workers {
 		if w.dq.Len() > 0 {
@@ -651,6 +653,7 @@ const (
 	yieldAnnounced                   // a park (or hand-back) is announced; its re-check has not run yet
 	yieldArmed                       // an admission published a deferred wake; its timer is not set yet
 	yieldTimer                       // the deferred wake's timer fired; it has read nothing yet
+	yieldResumed                     // a parked worker took its token; it has not looked for work yet
 )
 
 func (e *Engine) at(p yieldPoint, w *worker) {
@@ -805,6 +808,7 @@ func (w *worker) park(recheckWork bool, announced func()) {
 	// flight (it already retired our parked count): sleep, or consume it.
 	<-w.parkCh
 	w.stats.Wakes++
+	e.at(yieldResumed, w)
 }
 
 // borrow takes over a parked worker for a goroutine waiting on r: it wins
@@ -1301,37 +1305,6 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 	}
 }
 
-// victimIn picks a random worker of [lo, hi) other than w, which the range
-// holds.
-func (w *worker) victimIn(lo, hi int) *worker {
-	v := lo + w.rng.Intn(hi-lo-1)
-	if v >= w.id {
-		v++
-	}
-	return w.e.workers[v]
-}
-
-// attempt and hit account one steal probe / one successful steal of the
-// given tier on every counter that tracks it. Both are unconditional
-// array increments on worker-private memory — the fine-grained tier
-// anatomy rides the existing stats plumbing with no extra branches in
-// the probe loop.
-func (w *worker) attempt(t StealTier, colored bool) {
-	w.stats.StealAttempts++
-	w.stats.TierAttempts[t]++
-	if colored {
-		w.stats.ColoredAttempts++
-	}
-}
-
-func (w *worker) hit(t StealTier, colored bool) {
-	w.stats.StealsOK++
-	w.stats.TierSteals[t]++
-	if colored {
-		w.stats.ColoredStealsOK++
-	}
-}
-
 // noteProbeFailed starts the idle clock if it is not already running.
 // Called after a failed steal probe, so a findWork call whose very first
 // probe hits never touches the clock.
@@ -1397,19 +1370,15 @@ func (w *worker) hunt() (item, bool) {
 	}
 
 	if w.firstStealPending {
-		// The enforcement probes the plan's global colored step, unbatched.
-		first := w.plan[len(w.plan)-2]
-		first.Batch = 0
-		maxChecks := int64(e.opts.Policy.FirstStealMaxRounds) * int64(nw-1)
+		first := FirstStealStep(w.plan)
+		limit := e.opts.Policy.FirstStealLimit(nw)
 		for !w.bail() {
-			w.stats.FirstStealChecks++
-			if it, ok := w.probe(&first); ok {
+			it, ok := w.probe(&first)
+			if w.stats.FirstSteal(ok, limit) {
 				w.firstStealPending = false
-				w.stats.FirstStealForcedOK = true
-				return it, true
-			}
-			if w.stats.FirstStealChecks >= maxChecks {
-				w.firstStealPending = false
+				if ok {
+					return it, true
+				}
 				break
 			}
 			if w.idleSweep() {
@@ -1441,26 +1410,19 @@ func (w *worker) hunt() (item, bool) {
 // batching step gives up to s.Batch items: the oldest is returned for
 // immediate execution and the rest are adopted into w's own deque.
 func (w *worker) probe(s *StealStep) (item, bool) {
-	v := w.victimIn(s.Lo, s.Hi)
-	colored := s.Filter != nil
-	w.attempt(s.Tier, colored)
+	v := w.e.workers[s.Victim(&w.rng, w.id)]
 	batch := s.Batch > 0 && v.domain != w.domain
 	take := 1
 	if batch {
 		take = s.Batch
 	}
 	ents, out := v.dq.Steal(s.Filter, take, w.stealBuf[:0])
+	w.stats.Probe(s, len(ents), batch, out == deque.StealMiss)
 	if out != deque.StealOK {
-		if out == deque.StealMiss {
-			w.stats.ColoredMisses++
-		}
 		w.noteProbeFailed()
 		return item{}, false
 	}
-	w.hit(s.Tier, colored)
 	if batch {
-		w.stats.BatchOps++
-		w.stats.BatchItems += int64(len(ents))
 		for _, ent := range ents[1:] {
 			w.dq.PushBottom(ent)
 			w.e.signal()

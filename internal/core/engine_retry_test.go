@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -483,6 +484,82 @@ func TestCancelVsWatchdog(t *testing.T) {
 	if _, err := e.Execute(coneSink(1, width)); err != nil {
 		t.Fatalf("Execute after the race: %v", err)
 	}
+}
+
+// cancelInBackoff returns an engine whose last run, a single node that
+// fails once and retries after backoff, was canceled while the retry was
+// in backoff.
+func cancelInBackoff(t *testing.T, backoff time.Duration) *Engine {
+	t.Helper()
+	spec := FuncSpec{ComputeErrFn: func(k Key) error {
+		if k == 0 {
+			return errInjectedTest
+		}
+		return nil
+	}}
+	e, err := NewEngine(spec, Options{
+		Workers: 2, Policy: NabbitCPolicy(), Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: backoff},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		for e.retryOut.Load() == 0 && ctx.Err() == nil {
+			time.Sleep(10 * time.Microsecond)
+		}
+		cancel() // key 0's retry is now in backoff
+	}()
+	if _, err := e.ExecuteCtx(ctx, 0); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled run = %v, want ErrCanceled", err)
+	}
+	return e
+}
+
+// TestQuietWaitsForBackoffRetry: a run canceled while one of its retries
+// is in backoff must not leave a live timer behind, because the timer's
+// enqueue wakes a worker, which writes its stats. The next Execute — a
+// single-node graph that finishes long before the backoff — resets and
+// gathers the workers' stats in the quiet state, which holds no retry in
+// backoff. Taking the pool for quiet with the retry still out let the
+// gather read a worker's stats that the timer's wake then wrote, with
+// nothing ordering the two: a -race report.
+func TestQuietWaitsForBackoffRetry(t *testing.T) {
+	e := cancelInBackoff(t, 20*time.Millisecond)
+	st, err := e.Execute(1)
+	if err != nil || st.TotalNodes() != 1 {
+		t.Fatalf("Execute after the canceled run = (%v, %v), want one node", st, err)
+	}
+	if e.retryOut.Load() != 0 || e.retryDue.Load() != 0 {
+		t.Error("Execute ran while the canceled run's retry was still out")
+	}
+	// Let a live backoff timer fire and its wake settle before the test
+	// ends, so an Execute that ran beside it races with it here.
+	for e.retryOut.Load() != 0 || e.retryDue.Load() != 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	checkQuiet(t, e)
+}
+
+// TestCancelStopsBackoff: canceling a run stops its retries' backoff
+// timers, so the next Execute goes ahead at once instead of waiting a long
+// backoff out for the engine to go quiet.
+func TestCancelStopsBackoff(t *testing.T) {
+	const backoff = 10 * time.Second
+	e := cancelInBackoff(t, backoff)
+	if n := e.retryOut.Load(); n != 0 {
+		t.Fatalf("canceled run left %d backoff timers running", n)
+	}
+	start := time.Now()
+	st, err := e.Execute(1)
+	if err != nil || st.TotalNodes() != 1 {
+		t.Fatalf("Execute after the canceled run = (%v, %v), want one node", st, err)
+	}
+	if took := time.Since(start); took > backoff/2 {
+		t.Fatalf("Execute after the canceled run took %v, waiting out the %v backoff", took, backoff)
+	}
+	checkQuiet(t, e)
 }
 
 // TestStallPendingDiagnostics pins StallError's shape on a graph whose

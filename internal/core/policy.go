@@ -24,9 +24,10 @@ type Policy struct {
 	// successful colored steal, bounded by FirstStealMaxRounds.
 	ForceFirstColoredSteal bool
 	// FirstStealMaxRounds bounds the enforcement of the first colored
-	// steal: after this many sweeps of (Workers-1) colored attempts the
-	// worker gives up and reverts to the normal policy. Without a bound
-	// an invalid coloring (Table III) would spin forever.
+	// steal: after this many sweeps of (Workers-1) colored attempts (see
+	// FirstStealLimit) the worker gives up and reverts to the normal
+	// policy. Without a bound an invalid coloring (Table III) would spin
+	// forever.
 	FirstStealMaxRounds int
 	// Seed drives victim selection; runs with equal seeds and worker
 	// counts make identical scheduling decisions in the simulator.
@@ -39,33 +40,21 @@ type Policy struct {
 	// walk it):
 	//
 	//	1. same-color:         same-socket victims, top item must contain
-	//	                       this worker's exact color
+	//	                       this worker's exact color (budget 2)
 	//	2. same-socket colored: same-socket victims, top item must contain
 	//	                       any color homed in this worker's socket
-	//	3. same-socket random:  same-socket victims, any top item
+	//	                       (budget 2)
+	//	3. same-socket random:  same-socket victims, any top item (budget 2)
 	//	4. global colored:      any victim, exact color (budget:
 	//	                       ColoredStealAttempts)
 	//	5. global random:       any victim, any item
 	//
 	// Steals in tiers 4-5 whose victim sits in another socket are batched
-	// (half the victim's deque, capped by StealBatch) to amortize
-	// remote-steal latency. On a single-socket topology (the socket spans
-	// the whole machine) tiers 1-3 are skipped and the protocol
-	// degenerates to the flat one. The colored tiers (1, 2, 4)
-	// additionally require Colored.
+	// (half the victim's deque, at most 8 items) to amortize remote-steal
+	// latency. On a single-socket topology (the socket spans the whole
+	// machine) tiers 1-3 are skipped and the protocol degenerates to the
+	// flat one. The colored tiers (1, 2, 4) additionally require Colored.
 	Hierarchical bool
-	// OwnColorStealAttempts is the tier-1 budget: same-socket probes for
-	// the worker's exact color.
-	OwnColorStealAttempts int
-	// SocketColoredAttempts is the tier-2 budget: same-socket probes for
-	// any color belonging to the worker's socket.
-	SocketColoredAttempts int
-	// SocketRandomAttempts is the tier-3 budget: color-oblivious probes
-	// confined to same-socket victims.
-	SocketRandomAttempts int
-	// StealBatch caps how many items one batched cross-socket steal may
-	// take (the steal takes min(ceil(len/2), StealBatch) items).
-	StealBatch int
 }
 
 // NabbitPolicy returns plain Nabbit: random stealing, color-oblivious.
@@ -91,10 +80,6 @@ func NabbitCPolicy() Policy {
 func NabbitCHierPolicy() Policy {
 	p := NabbitCPolicy()
 	p.Hierarchical = true
-	p.OwnColorStealAttempts = 2
-	p.SocketColoredAttempts = 2
-	p.SocketRandomAttempts = 2
-	p.StealBatch = 8
 	return p
 }
 
@@ -109,24 +94,17 @@ func (p Policy) WithDefaults() Policy {
 	if p.ForceFirstColoredSteal && p.FirstStealMaxRounds <= 0 {
 		p.FirstStealMaxRounds = 64
 	}
-	if p.Hierarchical {
-		if p.OwnColorStealAttempts <= 0 {
-			p.OwnColorStealAttempts = 2
-		}
-		if p.SocketColoredAttempts <= 0 {
-			p.SocketColoredAttempts = 2
-		}
-		if p.SocketRandomAttempts <= 0 {
-			p.SocketRandomAttempts = 2
-		}
-		if p.StealBatch <= 0 {
-			p.StealBatch = 8
-		}
-	}
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
 	return p
+}
+
+// FirstStealLimit is how many probes the enforced first colored steal
+// makes on a machine of the given size before the worker gives up and
+// walks its plan: FirstStealMaxRounds sweeps of workers-1 probes.
+func (p Policy) FirstStealLimit(workers int) int64 {
+	return int64(p.FirstStealMaxRounds) * int64(workers-1)
 }
 
 // NodeTableBackend is NewNodeStore's choice of slot rule, kept only for

@@ -91,17 +91,24 @@ func (e *Engine) retryBackoff(k Key, attempts int) time.Duration {
 // (an allocation, acceptable on the failure path). The timer body
 // enqueues before dropping retryOut, so the stall sweep can never
 // observe a moment where a pending retry is invisible to both counters.
+// The timer is kept on the run, under retryMu, for failRun to stop; a run
+// that has already failed gets none.
 func (e *Engine) scheduleRetry(r *graphRun, n *Node, attempts int) {
 	d := e.retryBackoff(n.key, attempts)
 	if d <= 0 {
 		e.enqueueRetry(r, n)
 		return
 	}
+	e.retryMu.Lock()
+	defer e.retryMu.Unlock()
+	if r.state.Load() != runLive {
+		return
+	}
 	e.retryOut.Add(1)
-	time.AfterFunc(d, func() {
+	r.backoffs = append(r.backoffs, time.AfterFunc(d, func() {
 		e.enqueueRetry(r, n)
 		e.retryOut.Add(-1)
-	})
+	}))
 }
 
 // enqueueRetry publishes a due retry to the workers and wakes one to

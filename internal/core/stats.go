@@ -6,9 +6,12 @@ import (
 	"nabbitc/internal/numa"
 )
 
-// WorkerStats records one worker's activity during a run. All counters
-// are written only by the owning worker; read after the run completes.
-type WorkerStats struct {
+// Counters are the scheduler counters both machines keep per worker: the
+// real engine embeds them in WorkerStats, the simulator in sim.WorkerStats,
+// and the two record a steal probe through the same calls (Probe,
+// FirstSteal). All of them are written only by the owning worker; read
+// after the run completes.
+type Counters struct {
 	// NodesExecuted counts tasks this worker computed.
 	NodesExecuted int64
 	// OwnColorNodes counts computed tasks whose color equals this
@@ -34,7 +37,7 @@ type WorkerStats struct {
 	// enforcing the first colored steal — the paper's per-worker C term.
 	FirstStealChecks int64
 	// FirstStealForcedOK reports whether the enforced first colored
-	// steal succeeded (vs. giving up after FirstStealMaxRounds).
+	// steal succeeded (vs. giving up after Policy.FirstStealLimit probes).
 	FirstStealForcedOK bool
 
 	// TierAttempts and TierSteals break the steal probes down by
@@ -47,6 +50,185 @@ type WorkerStats struct {
 	// BatchOps is the mean realized batch size.
 	BatchOps   int64
 	BatchItems int64
+}
+
+// Probe records one steal probe of step s that took n items, 0 when it
+// failed. batch reports a batched probe (a batching step's cross-socket
+// victim), which counts as one batch of n items; miss reports a colored
+// probe whose victim held work the filter turned away, as opposed to an
+// empty deque.
+//
+//nabbit:noalloc
+func (c *Counters) Probe(s *StealStep, n int, batch, miss bool) {
+	colored := s.Filter != nil
+	c.StealAttempts++
+	c.TierAttempts[s.Tier]++
+	if colored {
+		c.ColoredAttempts++
+	}
+	switch {
+	case n > 0:
+		c.StealsOK++
+		c.TierSteals[s.Tier]++
+		if colored {
+			c.ColoredStealsOK++
+		}
+		if batch {
+			c.BatchOps++
+			c.BatchItems += int64(n)
+		}
+	case miss:
+		c.ColoredMisses++
+	}
+}
+
+// FirstSteal records one probe of the enforced first colored steal, which
+// stole if ok, and reports whether the enforcement is over: the probe
+// stole, or it was the limit-th without (see Policy.FirstStealLimit).
+func (c *Counters) FirstSteal(ok bool, limit int64) (over bool) {
+	c.FirstStealChecks++
+	if ok {
+		c.FirstStealForcedOK = true
+	}
+	return ok || c.FirstStealChecks >= limit
+}
+
+// add accumulates o into c; FirstStealForcedOK becomes true if either is.
+func (c *Counters) add(o *Counters) {
+	c.NodesExecuted += o.NodesExecuted
+	c.OwnColorNodes += o.OwnColorNodes
+	c.Accesses.Merge(o.Accesses)
+	c.StealsOK += o.StealsOK
+	c.ColoredStealsOK += o.ColoredStealsOK
+	c.StealAttempts += o.StealAttempts
+	c.ColoredAttempts += o.ColoredAttempts
+	c.ColoredMisses += o.ColoredMisses
+	c.FirstStealChecks += o.FirstStealChecks
+	c.FirstStealForcedOK = c.FirstStealForcedOK || o.FirstStealForcedOK
+	for t := range c.TierAttempts {
+		c.TierAttempts[t] += o.TierAttempts[t]
+		c.TierSteals[t] += o.TierSteals[t]
+	}
+	c.BatchOps += o.BatchOps
+	c.BatchItems += o.BatchItems
+}
+
+func (c *Counters) counters() *Counters { return c }
+
+// PerWorker is a run's per-worker records, indexed by worker id (= color):
+// core's Workers, the simulator's sim.Workers. Its methods are the
+// aggregates both machines report, written once over the records' shared
+// Counters; P is *W, through which those are reached.
+type PerWorker[W any, P interface {
+	*W
+	counters() *Counters
+}] []W
+
+// total returns every worker's Counters added together.
+func (ws PerWorker[W, P]) total() Counters {
+	var t Counters
+	for i := range ws {
+		t.add(P(&ws[i]).counters())
+	}
+	return t
+}
+
+// TotalNodes returns the number of tasks executed across all workers.
+func (ws PerWorker[W, P]) TotalNodes() int64 { return ws.total().NodesExecuted }
+
+// Accesses returns the merged locality counter.
+func (ws PerWorker[W, P]) Accesses() numa.AccessCounter { return ws.total().Accesses }
+
+// RemotePercent returns the percentage of node-level accesses that were
+// remote (Fig. 7's y-axis).
+func (ws PerWorker[W, P]) RemotePercent() float64 { return ws.Accesses().RemotePercent() }
+
+// SuccessfulSteals returns total and colored successful steal counts.
+func (ws PerWorker[W, P]) SuccessfulSteals() (total, colored int64) {
+	t := ws.total()
+	return t.StealsOK, t.ColoredStealsOK
+}
+
+// AvgSuccessfulSteals returns successful steals per worker (Fig. 8's
+// y-axis).
+func (ws PerWorker[W, P]) AvgSuccessfulSteals() float64 {
+	if len(ws) == 0 {
+		return 0
+	}
+	return float64(ws.total().StealsOK) / float64(len(ws))
+}
+
+// StealAttempts returns the total number of steal probes.
+func (ws PerWorker[W, P]) StealAttempts() int64 { return ws.total().StealAttempts }
+
+// FirstStealChecks returns the total enforcement probes (ΣC).
+func (ws PerWorker[W, P]) FirstStealChecks() int64 { return ws.total().FirstStealChecks }
+
+// TierAttempts returns the per-tier steal probe totals.
+func (ws PerWorker[W, P]) TierAttempts() [NumStealTiers]int64 { return ws.total().TierAttempts }
+
+// TierSteals returns the per-tier successful steal totals (batched steals
+// count once).
+func (ws PerWorker[W, P]) TierSteals() [NumStealTiers]int64 { return ws.total().TierSteals }
+
+// TierHitRate returns the fraction of tier t's probes that stole work, or
+// 0 when the tier was never tried.
+func (ws PerWorker[W, P]) TierHitRate(t StealTier) float64 {
+	s := ws.total()
+	if s.TierAttempts[t] == 0 {
+		return 0
+	}
+	return float64(s.TierSteals[t]) / float64(s.TierAttempts[t])
+}
+
+// SocketStealPercent returns the percentage of successful steals served
+// from a same-socket victim (tiers 1-3), or 0 with no steals.
+func (ws PerWorker[W, P]) SocketStealPercent() float64 {
+	st := ws.TierSteals()
+	sock := st[TierOwnColor] + st[TierSocketColored] + st[TierSocketRandom]
+	total := sock + st[TierGlobalColored] + st[TierGlobalRandom]
+	if total == 0 {
+		return 0
+	}
+	return 100 * float64(sock) / float64(total)
+}
+
+// AvgBatchSize returns the mean number of items taken per batched steal,
+// or 0 when no batched steal succeeded.
+func (ws PerWorker[W, P]) AvgBatchSize() float64 {
+	s := ws.total()
+	if s.BatchOps == 0 {
+		return 0
+	}
+	return float64(s.BatchItems) / float64(s.BatchOps)
+}
+
+// Metrics returns the named metrics both machines report for the
+// structured report pipeline (internal/perf): locality, steal anatomy per
+// tier, and batch sizes. Stats.Metrics and sim.Result.Metrics add each
+// machine's clock to it.
+func (ws PerWorker[W, P]) Metrics() map[string]float64 {
+	s := ws.total()
+	m := map[string]float64{
+		"nodes_executed":    float64(s.NodesExecuted),
+		"remote_pct":        s.Accesses.RemotePercent(),
+		"steals_per_worker": ws.AvgSuccessfulSteals(),
+		"steal_attempts":    float64(s.StealAttempts),
+		"socket_steal_pct":  ws.SocketStealPercent(),
+		"avg_batch":         ws.AvgBatchSize(),
+	}
+	for t := StealTier(0); t < NumStealTiers; t++ {
+		m["tier_attempts/"+t.String()] = float64(s.TierAttempts[t])
+		m["tier_steals/"+t.String()] = float64(s.TierSteals[t])
+	}
+	return m
+}
+
+// WorkerStats records one real-engine worker's activity during a run: the
+// Counters both machines keep, and the engine's wall clock and park
+// protocol.
+type WorkerStats struct {
+	Counters
 
 	// TimeToFirstWork is the wall-clock delay from run start until this
 	// worker first executed anything (Fig. 9's idle time).
@@ -74,6 +256,10 @@ type WorkerStats struct {
 	DequeGrows int64
 }
 
+// Workers is the real engine's per-worker record set; embedded in Stats,
+// it lends Stats the shared aggregates (see PerWorker).
+type Workers = PerWorker[WorkerStats, *WorkerStats]
+
 // Stats aggregates a completed run.
 type Stats struct {
 	// GraphID is the engine-unique id of the run's graph (assigned at
@@ -83,7 +269,7 @@ type Stats struct {
 	// Execute populates it; Submit-mode stats leave it nil, because
 	// workers interleave many in-flight graphs and per-worker activity
 	// cannot be attributed to one submission.
-	Workers []WorkerStats
+	Workers
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
 	// NodesCreated is the number of task-graph nodes materialized: created
@@ -152,146 +338,15 @@ func (s *Stats) SpinRounds() int64 {
 	return n
 }
 
-// TotalNodes returns the number of tasks executed across all workers.
-func (s *Stats) TotalNodes() int64 {
-	var n int64
-	for i := range s.Workers {
-		n += s.Workers[i].NodesExecuted
-	}
-	return n
-}
-
-// Accesses returns the merged locality counter.
-func (s *Stats) Accesses() numa.AccessCounter {
-	var a numa.AccessCounter
-	for i := range s.Workers {
-		a.Merge(s.Workers[i].Accesses)
-	}
-	return a
-}
-
-// RemotePercent returns the percentage of node-level accesses that were
-// remote.
-func (s *Stats) RemotePercent() float64 { return s.Accesses().RemotePercent() }
-
-// SuccessfulSteals returns total and colored successful steal counts.
-func (s *Stats) SuccessfulSteals() (total, colored int64) {
-	for i := range s.Workers {
-		total += s.Workers[i].StealsOK
-		colored += s.Workers[i].ColoredStealsOK
-	}
-	return
-}
-
-// AvgSuccessfulSteals returns successful steals per worker (Fig. 8's
-// y-axis).
-func (s *Stats) AvgSuccessfulSteals() float64 {
-	if len(s.Workers) == 0 {
-		return 0
-	}
-	total, _ := s.SuccessfulSteals()
-	return float64(total) / float64(len(s.Workers))
-}
-
-// StealAttempts returns the total number of steal probes.
-func (s *Stats) StealAttempts() int64 {
-	var n int64
-	for i := range s.Workers {
-		n += s.Workers[i].StealAttempts
-	}
-	return n
-}
-
-// FirstStealChecks returns the total enforcement probes (ΣC).
-func (s *Stats) FirstStealChecks() int64 {
-	var n int64
-	for i := range s.Workers {
-		n += s.Workers[i].FirstStealChecks
-	}
-	return n
-}
-
-// TierAttempts returns the per-tier steal probe totals.
-func (s *Stats) TierAttempts() [NumStealTiers]int64 {
-	var out [NumStealTiers]int64
-	for i := range s.Workers {
-		for t := range out {
-			out[t] += s.Workers[i].TierAttempts[t]
-		}
-	}
-	return out
-}
-
-// TierSteals returns the per-tier successful steal totals (batched steals
-// count once).
-func (s *Stats) TierSteals() [NumStealTiers]int64 {
-	var out [NumStealTiers]int64
-	for i := range s.Workers {
-		for t := range out {
-			out[t] += s.Workers[i].TierSteals[t]
-		}
-	}
-	return out
-}
-
-// TierHitRate returns the fraction of tier t's probes that stole work, or
-// 0 when the tier was never tried.
-func (s *Stats) TierHitRate(t StealTier) float64 {
-	a, ok := s.TierAttempts(), s.TierSteals()
-	if a[t] == 0 {
-		return 0
-	}
-	return float64(ok[t]) / float64(a[t])
-}
-
-// SocketStealPercent returns the percentage of successful steals served
-// from a same-socket victim (tiers 1-3), or 0 with no steals.
-func (s *Stats) SocketStealPercent() float64 {
-	st := s.TierSteals()
-	sock := st[TierOwnColor] + st[TierSocketColored] + st[TierSocketRandom]
-	total := sock + st[TierGlobalColored] + st[TierGlobalRandom]
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(sock) / float64(total)
-}
-
-// AvgBatchSize returns the mean number of items taken per batched steal,
-// or 0 when no batched steal succeeded.
-func (s *Stats) AvgBatchSize() float64 {
-	var ops, items int64
-	for i := range s.Workers {
-		ops += s.Workers[i].BatchOps
-		items += s.Workers[i].BatchItems
-	}
-	if ops == 0 {
-		return 0
-	}
-	return float64(items) / float64(ops)
-}
-
 // Metrics returns the run's standard named-metric set for the structured
-// report pipeline (internal/perf): wall-clock ns, locality fractions, and
-// steal anatomy per tier. Names match sim.Result.Metrics where the two
-// machines measure the same thing; wall_ns replaces makespan_cycles.
+// report pipeline (internal/perf): the shared set (PerWorker.Metrics) plus
+// wall-clock ns and the park protocol's counts.
 func (s *Stats) Metrics() map[string]float64 {
-	m := map[string]float64{
-		"wall_ns":           float64(s.Elapsed.Nanoseconds()),
-		"nodes_executed":    float64(s.TotalNodes()),
-		"remote_pct":        s.RemotePercent(),
-		"steals_per_worker": s.AvgSuccessfulSteals(),
-		"steal_attempts":    float64(s.StealAttempts()),
-		"socket_steal_pct":  s.SocketStealPercent(),
-		"avg_batch":         s.AvgBatchSize(),
-		"parks":             float64(s.Parks()),
-		"wakes":             float64(s.Wakes()),
-		"spin_rounds":       float64(s.SpinRounds()),
-	}
-	at, ts := s.TierAttempts(), s.TierSteals()
-	for t := StealTier(0); t < NumStealTiers; t++ {
-		m["tier_attempts/"+t.String()] = float64(at[t])
-		m["tier_steals/"+t.String()] = float64(ts[t])
-	}
+	m := s.Workers.Metrics()
+	m["wall_ns"] = float64(s.Elapsed.Nanoseconds())
+	m["parks"] = float64(s.Parks())
+	m["wakes"] = float64(s.Wakes())
+	m["spin_rounds"] = float64(s.SpinRounds())
 	return m
 }
 

@@ -70,7 +70,8 @@ type graphRun struct {
 	// watchdog degradations, hung those whose worker is still stuck
 	// inside the compute (forcing table quarantine); skippedN counts
 	// cone nodes retired without executing. failMu guards the key lists
-	// behind the run's *PartialError.
+	// behind the run's *PartialError. backoffs, guarded by Engine.retryMu,
+	// holds the run's retry timers for failRun to stop.
 	retries     atomic.Int64
 	failed      atomic.Int32
 	timedOut    atomic.Int32
@@ -79,6 +80,7 @@ type graphRun struct {
 	failMu      sync.Mutex
 	failedKeys  []Key
 	skippedKeys []Key
+	backoffs    []*time.Timer
 
 	// regIdx is the run's position in Engine.runs while it is registered
 	// (guarded by stateMu), so completion removes it without a scan. It is
@@ -465,7 +467,8 @@ func (e *Engine) finishRun(r *graphRun, wid int) {
 // winner. Safe to call from any goroutine. Items of the failed graph
 // still sitting in deques are discarded by the workers at the exec
 // boundary (one atomic load per item), which is how a dead graph's work
-// drains out of every deque with no queue surgery. The node table is
+// drains out of every deque with no queue surgery; its retries in backoff
+// are stopped. The node table is
 // quarantined rather than pooled: workers may still be mid-item on the
 // graph's nodes, so the table — and every page it holds — is recycled
 // only at a proven-quiet point (see reclaimTablesLocked).
@@ -474,6 +477,17 @@ func (e *Engine) failRun(r *graphRun, err error) bool {
 		return false
 	}
 	r.err = err
+	// Stop the run's backoff timers, now that scheduleRetry adds none: their
+	// retries would only be discarded, and quiet need not wait them out. A
+	// timer Stop misses is already firing and drops retryOut itself.
+	e.retryMu.Lock()
+	for _, t := range r.backoffs {
+		if t.Stop() {
+			e.retryOut.Add(-1)
+		}
+	}
+	r.backoffs = nil
+	e.retryMu.Unlock()
 	e.stateMu.Lock()
 	e.removeRunLocked(r)
 	e.deadTables = append(e.deadTables, r.nt)
@@ -501,24 +515,19 @@ func (e *Engine) removeRunLocked(r *graphRun) {
 
 // failStalled is the stall sweep: called by a worker whose park
 // announcement made the whole pool parked while graphs were still
-// registered (or failed-run tables still quarantined). With every
-// worker parked, nothing pending, no wake token in flight (the
-// waker-side parked decrement guarantees parked == P implies none), and
-// every deque empty, no registered graph can ever make progress — their
-// sinks are unreachable (a cycle, an unsatisfiable predecessor). Each is
-// failed with a *StallError naming its never-computed nodes, and every
-// quarantined table is reclaimed, so the engine stays usable. All
-// conditions are re-verified under stateMu: a racing admission either
-// registered before the sweep locked (and is visible in pending) or
-// after (and misses the sweep entirely).
+// registered (or failed-run tables still quarantined). In the quiet state
+// (quietLocked) no registered graph can ever make progress — their sinks
+// are unreachable (a cycle, an unsatisfiable predecessor); a due or
+// in-backoff retry, by contrast, is future work, and its enqueue will wake
+// a worker. Each stalled graph is failed with a *StallError naming its
+// never-computed nodes, and every quarantined table is reclaimed, so the
+// engine stays usable. The state is re-verified under stateMu: a racing
+// admission either registered before the sweep locked (and is visible in
+// pending) or after (and misses the sweep entirely).
 func (e *Engine) failStalled() {
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
-	if len(e.pending) != 0 || e.closeFlag.Load() ||
-		e.parked.Load() != int32(len(e.workers)) || e.anyWork() ||
-		e.retryDue.Load() > 0 || e.retryOut.Load() > 0 {
-		// A due or in-backoff retry is future work: the graph holding it
-		// is not stalled, and the retry's enqueue will wake a worker.
+	if e.closeFlag.Load() || !e.quietLocked() {
 		return
 	}
 	// The pool is provably quiet, so no worker can be touching a failed

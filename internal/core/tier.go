@@ -3,6 +3,7 @@ package core
 import (
 	"nabbitc/internal/colorset"
 	"nabbitc/internal/numa"
+	"nabbitc/internal/xrand"
 )
 
 // StealTier identifies one rung of the hierarchical victim order (see
@@ -74,6 +75,24 @@ type StealStep struct {
 	Batch int
 }
 
+// Victim draws the victim of one probe of s: a random worker of [Lo, Hi)
+// other than self, which the range holds.
+func (s *StealStep) Victim(rng *xrand.Rand, self int) int {
+	v := s.Lo + rng.Intn(s.Hi-s.Lo-1)
+	if v >= self {
+		v++
+	}
+	return v
+}
+
+// The hierarchical protocol's fixed budgets: probes per sweep of each
+// same-socket tier, and the most items one batched cross-socket steal
+// takes.
+const (
+	socketTierBudget = 2
+	stealBatch       = 8
+)
+
 // StealPlan is the victim order an idle worker of policy p walks, one sweep
 // per pass over the steps, as the real engine and the simulator both read
 // it. The flat protocol is ColoredStealAttempts colored probes and then one
@@ -83,7 +102,7 @@ type StealStep struct {
 // colored tiers only under Colored. Every plan ends with the global random
 // step, and under Colored the global colored step comes right before it:
 // that step, unbatched, is also what the enforced first colored steal
-// (Policy.ForceFirstColoredSteal) probes.
+// (Policy.ForceFirstColoredSteal) probes (see FirstStealStep).
 func StealPlan(p Policy, topo numa.Topology, wid int) []StealStep {
 	p = p.WithDefaults()
 	nw := topo.Workers
@@ -91,7 +110,7 @@ func StealPlan(p Policy, topo numa.Topology, wid int) []StealStep {
 	plan := make([]StealStep, 0, NumStealTiers)
 	batch := 0
 	if p.Hierarchical {
-		batch = p.StealBatch
+		batch = stealBatch
 		lo, hi := topo.SocketWorkers(wid)
 		if hi-lo > 1 && hi-lo < nw {
 			if p.Colored {
@@ -100,14 +119,23 @@ func StealPlan(p Policy, topo numa.Topology, wid int) []StealStep {
 					socket.Add(c)
 				}
 				plan = append(plan,
-					StealStep{Tier: TierOwnColor, Lo: lo, Hi: hi, Filter: &own, Budget: p.OwnColorStealAttempts},
-					StealStep{Tier: TierSocketColored, Lo: lo, Hi: hi, Filter: &socket, Budget: p.SocketColoredAttempts})
+					StealStep{Tier: TierOwnColor, Lo: lo, Hi: hi, Filter: &own, Budget: socketTierBudget},
+					StealStep{Tier: TierSocketColored, Lo: lo, Hi: hi, Filter: &socket, Budget: socketTierBudget})
 			}
-			plan = append(plan, StealStep{Tier: TierSocketRandom, Lo: lo, Hi: hi, Budget: p.SocketRandomAttempts})
+			plan = append(plan, StealStep{Tier: TierSocketRandom, Lo: lo, Hi: hi, Budget: socketTierBudget})
 		}
 	}
 	if p.Colored {
 		plan = append(plan, StealStep{Tier: TierGlobalColored, Hi: nw, Filter: &own, Budget: p.ColoredStealAttempts, Batch: batch})
 	}
 	return append(plan, StealStep{Tier: TierGlobalRandom, Hi: nw, Budget: 1, Batch: batch})
+}
+
+// FirstStealStep returns the step the enforced first colored steal probes:
+// the plan's global colored step, unbatched. The plan must be a Colored
+// one.
+func FirstStealStep(plan []StealStep) StealStep {
+	s := plan[len(plan)-2]
+	s.Batch = 0
+	return s
 }

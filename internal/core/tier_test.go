@@ -103,8 +103,12 @@ func TestStealPlan(t *testing.T) {
 // worker: the last step hands worker 0 back to the pool and checks that
 // one cross-socket probe woke it — at the wake itself, which only the
 // test goroutine can issue while the others are held, and in worker 0's
-// Wakes book once the pool is quiet again. The items belong to a finished
-// run, so a woken worker that steals them discards them unrun.
+// Wakes book once the pool is quiet again. Woken, worker 0 waits at
+// yieldResumed until the items are drained: still counted as searching,
+// it owes the second adoption's wake itself, and it cannot steal the first
+// adopted item, run dry and park in time to be woken by the second. The
+// items belong to a finished run, so a woken worker that steals them
+// discards them unrun.
 func TestProbeBatchesCrossSocket(t *testing.T) {
 	topo := numa.Topology{Workers: 4, CoresPerDomain: 2}
 	e, err := NewEngine(flatFanInSpec(8, 4, nil), Options{Workers: 4, Policy: NabbitCHierPolicy(), Topology: topo})
@@ -116,11 +120,17 @@ func TestProbeBatchesCrossSocket(t *testing.T) {
 		mu    sync.Mutex
 		woken []int // ids of the workers woken so far
 	)
+	gate := make(chan struct{})
+	resume := sync.OnceFunc(func() { close(gate) })
+	defer resume() // before Close, which waits for worker 0
 	e.yield = func(p yieldPoint, w *worker) {
-		if p == yieldWoken {
+		switch {
+		case p == yieldWoken:
 			mu.Lock()
 			woken = append(woken, w.id)
 			mu.Unlock()
+		case p == yieldResumed && w.id == 0:
+			<-gate
 		}
 	}
 	held := make([]bool, len(e.workers))
@@ -200,6 +210,7 @@ func TestProbeBatchesCrossSocket(t *testing.T) {
 		t.Fatalf("adopting a cross-socket batch woke workers %v, want [0]", got)
 	}
 	drain(e.workers[1], thief)
+	resume()
 	handBack(e.workers...)
 	checkQuiet(t, e)
 	if got := w0.stats.Wakes - wakes; got != 1 {

@@ -11,10 +11,10 @@
 // makes local accesses; otherwise its accesses are remote.
 //
 // Go's runtime does not expose thread→core pinning or page placement, so
-// this package is the substitution called out in DESIGN.md: an explicit
-// topology plus a cost model that the discrete-event simulator charges and
-// that the real engine uses for the paper's node-level remote-access
-// accounting (§V-B).
+// this package is the substitution the README's introduction describes:
+// an explicit topology plus a cost model that the discrete-event simulator
+// charges and that the real engine uses for the paper's node-level
+// remote-access accounting (§V-B).
 package numa
 
 import "fmt"

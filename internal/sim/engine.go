@@ -844,23 +844,12 @@ func (e *engine) complete(w *worker, t int64) {
 	e.acquire(w, t)
 }
 
-// victimIn picks a random worker of [lo, hi) other than w, which the range
-// holds.
-func (e *engine) victimIn(w *worker, lo, hi int) *worker {
-	v := lo + w.rng.Intn(hi-lo-1)
-	if v >= w.id {
-		v++
-	}
-	return &e.workers[v]
-}
-
 // stealSucceeded charges the steal-success cost (once, even for a batch —
 // that single charge is the amortization batching buys; stealHalf has
 // already adopted every batch item after the first into the thief's own
 // deque) and continues the thief on the first stolen item.
 func (e *engine) stealSucceeded(w *worker, t int64, it item) {
 	m := e.opts.Cost
-	w.stats.StealsOK++
 	t += m.StealSuccessCost
 	w.stats.BusyTime += m.StealSuccessCost
 	n, t2 := e.interpret(w, t, it)
@@ -905,25 +894,18 @@ func (e *engine) stealAttempt(w *worker, t int64) {
 	p := &e.opts.Policy
 	s := &w.plan[w.stealStep]
 	if w.firstStealPending {
-		// The enforcement probes the plan's global colored step, unbatched.
-		first := w.plan[len(w.plan)-2]
-		first.Batch = 0
+		first := core.FirstStealStep(w.plan)
 		s = &first
 	}
-	v := e.victimIn(w, s.Lo, s.Hi)
+	v := &e.workers[s.Victim(&w.rng, w.id)]
 	colored := s.Filter != nil
 	batch := s.Batch > 0 && !e.opts.Topology.SameDomain(v.id, w.id)
-	w.stats.StealAttempts++
-	w.stats.TierAttempts[s.Tier]++
-	if colored {
-		w.stats.ColoredAttempts++
-	}
 	var it item
-	stolen := 0
+	stolen, miss := 0, false
 	if top := v.dq.top(); top != nil {
 		switch {
 		case colored && !top.colors.Intersects(*s.Filter):
-			w.stats.ColoredMisses++
+			miss = true
 		case batch:
 			it, stolen = v.dq.stealHalf(s.Batch, &w.dq)
 		default:
@@ -931,16 +913,11 @@ func (e *engine) stealAttempt(w *worker, t int64) {
 			stolen = 1
 		}
 	}
+	w.stats.Probe(s, stolen, batch, miss)
 
 	switch {
 	case w.firstStealPending:
-		w.stats.FirstStealChecks++
-		if stolen > 0 {
-			w.firstStealPending = false
-			w.stats.FirstStealForcedOK = true
-		} else if w.stats.FirstStealChecks >=
-			int64(p.FirstStealMaxRounds)*int64(len(e.workers)-1) {
-			// Give up the enforcement (bounded, see DESIGN.md §4).
+		if w.stats.FirstSteal(stolen > 0, p.FirstStealLimit(len(e.workers))) {
 			w.firstStealPending = false
 		}
 	case stolen > 0 && (p.Hierarchical || !colored):
@@ -962,14 +939,6 @@ func (e *engine) stealAttempt(w *worker, t int64) {
 	if stolen == 0 {
 		e.scheduleNextProbe(w, t)
 		return
-	}
-	w.stats.TierSteals[s.Tier]++
-	if colored {
-		w.stats.ColoredStealsOK++
-	}
-	if batch {
-		w.stats.BatchOps++
-		w.stats.BatchItems += int64(stolen)
 	}
 	e.stealSucceeded(w, t, it)
 }

@@ -10,6 +10,7 @@ import (
 	"maps"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"nabbitc/internal/bench"
@@ -98,11 +99,29 @@ func goldenLines(t *testing.T) []byte {
 			if err != nil {
 				t.Fatalf("random-dags/%s #%d: %v", name, i, err)
 			}
-			fmt.Fprintln(sched, res.Makespan, res.Workers)
+			fmt.Fprintln(sched, res.Makespan, flatWorkers(res.Workers))
 		}
 		fmt.Fprintf(&out, "random-dags/%s dags=%d sched=%x\n", name, dags, sched.Sum(nil)[:12])
 	}
 	return out.Bytes()
+}
+
+// flatWorkers renders per-worker stats as %v did when WorkerStats declared
+// every counter itself, before the shared ones moved into the embedded
+// core.Counters: the random-DAG hashes in the golden file were taken over
+// that rendering.
+func flatWorkers(ws Workers) string {
+	var b strings.Builder
+	b.WriteByte('[')
+	for i, w := range ws {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		c := fmt.Sprint(w.Counters)
+		fmt.Fprintf(&b, "{%s %d %d}", c[1:len(c)-1], w.TimeToFirstWork, w.BusyTime)
+	}
+	b.WriteByte(']')
+	return b.String()
 }
 
 // hashCompletions returns an OnComplete hook that feeds each (t, wid, key)

@@ -6,12 +6,15 @@
 // The host running this reproduction is a small UMA box and Go gives no
 // control over thread placement, so wall-clock runs cannot exhibit the
 // paper's 80-core NUMA behaviour. The simulator substitutes for the
-// testbed (see DESIGN.md): task costs come from an explicit footprint +
-// cost model (local vs. remote byte costs), steals and scheduler
-// bookkeeping are charged virtual time, and every run is bit-for-bit
-// reproducible for a given seed. The scheduler logic — morphing
+// testbed (see the README's introduction): task costs come from an
+// explicit footprint + cost model (local vs. remote byte costs), steals and
+// scheduler bookkeeping are charged virtual time, and every run is
+// bit-for-bit reproducible for a given seed. The scheduler logic — morphing
 // continuations, colored steals, the forced first colored steal — mirrors
-// core's engine decision for decision.
+// core's engine decision for decision, and so does the counting: a worker's
+// record embeds core's counter block (core.Counters), each probe is recorded
+// by its one recorder, and Result's aggregates are core.PerWorker's (see
+// core's steal-plan design note).
 //
 // The event loop. A simulated worker is executing a task, hunting, or
 // stopped, so it has at most one pending event: the completion of its task
@@ -109,26 +112,10 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// WorkerStats are per-simulated-worker counters; times are virtual.
+// WorkerStats are per-simulated-worker counters: the core.Counters both
+// machines keep, and the simulator's virtual clock.
 type WorkerStats struct {
-	NodesExecuted   int64
-	OwnColorNodes   int64
-	Accesses        numa.AccessCounter
-	StealsOK        int64
-	ColoredStealsOK int64
-	StealAttempts   int64
-	ColoredAttempts int64
-	ColoredMisses   int64
-	// FirstStealChecks is the paper's per-worker C term.
-	FirstStealChecks   int64
-	FirstStealForcedOK bool
-	// TierAttempts/TierSteals break probes down by hierarchy tier, and
-	// BatchOps/BatchItems record batched (steal-half) transfers — the
-	// same counters the real engine keeps in core.WorkerStats.
-	TierAttempts [core.NumStealTiers]int64
-	TierSteals   [core.NumStealTiers]int64
-	BatchOps     int64
-	BatchItems   int64
+	core.Counters
 	// TimeToFirstWork is virtual time until the worker first executed
 	// anything; workers that never worked report the makespan.
 	TimeToFirstWork int64
@@ -137,56 +124,20 @@ type WorkerStats struct {
 	BusyTime int64
 }
 
+// Workers is the simulator's per-worker record set; embedded in Result, it
+// lends Result the aggregates both machines share (see core.PerWorker).
+type Workers = core.PerWorker[WorkerStats, *WorkerStats]
+
 // Result summarizes a simulated run.
 type Result struct {
 	// Makespan is the virtual completion time of the sink task.
 	Makespan int64
 	// Workers holds per-worker counters indexed by color.
-	Workers []WorkerStats
+	Workers
 	// NodesCreated counts materialized task-graph nodes.
 	NodesCreated int
 	// Topology echoes the run's topology.
 	Topology numa.Topology
-}
-
-// TotalNodes returns the number of executed tasks.
-func (r *Result) TotalNodes() int64 {
-	var n int64
-	for i := range r.Workers {
-		n += r.Workers[i].NodesExecuted
-	}
-	return n
-}
-
-// Accesses merges the per-worker locality counters.
-func (r *Result) Accesses() numa.AccessCounter {
-	var a numa.AccessCounter
-	for i := range r.Workers {
-		a.Merge(r.Workers[i].Accesses)
-	}
-	return a
-}
-
-// RemotePercent returns the percentage of node-level accesses that were
-// remote (Fig. 7's y-axis).
-func (r *Result) RemotePercent() float64 { return r.Accesses().RemotePercent() }
-
-// SuccessfulSteals returns total and colored successful steals.
-func (r *Result) SuccessfulSteals() (total, colored int64) {
-	for i := range r.Workers {
-		total += r.Workers[i].StealsOK
-		colored += r.Workers[i].ColoredStealsOK
-	}
-	return
-}
-
-// AvgSuccessfulSteals returns successful steals per worker (Fig. 8).
-func (r *Result) AvgSuccessfulSteals() float64 {
-	if len(r.Workers) == 0 {
-		return 0
-	}
-	total, _ := r.SuccessfulSteals()
-	return float64(total) / float64(len(r.Workers))
 }
 
 // AvgTimeToFirstWork returns the mean virtual delay before first work
@@ -202,105 +153,15 @@ func (r *Result) AvgTimeToFirstWork() int64 {
 	return total / int64(len(r.Workers))
 }
 
-// TierAttempts returns the per-tier steal probe totals.
-func (r *Result) TierAttempts() [core.NumStealTiers]int64 {
-	var out [core.NumStealTiers]int64
-	for i := range r.Workers {
-		for t := range out {
-			out[t] += r.Workers[i].TierAttempts[t]
-		}
-	}
-	return out
-}
-
-// TierSteals returns the per-tier successful steal totals (batched steals
-// count once).
-func (r *Result) TierSteals() [core.NumStealTiers]int64 {
-	var out [core.NumStealTiers]int64
-	for i := range r.Workers {
-		for t := range out {
-			out[t] += r.Workers[i].TierSteals[t]
-		}
-	}
-	return out
-}
-
-// TierHitRate returns the fraction of tier t's probes that stole work, or
-// 0 when the tier was never tried.
-func (r *Result) TierHitRate(t core.StealTier) float64 {
-	a, ok := r.TierAttempts(), r.TierSteals()
-	if a[t] == 0 {
-		return 0
-	}
-	return float64(ok[t]) / float64(a[t])
-}
-
-// SocketStealPercent returns the percentage of successful steals served by
-// a same-socket victim (tiers 1-3), or 0 with no steals.
-func (r *Result) SocketStealPercent() float64 {
-	st := r.TierSteals()
-	sock := st[core.TierOwnColor] + st[core.TierSocketColored] + st[core.TierSocketRandom]
-	total := sock + st[core.TierGlobalColored] + st[core.TierGlobalRandom]
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(sock) / float64(total)
-}
-
-// AvgBatchSize returns the mean items per successful batched steal, or 0
-// when none succeeded.
-func (r *Result) AvgBatchSize() float64 {
-	var ops, items int64
-	for i := range r.Workers {
-		ops += r.Workers[i].BatchOps
-		items += r.Workers[i].BatchItems
-	}
-	if ops == 0 {
-		return 0
-	}
-	return float64(items) / float64(ops)
-}
-
-// StealAttempts returns the total number of steal probes.
-func (r *Result) StealAttempts() int64 {
-	var n int64
-	for i := range r.Workers {
-		n += r.Workers[i].StealAttempts
-	}
-	return n
-}
-
-// FirstStealChecks returns the total enforcement probes (ΣC).
-func (r *Result) FirstStealChecks() int64 {
-	var n int64
-	for i := range r.Workers {
-		n += r.Workers[i].FirstStealChecks
-	}
-	return n
-}
-
 // Metrics returns the run's standard named-metric set — the values the
 // structured report pipeline (internal/perf) records for every simulated
-// run: makespan cycles, locality fractions, steal anatomy per tier, and
-// batch sizes. Names match core.Stats.Metrics so sim and wall-clock
-// documents share a vocabulary.
+// run: the shared set (core.PerWorker.Metrics) plus makespan cycles, the
+// enforcement probes and the virtual time to first work.
 func (r *Result) Metrics() map[string]float64 {
-	m := map[string]float64{
-		"makespan_cycles":           float64(r.Makespan),
-		"nodes_executed":            float64(r.TotalNodes()),
-		"remote_pct":                r.RemotePercent(),
-		"steals_per_worker":         r.AvgSuccessfulSteals(),
-		"steal_attempts":            float64(r.StealAttempts()),
-		"first_steal_checks":        float64(r.FirstStealChecks()),
-		"time_to_first_work_cycles": float64(r.AvgTimeToFirstWork()),
-		"socket_steal_pct":          r.SocketStealPercent(),
-		"avg_batch":                 r.AvgBatchSize(),
-	}
-	at, ts := r.TierAttempts(), r.TierSteals()
-	for t := core.StealTier(0); t < core.NumStealTiers; t++ {
-		m["tier_attempts/"+t.String()] = float64(at[t])
-		m["tier_steals/"+t.String()] = float64(ts[t])
-	}
+	m := r.Workers.Metrics()
+	m["makespan_cycles"] = float64(r.Makespan)
+	m["first_steal_checks"] = float64(r.FirstStealChecks())
+	m["time_to_first_work_cycles"] = float64(r.AvgTimeToFirstWork())
 	return m
 }
 
