@@ -1,39 +1,41 @@
 package nabbitc
 
 import (
+	"bytes"
+	"os"
+	"runtime"
 	"testing"
 
+	"nabbitc/internal/bench"
 	"nabbitc/internal/harness"
 	"nabbitc/internal/perf"
 )
 
-// TestCheckedInBaseline keeps testdata/baseline-small.json honest: it
-// must decode under the current schema, be a sim-kind document, and cover
-// exactly the harness's experiment set. Metric drift is judged by the CI
-// bench-smoke job (advisory), but a baseline that no longer matches the
-// schema or the experiment list must be regenerated in the same PR:
+// TestCheckedInBaseline pins testdata/baseline-small.json byte for byte:
+// the simulated experiments are deterministic, so the document the
+// harness builds in-process must equal the checked-in file exactly. A
+// change that moves a schedule, a metric or the experiment list fails
+// here and must regenerate the baseline in the same PR:
 //
 //	go run ./cmd/nabbitbench -experiment all -scale small -cores 1,20,80 \
 //	    -format json -out testdata/baseline-small.json
 func TestCheckedInBaseline(t *testing.T) {
-	doc, err := perf.Load("testdata/baseline-small.json")
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the baseline was generated on amd64; on %s the compiler may fuse multiply-adds and move the float metrics", runtime.GOARCH)
+	}
+	want, err := os.ReadFile("testdata/baseline-small.json")
 	if err != nil {
-		t.Fatalf("baseline does not load under schema v%d: %v", perf.SchemaVersion, err)
+		t.Fatal(err)
 	}
-	if doc.Kind != perf.KindSim {
-		t.Fatalf("baseline kind = %q, want %q", doc.Kind, perf.KindSim)
+	doc, err := harness.Document("all", harness.Config{Scale: bench.ScaleSmall, Cores: []int{1, 20, 80}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := make([]string, len(doc.Reports))
-	for i, rep := range doc.Reports {
-		got[i] = rep.Experiment
+	var got bytes.Buffer
+	if err := perf.Encode(&got, doc); err != nil {
+		t.Fatal(err)
 	}
-	want := harness.Experiments()
-	if len(got) != len(want) {
-		t.Fatalf("baseline covers %v, harness has %v — regenerate it", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("baseline covers %v, harness has %v — regenerate it", got, want)
-		}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatal("the regenerated document differs from testdata/baseline-small.json: regenerate it with the command in this test's doc comment and review the git diff")
 	}
 }

@@ -9,7 +9,6 @@
 //	nabbitbench -experiment fig7 -bench heat,cg  # restrict benchmarks
 //	nabbitbench -experiment fig6 -cores 1,20,80 -format csv
 //	nabbitbench -experiment table2 -scale small  # quick run
-//	nabbitbench -experiment submit               # multi-tenant Submit/Wait census
 //	nabbitbench -experiment all -scale small -format json -out r.json
 //
 //	nabbitbench compare BASELINE.json NEW.json   # perf gate: exit 1 on regression
@@ -17,12 +16,9 @@
 //	nabbitbench validate r.json                  # schema check: exit 2 on error
 //
 // The experiment mode accepts -cpuprofile/-memprofile to write pprof
-// profiles of the run alongside its report output, -seed to override the
-// scheduling seed (checked-in baselines use the default), -iterations to
-// size the persist experiment's engine-reuse measurements, and the chaos
-// trio -fault-rate/-fault-kinds/-retries to override the fault injection
-// of the retry experiment (baselines use the defaults). All flags are
-// validated before any workload runs, including that -out's parent
+// profiles of the run alongside its report output, and -seed to override
+// the scheduling seed (checked-in baselines use the default). All flags
+// are validated before any workload runs, including that -out's parent
 // directory exists. Wall-clock measurements of the real engine are the
 // benchmark module's (benchmarks/), not this command's.
 //
@@ -34,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -44,8 +39,6 @@ import (
 
 	"nabbitc/internal/bench"
 	"nabbitc/internal/bench/suite"
-	"nabbitc/internal/chaos"
-	"nabbitc/internal/core"
 	"nabbitc/internal/harness"
 	"nabbitc/internal/perf"
 )
@@ -95,44 +88,6 @@ func checkSeed(seed int64) error {
 	return nil
 }
 
-// checkIterations validates an -iterations value (0 = default).
-func checkIterations(iters int) error {
-	if iters < 0 {
-		return fmt.Errorf("bad iteration count %d (must be >= 0; 0 = default)", iters)
-	}
-	const max = 1 << 20
-	if iters > max {
-		return fmt.Errorf("bad iteration count %d (max %d)", iters, max)
-	}
-	return nil
-}
-
-// faultFlags registers the chaos-injection flags — -fault-rate,
-// -fault-kinds, -retries — and returns a hook that validates them up
-// front (exit-2 material, before any workload runs) and resolves the
-// override set.
-func faultFlags(fs *flag.FlagSet) (resolve func() (rate float64, rateSet bool, kinds []chaos.Kind, retries int, err error)) {
-	rate := fs.Float64("fault-rate", -1,
-		"chaos fault-injection rate in [0, 1] (retry experiment; negative = keep defaults)")
-	kindsFlag := fs.String("fault-kinds", "",
-		"comma-separated chaos fault kinds to inject (panic, delay, cancel, error, transient, hang; default transient)")
-	retries := fs.Int("retries", 0,
-		fmt.Sprintf("per-node attempt budget for fault-injected runs (0 = default 3, max %d)", core.MaxRetryAttempts))
-	return func() (float64, bool, []chaos.Kind, int, error) {
-		if math.IsNaN(*rate) || *rate > 1 {
-			return 0, false, nil, 0, fmt.Errorf("bad fault rate %v (must be in [0, 1], or negative to keep defaults)", *rate)
-		}
-		kinds, err := chaos.ParseKinds(*kindsFlag)
-		if err != nil {
-			return 0, false, nil, 0, err
-		}
-		if *retries < 0 || *retries > core.MaxRetryAttempts {
-			return 0, false, nil, 0, fmt.Errorf("bad retry budget %d (must be in [0, %d]; 0 = default)", *retries, core.MaxRetryAttempts)
-		}
-		return *rate, *rate >= 0, kinds, *retries, nil
-	}
-}
-
 // openOut returns the output writer for -out ("" or "-" = stdout).
 func openOut(path string) (io.Writer, func() error, error) {
 	if path == "" || path == "-" {
@@ -147,12 +102,13 @@ func openOut(path string) (io.Writer, func() error, error) {
 
 // profileFlags registers -cpuprofile/-memprofile on fs and returns
 // start/finish hooks bracketing the profiled work: start begins the CPU
-// profile, finish stops it and writes the heap profile. Both are no-ops
-// for unset flags, so the emit → compare workflow can capture pprof
-// profiles without changing its output.
+// profile, finish stops it, closes its file and writes the heap profile.
+// Both are no-ops for unset flags, so the emit → compare workflow can
+// capture pprof profiles without changing its output.
 func profileFlags(fs *flag.FlagSet) (start func() error, finish func() error) {
 	cpu := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	mem := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	var cpuFile *os.File
 	start = func() error {
 		if *cpu == "" {
 			return nil
@@ -161,11 +117,21 @@ func profileFlags(fs *flag.FlagSet) (start func() error, finish func() error) {
 		if err != nil {
 			return err
 		}
-		return pprof.StartCPUProfile(f)
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		cpuFile = f
+		return nil
 	}
 	finish = func() error {
-		if *cpu != "" {
+		if cpuFile != nil {
 			pprof.StopCPUProfile()
+			err := cpuFile.Close()
+			cpuFile = nil
+			if err != nil {
+				return err
+			}
 		}
 		if *mem == "" {
 			return nil
@@ -202,10 +168,7 @@ func runExperiments(args []string) int {
 	format := fs.String("format", "",
 		fmt.Sprintf("output format: %s (default table)", strings.Join(harness.Formats(), ", ")))
 	seed := fs.Int64("seed", 0, "scheduling seed override (0 = policy default)")
-	iterations := fs.Int("iterations", 0,
-		"engine-reuse iterations for the persist experiment (0 = default 4)")
 	out := fs.String("out", "", "write output to this file instead of stdout")
-	faultResolve := faultFlags(fs)
 	profStart, profFinish := profileFlags(fs)
 	fs.Parse(args)
 	if fs.NArg() > 0 {
@@ -220,20 +183,10 @@ func runExperiments(args []string) int {
 	if err := checkSeed(*seed); err != nil {
 		return fail(2, "%v", err)
 	}
-	if err := checkIterations(*iterations); err != nil {
-		return fail(2, "%v", err)
-	}
-	faultRate, faultRateSet, faultKinds, retries, err := faultResolve()
-	if err != nil {
-		return fail(2, "%v", err)
-	}
 	if err := checkOutPath(*out); err != nil {
 		return fail(2, "%v", err)
 	}
-	cfg := harness.Config{
-		Format: *format, Seed: uint64(*seed), Iterations: *iterations,
-		FaultRate: faultRate, FaultRateSet: faultRateSet, FaultKinds: faultKinds, Retries: retries,
-	}
+	cfg := harness.Config{Format: *format, Seed: uint64(*seed)}
 	sc, err := parseScale(*scale)
 	if err != nil {
 		return fail(2, "%v", err)

@@ -49,8 +49,8 @@ type Benchmark interface {
 // RealGraph is a freshly allocated wall-clock instance of a benchmark: a
 // task graph over live data on the host, runnable through the real engine
 // (core.Run over Spec) or serially. Each benchmark sub-package's NewReal
-// returns a concrete type satisfying this; the suite registry exposes them
-// uniformly via suite.BuildReal for the harness's real-engine experiments.
+// returns a concrete type satisfying this; the examples, the root
+// package's real-engine benchmarks and the benchmark module build them.
 type RealGraph interface {
 	// Spec returns the executable task graph for p workers and its sink.
 	Spec(p int) (core.CostSpec, core.Key)

@@ -54,23 +54,3 @@ func TestOnlyPageRankIrregular(t *testing.T) {
 		}
 	}
 }
-
-// TestIterativeFlags pins the registry's iterative metadata against the
-// actual types: the flag exists so callers can select the iterative
-// subset without building benchmarks, which only works if it never
-// drifts from the bench.IterativeGraph assertion.
-func TestIterativeFlags(t *testing.T) {
-	for _, name := range Names() {
-		rg, err := BuildReal(name, bench.ScaleSmall)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, ok := rg.(bench.IterativeGraph)
-		if got := Iterative(name); got != ok {
-			t.Errorf("%s: Iterative() = %v, but instance implements IterativeGraph = %v", name, got, ok)
-		}
-	}
-	if Iterative("bogus") {
-		t.Error("unknown benchmark reported iterative")
-	}
-}

@@ -4,14 +4,13 @@
 // cancellation fired from inside Compute, a hard or transient compute
 // error, or a hang — as a pure function of (seed, graph index). The
 // same seed always poisons the same graphs at the same nodes, so the
-// faults/retry harness experiments and the -race stress tests are
-// reproducible, and a plan at rate 0 is byte-for-byte a no-op.
+// -race stress tests are reproducible, and a plan at rate 0 is
+// byte-for-byte a no-op.
 package chaos
 
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -75,33 +74,6 @@ func (k Kind) String() string {
 		return "hang"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// ParseKind maps a fault name to its Kind, for CLI flags.
-func ParseKind(s string) (Kind, error) {
-	for _, k := range []Kind{None, Panic, Delay, Cancel, Error, Transient, Hang} {
-		if s == k.String() {
-			return k, nil
-		}
-	}
-	return None, fmt.Errorf("chaos: unknown fault kind %q (want none, panic, delay, cancel, error, transient, or hang)", s)
-}
-
-// ParseKinds parses a comma-separated fault-kind list ("panic,transient").
-func ParseKinds(s string) ([]Kind, error) {
-	var kinds []Kind
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, err := ParseKind(part)
-		if err != nil {
-			return nil, err
-		}
-		kinds = append(kinds, k)
-	}
-	return kinds, nil
 }
 
 // Value is the payload a chaos-injected panic carries, identifying the
@@ -178,10 +150,9 @@ const DefaultHangDur = 50 * time.Millisecond
 
 // Injector wires a Plan into a spec whose keys form a forest of
 // per-graph ranges: key k belongs to graph k/Stride at ordinal k%Stride
-// (the cone-forest layout the multi-tenant tests and harness use). Wrap
-// the spec's Compute with Injector.Compute; the target node of each
-// poisoned graph then panics, sleeps, or triggers OnCancel before the
-// base compute runs.
+// (the cone-forest layout the multi-tenant tests use). Wrap the spec's
+// Compute with Injector.Compute; the target node of each poisoned graph
+// then panics, sleeps, or triggers OnCancel before the base compute runs.
 type Injector struct {
 	Plan   *Plan
 	Stride int

@@ -610,7 +610,7 @@
 // (which itself only fires from the last parking worker). Subsequent
 // graphs therefore see either a recycled clean table or a fresh one,
 // and schedules after a failure are byte-identical to a fresh engine's
-// — pinned by tests and the harness faults experiment. What is not
+// — pinned by TestPanicFailureScheduleIdentity. What is not
 // reusable: the failed graph's partial results; resubmitting the same
 // sink re-explores the graph from scratch in a new epoch.
 //

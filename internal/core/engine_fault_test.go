@@ -104,12 +104,23 @@ func TestPanicIsolationMatrix(t *testing.T) {
 	})
 }
 
-// TestPanicFailureScheduleIdentity pins deterministic reuse after a
-// panic: on one worker, a healthy run after a panic-failed run produces
-// a schedule byte-identical to a fresh engine's.
+// TestPanicFailureScheduleIdentity pins that failure and recovery leave
+// no residue in a single-worker engine's schedule. Each row gives one
+// engine a history, then Executes a cone graph whose completion schedule
+// must be byte-identical to a fresh, plain engine's run of the same graph:
+//   - after-panic: the previous run failed with a panic.
+//   - fallible-no-faults: the spec reports failures as values under a
+//     retry policy, but nothing fails — the fallible path is a scheduling
+//     no-op.
+//   - healthy-after-retries: the previous run recovered a node through
+//     two retries; the next graph keeps a clean engine's schedule.
+//   - replay-after-retries: the retried graph itself, run again once its
+//     transient failures are spent, replays byte-identically.
+//
+// The cones' predecessor slices are stable, so a repeat Execute of a sink
+// replays (Stats.Replayed) instead of rediscovering the graph.
 func TestPanicFailureScheduleIdentity(t *testing.T) {
 	const width = 16
-	panicKey := Key(1) // leaf 1 of graph 0
 	type step struct {
 		w int
 		k Key
@@ -121,46 +132,133 @@ func TestPanicFailureScheduleIdentity(t *testing.T) {
 		sched = nil
 		return s
 	}
-	compute := func(k Key) {
-		if k == panicKey {
-			panic("chaos")
-		}
-	}
 	opts := Options{Workers: 1, Policy: NabbitCPolicy(), OnComplete: record}
-
-	e, err := NewEngine(coneSpec(2, width, 1, compute), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	var ce *ComputeError
-	if _, err := e.Execute(coneSink(0, width)); !errors.As(err, &ce) {
-		t.Fatalf("poisoned Execute error = %v, want *ComputeError", err)
-	}
-	take()
-	if _, err := e.Execute(coneSink(1, width)); err != nil {
-		t.Fatal(err)
-	}
-	reused := take()
-
-	fresh, err := NewEngine(coneSpec(2, width, 1, compute), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	if _, err := fresh.Execute(coneSink(1, width)); err != nil {
-		t.Fatal(err)
-	}
-	want := take()
-
-	if len(reused) != len(want) {
-		t.Fatalf("schedule length after panic-failed run: %d, want %d", len(reused), len(want))
-	}
-	for i := range want {
-		if reused[i] != want[i] {
-			t.Fatalf("schedule diverges at step %d after a panic-failed run: %v, want %v",
-				i, reused[i], want[i])
+	g0, g1 := coneSink(0, width), coneSink(1, width)
+	cone := func() FuncSpec {
+		spec := coneSpec(2, width, 1, nil)
+		preds := make([][]Key, 2*(width+1))
+		for k := range preds {
+			preds[k] = spec.PredsFn(Key(k))
 		}
+		spec.PredsFn = func(k Key) []Key { return preds[k] }
+		return spec
+	}
+	// flaky fails leaf 1 of graph 0 on its first two attempts.
+	flaky := func() FuncSpec {
+		spec := cone()
+		var fails int
+		spec.ComputeErrFn = func(k Key) error {
+			if k == 1 && fails < 2 {
+				fails++
+				return errInjectedTest
+			}
+			return nil
+		}
+		return spec
+	}
+	retried := func(t *testing.T, e *Engine) {
+		st, err := e.Execute(g0)
+		if err != nil {
+			t.Fatalf("flaky Execute: %v", err)
+		}
+		if st.Retries != 2 {
+			t.Fatalf("flaky Execute retried %d times, want 2", st.Retries)
+		}
+	}
+
+	for _, tc := range []struct {
+		name   string
+		spec   FuncSpec
+		retry  RetryPolicy
+		before func(t *testing.T, e *Engine)
+		sink   Key
+		replay bool
+	}{
+		{
+			name: "after-panic",
+			spec: func() FuncSpec {
+				spec := cone()
+				spec.ComputeFn = func(k Key) {
+					if k == 1 {
+						panic("chaos")
+					}
+				}
+				return spec
+			}(),
+			before: func(t *testing.T, e *Engine) {
+				var ce *ComputeError
+				if _, err := e.Execute(g0); !errors.As(err, &ce) {
+					t.Fatalf("poisoned Execute error = %v, want *ComputeError", err)
+				}
+			},
+			sink: g1,
+		},
+		{
+			name: "fallible-no-faults",
+			spec: func() FuncSpec {
+				spec := cone()
+				spec.ComputeErrFn = func(Key) error { return nil }
+				return spec
+			}(),
+			retry: RetryPolicy{MaxAttempts: 3},
+			sink:  g0,
+		},
+		{
+			name:   "healthy-after-retries",
+			spec:   flaky(),
+			retry:  RetryPolicy{MaxAttempts: 3},
+			before: retried,
+			sink:   g1,
+		},
+		{
+			name:   "replay-after-retries",
+			spec:   flaky(),
+			retry:  RetryPolicy{MaxAttempts: 3},
+			before: retried,
+			sink:   g0,
+			replay: true,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ro := opts
+			ro.Retry = tc.retry
+			e, err := NewEngine(tc.spec, ro)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if tc.before != nil {
+				tc.before(t, e)
+			}
+			take()
+			st, err := e.Execute(tc.sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Replayed != tc.replay || st.Retries != 0 {
+				t.Fatalf("checked run: Replayed = %v, Retries = %d; want %v and 0", st.Replayed, st.Retries, tc.replay)
+			}
+			got := take()
+
+			fresh, err := NewEngine(cone(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			if _, err := fresh.Execute(tc.sink); err != nil {
+				t.Fatal(err)
+			}
+			want := take()
+
+			if len(got) != len(want) {
+				t.Fatalf("schedule has %d steps, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("schedule diverges at step %d: %v, want %v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 

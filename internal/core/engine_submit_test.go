@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -156,50 +157,63 @@ func gatedSpec(graphs int, gate <-chan struct{}) FuncSpec {
 	}
 }
 
-// TestSubmitSaturation pins AdmissionReject: with MaxInflight slots held
-// by gated graphs, further Submit calls fail fast with ErrSaturated, and
-// the engine recovers fully once the gate opens.
+// TestSubmitSaturation pins AdmissionReject at every MaxInflight: with
+// the admitted graphs' computes gated shut, exactly MaxInflight of the
+// offered graphs are admitted and every further Submit fails fast with
+// ErrSaturated; once the gate opens every admitted graph drains, and the
+// freed slots admit a previously rejected graph.
 func TestSubmitSaturation(t *testing.T) {
-	const inflight = 2
-	gate := make(chan struct{})
-	e, err := NewEngine(gatedSpec(8, gate), Options{
-		Workers: 2, Policy: NabbitCPolicy(),
-		MaxInflight: inflight, Admission: AdmissionReject,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	const offered = 9
+	for _, inflight := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("inflight-%d", inflight), func(t *testing.T) {
+			gate := make(chan struct{})
+			e, err := NewEngine(gatedSpec(offered, gate), Options{
+				Workers: 2, Policy: NabbitCPolicy(),
+				MaxInflight: inflight, Admission: AdmissionReject,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
 
-	var admitted []*Ticket
-	for g := 0; g < inflight; g++ {
-		tk, err := e.Submit(Key(g))
-		if err != nil {
-			t.Fatalf("submit %d: %v", g, err)
-		}
-		admitted = append(admitted, tk)
-	}
-	if _, err := e.Submit(Key(inflight)); !errors.Is(err, ErrSaturated) {
-		t.Fatalf("submit beyond MaxInflight: err = %v, want ErrSaturated", err)
-	}
+			var admitted []*Ticket
+			rejected := 0
+			for g := 0; g < offered; g++ {
+				tk, err := e.Submit(Key(g))
+				switch {
+				case err == nil:
+					admitted = append(admitted, tk)
+				case errors.Is(err, ErrSaturated):
+					rejected++
+				default:
+					t.Fatalf("submit %d: %v", g, err)
+				}
+			}
+			if len(admitted) != inflight || rejected != offered-inflight {
+				close(gate)
+				t.Fatalf("admitted %d and rejected %d of %d graphs, want %d and %d",
+					len(admitted), rejected, offered, inflight, offered-inflight)
+			}
 
-	close(gate)
-	for g, tk := range admitted {
-		st, err := tk.Wait()
-		if err != nil {
-			t.Fatalf("wait %d: %v", g, err)
-		}
-		if st.NodesCreated != 1 {
-			t.Errorf("graph %d: NodesCreated = %d, want 1", g, st.NodesCreated)
-		}
-	}
-	// Slots freed: the previously rejected graph is admissible now.
-	tk, err := e.Submit(Key(inflight))
-	if err != nil {
-		t.Fatalf("submit after drain: %v", err)
-	}
-	if _, err := tk.Wait(); err != nil {
-		t.Fatal(err)
+			close(gate)
+			for g, tk := range admitted {
+				st, err := tk.Wait()
+				if err != nil {
+					t.Fatalf("wait %d: %v", g, err)
+				}
+				if st.NodesCreated != 1 {
+					t.Errorf("graph %d: NodesCreated = %d, want 1", g, st.NodesCreated)
+				}
+			}
+			// Slots freed: the last rejected graph is admissible now.
+			tk, err := e.Submit(Key(offered - 1))
+			if err != nil {
+				t.Fatalf("submit after drain: %v", err)
+			}
+			if _, err := tk.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -486,9 +486,9 @@ func HomeMajorIndex(bound, workers int, homeOf func(Key) int) []int32 {
 }
 
 // NodeStore is an exported handle to a node table outside any engine run
-// — the hook the harness's deterministic alloc ablation and external
-// benchmarks use to measure the create-or-get path directly. The engine
-// builds its own table per run; a NodeStore never feeds one.
+// — the hook the benchmark module's node-store probes use to measure the
+// create-or-get path directly. The engine builds its own table per run; a
+// NodeStore never feeds one.
 type NodeStore struct{ a *nodeArena }
 
 // NewNodeStore builds a standalone node table for spec: NodeTableDense

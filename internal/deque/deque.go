@@ -66,8 +66,7 @@ type Entry[T any] struct {
 // steal methods may be called by any worker concurrently. The engine holds
 // a concrete *Mutex and does not use it: Queue is what lets one loop run
 // the same probe over every substrate — the benchmark module's deque
-// probes, the harness steal and alloc experiments, the root package's
-// deque benchmarks, and this package's tests.
+// probes, the root package's deque benchmarks, and this package's tests.
 type Queue[T any] interface {
 	// PushBottom adds an item at the bottom (owner only).
 	PushBottom(e Entry[T])

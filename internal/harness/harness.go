@@ -12,7 +12,6 @@ import (
 
 	"nabbitc/internal/bench"
 	"nabbitc/internal/bench/suite"
-	"nabbitc/internal/chaos"
 	"nabbitc/internal/core"
 	"nabbitc/internal/numa"
 	"nabbitc/internal/omp"
@@ -47,25 +46,6 @@ type Config struct {
 	// default). Changing it changes the emitted document — regenerated
 	// baselines must use the default.
 	Seed uint64
-	// Iterations is how many Execute reuses the persist experiment
-	// measures per engine (default 4; baselines use the default). Other
-	// experiments ignore it, so it is deliberately not echoed into the
-	// report envelope.
-	Iterations int
-	// FaultRate overrides the retry experiment's injected-fault
-	// probability when FaultRateSet is true (the CLI's -fault-rate flag;
-	// rate 0 is meaningful — no faults — so presence is explicit). Like
-	// Seed, a non-default value changes the emitted document, so
-	// baselines use the default; the fields are deliberately not echoed
-	// into the report envelope.
-	FaultRate    float64
-	FaultRateSet bool
-	// FaultKinds, when non-empty, overrides the fault kinds the retry
-	// experiment injects (default: transient only).
-	FaultKinds []chaos.Kind
-	// Retries, when positive, overrides the retry experiment's per-node
-	// attempt budget (core.RetryPolicy.MaxAttempts; default 3).
-	Retries int
 	// Format selects the renderer: FormatTable (default), FormatCSV, or
 	// FormatJSON (one perf.Document over the whole run).
 	Format string
@@ -82,9 +62,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Cost == (numa.CostModel{}) {
 		c.Cost = numa.DefaultCostModel()
-	}
-	if c.Iterations <= 0 {
-		c.Iterations = 4
 	}
 	if c.Format == "" {
 		c.Format = FormatTable
@@ -129,13 +106,6 @@ var experiments = []struct {
 	{"table3", table3Report},
 	{"ablate", ablateReport},
 	{"hier", hierReport},
-	{"alloc", allocReport},
-	{"arena", arenaReport},
-	{"persist", persistReport},
-	{"submit", submitReport},
-	{"steal", stealReport},
-	{"faults", faultsReport},
-	{"retry", retryReport},
 }
 
 // Experiments lists the runnable experiment names.

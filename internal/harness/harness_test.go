@@ -176,3 +176,31 @@ func TestFig6SpeedupShapes(t *testing.T) {
 		t.Fatalf("NabbitC speedup %.2f unreasonably low at P=20", sNC)
 	}
 }
+
+// TestConfigSeedChangesSchedules checks the -seed plumbing actually
+// reaches the simulator: equal seeds must reproduce the fig8 document
+// byte for byte, and different seeds must change it.
+func TestConfigSeedChangesSchedules(t *testing.T) {
+	emit := func(seed uint64) string {
+		t.Helper()
+		cfg := Config{Scale: bench.ScaleSmall, Cores: []int{1, 20}, Benchmarks: []string{"heat"}, Seed: seed}
+		doc, err := Document("fig8", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := perf.Encode(&buf, doc); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if emit(7) != emit(7) {
+		t.Fatal("equal seeds produced different fig8 documents")
+	}
+	if emit(7) == emit(8) {
+		// Not strictly impossible, but at small scale heat steals enough
+		// that two seeds colliding on every counter would be a plumbing
+		// bug, not luck.
+		t.Fatal("different seeds produced identical fig8 documents — seed not plumbed?")
+	}
+}
