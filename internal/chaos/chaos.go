@@ -263,11 +263,3 @@ func (in *Injector) failAttempt(k core.Key) int {
 	in.mu.Unlock()
 	return n
 }
-
-// Reset forgets Transient attempt history, so a reused injector faults
-// fresh runs exactly as it faulted the first.
-func (in *Injector) Reset() {
-	in.mu.Lock()
-	clear(in.attempts)
-	in.mu.Unlock()
-}

@@ -412,7 +412,7 @@
 //
 // The simulator mirrors the one table with the same page geometry and
 // schedules that do not depend on whether a spec declares its bound
-// (TestQuickDenseShardedScheduleIdentity in internal/sim).
+// (TestQuickHiddenBoundScheduleIdentity in internal/sim).
 //
 // The directory's two CAS installs — an interior level under a nil
 // entry, and a new root over the old — are a protocol of their own: every

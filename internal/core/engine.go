@@ -270,9 +270,13 @@ type worker struct {
 	rng   xrand.Rand
 	stats WorkerStats
 
-	// grp is owner-only scratch reused across runs so the spawn/notify
-	// hot paths allocate only what escapes into deque items.
-	grp grouper
+	// grp and stage are owner-only scratch reused across runs so the
+	// spawn/notify hot paths allocate only what escapes into deque items:
+	// the colour grouping, and the staging area of groupNodes' in-place
+	// successor scatter.
+	grp      Grouper
+	stage    []*Node
+	stageBuf [8]*Node
 
 	// idleSince is the lazily started idle clock: zero until a steal
 	// probe fails, so a findWork call whose first probe succeeds never
@@ -381,10 +385,11 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 		}
 		if opts.Workers > 1 {
 			w.plan = StealPlan(p, opts.Topology, i)
-			w.stealBuf = make([]deque.Entry[item], 0, stealBatch)
+			w.stealBuf = make([]deque.Entry[item], 0, StealBatch)
 		}
 		w.rng.SeedWorker(p.Seed, i)
-		w.grp.init(opts.Workers)
+		w.grp.Init(opts.Workers)
+		w.stage = w.stageBuf[:0]
 		e.workers[i] = w
 	}
 	// NewEngine returns only after every worker has announced its initial
@@ -1080,7 +1085,7 @@ func (w *worker) rescue(r *graphRun) {
 //
 //nabbit:noalloc
 func (w *worker) push(it item) {
-	w.dq.PushBottom(deque.Entry[item]{Value: it, Colors: it.colors(len(w.e.workers))})
+	w.dq.PushBottom(deque.Entry[item]{Value: it, Colors: ItemColors(it.color, it.groups(), len(w.e.workers))})
 	w.e.signal()
 }
 
@@ -1100,7 +1105,7 @@ func (w *worker) runItem(it item) {
 		for hi-lo > 1 {
 			mid := lo + (hi-lo)/2
 			keepLo, keepHi, pushLo, pushHi := lo, mid, mid, hi
-			if w.e.colored && containsColor(groups[mid:hi], w.color) && !containsColor(groups[lo:mid], w.color) {
+			if w.e.colored && ContainsColor(groups[mid:hi], w.color) && !ContainsColor(groups[lo:mid], w.color) {
 				keepLo, keepHi, pushLo, pushHi = mid, hi, lo, mid
 			}
 			w.push(it.sub(pushLo, pushHi))

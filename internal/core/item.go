@@ -29,17 +29,22 @@ import "nabbitc/internal/colorset"
 // allocation per spawn, shared by every item split from it); while
 // itemGroups is set the range indexes the grouping's colour groups instead
 // of elements.
+//
+// The rules an item is built by — the grouping of a spawn by colour
+// (Grouper, into ColorRanges), the mask it advertises (ItemColors) and the
+// half of a split a worker keeps (ContainsColor) — are exported because
+// internal/sim runs them too: both machines state each rule once, here.
 
 const (
 	itemSucc   uint8 = 1 << iota // successor work (ready nodes), not predecessor keys
 	itemGroups                   // [lo,hi) indexes multi.groups, not elements
 )
 
-// colorRange is one colour group of a grouping: elements [lo, hi) of the
-// colour-major permutation.
-type colorRange struct {
-	color  int32
-	lo, hi int32
+// ColorRange is one colour group of a grouped spawn: elements [Lo, Hi) of
+// the colour-major permutation.
+type ColorRange struct {
+	Color  int32
+	Lo, Hi int32
 }
 
 // grouping is the shared description of a multi-coloured spawn: the
@@ -49,8 +54,8 @@ type colorRange struct {
 // grouping itself.
 type grouping struct {
 	keys   []Key
-	groups []colorRange
-	inline [4]colorRange
+	groups []ColorRange
+	inline [4]ColorRange
 }
 
 // item is a deque entry: a reified spawn_colors/spawn_nodes continuation.
@@ -72,12 +77,21 @@ type item struct {
 func (it item) sub(lo, hi int32) item {
 	if hi-lo == 1 {
 		g := it.multi.groups[lo]
-		it.lo, it.hi, it.color = g.lo, g.hi, g.color
+		it.lo, it.hi, it.color = g.Lo, g.Hi, g.Color
 		it.kind &^= itemGroups
 		return it
 	}
 	it.lo, it.hi = lo, hi
 	return it
+}
+
+// groups returns the colour groups a grouped item spans, nil for an
+// element-range item.
+func (it item) groups() []ColorRange {
+	if it.kind&itemGroups == 0 {
+		return nil
+	}
+	return it.multi.groups[it.lo:it.hi]
 }
 
 // keys returns the key array a predecessor-work item indexes.
@@ -88,31 +102,33 @@ func (it item) keys() []Key {
 	return it.owner.predKeys()
 }
 
-// colors returns the color mask advertised for the item, sized for
-// nworkers colors. Colors outside the worker range are skipped: no worker
-// can prefer them, so advertising them is pointless (and with an invalid
-// coloring, Table III, every mask stays empty — all colored steals miss,
-// as intended).
-func (it item) colors(nworkers int) colorset.Set {
+// ItemColors returns the colour mask a deque item advertises, sized for
+// nworkers colours: the union of its groups' colours or, when groups is
+// nil, its one colour c. Colours outside [0, nworkers) are skipped: no
+// worker can prefer them, so advertising them is pointless (and with an
+// invalid colouring, Table III, every mask stays empty — all colored
+// steals miss, as intended). Both machines build their masks here.
+func ItemColors(c int32, groups []ColorRange, nworkers int) colorset.Set {
 	s := colorset.New(nworkers) //nabbit:alloc-ok colorset spill, only beyond InlineColors workers
-	if it.kind&itemGroups == 0 {
-		if uint32(it.color) < uint32(nworkers) {
-			s.Add(int(it.color))
+	if groups == nil {
+		if uint32(c) < uint32(nworkers) {
+			s.Add(int(c))
 		}
 		return s
 	}
-	for _, g := range it.multi.groups[it.lo:it.hi] {
-		if uint32(g.color) < uint32(nworkers) {
-			s.Add(int(g.color))
+	for _, g := range groups {
+		if uint32(g.Color) < uint32(nworkers) {
+			s.Add(int(g.Color))
 		}
 	}
 	return s
 }
 
-// containsColor reports whether any group has the given color.
-func containsColor(groups []colorRange, color int32) bool {
+// ContainsColor reports whether any group has the given colour: the
+// spawn_colors test for which half of a grouped item a worker keeps.
+func ContainsColor(groups []ColorRange, color int32) bool {
 	for _, g := range groups {
-		if g.color == color {
+		if g.Color == color {
 			return true
 		}
 	}
@@ -121,7 +137,7 @@ func containsColor(groups []colorRange, color int32) bool {
 
 // distinctColor is grouping-scratch bookkeeping for one color observed in
 // a key or node list: its first-appearance index fixes the group order,
-// and off doubles as the placement cursor during the scatter pass.
+// and off is the placement cursor while Finish places the elements.
 type distinctColor struct {
 	color int32
 	count int32
@@ -135,39 +151,37 @@ type colorSlot struct {
 	stamp uint32
 }
 
-// grouper is the reusable per-worker grouping scratch: a color-indexed
-// table with epoch stamps (O(1) reset), the recorded per-element group
-// indices from the counting pass, the distinct-color list, and the node
-// staging area of the in-place successor scatter. It is written on every
-// multi-coloured spawn, so all of it lives inside the owning worker's
-// cache-line-isolated block: the slices start on the inline arrays below
-// (growing onto the heap only for spawns wider than those), and the colour
-// table — sized by the worker count — is bracketed by a line of slack on
-// each side.
-type grouper struct {
+// Grouper is the colour grouping of a spawn, the one both machines run:
+// Begin a pass, Note each element's colour in order, then Finish into the
+// colour groups in first-appearance order and each element's slot in the
+// colour-major permutation. It keeps a colour-indexed table with epoch
+// stamps (O(1) reset), so noting an element is one table probe however
+// many colours the spawn has. The engine's workers each hold one inside
+// their cache-line-isolated block (the slices start on the inline arrays
+// below, growing onto the heap only for spawns wider than those, and the
+// colour table is bracketed by a line of slack on each side); the
+// single-threaded simulator holds one per engine.
+type Grouper struct {
 	slots    []colorSlot // color -> distinct index
 	cur      uint32
-	elemGI   []int32 // per-element group index recorded during the count pass
+	place    []int32 // per element: its group while noting, its slot after Finish
 	distinct []distinctColor
-	stage    []*Node
 
-	elemBuf     [16]int32
+	placeBuf    [16]int32
 	distinctBuf [8]distinctColor
-	stageBuf    [8]*Node
 }
 
-// init sizes the scratch for nworkers colours; g must already be at its
-// final address (the slices point into it).
-func (g *grouper) init(nworkers int) {
+// Init sizes the grouper for colours [0, ncolors); g must already be at
+// its final address (the slices point into it).
+func (g *Grouper) Init(ncolors int) {
 	const slack = cacheLine / 8 // colorSlots per cache line
-	g.slots = make([]colorSlot, nworkers+2*slack)[slack : slack+nworkers]
-	g.elemGI = g.elemBuf[:0]
+	g.slots = make([]colorSlot, ncolors+2*slack)[slack : slack+ncolors]
+	g.place = g.placeBuf[:0]
 	g.distinct = g.distinctBuf[:0]
-	g.stage = g.stageBuf[:0]
 }
 
-// begin starts a grouping pass.
-func (g *grouper) begin() {
+// Begin starts a grouping pass.
+func (g *Grouper) Begin() {
 	g.cur++
 	if g.cur == 0 {
 		// Epoch counter wrapped: invalidate all stamps the slow way once
@@ -175,14 +189,14 @@ func (g *grouper) begin() {
 		clear(g.slots)
 		g.cur = 1
 	}
-	g.elemGI = g.elemGI[:0]
+	g.place = g.place[:0]
 	g.distinct = g.distinct[:0]
 }
 
-// noteColor records one element of color c. Colors outside
-// [0, len(slots)) — possible only under the invalid-coloring ablation —
-// fall back to a linear scan of the distinct list.
-func (g *grouper) noteColor(c int32) {
+// Note records the pass's next element, of colour c. Colours outside the
+// table — possible only under the invalid-coloring ablation — fall back
+// to a linear scan of the distinct list.
+func (g *Grouper) Note(c int32) {
 	gi := -1
 	inTable := uint32(c) < uint32(len(g.slots))
 	if inTable {
@@ -205,28 +219,46 @@ func (g *grouper) noteColor(c int32) {
 		}
 	}
 	g.distinct[gi].count++
-	g.elemGI = append(g.elemGI, int32(gi))
+	g.place = append(g.place, int32(gi))
 }
 
-// finish converts the distinct counts into placement cursors and returns
-// the grouping describing them (keys unset).
-//
-//nabbit:alloc-ok one grouping per multi-coloured spawn escapes into deque items by contract
-func (g *grouper) finish() *grouping {
-	m := &grouping{}
-	if len(g.distinct) <= len(m.inline) {
-		m.groups = m.inline[:len(g.distinct)]
-	} else {
-		m.groups = make([]colorRange, len(g.distinct))
-	}
+// Len returns the number of distinct colours noted in this pass.
+func (g *Grouper) Len() int { return len(g.distinct) }
+
+// Color returns the i-th distinct colour noted in this pass.
+func (g *Grouper) Color(i int) int32 { return g.distinct[i].color }
+
+// Finish ends the pass: it appends the colour groups to into and returns
+// them, with place[j], the slot of the pass's j-th element in the
+// colour-major permutation, valid until the next Begin.
+func (g *Grouper) Finish(into []ColorRange) (groups []ColorRange, place []int32) {
 	off := int32(0)
 	for i := range g.distinct {
 		d := &g.distinct[i]
 		d.off = off
-		m.groups[i] = colorRange{color: d.color, lo: off, hi: off + d.count}
+		into = append(into, ColorRange{Color: d.color, Lo: off, Hi: off + d.count}) //nabbit:alloc-ok grows only a caller's undersized buffer
 		off += d.count
 	}
-	return m
+	for j, gi := range g.place {
+		d := &g.distinct[gi]
+		g.place[j] = d.off
+		d.off++
+	}
+	return into, g.place
+}
+
+// newGrouping finishes g's pass into a grouping of its own.
+//
+//nabbit:alloc-ok one grouping per multi-coloured spawn escapes into deque items by contract
+func newGrouping(g *Grouper) (*grouping, []int32) {
+	m := &grouping{}
+	buf := m.inline[:0]
+	if g.Len() > len(m.inline) {
+		buf = make([]ColorRange, 0, g.Len())
+	}
+	var place []int32
+	m.groups, place = g.Finish(buf)
+	return m, place
 }
 
 // groupKeys returns the ready-to-run item for the predecessors of owner,
@@ -249,21 +281,19 @@ func (w *worker) groupKeys(r *graphRun, owner *Node) item {
 		return it
 	}
 	g := &w.grp
-	g.begin()
+	g.Begin()
 	for _, k := range keys {
-		g.noteColor(w.e.sv.colorOf(k))
+		g.Note(w.e.sv.colorOf(k))
 	}
-	if len(g.distinct) == 1 {
-		it.color = g.distinct[0].color
+	if g.Len() == 1 {
+		it.color = g.Color(0)
 		return it
 	}
 	// Scatter pass: one backing array, carved up by the groups' ranges.
-	m := g.finish()
+	m, place := newGrouping(g)
 	m.keys = make([]Key, len(keys))
 	for j, k := range keys {
-		d := &g.distinct[g.elemGI[j]]
-		m.keys[d.off] = k
-		d.off++
+		m.keys[place[j]] = k
 	}
 	it.multi, it.hi, it.kind = m, int32(len(m.groups)), itemGroups
 	return it
@@ -294,18 +324,16 @@ func (w *worker) groupNodes(r *graphRun, owner *Node, nready int) item {
 		return it
 	}
 	g := &w.grp
-	g.begin()
+	g.Begin()
 	for _, n := range nodes {
-		g.noteColor(n.color)
+		g.Note(n.color)
 	}
-	m := g.finish() //nabbit:alloc-ok the one grouping of a multi-coloured spawn (finish, inlined)
-	g.stage = append(g.stage[:0], nodes...)
-	for j, n := range g.stage {
-		d := &g.distinct[g.elemGI[j]]
-		nodes[d.off] = n
-		d.off++
+	m, place := newGrouping(g)
+	w.stage = append(w.stage[:0], nodes...)
+	for j, n := range w.stage {
+		nodes[place[j]] = n
 	}
-	clear(g.stage) // drop the node references
+	clear(w.stage) // drop the node references
 	it.multi, it.hi, it.kind = m, int32(len(m.groups)), itemSucc|itemGroups
 	return it
 }

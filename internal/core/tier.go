@@ -85,13 +85,14 @@ func (s *StealStep) Victim(rng *xrand.Rand, self int) int {
 	return v
 }
 
-// The hierarchical protocol's fixed budgets: probes per sweep of each
-// same-socket tier, and the most items one batched cross-socket steal
-// takes.
-const (
-	socketTierBudget = 2
-	stealBatch       = 8
-)
+// socketTierBudget is the hierarchical protocol's probes per sweep of each
+// same-socket tier.
+const socketTierBudget = 2
+
+// StealBatch is the most items one batched cross-socket steal of the
+// hierarchical protocol takes: what both machines size their steal
+// scratch to.
+const StealBatch = 8
 
 // StealPlan is the victim order an idle worker of policy p walks, one sweep
 // per pass over the steps, as the real engine and the simulator both read
@@ -110,7 +111,7 @@ func StealPlan(p Policy, topo numa.Topology, wid int) []StealStep {
 	plan := make([]StealStep, 0, NumStealTiers)
 	batch := 0
 	if p.Hierarchical {
-		batch = stealBatch
+		batch = StealBatch
 		lo, hi := topo.SocketWorkers(wid)
 		if hi-lo > 1 && hi-lo < nw {
 			if p.Colored {

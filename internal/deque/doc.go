@@ -24,13 +24,15 @@
 // unfiltered single-item steal, stays beside it for callers that want one
 // entry by value.
 //
-// Three implementations share the Queue interface: Mutex (a ring buffer
-// under a lock), ChaseLev (the classic dynamic circular work-stealing
-// deque of Chase and Lev) and Block (a block-structured deque in the BWoS
-// style). The engine holds a concrete *Mutex per worker and calls it
-// directly; per-deque contention is a single owner plus occasional
-// thieves, so an uncontended lock costs a couple of atomic operations,
-// same as the lock-free path. The simulator models no deque substrate.
+// Three implementations share the Queue interface: Mutex (a Ring under a
+// lock), ChaseLev (the classic dynamic circular work-stealing deque of
+// Chase and Lev) and Block (a block-structured deque in the BWoS style).
+// The engine holds a concrete *Mutex per worker and calls it directly;
+// per-deque contention is a single owner plus occasional thieves, so an
+// uncontended lock costs a couple of atomic operations, same as the
+// lock-free path. The single-threaded simulator holds the same Ring
+// without the lock, so both machines push, pop and steal through one ring
+// and a simulated steal takes exactly the items a real one would.
 //
 // ChaseLev and Block are probe-only. Forced into the engine, ChaseLev won
 // none of the benchmark's four engine workloads against Mutex (10

@@ -6,23 +6,17 @@ import (
 	"nabbitc/internal/colorset"
 )
 
-// Mutex is a lock-protected growable ring-buffer deque, and the one the
-// engine runs on: the owner's push/pop and a thief's steal each take the
-// lock briefly, and per-deque contention in work stealing is low by design.
+// Mutex is a Ring behind a lock, and the deque the engine runs on: the
+// owner's push/pop and a thief's steal each take the lock briefly, and
+// per-deque contention in work stealing is low by design.
 //
-// The ring's length is always a power of two, so an index wraps with one
-// AND against mask instead of a division per push and per pop. The header
-// is padded on both sides (see cacheLine): every field below is written
-// under the lock on each operation.
+// The header is padded on both sides (see cacheLine): every field below
+// is written under the lock on each operation.
 type Mutex[T any] struct {
-	_     [cacheLine]byte
-	mu    sync.Mutex
-	buf   []Entry[T]
-	mask  int // len(buf) - 1
-	head  int // index of the top (oldest) element
-	n     int // number of elements
-	grows int64
-	_     [cacheLine]byte
+	_  [cacheLine]byte
+	mu sync.Mutex
+	r  Ring[T]
+	_  [cacheLine]byte
 }
 
 // NewMutex returns an empty deque with the given initial capacity hint
@@ -32,20 +26,7 @@ func NewMutex[T any](capacity int) *Mutex[T] {
 	for size < capacity {
 		size *= 2
 	}
-	return &Mutex[T]{buf: make([]Entry[T], size), mask: size - 1}
-}
-
-//nabbit:alloc-ok amortized growth path, counted by Grows()
-func (d *Mutex[T]) grow() {
-	// The full ring wraps at most once: move it as two bulk copies rather
-	// than a per-element modulo loop.
-	nb := make([]Entry[T], len(d.buf)*2)
-	n := copy(nb, d.buf[d.head:])
-	copy(nb[n:], d.buf[:d.head])
-	d.buf = nb
-	d.mask = len(nb) - 1
-	d.head = 0
-	d.grows++
+	return &Mutex[T]{r: NewRing(make([]Entry[T], size))}
 }
 
 // PushBottom adds an item at the bottom (newest end).
@@ -53,30 +34,19 @@ func (d *Mutex[T]) grow() {
 //nabbit:noalloc
 func (d *Mutex[T]) PushBottom(e Entry[T]) {
 	d.mu.Lock()
-	if d.n == len(d.buf) {
-		d.grow() //nabbit:alloc-ok inlined amortized growth
-	}
-	d.buf[(d.head+d.n)&d.mask] = e
-	d.n++
+	//nabbit:alloc-ok inlined amortized growth
+	*d.r.bottom() = e //nabbit:lockheld-ok the ring is what d.mu guards
 	d.mu.Unlock()
 }
 
 // PopBottom removes the newest item.
 //
 //nabbit:noalloc
-func (d *Mutex[T]) PopBottom() (Entry[T], bool) {
+func (d *Mutex[T]) PopBottom() (e Entry[T], ok bool) {
 	d.mu.Lock()
-	if d.n == 0 {
-		d.mu.Unlock()
-		var zero Entry[T]
-		return zero, false
-	}
-	d.n--
-	i := (d.head + d.n) & d.mask
-	e := d.buf[i]
-	d.buf[i] = Entry[T]{} // release references
+	ok = d.r.pop(&e) //nabbit:lockheld-ok the ring is what d.mu guards
 	d.mu.Unlock()
-	return e, true
+	return e, ok
 }
 
 // StealTop removes the oldest item.
@@ -97,28 +67,15 @@ func (d *Mutex[T]) StealTop() (Entry[T], StealOutcome) {
 //nabbit:noalloc
 func (d *Mutex[T]) Steal(filter *colorset.Set, max int, into []Entry[T]) ([]Entry[T], StealOutcome) {
 	d.mu.Lock()
-	if d.n == 0 {
-		d.mu.Unlock()
-		return into, StealEmpty
-	}
-	if filter != nil && !d.buf[d.head].Colors.Intersects(*filter) {
-		d.mu.Unlock()
-		return into, StealMiss
-	}
-	for k := batchSize(d.n, max); k > 0; k-- {
-		into = append(into, d.buf[d.head]) //nabbit:alloc-ok grows only a caller's undersized scratch
-		d.buf[d.head] = Entry[T]{}
-		d.head = (d.head + 1) & d.mask
-		d.n--
-	}
+	into, out := d.r.Steal(filter, max, into) //nabbit:lockheld-ok the ring is what d.mu guards
 	d.mu.Unlock()
-	return into, StealOK
+	return into, out
 }
 
 // Len returns the number of items.
 func (d *Mutex[T]) Len() int {
 	d.mu.Lock()
-	n := d.n
+	n := d.r.n
 	d.mu.Unlock()
 	return n
 }
@@ -128,7 +85,7 @@ func (d *Mutex[T]) Len() int {
 // capacities to eliminate.
 func (d *Mutex[T]) Grows() int64 {
 	d.mu.Lock()
-	g := d.grows
+	g := d.r.grows
 	d.mu.Unlock()
 	return g
 }

@@ -85,7 +85,7 @@ func runSchedule(t *testing.T, spec core.CostSpec, sink core.Key, opts Options) 
 // schedules — the same tasks, on the same workers, at the same virtual
 // times, in the same order — and identical end-to-end results. Where the
 // node table finds a page is storage; it must never leak into scheduling.
-func TestQuickDenseShardedScheduleIdentity(t *testing.T) {
+func TestQuickHiddenBoundScheduleIdentity(t *testing.T) {
 	t.Parallel()
 	f := func(seed uint64, layersRaw, widthRaw, workersRaw uint8) bool {
 		layers := int(layersRaw)%5 + 2

@@ -5,8 +5,8 @@ import (
 	"slices"
 	"time"
 
-	"nabbitc/internal/colorset"
 	"nabbitc/internal/core"
+	"nabbitc/internal/deque"
 	"nabbitc/internal/xrand"
 )
 
@@ -40,130 +40,38 @@ type succEdge struct {
 	next  *succEdge
 }
 
-// group is a run of same-colored keys: predecessors of an item's owner or,
-// in an item without an owner, ready nodes.
-type group struct {
-	color int
-	keys  []core.Key
-}
-
-// item mirrors the real engine's morphing continuation, including its
-// inline single-group form (authoritative when groups == nil): binary
-// splitting pushes single-group items whose color mask is the group's own
-// color, so the mask construction stays in lockstep with internal/core.
-// Items travel by value and own no storage: their key slices are cut from
-// the spec's predecessor slices or from the engine's per-run key pool.
+// item mirrors the real engine's morphing continuation: keys [lo, hi) of
+// a spawn, all of one colour, or — while grouped is set — the spawn's
+// colour groups [lo, hi), as core's Grouper partitioned them. Items travel
+// by value and own no storage, and at 32 bytes a deque entry is a single
+// 64-byte copy.
 type item struct {
-	owner  *node // nil for successor work: the keys name ready nodes
-	single group // inline one-group form, authoritative when groups == nil
-	groups []group
+	owner   *node  // nil for successor work: the keys name ready nodes
+	spawn   *spawn // what the range indexes; nil for owner's own predecessors
+	lo, hi  int32
+	color   int32 // the colour of a key range
+	grouped bool  // [lo, hi) indexes spawn.groups, not keys
 }
 
-// size returns the number of leaf work units in the item.
-func (it *item) size() int {
-	if it.groups == nil {
-		return len(it.single.keys)
-	}
-	total := 0
-	for _, g := range it.groups {
-		total += len(g.keys)
-	}
-	return total
+// spawn is what the items split from one spawn share when the spawn is not
+// simply owner's predecessor list: the ready keys a completion hands on,
+// or a grouped spawn's colour-major keys and its groups. Spawns, their keys
+// and their groups are cut from the engine's per-run pools.
+type spawn struct {
+	keys   []core.Key
+	groups []core.ColorRange
 }
 
-type entry struct {
-	it     item
-	colors colorset.Set
-}
-
-// wdeque is a single-threaded deque: owner pushes/pops at the tail,
-// thieves take from the head. Vacated slots are not cleared: everything an
-// entry refers to lives exactly as long as the run does.
-type wdeque struct {
-	buf  []entry
-	head int
-	// e is the engine the deque belongs to: its first push cuts the buffer
-	// from e.dequePool, and every push, pop and steal keeps e.queued, the
-	// count of entries in all deques together, current — what lets a failed
-	// probe learn that nothing is stealable without visiting them.
-	e *engine
-}
-
-func (d *wdeque) len() int { return len(d.buf) - d.head }
-
-func (d *wdeque) pushBottom(ent entry) {
-	if cap(d.buf) == 0 {
-		d.buf = carve(&d.e.dequePool, dequeCap)
+// sub narrows a grouped item to groups [lo, hi); a single group collapses
+// to its key range.
+func (it item) sub(lo, hi int32) item {
+	if hi-lo == 1 {
+		g := it.spawn.groups[lo]
+		it.lo, it.hi, it.color, it.grouped = g.Lo, g.Hi, g.Color, false
+		return it
 	}
-	d.buf = append(d.buf, ent)
-	d.e.queued++
-}
-
-// removed accounts for one entry taken from either end. An empty deque
-// restarts at the front of its buffer, so the slots thieves vacated are
-// reused rather than left as a dead prefix behind later pushes.
-func (d *wdeque) removed() {
-	d.e.queued--
-	if d.head == len(d.buf) {
-		d.buf, d.head = d.buf[:0], 0
-	}
-}
-
-func (d *wdeque) popBottom() (item, bool) {
-	if d.len() == 0 {
-		return item{}, false
-	}
-	it := d.buf[len(d.buf)-1].it
-	d.buf = d.buf[:len(d.buf)-1]
-	d.removed()
-	return it, true
-}
-
-// top returns the oldest entry in place (nil when empty), valid until the
-// deque's next operation.
-func (d *wdeque) top() *entry {
-	if d.len() == 0 {
-		return nil
-	}
-	return &d.buf[d.head]
-}
-
-func (d *wdeque) stealTop() (item, bool) {
-	if d.len() == 0 {
-		return item{}, false
-	}
-	it := d.buf[d.head].it
-	d.head++
-	d.removed()
-	if d.head > 64 && d.head*2 > len(d.buf) {
-		// Compact to keep memory bounded.
-		d.buf = append(d.buf[:0], d.buf[d.head:]...)
-		d.head = 0
-	}
-	return it, true
-}
-
-// stealHalf removes min(ceil(n/2), max) of the oldest items, oldest first
-// — the virtual-time mirror of the real deques' batched steal — returning
-// the first and moving the rest, in order, onto the thief's deque; n is the
-// batch size, 0 from an empty deque. The simulator is single-threaded, so
-// unlike Chase–Lev this batch really is atomic.
-func (d *wdeque) stealHalf(max int, thief *wdeque) (first item, n int) {
-	n = d.len()
-	if n == 0 {
-		return item{}, 0
-	}
-	k := (n + 1) / 2
-	if max > 0 && k > max {
-		k = max
-	}
-	first, _ = d.stealTop()
-	for i := 1; i < k; i++ {
-		ent := *d.top()
-		d.stealTop()
-		thief.pushBottom(ent)
-	}
-	return first, k
+	it.lo, it.hi = lo, hi
+	return it
 }
 
 type eventKind uint8
@@ -291,7 +199,7 @@ func (q *eventQueue) pop() (event, eventKind, bool) {
 type worker struct {
 	id    int
 	color int
-	dq    wdeque
+	dq    deque.Ring[item]
 	rng   xrand.Rand
 	stats *WorkerStats // the worker's element of engine.stats
 
@@ -320,31 +228,35 @@ type engine struct {
 	// pages lists the pages of a declared bound (up to maxListedPages of
 	// them); far holds every other page by number — all of an unbounded
 	// spec's. bound is the spec's declared key bound, 0 for none.
-	pages    []*[pageSize]node
-	far      map[int64]*[pageSize]node
-	bound    int
-	sinkKey  core.Key
-	evq      eventQueue
-	queued   int // entries in all workers' deques together
+	pages   []*[pageSize]node
+	far     map[int64]*[pageSize]node
+	bound   int
+	sinkKey core.Key
+	evq     eventQueue
+	// queued counts the entries in all workers' deques together, which
+	// lets a failed probe learn that nothing is stealable without visiting
+	// them.
+	queued   int
 	done     bool
 	makespan int64
 	created  int
-	// Per-run pools (see carve) that nodes, deque buffers, successor
-	// registrations and the keys and groups of regrouped items are cut
-	// from, so that none of them is an allocation of its own.
+	// Per-run pools (see carve) that nodes, successor registrations and
+	// the spawns of items, with their keys and groups, are cut from, so
+	// that none of them is an allocation of its own.
 	nodePool  []node
-	dequePool []entry
 	succPool  []succEdge
+	spawnPool []spawn
 	keyPool   []core.Key
-	groupPool []group
+	groupPool []core.ColorRange
 	// homeSpec is spec's HomeSpec side, nil when homes are colors.
 	homeSpec core.HomeSpec
-	// ready and the classify results are reusable scratch (the simulator
-	// is single-threaded, so one engine-wide buffer of each suffices).
-	ready  []core.Key
-	gidx   []int32
-	gcolor []int
-	gcount []int
+	// ready, grp and stealBuf are reusable scratch (the simulator is
+	// single-threaded, so one engine-wide copy of each suffices): the ready
+	// successors of a completion, the colour grouping of a spawn, and what
+	// a steal takes.
+	ready    []core.Key
+	grp      core.Grouper
+	stealBuf []deque.Entry[item]
 }
 
 const (
@@ -353,9 +265,9 @@ const (
 	pageSize  = 1 << pageShift
 	// maxListedPages caps the pages list at core's 2^21 indexed keys.
 	maxListedPages = 1 << 21 / pageSize
-	// dequeCap is the capacity a worker's deque gets on its first push, cut
-	// from the engine's pool; a deque that outgrows it reallocates on its
-	// own.
+	// dequeCap is the capacity of a worker's first deque buffer, all of
+	// them cut from one per-run block; a deque that outgrows it reallocates
+	// on its own.
 	dequeCap = 4
 )
 
@@ -376,23 +288,26 @@ func newEngine(spec core.CostSpec, sink core.Key, opts Options) (*engine, error)
 		return nil, err
 	}
 	e := &engine{
-		opts:    opts,
-		spec:    spec,
-		sinkKey: sink,
-		evq:     newEventQueue(opts.Workers),
+		opts:     opts,
+		spec:     spec,
+		sinkKey:  sink,
+		evq:      newEventQueue(opts.Workers),
+		stealBuf: make([]deque.Entry[item], 0, core.StealBatch),
 	}
+	e.grp.Init(opts.Workers)
 	e.homeSpec, _ = spec.(core.HomeSpec)
 	e.bound = core.KeyBoundOf(spec)
 	e.pages = make([]*[pageSize]node, min((e.bound+pageSize-1)/pageSize, maxListedPages))
 	p := opts.Policy
 	e.workers = make([]worker, opts.Workers)
 	e.stats = make([]WorkerStats, opts.Workers)
+	dequePool := make([]deque.Entry[item], opts.Workers*dequeCap)
 	for i := range e.workers {
 		w := &e.workers[i]
 		*w = worker{
 			id:                i,
 			color:             i,
-			dq:                wdeque{e: e},
+			dq:                deque.NewRing(dequePool[i*dequeCap : (i+1)*dequeCap : (i+1)*dequeCap]),
 			stats:             &e.stats[i],
 			plan:              core.StealPlan(p, opts.Topology, i),
 			firstStealPending: p.Colored && p.ForceFirstColoredSteal && i != 0,
@@ -585,84 +500,49 @@ func carve[T any](pool *[]T, n int) []T {
 
 func carveOne[T any](pool *[]T) *T { return &carve(pool, 1)[:1][0] }
 
-// classify sorts keys into one group per distinct spec color, in order of
-// first appearance: gidx[i] is keys[i]'s group, gcolor and gcount each
-// group's color and size. It returns the number of groups.
-func (e *engine) classify(keys []core.Key) int {
-	e.gidx, e.gcolor, e.gcount = e.gidx[:0], e.gcolor[:0], e.gcount[:0]
-	for _, k := range keys {
-		c := e.spec.Color(k)
-		g := 0
-		for g < len(e.gcolor) && e.gcolor[g] != c {
-			g++
-		}
-		if g == len(e.gcolor) {
-			e.gcolor = append(e.gcolor, c)
-			e.gcount = append(e.gcount, 0)
-		}
-		e.gcount[g]++
-		e.gidx = append(e.gidx, int32(g))
-	}
-	return len(e.gcolor)
-}
-
-// groupKeys partitions keys by spec color (first-appearance order,
-// deterministic) into an item of owner's predecessors or, without an owner,
-// of ready nodes. Single-group outcomes use the inline form, and the
-// uncolored/one-key form keeps color 0. Ready keys arrive in the engine's
-// reusable scratch, so an ownerless item never aliases its input.
+// groupKeys partitions keys by spec color with core's Grouper
+// (first-appearance order, deterministic) into an item of owner's
+// predecessors — keys is owner.preds — or, without an owner, of ready
+// nodes. A single-color outcome is a key range, and the uncolored/one-key
+// form keeps color 0. Ready keys arrive in the engine's reusable scratch,
+// so an ownerless item never aliases its input.
 func (e *engine) groupKeys(owner *node, keys []core.Key) item {
-	ng, color := 1, 0
+	it := item{owner: owner, hi: int32(len(keys))}
 	if e.opts.Policy.Colored && len(keys) > 1 {
-		ng = e.classify(keys)
-		color = e.gcolor[0]
-	}
-	if ng == 1 {
-		if owner == nil {
-			keys = append(carve(&e.keyPool, len(keys)), keys...)
+		g := &e.grp
+		g.Begin()
+		for _, k := range keys {
+			g.Note(int32(e.spec.Color(k)))
 		}
-		return item{owner: owner, single: group{color: color, keys: keys}}
-	}
-	groups := carve(&e.groupPool, ng)[:ng]
-	store := carve(&e.keyPool, len(keys))[:len(keys)]
-	for g := range groups {
-		n := e.gcount[g]
-		groups[g] = group{color: e.gcolor[g], keys: store[:0:n]}
-		store = store[n:]
-	}
-	for i, k := range keys {
-		g := &groups[e.gidx[i]]
-		g.keys = append(g.keys, k)
-	}
-	return item{owner: owner, groups: groups}
-}
-
-// push mirrors the real engine's mask construction: single-group items
-// advertise the group's own color in O(1); multi-group items union their
-// groups' colors. Colors outside the worker range are skipped.
-func (e *engine) push(w *worker, it item) {
-	s := colorset.New(len(e.workers))
-	if it.groups == nil {
-		if c := it.single.color; c >= 0 && c < len(e.workers) {
-			s.Add(c)
-		}
-	} else {
-		for _, g := range it.groups {
-			if g.color >= 0 && g.color < len(e.workers) {
-				s.Add(g.color)
+		if g.Len() > 1 {
+			sp := carveOne(&e.spawnPool)
+			var place []int32
+			sp.groups, place = g.Finish(carve(&e.groupPool, g.Len()))
+			sp.keys = carve(&e.keyPool, len(keys))[:len(keys)]
+			for j, k := range keys {
+				sp.keys[place[j]] = k
 			}
+			it.spawn, it.hi, it.grouped = sp, int32(len(sp.groups)), true
+			return it
 		}
+		it.color = g.Color(0)
 	}
-	w.dq.pushBottom(entry{it: it, colors: s})
+	if owner == nil {
+		it.spawn = carveOne(&e.spawnPool)
+		it.spawn.keys = append(carve(&e.keyPool, len(keys)), keys...)
+	}
+	return it
 }
 
-func containsColor(groups []group, color int) bool {
-	for _, g := range groups {
-		if g.color == color {
-			return true
-		}
+// push puts it on w's deque with the mask the real engine would advertise
+// (core.ItemColors).
+func (e *engine) push(w *worker, it item) {
+	var groups []core.ColorRange // nil for a key range
+	if it.grouped {
+		groups = it.spawn.groups[it.lo:it.hi]
 	}
-	return false
+	w.dq.PushBottom(deque.Entry[item]{Value: it, Colors: core.ItemColors(it.color, groups, len(e.workers))})
+	e.queued++
 }
 
 // interpret is the morphing-continuation interpreter in virtual time: it
@@ -671,43 +551,47 @@ func containsColor(groups []group, color int) bool {
 // should now execute (nil if the leaf only did bookkeeping) and the
 // advanced clock.
 func (e *engine) interpret(w *worker, t int64, it item) (*node, int64) {
-	if it.size() == 0 {
+	if it.lo == it.hi {
 		return nil, t
 	}
-	if it.groups == nil {
-		return e.interpretGroup(w, t, it.owner, it.single)
-	}
-	groups := it.groups
-	colored := e.opts.Policy.Colored
-	for len(groups) > 1 {
-		mid := len(groups) / 2
-		first, second := groups[:mid], groups[mid:]
-		if colored && containsColor(second, w.color) && !containsColor(first, w.color) {
-			first, second = second, first
+	if it.grouped {
+		groups := it.spawn.groups
+		colored := e.opts.Policy.Colored
+		own := int32(w.color)
+		lo, hi := it.lo, it.hi
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			keepLo, keepHi, pushLo, pushHi := lo, mid, mid, hi
+			if colored && core.ContainsColor(groups[mid:hi], own) && !core.ContainsColor(groups[lo:mid], own) {
+				keepLo, keepHi, pushLo, pushHi = mid, hi, lo, mid
+			}
+			e.push(w, it.sub(pushLo, pushHi))
+			lo, hi = keepLo, keepHi
 		}
-		if len(second) == 1 {
-			e.push(w, item{owner: it.owner, single: second[0]})
-		} else {
-			e.push(w, item{owner: it.owner, groups: second})
-		}
-		groups = first
+		it = it.sub(lo, hi)
 	}
-	return e.interpretGroup(w, t, it.owner, groups[0])
+	return e.interpretGroup(w, t, it)
 }
 
-// interpretGroup binary-splits a single color group, pushing inline
-// single-group continuations, and resolves the final leaf.
-func (e *engine) interpretGroup(w *worker, t int64, owner *node, g group) (*node, int64) {
-	keys := g.keys
-	for len(keys) > 1 {
-		mid := len(keys) / 2
-		e.push(w, item{owner: owner, single: group{color: g.color, keys: keys[mid:]}})
-		keys = keys[:mid]
+// interpretGroup binary-splits a key range of one color, pushing
+// same-colored continuations, and resolves the final leaf.
+func (e *engine) interpretGroup(w *worker, t int64, it item) (*node, int64) {
+	lo, hi := it.lo, it.hi
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		rest := it
+		rest.lo, rest.hi = mid, hi
+		e.push(w, rest)
+		hi = mid
 	}
-	if owner == nil {
-		return e.lookup(keys[0]), t
+	if it.spawn == nil {
+		return e.tryInitCompute(w, t, it.owner, it.owner.preds[lo])
 	}
-	return e.tryInitCompute(w, t, owner, keys[0])
+	k := it.spawn.keys[lo]
+	if it.owner == nil {
+		return e.lookup(k), t
+	}
+	return e.tryInitCompute(w, t, it.owner, k)
 }
 
 // tryInitCompute resolves one predecessor edge of owner, charging creation
@@ -745,7 +629,7 @@ func (e *engine) tryInitCompute(w *worker, t int64, owner *node, pkey core.Key) 
 // yields a node to execute; with an empty deque the worker turns thief.
 func (e *engine) acquire(w *worker, t int64) {
 	for {
-		it, ok := w.dq.popBottom()
+		ent, ok := w.dq.PopBottom()
 		if !ok {
 			if len(e.workers) == 1 {
 				// A lone worker with an empty deque and no completion in
@@ -757,7 +641,8 @@ func (e *engine) acquire(w *worker, t int64) {
 			e.evq.pushProbe(t+e.opts.Cost.StealAttemptCost, w.id)
 			return
 		}
-		n, t2 := e.interpret(w, t, it)
+		e.queued--
+		n, t2 := e.interpret(w, t, ent.Value)
 		t = t2
 		if n != nil {
 			e.startExec(w, t, n)
@@ -845,7 +730,7 @@ func (e *engine) complete(w *worker, t int64) {
 }
 
 // stealSucceeded charges the steal-success cost (once, even for a batch —
-// that single charge is the amortization batching buys; stealHalf has
+// that single charge is the amortization batching buys; stealAttempt has
 // already adopted every batch item after the first into the thief's own
 // deque) and continues the thief on the first stolen item.
 func (e *engine) stealSucceeded(w *worker, t int64, it item) {
@@ -884,9 +769,12 @@ func (e *engine) scheduleNextProbe(w *worker, t int64) {
 }
 
 // stealAttempt performs one probe of the worker's steal plan (the
-// enforced first colored steal while it is pending); the attempt cost was
-// charged when the event was scheduled. Probe by probe, stealStep and
-// stealUsed walk the plan's steps in order and wrap after the last.
+// enforced first colored steal while it is pending), the same probe as the
+// real engine's: one Steal of up to the step's batch from a cross-socket
+// victim, or of one item, the oldest stolen item run at once and the rest
+// adopted onto the thief's deque. The attempt cost was charged when the
+// event was scheduled. Probe by probe, stealStep and stealUsed walk the
+// plan's steps in order and wrap after the last.
 func (e *engine) stealAttempt(w *worker, t int64) {
 	if e.done {
 		return
@@ -900,19 +788,18 @@ func (e *engine) stealAttempt(w *worker, t int64) {
 	v := &e.workers[s.Victim(&w.rng, w.id)]
 	colored := s.Filter != nil
 	batch := s.Batch > 0 && !e.opts.Topology.SameDomain(v.id, w.id)
-	var it item
-	stolen, miss := 0, false
-	if top := v.dq.top(); top != nil {
-		switch {
-		case colored && !top.colors.Intersects(*s.Filter):
-			miss = true
-		case batch:
-			it, stolen = v.dq.stealHalf(s.Batch, &w.dq)
-		default:
-			it, _ = v.dq.stealTop()
-			stolen = 1
+	var ents []deque.Entry[item]
+	miss := false
+	if v.dq.Len() > 0 { // most probes find an empty victim: skip the call
+		take := 1
+		if batch {
+			take = s.Batch
 		}
+		var out deque.StealOutcome
+		ents, out = v.dq.Steal(s.Filter, take, e.stealBuf[:0])
+		miss = out == deque.StealMiss
 	}
+	stolen := len(ents)
 	w.stats.Probe(s, stolen, batch, miss)
 
 	switch {
@@ -940,5 +827,9 @@ func (e *engine) stealAttempt(w *worker, t int64) {
 		e.scheduleNextProbe(w, t)
 		return
 	}
-	e.stealSucceeded(w, t, it)
+	for _, ent := range ents[1:] {
+		w.dq.PushBottom(ent)
+	}
+	e.queued--
+	e.stealSucceeded(w, t, ents[0].Value)
 }

@@ -5,10 +5,21 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nabbitc/internal/core"
+	"nabbitc/internal/deque"
 	"nabbitc/internal/xrand"
 )
+
+// A deque entry — item plus colour mask — must stay within 64 bytes: the
+// compiler moves a value that size inline, and a larger one through a
+// runtime copy routine on every push, pop and steal.
+func TestEntryLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(deque.Entry[item]{}); sz > 64 {
+		t.Errorf("deque.Entry[item] is %d bytes, want <= 64", sz)
+	}
+}
 
 // Property: whatever mix of probe and completion pushes the queue is fed —
 // probe times out of order, ties on the time, the fast-forward point one
@@ -89,7 +100,7 @@ func TestEventQueueOrder(t *testing.T) {
 func (e *engine) audit() error {
 	queued, running := 0, 0
 	for i := range e.workers {
-		queued += e.workers[i].dq.len()
+		queued += e.workers[i].dq.Len()
 		if e.workers[i].running != nil {
 			running++
 		}
@@ -165,38 +176,6 @@ func TestEngineBooksBalance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// An owner that drains its deque after thieves advanced the head must start
-// over at the front of the buffer: pushes that land behind the vacated
-// prefix grow the buffer round after round until the steal-side compaction
-// (head > 64) catches up.
-func TestWdequeReusesVacatedPrefix(t *testing.T) {
-	e := &engine{}
-	d := wdeque{e: e}
-	const rounds, pushes, steals = 500, 6, 4
-	for round := 0; round < rounds; round++ {
-		for i := 0; i < pushes; i++ {
-			d.pushBottom(entry{it: item{single: group{color: round}}})
-		}
-		for i := 0; i < steals; i++ {
-			if it, ok := d.stealTop(); !ok || it.single.color != round {
-				t.Fatalf("round %d: steal %d returned %+v, %v", round, i, it, ok)
-			}
-		}
-		for d.len() > 0 {
-			if it, ok := d.popBottom(); !ok || it.single.color != round {
-				t.Fatalf("round %d: pop returned %+v, %v", round, it, ok)
-			}
-		}
-		if e.queued != 0 {
-			t.Fatalf("round %d: queued = %d after draining", round, e.queued)
-		}
-		if d.head != 0 || cap(d.buf) > 2*pushes {
-			t.Fatalf("round %d: head = %d, cap(buf) = %d for at most %d live entries",
-				round, d.head, cap(d.buf), pushes)
-		}
 	}
 }
 

@@ -11,10 +11,14 @@
 // scheduler bookkeeping are charged virtual time, and every run is
 // bit-for-bit reproducible for a given seed. The scheduler logic — morphing
 // continuations, colored steals, the forced first colored steal — mirrors
-// core's engine decision for decision, and so does the counting: a worker's
-// record embeds core's counter block (core.Counters), each probe is recorded
-// by its one recorder, and Result's aggregates are core.PerWorker's (see
-// core's steal-plan design note).
+// core's engine decision for decision, and where the two share a rule they
+// share its code. A worker's deque is the engine's ring (deque.Ring, here
+// without the lock), a spawn is grouped by colour with core.Grouper, an
+// item's mask is core.ItemColors and the kept half of a split is chosen by
+// core.ContainsColor. The counting is shared too: a worker's record embeds
+// core's counter block (core.Counters), each probe is recorded by its one
+// recorder, and Result's aggregates are core.PerWorker's (see core's
+// steal-plan design note).
 //
 // The event loop. A simulated worker is executing a task, hunting, or
 // stopped, so it has at most one pending event: the completion of its task
