@@ -353,13 +353,13 @@ func (a *nodeArena) fill(n *Node, k Key, cur uint32, wid int, succ *Node) {
 	for i, pk := range preds {
 		if !sv.indexed(pk) && sv.recs != nil {
 			// Outside the declared bound: left for getOrCreate(pk) to
-			// report, with pk as the culprit. predMixed is absorbing for
+			// report, with pk as the culprit. PredMixed is absorbing for
 			// every later predecessor.
-			pc, pd = predMixed, predMixed
+			pc, pd = PredMixed, PredMixed
 			continue
 		}
 		c, h := sv.place(pk)
-		pc, pd = predSummary(i, pc, pd, c, sv.domainOf(h))
+		pc, pd = PredSummary(i, pc, pd, c, sv.domainOf(h))
 	}
 	n.predColor, n.predDomain = pc, pd
 	n.join = int32(len(preds)) //nabbit:mixed-ok unpublished: the ready store orders it

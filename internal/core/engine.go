@@ -1201,7 +1201,7 @@ func (w *worker) countAccesses(n *Node) {
 	case n.npreds == 0:
 	case n.predDomain == w.domain:
 		acc.Local += int64(n.npreds)
-	case n.predDomain != predMixed:
+	case n.predDomain != PredMixed:
 		acc.Remote += int64(n.npreds)
 	default:
 		for _, pk := range n.predKeys() {

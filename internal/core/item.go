@@ -272,7 +272,7 @@ func newGrouping(g *Grouper) (*grouping, []int32) {
 //nabbit:alloc-ok the permuted key slice of a multi-coloured spawn escapes into deque items by contract; bounded by the ExecuteReuse gate
 func (w *worker) groupKeys(r *graphRun, owner *Node) item {
 	it := item{run: r, owner: owner, hi: owner.npreds, color: owner.predColor}
-	if it.color != predMixed {
+	if it.color != PredMixed {
 		return it
 	}
 	keys := owner.predKeys()

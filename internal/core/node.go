@@ -124,7 +124,7 @@ type Node struct {
 	home   int32
 	// predColor is the colour every predecessor shares, and predDomain the
 	// NUMA domain every predecessor's home lies in (-1: homes no worker
-	// owns), or predMixed when they differ. Both are computed once at
+	// owns), or PredMixed when they differ. Both are computed once at
 	// creation, so grouping a single-coloured predecessor list and the
 	// locality accounting of a single-domain one cost no per-edge lookup.
 	predColor  int32
@@ -141,10 +141,10 @@ type Node struct {
 	_     [4]byte
 }
 
-// predMixed marks a predColor/predDomain summary whose predecessors
+// PredMixed marks a predecessor summary (PredSummary) whose predecessors
 // disagree (or could not be looked up): consumers fall back to per-key
 // lookups.
-const predMixed = math.MinInt32
+const PredMixed = math.MinInt32
 
 // Key returns the node's task key.
 func (n *Node) Key() Key { return n.key }
@@ -440,17 +440,20 @@ func (sv *specView) domainOf(c int32) int32 {
 	return -1
 }
 
-// predSummary folds one more predecessor's colour and home domain into
-// the running summary (i is the predecessor's index).
-func predSummary(i int, pc, pd, c, d int32) (int32, int32) {
+// PredSummary folds one more predecessor's colour and home domain into
+// the running summary (i is the predecessor's index): after the last, the
+// colour and the domain every predecessor shares, each PredMixed when they
+// differ. The engine folds it into a Node at creation and the simulator
+// into its own node, so the two machines summarise by one rule.
+func PredSummary(i int, pc, pd, c, d int32) (int32, int32) {
 	if i == 0 {
 		return c, d
 	}
 	if c != pc {
-		pc = predMixed
+		pc = PredMixed
 	}
 	if d != pd {
-		pd = predMixed
+		pd = PredMixed
 	}
 	return pc, pd
 }

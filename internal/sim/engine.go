@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -23,15 +24,27 @@ import (
 // them in registration order — which decides the order ready successors
 // are handed on in, and a successor that names a predecessor twice is
 // registered twice.
+//
+// A node keeps only what its execution asks of its colour and its home:
+// which worker owns the colour, if any, and the NUMA domain of the home.
+// An access cost and the locality tally depend on a home only through its
+// domain. predColor and predDomain summarise the predecessors once, at
+// creation, by core's rule (core.PredSummary): the colour they all share
+// and the domain all their homes lie in, core.PredMixed where they differ.
+// Grouping a single-coloured list, the locality tally and the
+// predecessors' access cost read the summary instead of asking the spec
+// about every edge. A node stays 64 bytes (TestNodeLayout).
 type node struct {
-	key      core.Key
-	preds    []core.Key
-	color    int
-	home     int
-	succs    *succEdge
-	join     int32
-	computed bool
-	created  bool
+	key        core.Key
+	preds      []core.Key
+	succs      *succEdge
+	color      int32 // the spec's colour, or -1 when no worker owns it
+	homeDomain int32 // the NUMA domain of the spec's home, or -1 for none
+	predColor  int32
+	predDomain int32
+	join       int32
+	computed   bool
+	created    bool
 }
 
 // succEdge is one registration of owner as waiting on a node.
@@ -73,13 +86,6 @@ func (it item) sub(lo, hi int32) item {
 	it.lo, it.hi = lo, hi
 	return it
 }
-
-type eventKind uint8
-
-const (
-	evComplete eventKind = iota
-	evSteal
-)
 
 // event is a worker's pending wake-up; which queue holds it says whether
 // it is a completion or a steal probe.
@@ -160,16 +166,25 @@ func (q *eventQueue) earliestCompletion() (int64, bool) {
 	return q.comps[0].at, true
 }
 
-// pop removes the earlier of the two queues' heads.
-func (q *eventQueue) pop() (event, eventKind, bool) {
-	if q.head != q.tail {
-		p := q.probes[q.head&q.mask]
-		if len(q.comps) == 0 || p.before(q.comps[0]) {
-			q.head++
-			return p, evSteal, true
-		}
-	} else if len(q.comps) == 0 {
-		return event{}, 0, false
+// nextProbe removes and returns the ring's head probe if it fires before
+// every pending completion.
+func (q *eventQueue) nextProbe() (event, bool) {
+	if q.head == q.tail {
+		return event{}, false
+	}
+	p := q.probes[q.head&q.mask]
+	if len(q.comps) > 0 && !p.before(q.comps[0]) {
+		return event{}, false
+	}
+	q.head++
+	return p, true
+}
+
+// popCompletion removes and returns the earliest pending completion, or
+// reports false when no worker is executing.
+func (q *eventQueue) popCompletion() (event, bool) {
+	if len(q.comps) == 0 {
+		return event{}, false
 	}
 	top := q.comps[0]
 	last := len(q.comps) - 1
@@ -193,18 +208,22 @@ func (q *eventQueue) pop() (event, eventKind, bool) {
 	if last > 0 {
 		q.comps[i] = ev
 	}
-	return top, evComplete, true
+	return top, true
 }
 
 type worker struct {
-	id    int
-	color int
-	dq    deque.Ring[item]
-	rng   xrand.Rand
-	stats *WorkerStats // the worker's element of engine.stats
+	id     int
+	color  int
+	domain int32 // the NUMA domain of color
+	dq     deque.Ring[item]
+	rng    xrand.Rand
+	stats  *WorkerStats // the worker's element of engine.stats
 
-	// plan is the worker's victim order (core.StealPlan).
-	plan []core.StealStep
+	// plan is the worker's victim order (core.StealPlan), and firstSteal
+	// the step the enforced first colored steal probes while
+	// firstStealPending (core.FirstStealStep).
+	plan       []core.StealStep
+	firstSteal core.StealStep
 
 	firstStealPending bool
 	// stealStep and stealUsed place the next probe in the current sweep
@@ -307,10 +326,14 @@ func newEngine(spec core.CostSpec, sink core.Key, opts Options) (*engine, error)
 		*w = worker{
 			id:                i,
 			color:             i,
+			domain:            int32(opts.Topology.DomainOf(i)),
 			dq:                deque.NewRing(dequePool[i*dequeCap : (i+1)*dequeCap : (i+1)*dequeCap]),
 			stats:             &e.stats[i],
 			plan:              core.StealPlan(p, opts.Topology, i),
 			firstStealPending: p.Colored && p.ForceFirstColoredSteal && i != 0,
+		}
+		if w.firstStealPending {
+			w.firstSteal = core.FirstStealStep(w.plan)
 		}
 		w.rng.SeedWorker(p.Seed, i)
 	}
@@ -334,47 +357,55 @@ func (e *engine) run() (*Result, error) {
 		e.evq.pushProbe(e.opts.Cost.StealAttemptCost, i)
 	}
 
+	deadline := e.opts.Deadline
+	if deadline == 0 {
+		deadline = math.MaxInt64
+	}
 	var last int64 // latest event time processed, the partial makespan
 	for !e.done {
-		ev, kind, ok := e.evq.pop()
-		if !ok {
-			// Dependence deadlock: nothing executing, nothing stealable,
-			// no event to make progress. Report the same typed stall
-			// diagnostic as the real engine, naming the nodes that were
-			// created but never computed (a cycle's members and their
-			// downstream) — or, under SkipUnreachable, degrade exactly
-			// as core's error-budget path does: return the partial
-			// Result together with a *core.PartialError naming the
-			// never-computed nodes as skipped.
-			pend := e.pendingKeys()
-			if e.opts.SkipUnreachable {
-				pe := &core.PartialError{SkippedTotal: len(pend)}
+		// A probe at the ring's head that fires before every completion
+		// is served straight off the ring.
+		ev, probe := e.evq.nextProbe()
+		if !probe {
+			var ok bool
+			if ev, ok = e.evq.popCompletion(); !ok {
+				// Dependence deadlock: nothing executing, nothing
+				// stealable, no event to make progress. Report the same
+				// typed stall diagnostic as the real engine, naming the
+				// nodes that were created but never computed (a cycle's
+				// members and their downstream) — or, under
+				// SkipUnreachable, degrade exactly as core's error-budget
+				// path does: return the partial Result together with a
+				// *core.PartialError naming the never-computed nodes as
+				// skipped.
+				pend := e.pendingKeys()
+				if e.opts.SkipUnreachable {
+					pe := &core.PartialError{SkippedTotal: len(pend)}
+					if len(pend) > core.StallPendingMax {
+						pend = pend[:core.StallPendingMax]
+					}
+					pe.Skipped = pend
+					return e.result(last), pe
+				}
+				se := &core.StallError{Sink: e.sinkKey, PendingTotal: len(pend)}
 				if len(pend) > core.StallPendingMax {
 					pend = pend[:core.StallPendingMax]
 				}
-				pe.Skipped = pend
-				return e.result(last), pe
+				se.Pending = pend
+				return nil, se
 			}
-			se := &core.StallError{Sink: e.sinkKey, PendingTotal: len(pend)}
-			if len(pend) > core.StallPendingMax {
-				pend = pend[:core.StallPendingMax]
-			}
-			se.Pending = pend
-			return nil, se
 		}
-		if dl := e.opts.Deadline; dl > 0 && ev.at > dl {
+		if ev.at > deadline {
 			// The run's virtual-time budget is spent before this event
 			// fires: the watchdog mirror. Limit carries the budget's
 			// integer value (virtual cycles).
-			return nil, &core.TimeoutError{Limit: time.Duration(dl)}
+			return nil, &core.TimeoutError{Limit: time.Duration(deadline)}
 		}
 		last = ev.at
-		w := &e.workers[ev.wid]
-		switch kind {
-		case evComplete:
-			e.complete(w, ev.at)
-		case evSteal:
-			e.stealAttempt(w, ev.at)
+		if probe {
+			e.probe(&e.workers[ev.wid], ev.at)
+		} else {
+			e.complete(&e.workers[ev.wid], ev.at)
 		}
 	}
 	return e.result(e.makespan), nil
@@ -460,16 +491,34 @@ func (e *engine) homeOf(k core.Key) int {
 	return e.spec.Color(k)
 }
 
+// colorHome returns k's colour and its home (homeOf) with one Color call.
+func (e *engine) colorHome(k core.Key) (color, home int) {
+	c := e.spec.Color(k)
+	if e.homeSpec != nil {
+		return c, e.homeSpec.Home(k)
+	}
+	return c, c
+}
+
 func (e *engine) getOrCreate(k core.Key) (*node, bool) {
 	n := e.lookup(k)
 	if n.created {
 		return n, false
 	}
 	preds := e.spec.Predecessors(k)
+	topo := e.opts.Topology
+	c, h := e.colorHome(k)
 	n.key = k
-	n.color = e.spec.Color(k)
-	n.home = e.homeOf(k)
+	n.color = -1
+	if c >= 0 && c < len(e.workers) {
+		n.color = int32(c)
+	}
+	n.homeDomain = int32(topo.DomainOf(h))
 	n.preds = preds
+	for i, p := range preds {
+		c, h := e.colorHome(p)
+		n.predColor, n.predDomain = core.PredSummary(i, n.predColor, n.predDomain, int32(c), int32(topo.DomainOf(h)))
+	}
 	n.join = int32(len(preds))
 	n.created = true
 	e.created++
@@ -504,11 +553,16 @@ func carveOne[T any](pool *[]T) *T { return &carve(pool, 1)[:1][0] }
 // (first-appearance order, deterministic) into an item of owner's
 // predecessors — keys is owner.preds — or, without an owner, of ready
 // nodes. A single-color outcome is a key range, and the uncolored/one-key
-// form keeps color 0. Ready keys arrive in the engine's reusable scratch,
-// so an ownerless item never aliases its input.
+// form keeps color 0. A single-coloured predecessor list is known as such
+// from owner's summary and skips the Grouper. Ready keys arrive in the
+// engine's reusable scratch, so an ownerless item never aliases its input.
 func (e *engine) groupKeys(owner *node, keys []core.Key) item {
 	it := item{owner: owner, hi: int32(len(keys))}
 	if e.opts.Policy.Colored && len(keys) > 1 {
+		if owner != nil && owner.predColor != core.PredMixed {
+			it.color = owner.predColor
+			return it
+		}
 		g := &e.grp
 		g.Begin()
 		for _, k := range keys {
@@ -597,7 +651,7 @@ func (e *engine) interpretGroup(w *worker, t int64, it item) (*node, int64) {
 // tryInitCompute resolves one predecessor edge of owner, charging creation
 // and edge-check overheads.
 func (e *engine) tryInitCompute(w *worker, t int64, owner *node, pkey core.Key) (*node, int64) {
-	m := e.opts.Cost
+	m := &e.opts.Cost
 	pred, created := e.getOrCreate(pkey)
 	if created {
 		t += m.NodeOverhead
@@ -651,9 +705,28 @@ func (e *engine) acquire(w *worker, t int64) {
 	}
 }
 
+// homeIn returns a home that is local to w exactly when domain d is w's:
+// w's own colour, or -1, a colour no worker owns. An access cost depends on
+// a home only through its domain, so it prices any home of d.
+func (w *worker) homeIn(d int32) int {
+	if d == w.domain {
+		return w.color
+	}
+	return -1
+}
+
+// nodeCost is n's footprint cost on w. When every predecessor's home lies
+// in one domain their accesses cost the same: one of them, times their
+// number.
 func (e *engine) nodeCost(w *worker, n *node) int64 {
-	return e.spec.FootprintOf(n.key).Cost(e.opts.Cost, e.opts.Topology, w.color, n.home,
-		len(n.preds), func(i int) int { return e.homeOf(n.preds[i]) })
+	fp := e.spec.FootprintOf(n.key)
+	m, topo := e.opts.Cost, e.opts.Topology
+	home := w.homeIn(n.homeDomain)
+	if n.predDomain == core.PredMixed {
+		return fp.Cost(m, topo, w.color, home, len(n.preds), func(i int) int { return e.homeOf(n.preds[i]) })
+	}
+	return fp.Cost(m, topo, w.color, home, 0, nil) +
+		int64(len(n.preds))*m.AccessCost(topo, w.color, w.homeIn(n.predDomain), fp.PredBytes)
 }
 
 func (e *engine) startExec(w *worker, t int64, n *node) {
@@ -672,12 +745,28 @@ func (e *engine) complete(w *worker, t int64) {
 	w.running = nil
 	topo := e.opts.Topology
 	w.stats.NodesExecuted++
-	if n.color == w.color {
+	if n.color == int32(w.color) {
 		w.stats.OwnColorNodes++
 	}
-	w.stats.Accesses.Count(topo, w.color, n.home)
-	for _, p := range n.preds {
-		w.stats.Accesses.Count(topo, w.color, e.homeOf(p))
+	// The paper's locality tally: one access to the node's home and one
+	// per predecessor, local when the home is in w's domain. Only a
+	// predecessor list that straddles domains is looked up key by key.
+	acc := &w.stats.Accesses
+	if n.homeDomain == w.domain {
+		acc.Local++
+	} else {
+		acc.Remote++
+	}
+	switch {
+	case len(n.preds) == 0:
+	case n.predDomain == w.domain:
+		acc.Local += int64(len(n.preds))
+	case n.predDomain != core.PredMixed:
+		acc.Remote += int64(len(n.preds))
+	default:
+		for _, p := range n.preds {
+			acc.Count(topo, w.color, e.homeOf(p))
+		}
 	}
 
 	if e.opts.OnComplete != nil {
@@ -729,12 +818,84 @@ func (e *engine) complete(w *worker, t int64) {
 	e.acquire(w, t)
 }
 
+// probe serves one steal probe of w's plan, or of the enforced first
+// colored steal while it is pending. The attempt cost was charged when the
+// event was scheduled. Most probes find the victim's deque empty: they
+// record the attempt, move the sweep on and schedule the next probe, and
+// only a probe of a non-empty deque goes on to steal.
+func (e *engine) probe(w *worker, t int64) {
+	s := &w.plan[w.stealStep]
+	if w.firstStealPending {
+		s = &w.firstSteal
+	}
+	v := &e.workers[s.Victim(&w.rng, w.id)]
+	if v.dq.Len() == 0 {
+		w.stats.Probe(s, 0, false, false)
+		e.endProbe(w, s, false)
+		e.scheduleNextProbe(w, t)
+		return
+	}
+	e.steal(w, v, s, t)
+}
+
+// steal is a probe of a non-empty victim, the same as the real engine's:
+// one Steal of up to the step's batch from a cross-socket victim, or of
+// one item, the oldest stolen item run at once and the rest adopted onto
+// the thief's deque.
+func (e *engine) steal(w, v *worker, s *core.StealStep, t int64) {
+	take := 1
+	batch := s.Batch > 0 && !e.opts.Topology.SameDomain(v.id, w.id)
+	if batch {
+		take = s.Batch
+	}
+	ents, out := v.dq.Steal(s.Filter, take, e.stealBuf[:0])
+	stolen := len(ents)
+	w.stats.Probe(s, stolen, batch, out == deque.StealMiss)
+	e.endProbe(w, s, stolen > 0)
+	if stolen == 0 {
+		e.scheduleNextProbe(w, t)
+		return
+	}
+	for _, ent := range ents[1:] {
+		w.dq.PushBottom(ent)
+	}
+	e.queued--
+	e.stealSucceeded(w, t, ents[0].Value)
+}
+
+// endProbe moves w's place in its plan past a probe of step s: probe by
+// probe, stealStep and stealUsed walk the plan's steps in order and wrap
+// after the last, while the enforced first colored steal has its own count.
+func (e *engine) endProbe(w *worker, s *core.StealStep, stole bool) {
+	p := &e.opts.Policy
+	switch {
+	case w.firstStealPending:
+		if w.stats.FirstSteal(stole, p.FirstStealLimit(len(e.workers))) {
+			w.firstStealPending = false
+		}
+	case stole && (p.Hierarchical || s.Filter == nil):
+		w.stealStep, w.stealUsed = 0, 0
+	default:
+		// A miss moves the sweep on by one probe. So does a flat colored
+		// hit, unlike every other hit here and every hunt of the real
+		// engine, which restart the sweep: kept so that schedules stay
+		// byte-identical, since restarting changes them
+		// (TestFlatColoredHitKeepsSweep).
+		if w.stealUsed++; w.stealUsed == s.Budget {
+			w.stealUsed = 0
+			if w.stealStep++; w.stealStep == len(w.plan) {
+				w.stealStep = 0
+			}
+		}
+	}
+}
+
 // stealSucceeded charges the steal-success cost (once, even for a batch —
-// that single charge is the amortization batching buys; stealAttempt has
+// that single charge is the amortization batching buys; steal has
 // already adopted every batch item after the first into the thief's own
 // deque) and continues the thief on the first stolen item.
 func (e *engine) stealSucceeded(w *worker, t int64, it item) {
-	m := e.opts.Cost
+	m := &e.opts.Cost
 	t += m.StealSuccessCost
 	w.stats.BusyTime += m.StealSuccessCost
 	n, t2 := e.interpret(w, t, it)
@@ -751,8 +912,7 @@ func (e *engine) stealSucceeded(w *worker, t int64, it item) {
 // simulation-efficiency optimization: the probes it skips could not have
 // succeeded).
 func (e *engine) scheduleNextProbe(w *worker, t int64) {
-	m := e.opts.Cost
-	next := t + m.StealAttemptCost
+	next := t + e.opts.Cost.StealAttemptCost
 	if e.queued == 0 {
 		c, busy := e.evq.earliestCompletion()
 		if !busy {
@@ -766,70 +926,4 @@ func (e *engine) scheduleNextProbe(w *worker, t int64) {
 		}
 	}
 	e.evq.pushProbe(next, w.id)
-}
-
-// stealAttempt performs one probe of the worker's steal plan (the
-// enforced first colored steal while it is pending), the same probe as the
-// real engine's: one Steal of up to the step's batch from a cross-socket
-// victim, or of one item, the oldest stolen item run at once and the rest
-// adopted onto the thief's deque. The attempt cost was charged when the
-// event was scheduled. Probe by probe, stealStep and stealUsed walk the
-// plan's steps in order and wrap after the last.
-func (e *engine) stealAttempt(w *worker, t int64) {
-	if e.done {
-		return
-	}
-	p := &e.opts.Policy
-	s := &w.plan[w.stealStep]
-	if w.firstStealPending {
-		first := core.FirstStealStep(w.plan)
-		s = &first
-	}
-	v := &e.workers[s.Victim(&w.rng, w.id)]
-	colored := s.Filter != nil
-	batch := s.Batch > 0 && !e.opts.Topology.SameDomain(v.id, w.id)
-	var ents []deque.Entry[item]
-	miss := false
-	if v.dq.Len() > 0 { // most probes find an empty victim: skip the call
-		take := 1
-		if batch {
-			take = s.Batch
-		}
-		var out deque.StealOutcome
-		ents, out = v.dq.Steal(s.Filter, take, e.stealBuf[:0])
-		miss = out == deque.StealMiss
-	}
-	stolen := len(ents)
-	w.stats.Probe(s, stolen, batch, miss)
-
-	switch {
-	case w.firstStealPending:
-		if w.stats.FirstSteal(stolen > 0, p.FirstStealLimit(len(e.workers))) {
-			w.firstStealPending = false
-		}
-	case stolen > 0 && (p.Hierarchical || !colored):
-		w.stealStep, w.stealUsed = 0, 0
-	default:
-		// A miss moves the sweep on by one probe. So does a flat colored
-		// hit, unlike every other hit here and every hunt of the real
-		// engine, which restart the sweep: kept so that schedules stay
-		// byte-identical, since restarting changes them
-		// (TestFlatColoredHitKeepsSweep).
-		if w.stealUsed++; w.stealUsed == s.Budget {
-			w.stealUsed = 0
-			if w.stealStep++; w.stealStep == len(w.plan) {
-				w.stealStep = 0
-			}
-		}
-	}
-
-	if stolen == 0 {
-		e.scheduleNextProbe(w, t)
-		return
-	}
-	for _, ent := range ents[1:] {
-		w.dq.PushBottom(ent)
-	}
-	e.queued--
-	e.stealSucceeded(w, t, ents[0].Value)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -21,6 +22,15 @@ func TestEntryLayout(t *testing.T) {
 	}
 }
 
+// A node, predecessor summary included, fills 64 bytes, one cache line: a
+// page of them is 4 KB. Growing it is a decision to take with a
+// measurement, not a side effect of a new field.
+func TestNodeLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(node{}); sz != 64 {
+		t.Errorf("node is %d bytes, want 64", sz)
+	}
+}
+
 // Property: whatever mix of probe and completion pushes the queue is fed —
 // probe times out of order, ties on the time, the fast-forward point one
 // past the earliest completion — it pops in the order of a stable sort by
@@ -28,9 +38,9 @@ func TestEntryLayout(t *testing.T) {
 // order and takes the first with the smallest time; it never looks at seq.
 func TestEventQueueOrder(t *testing.T) {
 	type pending struct {
-		at   int64
-		wid  int
-		kind eventKind
+		at    int64
+		wid   int
+		probe bool
 	}
 	f := func(seed uint64, workersRaw uint8) bool {
 		workers := int(workersRaw)%40 + 1
@@ -48,16 +58,22 @@ func TestEventQueueOrder(t *testing.T) {
 				}
 				wid := r.Intn(workers)
 				q.pushProbe(at, wid)
-				ref = append(ref, pending{at, wid, evSteal})
+				ref = append(ref, pending{at, wid, true})
 				probes++
 			case op == 2 && comps < workers:
 				at := now + int64(r.Intn(200))
 				wid := r.Intn(workers)
 				q.pushComplete(at, wid)
-				ref = append(ref, pending{at, wid, evComplete})
+				ref = append(ref, pending{at, wid, false})
 				comps++
 			default:
-				ev, kind, ok := q.pop()
+				// The event loop's order: the head probe if it is
+				// earlier, else the earliest completion.
+				ev, probe := q.nextProbe()
+				ok := probe
+				if !ok {
+					ev, ok = q.popCompletion()
+				}
 				if !ok {
 					if len(ref) != 0 {
 						t.Logf("seed %d: queue empty with %d events pending", seed, len(ref))
@@ -73,11 +89,11 @@ func TestEventQueueOrder(t *testing.T) {
 				}
 				want := ref[first]
 				ref = slices.Delete(ref, first, first+1)
-				if got := (pending{ev.at, int(ev.wid), kind}); got != want {
+				if got := (pending{ev.at, int(ev.wid), probe}); got != want {
 					t.Logf("seed %d step %d: popped %+v, want %+v", seed, step, got, want)
 					return false
 				}
-				if kind == evSteal {
+				if probe {
 					probes--
 				} else {
 					comps--
@@ -205,5 +221,92 @@ func TestNotifyWalksRegistrationsInOrder(t *testing.T) {
 	}
 	if want := []core.Key{leaf, b, a, sink}; !slices.Equal(order, want) {
 		t.Fatalf("completion order %v, want %v", order, want)
+	}
+}
+
+// A virtual-time budget that runs out between two steal probes fails the
+// run at the later probe: the probes served off the ring are held to the
+// deadline like completions are. On this grid, probes fire at 60002 and
+// 60122 with no event between them. The probe and completion counts each
+// deadline leaves were taken from the engine before probes left the
+// general event path.
+func TestDeadlineBetweenProbes(t *testing.T) {
+	spec, sink, _ := gridSpec(10, 10, 4, testFP)
+	for _, c := range []struct {
+		deadline            int64
+		probes, completions int
+	}{
+		{60001, 486, 49},
+		{60002, 487, 49},
+		{60061, 487, 49},
+		{60121, 487, 49},
+		{60122, 488, 49},
+	} {
+		e, err := newEngine(spec, sink, Options{Workers: 4, Policy: core.NabbitCPolicy(), Deadline: c.deadline})
+		if err != nil {
+			t.Fatal(err)
+		}
+		completions := 0
+		e.opts.OnComplete = func(int64, int, core.Key) { completions++ }
+		res, err := e.run()
+		var te *core.TimeoutError
+		if res != nil || !errors.As(err, &te) {
+			t.Fatalf("deadline %d: got %v, %v; want a *core.TimeoutError", c.deadline, res, err)
+		}
+		probes := 0
+		for i := range e.stats {
+			probes += int(e.stats[i].StealAttempts)
+		}
+		if probes != c.probes || completions != c.completions {
+			t.Errorf("deadline %d: %d probes and %d completions before the timeout, want %d and %d",
+				c.deadline, probes, completions, c.probes, c.completions)
+		}
+	}
+}
+
+// A run that degrades under SkipUnreachable reports the time of the last
+// event it processed as its makespan. Here that event is an idle worker's
+// probe after the fan below the cycle has finished, so the probes served
+// off the ring must keep the clock moving. The makespan was taken from
+// the engine before probes left the general event path.
+func TestSkipUnreachablePartialMakespan(t *testing.T) {
+	// Sink 0 waits on the cycle 1 <-> 2 and on task 3, which fans in 40
+	// leaves.
+	spec := core.FuncSpec{
+		PredsFn: func(k core.Key) []core.Key {
+			switch k {
+			case 0:
+				return []core.Key{1, 3}
+			case 1:
+				return []core.Key{2}
+			case 2:
+				return []core.Key{1}
+			case 3:
+				keys := make([]core.Key, 40)
+				for i := range keys {
+					keys[i] = core.Key(10 + i)
+				}
+				return keys
+			}
+			return nil
+		},
+		ColorFn:     func(k core.Key) int { return int(k) % 4 },
+		FootprintFn: func(core.Key) core.Footprint { return testFP },
+	}
+	for _, p := range []struct {
+		name string
+		pol  core.Policy
+		want int64
+	}{
+		{"nabbit", core.NabbitPolicy(), 34900},
+		{"nabbitc", core.NabbitCPolicy(), 35140},
+	} {
+		res, err := Run(spec, 0, Options{Workers: 4, Policy: p.pol, SkipUnreachable: true})
+		if !errors.Is(err, core.ErrPartial) || res == nil {
+			t.Fatalf("%s: got %v, %v; want a partial Result and a *core.PartialError", p.name, res, err)
+		}
+		if res.Makespan != p.want {
+			t.Errorf("%s: partial makespan %d, want %d", p.name, res.Makespan, p.want)
+		}
 	}
 }

@@ -35,50 +35,13 @@ const goldenPath = "testdata/schedules.golden"
 // workload uses, at ScaleSmall, under the three policies on 1, 20 and 80
 // cores, and renders one line per run: the number of completions, a hash
 // of the whole OnComplete (t, wid, key) stream and a hash of the sorted
-// Metrics(). Three more lines hash the schedules of random DAGs.
+// Metrics(). Three more lines hash the schedules of random DAGs. Unless
+// the tests run with -short, 18 more lines pin sim-table1's own runs: the
+// same models at ScaleDefault on 80 cores.
 func goldenLines(t *testing.T) []byte {
 	t.Helper()
-	policies := []struct {
-		name string
-		pol  core.Policy
-	}{
-		{"nabbit", core.NabbitPolicy()},
-		{"nabbitc", core.NabbitCPolicy()},
-		{"nabbitc-hier", core.NabbitCHierPolicy()},
-	}
 	var out bytes.Buffer
-	for _, app := range []string{"heat", "sw", "mg", "cg", "page-uk-2002", "life"} {
-		b, err := suite.Build(app, bench.ScaleSmall)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cores := range []int{1, 20, 80} {
-			spec, sink := b.Model(cores)
-			for _, p := range policies {
-				sched := sha256.New()
-				n := 0
-				record := hashCompletions(sched)
-				res, err := Run(spec, sink, Options{
-					Workers: cores,
-					Policy:  p.pol,
-					OnComplete: func(vt int64, wid int, k core.Key) {
-						record(vt, wid, k)
-						n++
-					},
-				})
-				if err != nil {
-					t.Fatalf("%s/%s/p%d: %v", app, p.name, cores, err)
-				}
-				metrics := sha256.New()
-				m := res.Metrics()
-				for _, name := range slices.Sorted(maps.Keys(m)) {
-					fmt.Fprintf(metrics, "%s=%v\n", name, m[name])
-				}
-				fmt.Fprintf(&out, "%s/%s/p%d completions=%d makespan=%d sched=%x metrics=%x\n",
-					app, p.name, cores, n, res.Makespan, sched.Sum(nil)[:12], metrics.Sum(nil)[:12])
-			}
-		}
-	}
+	modelLines(t, &out, "", bench.ScaleSmall, []int{1, 20, 80})
 	// The models never name a predecessor twice, color a task outside the
 	// machine, or leave the dense node table, and their sockets hold ten
 	// cores; the quick properties' random DAGs do all of that, so each
@@ -103,7 +66,56 @@ func goldenLines(t *testing.T) []byte {
 		}
 		fmt.Fprintf(&out, "random-dags/%s dags=%d sched=%x\n", name, dags, sched.Sum(nil)[:12])
 	}
+	if !testing.Short() {
+		modelLines(t, &out, "default/", bench.ScaleDefault, []int{80})
+	}
 	return out.Bytes()
+}
+
+// modelLines renders one golden line per run of the six models at scale
+// on each core count under each policy, each line's name prefixed.
+func modelLines(t *testing.T, out *bytes.Buffer, prefix string, scale bench.Scale, coreCounts []int) {
+	t.Helper()
+	policies := []struct {
+		name string
+		pol  core.Policy
+	}{
+		{"nabbit", core.NabbitPolicy()},
+		{"nabbitc", core.NabbitCPolicy()},
+		{"nabbitc-hier", core.NabbitCHierPolicy()},
+	}
+	for _, app := range []string{"heat", "sw", "mg", "cg", "page-uk-2002", "life"} {
+		b, err := suite.Build(app, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cores := range coreCounts {
+			spec, sink := b.Model(cores)
+			for _, p := range policies {
+				sched := sha256.New()
+				n := 0
+				record := hashCompletions(sched)
+				res, err := Run(spec, sink, Options{
+					Workers: cores,
+					Policy:  p.pol,
+					OnComplete: func(vt int64, wid int, k core.Key) {
+						record(vt, wid, k)
+						n++
+					},
+				})
+				if err != nil {
+					t.Fatalf("%s%s/%s/p%d: %v", prefix, app, p.name, cores, err)
+				}
+				metrics := sha256.New()
+				m := res.Metrics()
+				for _, name := range slices.Sorted(maps.Keys(m)) {
+					fmt.Fprintf(metrics, "%s=%v\n", name, m[name])
+				}
+				fmt.Fprintf(out, "%s%s/%s/p%d completions=%d makespan=%d sched=%x metrics=%x\n",
+					prefix, app, p.name, cores, n, res.Makespan, sched.Sum(nil)[:12], metrics.Sum(nil)[:12])
+			}
+		}
+	}
 }
 
 // flatWorkers renders per-worker stats as %v did when WorkerStats declared
@@ -144,6 +156,9 @@ func TestGoldenSchedules(t *testing.T) {
 	t.Parallel()
 	got := goldenLines(t)
 	if *update {
+		if testing.Short() {
+			t.Fatal("-update needs the default-scale runs: run it without -short")
+		}
 		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -152,6 +167,10 @@ func TestGoldenSchedules(t *testing.T) {
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if i := bytes.Index(want, []byte("\ndefault/")); i >= 0 && testing.Short() {
+		// The default-scale lines close the file and are not run.
+		want = want[:i+1]
 	}
 	if bytes.Equal(got, want) {
 		return

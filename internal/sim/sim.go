@@ -29,15 +29,32 @@
 // StealAttemptCost after the clock, or, when nothing is stealable, one
 // cycle after the earliest pending completion, a time every idle worker
 // then shares — so a new probe belongs at the tail or a slot or two before
-// it (0.87 shifts a push on the 80-core Table I models, where 94 % of
-// events are probes), and having been pushed last it goes behind every
-// probe of equal time. "Nothing is stealable" is one comparison: the
-// deques keep an engine-wide count of queued entries, and the earliest
-// completion is the heap's head. That fast-forward is simulation
-// efficiency only: deques fill only when a completion fires or a steal
-// succeeds, and no steal succeeds while they are all empty, so every probe
-// it skips would have failed; the probes it keeps, one per idle worker per
-// completion, draw their victims and count as attempts like any other.
+// it (0.86 shifts a push over the sim-table1 pass, the Table I models on 80
+// cores, where 94 % of the 3.3 M events are probes), and having been
+// pushed last it goes behind every probe of equal time. "Nothing is
+// stealable" is one comparison: the deques keep an engine-wide count of
+// queued entries, and the earliest completion is the heap's head. That
+// fast-forward is simulation efficiency only: deques fill only when a
+// completion fires or a steal succeeds, and no steal succeeds while they
+// are all empty, so every probe it skips would have failed; the probes it
+// keeps, one per idle worker per completion, draw their victims and count
+// as attempts like any other.
+//
+// Probes are the loop's common case, so they take the short way through
+// it. While the ring's head is earlier than the heap's, the loop serves it
+// directly. A probe draws its victim from the step it is on, or from the
+// first-steal step each worker derives once. If the victim's deque is
+// empty, as it is for most probes, the probe records its attempt, moves the
+// sweep on and appends its successor to the ring. Only a non-empty victim
+// costs a Steal, a batch decision and a domain check.
+//
+// A node's predecessors are summarised once, when the node is created, by
+// the rule the engine uses (core.PredSummary): the colour they all share
+// and the NUMA domain all their homes lie in. With one colour, grouping the
+// list skips the Grouper. With one domain, the locality tally and the
+// predecessors' access cost are one comparison and one multiplication,
+// because an access cost depends on a home only through its domain. Only
+// a list that mixes colours or domains asks the spec about each key.
 //
 // The directive below opts the whole package into nabbitvet's
 // nodeterminism analyzer: wall clocks, math/rand, map iteration, and

@@ -10,6 +10,8 @@
 // xoshiro family.
 package xrand
 
+import "math/bits"
+
 // SplitMix64 advances the given state and returns the next output of the
 // SplitMix64 sequence. It is used to derive well-distributed seeds from
 // small integers.
@@ -86,7 +88,7 @@ func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn with non-positive n")
 	}
-	hi, _ := mul64(r.Uint64(), uint64(n))
+	hi, _ := bits.Mul64(r.Uint64(), uint64(n))
 	return int(hi)
 }
 
@@ -127,16 +129,3 @@ func (r *Rand) ExpFloat64() float64 {
 // ln is a tiny wrapper so the package keeps a single external-math
 // dependency point.
 func ln(x float64) float64 { return mathLog(x) }
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask32 + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return
-}

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -222,4 +223,21 @@ func BenchmarkIntn(b *testing.B) {
 		sink = r.Intn(80)
 	}
 	_ = sink
+}
+
+// Intn is the high word of the 128-bit product of the next Uint64 and n,
+// which math/big computes independently: the victim draw both machines
+// make is that product and nothing else.
+func TestIntnIsHighWordOfProduct(t *testing.T) {
+	ns := []int{1, 2, 3, 7, 10, 79, 80, 1 << 20, 1<<31 - 1, math.MaxInt / 3, math.MaxInt}
+	a, b := New(7), New(7)
+	var x, y, hi big.Int
+	for i := 0; i < 100_000; i++ {
+		n := ns[i%len(ns)]
+		got := a.Intn(n)
+		hi.Rsh(hi.Mul(x.SetUint64(b.Uint64()), y.SetInt64(int64(n))), 64)
+		if want := hi.Uint64(); uint64(got) != want {
+			t.Fatalf("draw %d: Intn(%d) = %d, want %d", i, n, got, want)
+		}
+	}
 }
