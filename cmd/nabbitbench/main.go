@@ -1,6 +1,6 @@
 // Command nabbitbench regenerates the paper's experiments on the
-// simulated NUMA machine, emits structured JSON reports, and gates new
-// results against checked-in baselines.
+// simulated NUMA machine and emits them as tables, CSV or structured JSON
+// reports.
 //
 // Usage:
 //
@@ -11,19 +11,18 @@
 //	nabbitbench -experiment table2 -scale small  # quick run
 //	nabbitbench -experiment all -scale small -format json -out r.json
 //
-//	nabbitbench compare BASELINE.json NEW.json   # perf gate: exit 1 on regression
-//	nabbitbench compare -tol 0.02 -strict a.json b.json
 //	nabbitbench validate r.json                  # schema check: exit 2 on error
 //
 // The experiment mode accepts -cpuprofile/-memprofile to write pprof
 // profiles of the run alongside its report output, and -seed to override
 // the scheduling seed (checked-in baselines use the default). All flags
-// are validated before any workload runs, including that -out's parent
-// directory exists. Wall-clock measurements of the real engine are the
-// benchmark module's (benchmarks/), not this command's.
+// are validated before any workload runs or any file is opened, including
+// that -out's parent directory exists. Wall-clock measurements of the
+// real engine are the benchmark module's (benchmarks/), not this
+// command's.
 //
-// Exit codes: 0 success, 1 perf regression (compare), 2 usage or schema
-// error.
+// Exit codes: 0 success, 1 an experiment failed (or its output or
+// profile could not be written), 2 usage or schema error.
 package main
 
 import (
@@ -34,6 +33,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -44,13 +44,8 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "compare":
-			os.Exit(runCompare(os.Args[2:]))
-		case "validate":
-			os.Exit(runValidate(os.Args[2:]))
-		}
+	if len(os.Args) > 1 && os.Args[1] == "validate" {
+		os.Exit(runValidate(os.Args[2:]))
 	}
 	os.Exit(runExperiments(os.Args[1:]))
 }
@@ -103,8 +98,8 @@ func openOut(path string) (io.Writer, func() error, error) {
 // profileFlags registers -cpuprofile/-memprofile on fs and returns
 // start/finish hooks bracketing the profiled work: start begins the CPU
 // profile, finish stops it, closes its file and writes the heap profile.
-// Both are no-ops for unset flags, so the emit → compare workflow can
-// capture pprof profiles without changing its output.
+// Both are no-ops for unset flags, so a baseline emission can capture
+// pprof profiles without changing its output.
 func profileFlags(fs *flag.FlagSet) (start func() error, finish func() error) {
 	cpu := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	mem := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -172,13 +167,16 @@ func runExperiments(args []string) int {
 	profStart, profFinish := profileFlags(fs)
 	fs.Parse(args)
 	if fs.NArg() > 0 {
-		return fail(2, "unexpected argument %q (modes: compare, validate)", fs.Arg(0))
+		return fail(2, "unexpected argument %q (modes: validate)", fs.Arg(0))
 	}
 
 	// Validate everything up front, before any experiment runs.
 	if !harness.ValidExperiment(*experiment) {
 		return fail(2, "unknown experiment %q (have %s, all)",
 			*experiment, strings.Join(harness.Experiments(), ", "))
+	}
+	if *format != "" && !slices.Contains(harness.Formats(), *format) {
+		return fail(2, "unknown format %q (have %s)", *format, strings.Join(harness.Formats(), ", "))
 	}
 	if err := checkSeed(*seed); err != nil {
 		return fail(2, "%v", err)
@@ -229,41 +227,6 @@ func runExperiments(args []string) int {
 	}
 	if err := closeOut(); err != nil {
 		return fail(1, "%v", err)
-	}
-	return 0
-}
-
-func runCompare(args []string) int {
-	fs := flag.NewFlagSet("nabbitbench compare", flag.ExitOnError)
-	tol := fs.Float64("tol", perf.DefaultTolerance,
-		"allowed relative worsening per metric (0.05 = 5%); 0 gates exactly")
-	strict := fs.Bool("strict", false,
-		"fail on ANY value change (determinism check for sim documents)")
-	fs.Parse(args)
-	if fs.NArg() != 2 {
-		return fail(2, "usage: nabbitbench compare [-tol T] [-strict] BASELINE.json NEW.json")
-	}
-	base, err := perf.Load(fs.Arg(0))
-	if err != nil {
-		return fail(2, "baseline: %v", err)
-	}
-	cur, err := perf.Load(fs.Arg(1))
-	if err != nil {
-		return fail(2, "new: %v", err)
-	}
-	opts := perf.Options{Tolerance: *tol, Strict: *strict}
-	if *tol <= 0 {
-		// Options treats 0 as "use the default", so an explicit -tol 0
-		// (or any negative) must be passed through as the exact gate.
-		opts.Tolerance = -1
-	}
-	c, err := perf.Compare(base, cur, opts)
-	if err != nil {
-		return fail(2, "%v", err)
-	}
-	c.WriteText(os.Stdout)
-	if !c.Ok() {
-		return 1
 	}
 	return 0
 }

@@ -46,100 +46,6 @@ type Benchmark interface {
 	Sweeps(p int) []simomp.Sweep
 }
 
-// RealGraph is a freshly allocated wall-clock instance of a benchmark: a
-// task graph over live data on the host, runnable through the real engine
-// (core.Run over Spec) or serially. Each benchmark sub-package's NewReal
-// returns a concrete type satisfying this; the examples, the root
-// package's real-engine benchmarks and the benchmark module build them.
-type RealGraph interface {
-	// Spec returns the executable task graph for p workers and its sink.
-	Spec(p int) (core.CostSpec, core.Key)
-	// RunSerial executes the kernel on one thread (the wall-clock
-	// speedup denominator).
-	RunSerial()
-}
-
-// IterativeGraph is a RealGraph that can alternatively run as one task
-// graph per outer iteration — the persistent-engine formulation: build
-// one core.Engine over StepSpec, then Execute once per step with Advance
-// between steps. StepSpec's graph covers a single sweep (its blocks plus
-// a sink), so the engine's node table, deques, and worker pool amortize
-// across every iteration instead of being rebuilt per run. The final
-// data (checksums etc.) must match the all-iterations RealGraph
-// formulations exactly.
-type IterativeGraph interface {
-	RealGraph
-	// StepSpec returns the single-iteration task graph for p workers and
-	// its sink. The spec reads the instance's current step counter, so
-	// the same spec value drives every iteration.
-	StepSpec(p int) (core.CostSpec, core.Key)
-	// Advance moves the instance to the next iteration. Call it between
-	// Execute calls, never while one runs.
-	Advance()
-	// Steps returns the total iteration count.
-	Steps() int
-}
-
-// FanInStepSpec builds the single-iteration task graph every iterative
-// benchmark shares: keys 0..blocks-1 are the current iteration's
-// mutually-independent block tasks (they read only state the previous
-// Execute completed) and key blocks is the sink gathering them. Colors
-// follow the matched static distribution (block b → b*p/blocks, sink 0),
-// mirroring the whole-graph specs' iteration-0 row; compute and
-// footprint are the per-benchmark callbacks (footprint may be nil for
-// unit-cost tasks; neither is called for the sink).
-func FanInStepSpec(blocks, p int, compute func(block int), footprint func(block int) core.Footprint) (core.CostSpec, core.Key) {
-	sink := core.Key(blocks)
-	// The sink's predecessor list is constant across iterations and
-	// callers must not modify it, so one shared slice serves every
-	// Execute — otherwise PredsFn would be the dominant recurring
-	// allocation of the engine-reuse steady state.
-	ps := make([]core.Key, blocks)
-	for b := range ps {
-		ps[b] = core.Key(b)
-	}
-	return core.FuncSpec{
-		PredsFn: func(k core.Key) []core.Key {
-			if k != sink {
-				return nil
-			}
-			return ps
-		},
-		ColorFn: func(k core.Key) int {
-			if k == sink {
-				return 0
-			}
-			return int(k) * p / blocks
-		},
-		ComputeFn: func(k core.Key) {
-			if k == sink {
-				return
-			}
-			compute(int(k))
-		},
-		FootprintFn: func(k core.Key) core.Footprint {
-			if k == sink || footprint == nil {
-				return core.Footprint{Compute: 1}
-			}
-			return footprint(int(k))
-		},
-		BoundFn: func() int { return blocks + 1 },
-	}, sink
-}
-
-// Irregular marks benchmarks whose per-task work is data-dependent, where
-// the paper compares against both OpenMP schedules (only PageRank in the
-// suite).
-type Irregular interface {
-	Irregular() bool
-}
-
-// IsIrregular reports whether b declares itself irregular.
-func IsIrregular(b Benchmark) bool {
-	ir, ok := b.(Irregular)
-	return ok && ir.Irregular()
-}
-
 // BadColoring wraps the spec with the Table II ablation: every task
 // reports a valid color belonging to a *different* NUMA domain (shifted by
 // half the machine), so workers preferentially execute non-local tasks

@@ -59,10 +59,3 @@ func TestScaleString(t *testing.T) {
 		t.Fatal("unknown scale has empty name")
 	}
 }
-
-func TestIsIrregularDefaultFalse(t *testing.T) {
-	type plain struct{ Benchmark }
-	if IsIrregular(plain{}) {
-		t.Fatal("plain benchmark reported irregular")
-	}
-}

@@ -33,11 +33,11 @@ func TestMGInfo(t *testing.T) {
 func TestCGModelDAG(t *testing.T) {
 	cg := CGBench(bench.ScaleSmall)
 	spec, sink := cg.Model(8)
-	n, err := core.CheckDAG(spec, sink, 0)
+	order, err := core.TopoOrder(spec, sink, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != cg.Info().Nodes+1 {
+	if n := len(order); n != cg.Info().Nodes+1 {
 		t.Fatalf("cg DAG nodes = %d, want %d", n, cg.Info().Nodes+1)
 	}
 }
@@ -45,11 +45,11 @@ func TestCGModelDAG(t *testing.T) {
 func TestMGModelDAG(t *testing.T) {
 	mg := MGBench(bench.ScaleSmall)
 	spec, sink := mg.Model(8)
-	n, err := core.CheckDAG(spec, sink, 0)
+	order, err := core.TopoOrder(spec, sink, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != mg.Info().Nodes+1 {
+	if n := len(order); n != mg.Info().Nodes+1 {
 		t.Fatalf("mg DAG nodes = %d, want %d", n, mg.Info().Nodes+1)
 	}
 }

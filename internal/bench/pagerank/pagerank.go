@@ -117,10 +117,6 @@ func UK2007(s bench.Scale) *PageRank {
 // Config returns the instance configuration.
 func (pr *PageRank) Config() Config { return pr.cfg }
 
-// Irregular implements bench.Irregular: PageRank is the suite's
-// data-dependent workload.
-func (pr *PageRank) Irregular() bool { return true }
-
 // Info implements bench.Benchmark.
 func (pr *PageRank) Info() bench.Info {
 	c := pr.cfg

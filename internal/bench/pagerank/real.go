@@ -3,7 +3,6 @@ package pagerank
 import (
 	"math"
 
-	"nabbitc/internal/bench"
 	"nabbitc/internal/core"
 	"nabbitc/internal/graphs"
 	"nabbitc/internal/omp"
@@ -14,9 +13,6 @@ import (
 type Real struct {
 	pr    *PageRank
 	ranks [2][]float64
-	// it is the current power iteration for the single-iteration
-	// (StepSpec) formulation; Advance moves it. Spec ignores it.
-	it int
 }
 
 // NewReal initializes the uniform starting vector.
@@ -67,24 +63,6 @@ func (r *Real) Spec(p int) (core.CostSpec, core.Key) {
 		BoundFn:     pr.keyBound,
 	}, pr.sink()
 }
-
-// StepSpec returns the single-iteration task graph (bench.IterativeGraph):
-// one power iteration reads only the previous iteration's vector
-// (completed before this Execute), so the shared fan-in shape applies;
-// the outer power loop is the engine-reuse loop. Footprints are
-// iteration-independent (iteration-0 keys coincide with block ids).
-func (r *Real) StepSpec(p int) (core.CostSpec, core.Key) {
-	pr := r.pr
-	return bench.FanInStepSpec(pr.cfg.Blocks, p,
-		func(b int) { r.computeBlock(r.it, b) },
-		func(b int) core.Footprint { return pr.footprint(core.Key(b)) })
-}
-
-// Advance implements bench.IterativeGraph.
-func (r *Real) Advance() { r.it++ }
-
-// Steps implements bench.IterativeGraph.
-func (r *Real) Steps() int { return r.pr.cfg.Iterations }
 
 // RunSerial executes all iterations in block order.
 func (r *Real) RunSerial() {

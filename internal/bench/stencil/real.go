@@ -3,7 +3,6 @@ package stencil
 import (
 	"fmt"
 
-	"nabbitc/internal/bench"
 	"nabbitc/internal/core"
 	"nabbitc/internal/omp"
 )
@@ -17,9 +16,6 @@ import (
 type Real struct {
 	st     *Stencil
 	kernel kernel
-	// step is the current sweep for the single-iteration (StepSpec)
-	// formulation; Advance moves it. The whole-graph Spec ignores it.
-	step int
 }
 
 // kernel is the per-benchmark computation: update block b for sweep it.
@@ -63,24 +59,6 @@ func (r *Real) Spec(p int) (core.CostSpec, core.Key) {
 		BoundFn:     st.keyBound,
 	}, st.sink()
 }
-
-// StepSpec returns the single-sweep task graph (bench.IterativeGraph):
-// one sweep's blocks read only the previous sweep's buffer (completed
-// before this Execute), so the shared fan-in shape applies — the
-// iteration structure lives in the engine-reuse loop, exactly like the
-// OpenMP formulation's per-sweep barrier.
-func (r *Real) StepSpec(p int) (core.CostSpec, core.Key) {
-	st := r.st
-	return bench.FanInStepSpec(st.cfg.Blocks, p,
-		func(b int) { r.kernel.computeBlock(r.step, b) },
-		func(b int) core.Footprint { return st.footprint(st.key(0, b)) })
-}
-
-// Advance implements bench.IterativeGraph.
-func (r *Real) Advance() { r.step++ }
-
-// Steps implements bench.IterativeGraph.
-func (r *Real) Steps() int { return r.st.cfg.Iterations }
 
 // RunSerial executes all sweeps in order on the calling goroutine.
 func (r *Real) RunSerial() {

@@ -30,11 +30,11 @@ func TestInfo(t *testing.T) {
 func TestModelDAG(t *testing.T) {
 	for _, st := range benchmarks() {
 		spec, sink := st.Model(8)
-		n, err := core.CheckDAG(spec, sink, 0)
+		order, err := core.TopoOrder(spec, sink, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", st.Config().Name, err)
 		}
-		if n != st.Info().Nodes+1 { // +1 for the sink
+		if n := len(order); n != st.Info().Nodes+1 { // +1 for the sink
 			t.Fatalf("%s: DAG has %d nodes, want %d", st.Config().Name, n, st.Info().Nodes+1)
 		}
 	}

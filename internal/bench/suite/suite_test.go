@@ -29,7 +29,7 @@ func TestBuildAllSmall(t *testing.T) {
 		}
 		// Every model must be a valid DAG.
 		spec, sink := b.Model(4)
-		if _, err := core.CheckDAG(spec, sink, 0); err != nil {
+		if _, err := core.TopoOrder(spec, sink, 0); err != nil {
 			t.Fatalf("%s: %v", info.Name, err)
 		}
 		if len(b.Sweeps(4)) == 0 {
@@ -41,16 +41,5 @@ func TestBuildAllSmall(t *testing.T) {
 func TestBuildUnknown(t *testing.T) {
 	if _, err := Build("nope", bench.ScaleSmall); err == nil {
 		t.Fatal("unknown benchmark accepted")
-	}
-}
-
-func TestOnlyPageRankIrregular(t *testing.T) {
-	for _, b := range BuildAll(bench.ScaleSmall) {
-		name := b.Info().Name
-		irregular := bench.IsIrregular(b)
-		wantIrregular := len(name) > 4 && name[:4] == "page"
-		if irregular != wantIrregular {
-			t.Fatalf("%s: irregular = %v", name, irregular)
-		}
 	}
 }

@@ -39,11 +39,11 @@ func TestScanWindowFitsBlocks(t *testing.T) {
 func TestModelDAG(t *testing.T) {
 	s := N3(bench.ScaleSmall)
 	spec, sink := s.Model(8)
-	n, err := core.CheckDAG(spec, sink, 0)
+	order, err := core.TopoOrder(spec, sink, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != s.Info().Nodes {
+	if n := len(order); n != s.Info().Nodes {
 		t.Fatalf("DAG nodes = %d, want %d", n, s.Info().Nodes)
 	}
 }

@@ -20,8 +20,7 @@
 // configured inconsistently. Because small sets are stored by value,
 // assigning a Set copies it: mutating the copy does not affect the
 // original (spilled sets share their backing slice, so treat assignment
-// as transfer-of-ownership and use Clone when an independent spilled copy
-// is needed).
+// as transfer-of-ownership).
 package colorset
 
 import (
@@ -41,9 +40,8 @@ const InlineColors = 2 * wordBits
 // Set is a bitmask over colors [0, Cap). The zero value is an empty set of
 // capacity 0; use New to create a set able to hold colors.
 //
-// Mutating methods (Add, Remove, Clear, UnionWith, IntersectWith) use
-// pointer receivers so they work on the inline representation; predicates
-// take the set by value.
+// Add, the one mutating method, uses a pointer receiver so it works on
+// the inline representation; predicates take the set by value.
 //
 // A Set is 32 bytes — half a cache line — because one rides in every deque
 // entry the scheduler pushes and pops: the spill storage is a bare pointer
@@ -119,20 +117,6 @@ func (s *Set) Add(c int) {
 	s.words()[c/wordBits] |= 1 << (uint(c) % wordBits)
 }
 
-// Remove deletes color c.
-func (s *Set) Remove(c int) {
-	s.check(c)
-	if s.ext == nil {
-		if c < wordBits {
-			s.lo &^= 1 << uint(c)
-		} else {
-			s.hi &^= 1 << uint(c-wordBits)
-		}
-		return
-	}
-	s.words()[c/wordBits] &^= 1 << (uint(c) % wordBits)
-}
-
 // Has reports whether color c is present. Colors outside the capacity are
 // reported absent rather than panicking: a thief may legitimately probe
 // with its own color against a set built for a smaller run.
@@ -181,56 +165,10 @@ func (s Set) Len() int {
 	return total
 }
 
-// Clone returns an independent copy of s.
-func (s Set) Clone() Set {
-	if s.ext == nil {
-		return s // value copy: inline words are already independent
-	}
-	words := append([]uint64(nil), s.words()...)
-	return Set{ext: &words[0], n: s.n}
-}
-
-// Clear removes all colors in place.
-func (s *Set) Clear() {
-	if s.ext == nil {
-		s.lo, s.hi = 0, 0
-		return
-	}
-	clear(s.words())
-}
-
 func (s Set) sameCap(o Set) {
 	if s.n != o.n {
 		//nabbit:alloc-ok panic-only formatting
 		panic(fmt.Sprintf("colorset: capacity mismatch %d vs %d", s.n, o.n))
-	}
-}
-
-// UnionWith adds every color of o into s.
-func (s *Set) UnionWith(o Set) {
-	s.sameCap(o)
-	if s.ext == nil {
-		s.lo |= o.lo
-		s.hi |= o.hi
-		return
-	}
-	sw := s.words()
-	for i, w := range o.words() {
-		sw[i] |= w
-	}
-}
-
-// IntersectWith removes from s every color not in o.
-func (s *Set) IntersectWith(o Set) {
-	s.sameCap(o)
-	if s.ext == nil {
-		s.lo &= o.lo
-		s.hi &= o.hi
-		return
-	}
-	sw := s.words()
-	for i, w := range o.words() {
-		sw[i] &= w
 	}
 }
 

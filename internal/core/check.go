@@ -54,16 +54,6 @@ func TopoOrder(spec Spec, sink Key, maxNodes int) ([]Key, error) {
 	return order, nil
 }
 
-// CheckDAG verifies the graph reachable from sink is acyclic and returns
-// the number of reachable tasks.
-func CheckDAG(spec Spec, sink Key, maxNodes int) (int, error) {
-	order, err := TopoOrder(spec, sink, maxNodes)
-	if err != nil {
-		return 0, err
-	}
-	return len(order), nil
-}
-
 // RunSerial computes every task reachable from sink on the calling
 // goroutine in dependence order and returns the number of tasks executed.
 // It is the T1 baseline for speedup measurements and the reference

@@ -378,10 +378,10 @@ func TestTopoOrderSelfLoop(t *testing.T) {
 	}
 }
 
-func TestCheckDAGLimit(t *testing.T) {
+func TestTopoOrderLimit(t *testing.T) {
 	// Unbounded growth: each key depends on key+1.
 	spec := FuncSpec{PredsFn: func(k Key) []Key { return []Key{k + 1} }}
-	if _, err := CheckDAG(spec, 0, 1000); err == nil {
+	if _, err := TopoOrder(spec, 0, 1000); err == nil {
 		t.Fatal("node limit not enforced")
 	}
 }

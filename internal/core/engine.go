@@ -415,7 +415,7 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 // counters, which Submit-mode stats cannot attribute. Every task
 // reachable from the sink is computed exactly once, and a task computes
 // only after all its predecessors. The graph must be acyclic (see
-// CheckDAG); a graph whose sink can never compute returns an error and
+// TopoOrder); a graph whose sink can never compute returns an error and
 // leaves the engine reusable. A degraded completion (optional nodes
 // skipped under Options.ErrorBudget) returns BOTH non-nil Stats and a
 // non-nil *PartialError naming the failed and skipped nodes.

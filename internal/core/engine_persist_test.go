@@ -12,9 +12,9 @@ import (
 
 // flatFanInSpec is a bounded graph shaped like one iteration of an
 // iterative workload: n independent block tasks plus a sink (key n)
-// depending on all of them. The sink's predecessor slice is built once, as
-// bench.FanInStepSpec builds it, so the spec allocates nothing per call
-// and a repeat Execute of it replays.
+// depending on all of them. The sink's predecessor slice is built once,
+// so the spec allocates nothing per call and a repeat Execute of it
+// replays.
 func flatFanInSpec(n, workers int, compute func(Key)) FuncSpec {
 	ps := make([]Key, n)
 	for i := range ps {

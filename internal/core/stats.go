@@ -205,8 +205,8 @@ func (ws PerWorker[W, P]) AvgBatchSize() float64 {
 
 // Metrics returns the named metrics both machines report for the
 // structured report pipeline (internal/perf): locality, steal anatomy per
-// tier, and batch sizes. Stats.Metrics and sim.Result.Metrics add each
-// machine's clock to it.
+// tier, and batch sizes. sim.Result.Metrics adds the simulator's clock to
+// it.
 func (ws PerWorker[W, P]) Metrics() map[string]float64 {
 	s := ws.total()
 	m := map[string]float64{
@@ -336,18 +336,6 @@ func (s *Stats) SpinRounds() int64 {
 		n += s.Workers[i].SpinRounds
 	}
 	return n
-}
-
-// Metrics returns the run's standard named-metric set for the structured
-// report pipeline (internal/perf): the shared set (PerWorker.Metrics) plus
-// wall-clock ns and the park protocol's counts.
-func (s *Stats) Metrics() map[string]float64 {
-	m := s.Workers.Metrics()
-	m["wall_ns"] = float64(s.Elapsed.Nanoseconds())
-	m["parks"] = float64(s.Parks())
-	m["wakes"] = float64(s.Wakes())
-	m["spin_rounds"] = float64(s.SpinRounds())
-	return m
 }
 
 // AvgTimeToFirstWork averages the per-worker delay until first work

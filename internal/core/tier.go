@@ -48,15 +48,6 @@ func (t StealTier) String() string {
 	}
 }
 
-// TierNames returns the display names of all tiers in order.
-func TierNames() []string {
-	out := make([]string, NumStealTiers)
-	for t := StealTier(0); t < NumStealTiers; t++ {
-		out[t] = t.String()
-	}
-	return out
-}
-
 // StealStep is one rung of a worker's steal plan: Budget probes of random
 // victims drawn from the worker ids [Lo, Hi) (never the thief itself),
 // each taking the victim's oldest item only if Filter admits it.

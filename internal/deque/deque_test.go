@@ -285,7 +285,8 @@ func TestConcurrentStress(t *testing.T) {
 				wg.Add(1)
 				go func(id int) {
 					defer wg.Done()
-					r := xrand.NewWorker(99, id)
+					r := xrand.New(0)
+					r.SeedWorker(99, id)
 					own := ownFilters()
 					buf := make([]Entry[int], 0, 1)
 					for {
@@ -615,7 +616,8 @@ func TestConcurrentStealHalfStress(t *testing.T) {
 				wg.Add(1)
 				go func(id int) {
 					defer wg.Done()
-					r := xrand.NewWorker(41, id)
+					r := xrand.New(0)
+					r.SeedWorker(41, id)
 					own := ownFilters()
 					consume := func(ents []Entry[int]) {
 						for _, e := range ents {
@@ -824,7 +826,8 @@ func TestUnboxedSlotIntegrity(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			r := xrand.NewWorker(7, id)
+			r := xrand.New(0)
+			r.SeedWorker(7, id)
 			own := ownFilters()
 			buf := make([]Entry[int], 0, 1)
 			for {

@@ -68,21 +68,6 @@ func (g *CSR) Validate() error {
 	return nil
 }
 
-// FromAdjacency builds a CSR from per-vertex target lists.
-func FromAdjacency(adj [][]int32) *CSR {
-	g := &CSR{Offsets: make([]int64, len(adj)+1)}
-	var total int64
-	for v, ts := range adj {
-		total += int64(len(ts))
-		g.Offsets[v+1] = total
-	}
-	g.Edges = make([]int32, 0, total)
-	for _, ts := range adj {
-		g.Edges = append(g.Edges, ts...)
-	}
-	return g
-}
-
 // Transpose returns the reverse graph (every edge u→v becomes v→u).
 func (g *CSR) Transpose() *CSR {
 	nv := g.NV()
@@ -158,12 +143,6 @@ func BlockOf(v, nv, nblocks int) int {
 // BlockRange returns the vertex range [lo, hi) of block b.
 func BlockRange(b, nv, nblocks int) (lo, hi int) {
 	return b * nv / nblocks, (b + 1) * nv / nblocks
-}
-
-// BlockEdges returns the number of out-edges leaving block b.
-func (g *CSR) BlockEdges(b, nblocks int) int64 {
-	lo, hi := BlockRange(b, g.NV(), nblocks)
-	return g.Offsets[hi] - g.Offsets[lo]
 }
 
 // InBlocks returns, for each block, the sorted set of distinct blocks with

@@ -7,7 +7,7 @@ import (
 
 func smallGraph() *CSR {
 	// 0 -> 1,2 ; 1 -> 2 ; 2 -> 0 ; 3 -> (none)
-	return FromAdjacency([][]int32{{1, 2}, {2}, {0}, {}})
+	return &CSR{Offsets: []int64{0, 2, 3, 4, 4}, Edges: []int32{1, 2, 2, 0}}
 }
 
 func TestCSRBasics(t *testing.T) {

@@ -92,16 +92,6 @@ func (t Topology) SocketWorkers(c int) (lo, hi int) {
 	return lo, hi
 }
 
-// SocketSize returns the number of workers sharing color c's socket
-// (including c itself), or 0 for invalid colors. A hierarchical thief has
-// same-socket victims only when its SocketSize exceeds 1 and the socket is
-// a strict subset of the machine — the engines derive that per worker from
-// SocketWorkers.
-func (t Topology) SocketSize(c int) int {
-	lo, hi := t.SocketWorkers(c)
-	return hi - lo
-}
-
 // CostModel converts task footprints into virtual time for the simulator.
 // Units are arbitrary "cycles"; only ratios matter for speedup shapes.
 type CostModel struct {

@@ -90,12 +90,6 @@ func TestSocketWorkers(t *testing.T) {
 			t.Fatalf("SocketWorkers(%d) = [%d,%d), want [%d,%d)", c.color, lo, hi, c.lo, c.hi)
 		}
 	}
-	if n := topo.SocketSize(22); n != 5 {
-		t.Fatalf("SocketSize(22) = %d, want 5", n)
-	}
-	if n := topo.SocketSize(-1); n != 0 {
-		t.Fatalf("SocketSize(-1) = %d, want 0", n)
-	}
 }
 
 // Property: every valid color lies inside its own socket range, and the

@@ -28,14 +28,7 @@ const (
 	// Guided hands out chunks of max(remaining/(2P), MinChunk)
 	// iterations from a shared counter.
 	Guided
-	// Dynamic hands out fixed chunks of DynamicChunk iterations from a
-	// shared counter (OpenMP's schedule(dynamic)). The paper evaluates
-	// static and guided; dynamic completes the substrate.
-	Dynamic
 )
-
-// DynamicChunk is the fixed chunk size of the Dynamic schedule.
-const DynamicChunk = 4
 
 // String names the schedule as OpenMP spells it.
 func (s Schedule) String() string {
@@ -44,8 +37,6 @@ func (s Schedule) String() string {
 		return "static"
 	case Guided:
 		return "guided"
-	case Dynamic:
-		return "dynamic"
 	default:
 		return "unknown"
 	}
@@ -91,9 +82,6 @@ func NewTeam(p int) *Team {
 	}
 	return t
 }
-
-// Size returns the number of workers.
-func (t *Team) Size() int { return t.p }
 
 // Close shuts the team down. The team must be idle.
 func (t *Team) Close() {
@@ -145,23 +133,6 @@ func (t *Team) For(n int, sched Schedule, body func(i, w int)) {
 				}
 			}
 		})
-	case Dynamic:
-		var next atomic.Int64
-		t.Run(func(w int) {
-			for {
-				lo := int(next.Add(DynamicChunk)) - DynamicChunk
-				if lo >= n {
-					return
-				}
-				hi := lo + DynamicChunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					body(i, w)
-				}
-			}
-		})
 	default:
 		panic(fmt.Sprintf("omp: unknown schedule %d", sched))
 	}
@@ -183,22 +154,12 @@ func (t *Team) ForSweeps(sweeps, n int, sched Schedule, body func(sweep, i, w in
 				t.barrier.Wait(w)
 			}
 		})
-	case Guided, Dynamic:
+	case Guided:
 		counters := make([]atomic.Int64, sweeps)
 		t.Run(func(w int) {
 			for s := 0; s < sweeps; s++ {
 				for {
-					var lo, hi int
-					var ok bool
-					if sched == Guided {
-						lo, hi, ok = guidedGrab(&counters[s], n, t.p)
-					} else {
-						lo = int(counters[s].Add(DynamicChunk)) - DynamicChunk
-						hi, ok = lo+DynamicChunk, lo < n
-						if hi > n {
-							hi = n
-						}
-					}
+					lo, hi, ok := guidedGrab(&counters[s], n, t.p)
 					if !ok {
 						break
 					}

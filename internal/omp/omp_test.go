@@ -240,38 +240,3 @@ func BenchmarkGuidedFor(b *testing.B) {
 		team.For(10000, Guided, func(i, w int) { sink.Add(int64(i)) })
 	}
 }
-
-func TestForDynamicExecutesAll(t *testing.T) {
-	team := NewTeam(8)
-	defer team.Close()
-	const n = 9997 // not a multiple of the chunk size
-	var hits [n]atomic.Int32
-	team.For(n, Dynamic, func(i, w int) { hits[i].Add(1) })
-	for i := range hits {
-		if hits[i].Load() != 1 {
-			t.Fatalf("iteration %d executed %d times", i, hits[i].Load())
-		}
-	}
-}
-
-func TestForSweepsDynamicExecutesAll(t *testing.T) {
-	team := NewTeam(5)
-	defer team.Close()
-	const sweeps, n = 4, 1001
-	counts := make([]atomic.Int32, sweeps*n)
-	team.ForSweeps(sweeps, n, Dynamic, func(s, i, w int) {
-		counts[s*n+i].Add(1)
-	})
-	for idx := range counts {
-		if counts[idx].Load() != 1 {
-			t.Fatalf("sweep %d iteration %d executed %d times",
-				idx/n, idx%n, counts[idx].Load())
-		}
-	}
-}
-
-func TestDynamicScheduleString(t *testing.T) {
-	if Dynamic.String() != "dynamic" {
-		t.Fatal("dynamic name wrong")
-	}
-}

@@ -1,6 +1,6 @@
 // Package perf defines the structured experiment-report schema the
-// harness emits, its JSON serialization, and the baseline comparator the
-// perf-regression gate is built on.
+// harness emits and its JSON serialization. The checked-in baseline is
+// one such document, pinned byte for byte.
 //
 // Every experiment run produces a [Document]: a versioned envelope holding
 // one [Report] per experiment, each report holding [Table]s of keyed rows
@@ -16,17 +16,15 @@
 // document envelope's "schema_version" field. The policy is:
 //
 //   - Additive changes (new optional fields, new metrics, new tables) do
-//     NOT bump the version. Decoders must tolerate unknown fields, and
-//     the comparator treats rows/metrics present on only one side as
-//     additions/removals, never as errors.
+//     NOT bump the version. Decoders must tolerate unknown fields.
 //   - Breaking changes (renaming or re-typing existing fields, changing
 //     the meaning of an existing metric name, changing row identity) bump
 //     SchemaVersion by one and must be noted in this comment.
 //   - [Decode] rejects documents with a version newer than this package
-//     understands ("written by a newer tool") and documents with a
-//     missing/zero version. Older versions, once any exist, are migrated
-//     in Decode so the rest of the package only ever sees the current
-//     shape.
+//     understands ("written by a newer tool"), documents with a
+//     missing/zero version, and anything but whitespace after the
+//     document. Older versions, once any exist, are migrated in Decode so
+//     the rest of the package only ever sees the current shape.
 //
 // Version history:
 //

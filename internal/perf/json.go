@@ -25,30 +25,21 @@ func Encode(w io.Writer, d *Document) error {
 
 // Decode reads and validates a document. Unknown fields are tolerated
 // (additive schema changes don't bump the version); an unknown or missing
-// schema version is an error.
+// schema version is an error, and so is anything but whitespace after
+// the document.
 func Decode(r io.Reader) (*Document, error) {
 	var d Document
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&d); err != nil {
 		return nil, fmt.Errorf("perf: decode: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("perf: decode: trailing data after the document")
+	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	return &d, nil
-}
-
-// Store writes the document to path via Encode.
-func Store(path string, d *Document) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Encode(f, d); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // Load reads a document from path via Decode.

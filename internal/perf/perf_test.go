@@ -149,10 +149,16 @@ func TestDecodeToleratesUnknownFields(t *testing.T) {
 }
 
 func TestDecodeRejectsBadVersions(t *testing.T) {
+	var valid bytes.Buffer
+	if err := Encode(&valid, fixedDocument()); err != nil {
+		t.Fatal(err)
+	}
 	for _, in := range []string{
 		`{"kind": "sim", "reports": []}`,                       // missing version
 		`{"schema_version": 99, "kind": "sim", "reports": []}`, // future version
 		`{"schema_version": 1, "kind": "wat", "reports": []}`,  // unknown kind
+		valid.String() + valid.String(),                        // a second document
+		valid.String() + "garbage",                             // trailing junk
 	} {
 		if _, err := Decode(strings.NewReader(in)); err == nil {
 			t.Fatalf("accepted invalid envelope %s", in)
@@ -194,187 +200,15 @@ func TestValidateCatchesStructuralErrors(t *testing.T) {
 	}
 }
 
-func TestCompareSelfIsClean(t *testing.T) {
-	c, err := Compare(fixedDocument(), fixedDocument(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Ok() || c.Geomean != 1 || len(c.Regressions()) != 0 {
-		t.Fatalf("self-compare not clean: ok=%v geomean=%v", c.Ok(), c.Geomean)
-	}
-	if len(c.Missing) != 0 || len(c.Added) != 0 {
-		t.Fatalf("self-compare reported missing=%v added=%v", c.Missing, c.Added)
-	}
-}
-
-func TestCompareDirections(t *testing.T) {
-	base := fixedDocument()
-
-	// higher_better drop beyond tolerance -> regression.
-	cur := fixedDocument()
-	cur.Reports[0].Tables[0].Rows[1].Values["speedup_nabbitc"] = 10
-	c, err := Compare(base, cur, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Ok() || len(c.Regressions()) != 1 {
-		t.Fatalf("speedup drop not flagged: %+v", c.Regressions())
-	}
-
-	// higher_better rise -> improvement, gate passes.
-	cur = fixedDocument()
-	cur.Reports[0].Tables[0].Rows[1].Values["speedup_nabbitc"] = 20
-	if c, err = Compare(base, cur, Options{}); err != nil || !c.Ok() {
-		t.Fatalf("improvement flagged as regression: err=%v regs=%v", err, c.Regressions())
-	}
-	if c.Geomean <= 1 {
-		t.Fatalf("improvement geomean %v not > 1", c.Geomean)
-	}
-
-	// lower_better rise beyond tolerance -> regression.
-	cur = fixedDocument()
-	cur.Reports[1].Tables[0].Rows[1].Values["remote_pct"] = 50
-	if c, err = Compare(base, cur, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Ok() {
-		t.Fatal("remote_pct rise not flagged")
-	}
-
-	// Neutral drift never regresses (but strict mode flags it).
-	cur = fixedDocument()
-	cur.Reports[1].Tables[0].Rows[0].Values["graph_nodes"] = 999
-	if c, err = Compare(base, cur, Options{}); err != nil || !c.Ok() {
-		t.Fatalf("neutral drift gated: err=%v regs=%v", err, c.Regressions())
-	}
-	if c, err = Compare(base, cur, Options{Strict: true}); err != nil || c.Ok() {
-		t.Fatalf("strict mode missed neutral drift: err=%v", err)
-	}
-}
-
-func TestCompareTolerance(t *testing.T) {
-	base := fixedDocument()
-	cur := fixedDocument()
-	// 3% worse: inside the default 5% band, outside a 1% band.
-	cur.Reports[0].Tables[0].Rows[1].Values["speedup_nabbitc"] *= 0.97
-	c, err := Compare(base, cur, Options{})
-	if err != nil || !c.Ok() {
-		t.Fatalf("3%% drop failed default tolerance: err=%v regs=%v", err, c.Regressions())
-	}
-	c, err = Compare(base, cur, Options{Tolerance: 0.01})
-	if err != nil || c.Ok() {
-		t.Fatalf("3%% drop passed 1%% tolerance: err=%v", err)
-	}
-}
-
-func TestCompareMissingAndAdded(t *testing.T) {
-	base := fixedDocument()
-	cur := fixedDocument()
-	t0 := cur.Reports[0].Tables[0]
-	t0.Rows = t0.Rows[:1] // drop P=20
-	c, err := Compare(base, cur, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Missing) != 1 || !strings.Contains(c.Missing[0], "fig6/heat[20]") {
-		t.Fatalf("missing row not reported: %v", c.Missing)
-	}
-	if !c.Ok() {
-		t.Fatal("missing rows should be advisory outside strict mode")
-	}
-	if c2, _ := Compare(base, cur, Options{Strict: true}); c2.Ok() {
-		t.Fatal("strict mode should fail on missing rows")
-	}
-}
-
-// TestCompareMissingMetric: a metric the baseline measured but the new
-// document dropped must surface as Missing (and fail strict mode) — the
-// gate can't be blinded by a metric silently disappearing.
-func TestCompareMissingMetric(t *testing.T) {
-	base := fixedDocument()
-	cur := fixedDocument()
-	t2 := cur.Reports[1].Tables[0]
-	t2.Metrics = t2.Metrics[:2] // drop remote_pct
-	for i := range t2.Rows {
-		delete(t2.Rows[i].Values, "remote_pct")
-	}
-	c, err := Compare(base, cur, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Missing) != 1 || !strings.Contains(c.Missing[0], "table1[cg].remote_pct") {
-		t.Fatalf("dropped metric not reported as missing: %v", c.Missing)
-	}
-	if !c.Ok() {
-		t.Fatal("missing metric should be advisory outside strict mode")
-	}
-	if c2, _ := Compare(base, cur, Options{Strict: true}); c2.Ok() {
-		t.Fatal("strict mode should fail on a dropped metric")
-	}
-}
-
-// TestCompareExactTolerance: negative Tolerance is the exact gate.
-func TestCompareExactTolerance(t *testing.T) {
-	base := fixedDocument()
-	cur := fixedDocument()
-	cur.Reports[0].Tables[0].Rows[1].Values["speedup_nabbitc"] *= 0.999
-	c, err := Compare(base, cur, Options{Tolerance: -1})
-	if err != nil || c.Ok() {
-		t.Fatalf("0.1%% drop passed the exact gate: err=%v", err)
-	}
-}
-
-// TestCompareNegativeValues: direction judgments must hold even for
-// metrics at or below zero, where multiplicative ratios are meaningless.
-func TestCompareNegativeValues(t *testing.T) {
-	mk := func(v float64) *Document {
-		doc := NewDocument(KindSim)
-		rep := &Report{Experiment: "x"}
-		tab := NewTable("x", "", "k", M("score", "", HigherIsBetter))
-		tab.AddRow("a", map[string]float64{"score": v})
-		rep.AddTable(tab)
-		doc.AddReport(rep)
-		return doc
-	}
-	// -2 -> -1 is an improvement for higher_better: must pass.
-	if c, err := Compare(mk(-2), mk(-1), Options{}); err != nil || !c.Ok() {
-		t.Fatalf("negative-value improvement flagged: err=%v regs=%v", err, c.Regressions())
-	}
-	// -1 -> -2 is a worsening: must fail.
-	if c, err := Compare(mk(-1), mk(-2), Options{}); err != nil || c.Ok() {
-		t.Fatalf("negative-value worsening passed: err=%v", err)
-	}
-	// Neither contributes to the geomean.
-	c, err := Compare(mk(-2), mk(-1), Options{})
-	if err != nil || c.Geomean != 1 {
-		t.Fatalf("non-positive ratio leaked into geomean: %v", c.Geomean)
-	}
-}
-
-func TestCompareDisjointConfigsError(t *testing.T) {
-	base := fixedDocument()
-	cur := fixedDocument()
-	for _, rep := range cur.Reports {
-		rep.Experiment += "-renamed"
-	}
-	if _, err := Compare(base, cur, Options{}); err == nil {
-		t.Fatal("disjoint documents compared without error")
-	}
-}
-
-func TestCompareKindMismatchError(t *testing.T) {
-	base := fixedDocument()
-	cur := fixedDocument()
-	cur.Kind = "wallclock"
-	if _, err := Compare(base, cur, Options{}); err == nil {
-		t.Fatal("kind mismatch accepted")
-	}
-}
-
+// TestStoreLoad: a document encoded to a file loads back unchanged.
 func TestStoreLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "doc.json")
 	doc := fixedDocument()
-	if err := Store(path, doc); err != nil {
+	var buf bytes.Buffer
+	if err := Encode(&buf, doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(path)
@@ -382,6 +216,6 @@ func TestStoreLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(doc, got) {
-		t.Fatal("Store/Load changed the document")
+		t.Fatal("Encode/Load changed the document")
 	}
 }

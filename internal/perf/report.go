@@ -14,7 +14,8 @@ const SchemaVersion = 1
 // live in the benchmark module (benchmarks/), not in this schema.
 const KindSim = "sim"
 
-// Direction declares how a metric should be judged by the comparator.
+// Direction declares which way a metric improves, so a reader of the
+// document can tell a better value from a worse one.
 type Direction string
 
 const (
@@ -24,7 +25,7 @@ const (
 	// regression.
 	LowerIsBetter Direction = "lower_better"
 	// Neutral marks descriptive metrics (counts, configuration echoes)
-	// the comparator reports but never gates on.
+	// that are neither better nor worse when they move.
 	Neutral Direction = "neutral"
 )
 
@@ -43,7 +44,7 @@ type Metric struct {
 	Name string `json:"name"`
 	// Unit is a display hint ("cycles", "ns", "%", "x").
 	Unit string `json:"unit,omitempty"`
-	// Direction tells the comparator how to judge a change.
+	// Direction tells a reader how to judge a change.
 	Direction Direction `json:"direction"`
 }
 
@@ -55,8 +56,8 @@ func M(name, unit string, dir Direction) Metric {
 // Row is one keyed observation: a point on a sweep (key "P=20"), one
 // benchmark (key "heat"), or one (benchmark, policy) pair.
 type Row struct {
-	// Key identifies the row within its table; comparisons match rows by
-	// (report, table, key).
+	// Key identifies the row within its table: (report, table, key) names
+	// one row of a document.
 	Key string `json:"key"`
 	// Labels carries non-numeric descriptive cells (e.g. Table I's
 	// description column).
@@ -68,7 +69,7 @@ type Row struct {
 // Table is one rendered table/figure: an ordered set of metrics over
 // keyed rows.
 type Table struct {
-	// Name is the stable identifier comparisons match on, e.g.
+	// Name is the table's stable identifier within a document, e.g.
 	// "fig6/heat".
 	Name string `json:"name"`
 	// Caption is the human-readable title.
@@ -99,8 +100,8 @@ func (t *Table) AddLabeledRow(key string, labels map[string]string, values map[s
 	t.Rows = append(t.Rows, Row{Key: key, Labels: labels, Values: values})
 }
 
-// RunConfig echoes the configuration a report was generated under, so a
-// comparison can refuse to gate on mismatched setups.
+// RunConfig echoes the configuration a report was generated under, so
+// two documents can be told apart by how they were made.
 type RunConfig struct {
 	Scale      string             `json:"scale,omitempty"`
 	Cores      []int              `json:"cores,omitempty"`

@@ -2,9 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"slices"
-	"time"
 
 	"nabbitc/internal/core"
 	"nabbitc/internal/deque"
@@ -357,11 +355,6 @@ func (e *engine) run() (*Result, error) {
 		e.evq.pushProbe(e.opts.Cost.StealAttemptCost, i)
 	}
 
-	deadline := e.opts.Deadline
-	if deadline == 0 {
-		deadline = math.MaxInt64
-	}
-	var last int64 // latest event time processed, the partial makespan
 	for !e.done {
 		// A probe at the ring's head that fires before every completion
 		// is served straight off the ring.
@@ -373,20 +366,8 @@ func (e *engine) run() (*Result, error) {
 				// stealable, no event to make progress. Report the same
 				// typed stall diagnostic as the real engine, naming the
 				// nodes that were created but never computed (a cycle's
-				// members and their downstream) — or, under
-				// SkipUnreachable, degrade exactly as core's error-budget
-				// path does: return the partial Result together with a
-				// *core.PartialError naming the never-computed nodes as
-				// skipped.
+				// members and their downstream).
 				pend := e.pendingKeys()
-				if e.opts.SkipUnreachable {
-					pe := &core.PartialError{SkippedTotal: len(pend)}
-					if len(pend) > core.StallPendingMax {
-						pend = pend[:core.StallPendingMax]
-					}
-					pe.Skipped = pend
-					return e.result(last), pe
-				}
 				se := &core.StallError{Sink: e.sinkKey, PendingTotal: len(pend)}
 				if len(pend) > core.StallPendingMax {
 					pend = pend[:core.StallPendingMax]
@@ -395,33 +376,25 @@ func (e *engine) run() (*Result, error) {
 				return nil, se
 			}
 		}
-		if ev.at > deadline {
-			// The run's virtual-time budget is spent before this event
-			// fires: the watchdog mirror. Limit carries the budget's
-			// integer value (virtual cycles).
-			return nil, &core.TimeoutError{Limit: time.Duration(deadline)}
-		}
-		last = ev.at
 		if probe {
 			e.probe(&e.workers[ev.wid], ev.at)
 		} else {
 			e.complete(&e.workers[ev.wid], ev.at)
 		}
 	}
-	return e.result(e.makespan), nil
+	return e.result(), nil
 }
 
-// result gathers the per-worker counters into a Result with the given
-// makespan (the sink's completion time, or the last processed event
-// time for a degraded run).
-func (e *engine) result(makespan int64) *Result {
+// result gathers the per-worker counters into a Result whose makespan is
+// the sink's completion time.
+func (e *engine) result() *Result {
 	for i := range e.workers {
 		if w := &e.workers[i]; !w.startedWork {
-			w.stats.TimeToFirstWork = makespan
+			w.stats.TimeToFirstWork = e.makespan
 		}
 	}
 	return &Result{
-		Makespan:     makespan,
+		Makespan:     e.makespan,
 		Workers:      e.stats,
 		NodesCreated: e.created,
 		Topology:     e.opts.Topology,

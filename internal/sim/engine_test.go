@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -221,92 +220,5 @@ func TestNotifyWalksRegistrationsInOrder(t *testing.T) {
 	}
 	if want := []core.Key{leaf, b, a, sink}; !slices.Equal(order, want) {
 		t.Fatalf("completion order %v, want %v", order, want)
-	}
-}
-
-// A virtual-time budget that runs out between two steal probes fails the
-// run at the later probe: the probes served off the ring are held to the
-// deadline like completions are. On this grid, probes fire at 60002 and
-// 60122 with no event between them. The probe and completion counts each
-// deadline leaves were taken from the engine before probes left the
-// general event path.
-func TestDeadlineBetweenProbes(t *testing.T) {
-	spec, sink, _ := gridSpec(10, 10, 4, testFP)
-	for _, c := range []struct {
-		deadline            int64
-		probes, completions int
-	}{
-		{60001, 486, 49},
-		{60002, 487, 49},
-		{60061, 487, 49},
-		{60121, 487, 49},
-		{60122, 488, 49},
-	} {
-		e, err := newEngine(spec, sink, Options{Workers: 4, Policy: core.NabbitCPolicy(), Deadline: c.deadline})
-		if err != nil {
-			t.Fatal(err)
-		}
-		completions := 0
-		e.opts.OnComplete = func(int64, int, core.Key) { completions++ }
-		res, err := e.run()
-		var te *core.TimeoutError
-		if res != nil || !errors.As(err, &te) {
-			t.Fatalf("deadline %d: got %v, %v; want a *core.TimeoutError", c.deadline, res, err)
-		}
-		probes := 0
-		for i := range e.stats {
-			probes += int(e.stats[i].StealAttempts)
-		}
-		if probes != c.probes || completions != c.completions {
-			t.Errorf("deadline %d: %d probes and %d completions before the timeout, want %d and %d",
-				c.deadline, probes, completions, c.probes, c.completions)
-		}
-	}
-}
-
-// A run that degrades under SkipUnreachable reports the time of the last
-// event it processed as its makespan. Here that event is an idle worker's
-// probe after the fan below the cycle has finished, so the probes served
-// off the ring must keep the clock moving. The makespan was taken from
-// the engine before probes left the general event path.
-func TestSkipUnreachablePartialMakespan(t *testing.T) {
-	// Sink 0 waits on the cycle 1 <-> 2 and on task 3, which fans in 40
-	// leaves.
-	spec := core.FuncSpec{
-		PredsFn: func(k core.Key) []core.Key {
-			switch k {
-			case 0:
-				return []core.Key{1, 3}
-			case 1:
-				return []core.Key{2}
-			case 2:
-				return []core.Key{1}
-			case 3:
-				keys := make([]core.Key, 40)
-				for i := range keys {
-					keys[i] = core.Key(10 + i)
-				}
-				return keys
-			}
-			return nil
-		},
-		ColorFn:     func(k core.Key) int { return int(k) % 4 },
-		FootprintFn: func(core.Key) core.Footprint { return testFP },
-	}
-	for _, p := range []struct {
-		name string
-		pol  core.Policy
-		want int64
-	}{
-		{"nabbit", core.NabbitPolicy(), 34900},
-		{"nabbitc", core.NabbitCPolicy(), 35140},
-	} {
-		res, err := Run(spec, 0, Options{Workers: 4, Policy: p.pol, SkipUnreachable: true})
-		if !errors.Is(err, core.ErrPartial) || res == nil {
-			t.Fatalf("%s: got %v, %v; want a partial Result and a *core.PartialError", p.name, res, err)
-		}
-		if res.Makespan != p.want {
-			t.Errorf("%s: partial makespan %d, want %d", p.name, res.Makespan, p.want)
-		}
 	}
 }

@@ -88,20 +88,6 @@ type Options struct {
 	// harness uses to replay schedules and that tests use to verify
 	// dependence order.
 	OnComplete func(virtualTime int64, worker int, k core.Key)
-	// Deadline, when positive, bounds the run's virtual time: the run
-	// fails with a *core.TimeoutError as soon as an event would fire
-	// past the budget — the simulator's mirror of core's
-	// Options.RunDeadline. The error's Limit carries the budget's
-	// integer value (virtual cycles, not nanoseconds).
-	Deadline int64
-	// SkipUnreachable, when set, converts a dependence deadlock (event
-	// queue drained with the sink never computed — a cycle or an
-	// unsatisfiable predecessor) into a degraded completion: the partial
-	// Result is returned together with a *core.PartialError listing the
-	// never-computed nodes as skipped — the simulator's mirror of core's
-	// graceful degradation. When unset such a run fails with a
-	// *core.StallError, as before.
-	SkipUnreachable bool
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -123,9 +109,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if err := o.Cost.Validate(); err != nil {
 		return o, err
-	}
-	if o.Deadline < 0 {
-		return o, fmt.Errorf("sim: negative Deadline %d", o.Deadline)
 	}
 	// One normalization shared with the real engine, so a policy can
 	// never mean different things to the two machines.

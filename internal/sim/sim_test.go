@@ -350,9 +350,6 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := Run(spec, sink, bad); err == nil {
 		t.Fatal("invalid cost model accepted")
 	}
-	if _, err := Run(spec, sink, Options{Workers: 4, Deadline: -1}); err == nil {
-		t.Fatal("negative deadline accepted")
-	}
 }
 
 func TestCycleDeadlockDetected(t *testing.T) {
@@ -389,95 +386,6 @@ func TestCycleDeadlockDetected(t *testing.T) {
 			t.Fatalf("workers=%d: stall diagnostics = sink %d pending %v (total %d), want pending %v",
 				workers, se.Sink, se.Pending, se.PendingTotal, want)
 		}
-	}
-}
-
-func TestSkipUnreachableDegrades(t *testing.T) {
-	// The same cyclic graph as TestCycleDeadlockDetected, but with
-	// SkipUnreachable set: instead of a StallError the run degrades into
-	// a partial Result plus a *core.PartialError naming the
-	// never-computed nodes — the simulator's mirror of core's
-	// error-budget path.
-	spec := core.FuncSpec{
-		PredsFn: func(k core.Key) []core.Key {
-			switch k {
-			case 0:
-				return []core.Key{1}
-			case 1:
-				return []core.Key{2}
-			default:
-				return []core.Key{1}
-			}
-		},
-		FootprintFn: func(core.Key) core.Footprint { return core.Footprint{Compute: 1} },
-	}
-	for _, workers := range []int{1, 4} {
-		res, err := Run(spec, 0, Options{
-			Workers: workers, Policy: core.NabbitPolicy(), SkipUnreachable: true,
-		})
-		if err == nil {
-			t.Fatalf("workers=%d: degraded run reported no error", workers)
-		}
-		if !errors.Is(err, core.ErrPartial) {
-			t.Fatalf("workers=%d: err = %v, want errors.Is(err, core.ErrPartial)", workers, err)
-		}
-		var pe *core.PartialError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err %T does not unwrap to *core.PartialError", workers, err)
-		}
-		want := []core.Key{0, 1, 2}
-		if pe.SkippedTotal != len(want) || !slices.Equal(pe.Skipped, want) {
-			t.Fatalf("workers=%d: skipped %v (total %d), want %v",
-				workers, pe.Skipped, pe.SkippedTotal, want)
-		}
-		if res == nil {
-			t.Fatalf("workers=%d: degraded run must still return its partial Result", workers)
-		}
-		if n := res.TotalNodes(); n != 0 {
-			t.Fatalf("workers=%d: cycle run executed %d nodes, want 0", workers, n)
-		}
-	}
-}
-
-func TestVirtualDeadline(t *testing.T) {
-	spec, sink, _ := gridSpec(10, 10, 4, testFP)
-
-	// A one-cycle budget expires before any event fires.
-	res, err := Run(spec, sink, Options{Workers: 4, Policy: core.NabbitCPolicy(), Deadline: 1})
-	if err == nil {
-		t.Fatal("Deadline=1 run completed")
-	}
-	if res != nil {
-		t.Fatal("timed-out run returned a Result")
-	}
-	if !errors.Is(err, core.ErrTimeout) {
-		t.Fatalf("err = %v, want errors.Is(err, core.ErrTimeout)", err)
-	}
-	var te *core.TimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("err %T does not unwrap to *core.TimeoutError", err)
-	}
-	if int64(te.Limit) != 1 {
-		t.Fatalf("TimeoutError.Limit = %d, want the budget 1", int64(te.Limit))
-	}
-
-	// A generous budget never perturbs the run: same makespan as no
-	// deadline at all, and a budget of exactly the makespan passes
-	// (the check is strictly-greater, mirroring core's "as soon as a
-	// node would overrun").
-	free, err := Run(spec, sink, Options{Workers: 4, Policy: core.NabbitCPolicy()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounded, err := Run(spec, sink, Options{
-		Workers: 4, Policy: core.NabbitCPolicy(), Deadline: free.Makespan,
-	})
-	if err != nil {
-		t.Fatalf("Deadline == makespan failed: %v", err)
-	}
-	if bounded.Makespan != free.Makespan {
-		t.Fatalf("deadline perturbed the schedule: makespan %d vs %d",
-			bounded.Makespan, free.Makespan)
 	}
 }
 

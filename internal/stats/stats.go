@@ -4,7 +4,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -18,20 +17,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
 }
 
 // Table accumulates rows and renders them with aligned columns.

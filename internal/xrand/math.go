@@ -2,8 +2,6 @@ package xrand
 
 import "math"
 
-func mathLog(x float64) float64 { return math.Log(x) }
-
 // Zipf draws integers in [0, n) with probability proportional to
 // 1/(i+1)^s. It uses precomputed cumulative weights and binary search,
 // which is plenty fast for workload construction (not on a scheduler hot

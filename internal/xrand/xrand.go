@@ -37,18 +37,10 @@ func New(seed uint64) *Rand {
 	return r
 }
 
-// NewWorker returns a generator for worker id derived from a master seed,
-// such that distinct ids get decorrelated streams.
-func NewWorker(master uint64, id int) *Rand {
-	r := &Rand{}
-	r.SeedWorker(master, id)
-	return r
-}
-
-// SeedWorker reinitializes the generator to the exact stream NewWorker
-// would produce for (master, id), without allocating — a persistent
-// engine reseeds its workers in place before every run so repeated runs
-// draw identical victim sequences.
+// SeedWorker reinitializes the generator to worker id's stream under a
+// master seed, such that distinct ids get decorrelated streams. It does
+// not allocate: a persistent engine reseeds its workers in place before
+// every run so repeated runs draw identical victim sequences.
 func (r *Rand) SeedWorker(master uint64, id int) {
 	r.Seed(master ^ (uint64(id)+1)*0x9e3779b97f4a7c15)
 }
@@ -107,25 +99,3 @@ func (r *Rand) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
-// ExpFloat64 returns an exponentially distributed float64 with rate 1,
-// used by workload generators for synthetic service-time variation.
-func (r *Rand) ExpFloat64() float64 {
-	// Inverse transform; fine for workload synthesis.
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -ln(u)
-}
-
-// ln is a tiny wrapper so the package keeps a single external-math
-// dependency point.
-func ln(x float64) float64 { return mathLog(x) }

@@ -29,10 +29,11 @@ func TestSeedsDecorrelated(t *testing.T) {
 	}
 }
 
-func TestNewWorkerStreams(t *testing.T) {
+func TestSeedWorkerStreams(t *testing.T) {
 	seen := map[uint64]int{}
+	r := New(0)
 	for id := 0; id < 80; id++ {
-		r := NewWorker(7, id)
+		r.SeedWorker(7, id)
 		v := r.Uint64()
 		if prev, ok := seen[v]; ok {
 			t.Fatalf("workers %d and %d share first output", prev, id)
@@ -119,34 +120,6 @@ func TestQuickPerm(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	r := New(17)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, v := range xs {
-		seen[v] = true
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("value %d lost by Shuffle", i)
-		}
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(23)
-	sum := 0.0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	mean := sum / n
-	if math.Abs(mean-1.0) > 0.02 {
-		t.Fatalf("exponential mean = %v, want about 1.0", mean)
 	}
 }
 
