@@ -1103,11 +1103,7 @@ func (w *worker) runItem(it item) {
 		groups := it.multi.groups
 		lo, hi := it.lo, it.hi
 		for hi-lo > 1 {
-			mid := lo + (hi-lo)/2
-			keepLo, keepHi, pushLo, pushHi := lo, mid, mid, hi
-			if w.e.colored && ContainsColor(groups[mid:hi], w.color) && !ContainsColor(groups[lo:mid], w.color) {
-				keepLo, keepHi, pushLo, pushHi = mid, hi, lo, mid
-			}
+			keepLo, keepHi, pushLo, pushHi := KeepHalf(groups, lo, hi, w.color, w.e.colored)
 			w.push(it.sub(pushLo, pushHi))
 			lo, hi = keepLo, keepHi
 		}
@@ -1181,39 +1177,6 @@ func (w *worker) initAndCompute(r *graphRun, n *Node) {
 	w.runItem(w.groupKeys(r, n))
 }
 
-// countAccesses is the paper's locality accounting (§V-B) for one executed
-// node: one access for the node itself plus one per predecessor, judged by
-// the data's true home domain vs. this worker's domain. The predecessors'
-// verdict was summarized at the node's creation (Node.predDomain), so the
-// common case — all of them homed in one domain — is one comparison; only
-// a node whose predecessors straddle domains looks each home up.
-//
-//nabbit:noalloc
-func (w *worker) countAccesses(n *Node) {
-	acc := &w.stats.Accesses
-	sv := w.e.sv
-	if sv.domainOf(n.home) == w.domain {
-		acc.Local++
-	} else {
-		acc.Remote++
-	}
-	switch {
-	case n.npreds == 0:
-	case n.predDomain == w.domain:
-		acc.Local += int64(n.npreds)
-	case n.predDomain != PredMixed:
-		acc.Remote += int64(n.npreds)
-	default:
-		for _, pk := range n.predKeys() {
-			if _, h := sv.place(pk); sv.domainOf(h) == w.domain {
-				acc.Local++
-			} else {
-				acc.Remote++
-			}
-		}
-	}
-}
-
 // computeAndNotify executes a ready node, then notifies its successors,
 // spawning any that became ready (grouped by color).
 //
@@ -1261,11 +1224,13 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 	// Counted only for the successful attempt — failed ComputeErr
 	// attempts are retry bookkeeping, not schedule work, and must not
 	// inflate the locality tables.
-	w.stats.NodesExecuted++
-	if n.color == w.color {
-		w.stats.OwnColorNodes++
+	sv := e.sv
+	if !w.stats.Executed(n.color == w.color, w.domain, sv.domainOf(n.home), n.predDomain, int(n.npreds)) {
+		for _, pk := range n.predKeys() {
+			_, h := sv.place(pk)
+			w.stats.Access(w.domain, sv.domainOf(h))
+		}
 	}
-	w.countAccesses(n)
 
 	// A Compute can kill its own run (Ticket.Cancel from inside the
 	// callback); once the run is observed dead, no further OnComplete
@@ -1416,11 +1381,7 @@ func (w *worker) hunt() (item, bool) {
 // immediate execution and the rest are adopted into w's own deque.
 func (w *worker) probe(s *StealStep) (item, bool) {
 	v := w.e.workers[s.Victim(&w.rng, w.id)]
-	batch := s.Batch > 0 && v.domain != w.domain
-	take := 1
-	if batch {
-		take = s.Batch
-	}
+	take, batch := s.Take(v.domain == w.domain)
 	ents, out := v.dq.Steal(s.Filter, take, w.stealBuf[:0])
 	w.stats.Probe(s, len(ents), batch, out == deque.StealMiss)
 	if out != deque.StealOK {

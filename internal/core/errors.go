@@ -66,6 +66,13 @@ type StallError struct {
 	PendingTotal int
 }
 
+// NewStallError reports that graph id's sink never computed, pending
+// being every node created but never computed, in ascending order. Both
+// machines build their stall diagnostic here.
+func NewStallError(id uint64, sink Key, pending []Key) *StallError {
+	return &StallError{GraphID: id, Sink: sink, Pending: pending[:min(len(pending), StallPendingMax)], PendingTotal: len(pending)}
+}
+
 func (e *StallError) Error() string {
 	if e.PendingTotal > len(e.Pending) {
 		return fmt.Sprintf("core: graph %d stalled: sink %d never computed (%d nodes pending, first %d: %v)",

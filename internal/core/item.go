@@ -30,10 +30,14 @@ import "nabbitc/internal/colorset"
 // itemGroups is set the range indexes the grouping's colour groups instead
 // of elements.
 //
-// The rules an item is built by — the grouping of a spawn by colour
-// (Grouper, into ColorRanges), the mask it advertises (ItemColors) and the
-// half of a split a worker keeps (ContainsColor) — are exported because
-// internal/sim runs them too: both machines state each rule once, here.
+// The rules an item is built and run by — the grouping of a spawn by
+// colour (Grouper, into ColorRanges), the mask it advertises (ItemColors)
+// and the half of a split a worker keeps (KeepHalf) — are exported because
+// internal/sim runs them too: both machines state each rule once, here,
+// as they do a probe's take (StealStep.Take), the tally of an executed
+// node (Counters.Executed) and the stall diagnostic (NewStallError).
+// TestEngineAndSimulatorAgree (internal/sim) pins that on one worker the
+// two complete the same nodes in the same order.
 
 const (
 	itemSucc   uint8 = 1 << iota // successor work (ready nodes), not predecessor keys
@@ -124,9 +128,21 @@ func ItemColors(c int32, groups []ColorRange, nworkers int) colorset.Set {
 	return s
 }
 
-// ContainsColor reports whether any group has the given colour: the
-// spawn_colors test for which half of a grouped item a worker keeps.
-func ContainsColor(groups []ColorRange, color int32) bool {
+// KeepHalf is spawn_colors' descent step over a grouped item's colour
+// groups [lo, hi), two or more of them: the worker keeps one half and
+// pushes the other as a stealable continuation. It keeps the lower half
+// unless colored scheduling is on and only the upper half holds its own
+// colour. Both machines split a grouped item here.
+func KeepHalf(groups []ColorRange, lo, hi, own int32, colored bool) (keepLo, keepHi, pushLo, pushHi int32) {
+	mid := lo + (hi-lo)/2
+	if colored && containsColor(groups[mid:hi], own) && !containsColor(groups[lo:mid], own) {
+		return mid, hi, lo, mid
+	}
+	return lo, mid, mid, hi
+}
+
+// containsColor reports whether any group has the given colour.
+func containsColor(groups []ColorRange, color int32) bool {
 	for _, g := range groups {
 		if g.Color == color {
 			return true

@@ -52,6 +52,44 @@ type Counters struct {
 	BatchItems int64
 }
 
+// Executed records one node executed by a worker of NUMA domain d, own
+// when the node has the worker's colour, with the paper's locality tally
+// (§V-B): one access for the node, homed in domain home, and one per
+// predecessor, judged by predDomain, the domain all npreds of their homes
+// lie in (PredSummary). When that is PredMixed it reports false, and the
+// caller tallies each predecessor's home with Access.
+//
+//nabbit:noalloc
+func (c *Counters) Executed(own bool, d, home, predDomain int32, npreds int) bool {
+	c.NodesExecuted++
+	if own {
+		c.OwnColorNodes++
+	}
+	c.Access(d, home)
+	switch {
+	case npreds == 0:
+	case predDomain == d:
+		c.Accesses.Local += int64(npreds)
+	case predDomain != PredMixed:
+		c.Accesses.Remote += int64(npreds)
+	default:
+		return false
+	}
+	return true
+}
+
+// Access records one access by a worker of NUMA domain d to data homed in
+// domain home: local exactly when the two are the same domain.
+//
+//nabbit:noalloc
+func (c *Counters) Access(d, home int32) {
+	if home == d {
+		c.Accesses.Local++
+	} else {
+		c.Accesses.Remote++
+	}
+}
+
 // Probe records one steal probe of step s that took n items, 0 when it
 // failed. batch reports a batched probe (a batching step's cross-socket
 // victim), which counts as one batch of n items; miss reports a colored

@@ -546,13 +546,7 @@ func (e *Engine) failStalled() {
 			keep = append(keep, r)
 			continue
 		}
-		pend := r.nt.pendingKeys()
-		se := &StallError{GraphID: r.id, Sink: r.sink, PendingTotal: len(pend)}
-		if len(pend) > StallPendingMax {
-			pend = pend[:StallPendingMax]
-		}
-		se.Pending = pend
-		r.err = se
+		r.err = NewStallError(r.id, r.sink, r.nt.pendingKeys())
 		// Every worker is parked, so unlike failRun the table and its
 		// pages can go straight back to their pools.
 		r.nt.release(-1, false)

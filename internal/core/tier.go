@@ -76,6 +76,16 @@ func (s *StealStep) Victim(rng *xrand.Rand, self int) int {
 	return v
 }
 
+// Take returns how many items one probe of s asks a victim for: s.Batch
+// from a victim in another NUMA domain when s batches, which makes the
+// probe a batch, and otherwise one item.
+func (s *StealStep) Take(sameDomain bool) (take int, batch bool) {
+	if s.Batch > 0 && !sameDomain {
+		return s.Batch, true
+	}
+	return 1, false
+}
+
 // socketTierBudget is the hierarchical protocol's probes per sweep of each
 // same-socket tier.
 const socketTierBudget = 2

@@ -291,11 +291,22 @@ const (
 // Run executes the task graph on the simulated machine and returns virtual
 // timing, steal, and locality statistics. Runs are deterministic: the same
 // spec, sink, and options produce identical results.
-func Run(spec core.CostSpec, sink core.Key, opts Options) (*Result, error) {
+func Run(spec core.CostSpec, sink core.Key, opts Options) (res *Result, err error) {
 	e, err := newEngine(spec, sink, opts)
 	if err != nil {
 		return nil, err
 	}
+	// A key outside the spec's declared bound (lookup) unwinds the event
+	// loop as the *core.ComputeError the real engine reports for it.
+	defer func() {
+		switch v := recover().(type) {
+		case nil:
+		case *core.ComputeError:
+			res, err = nil, v
+		default:
+			panic(v)
+		}
+	}()
 	return e.run()
 }
 
@@ -342,12 +353,10 @@ func (e *engine) run() (*Result, error) {
 	// Worker 0 seeds the computation with the sink node at t = 0.
 	w0 := &e.workers[0]
 	sinkNode, _ := e.getOrCreate(e.sinkKey)
-	t := e.opts.Cost.NodeOverhead
 	w0.stats.BusyTime += e.opts.Cost.NodeOverhead
-	if len(sinkNode.preds) == 0 {
-		e.startExec(w0, t, sinkNode)
+	if n, t := e.initAndCompute(w0, e.opts.Cost.NodeOverhead, sinkNode); n != nil {
+		e.startExec(w0, t, n)
 	} else {
-		e.push(w0, e.groupKeys(sinkNode, sinkNode.preds))
 		e.acquire(w0, t)
 	}
 	// All other workers begin hunting for work.
@@ -367,13 +376,7 @@ func (e *engine) run() (*Result, error) {
 				// typed stall diagnostic as the real engine, naming the
 				// nodes that were created but never computed (a cycle's
 				// members and their downstream).
-				pend := e.pendingKeys()
-				se := &core.StallError{Sink: e.sinkKey, PendingTotal: len(pend)}
-				if len(pend) > core.StallPendingMax {
-					pend = pend[:core.StallPendingMax]
-				}
-				se.Pending = pend
-				return nil, se
+				return nil, core.NewStallError(0, e.sinkKey, e.pendingKeys())
 			}
 		}
 		if probe {
@@ -433,7 +436,7 @@ func (e *engine) pendingKeys() []core.Key {
 // first time one of the page's keys is named.
 func (e *engine) lookup(k core.Key) *node {
 	if e.bound > 0 && uint64(k) >= uint64(e.bound) {
-		panic(fmt.Sprintf("sim: key %d outside the spec's declared bound %d", k, e.bound))
+		panic(&core.ComputeError{Key: k, Value: fmt.Sprintf("sim: key %d outside the spec's declared bound %d", k, e.bound)})
 	}
 	p := int64(k) >> pageShift
 	var pg *[pageSize]node
@@ -582,16 +585,9 @@ func (e *engine) interpret(w *worker, t int64, it item) (*node, int64) {
 		return nil, t
 	}
 	if it.grouped {
-		groups := it.spawn.groups
-		colored := e.opts.Policy.Colored
-		own := int32(w.color)
 		lo, hi := it.lo, it.hi
 		for hi-lo > 1 {
-			mid := lo + (hi-lo)/2
-			keepLo, keepHi, pushLo, pushHi := lo, mid, mid, hi
-			if colored && core.ContainsColor(groups[mid:hi], own) && !core.ContainsColor(groups[lo:mid], own) {
-				keepLo, keepHi, pushLo, pushHi = mid, hi, lo, mid
-			}
+			keepLo, keepHi, pushLo, pushHi := core.KeepHalf(it.spawn.groups, lo, hi, int32(w.color), e.opts.Policy.Colored)
 			e.push(w, it.sub(pushLo, pushHi))
 			lo, hi = keepLo, keepHi
 		}
@@ -630,11 +626,7 @@ func (e *engine) tryInitCompute(w *worker, t int64, owner *node, pkey core.Key) 
 		t += m.NodeOverhead
 		w.stats.BusyTime += m.NodeOverhead
 		e.addSucc(pred, owner)
-		if len(pred.preds) == 0 {
-			return pred, t
-		}
-		e.push(w, e.groupKeys(pred, pred.preds))
-		return nil, t
+		return e.initAndCompute(w, t, pred)
 	}
 	t += m.EdgeOverhead
 	w.stats.BusyTime += m.EdgeOverhead
@@ -650,6 +642,16 @@ func (e *engine) tryInitCompute(w *worker, t int64, owner *node, pkey core.Key) 
 		return owner, t
 	}
 	return nil, t
+}
+
+// initAndCompute is core's for a created node n: with no predecessors it
+// is ready to execute, otherwise its predecessors' item is interpreted at
+// once.
+func (e *engine) initAndCompute(w *worker, t int64, n *node) (*node, int64) {
+	if len(n.preds) == 0 {
+		return n, t
+	}
+	return e.interpret(w, t, e.groupKeys(n, n.preds))
 }
 
 // acquire drains the worker's own deque, interpreting items until one
@@ -716,29 +718,9 @@ func (e *engine) startExec(w *worker, t int64, n *node) {
 func (e *engine) complete(w *worker, t int64) {
 	n := w.running
 	w.running = nil
-	topo := e.opts.Topology
-	w.stats.NodesExecuted++
-	if n.color == int32(w.color) {
-		w.stats.OwnColorNodes++
-	}
-	// The paper's locality tally: one access to the node's home and one
-	// per predecessor, local when the home is in w's domain. Only a
-	// predecessor list that straddles domains is looked up key by key.
-	acc := &w.stats.Accesses
-	if n.homeDomain == w.domain {
-		acc.Local++
-	} else {
-		acc.Remote++
-	}
-	switch {
-	case len(n.preds) == 0:
-	case n.predDomain == w.domain:
-		acc.Local += int64(len(n.preds))
-	case n.predDomain != core.PredMixed:
-		acc.Remote += int64(len(n.preds))
-	default:
+	if !w.stats.Executed(n.color == int32(w.color), w.domain, n.homeDomain, n.predDomain, len(n.preds)) {
 		for _, p := range n.preds {
-			acc.Count(topo, w.color, e.homeOf(p))
+			w.stats.Access(w.domain, int32(e.opts.Topology.DomainOf(e.homeOf(p))))
 		}
 	}
 
@@ -812,28 +794,26 @@ func (e *engine) probe(w *worker, t int64) {
 }
 
 // steal is a probe of a non-empty victim, the same as the real engine's:
-// one Steal of up to the step's batch from a cross-socket victim, or of
-// one item, the oldest stolen item run at once and the rest adopted onto
-// the thief's deque.
+// one Steal of what the step takes from v (StealStep.Take), the rest of a
+// batch adopted onto the thief's deque and the oldest stolen item pushed
+// last, so that acquire runs it first. The steal-success cost is charged
+// once, even for a batch: that single charge is the amortization batching
+// buys.
 func (e *engine) steal(w, v *worker, s *core.StealStep, t int64) {
-	take := 1
-	batch := s.Batch > 0 && !e.opts.Topology.SameDomain(v.id, w.id)
-	if batch {
-		take = s.Batch
-	}
+	take, batch := s.Take(v.domain == w.domain)
 	ents, out := v.dq.Steal(s.Filter, take, e.stealBuf[:0])
-	stolen := len(ents)
-	w.stats.Probe(s, stolen, batch, out == deque.StealMiss)
-	e.endProbe(w, s, stolen > 0)
-	if stolen == 0 {
+	w.stats.Probe(s, len(ents), batch, out == deque.StealMiss)
+	e.endProbe(w, s, len(ents) > 0)
+	if len(ents) == 0 {
 		e.scheduleNextProbe(w, t)
 		return
 	}
 	for _, ent := range ents[1:] {
 		w.dq.PushBottom(ent)
 	}
-	e.queued--
-	e.stealSucceeded(w, t, ents[0].Value)
+	w.dq.PushBottom(ents[0])
+	w.stats.BusyTime += e.opts.Cost.StealSuccessCost
+	e.acquire(w, t+e.opts.Cost.StealSuccessCost)
 }
 
 // endProbe moves w's place in its plan past a probe of step s: probe by
@@ -860,22 +840,6 @@ func (e *engine) endProbe(w *worker, s *core.StealStep, stole bool) {
 				w.stealStep = 0
 			}
 		}
-	}
-}
-
-// stealSucceeded charges the steal-success cost (once, even for a batch —
-// that single charge is the amortization batching buys; steal has
-// already adopted every batch item after the first into the thief's own
-// deque) and continues the thief on the first stolen item.
-func (e *engine) stealSucceeded(w *worker, t int64, it item) {
-	m := &e.opts.Cost
-	t += m.StealSuccessCost
-	w.stats.BusyTime += m.StealSuccessCost
-	n, t2 := e.interpret(w, t, it)
-	if n != nil {
-		e.startExec(w, t2, n)
-	} else {
-		e.acquire(w, t2)
 	}
 }
 

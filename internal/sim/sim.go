@@ -14,11 +14,13 @@
 // core's engine decision for decision, and where the two share a rule they
 // share its code. A worker's deque is the engine's ring (deque.Ring, here
 // without the lock), a spawn is grouped by colour with core.Grouper, an
-// item's mask is core.ItemColors and the kept half of a split is chosen by
-// core.ContainsColor. The counting is shared too: a worker's record embeds
-// core's counter block (core.Counters), each probe is recorded by its one
-// recorder, and Result's aggregates are core.PerWorker's (see core's
-// steal-plan design note).
+// item's mask is core.ItemColors, the kept half of a split is
+// core.KeepHalf, a probe takes what core.StealStep.Take says, and a worker
+// records into core's counter block (core.Counters) through the same
+// calls: Executed for a node, Probe for a steal probe. Result's aggregates
+// are core.PerWorker's (see core's steal-plan design note).
+// TestEngineAndSimulatorAgree holds the two machines to the same
+// completion order and counters on one worker.
 //
 // The event loop. A simulated worker is executing a task, hunting, or
 // stopped, so it has at most one pending event: the completion of its task
