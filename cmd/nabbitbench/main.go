@@ -17,7 +17,8 @@
 // profiles of the run alongside its report output, and -seed to override
 // the scheduling seed (checked-in baselines use the default). All flags
 // are validated before any workload runs or any file is opened, including
-// that -out's parent directory exists. Wall-clock measurements of the
+// that -out's parent directory exists and that no -bench or -cores value
+// repeats. Wall-clock measurements of the
 // real engine are the benchmark module's (benchmarks/), not this
 // command's.
 //
@@ -33,7 +34,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -175,9 +175,6 @@ func runExperiments(args []string) int {
 		return fail(2, "unknown experiment %q (have %s, all)",
 			*experiment, strings.Join(harness.Experiments(), ", "))
 	}
-	if *format != "" && !slices.Contains(harness.Formats(), *format) {
-		return fail(2, "unknown format %q (have %s)", *format, strings.Join(harness.Formats(), ", "))
-	}
 	if err := checkSeed(*seed); err != nil {
 		return fail(2, "%v", err)
 	}
@@ -192,20 +189,18 @@ func runExperiments(args []string) int {
 	cfg.Scale = sc
 	if *benches != "" {
 		cfg.Benchmarks = strings.Split(*benches, ",")
-		for _, b := range cfg.Benchmarks {
-			if _, err := suite.Build(b, cfg.Scale); err != nil {
-				return fail(2, "%v", err)
-			}
-		}
 	}
 	if *cores != "" {
 		for _, c := range strings.Split(*cores, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(c))
-			if err != nil || n < 1 {
+			if err != nil {
 				return fail(2, "bad core count %q", c)
 			}
 			cfg.Cores = append(cfg.Cores, n)
 		}
+	}
+	if err := cfg.Check(); err != nil {
+		return fail(2, "%v", err)
 	}
 	w, closeOut, err := openOut(*out)
 	if err != nil {

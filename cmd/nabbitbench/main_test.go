@@ -39,6 +39,10 @@ func TestUsageErrorsTouchNothing(t *testing.T) {
 		{"format", []string{"-format", "xml"}},
 		{"experiment", []string{"-experiment", "fig99"}},
 		{"cores", []string{"-cores", "1,,2"}},
+		{"zero cores", []string{"-cores", "0"}},
+		{"repeated cores", []string{"-cores", "20,20"}},
+		{"bench", []string{"-bench", "bogus"}},
+		{"repeated bench", []string{"-bench", "heat,heat"}},
 		{"seed", []string{"-seed", "-1"}},
 		{"out directory", []string{"-out", filepath.Join(missing, "keep.json")}},
 	} {

@@ -2,10 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"nabbitc/internal/bench"
+	"nabbitc/internal/core"
 	"nabbitc/internal/perf"
 )
 
@@ -117,26 +119,11 @@ func TestJSONDeterministic(t *testing.T) {
 func TestFig6SpeedupShapes(t *testing.T) {
 	// The headline result at small scale: on heat at 20 cores, NabbitC
 	// must beat Nabbit. Parse nothing — re-run the pieces directly.
-	var buf bytes.Buffer
-	cfg := smallCfg(&buf).withDefaults()
-	b, err := buildHeat(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := cfg.serialTime(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc, err := cfg.runTaskGraph(b, 20, nabbitCPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb, err := cfg.runTaskGraph(b, 20, nabbitPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sNC := float64(serial) / float64(nc.Makespan)
-	sNB := float64(serial) / float64(nb.Makespan)
+	cfg := smallCfg(nil).withDefaults()
+	cfg.memo = memo{}
+	serial := float64(cfg.serial("heat"))
+	sNC := serial / float64(cfg.sim("heat", 20, core.NabbitCPolicy(), "").Makespan)
+	sNB := serial / float64(cfg.sim("heat", 20, core.NabbitPolicy(), "").Makespan)
 	if sNC <= sNB {
 		t.Fatalf("NabbitC speedup %.2f not above Nabbit %.2f on heat/P=20", sNC, sNB)
 	}
@@ -171,4 +158,118 @@ func TestConfigSeedChangesSchedules(t *testing.T) {
 		// bug, not luck.
 		t.Fatal("different seeds produced identical fig8 documents — seed not plumbed?")
 	}
+}
+
+// A benchmark or core count named twice would key two rows alike: Config.Check
+// refuses it, and Reports runs that check before building anything.
+func TestReportsRejectsRepeats(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"cores", func(c *Config) { c.Cores = []int{20, 4, 20} }, "core count 20 named twice"},
+		{"zero cores", func(c *Config) { c.Cores = []int{0} }, "bad core count 0"},
+		{"bench", func(c *Config) { c.Benchmarks = []string{"heat", "cg", "heat"} }, `benchmark "heat" named twice`},
+		{"format", func(c *Config) { c.Format = "xml" }, `unknown format "xml"`},
+	} {
+		cfg := smallCfg(nil)
+		tc.edit(&cfg)
+		if err := cfg.Check(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Check() = %v, want %q", tc.name, err, tc.want)
+		}
+		if _, err := Reports("all", cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Reports = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// ablate and hier's tier table run at the largest core count, wherever it
+// sits in the sweep.
+func TestLargestCoreCountNotLast(t *testing.T) {
+	cfg := Config{Scale: bench.ScaleSmall, Cores: []int{20, 4}, Benchmarks: []string{"heat"}}
+	reports, err := Reports("all", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, name := range []string{"heat", "page-uk-2002"} {
+		want["ablate/"+name+"/colored-attempts"] = true
+		want["ablate/"+name+"/first-steal"] = true
+		want["ablate/"+name+"/remote-penalty"] = true
+	}
+	want["hier/heat/tiers"] = true
+	for _, rep := range reports {
+		for _, tab := range rep.Tables {
+			if !want[tab.Name] {
+				continue
+			}
+			delete(want, tab.Name)
+			if !strings.Contains(tab.Caption, "P=20)") {
+				t.Errorf("%s: caption %q, want P=20", tab.Name, tab.Caption)
+			}
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("tables missing: %v", want)
+	}
+	cfg = cfg.withDefaults()
+	cfg.memo = memo{}
+	nh := cfg.sim("heat", 20, core.NabbitCHierPolicy(), "")
+	tiers := reports[len(reports)-1].Tables[1]
+	for i, row := range tiers.Rows {
+		if got, want := row.Values["hit_rate"], nh.TierHitRate(core.StealTier(i)); got != want {
+			t.Errorf("tier %s: hit_rate %v, want %v (the P=20 run's)", row.Key, got, want)
+		}
+	}
+}
+
+// Every experiment built alone encodes exactly as it does inside "all":
+// the experiments share memoized results, and no renderer may change one
+// another experiment reads.
+func TestExperimentAloneMatchesAll(t *testing.T) {
+	cfg := Config{Scale: bench.ScaleSmall, Cores: []int{1, 20, 80}}
+	all, err := Reports("all", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, exp := range Experiments() {
+		alone, err := Reports(exp, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := json.Marshal(alone[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(all[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s alone differs from %s in all:\n%s\n---\n%s", exp, exp, a, b)
+		}
+	}
+}
+
+// A failed build or run is returned as an error naming its experiment;
+// any other panic is not an experiment's failure and is re-raised.
+func TestReportFailureBoundary(t *testing.T) {
+	cfg := smallCfg(nil).withDefaults()
+	cfg.memo = memo{}
+	_, err := cfg.report(experiment{"boom", func(c Config) *perf.Report {
+		c.sim("bogus", 4, core.NabbitPolicy(), "")
+		return nil
+	}})
+	if err == nil || !strings.HasPrefix(err.Error(), "boom: ") || !strings.Contains(err.Error(), `unknown benchmark "bogus"`) {
+		t.Fatalf("report error = %v, want it prefixed with the experiment and naming the benchmark", err)
+	}
+
+	defer func() {
+		if v := recover(); v != "not a failure" {
+			t.Fatalf("recovered %v, want the builder's own panic", v)
+		}
+	}()
+	cfg.report(experiment{"boom", func(Config) *perf.Report { panic("not a failure") }})
+	t.Fatal("a builder's panic was swallowed")
 }
