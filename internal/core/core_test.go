@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -324,14 +325,34 @@ func TestFuncSpecDefaults(t *testing.T) {
 	}
 }
 
+// TestOptionsValidation: every option value withDefaults rejects makes
+// NewEngine fail with an error naming the offending setting.
 func TestOptionsValidation(t *testing.T) {
-	spec := FuncSpec{}
-	_, err := Run(spec, 0, Options{
-		Workers:  4,
-		Topology: numa.Topology{Workers: 8, CoresPerDomain: 10},
-	})
-	if err == nil {
-		t.Fatal("mismatched topology accepted")
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string // substring of the error
+	}{
+		{"mismatched topology", Options{Workers: 4, Topology: numa.Topology{Workers: 8, CoresPerDomain: 10}}, "topology"},
+		{"negative MaxAttempts", Options{Retry: RetryPolicy{MaxAttempts: -1}}, "Retry.MaxAttempts"},
+		{"MaxAttempts above cap", Options{Retry: RetryPolicy{MaxAttempts: MaxRetryAttempts + 1}}, "Retry.MaxAttempts"},
+		{"negative BaseBackoff", Options{Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: -time.Millisecond}}, "Retry.BaseBackoff"},
+		{"overflowing BaseBackoff", Options{Retry: RetryPolicy{MaxAttempts: 8, BaseBackoff: 1 << 60}}, "Retry.BaseBackoff"},
+		{"negative NodeTimeout", Options{NodeTimeout: -time.Millisecond}, "NodeTimeout"},
+		{"negative ErrorBudget", Options{ErrorBudget: -1}, "ErrorBudget"},
+		{"unknown Admission", Options{Admission: AdmissionReject + 1}, "admission"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.Workers = max(tc.opts.Workers, 1)
+			e, err := NewEngine(FuncSpec{}, tc.opts)
+			if err == nil {
+				e.Close()
+				t.Fatalf("NewEngine accepted %+v", tc.opts)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name %s", err, tc.want)
+			}
+		})
 	}
 }
 

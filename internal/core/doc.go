@@ -641,10 +641,10 @@
 // lifecycle, so no new per-node storage. (Like setSkip, the CAS never
 // lands while succLockBit is held: the holder's unlock store would
 // erase the update.) The re-armed node is then re-enqueued after a
-// deterministic backoff — base × multiplier^attempt, jittered by the
-// engine-seeded xrand stream — via a timer that appends to an engine
-// retry queue; workers drain the queue on the same park/wake protocol
-// as fresh submissions, so a retry behaves exactly like newly
+// backoff that doubles per retry — BaseBackoff << (attempt-1), the same
+// for every run of the same policy — via a timer that appends to an
+// engine retry queue; workers drain the queue on the same park/wake
+// protocol as fresh submissions, so a retry behaves exactly like newly
 // discovered work. When the counter reaches MaxAttempts the failure
 // becomes a *ComputeError carrying the attempt count and wrapping both
 // ErrComputeFailed and the spec's own error chain. Re-running an
@@ -656,21 +656,22 @@
 // by retries — nothing unwinds. Instead, each worker publishes its
 // current execution (run, node, start time) in a per-worker seqlock
 // before every Compute and clears it after; a lock-free monitor
-// goroutine, started only when Options.NodeTimeout or RunDeadline is
-// set, samples the publications on a period derived from the smaller
-// limit. An overdue node (or an overdue run) is failed through the same
-// single-completion CAS as every other failure — the monitor never
-// touches the stuck goroutine, which keeps running until user code
-// returns; its eventual completion lands on a dead run and is dropped
-// at the exec boundary like any canceled item. The publication holds
-// the *Node pointer, so a recycled table can never make the monitor
-// resolve a stale key in a fresh graph, and the key beside it, so the
-// monitor can name the node (TimeoutError.Key, OptionalSpec.Optional)
-// without reading through a pointer whose page may have been recycled
-// since the sample. One
-// consequence: an Execute whose run was hang-degraded skips the
-// quiescence-gated per-worker stats gather (Workers stays nil, as in
-// Submit mode), because quiescing would wait on the stuck goroutine.
+// goroutine, started only when Options.NodeTimeout is set, samples the
+// publications every NodeTimeout/4 (at least 100 µs). An overdue node
+// is failed through the same single-completion CAS as every other
+// failure — the monitor never touches the stuck goroutine, which keeps
+// running until user code returns; its eventual completion lands on a
+// dead run and is dropped at the exec boundary like any canceled item.
+// The publication holds the *Node pointer, so a recycled table can
+// never make the monitor resolve a stale key in a fresh graph, and the
+// key beside it, so the monitor can name the node (TimeoutError.Key,
+// OptionalSpec.Optional) without reading through a pointer whose page
+// may have been recycled since the sample. One consequence: an Execute
+// whose run was hang-degraded skips the quiescence-gated per-worker
+// stats gather (Workers stays nil, as in Submit mode), because
+// quiescing would wait on the stuck goroutine. The watchdog bounds
+// nodes, not runs: a caller bounds a whole run with SubmitCtx or
+// ExecuteCtx and a context deadline, which fails it with ErrCanceled.
 //
 // Graceful degradation. A spec may mark nodes optional (OptionalSpec /
 // FuncSpec.OptionalFn): best-effort enrichments whose loss should

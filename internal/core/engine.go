@@ -64,7 +64,7 @@ type Engine struct {
 	// worker is parked, to drive interleavings without sleeping.
 	yield func(yieldPoint, *worker)
 	// watchdogOn gates the per-node execution publication (set when
-	// NodeTimeout or RunDeadline is positive).
+	// NodeTimeout is positive).
 	watchdogOn bool
 	// closing gates Submit as soon as Close begins; closeFlag tells
 	// workers to exit once Close has drained the in-flight graphs. Both
@@ -88,11 +88,9 @@ type Engine struct {
 	// the engine closes.
 	closedCh chan struct{}
 
-	// monStop/monWG manage the watchdog's monitor goroutine, and monRuns
-	// is its private scratch for run snapshots.
+	// monStop/monWG manage the watchdog's monitor goroutine.
 	monStop chan struct{}
 	monWG   sync.WaitGroup
-	monRuns []*graphRun
 
 	mu     sync.Mutex // serializes Execute and Close
 	closed bool       // guarded by mu
@@ -359,7 +357,7 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 		colored:    opts.Policy.Colored,
 		maxSearch:  max(1, int32(opts.Workers/2)),
 		epoch:      time.Now(),
-		watchdogOn: opts.NodeTimeout > 0 || opts.RunDeadline > 0,
+		watchdogOn: opts.NodeTimeout > 0,
 		opts:       opts,
 		slots:      make(chan struct{}, opts.MaxInflight),
 		pending:    make(chan *graphRun, opts.MaxInflight),

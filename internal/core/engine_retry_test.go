@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,7 +45,7 @@ func TestRetryMatrix(t *testing.T) {
 		var attempts atomic.Int32
 		e, err := NewEngine(row.spec(flakyConeSpec(width, workers, flaky, 2, counts, &attempts)), Options{
 			Workers: workers, Policy: NabbitCPolicy(),
-			Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: 200 * time.Microsecond, Multiplier: 2, Jitter: 0.5},
+			Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: 200 * time.Microsecond},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -198,8 +199,8 @@ func TestWatchdogHang(t *testing.T) {
 	if !errors.As(werr, &te) || !errors.Is(werr, ErrTimeout) {
 		t.Fatalf("hung graph err = %v (%T), want *TimeoutError matching ErrTimeout", werr, werr)
 	}
-	if !te.Node || te.Key != 0 || te.Limit != nodeTimeout {
-		t.Errorf("TimeoutError = %+v, want Node=true Key=0 Limit=%v", te, nodeTimeout)
+	if te.Key != 0 || te.Limit != nodeTimeout {
+		t.Errorf("TimeoutError = %+v, want Key=0 Limit=%v", te, nodeTimeout)
 	}
 	if elapsed > 2*nodeTimeout {
 		t.Errorf("watchdog took %v, want <= 2x NodeTimeout (%v)", elapsed, 2*nodeTimeout)
@@ -221,38 +222,25 @@ func TestWatchdogHang(t *testing.T) {
 	}
 }
 
-// TestRunDeadline: a run that overstays RunDeadline fails with a
-// run-level *TimeoutError (Node false) while a fast graph on the same
-// engine completes.
-func TestRunDeadline(t *testing.T) {
-	const width = 8
-	e, gate, entered := hangConeEngine(t, width, 2, Options{
-		Workers: 2, RunDeadline: 50 * time.Millisecond,
-	})
-	defer e.Close()
-	defer close(gate)
-
-	hung, err := e.Submit(coneSink(0, width))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-	// The fast graph must start and finish within its own 50ms budget
-	// even while the other occupies a worker, so submit it right away.
-	good, err := e.Submit(coneSink(1, width))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := good.Wait(); err != nil {
-		t.Fatalf("fast graph failed beside a deadline-bound one: %v", err)
-	}
-	_, werr := hung.Wait()
-	var te *TimeoutError
-	if !errors.As(werr, &te) {
-		t.Fatalf("overdue run err = %v (%T), want *TimeoutError", werr, werr)
-	}
-	if te.Node || te.Limit != 50*time.Millisecond {
-		t.Errorf("TimeoutError = %+v, want run-level (Node=false) Limit=50ms", te)
+// TestRetryBackoff pins the retry schedule: the backoff after failed
+// attempt n is BaseBackoff × 2^(n-1), up to the largest BaseBackoff
+// whose last backoff still fits in a time.Duration (a larger one is
+// rejected: TestOptionsValidation), and a zero BaseBackoff re-enqueues
+// every retry at once.
+func TestRetryBackoff(t *testing.T) {
+	for _, base := range []time.Duration{0, time.Millisecond, math.MaxInt64 >> (MaxRetryAttempts - 2)} {
+		e, err := NewEngine(FuncSpec{}, Options{Workers: 1, Retry: RetryPolicy{MaxAttempts: MaxRetryAttempts, BaseBackoff: base}})
+		if err != nil {
+			t.Fatalf("BaseBackoff %v: %v", base, err)
+		}
+		want := base
+		for n := 1; n < MaxRetryAttempts; n++ {
+			if got := e.retryBackoff(n); got != want {
+				t.Errorf("BaseBackoff %v: backoff after attempt %d = %v, want %v", base, n, got, want)
+			}
+			want *= 2
+		}
+		e.Close()
 	}
 }
 
@@ -693,7 +681,7 @@ func TestFailureTaxonomy(t *testing.T) {
 			is: []error{ErrTimeout},
 			as: func(err error) bool {
 				var te *TimeoutError
-				return errors.As(err, &te) && te.Node && te.Key == 1
+				return errors.As(err, &te) && te.Key == 1
 			},
 		},
 		{

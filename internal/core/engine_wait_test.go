@@ -652,7 +652,7 @@ func TestWaitNeverBorrowsStuckable(t *testing.T) {
 		checkQuiet(t, e)
 		mustClose(t, e)
 
-		e = waitEngine(t, spec, Options{Workers: 1, RunDeadline: time.Minute})
+		e = waitEngine(t, spec, Options{Workers: 1, NodeTimeout: time.Minute})
 		if tk, err = e.Submit(coneSink(1, width)); err != nil {
 			t.Fatal(err)
 		}

@@ -35,8 +35,8 @@ var (
 	ErrComputeFailed = errors.New("core: node compute failed")
 
 	// ErrTimeout classifies runs failed by the watchdog: a node overran
-	// Options.NodeTimeout, or the whole run overran Options.RunDeadline.
-	// The concrete error is a *TimeoutError.
+	// Options.NodeTimeout. The concrete error is a *TimeoutError. A run
+	// bounded by a context deadline fails with ErrCanceled instead.
 	ErrTimeout = errors.New("core: graph timed out")
 
 	// ErrPartial classifies runs that completed degraded: every failed
@@ -124,22 +124,16 @@ func (e *ComputeError) Unwrap() []error {
 	return []error{ErrComputeFailed}
 }
 
-// TimeoutError is the watchdog's diagnostic. With Node set, node Key
-// overran Options.NodeTimeout = Limit; otherwise the whole run overran
-// Options.RunDeadline = Limit (and Key is meaningless). It unwraps to
-// ErrTimeout.
+// TimeoutError is the watchdog's diagnostic: node Key of graph GraphID
+// overran Options.NodeTimeout = Limit. It unwraps to ErrTimeout.
 type TimeoutError struct {
 	GraphID uint64
 	Key     Key
-	Node    bool
 	Limit   time.Duration
 }
 
 func (e *TimeoutError) Error() string {
-	if e.Node {
-		return fmt.Sprintf("core: graph %d: node %d exceeded NodeTimeout %v", e.GraphID, e.Key, e.Limit)
-	}
-	return fmt.Sprintf("core: graph %d exceeded RunDeadline %v", e.GraphID, e.Limit)
+	return fmt.Sprintf("core: graph %d: node %d exceeded NodeTimeout %v", e.GraphID, e.Key, e.Limit)
 }
 
 // Unwrap ties TimeoutError into the sentinel taxonomy:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -162,25 +163,17 @@ func (a AdmissionPolicy) String() string {
 const MaxRetryAttempts = 8
 
 // RetryPolicy bounds how a FallibleSpec node's failed attempts are
-// retried. Backoff before attempt n (n ≥ 2) is
-// BaseBackoff × Multiplier^(n-2), jittered by up to ±Jitter of itself
-// with a deterministic hash of (engine seed, key, attempt) — equal
-// seeds back off identically, keeping retried schedules reproducible.
+// retried. The backoff before attempt n (n ≥ 2) is BaseBackoff << (n-2):
+// it doubles per retry, and equal policies back off identically.
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget per node, including the
 	// first (≤ MaxRetryAttempts). 0 defaults to 1: no retries, a
 	// ComputeErr failure immediately fails (or degrades) the graph.
 	MaxAttempts int
 	// BaseBackoff is the delay before the first retry; 0 re-enqueues
-	// immediately.
+	// every retry immediately. The last backoff,
+	// BaseBackoff << (MaxAttempts-2), must fit in a time.Duration.
 	BaseBackoff time.Duration
-	// Multiplier grows the backoff per subsequent retry; values < 1
-	// (including unset) default to 2.
-	Multiplier float64
-	// Jitter is the fractional spread applied to each backoff, in
-	// [0, 1]: the delay is scaled by a deterministic factor in
-	// [1-Jitter, 1+Jitter].
-	Jitter float64
 }
 
 func (r RetryPolicy) withDefaults() (RetryPolicy, error) {
@@ -197,11 +190,9 @@ func (r RetryPolicy) withDefaults() (RetryPolicy, error) {
 	if r.BaseBackoff < 0 {
 		return r, fmt.Errorf("core: negative Retry.BaseBackoff %v", r.BaseBackoff)
 	}
-	if r.Jitter < 0 || r.Jitter > 1 {
-		return r, fmt.Errorf("core: Retry.Jitter %v outside [0, 1]", r.Jitter)
-	}
-	if r.Multiplier < 1 {
-		r.Multiplier = 2
+	if r.MaxAttempts > 1 && r.BaseBackoff > math.MaxInt64>>(r.MaxAttempts-2) {
+		return r, fmt.Errorf("core: Retry.BaseBackoff %v overflows time.Duration by attempt %d",
+			r.BaseBackoff, r.MaxAttempts)
 	}
 	return r, nil
 }
@@ -241,9 +232,6 @@ type Options struct {
 	// ErrorBudget, degrades) its owning graph with a *TimeoutError; the
 	// stuck goroutine's eventual return is discarded harmlessly.
 	NodeTimeout time.Duration
-	// RunDeadline, when positive, bounds each run's total wall clock:
-	// an overdue run fails with a *TimeoutError.
-	RunDeadline time.Duration
 	// ErrorBudget is the per-graph count of optional-node permanent
 	// failures (exhausted retries or watchdog timeouts) the run absorbs
 	// by skipping the node's downstream cone instead of failing; such a
@@ -279,9 +267,6 @@ func (o Options) withDefaults() (Options, error) {
 	o.Retry = r
 	if o.NodeTimeout < 0 {
 		return o, fmt.Errorf("core: negative NodeTimeout %v", o.NodeTimeout)
-	}
-	if o.RunDeadline < 0 {
-		return o, fmt.Errorf("core: negative RunDeadline %v", o.RunDeadline)
 	}
 	if o.ErrorBudget < 0 {
 		return o, fmt.Errorf("core: negative ErrorBudget %d", o.ErrorBudget)

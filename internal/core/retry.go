@@ -1,25 +1,19 @@
 package core
 
-import (
-	"time"
-
-	"nabbitc/internal/xrand"
-)
+import "time"
 
 // This file is the engine's transient-failure machinery, three layers on
 // top of the multi-tenant core (all of it failure-path — a run with no
 // failed attempts executes none of this):
 //
 //  1. Retry: a FallibleSpec node whose ComputeErr fails is re-armed in
-//     its state word (bumpAttempt) and re-enqueued after a
-//     deterministic, seed-derived backoff; only an exhausted attempt
-//     budget converts the failure into a *ComputeError (or a
-//     degradation, layer 3).
-//  2. Watchdog: with NodeTimeout/RunDeadline armed, a monitor goroutine
-//     samples each worker's published execution through a seqlock and
-//     fails (or degrades) runs holding overdue nodes; the stuck
-//     goroutine's eventual return is dropped at the post-compute skip
-//     check.
+//     its state word (bumpAttempt) and re-enqueued after a doubling
+//     backoff; only an exhausted attempt budget converts the failure
+//     into a *ComputeError (or a degradation, layer 3).
+//  2. Watchdog: with NodeTimeout armed, a monitor goroutine samples
+//     each worker's published execution through a seqlock and fails (or
+//     degrades) runs holding overdue nodes; the stuck goroutine's
+//     eventual return is dropped at the post-compute skip check.
 //  3. Degradation: a permanently failed optional node within the graph's
 //     ErrorBudget is retired computed+skipped and its downstream cone is
 //     poisoned (setSkip taint + normal join accounting), so the rest of
@@ -62,28 +56,11 @@ func (w *worker) computeFailed(r *graphRun, n *Node, cerr error) {
 	e.failRun(r, &ComputeError{GraphID: r.id, Key: n.key, Err: cerr, Attempts: attempts})
 }
 
-// retryBackoff computes the deterministic delay before the retry that
-// follows failed attempt number attempts: BaseBackoff scaled by
-// Multiplier^(attempts-1), jittered by a SplitMix64 hash of (policy
-// seed, key, attempt). Equal seeds replay identical delays, which is
-// what keeps retried schedules reproducible under the chaos harness.
-func (e *Engine) retryBackoff(k Key, attempts int) time.Duration {
-	rp := e.opts.Retry
-	if rp.BaseBackoff <= 0 {
-		return 0
-	}
-	d := float64(rp.BaseBackoff)
-	for i := 1; i < attempts; i++ {
-		d *= rp.Multiplier
-	}
-	if rp.Jitter > 0 {
-		st := e.opts.Policy.Seed ^ uint64(k)*0x9e3779b97f4a7c15 ^ uint64(attempts)<<56
-		h := xrand.SplitMix64(&st)
-		// Map the top 53 bits to [0, 1), then to [1-J, 1+J].
-		u := float64(h>>11) / (1 << 53)
-		d *= 1 + rp.Jitter*(2*u-1)
-	}
-	return time.Duration(d)
+// retryBackoff is the delay before the retry that follows failed
+// attempt number attempts: BaseBackoff doubled attempts-1 times.
+// withDefaults rejects a BaseBackoff whose last backoff would overflow.
+func (e *Engine) retryBackoff(attempts int) time.Duration {
+	return e.opts.Retry.BaseBackoff << (attempts - 1)
 }
 
 // scheduleRetry re-arms n for another attempt after its backoff. Zero
@@ -94,7 +71,7 @@ func (e *Engine) retryBackoff(k Key, attempts int) time.Duration {
 // The timer is kept on the run, under retryMu, for failRun to stop; a run
 // that has already failed gets none.
 func (e *Engine) scheduleRetry(r *graphRun, n *Node, attempts int) {
-	d := e.retryBackoff(n.key, attempts)
+	d := e.retryBackoff(attempts)
 	if d <= 0 {
 		e.enqueueRetry(r, n)
 		return
@@ -267,23 +244,13 @@ func (w *worker) sampleExec() (r *graphRun, n *Node, k Key, startNs int64, ok bo
 }
 
 // monitor is the hang-watchdog goroutine, started by NewEngine when
-// NodeTimeout or RunDeadline is armed and stopped by Close after the
-// drain (a hung in-flight graph needs the monitor to time out, or the
-// drain would never finish). The tick is a quarter of the tightest
-// limit, so an overdue node is detected well within 2× NodeTimeout.
+// NodeTimeout is armed and stopped by Close after the drain (a hung
+// in-flight graph needs the monitor to time out, or the drain would
+// never finish). The tick is a quarter of NodeTimeout, at least 100 µs,
+// so an overdue node is detected well within 2× NodeTimeout.
 func (e *Engine) monitor() {
 	defer e.monWG.Done()
-	tick := time.Duration(1) << 62
-	if nt := e.opts.NodeTimeout; nt > 0 {
-		tick = nt / 4
-	}
-	if rd := e.opts.RunDeadline; rd > 0 && rd/4 < tick {
-		tick = rd / 4
-	}
-	if min := 100 * time.Microsecond; tick < min {
-		tick = min
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(max(e.opts.NodeTimeout/4, 100*time.Microsecond))
 	defer t.Stop()
 	for {
 		select {
@@ -296,32 +263,16 @@ func (e *Engine) monitor() {
 }
 
 // sweepOverdue is one monitor tick: check every worker's published
-// execution against NodeTimeout, then every registered run against
-// RunDeadline.
+// execution against NodeTimeout.
 func (e *Engine) sweepOverdue() {
-	now := time.Now()
-	if nt := e.opts.NodeTimeout; nt > 0 {
-		for _, w := range e.workers {
-			r, n, k, startNs, ok := w.sampleExec()
-			if !ok || now.UnixNano()-startNs <= int64(nt) {
-				continue
-			}
-			if r.state.Load() != runLive {
-				continue
-			}
-			e.nodeOverdue(r, n, k, nt)
+	nt := e.opts.NodeTimeout
+	now := time.Now().UnixNano()
+	for _, w := range e.workers {
+		r, n, k, startNs, ok := w.sampleExec()
+		if !ok || now-startNs <= int64(nt) || r.state.Load() != runLive {
+			continue
 		}
-	}
-	if rd := e.opts.RunDeadline; rd > 0 {
-		e.stateMu.Lock()
-		e.monRuns = append(e.monRuns[:0], e.runs...)
-		e.stateMu.Unlock()
-		for i, r := range e.monRuns {
-			if now.Sub(r.start) > rd && r.state.Load() == runLive {
-				e.failRun(r, &TimeoutError{GraphID: r.id, Limit: rd})
-			}
-			e.monRuns[i] = nil
-		}
+		e.nodeOverdue(r, n, k, nt)
 	}
 }
 
@@ -368,5 +319,5 @@ func (e *Engine) nodeOverdue(r *graphRun, n *Node, k Key, nt time.Duration) {
 		}
 		e.stateMu.Unlock()
 	}
-	e.failRun(r, &TimeoutError{GraphID: r.id, Key: k, Node: true, Limit: nt})
+	e.failRun(r, &TimeoutError{GraphID: r.id, Key: k, Limit: nt})
 }

@@ -173,8 +173,8 @@ type Ticket struct {
 // is recovered into this Wait's *ComputeError like any other, and Wait
 // returns at the first task boundary after the run completes or is
 // canceled. Runs admitted through SubmitCtx, and every run of an engine
-// with NodeTimeout or RunDeadline set, only ever block here: their Wait
-// must return even while a Compute is stuck.
+// with NodeTimeout set, only ever block here: their Wait must return
+// even while a Compute is stuck.
 func (t *Ticket) Wait() (*Stats, error) {
 	r, e := t.r, t.e
 	if r.callerRuns {
