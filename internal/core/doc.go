@@ -230,6 +230,70 @@
 // starting over (TestFlatColoredHitKeepsSweep), a divergence kept because
 // fixing it changes the pinned schedules.
 //
+// # Design note: morphing continuations and lazy publication
+//
+// A spawn is interpreted as the paper's spawn_colors/spawn_nodes recursion
+// (see item.go): spawn_colors pushes the half of the colour groups that
+// does not hold the worker's colour (KeepHalf) and descends into the
+// other, until one colour group is left; spawn_nodes then splits that
+// group's range of keys. In NabbitC every split is a Cilk spawn, whose
+// push costs a few stores; here every push and every pop takes the
+// deque's lock, and a 17-node cone on an idle engine pushed 15 halves that
+// the same goroutine popped straight back. So the engine publishes a
+// one-colour half only when a thief can use it, as lazy binary splitting
+// (Tzannes et al., PPoPP 2010) and lazy task creation (Mohr, Kranz and
+// Halstead, 1991) do. A worker runs a range's keys in order, pushing
+// nothing, while all three of these hold (runGroup):
+//
+//   - its deque already holds stealable work (Mutex.OwnerLen, a lock-free
+//     read for the owner);
+//   - no worker is hungry: none is searching, and none is parked unless
+//     the deferred wake holds it back — exactly the cases in which a push
+//     would feed a hunter or wake a sleeper;
+//   - every key resolved so far was flat: it ran at most one task and
+//     opened no range of its own.
+//
+// A worker whose deque is empty still publishes the upper half before it
+// runs a key, so there is always something to steal while it works. The
+// conditions are read at each leaf boundary; at the first one where one
+// fails, the rest of the range is published as eager splitting would have
+// left it after that key — the right siblings on the key's path through
+// the range's split tree, largest first — and the worker returns to its
+// loop. The fairness stride (seedStride) and a guest whose run has
+// completed end a held range the same way, and the rest of a run that is
+// no longer live is dropped. KeepHalf's colour-group pushes stay eager,
+// so what a colored steal can see does not change.
+//
+// On one worker the engine completes tasks in exactly eager splitting's
+// order. A flat key pushes nothing, so holding the keys before it left
+// the deque as eager splitting would have, less the siblings not yet
+// published; those go beneath whatever the key that ended the hold pushed
+// (Mutex.PushBeneath, beneath as many entries as it pushed, clamped to
+// the length since thieves take only the oldest), which is where eager
+// splitting had them. The pops that follow are then the same pops. The
+// simulator keeps eager splitting, whose pushes its cost model charges
+// nothing for, and TestEngineAndSimulatorAgree (internal/sim) pins the
+// equality on the Table I models; pushing the rest above the key's items
+// instead, or dropping the flatness test, fails it.
+//
+// A thief sees the rest of a held range only at a leaf boundary. A
+// Compute that waits for a sibling leaf therefore waits for its own
+// worker — but such a wait is a dependence the spec does not declare,
+// which the DAG contract (Spec.Predecessors) already rules out.
+// WorkerStats.Pushes counts what each worker put on its deque.
+//
+// Measured on a 2-core x86 VM (go1.24.0), eager against lazy in
+// alternating runs: BenchmarkSubmitWaitCone17 (a 17-node cone per
+// Submit→Wait, 2 workers) went from 15 to 4.2 pushes and from 8.6 to
+// 7.1 µs per graph; BenchmarkExecutePerTask discover-1w from 0.98 to 0.03
+// pushes per task (261 → 228 ns in its cleanest set), with the replay
+// rows and discover-2w (0.99 → 0.30 pushes) within noise. The
+// benchmark's submit-lo workload rose from 0.331 to 0.376 speedup_vs_ref
+// at seed 1 and from 0.326 to 0.371 at seed 5 (ten 20 s pairs each, every
+// pair won), lat_x_p50 2.86 → 2.49; submit-hi rose by about 9 %, and
+// coarse-kernels and fine-grid, where keys are rarely flat, did not move
+// beyond their run-to-run spread.
+//
 // # Design note: the node lifecycle word
 //
 // Every Node carries one atomic state word encoding its lifecycle phase

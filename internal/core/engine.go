@@ -239,7 +239,9 @@ const deferDelay = 20 * time.Microsecond
 // seedStride bounds how many consecutive local items a worker runs
 // before polling the pending queue: with every worker busy on admitted
 // graphs, a newly submitted graph still gets seeded within seedStride
-// item executions — the round-robin fairness bound across submissions.
+// leaf boundaries — each popped item, and each key a worker runs in turn
+// from a range it holds (see runGroup) — the round-robin fairness bound
+// across submissions, measured in tasks.
 const seedStride = 64
 
 // worker is one scheduler goroutine's state. Everything a worker writes
@@ -287,9 +289,13 @@ type worker struct {
 	// spins counts consecutive unsuccessful probe sweeps since the last
 	// acquired work or park; at spinBeforePark the worker parks.
 	spins int
-	// streak counts consecutive locally popped items since the last
-	// pending-queue poll; at seedStride the worker polls (fairness).
+	// streak counts leaf boundaries since the last pending-queue poll:
+	// locally popped items, and keys run in turn from a held range; at
+	// seedStride the worker polls (fairness).
 	streak int
+	// ranges counts the one-colour ranges this worker has opened; a key
+	// during which it moved was not flat (see runGroup).
+	ranges int64
 	// searching reports that this worker holds one count of
 	// Engine.searching. Like the rest of this block it belongs to whoever
 	// owns the worker: its goroutine, or between a parkState 1→0 CAS and the
@@ -1075,22 +1081,31 @@ func (w *worker) rescue(r *graphRun) {
 }
 
 // push reifies a continuation as a stealable deque item tagged with the
-// colors available inside it (the paper's cilkrts_set_next_colors). For
-// the same-coloured items the binary-splitting hot path produces, the
+// colors available inside it (the paper's cilkrts_set_next_colors), and
+// puts it beneath the above newest entries: at the bottom for a split made
+// now, deeper for the rest of a range the worker held (see publishRest).
+// For the same-coloured items the binary-splitting hot path produces, the
 // mask is the item's own color — O(1), and with the inline colorset
-// representation no allocation. The item is stealable once PushBottom
+// representation no allocation. The item is stealable once the deque op
 // returns, so the wake decision follows it.
 //
 //nabbit:noalloc
-func (w *worker) push(it item) {
-	w.dq.PushBottom(deque.Entry[item]{Value: it, Colors: ItemColors(it.color, it.groups(), len(w.e.workers))})
+func (w *worker) push(it item, above int) {
+	ent := deque.Entry[item]{Value: it, Colors: ItemColors(it.color, it.groups(), len(w.e.workers))}
+	if above == 0 {
+		w.dq.PushBottom(ent)
+	} else {
+		w.dq.PushBeneath(ent, above)
+	}
+	w.stats.Pushes++
 	w.e.signal()
 }
 
 // runItem interprets a morphing continuation: spawn_colors descends into
 // the half of the color groups containing this worker's color, leaving
-// the other half stealable; spawn_nodes then binary-splits the single
-// remaining color group the same way, finally executing one leaf.
+// the other half stealable; spawn_nodes then runs the single remaining
+// color group, publishing its halves only where a thief can use them
+// (runGroup).
 //
 //nabbit:noalloc
 func (w *worker) runItem(it item) {
@@ -1102,7 +1117,7 @@ func (w *worker) runItem(it item) {
 		lo, hi := it.lo, it.hi
 		for hi-lo > 1 {
 			keepLo, keepHi, pushLo, pushHi := KeepHalf(groups, lo, hi, w.color, w.e.colored)
-			w.push(it.sub(pushLo, pushHi))
+			w.push(it.sub(pushLo, pushHi), 0)
 			lo, hi = keepLo, keepHi
 		}
 		it = it.sub(lo, hi)
@@ -1110,25 +1125,91 @@ func (w *worker) runItem(it item) {
 	w.runGroup(it)
 }
 
-// runGroup binary-splits a single color group, pushing the upper half of
-// the index range each time (no allocation), and resolves the final leaf.
+// runGroup runs a single colour group's keys [lo, hi). Eager binary
+// splitting would push the upper half of the range until one key is left,
+// then resolve that leaf; here a half is published only when a thief can
+// use it. While the worker may hold work (mayHold: its deque already holds
+// some and nobody is hungry), it runs the keys in order without pushing,
+// for as long as each key it resolves is flat — it ran at most one task
+// and opened no range of its own. At the first leaf boundary where that
+// stops (or the fairness stride is due, or a guest's run has completed),
+// the rest of the range is published as eager splitting would have left it
+// (publishRest), and the worker returns to its loop. A rest whose run is
+// no longer live is dropped: its items would only be discarded at exec.
 //
 //nabbit:noalloc
 func (w *worker) runGroup(it item) {
+	w.ranges++
 	lo, hi := it.lo, it.hi
-	for hi-lo > 1 {
+	for hi-lo > 1 && !w.mayHold() {
 		mid := lo + (hi-lo)/2
 		rest := it
 		rest.lo = mid
 		rest.hi = hi
-		w.push(rest)
+		w.push(rest, 0)
 		hi = mid
 	}
+	for k := lo; k+1 < hi; k++ {
+		pushes, tasks, ranges := w.stats.Pushes, w.stats.NodesExecuted, w.ranges
+		w.runLeaf(it, k)
+		if it.run.state.Load() != runLive {
+			return
+		}
+		flat := w.stats.NodesExecuted-tasks <= 1 && w.ranges == ranges
+		if g := w.guest; !flat || !w.mayHold() || w.streak >= seedStride || g != nil && g.state.Load() != runLive {
+			w.publishRest(it, lo, hi, k, int(w.stats.Pushes-pushes))
+			return
+		}
+		w.streak++
+	}
+	w.runLeaf(it, hi-1)
+}
+
+// runLeaf resolves key k of a one-colour range: computes the ready
+// successor, or resolves the predecessor key.
+//
+//nabbit:noalloc
+func (w *worker) runLeaf(it item, k int32) {
 	if it.kind&itemSucc != 0 {
-		w.computeAndNotify(it.run, it.owner.succBacking()[lo])
+		w.computeAndNotify(it.run, it.owner.succBacking()[k])
 		return
 	}
-	w.tryInitCompute(it.run, it.owner, it.keys()[lo])
+	w.tryInitCompute(it.run, it.owner, it.keys()[k])
+}
+
+// mayHold reports whether the worker may keep the rest of a one-colour
+// range to itself for one more key: its deque already holds stealable
+// work, and no worker is hungry — none is searching, and none is parked
+// unless the deferred wake holds it back. In exactly those cases a push
+// would neither feed a hunter nor wake a sleeper.
+func (w *worker) mayHold() bool {
+	if w.dq.OwnerLen() == 0 {
+		return false
+	}
+	e := w.e
+	return e.searching.Load() == 0 && (e.parked.Load() == 0 || e.deferUntil.Load() != 0)
+}
+
+// publishRest publishes what is left of the range [lo, hi) after key k
+// as eager splitting would have left it: the right siblings on k's path
+// through the range's split tree, largest first. They go beneath the
+// above newest entries — whatever resolving k pushed — so that on one
+// worker the engine completes tasks in exactly eager splitting's order.
+//
+//nabbit:noalloc
+func (w *worker) publishRest(it item, lo, hi, k int32, above int) {
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if k >= mid {
+			lo = mid
+			continue
+		}
+		rest := it
+		rest.lo = mid
+		rest.hi = hi
+		w.push(rest, above)
+		hi = mid
+	}
 }
 
 // tryInitCompute resolves one predecessor key of owner: create the
@@ -1389,6 +1470,7 @@ func (w *worker) probe(s *StealStep) (item, bool) {
 	if batch {
 		for _, ent := range ents[1:] {
 			w.dq.PushBottom(ent)
+			w.stats.Pushes++
 			w.e.signal()
 		}
 	}

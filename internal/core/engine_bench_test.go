@@ -145,9 +145,12 @@ func BenchmarkSubmitThroughput(b *testing.B) {
 // of the repository benchmark's submit-lo workload: Submit then Wait of one
 // 17-node cone (16 leaves of ~100 ns feeding a sink, two colours) at a time
 // on a 2-worker engine. Besides us/op it reports what the workers did per
-// graph, from their own counters: parks, wakes and steal attempts. A caller
-// that waits at once should run the whole graph itself on a borrowed worker
-// — all three near zero — rather than hand 17 tiny tasks to two goroutines.
+// graph, from their own counters: parks, wakes, steal attempts and deque
+// pushes. A caller that waits at once should run the whole graph itself on
+// a borrowed worker — the first three near zero — rather than hand 17 tiny
+// tasks to two goroutines, and publish only the halves a thief could use:
+// eager splitting pushes 15 per cone (one colour group, 14 one-colour
+// halves), lazy publication about 4.
 func BenchmarkSubmitWaitCone17(b *testing.B) {
 	const cones, width, workers = 1024, 16, 2
 	vals := make([]uint64, cones*(width+1))
@@ -176,32 +179,34 @@ func BenchmarkSubmitWaitCone17(b *testing.B) {
 	}
 	// counters sums the workers' cumulative counters (Submit mode never
 	// resets them) in the quiet state, the one point they may be read.
-	counters := func() (parks, wakes, attempts int64) {
+	counters := func() (parks, wakes, attempts, pushes int64) {
 		e.lockQuiet()
 		defer e.stateMu.Unlock()
 		for _, w := range e.workers {
 			parks += w.stats.Parks
 			wakes += w.stats.Wakes
 			attempts += w.stats.StealAttempts
+			pushes += w.stats.Pushes
 		}
 		return
 	}
 	for i := 0; i < 2*cones; i++ {
 		op(i)
 	}
-	p0, w0, a0 := counters()
+	p0, w0, a0, q0 := counters()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op(i)
 	}
 	b.StopTimer()
-	p1, w1, a1 := counters()
+	p1, w1, a1, q1 := counters()
 	n := float64(b.N)
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/n, "us/op")
 	b.ReportMetric(float64(p1-p0)/n, "parks/op")
 	b.ReportMetric(float64(w1-w0)/n, "wakes/op")
 	b.ReportMetric(float64(a1-a0)/n, "steal-attempts/op")
+	b.ReportMetric(float64(q1-q0)/n, "pushes/op")
 }
 
 // BenchmarkSubmitNeverWaited measures what the deferred wake costs a caller

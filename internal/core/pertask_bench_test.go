@@ -59,8 +59,9 @@ func (s *wavefrontSpec) Compute(k Key) {
 // task. The discover rows run the same wavefront through freshSliceSpec,
 // which keeps every run on the discovery path (node table + grouping +
 // push/pop + notify per task): still every first run, every Submit, and
-// every spec without stable slices. CI's bench-smoke job gates the
-// allocs/op of all four.
+// every spec without stable slices. Besides ns/task each row reports the
+// deque pushes per task, summed over the workers' counters. CI's
+// bench-smoke job gates the allocs/op of all four.
 func BenchmarkExecutePerTask(b *testing.B) {
 	const n = 128
 	for _, discover := range []bool{false, true} {
@@ -87,6 +88,7 @@ func BenchmarkExecutePerTask(b *testing.B) {
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
+				var pushes int64
 				for i := 0; i < b.N; i++ {
 					st, err := e.Execute(wf.sink())
 					if err != nil {
@@ -95,8 +97,12 @@ func BenchmarkExecutePerTask(b *testing.B) {
 					if st.NodesCreated != n*n || st.Replayed == discover {
 						b.Fatalf("NodesCreated = %d, Replayed = %v, want %d, %v", st.NodesCreated, st.Replayed, n*n, !discover)
 					}
+					for _, ws := range st.Workers {
+						pushes += ws.Pushes
+					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n*n), "ns/task")
+				b.ReportMetric(float64(pushes)/float64(b.N)/(n*n), "pushes/task")
 			})
 		}
 	}

@@ -287,6 +287,13 @@ type WorkerStats struct {
 	// (work pushed, run completion, engine close, or a new Execute).
 	Wakes int64
 
+	// Pushes counts the items this worker put on its deque: the halves
+	// and colour groups it published, and the rest of a batched steal it
+	// adopted. An engine-only figure, outside Counters: the simulator
+	// publishes every half (eager splitting), the engine only those a
+	// thief can use (see runGroup).
+	Pushes int64
+
 	// DequeGrows counts buffer growths of this worker's deque during the
 	// run. With a spec-declared key bound the initial capacity is sized
 	// to cover the run, so this should stay zero (pinned by the root

@@ -171,10 +171,12 @@ type Ticket struct {
 // So the graph's tasks (and, as on any worker, tasks of other graphs in
 // flight) may run on the goroutine that called Wait, a Compute panic there
 // is recovered into this Wait's *ComputeError like any other, and Wait
-// returns at the first task boundary after the run completes or is
-// canceled. Runs admitted through SubmitCtx, and every run of an engine
-// with NodeTimeout set, only ever block here: their Wait must return
-// even while a Compute is stuck.
+// returns at the first leaf boundary after the run completes or is
+// canceled: after the key the worker is resolving, whether it popped that
+// key's item or runs the key in turn from a range it holds (see runGroup).
+// Runs admitted through SubmitCtx, and every run of an engine with
+// NodeTimeout set, only ever block here: their Wait must return even while
+// a Compute is stuck.
 func (t *Ticket) Wait() (*Stats, error) {
 	r, e := t.r, t.e
 	if r.callerRuns {
@@ -213,7 +215,7 @@ func (t *Ticket) Done() <-chan struct{} {
 // failed, or been canceled. Cancellation is asynchronous with respect
 // to in-flight nodes — a worker, or a goroutine running the graph from
 // Wait, may still be finishing the node it had started — but no further
-// nodes of the graph are begun, and such a Wait returns at its next task
+// nodes of the graph are begun, and such a Wait returns at its next leaf
 // boundary.
 func (t *Ticket) Cancel() bool {
 	return t.e.failRun(t.r, cancelErr(t.r.id, nil))

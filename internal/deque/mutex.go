@@ -2,6 +2,7 @@ package deque
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"nabbitc/internal/colorset"
 )
@@ -12,11 +13,18 @@ import (
 //
 // The header is padded on both sides (see cacheLine): every field below
 // is written under the lock on each operation.
+//
+// The owner can also read the length without the lock (OwnerLen): it
+// counts its own pushes less its own pops in owned, a plain word only it
+// writes, and the thieves count what they take in stolen. Push and pop
+// stay one locked operation each; only a steal pays a second.
 type Mutex[T any] struct {
-	_  [cacheLine]byte
-	mu sync.Mutex
-	r  Ring[T]
-	_  [cacheLine]byte
+	_      [cacheLine]byte
+	mu     sync.Mutex
+	r      Ring[T]
+	owned  int64        // items pushed less items popped; written by the owner under mu
+	stolen atomic.Int64 // items stolen; written by thieves under mu
+	_      [cacheLine]byte
 }
 
 // NewMutex returns an empty deque with the given initial capacity hint
@@ -36,6 +44,19 @@ func (d *Mutex[T]) PushBottom(e Entry[T]) {
 	d.mu.Lock()
 	//nabbit:alloc-ok inlined amortized growth
 	*d.r.bottom() = e //nabbit:lockheld-ok the ring is what d.mu guards
+	d.owned++
+	d.mu.Unlock()
+}
+
+// PushBeneath adds an item beneath the k newest items (see
+// Ring.PushBeneath).
+//
+//nabbit:noalloc
+func (d *Mutex[T]) PushBeneath(e Entry[T], k int) {
+	d.mu.Lock()
+	//nabbit:alloc-ok inlined amortized growth
+	*d.r.beneath(k) = e //nabbit:lockheld-ok the ring is what d.mu guards
+	d.owned++
 	d.mu.Unlock()
 }
 
@@ -45,6 +66,9 @@ func (d *Mutex[T]) PushBottom(e Entry[T]) {
 func (d *Mutex[T]) PopBottom() (e Entry[T], ok bool) {
 	d.mu.Lock()
 	ok = d.r.pop(&e) //nabbit:lockheld-ok the ring is what d.mu guards
+	if ok {
+		d.owned--
+	}
 	d.mu.Unlock()
 	return e, ok
 }
@@ -67,7 +91,11 @@ func (d *Mutex[T]) StealTop() (Entry[T], StealOutcome) {
 //nabbit:noalloc
 func (d *Mutex[T]) Steal(filter *colorset.Set, max int, into []Entry[T]) ([]Entry[T], StealOutcome) {
 	d.mu.Lock()
+	n := d.r.n
 	into, out := d.r.Steal(filter, max, into) //nabbit:lockheld-ok the ring is what d.mu guards
+	if out == StealOK {
+		d.stolen.Add(int64(n - d.r.n))
+	}
 	d.mu.Unlock()
 	return into, out
 }
@@ -78,6 +106,13 @@ func (d *Mutex[T]) Len() int {
 	n := d.r.n
 	d.mu.Unlock()
 	return n
+}
+
+// OwnerLen returns the number of items as the owner sees it, without the
+// lock: exact but for steals still in progress, so it may only be too
+// high, and only for a moment. Only the owner may call it.
+func (d *Mutex[T]) OwnerLen() int {
+	return int(d.owned - d.stolen.Load())
 }
 
 // Grows returns how many times the ring buffer has grown since

@@ -65,6 +65,31 @@ func (r *Ring[T]) PushBottom(e Entry[T]) {
 	*r.bottom() = e //nabbit:alloc-ok inlined amortized growth
 }
 
+// PushBeneath adds an item beneath the k newest items, k clamped to
+// [0, Len()]: k = 0 is PushBottom, and k >= Len() puts the item at the top,
+// next in line for a thief.
+//
+//nabbit:noalloc
+func (r *Ring[T]) PushBeneath(e Entry[T], k int) {
+	*r.beneath(k) = e //nabbit:alloc-ok inlined amortized growth
+}
+
+// beneath makes room for one more item beneath the k newest, moving those
+// k one slot towards the bottom, and returns the vacated slot.
+//
+//nabbit:noalloc
+//nabbit:alloc-ok amortized growth only, counted by Grows()
+func (r *Ring[T]) beneath(k int) *Entry[T] {
+	k = max(0, min(k, r.n))
+	r.bottom() //nabbit:alloc-ok inlined amortized growth
+	i := r.head + r.n - 1
+	for ; k > 0; k-- {
+		r.buf[i&r.mask] = r.buf[(i-1)&r.mask]
+		i--
+	}
+	return &r.buf[i&r.mask]
+}
+
 // PopBottom removes the newest item.
 //
 //nabbit:noalloc
