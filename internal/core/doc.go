@@ -242,8 +242,9 @@
 // the same goroutine popped straight back. So the engine publishes a
 // one-colour half only when a thief can use it, as lazy binary splitting
 // (Tzannes et al., PPoPP 2010) and lazy task creation (Mohr, Kranz and
-// Halstead, 1991) do. A worker runs a range's keys in order, pushing
-// nothing, while all three of these hold (runGroup):
+// Halstead, 1991) do. In an engine without a NodeTimeout, a worker runs a
+// range's keys in order, pushing nothing, while all three of these hold
+// (runGroup):
 //
 //   - its deque already holds stealable work (Mutex.OwnerLen, a lock-free
 //     read for the owner);
@@ -279,7 +280,13 @@
 // A thief sees the rest of a held range only at a leaf boundary. A
 // Compute that waits for a sibling leaf therefore waits for its own
 // worker — but such a wait is a dependence the spec does not declare,
-// which the DAG contract (Spec.Predecessors) already rules out.
+// which the DAG contract (Spec.Predecessors) already rules out. A Compute
+// that hangs is another matter: the watchdog (below) may degrade its key,
+// and the run then needs the rest of the range, which a held range would
+// keep in the stuck worker's locals for good. So with a NodeTimeout set
+// the engine splits every range eagerly (mayHold), as it also keeps a
+// watchdog run off its waiter (graphRun.callerRuns);
+// TestWatchdogDegradesInsideRange stages the hang.
 // WorkerStats.Pushes counts what each worker put on its deque.
 //
 // Measured on a 2-core x86 VM (go1.24.0), eager against lazy in
@@ -726,6 +733,8 @@
 // failure — the monitor never touches the stuck goroutine, which keeps
 // running until user code returns; its eventual completion lands on a
 // dead run and is dropped at the exec boundary like any canceled item.
+// The monitor keeps seeing a degraded node that still hangs and leaves it
+// alone: the node has had its budget, and its run goes on without it.
 // The publication holds the *Node pointer, so a recycled table can
 // never make the monitor resolve a stale key in a fresh graph, and the
 // key beside it, so the monitor can name the node (TimeoutError.Key,

@@ -1129,7 +1129,7 @@ func (w *worker) runItem(it item) {
 // splitting would push the upper half of the range until one key is left,
 // then resolve that leaf; here a half is published only when a thief can
 // use it. While the worker may hold work (mayHold: its deque already holds
-// some and nobody is hungry), it runs the keys in order without pushing,
+// some, nobody is hungry and no watchdog is on), it runs the keys in order without pushing,
 // for as long as each key it resolves is flat — it ran at most one task
 // and opened no range of its own. At the first leaf boundary where that
 // stops (or the fairness stride is due, or a guest's run has completed),
@@ -1181,12 +1181,15 @@ func (w *worker) runLeaf(it item, k int32) {
 // range to itself for one more key: its deque already holds stealable
 // work, and no worker is hungry — none is searching, and none is parked
 // unless the deferred wake holds it back. In exactly those cases a push
-// would neither feed a hunter nor wake a sleeper.
+// would neither feed a hunter nor wake a sleeper. An engine with a
+// NodeTimeout never holds: the watchdog may degrade a key whose Compute
+// hangs, and the rest of its range must then be where another worker can
+// run it, not in the locals of the stuck one.
 func (w *worker) mayHold() bool {
-	if w.dq.OwnerLen() == 0 {
+	e := w.e
+	if e.watchdogOn || w.dq.OwnerLen() == 0 {
 		return false
 	}
-	e := w.e
 	return e.searching.Load() == 0 && (e.parked.Load() == 0 || e.deferUntil.Load() != 0)
 }
 

@@ -405,6 +405,45 @@ func TestWatchdogDegrade(t *testing.T) {
 	}
 }
 
+// TestWatchdogDegradeSamplesOnce: the monitor keeps sampling a degraded
+// node whose Compute still hangs, and those later samples must leave the
+// run alone. The other leaves, each well within NodeTimeout, keep the
+// second worker busy for several monitor ticks after leaf 0 is degraded,
+// with the error budget spent on leaf 0; the run must still complete
+// degraded, not fail with a *TimeoutError.
+func TestWatchdogDegradeSamplesOnce(t *testing.T) {
+	const width = 13
+	const nodeTimeout = 100 * time.Millisecond
+	gate := make(chan struct{})
+	spec := coneSpec(1, width, 2, func(k Key) {
+		switch {
+		case k == 0:
+			<-gate
+		case k < width:
+			time.Sleep(nodeTimeout / 5)
+		}
+	})
+	spec.OptionalFn = func(k Key) bool { return k == 0 }
+	e, err := NewEngine(spec, Options{
+		Workers: 2, Policy: NabbitCPolicy(),
+		NodeTimeout: nodeTimeout, ErrorBudget: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	defer close(gate)
+
+	st, werr := e.Execute(coneSink(0, width))
+	var pe *PartialError
+	if st == nil || !errors.As(werr, &pe) {
+		t.Fatalf("Execute = (%v, %v), want Stats + *PartialError", st, werr)
+	}
+	if len(pe.Failed) != 1 || pe.Failed[0] != 0 || st.TimedOut != 1 {
+		t.Errorf("Failed = %v, TimedOut = %d, want [0] and 1", pe.Failed, st.TimedOut)
+	}
+}
+
 // TestCancelAfterCompletion: Cancel on a completed ticket reports false
 // and leaves the recorded Stats untouched.
 func TestCancelAfterCompletion(t *testing.T) {

@@ -295,7 +295,9 @@ func (e *Engine) sweepOverdue() {
 func (e *Engine) nodeOverdue(r *graphRun, n *Node, k Key, nt time.Duration) {
 	if e.ospec != nil && e.ospec.Optional(k) {
 		e.stateMu.Lock()
-		if r.state.Load() != runLive {
+		if r.state.Load() != runLive || n.state.Load()&nodeSkipBit != 0 {
+			// Over, or degraded on an earlier tick while its Compute
+			// still hangs: the node has had its budget.
 			e.stateMu.Unlock()
 			return
 		}

@@ -34,10 +34,11 @@
 // without the lock, so both machines push, pop and steal through one ring
 // and a simulated steal takes exactly the items a real one would. Two
 // owner operations exist for the engine's lazy publication alone:
-// PushBeneath, which inserts an item beneath the k newest (the rest of a
-// range the owner held, placed where eager splitting would have pushed
-// it), and Mutex.OwnerLen, the owner's lock-free read of the length (its
-// pushes less its pops, less the count thieves keep of what they took).
+// Mutex.PushBeneath, which inserts an item beneath the k newest (the rest
+// of a range the owner held, placed where eager splitting would have
+// pushed it), and Mutex.OwnerLen, the owner's lock-free read of the length
+// (its pushes less its pops, less the count thieves keep of what they
+// took).
 //
 // ChaseLev and Block are probe-only. Forced into the engine, ChaseLev won
 // none of the benchmark's four engine workloads against Mutex (10

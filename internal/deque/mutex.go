@@ -48,8 +48,9 @@ func (d *Mutex[T]) PushBottom(e Entry[T]) {
 	d.mu.Unlock()
 }
 
-// PushBeneath adds an item beneath the k newest items (see
-// Ring.PushBeneath).
+// PushBeneath adds an item beneath the k newest items, k clamped to
+// [0, Len()]: k = 0 is PushBottom, and k >= Len() puts the item at the top,
+// next in line for a thief.
 //
 //nabbit:noalloc
 func (d *Mutex[T]) PushBeneath(e Entry[T], k int) {

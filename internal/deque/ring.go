@@ -65,17 +65,10 @@ func (r *Ring[T]) PushBottom(e Entry[T]) {
 	*r.bottom() = e //nabbit:alloc-ok inlined amortized growth
 }
 
-// PushBeneath adds an item beneath the k newest items, k clamped to
-// [0, Len()]: k = 0 is PushBottom, and k >= Len() puts the item at the top,
-// next in line for a thief.
-//
-//nabbit:noalloc
-func (r *Ring[T]) PushBeneath(e Entry[T], k int) {
-	*r.beneath(k) = e //nabbit:alloc-ok inlined amortized growth
-}
-
-// beneath makes room for one more item beneath the k newest, moving those
-// k one slot towards the bottom, and returns the vacated slot.
+// beneath makes room for one more item beneath the k newest, k clamped to
+// [0, Len()], moving those k one slot towards the bottom, and returns the
+// vacated slot: k = 0 is the new bottom, and k >= Len() the new top, next
+// in line for a thief.
 //
 //nabbit:noalloc
 //nabbit:alloc-ok amortized growth only, counted by Grows()

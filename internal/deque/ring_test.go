@@ -40,8 +40,8 @@ func TestRingReusesVacatedPrefix(t *testing.T) {
 	}
 }
 
-// beneathQueue is what the PushBeneath tests drive: Ring and Mutex both
-// implement it.
+// beneathQueue is what the PushBeneath tests drive: Mutex implements it,
+// and beneathRing drives the Ring's insert the way Mutex does.
 type beneathQueue interface {
 	PushBottom(e Entry[int])
 	PushBeneath(e Entry[int], k int)
@@ -49,6 +49,10 @@ type beneathQueue interface {
 	Steal(filter *colorset.Set, max int, into []Entry[int]) ([]Entry[int], StealOutcome)
 	Len() int
 }
+
+type beneathRing struct{ *Ring[int] }
+
+func (r beneathRing) PushBeneath(e Entry[int], k int) { *r.beneath(k) = e }
 
 // TestPushBeneath tables the insert beneath the k newest entries on both
 // deques the machines run: each row pushes, steals (to move the head and
@@ -84,7 +88,7 @@ func TestPushBeneath(t *testing.T) {
 	}{
 		{"ring", func(size int) (beneathQueue, func() int64) {
 			r := NewRing(make([]Entry[int], size))
-			return &r, func() int64 { return r.grows }
+			return beneathRing{&r}, func() int64 { return r.grows }
 		}},
 		{"mutex", func(size int) (beneathQueue, func() int64) {
 			m := NewMutex[int](size)
