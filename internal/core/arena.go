@@ -135,12 +135,53 @@ type dirLevel struct {
 // page, on a line both workers want — cost the wavefront benchmark 8 %.)
 // The list's storage is kept across runs. Stripes are padded so that
 // consecutive ones are a cache line apart (pinned by
-// TestCreateStripeLayout).
+// TestCreateStripeLayout). spawns is made the first time the worker groups
+// a multi-coloured spawn of one of the table's runs.
 type arenaStripe struct {
 	created   int64
 	installed []uint64
-	_         [cacheLine - 32]byte
+	spawns    *spawnSlab
+	_         [cacheLine - 40]byte
 }
+
+// spawnSlab holds the groupings one worker made in a table's run, and
+// their permuted keys: a multi-coloured spawn's grouping escapes into deque
+// items that any worker may run until the run ends, which is the table's
+// lifetime rule, so they are cut from blocks the table keeps (carve) instead
+// of being allocated each. reset empties the slab for the next run, and a
+// failed run's slab is quarantined with its table, like its pages.
+type spawnSlab struct {
+	groupings []grouping
+	keys      []Key
+}
+
+// slab returns worker wid's spawn slab, making it on first use.
+//
+//nabbit:alloc-ok once per table and worker
+func (a *nodeArena) slab(wid int) *spawnSlab {
+	st := &a.stripes[wid]
+	if st.spawns == nil {
+		st.spawns = &spawnSlab{}
+	}
+	return st.spawns
+}
+
+// carve returns n elements cut from the block at the end of pool, starting
+// a new block when it lacks the room: twice the last one, at least n, at
+// most carveBlock elements unless n is more. Blocks are sized by what a
+// run asked for, never in advance, and a replaced block stays alive as long
+// as an item points into it.
+func carve[T any](pool *[]T, n int) []T {
+	if cap(*pool)-len(*pool) < n {
+		*pool = make([]T, 0, max(n, min(2*cap(*pool), carveBlock)))
+	}
+	at := len(*pool)
+	*pool = (*pool)[:at+n]
+	return (*pool)[at : at+n : at+n]
+}
+
+// carveBlock caps the growth of a spawn slab's blocks, in elements.
+const carveBlock = 4096
 
 // newNodeArena builds an empty table for sv's keys: a directory leaf of a
 // page per 64 slots when sv indexes them, of dirFan pages otherwise.
@@ -458,7 +499,12 @@ func (a *nodeArena) reset(sink Key, quiet bool) *Node {
 	}
 	a.sink, a.primed, a.stamp, a.era = sink, true, stamp, era
 	for i := range a.stripes {
-		a.stripes[i].created = 0
+		st := &a.stripes[i]
+		st.created = 0
+		if s := st.spawns; s != nil {
+			clear(s.groupings) // drop last run's references to replaced blocks
+			s.groupings, s.keys = s.groupings[:0], s.keys[:0]
+		}
 	}
 	if rearmed == 0 {
 		return nil

@@ -51,27 +51,29 @@
 // # Design note: multi-tenancy — per-graph runs, tables, and admission
 //
 // Each admitted graph is a graphRun: an engine-unique id, its own node
-// table instance, and a completion channel. A table resolves keys for
-// one graph at a time, so concurrent graphs cannot share one — instead
-// the engine keeps a pool of idle table instances under its state lock;
-// admission checks one out (reset to a fresh stamp) and completion
-// returns it. A table is little more than a directory: the nodes
-// themselves live in 64-node pages that every table of the engine draws
-// from one page pool and hands back when its run ends, so what 128
-// graphs in flight cost is the pages their nodes fall in, not 128 copies
-// of the key universe. The recycle point is safe by a scheduling
-// invariant: when a run's sink computes, no deque can still hold an item
-// of that run, because any such item would be feeding a join below the
-// not-yet-computed sink. Every deque item carries its *graphRun, so
-// workers are graph-oblivious: steals and pops interleave whatever mix
-// of graphs is in flight, and a worker seeds a newly admitted graph from
-// the pending queue on a fixed stride (seedStride) of local pops, which
-// bounds how long a new graph waits behind a busy one.
+// table instance, and its completion state (see "What a graph costs"
+// below). A table resolves keys for one graph at a time, so concurrent
+// graphs cannot share one — instead the engine keeps a pool of idle table
+// instances under its state lock; admission checks one out (reset to a
+// fresh stamp) and completion returns it. A table is little more than a
+// directory: the nodes themselves live in 64-node pages that every table of
+// the engine draws from one page pool and hands back when its run ends, so
+// what 128 graphs in flight cost is the pages their nodes fall in, not 128
+// copies of the key universe. The recycle point is safe by a scheduling
+// invariant: when a run's sink computes, no deque can still hold an item of
+// that run, because any such item would be feeding a join below the
+// not-yet-computed sink. Every deque item carries its *graphRun, so workers
+// are graph-oblivious: steals and pops interleave whatever mix of graphs is
+// in flight, and a worker seeds a newly admitted graph from the pending
+// queue on a fixed stride (seedStride) of local pops, which bounds how long
+// a new graph waits behind a busy one.
 //
-// Admission is a slot semaphore of capacity Options.MaxInflight.
-// AdmissionBlock (the default) makes Submit wait for a slot;
+// Admission is a count of slots, at most Options.MaxInflight, kept under
+// stateMu, which admission and completion hold anyway. AdmissionBlock
+// (the default) makes Submit wait for a slot: it queues a wake-up channel
+// of its own, and a completion hands its slot straight to the oldest one;
 // AdmissionReject makes it fail fast with ErrSaturated. Execute uses the
-// same semaphore — it blocks until it holds a slot, then waits for the
+// same slots — it blocks until it holds one, then waits for the
 // engine to go quiet before taking exclusive occupancy, which is what
 // entitles it to per-worker stats resets (and the lastGrows snapshot
 // that keeps a failed run from corrupting the next run's DequeGrows
@@ -81,6 +83,37 @@
 // are still registered, the stall sweep fails every registered run and
 // releases its slot — the engine stays reusable, byte-identical to a
 // fresh one.
+//
+// What a graph costs. Apart from its tasks, a Submit→Wait round trip
+// pays for admission, seeding and completion, and nobody blocks in it
+// when the waiter runs the graph itself or finds it done:
+//
+//	per graph             now                      slot and done channels
+//	allocations           1: the run, 352 B        2: the run and done, 464 B
+//	  a 2-colour spawn    none (the spawn slab)    2 more: grouping, keys, 224 B
+//	channel operations    2: pending send, receive 6: those, slot send and
+//	                                                  receive, done close and
+//	                                                  receive
+//	clock reads           2: admission, Elapsed    2
+//	timer resets          1: the deferred wake     1
+//	stateMu sections      2: admission, completion 2
+//	one-node graph        1.29 µs                  1.59 µs
+//	17-node cone          7.25 µs                  7.78 µs
+//
+// The right-hand column is the design this one replaced, measured the same
+// way: BenchmarkSubmitWaitNode1 (a one-node graph, 2 workers) and
+// BenchmarkSubmitWaitCone17 (the 17-node cone, whose sink spawns two colour
+// groups), medians of 10 alternating rounds on a 2-vCPU VM, go1.24, where a
+// clock read costs about 80 ns. The timer is reset by an admission into an
+// idle engine (see the deferred wake below). The run carries its Ticket and
+// Stats. The slot count and the settled bit (runSettled) live under stateMu
+// inside the two sections a graph takes anyway; a done channel is made
+// there only for a caller that sleeps on the run (a Wait that cannot run
+// it, Done, a ctx watcher, Execute), which then costs one more section, an
+// allocation and the close and receive. A grouping and its permuted keys
+// are cut from the run's node table (spawnSlab), which keeps the blocks for
+// its next run. pending stays a channel: it is the hand-off to the workers,
+// which poll its length without a lock.
 //
 // # Design note: the parking protocol
 //
@@ -651,8 +684,10 @@
 // state word (runLive → runDone or runFailed). The winner — the sink's
 // computing worker, Ticket.Cancel, a context watcher, a rescuing
 // worker, or the stall sweep — owns the whole completion: registry
-// removal, admission-slot release, table disposal, and closing the done
-// channel. Everyone else's attempt is a no-op, which is what makes
+// removal, admission-slot release, table disposal, and settling the run
+// once its stats and error are final (settleLocked: the runSettled bit,
+// and the done channel closed if somebody made one, both under stateMu).
+// Everyone else's attempt is a no-op, which is what makes
 // Cancel racing a normal finish (or two cancels racing each other)
 // safe.
 //
@@ -670,7 +705,7 @@
 // Ticket.Cancel gets no completion callback for the canceling node).
 //
 // What is reusable after a failure: the engine, fully. Workers, deques,
-// and the admission semaphore are untouched by construction; the failed
+// and the admission slots are untouched by construction; the failed
 // run's slot is released by the completion owner. The one subtlety is
 // the run's node table: at fail time workers may still be touching it
 // through in-flight items, so neither it nor the pages it holds can go

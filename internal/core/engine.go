@@ -78,11 +78,10 @@ type Engine struct {
 	// engine builds draws its pages from it.
 	pool *pagePool
 
-	// slots is the admission semaphore: one token per in-flight graph,
-	// capacity Options.MaxInflight. pending is the FIFO hand-off of
-	// admitted-but-unseeded graphs to the workers; every pending graph
-	// holds a slot, so a send during admission can never block.
-	slots   chan struct{}
+	// pending is the FIFO hand-off of admitted-but-unseeded graphs to the
+	// workers, of capacity Options.MaxInflight; every live pending graph
+	// holds an admission slot (see takeSlotLocked), so a send during
+	// admission never blocks (see admitLocked).
 	pending chan *graphRun
 	// closedCh unblocks Submit calls parked in blocking admission when
 	// the engine closes.
@@ -126,6 +125,12 @@ type Engine struct {
 	stateMu sync.Mutex
 	runs    []*graphRun  // in-flight graphs, unordered (guarded by stateMu)
 	tables  []*nodeArena // idle node tables (guarded by stateMu)
+	// inflight counts the admission slots held, at most
+	// Options.MaxInflight, and slotWaiters queues the wake-up channels of
+	// admissions waiting for one, oldest first (both guarded by stateMu;
+	// see takeSlotLocked).
+	inflight    int
+	slotWaiters []chan struct{}
 	// deadTables quarantines the node tables of failed runs until the
 	// pool is provably quiet (guarded by stateMu; see
 	// reclaimTablesLocked); quarantined mirrors its length atomically so
@@ -365,7 +370,6 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 		epoch:      time.Now(),
 		watchdogOn: opts.NodeTimeout > 0,
 		opts:       opts,
-		slots:      make(chan struct{}, opts.MaxInflight),
 		pending:    make(chan *graphRun, opts.MaxInflight),
 		closedCh:   make(chan struct{}),
 	}
@@ -468,23 +472,21 @@ func (e *Engine) execute(ctx context.Context, sink Key) (*Stats, error) {
 	if e.closed {
 		return nil, ErrClosed
 	}
-	if ctx == nil {
-		// Execute admission always blocks. Holding e.mu across the slot
-		// send (and the run wait below) is the exclusivity contract:
-		// concurrent Execute/Close serialize on e.mu while Submit traffic
-		// proceeds under stateMu.
-		e.slots <- struct{}{} //nabbit:lockheld-ok Execute holds e.mu by design
-	} else {
+	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, cancelErr(0, err)
 		}
-		select { //nabbit:lockheld-ok ctx-aware admission under the same contract
-		case e.slots <- struct{}{}:
-		case <-ctx.Done():
-			return nil, cancelErr(0, ctx.Err())
-		}
 	}
-	r := &graphRun{id: e.nextID.Add(1), sink: sink, done: make(chan struct{})}
+	// Execute admission always blocks. Holding e.mu across the slot wait
+	// (and the run wait below) is the exclusivity contract: concurrent
+	// Execute/Close serialize on e.mu while Submit traffic proceeds under
+	// stateMu.
+	e.stateMu.Lock()
+	if _, err := e.takeSlotLocked(ctx, false); err != nil {
+		return nil, err
+	}
+	e.stateMu.Unlock()
+	r := &graphRun{id: e.nextID.Add(1), sink: sink}
 
 	// Wait for the pool to go quiet (no graphs in flight, every worker
 	// parked, no wake token in flight), then reset the per-run worker
@@ -514,7 +516,7 @@ func (e *Engine) execute(ctx context.Context, sink Key) (*Stats, error) {
 	}
 	// The run wait keeps e.mu held: Execute is exclusive-occupancy, and
 	// workers never take e.mu, so the hold cannot deadlock the run.
-	<-r.done //nabbit:lockheld-ok Execute holds e.mu by design
+	<-e.doneChan(r) //nabbit:lockheld-ok Execute holds e.mu by design
 
 	// A failed run has no per-worker stats to gather, and waiting for
 	// quiescence here could block on a canceled graph's still-in-flight

@@ -11,10 +11,10 @@ import (
 // BenchmarkExecuteReuse measures repeated Execute on one persistent
 // engine (bound declared): the iterative-workload steady state, which is a
 // replay of the 512-block fan-in. CI's bench-smoke job hard-gates its
-// allocs/op at the run's own bookkeeping (3: the run, its done channel,
-// the per-worker stats) plus two — an Execute that rebuilt the node arena,
-// the deques, or the worker pool would cost at least one allocation per
-// node and trip the gate instantly. A single worker keeps the run
+// allocs/op at the run's own bookkeeping (3: the run, the done channel
+// Execute sleeps on, the per-worker stats) plus two — an Execute that
+// rebuilt the node arena, the deques, or the worker pool would cost at
+// least one allocation per node and trip the gate instantly. A single worker keeps the run
 // deterministic, so the number is stable enough to gate tightly.
 func BenchmarkExecuteReuse(b *testing.B) {
 	const n = 512
@@ -75,13 +75,13 @@ func conesSpecPre(cones, width, colors int, compute func(Key)) FuncSpec {
 // a universe of 1 024, kept MaxInflight deep — 1 is the single-request
 // path (admit, seed, compute, complete, one graph at a time), 128 the
 // tenancy path (128 live node tables over one page pool). CI's bench-smoke
-// job hard-gates allocs/op on both rows at a small constant — the steady
-// state allocates only the per-graph run bookkeeping (graphRun, completion
-// channel, Ticket, Stats), never tables, pages or deques — and reports the
-// ratio of the rows' graphs/s (ROADMAP item 2: throughput must not fall as
-// tenancy rises). live-B/graph is the heap the engine holds per graph in
-// flight: heap in use after a GC with the engine warm, less the heap
-// before it was built, over MaxInflight. A single worker keeps the
+// job hard-gates allocs/op on both rows at the steady state plus two — the
+// steady state allocates only the graphRun, which carries its Ticket and
+// Stats, never a channel, tables, pages or deques — and the rows' graphs/s
+// show whether throughput holds as tenancy rises (the roadmap's tenancy
+// claim: it must not fall). live-B/graph is the heap the engine holds per
+// graph in flight: heap in use after a GC with the engine warm, less the
+// heap before it was built, over MaxInflight. A single worker keeps the
 // allocation count deterministic enough to gate tightly.
 func BenchmarkSubmitThroughput(b *testing.B) {
 	const cones, width = 1024, 32
@@ -151,8 +151,18 @@ func BenchmarkSubmitThroughput(b *testing.B) {
 // tasks to two goroutines, and publish only the halves a thief could use:
 // eager splitting pushes 15 per cone (one colour group, 14 one-colour
 // halves), lazy publication about 4.
-func BenchmarkSubmitWaitCone17(b *testing.B) {
-	const cones, width, workers = 1024, 16, 2
+func BenchmarkSubmitWaitCone17(b *testing.B) { benchSubmitWait(b, 16) }
+
+// BenchmarkSubmitWaitNode1 is BenchmarkSubmitWaitCone17 with a graph of one
+// node: what a graph costs before its first task and after its sink —
+// admission, table checkout, seeding, completion, Wait — with one ~100 ns
+// task and no grouping.
+func BenchmarkSubmitWaitNode1(b *testing.B) { benchSubmitWait(b, 0) }
+
+// benchSubmitWait submits and waits for cones of width leaves one at a time
+// on a 2-worker engine (see BenchmarkSubmitWaitCone17).
+func benchSubmitWait(b *testing.B, width int) {
+	const cones, workers = 1024, 2
 	vals := make([]uint64, cones*(width+1))
 	spec := conesSpecPre(cones, width, workers, func(k Key) {
 		x := uint64(k) | 1

@@ -331,7 +331,7 @@ func TestHandBackRaces(t *testing.T) {
 			release := holdTimer(e, func(p yieldPoint, w *worker) {
 				if p == yieldBorrowed && goid() == me && hooked.Add(1) == 1 {
 					close(releaseLeaf)
-					<-tk.r.done
+					<-e.doneChan(tk.r)
 					go func() { closed <- e.Close() }()
 					waitFor(t, "Close to raise its flag", e.closeFlag.Load)
 				}
@@ -669,11 +669,12 @@ func TestWaitNeverBorrowsStuckable(t *testing.T) {
 }
 
 // awaitRun fails the test unless r completes. It watches the run's own
-// channel rather than Ticket.Done or Wait, so it does nothing for the run.
+// channel (doneChan) rather than Ticket.Done or Wait, so it does nothing
+// for the run.
 func awaitRun(t *testing.T, what string, r *graphRun) {
 	t.Helper()
 	select {
-	case <-r.done:
+	case <-r.ticket.e.doneChan(r):
 	case <-time.After(30 * time.Second):
 		t.Fatalf("%s: the graph never completed", what)
 	}

@@ -55,7 +55,8 @@ type ColorRange struct {
 // colour groups in first-appearance order and, for predecessor work, the
 // permuted keys they index (successor work is permuted in place in the
 // owner's successor storage). Up to len(inline) groups live in the
-// grouping itself.
+// grouping itself. Groupings and their keys are cut from the run's node
+// table (spawnSlab), so they live exactly as long as its nodes.
 type grouping struct {
 	keys   []Key
 	groups []ColorRange
@@ -263,17 +264,20 @@ func (g *Grouper) Finish(into []ColorRange) (groups []ColorRange, place []int32)
 	return into, g.place
 }
 
-// newGrouping finishes g's pass into a grouping of its own.
+// newGrouping finishes the worker's grouping pass into a grouping cut from
+// r's table, with room for nkeys permuted keys.
 //
-//nabbit:alloc-ok one grouping per multi-coloured spawn escapes into deque items by contract
-func newGrouping(g *Grouper) (*grouping, []int32) {
-	m := &grouping{}
+//nabbit:alloc-ok a slab block until the table's slab fits its runs, and the groups of a spawn of more than four colours
+func (w *worker) newGrouping(r *graphRun, nkeys int) (*grouping, []int32) {
+	s := r.nt.slab(w.id)
+	m := &carve(&s.groupings, 1)[0]
 	buf := m.inline[:0]
-	if g.Len() > len(m.inline) {
-		buf = make([]ColorRange, 0, g.Len())
+	if w.grp.Len() > len(m.inline) {
+		buf = make([]ColorRange, 0, w.grp.Len())
 	}
 	var place []int32
-	m.groups, place = g.Finish(buf)
+	m.groups, place = w.grp.Finish(buf)
+	m.keys = carve(&s.keys, nkeys)
 	return m, place
 }
 
@@ -285,7 +289,7 @@ func newGrouping(g *Grouper) (*grouping, []int32) {
 // spec's own slice (preds are immutable, so aliasing is free), with no
 // per-key color lookup and no allocation.
 //
-//nabbit:alloc-ok the permuted key slice of a multi-coloured spawn escapes into deque items by contract; bounded by the ExecuteReuse gate
+//nabbit:noalloc
 func (w *worker) groupKeys(r *graphRun, owner *Node) item {
 	it := item{run: r, owner: owner, hi: owner.npreds, color: owner.predColor}
 	if it.color != PredMixed {
@@ -306,8 +310,7 @@ func (w *worker) groupKeys(r *graphRun, owner *Node) item {
 		return it
 	}
 	// Scatter pass: one backing array, carved up by the groups' ranges.
-	m, place := newGrouping(g)
-	m.keys = make([]Key, len(keys))
+	m, place := w.newGrouping(r, len(keys))
 	for j, k := range keys {
 		m.keys[place[j]] = k
 	}
@@ -318,9 +321,8 @@ func (w *worker) groupKeys(r *graphRun, owner *Node) item {
 // groupNodes returns the successor-work item for the ready successors of
 // the just-computed node owner — the first nready slots of its successor
 // storage — partitioned by color in first-appearance order. The nodes are
-// permuted in place (through the worker's staging scratch), so a
-// single-coloured spawn allocates nothing and a multi-coloured one only
-// its grouping.
+// permuted in place (through the worker's staging scratch), so a spawn
+// allocates nothing beyond what newGrouping cuts from the table.
 //
 //nabbit:noalloc
 func (w *worker) groupNodes(r *graphRun, owner *Node, nready int) item {
@@ -344,7 +346,7 @@ func (w *worker) groupNodes(r *graphRun, owner *Node, nready int) item {
 	for _, n := range nodes {
 		g.Note(n.color)
 	}
-	m, place := newGrouping(g)
+	m, place := w.newGrouping(r, 0)
 	w.stage = append(w.stage[:0], nodes...)
 	for j, n := range w.stage {
 		nodes[place[j]] = n

@@ -17,11 +17,14 @@ var ErrSaturated = errors.New("core: engine saturated (MaxInflight graphs in fli
 // exactly once: the sink's computing worker (runDone), or whichever of
 // Cancel / ctx expiry / panic rescue / the stall sweep wins the CAS
 // first (runFailed). The CAS winner owns the whole completion — registry
-// removal, slot release, table disposal, and closing done.
+// removal, slot release, table disposal, and settling the run (see
+// settleLocked): runSettled is or-ed into the state, under stateMu, once
+// stats and err are final.
 const (
 	runLive uint32 = iota
 	runDone
 	runFailed
+	runSettled uint32 = 4
 )
 
 // graphRun is the per-graph run state: one admitted task graph, its
@@ -45,13 +48,15 @@ type graphRun struct {
 	// run that discovers its graph from the sink (see worker.seed).
 	root  *Node
 	start time.Time
-	// state is the completion word (runLive/runDone/runFailed); see the
-	// constants above for the single-completion protocol.
+	// state is the completion word (runLive/runDone/runFailed, plus
+	// runSettled); see the constants above for the single-completion
+	// protocol.
 	state atomic.Uint32
-	// done is closed exactly once, after stats/err are final. stats is nil
-	// until a run that completed points it at statsBuf; the run's Ticket and
-	// Stats live in the run itself, so a graph costs one allocation for the
-	// run and one for done.
+	// done exists only if somebody sleeps on the run (see Engine.doneChan):
+	// it is made and closed under stateMu, closed when the run settles.
+	// stats is nil until a run that completed points it at statsBuf; the
+	// run's Ticket and Stats live in the run itself, so a graph nobody
+	// sleeps on costs one allocation, the run.
 	done     chan struct{}
 	stats    *Stats
 	err      error
@@ -191,10 +196,12 @@ func (t *Ticket) Wait() (*Stats, error) {
 			}
 		}
 	}
-	if r.state.Load() == runLive {
-		e.wakeNow() // about to sleep on the run: its wake must not be waiting for us
+	if r.state.Load()&runSettled == 0 {
+		if r.state.Load() == runLive {
+			e.wakeNow() // about to sleep on the run: its wake must not be waiting for us
+		}
+		<-e.doneChan(r)
 	}
-	<-r.done
 	return r.stats, r.err
 }
 
@@ -204,7 +211,35 @@ func (t *Ticket) Wait() (*Stats, error) {
 // is issued now.
 func (t *Ticket) Done() <-chan struct{} {
 	t.e.wakeNow()
-	return t.r.done
+	return t.e.doneChan(t.r)
+}
+
+// doneChan returns a channel closed once r settles, making the run's done
+// channel on first need. It takes stateMu, which every completion holds
+// while it settles, so a channel made here for a live run is closed by its
+// completion, and one made for a settled run is closed here.
+func (e *Engine) doneChan(r *graphRun) <-chan struct{} {
+	e.stateMu.Lock()
+	defer e.stateMu.Unlock()
+	if r.done == nil {
+		r.done = make(chan struct{})
+		if r.state.Load()&runSettled != 0 {
+			close(r.done)
+		}
+	}
+	return r.done
+}
+
+// settleLocked ends a completed run's part in admission (caller holds
+// stateMu, and r's stats and err are final): its slot goes back, the
+// settled bit tells Wait's fast path that stats and err may be read, and a
+// done channel somebody made is closed.
+func (e *Engine) settleLocked(r *graphRun) {
+	e.releaseSlotLocked()
+	r.state.Or(runSettled)
+	if r.done != nil {
+		close(r.done)
+	}
 }
 
 // Cancel aborts the graph if it has not already completed: the run is
@@ -252,8 +287,8 @@ func (e *Engine) SubmitCtx(ctx context.Context, sink Key) (*Ticket, error) {
 
 // submit is the shared admission path; ctx is nil for plain Submit,
 // keeping the no-ctx fast path free of watcher goroutines and ctx
-// plumbing (its steady-state cost stays at the graphRun + done
-// allocations the throughput gate pins).
+// plumbing (its steady-state cost is the one graphRun allocation the
+// throughput gate pins).
 func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 	if e.closing.Load() {
 		return nil, ErrClosed
@@ -263,41 +298,27 @@ func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 			return nil, cancelErr(0, err)
 		}
 	}
-	switch {
-	case e.opts.Admission == AdmissionReject:
-		select {
-		case e.slots <- struct{}{}:
-		default:
-			return nil, ErrSaturated
-		}
-	case ctx == nil:
-		select {
-		case e.slots <- struct{}{}:
-		case <-e.closedCh:
-			return nil, ErrClosed
-		}
-	default:
-		select {
-		case e.slots <- struct{}{}:
-		case <-e.closedCh:
-			return nil, ErrClosed
-		case <-ctx.Done():
-			return nil, cancelErr(0, ctx.Err())
-		}
-	}
 	// The admission clock is read before the lock, not under it: stateMu is
 	// the one lock every admission and every completion shares.
-	r := &graphRun{id: e.nextID.Add(1), sink: sink, done: make(chan struct{}), start: time.Now()}
+	r := &graphRun{sink: sink, start: time.Now()}
 	r.ticket = Ticket{e: e, r: r}
 	r.callerRuns = ctx == nil && !e.watchdogOn
 	e.stateMu.Lock()
+	waited, err := e.takeSlotLocked(ctx, e.opts.Admission == AdmissionReject)
+	if err != nil {
+		return nil, err
+	}
 	if e.closing.Load() {
 		// Close won the race after our slot acquire; its drain loop may
 		// already have seen an idle engine, so this graph must not run.
+		e.releaseSlotLocked()
 		e.stateMu.Unlock()
-		<-e.slots
 		return nil, ErrClosed
 	}
+	if waited {
+		r.start = time.Now() // Elapsed is the run, not the wait for a slot
+	}
+	r.id = e.nextID.Add(1)
 	// The deferred wake. A graph admitted into a fully idle engine — no
 	// other graph in flight, every worker parked — whose waiter may run it
 	// (callerRuns) is not worth a wake yet: its caller most likely waits at
@@ -336,13 +357,68 @@ func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 	return &r.ticket, nil
 }
 
+// takeSlotLocked takes one of the MaxInflight admission slots for a caller
+// holding stateMu, and reports whether it had to wait for it. With a slot
+// free that is one increment. Otherwise reject fails fast with
+// ErrSaturated; else the caller queues a wake-up channel of its own, FIFO,
+// and sleeps on it, on closedCh and on ctx (nil for none) with stateMu
+// released — a completion hands its slot straight to the queue's head
+// (releaseSlotLocked). On success stateMu is held again; on error it is
+// released and the caller holds no slot.
+func (e *Engine) takeSlotLocked(ctx context.Context, reject bool) (waited bool, err error) {
+	if e.inflight < e.opts.MaxInflight {
+		e.inflight++
+		return false, nil
+	}
+	if reject {
+		e.stateMu.Unlock()
+		return false, ErrSaturated
+	}
+	wake := make(chan struct{})
+	e.slotWaiters = append(e.slotWaiters, wake)
+	e.stateMu.Unlock()
+	var canceled <-chan struct{}
+	if ctx != nil {
+		canceled = ctx.Done()
+	}
+	select {
+	case <-wake:
+		e.stateMu.Lock()
+		return true, nil
+	case <-e.closedCh:
+		err = ErrClosed
+	case <-canceled:
+		err = cancelErr(0, ctx.Err())
+	}
+	e.stateMu.Lock()
+	if i := slices.Index(e.slotWaiters, wake); i >= 0 {
+		e.slotWaiters = slices.Delete(e.slotWaiters, i, i+1)
+	} else {
+		e.releaseSlotLocked() // handed a slot while giving up: pass it on
+	}
+	e.stateMu.Unlock()
+	return true, err
+}
+
+// releaseSlotLocked gives back an admission slot (caller holds stateMu): to
+// the longest-waiting blocked admission if there is one, which then holds
+// it without a count moving, else to the free count.
+func (e *Engine) releaseSlotLocked() {
+	if len(e.slotWaiters) == 0 {
+		e.inflight--
+		return
+	}
+	close(e.slotWaiters[0])
+	e.slotWaiters = slices.Delete(e.slotWaiters, 0, 1)
+}
+
 // watchCtx fails the run when its context expires before the run
 // completes; either way it exits once the run is over.
 func (e *Engine) watchCtx(ctx context.Context, r *graphRun) {
 	select {
 	case <-ctx.Done():
 		e.failRun(r, cancelErr(r.id, ctx.Err()))
-	case <-r.done:
+	case <-e.doneChan(r):
 	}
 }
 
@@ -458,9 +534,8 @@ func (e *Engine) finishRun(r *graphRun, wid int) {
 	if len(e.runs) == 0 && len(e.deadTables) == 0 {
 		e.pool.trim()
 	}
+	e.settleLocked(r)
 	e.stateMu.Unlock()
-	<-e.slots
-	close(r.done)
 }
 
 // failRun completes r exceptionally with err. The first completion —
@@ -494,9 +569,8 @@ func (e *Engine) failRun(r *graphRun, err error) bool {
 	e.removeRunLocked(r)
 	e.deadTables = append(e.deadTables, r.nt)
 	e.quarantined.Store(int32(len(e.deadTables)))
+	e.settleLocked(r)
 	e.stateMu.Unlock()
-	<-e.slots
-	close(r.done)
 	return true
 }
 
@@ -543,7 +617,7 @@ func (e *Engine) failStalled() {
 		if !r.state.CompareAndSwap(runLive, runFailed) {
 			// A concurrent Cancel/ctx expiry won this run's completion
 			// and is about to remove it (it owns the slot release and
-			// done close); leave the run to its winner.
+			// settling); leave the run to its winner.
 			r.regIdx = len(keep)
 			keep = append(keep, r)
 			continue
@@ -554,10 +628,7 @@ func (e *Engine) failStalled() {
 		r.nt.release(-1, false)
 		e.tables = append(e.tables, r.nt)
 		e.active.Add(-1)
-		// Non-blocking by construction: the failing run still holds its
-		// admission slot, so the channel cannot be empty here.
-		<-e.slots //nabbit:lockheld-ok guaranteed-full slot release
-		close(r.done)
+		e.settleLocked(r)
 	}
 	for i := len(keep); i < len(e.runs); i++ {
 		e.runs[i] = nil
