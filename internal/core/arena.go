@@ -141,7 +141,8 @@ type arenaStripe struct {
 	created   int64
 	installed []uint64
 	spawns    *spawnSlab
-	_         [cacheLine - 40]byte
+	filling   *Node // the slot fill is running the spec for, nil outside fill
+	_         [cacheLine - 48]byte
 }
 
 // spawnSlab holds the groupings one worker made in a table's run, and
@@ -331,11 +332,14 @@ func (a *nodeArena) getOrCreate(k Key, wid int, succ *Node) (*Node, bool) {
 	// contract) Predecessors call. Spin until the ready store publishes
 	// the fields; the atomic load pairs with it, so everything the winner
 	// wrote is visible here. A winner whose spec panicked still publishes
-	// (poisoned — see fill), so this spin is bounded even on failure.
+	// (poisoned — see abandonFill), so this spin is bounded even on failure.
 	for spins := 0; ; spins++ {
 		v = n.state.Load()
 		if v&epochMask == cur && nodePhase(v) >= nodeReady {
 			return n, false
+		}
+		if h := a.sv.spinning; h != nil {
+			h(k)
 		}
 		spinWait(spins)
 	}
@@ -363,28 +367,15 @@ func (a *nodeArena) install(e *atomic.Pointer[nodePage], pn uint64, wid int) *no
 // ready store is a plain write to a node no one else may read yet — the
 // join count, the first successor, this worker's stripe — so a
 // creation costs two locked operations in all (the claim CAS and the
-// publishing store). The deferred publish also runs when the spec panics —
-// with empty preds and a poisoned join — so a slot can never be left at
-// nodeIniting, where same-graph racers would spin forever; the panic then
-// unwinds to the worker's rescue boundary and fails the owning graph.
+// publishing store). While the spec runs, the slot is recorded on the
+// worker's stripe (filling): if the spec panics, the slot is still at
+// nodeIniting, where same-graph racers would spin forever, and whoever
+// recovers the panic — the worker's rescue boundary, which then fails the
+// owning graph, or NodeStore.GetOrCreate — publishes it poisoned
+// (abandonFill).
 func (a *nodeArena) fill(n *Node, k Key, cur uint32, wid int, succ *Node) {
-	done := false
-	defer func() {
-		// Start from an empty list whatever the slot held: retired slots
-		// keep theirs for a replay, and no run's successors may leak into
-		// another. The backing array itself stays with the slot, whichever
-		// table holds the page next.
-		succs := n.succBacking()[:0]
-		if !done {
-			n.setPreds(nil)
-			n.join = poisonedJoin //nabbit:mixed-ok unpublished: the ready store below orders it
-		} else if succ != nil {
-			succs = append(succs, succ)
-		}
-		n.setSuccs(succs)
-		a.stripes[wid].created++
-		n.state.Store(cur | nodeReady)
-	}()
+	st := &a.stripes[wid]
+	st.filling = n
 	sv := a.sv
 	n.key = k
 	n.color, n.home = sv.place(k)
@@ -404,7 +395,38 @@ func (a *nodeArena) fill(n *Node, k Key, cur uint32, wid int, succ *Node) {
 	}
 	n.predColor, n.predDomain = pc, pd
 	n.join = int32(len(preds)) //nabbit:mixed-ok unpublished: the ready store orders it
-	done = true
+	// Start from an empty list whatever the slot held: retired slots keep
+	// theirs for a replay, and no run's successors may leak into another.
+	// The backing array itself stays with the slot, whichever table holds
+	// the page next.
+	succs := n.succBacking()[:0]
+	if succ != nil {
+		succs = append(succs, succ)
+	}
+	n.setSuccs(succs)
+	st.created++
+	st.filling = nil
+	n.state.Store(cur | nodeReady)
+}
+
+// abandonFill publishes the slot worker wid was filling when its spec
+// panicked, if any, poisoned: no predecessors, no successors and a join
+// no decrement can drain (poisonedJoin), so the racers spinning on the
+// slot return and none can compute it. The caller has recovered the panic
+// and fails the run (or, for a NodeStore, re-raises it); the table's stamp
+// is still the run's, as the run holds the table.
+func (a *nodeArena) abandonFill(wid int) {
+	st := &a.stripes[wid]
+	n := st.filling
+	if n == nil {
+		return
+	}
+	st.filling = nil
+	n.setPreds(nil)
+	n.join = poisonedJoin //nabbit:mixed-ok unpublished: the ready store below orders it
+	n.setSuccs(n.succBacking()[:0])
+	st.created++
+	n.state.Store(a.stamp | nodeReady)
 }
 
 // live reports whether state word v belongs to a node this table's current
@@ -757,11 +779,11 @@ func (p *pagePool) grow() {
 // The slabs that stay are scrubbed, so they fit whatever era asks next and
 // pin none of the slabs that go.
 func (p *pagePool) trim() {
+	if len(p.slabs) <= p.keepSlabs {
+		return // read without p.mu: nobody is inside take or give (above)
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.slabs) <= p.keepSlabs {
-		return
-	}
 	free := len(p.shared)
 	for i := range p.stacks {
 		free += p.stacks[i].n

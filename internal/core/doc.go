@@ -88,24 +88,34 @@
 // pays for admission, seeding and completion, and nobody blocks in it
 // when the waiter runs the graph itself or finds it done:
 //
-//	per graph             now                      slot and done channels
-//	allocations           1: the run, 352 B        2: the run and done, 464 B
-//	  a 2-colour spawn    none (the spawn slab)    2 more: grouping, keys, 224 B
-//	channel operations    2: pending send, receive 6: those, slot send and
-//	                                                  receive, done close and
-//	                                                  receive
-//	clock reads           2: admission, Elapsed    2
-//	timer resets          1: the deferred wake     1
+//	per graph             now                      before
+//	allocations           1: the run, 320 B        1: the run, 352 B
+//	  a 2-colour spawn    none (the spawn slab)    none
+//	channel operations    2: pending send, receive 2
+//	clock reads           2 monotonic: admission,  2, the admission's also
+//	                        Elapsed                  a wall-clock read
+//	timer sets            about once a firing      1: each idle admission
+//	deque pushes, cone    1.6: the colour group    4.3: and three halves
+//	park re-check, wakes  a flag per deque         a lock per deque
 //	stateMu sections      2: admission, completion 2
-//	one-node graph        1.29 µs                  1.59 µs
-//	17-node cone          7.25 µs                  7.78 µs
+//	one-node graph        1.33 µs                  1.73 µs
+//	17-node cone          7.68 µs                  8.71 µs
 //
-// The right-hand column is the design this one replaced, measured the same
-// way: BenchmarkSubmitWaitNode1 (a one-node graph, 2 workers) and
+// The right-hand column is the design this one replaced (a timer reset
+// per idle admission, one-colour halves published into an empty deque
+// under the deferred wake, the deques' lengths read under their locks, a
+// deferred publish per created node), measured the same way:
+// BenchmarkSubmitWaitNode1 (a one-node graph, 2 workers) and
 // BenchmarkSubmitWaitCone17 (the 17-node cone, whose sink spawns two colour
-// groups), medians of 10 alternating rounds on a 2-vCPU VM, go1.24, where a
-// clock read costs about 80 ns. The timer is reset by an admission into an
-// idle engine (see the deferred wake below). The run carries its Ticket and
+// groups), medians of 6 alternating rounds of 200 000 graphs on a 2-vCPU
+// VM, go1.24; the per-round ratio is 0.74 for the one-node graph (every
+// round better) and 0.86 for the cone (5 of 6). A clock read costs about
+// 60 ns there, and the two left are a tenth of a one-node graph's CPU
+// profile; time.(*Timer).Reset, 5.7 % of it before, no longer shows, and
+// the park re-check's anyWork fell from 6.3 % to 0.5 %. Of a cone's 1.2 to
+// 1.9 pushes in those rounds one is its colour group; the rest come from
+// graphs whose deferral was retired before they finished, which publish
+// as before. The run carries its Ticket and
 // Stats. The slot count and the settled bit (runSettled) live under stateMu
 // inside the two sections a graph takes anyway; a done channel is made
 // there only for a caller that sleeps on the run (a Wait that cannot run
@@ -129,9 +139,15 @@
 // make the classic Dekker argument: a producer either observes the parked
 // announcement (and delivers a token) or published its work before the
 // recheck (and the park is abandoned) — no lost wakeups, which the
-// race-stress test pins. Decrementing parked on the waker side (not when
-// the sleeper resumes) keeps the quiet-state reading exact: parked ==
-// workers implies no wake token is in flight.
+// race-stress test pins. The re-check reads each deque's non-empty flag
+// (deque.Mutex.NonEmpty) instead of taking its lock: a push that takes a
+// deque from empty stores the flag under the lock, before it reads parked,
+// so the flag store and the announcement are the two sequentially
+// consistent stores of the Dekker pair (a push onto a non-empty deque
+// stores nothing; the flag already says so). Only the quiet state takes
+// each lock for an exact length (quietLocked). Decrementing parked on the
+// waker side (not when the sleeper resumes) keeps the quiet-state reading
+// exact: parked == workers implies no wake token is in flight.
 //
 // Who owes which wake. Producers do not wake on every push. The engine
 // keeps a searching count (Engine.searching, beside parked): one for each
@@ -206,19 +222,24 @@
 //     second worker, and the deferral's timer.
 //
 // A hand-back retires nothing: the next idle admission moves the deadline,
-// any other calls wakeNow, and in a Submit-then-Wait loop the timer, pushed
-// along by each admission, does not fire. The deferral carries no count and
+// and any other calls wakeNow. The deferral carries no count and
 // its retirement is a plain store, so retirements may race each other and
 // an arming admission freely. What keeps a graph from being lost is two
 // orders. Arming happens under stateMu after the graph is published, and
 // wakeNow stores before it looks, so whoever wipes a deadline sees the
 // graph it stood for; a producer's signal reads the word after its push, so
 // either it sees the word cleared or the retirer's look sees the push. And
-// the timer is set after the deadline is visible, by the admission that
-// published it (a firing that finds a deadline still ahead sets it again),
-// so no armed deferral is ever without a pending timer: liveness rests on
-// the timer alone, and a caller of wakeNow that is missing costs a delay,
-// not a hang. That delay is the contract for a Submit into an idle engine
+// every arming looks at the timer after its deadline is visible
+// (Engine.armTimer): it sets the timer unless a firing is pending, and a
+// firing clears that flag (timerSet) before it reads the deadline, so a
+// pending firing reads this deadline or a later one, and one that finds
+// the deadline still ahead sets the timer again for the remainder. So no
+// armed deferral is ever without a pending timer: liveness rests on the
+// timer alone, and a caller of wakeNow that is missing costs a delay, not
+// a hang. The timer is not pushed along by each admission: in a
+// Submit-then-Wait loop it fires about once a millisecond, and is set
+// about once per firing rather than once per graph. The delay a missing
+// wakeNow costs is the contract for a Submit into an idle engine
 // that nobody waits on, asks Done of, or follows with other engine work:
 // the Go runtime serves the timers of an all-idle process from a netpoll
 // sleep of 1 ms granularity, so such a graph starts after 1.0-1.6 ms
@@ -280,15 +301,23 @@
 // (runGroup):
 //
 //   - its deque already holds stealable work (Mutex.OwnerLen, a lock-free
-//     read for the owner);
+//     read for the owner), or the deferred wake (above) is armed;
 //   - no worker is hungry: none is searching, and none is parked unless
 //     the deferred wake holds it back — exactly the cases in which a push
 //     would feed a hunter or wake a sleeper;
 //   - every key resolved so far was flat: it ran at most one task and
 //     opened no range of its own.
 //
-// A worker whose deque is empty still publishes the upper half before it
-// runs a key, so there is always something to steal while it works. The
+// Without a deferral, a worker whose deque is empty still publishes the
+// upper half before it runs a key, so there is always something to steal
+// while it works. Under an armed deferral there is nobody to steal it: the
+// other workers are parked and signal wakes none of them. A thief can
+// appear only through wakeNow, which clears the deferral before it looks,
+// or through a wake that takes a searching count (a hand-back's re-check,
+// Close's wakeAll), and the hunger test sees either at the next leaf
+// boundary. So a waiter that runs its own graph on an idle engine pushes
+// only KeepHalf's colour groups. Execute, ctx runs and watchdog runs never
+// arm the deferral, so their splitting is as before. The
 // conditions are read at each leaf boundary; at the first one where one
 // fails, the rest of the range is published as eager splitting would have
 // left it after that key — the right siblings on the key's path through
@@ -333,6 +362,20 @@
 // pair won), lat_x_p50 2.86 → 2.49; submit-hi rose by about 9 %, and
 // coarse-kernels and fine-grid, where keys are rarely flat, did not move
 // beyond their run-to-run spread.
+//
+// Holding under the deferred wake as well, measured the same way against
+// publishing into an empty deque: BenchmarkSubmitWaitCone17 went from 4.3
+// to 1.6 pushes and from 8.7 to 7.7 µs per graph (with the timer,
+// anyWork and fill changes of the cost table above), and submit-lo rose
+// from 0.391 to 0.435 speedup_vs_ref at seed 1 and from 0.388 to 0.433 at
+// seed 7 (ten 20 s pairs each, every pair won), lat_x_p50 2.37 → 2.13 and
+// lat_x_p90 2.73 → 2.48. fine-grid, coarse-kernels, submit-hi and
+// sim-table1 never arm the deferral; their speedup_vs_ref and latencies
+// stayed within their run-to-run spread. The deferral's words sit on a
+// cache line of their own (Engine.deferUntil): read beside the admission
+// counters, which every Submit and completion writes, the hold test cost
+// submit-hi 3.5 %, and reading the searching count first cost fine-grid
+// about 4 %.
 //
 // # Design note: the node lifecycle word
 //

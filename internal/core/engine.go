@@ -140,15 +140,27 @@ type Engine struct {
 	// active mirrors len(runs) atomically so the stall sweep and
 	// quiescence checks can read it without stateMu.
 	active atomic.Int32
+
+	_ [cacheLine]byte
+
+	// The deferred wake, on a line of its own: signal and lazy
+	// publication's hold test (mayHold) read deferUntil, and with graphs
+	// in flight the admission words above are written by every Submit and
+	// every completion. Only an admission into an idle engine, the
+	// retirement of its deferral and the timer write here.
+	//
 	// deferUntil is the deferred wake: zero when none is armed, otherwise
-	// the instant (nanoseconds since epoch) before which the graph last
-	// admitted into a fully idle engine is left to its waiter. It is a word
-	// of its own that signal consults: armed under stateMu by that admission
-	// (see submit), retired by a store of zero (see wakeNow), and backed by
-	// deferTimer. The timer is made by the first admission that may defer
-	// (under stateMu): an engine that only ever Executes has none, so its
-	// idle Ps sleep without a timer to watch.
+	// the instant (see now) before which the graph last admitted into a
+	// fully idle engine is left to its waiter. It is a word of its own that
+	// signal consults: armed under stateMu by that admission (see submit),
+	// retired by a store of zero (see wakeNow), and backed by deferTimer.
+	// The timer is made by the first admission that may defer (under
+	// stateMu): an engine that only ever Executes has none, so its idle Ps
+	// sleep without a timer to watch. timerSet says a firing of it is
+	// pending: whoever finds it clear sets it and the timer, and the firing
+	// clears it before it reads the deadline (see armTimer).
 	deferUntil atomic.Int64
+	timerSet   atomic.Bool
 	deferTimer *time.Timer
 	epoch      time.Time
 
@@ -507,7 +519,7 @@ func (e *Engine) execute(ctx context.Context, sink Key) (*Stats, error) {
 		w.firstStealPending = pol.Colored && pol.ForceFirstColoredSteal && i != 0
 		w.lastGrows = w.dq.Grows()
 	}
-	r.start = time.Now() // after the quiesce: Elapsed is the run, not the wait for the pool
+	r.start = e.now() // after the quiesce: Elapsed is the run, not the wait for the pool
 	e.admitLocked(r, true)
 	e.stateMu.Unlock()
 	e.wakeOne()
@@ -557,8 +569,20 @@ func (e *Engine) execute(ctx context.Context, sink Key) (*Stats, error) {
 // in backoff — a backoff timer's enqueue wakes a worker. failRun stops a
 // failed run's timers, so of those only one already firing is waited for.
 // It is the one quiet predicate: the stall sweep and lockQuiet both ask it.
+// The deques are asked under their locks: quiet is where worker state is
+// reset and tables are recycled, so it takes exact lengths, not the flags
+// anyWork reads.
 func (e *Engine) quietLocked() bool {
-	return e.parked.Load() == int32(len(e.workers)) && !e.hasWork() && e.retryOut.Load() == 0
+	if e.parked.Load() != int32(len(e.workers)) || len(e.pending) > 0 ||
+		e.retryDue.Load() > 0 || e.retryOut.Load() != 0 {
+		return false
+	}
+	for _, w := range e.workers {
+		if w.dq.Len() > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // lockQuiet acquires stateMu in the engine's quiet state: no graph in
@@ -636,12 +660,16 @@ func Run(spec Spec, sink Key, opts Options) (*Stats, error) {
 	return e.Execute(sink)
 }
 
-// anyWork reports whether any worker's deque holds a stealable item. Used
-// only by the park re-check, the wake owners and quietLocked (lockQuiet and
-// the stall sweep), so the O(P) scan is off every hot path.
+// anyWork reports whether any worker's deque holds a stealable item, from
+// each deque's non-empty flag (deque.Mutex.NonEmpty), so it takes no lock.
+// Its callers are the park re-check, the last searcher's re-issue and
+// wakeNow, each of which read the flags after a sequentially consistent
+// store of their own (the announcement, the count, the retired deadline)
+// against a push that stores the flag before it reads parked and
+// searching: one side always sees the other (see doc.go's parking note).
 func (e *Engine) anyWork() bool {
 	for _, w := range e.workers {
-		if w.dq.Len() > 0 {
+		if w.dq.NonEmpty() {
 			return true
 		}
 	}
@@ -663,6 +691,7 @@ const (
 	yieldBorrowed                    // a guest won the park CAS; the run is not re-checked yet
 	yieldAnnounced                   // a park (or hand-back) is announced; its re-check has not run yet
 	yieldArmed                       // an admission published a deferred wake; its timer is not set yet
+	yieldSetTimer                    // no firing of the deferral's timer was pending; it is about to be set
 	yieldTimer                       // the deferred wake's timer fired; it has read nothing yet
 	yieldResumed                     // a parked worker took its token; it has not looked for work yet
 )
@@ -704,25 +733,46 @@ func (e *Engine) wakeNow() {
 	}
 }
 
+// now is the engine's clock, nanoseconds since epoch: a monotonic read
+// alone (time.Since of a time with a monotonic reading), no wall clock. An
+// admission reads it once, for its deadline and for the run's start.
+func (e *Engine) now() int64 {
+	return int64(time.Since(e.epoch))
+}
+
 // deferredDue reports whether a deferred wake is armed and past its
 // deadline.
 func (e *Engine) deferredDue() bool {
 	d := e.deferUntil.Load()
-	return d != 0 && int64(time.Since(e.epoch)) >= d
+	return d != 0 && e.now() >= d
+}
+
+// armTimer sets the deferral's timer to fire after delay unless a firing is
+// already pending, which then answers for the deadline just published: it
+// clears timerSet before it reads the deadline, so whoever found the flag
+// set had published before that read. In a Submit→Wait loop the timer is
+// therefore set about once per firing, not once per admission.
+func (e *Engine) armTimer(delay time.Duration) {
+	if !e.timerSet.Swap(true) {
+		e.at(yieldSetTimer, nil)
+		e.deferTimer.Reset(delay)
+	}
 }
 
 // deferredWake is deferTimer's callback, the backstop that makes liveness
-// independent of everybody else who calls wakeNow: every arming sets the
-// timer after publishing its deadline, and a firing that finds a deadline
-// still ahead (it moved since) sets it again for the remainder.
+// independent of everybody else who calls wakeNow: every arming publishes
+// its deadline before it looks for a pending firing (armTimer), and a
+// firing that finds a deadline still ahead (it moved since) sets the timer
+// again for the remainder.
 func (e *Engine) deferredWake() {
 	e.at(yieldTimer, nil)
+	e.timerSet.Store(false)
 	d := e.deferUntil.Load()
 	if d == 0 {
 		return
 	}
-	if rem := d - int64(time.Since(e.epoch)); rem > 0 {
-		e.deferTimer.Reset(time.Duration(rem))
+	if rem := d - e.now(); rem > 0 {
+		e.armTimer(time.Duration(rem))
 		return
 	}
 	e.wakeNow()
@@ -1031,7 +1081,7 @@ func (w *worker) seed(r *graphRun) {
 func (w *worker) markStarted(r *graphRun) {
 	if !w.startedWork {
 		w.startedWork = true
-		w.stats.TimeToFirstWork = time.Since(r.start)
+		w.stats.TimeToFirstWork = time.Duration(w.e.now() - r.start)
 	}
 }
 
@@ -1057,9 +1107,10 @@ func (w *worker) exec(it item) {
 // rescue is the engine's panic-isolation boundary: a panic escaping a
 // node's Compute — or any spec callback reached while processing an
 // item (Predecessors, Color, Home, OnComplete) — is converted into a
-// typed *ComputeError that fails only the owning graph. The worker
-// goroutine survives: recover unwinds the item's spawn cascade, failRun
-// marks the run dead, and every other deque item of the graph is
+// typed *ComputeError that fails only the owning graph, and a slot whose
+// creation the panic interrupted is published poisoned (abandonFill). The
+// worker goroutine survives: recover unwinds the item's spawn cascade,
+// failRun marks the run dead, and every other deque item of the graph is
 // discarded at its own exec boundary.
 //
 //nabbit:alloc-ok runs only when a Compute panicked; the graph is already dead
@@ -1068,6 +1119,9 @@ func (w *worker) rescue(r *graphRun) {
 	if v == nil {
 		return
 	}
+	// A spec callback that panicked inside fill left its slot claimed; the
+	// worker's racers on it must see it published (poisoned) to return.
+	r.nt.abandonFill(w.id)
 	if w.e.watchdogOn {
 		// A panic can unwind between publishExec and clearExec; a stale
 		// publication would read as an ever-growing execution and make
@@ -1180,19 +1234,32 @@ func (w *worker) runLeaf(it item, k int32) {
 }
 
 // mayHold reports whether the worker may keep the rest of a one-colour
-// range to itself for one more key: its deque already holds stealable
-// work, and no worker is hungry — none is searching, and none is parked
-// unless the deferred wake holds it back. In exactly those cases a push
-// would neither feed a hunter nor wake a sleeper. An engine with a
-// NodeTimeout never holds: the watchdog may degrade a key whose Compute
-// hangs, and the rest of its range must then be where another worker can
-// run it, not in the locals of the stuck one.
+// range to itself for one more key: no worker is hungry — none is
+// searching, and none is parked unless the deferred wake holds it back —
+// and either that deferral is armed or the deque already holds stealable
+// work. In exactly those cases a push would neither feed a hunter nor wake
+// a sleeper, now or before the next leaf boundary. Without a deferral a
+// worker that runs dry may start hunting at any moment, so an empty deque
+// publishes; under one, a thief appears only through wakeNow, which clears
+// the deferral first, or through a wake that takes a searching count (a
+// hand-back's, Close's), and this test sees either at the next boundary.
+// An engine with a NodeTimeout never holds: the watchdog may degrade a key
+// whose Compute hangs, and the rest of its range must then be where
+// another worker can run it, not in the locals of the stuck one.
+//
+// The common answer, an empty deque and no deferral, is read from the
+// worker's own counts and a word written once per graph, before the
+// searching count, whose line every hunt and steal writes.
 func (w *worker) mayHold() bool {
 	e := w.e
-	if e.watchdogOn || w.dq.OwnerLen() == 0 {
+	if e.watchdogOn {
 		return false
 	}
-	return e.searching.Load() == 0 && (e.parked.Load() == 0 || e.deferUntil.Load() != 0)
+	deferred := e.deferUntil.Load() != 0
+	if !deferred && w.dq.OwnerLen() == 0 {
+		return false
+	}
+	return e.searching.Load() == 0 && (deferred || e.parked.Load() == 0)
 }
 
 // publishRest publishes what is left of the range [lo, hi) after key k

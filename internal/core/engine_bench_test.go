@@ -150,7 +150,9 @@ func BenchmarkSubmitThroughput(b *testing.B) {
 // a borrowed worker — the first three near zero — rather than hand 17 tiny
 // tasks to two goroutines, and publish only the halves a thief could use:
 // eager splitting pushes 15 per cone (one colour group, 14 one-colour
-// halves), lazy publication about 4.
+// halves); lazy publication under the deferred wake, where nobody can
+// steal, pushes only the colour group, about 1.2 counting the graphs a
+// woken worker joins.
 func BenchmarkSubmitWaitCone17(b *testing.B) { benchSubmitWait(b, 16) }
 
 // BenchmarkSubmitWaitNode1 is BenchmarkSubmitWaitCone17 with a graph of one

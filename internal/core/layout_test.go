@@ -167,10 +167,10 @@ func TestWorkerScratchCacheLineIsolated(t *testing.T) {
 }
 
 // TestEngineWrittenWordsIsolated pins the Engine's own split: the words
-// written while graphs run (parked; the admission state; the retry
-// counters) are at least a full line from the read-mostly block the
-// per-task path reads, and from each other, whatever the allocation's
-// alignment.
+// written while graphs run (parked; the admission state; the deferred
+// wake, which lazy publication reads per range; the retry counters) are at
+// least a full line from the read-mostly block the per-task path reads,
+// and from each other, whatever the allocation's alignment.
 func TestEngineWrittenWordsIsolated(t *testing.T) {
 	var e Engine
 	end := func(off, size uintptr) uintptr { return off + size }
@@ -181,6 +181,7 @@ func TestEngineWrittenWordsIsolated(t *testing.T) {
 		{"read-mostly block", unsafe.Offsetof(e.sv), end(unsafe.Offsetof(e.exitWG), unsafe.Sizeof(e.exitWG))},
 		{"parked", unsafe.Offsetof(e.parked), end(unsafe.Offsetof(e.parked), unsafe.Sizeof(e.parked))},
 		{"admission state", unsafe.Offsetof(e.nextID), end(unsafe.Offsetof(e.active), unsafe.Sizeof(e.active))},
+		{"deferred wake", unsafe.Offsetof(e.deferUntil), end(unsafe.Offsetof(e.epoch), unsafe.Sizeof(e.epoch))},
 		{"retry state", unsafe.Offsetof(e.retryMu), end(unsafe.Offsetof(e.retryOut), unsafe.Sizeof(e.retryOut))},
 	}
 	for i := 1; i < len(groups); i++ {

@@ -356,6 +356,9 @@ type specView struct {
 	// colour and the record alone says it.
 	recs  []keyRec
 	homes []int32
+	// spinning is a test hook, nil otherwise: called on each lap of the spin
+	// of a worker that lost key k's creation race (see getOrCreate).
+	spinning func(k Key)
 }
 
 // keyRec is the static half of an indexed key's node: the slot
@@ -512,7 +515,17 @@ func NewNodeStore(spec Spec, workers int, slots NodeTableBackend) (*NodeStore, e
 // GetOrCreate returns the node for k, creating it if absent; the boolean
 // reports creation. Creations are counted on worker 0's stripe, so unlike
 // the engine's per-worker use a NodeStore is for one goroutine at a time.
-func (s *NodeStore) GetOrCreate(k Key) (*Node, bool) { return s.a.getOrCreate(k, 0, nil) }
+// A spec that panics while a node is created leaves its slot claimed;
+// the store's next call publishes it poisoned, as the engine's rescue
+// boundary does, before it looks at any key. A NodeStore has one goroutine,
+// so nobody can be spinning on the slot in between, and the probes that
+// time this call pay no deferred call for it.
+func (s *NodeStore) GetOrCreate(k Key) (*Node, bool) {
+	if s.a.stripes[0].filling != nil {
+		s.a.abandonFill(0)
+	}
+	return s.a.getOrCreate(k, 0, nil)
+}
 
 // Count returns the number of created nodes.
 func (s *NodeStore) Count() int { return s.a.count() }

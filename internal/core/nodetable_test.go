@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // tableRow is one of the two slot rules the engine-level table tests run a
@@ -385,6 +386,53 @@ func TestArenaKeyOutOfBoundPanics(t *testing.T) {
 		}
 	}()
 	a.getOrCreate(99, 0, nil)
+}
+
+// TestNodeStorePanicPoisonsSlot: a NodeStore whose spec panics inside
+// Predecessors lets the panic through, and its next call finds the key's
+// slot published poisoned — created, with a join nothing can drain —
+// rather than spinning on a slot left claimed.
+func TestNodeStorePanicPoisonsSlot(t *testing.T) {
+	spec, _ := boundedChainSpec(8, nil)
+	spec.PredsFn = func(k Key) []Key {
+		if k == 5 {
+			panic("boom")
+		}
+		return nil
+	}
+	s, err := NewNodeStore(spec, 2, NodeTableDense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the spec's panic did not reach the caller")
+			}
+		}()
+		s.GetOrCreate(5)
+	}()
+	type got struct {
+		n       *Node
+		created bool
+	}
+	ch := make(chan got, 1)
+	go func() {
+		n, created := s.GetOrCreate(5)
+		ch <- got{n, created}
+	}()
+	var n *Node
+	var created bool
+	select {
+	case g := <-ch:
+		n, created = g.n, g.created
+	case <-time.After(10 * time.Second):
+		t.Fatal("hung: the next call spins on the slot the panic left claimed")
+	}
+	if j := atomic.LoadInt32(&n.join); created || n.key != 5 || j != poisonedJoin || s.Count() != 1 {
+		t.Fatalf("after the panic: created %v, key %d, join %d, count %d; want a poisoned node 5, counted once",
+			created, n.key, j, s.Count())
+	}
 }
 
 // TestArenaZeroAlloc pins the indexed table's headline property: after

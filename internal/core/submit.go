@@ -46,8 +46,10 @@ type graphRun struct {
 	nt *nodeArena
 	// root is the replay root the table handed out at checkout, nil for a
 	// run that discovers its graph from the sink (see worker.seed).
-	root  *Node
-	start time.Time
+	root *Node
+	// start is the admission instant on the engine's clock (Engine.now),
+	// the origin of Stats.Elapsed and TimeToFirstWork.
+	start int64
 	// state is the completion word (runLive/runDone/runFailed, plus
 	// runSettled); see the constants above for the single-completion
 	// protocol.
@@ -300,7 +302,7 @@ func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 	}
 	// The admission clock is read before the lock, not under it: stateMu is
 	// the one lock every admission and every completion shares.
-	r := &graphRun{sink: sink, start: time.Now()}
+	r := &graphRun{sink: sink, start: e.now()}
 	r.ticket = Ticket{e: e, r: r}
 	r.callerRuns = ctx == nil && !e.watchdogOn
 	e.stateMu.Lock()
@@ -316,7 +318,7 @@ func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 		return nil, ErrClosed
 	}
 	if waited {
-		r.start = time.Now() // Elapsed is the run, not the wait for a slot
+		r.start = e.now() // Elapsed is the run, not the wait for a slot
 	}
 	r.id = e.nextID.Add(1)
 	// The deferred wake. A graph admitted into a fully idle engine — no
@@ -327,10 +329,12 @@ func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 	// publishes a deadline instead, which makes signal hold every wake back
 	// until somebody retires it (wakeNow). It is armed here, under stateMu and
 	// after the graph is published, so a later admission's wakeNow cannot
-	// come before it, and whoever retires it sees the graph; the timer is set
-	// after the deadline is visible, so no armed deferral is without one. An
-	// admission that finds the last deferral still armed (its graph was
-	// canceled, or ran on its waiter) simply moves the deadline.
+	// come before it, and whoever retires it sees the graph; the timer is
+	// looked at after the deadline is visible — set unless a firing is
+	// pending, which then reads the new deadline (armTimer) — so no armed
+	// deferral is without one. An admission that finds the last deferral
+	// still armed (its graph was canceled, or ran on its waiter) simply moves
+	// the deadline.
 	if r.callerRuns && e.deferTimer == nil {
 		e.deferTimer = time.AfterFunc(time.Hour, e.deferredWake)
 		e.deferTimer.Stop()
@@ -342,12 +346,12 @@ func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 	// after its announcement.
 	deferred := idle && r.callerRuns && e.parked.Load() == int32(len(e.workers))
 	if deferred {
-		e.deferUntil.Store(int64(r.start.Sub(e.epoch) + deferDelay))
+		e.deferUntil.Store(r.start + int64(deferDelay))
 	}
 	e.stateMu.Unlock()
 	if deferred {
 		e.at(yieldArmed, nil)
-		e.deferTimer.Reset(deferDelay)
+		e.armTimer(deferDelay)
 	} else {
 		e.wakeNow()
 	}
@@ -506,7 +510,7 @@ func (e *Engine) finishRun(r *graphRun, wid int) {
 	}
 	r.statsBuf = Stats{
 		GraphID:      r.id,
-		Elapsed:      time.Since(r.start),
+		Elapsed:      time.Duration(e.now() - r.start),
 		NodesCreated: r.nt.count(),
 		Replayed:     r.root != nil,
 		Topology:     e.opts.Topology,

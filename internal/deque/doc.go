@@ -38,7 +38,10 @@
 // of a range the owner held, placed where eager splitting would have
 // pushed it), and Mutex.OwnerLen, the owner's lock-free read of the length
 // (its pushes less its pops, less the count thieves keep of what they
-// took).
+// took). Anybody may read Mutex.NonEmpty without the lock: a flag the
+// operations store under it only when the deque goes from empty to not or
+// back, which the engine's park re-check and wake decisions scan instead
+// of taking every worker's lock.
 //
 // ChaseLev and Block are probe-only. Forced into the engine, ChaseLev won
 // none of the benchmark's four engine workloads against Mutex (10

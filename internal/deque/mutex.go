@@ -17,14 +17,19 @@ import (
 // The owner can also read the length without the lock (OwnerLen): it
 // counts its own pushes less its own pops in owned, a plain word only it
 // writes, and the thieves count what they take in stolen. Push and pop
-// stay one locked operation each; only a steal pays a second.
+// stay one locked operation each; only a steal pays a second. Anyone may
+// ask whether the deque holds anything without the lock (NonEmpty): a
+// flag stored under the lock only when an operation takes the deque from
+// empty to not, or back, so it costs a push or pop that keeps the deque
+// non-empty nothing.
 type Mutex[T any] struct {
-	_      [cacheLine]byte
-	mu     sync.Mutex
-	r      Ring[T]
-	owned  int64        // items pushed less items popped; written by the owner under mu
-	stolen atomic.Int64 // items stolen; written by thieves under mu
-	_      [cacheLine]byte
+	_        [cacheLine]byte
+	mu       sync.Mutex
+	r        Ring[T]
+	owned    int64        // items pushed less items popped; written by the owner under mu
+	stolen   atomic.Int64 // items stolen; written by thieves under mu
+	nonEmpty atomic.Bool  // r.n > 0 as of the last unlock; stored under mu on a transition
+	_        [cacheLine]byte
 }
 
 // NewMutex returns an empty deque with the given initial capacity hint
@@ -42,6 +47,9 @@ func NewMutex[T any](capacity int) *Mutex[T] {
 //nabbit:noalloc
 func (d *Mutex[T]) PushBottom(e Entry[T]) {
 	d.mu.Lock()
+	if d.r.n == 0 {
+		d.nonEmpty.Store(true)
+	}
 	//nabbit:alloc-ok inlined amortized growth
 	*d.r.bottom() = e //nabbit:lockheld-ok the ring is what d.mu guards
 	d.owned++
@@ -55,6 +63,9 @@ func (d *Mutex[T]) PushBottom(e Entry[T]) {
 //nabbit:noalloc
 func (d *Mutex[T]) PushBeneath(e Entry[T], k int) {
 	d.mu.Lock()
+	if d.r.n == 0 {
+		d.nonEmpty.Store(true)
+	}
 	//nabbit:alloc-ok inlined amortized growth
 	*d.r.beneath(k) = e //nabbit:lockheld-ok the ring is what d.mu guards
 	d.owned++
@@ -69,6 +80,9 @@ func (d *Mutex[T]) PopBottom() (e Entry[T], ok bool) {
 	ok = d.r.pop(&e) //nabbit:lockheld-ok the ring is what d.mu guards
 	if ok {
 		d.owned--
+		if d.r.n == 0 {
+			d.nonEmpty.Store(false)
+		}
 	}
 	d.mu.Unlock()
 	return e, ok
@@ -96,6 +110,9 @@ func (d *Mutex[T]) Steal(filter *colorset.Set, max int, into []Entry[T]) ([]Entr
 	into, out := d.r.Steal(filter, max, into) //nabbit:lockheld-ok the ring is what d.mu guards
 	if out == StealOK {
 		d.stolen.Add(int64(n - d.r.n))
+		if d.r.n == 0 {
+			d.nonEmpty.Store(false)
+		}
 	}
 	d.mu.Unlock()
 	return into, out
@@ -107,6 +124,15 @@ func (d *Mutex[T]) Len() int {
 	n := d.r.n
 	d.mu.Unlock()
 	return n
+}
+
+// NonEmpty reports whether the deque held an item when its lock was last
+// released, without taking the lock. The flag is stored before the unlock
+// of the operation that changed it, so a caller that pushes and then reads
+// another goroutine's announcement, against one that announces and then
+// reads this, always has one of the two see the other.
+func (d *Mutex[T]) NonEmpty() bool {
+	return d.nonEmpty.Load()
 }
 
 // OwnerLen returns the number of items as the owner sees it, without the

@@ -204,3 +204,31 @@ func TestPushBeneathStress(t *testing.T) {
 		}
 	}
 }
+
+// TestNonEmptyTracksLen drives a Mutex through random pushes, inserts
+// beneath, pops and steals, coloured misses and batches included, and
+// checks after each that the lock-free NonEmpty agrees with the locked
+// length: the flag is stored only on empty/non-empty transitions, so a
+// transition it missed would stay wrong until the next one.
+func TestNonEmptyTracksLen(t *testing.T) {
+	q := NewMutex[int](4)
+	r := xrand.New(3)
+	buf := make([]Entry[int], 0, 4)
+	for i := 0; i < 20000; i++ {
+		switch r.Intn(5) {
+		case 0:
+			q.PushBottom(entry(i, i%testColors))
+		case 1:
+			q.PushBeneath(entry(i, i%testColors), r.Intn(4))
+		case 2:
+			q.PopBottom()
+		case 3:
+			q.Steal(colors(r.Intn(testColors)), 1+r.Intn(4), buf[:0])
+		default:
+			q.Steal(nil, 1+r.Intn(4), buf[:0])
+		}
+		if got, want := q.NonEmpty(), q.Len() > 0; got != want {
+			t.Fatalf("op %d: NonEmpty = %v with Len %d", i, got, q.Len())
+		}
+	}
+}
