@@ -96,8 +96,8 @@
 // (straight-line Lock()...Unlock() regions, with defer Unlock() holding
 // to function end); and a struct field accessed both through the
 // sync/atomic function API and plainly in the same package — the bug
-// class the deque's reader-count slot protocol and the watchdog's
-// seqlock publications are vulnerable to.
+// class the deque's reader-count slot protocol and the nodes' join
+// counters are vulnerable to.
 //
 // # Testing
 //

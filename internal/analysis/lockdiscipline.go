@@ -20,7 +20,7 @@ import (
 //
 //  2. Mixing sync/atomic operations and plain loads/stores on the same
 //     struct field — the bug class the reader-count slot protocol and
-//     the watchdog's seqlock publications are vulnerable to. A field
+//     the nodes' join counters are vulnerable to. A field
 //     that is ever passed to atomic.LoadT/StoreT/AddT/SwapT/
 //     CompareAndSwapT must never also be read or written plainly
 //     (migrate it to an atomic.Int*/Uint* typed field, which makes

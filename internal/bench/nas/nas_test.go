@@ -5,7 +5,6 @@ import (
 
 	"nabbitc/internal/bench"
 	"nabbitc/internal/core"
-	"nabbitc/internal/omp"
 	"nabbitc/internal/sim"
 )
 
@@ -84,101 +83,6 @@ func TestSimRuns(t *testing.T) {
 	}
 }
 
-func TestTreeLevels(t *testing.T) {
-	levels := treeLevels(8)
-	// Heap internal nodes of an 8-leaf tree: [4..8), [2..4), [1..2).
-	want := [][]int{{4, 5, 6, 7}, {2, 3}, {1}}
-	if len(levels) != len(want) {
-		t.Fatalf("levels = %v", levels)
-	}
-	for i := range want {
-		if len(levels[i]) != len(want[i]) {
-			t.Fatalf("level %d = %v, want %v", i, levels[i], want[i])
-		}
-		for j := range want[i] {
-			if levels[i][j] != want[i][j] {
-				t.Fatalf("level %d = %v, want %v", i, levels[i], want[i])
-			}
-		}
-	}
-}
-
-// CG must actually converge: r·r decreases across iterations.
-func TestCGConverges(t *testing.T) {
-	cg := NewCG(CGConfig{Blocks: 16, CellsPerBlock: 64, Iterations: 8})
-	rc := cg.NewReal()
-	rc.RunSerial()
-	rrs := rc.RRHistory()
-	if rrs[len(rrs)-1] >= rrs[0]/100 {
-		t.Fatalf("cg barely converged: rr %v -> %v", rrs[0], rrs[len(rrs)-1])
-	}
-	for i := 1; i < len(rrs); i++ {
-		if rrs[i] < 0 {
-			t.Fatalf("negative rr at %d", i)
-		}
-	}
-}
-
-// Parallel CG must reproduce the serial result exactly.
-func TestCGRealMatchesSerial(t *testing.T) {
-	mk := func() *RealCG {
-		return NewCG(CGConfig{Blocks: 16, CellsPerBlock: 64, Iterations: 5}).NewReal()
-	}
-	serial := mk()
-	serial.RunSerial()
-	want := serial.Checksum()
-
-	for _, pol := range []core.Policy{core.NabbitPolicy(), core.NabbitCPolicy()} {
-		par := mk()
-		spec, sink := par.Spec(8)
-		if _, err := core.Run(spec, sink, core.Options{Workers: 8, Policy: pol}); err != nil {
-			t.Fatal(err)
-		}
-		if got := par.Checksum(); got != want {
-			t.Fatalf("cg parallel checksum %v != serial %v (colored=%v)", got, want, pol.Colored)
-		}
-	}
-	for _, sched := range []omp.Schedule{omp.Static, omp.Guided} {
-		par := mk()
-		team := omp.NewTeam(8)
-		par.RunOpenMP(team, sched)
-		team.Close()
-		if got := par.Checksum(); got != want {
-			t.Fatalf("cg OpenMP/%v checksum %v != serial %v", sched, got, want)
-		}
-	}
-}
-
-// MG must reduce the residual.
-func TestMGConverges(t *testing.T) {
-	mg := NewMG(MGConfig{FineBlocks: 32, CellsPerBlock: 64, Cycles: 3, SolveSweeps: 64})
-	r := mg.NewReal()
-	r.RunSerial()
-	initial, final := r.InitialResidualNorm(), r.FinalResidualNorm()
-	if final >= initial*0.8 {
-		t.Fatalf("mg residual barely moved: %v -> %v", initial, final)
-	}
-}
-
-// Parallel MG must reproduce the serial result exactly.
-func TestMGRealMatchesSerial(t *testing.T) {
-	mk := func() *RealMG { return MGBench(bench.ScaleSmall).NewReal() }
-	serial := mk()
-	serial.RunSerial()
-	want := serial.Checksum()
-
-	for _, pol := range []core.Policy{core.NabbitPolicy(), core.NabbitCPolicy()} {
-		par := mk()
-		spec, sink := par.Spec(8)
-		if _, err := core.Run(spec, sink, core.Options{Workers: 8, Policy: pol}); err != nil {
-			t.Fatal(err)
-		}
-		if got := par.Checksum(); got != want {
-			t.Fatalf("mg parallel checksum %v != serial %v (colored=%v)", got, want, pol.Colored)
-		}
-	}
-}
-
 func TestMGLevels(t *testing.T) {
 	mg := NewMG(MGConfig{FineBlocks: 32, CellsPerBlock: 64, Cycles: 1, SolveSweeps: 8})
 	if mg.Levels() != 6 { // 32,16,8,4,2,1
@@ -210,25 +114,6 @@ func TestSweepsNonEmpty(t *testing.T) {
 		}
 		if total == 0 {
 			t.Fatalf("%s: empty sweeps", b.Info().Name)
-		}
-	}
-}
-
-func TestThomasSolve(t *testing.T) {
-	// Solve tridiag(-1, 4, -1) x = d and verify by multiplication.
-	d := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	x := make([]float64, len(d))
-	thomasSolve(x, d)
-	for i := range d {
-		ax := 4 * x[i]
-		if i > 0 {
-			ax -= x[i-1]
-		}
-		if i < len(x)-1 {
-			ax -= x[i+1]
-		}
-		if diff := ax - d[i]; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("row %d: Ax = %v, want %v", i, ax, d[i])
 		}
 	}
 }

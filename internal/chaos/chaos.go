@@ -48,11 +48,12 @@ const (
 	// retry-layer workhorse: with MaxAttempts > TransientFails the graph
 	// completes and Stats.Retries counts exactly the injected failures.
 	Transient
-	// Hang blocks the target node's compute — watchdog fodder. With
-	// Injector.HangCh set it blocks until the channel is released and
-	// then fails (wrapping ErrInjected) without running the body; with
-	// no channel it is a bounded stall of Injector.HangDur after which
-	// the node computes normally. See Injector.HangCh.
+	// Hang blocks the target node's compute, holding its worker: a run with
+	// a Hang fault ends only at its context's deadline (or a Cancel). With
+	// Injector.HangCh set it blocks until the channel is released and then
+	// fails (wrapping ErrInjected) without running the body; with no channel
+	// it is a bounded stall of Injector.HangDur after which the node
+	// computes normally. See Injector.HangCh.
 	Hang
 )
 
@@ -144,8 +145,8 @@ const DefaultDelay = 50 * time.Microsecond
 const DefaultTransientFails = 2
 
 // DefaultHangDur is the blocked duration of a Hang fault when the
-// Injector provides no HangCh override: comfortably past any test's
-// NodeTimeout, short enough that an unwatched engine still drains.
+// Injector provides no HangCh override: long beside a node's compute,
+// short enough that an engine whose runs carry no deadline still drains.
 const DefaultHangDur = 50 * time.Millisecond
 
 // Injector wires a Plan into a spec whose keys form a forest of
@@ -169,12 +170,12 @@ type Injector struct {
 	// HangCh, when set, is what Hang faults block on — tests close it
 	// to release every stuck compute at a chosen moment. A released hang
 	// returns an error wrapping ErrInjected and never runs the base
-	// body: a hang is released only after the watchdog has failed or
-	// degraded its graph, the engine drops the late return either way,
-	// and a body that ran anyway would race whatever census the caller
-	// takes of the dead graph. When nil, Hang sleeps HangDur (or
-	// DefaultHangDur) and then computes normally, so an unwatched engine
-	// still completes the graph.
+	// body: a hang is released only after its graph's context deadline
+	// (or a Cancel) has failed it, the engine drops the late return, and
+	// a body that ran anyway would race whatever census the caller takes
+	// of the dead graph. When nil, Hang sleeps HangDur (or
+	// DefaultHangDur) and then computes normally, so a run without a
+	// deadline still completes the graph.
 	HangCh <-chan struct{}
 	// HangDur overrides DefaultHangDur for channel-less Hang faults
 	// when positive.

@@ -142,8 +142,9 @@ func TestReleasedHangSkipsBody(t *testing.T) {
 // fault kinds: a seeded plan poisons concurrently submitted graphs with
 // transient failures (recover under MaxAttempts > TransientFails),
 // permanent errors (exhaust the budget into *ComputeError wrapping
-// ErrInjected), and hangs (killed by the NodeTimeout watchdog into
-// *TimeoutError). Recovered and healthy graphs complete exactly-once,
+// ErrInjected), and hangs (submitted with a context deadline, which fails
+// them with ErrCanceled while the hung computes still hold their workers).
+// Recovered and healthy graphs complete exactly-once,
 // Stats.Retries ledgers exactly the injected transient failures, and
 // the engine stays reusable.
 func TestTransientChaos(t *testing.T) {
@@ -165,9 +166,8 @@ func TestTransientChaos(t *testing.T) {
 			t.Fatalf("seed %#x assigns no %v graphs — pick a seed covering all kinds", seed, k)
 		}
 	}
-	// Every hang target must get a worker so its watchdog can fire: with
-	// a hang occupying its worker until released, that needs fewer hang
-	// graphs than workers.
+	// A hang occupies its worker until released; with fewer hang graphs
+	// than workers the other graphs keep a worker meanwhile.
 	if kindCount[chaos.Hang] >= workers {
 		t.Fatalf("seed %#x assigns %d hang graphs, want < %d workers", seed, kindCount[chaos.Hang], workers)
 	}
@@ -181,8 +181,7 @@ func TestTransientChaos(t *testing.T) {
 	})
 	e, err := core.NewEngine(spec, core.Options{
 		Workers: workers, Policy: core.NabbitCPolicy(), MaxInflight: 16,
-		Retry:       core.RetryPolicy{MaxAttempts: chaos.DefaultTransientFails + 1, BaseBackoff: 100 * time.Microsecond},
-		NodeTimeout: 50 * time.Millisecond,
+		Retry: core.RetryPolicy{MaxAttempts: chaos.DefaultTransientFails + 1, BaseBackoff: 100 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,23 +192,27 @@ func TestTransientChaos(t *testing.T) {
 
 	tickets := make([]*core.Ticket, graphs)
 	for g := 0; g < graphs; g++ {
-		if tickets[g], err = e.Submit(coneSink(g, stride)); err != nil {
+		if plan.Fault(g) == chaos.Hang {
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			tickets[g], err = e.SubmitCtx(ctx, coneSink(g, stride))
+		} else {
+			tickets[g], err = e.Submit(coneSink(g, stride))
+		}
+		if err != nil {
 			t.Fatalf("submit graph %d: %v", g, err)
 		}
 	}
-	// Hang graphs first: the watchdog fails each from the monitor
-	// goroutine even while the stuck computes pin their workers. Only
-	// then release the hangs — the late returns (errors, the body never
-	// runs: see TestReleasedHangSkipsBody) land on dead runs and are
-	// dropped.
+	// Hang graphs first: each fails at its deadline even while the stuck
+	// computes pin their workers. Only then release the hangs — the late
+	// returns (errors, the body never runs: see TestReleasedHangSkipsBody)
+	// land on dead runs and are dropped.
 	for g := 0; g < graphs; g++ {
 		if plan.Fault(g) != chaos.Hang {
 			continue
 		}
-		_, werr := tickets[g].Wait()
-		var te *core.TimeoutError
-		if !errors.As(werr, &te) {
-			t.Fatalf("hang graph %d: err = %v, want *TimeoutError", g, werr)
+		if _, werr := tickets[g].Wait(); !errors.Is(werr, core.ErrCanceled) || !errors.Is(werr, context.DeadlineExceeded) {
+			t.Fatalf("hang graph %d: err = %v, want ErrCanceled wrapping DeadlineExceeded", g, werr)
 		}
 	}
 	release()

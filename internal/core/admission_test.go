@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -239,5 +240,49 @@ func TestSubmitCompletesInAdmissionOrder(t *testing.T) {
 	defer mu.Unlock()
 	if !slices.Equal(sinks, want) {
 		t.Fatalf("sinks completed in order %v, want admission order %v", sinks, want)
+	}
+}
+
+// TestCtxRunsStartNoGoroutine: a run admitted with a ctx watches it
+// through a callback registered on the ctx, not a goroutine of its own, so
+// n ctx runs held in flight behind a gated first graph leave the goroutine
+// count where it was. Canceling half of the contexts still fails exactly
+// those runs with ErrCanceled wrapping the context's error, and the rest
+// complete once the gate opens.
+func TestCtxRunsStartNoGoroutine(t *testing.T) {
+	const n = 64
+	gate := make(chan struct{})
+	e := waitEngine(t, gatedSpec(n, gate), Options{Workers: 1, MaxInflight: n})
+	defer mustClose(t, e)
+	before := runtime.NumGoroutine()
+	tks := make([]*Ticket, n)
+	cancels := make([]context.CancelFunc, n)
+	for g := range tks {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		tk, err := e.SubmitCtx(ctx, Key(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tks[g], cancels[g] = tk, cancel
+	}
+	if grew := runtime.NumGoroutine() - before; grew >= n/2 {
+		t.Errorf("%d ctx runs in flight grew the goroutine count by %d", n, grew)
+	}
+	for g := 1; g < n; g += 2 {
+		cancels[g]()
+	}
+	for g := 1; g < n; g += 2 {
+		<-tks[g].Done() // failed by its ctx: the gate still holds the worker
+	}
+	close(gate)
+	for g, tk := range tks {
+		_, err := tk.Wait()
+		if g%2 == 1 && (!errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled)) {
+			t.Errorf("graph %d: canceled ctx run returned %v, want ErrCanceled wrapping context.Canceled", g, err)
+		}
+		if g%2 == 0 && err != nil {
+			t.Errorf("graph %d: %v", g, err)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // pagesOfCone counts the directory entries cone g's keys fall under.
@@ -295,9 +294,8 @@ func TestArenaKeepsPagesForSameSink(t *testing.T) {
 // TestPagedArenaSharedPagesStress is the paging's race workout: 64
 // submitters push cones of eight keys — eight cones to a page, so
 // neighbouring graphs' tables install, fill and hand back pages that hold
-// each other's slot ranges — through a four-worker engine with the
-// watchdog armed (so the per-node publication and the stateMu-ordered
-// hand-back are exercised too). One graph in every sixteen panics mid-cone:
+// each other's slot ranges — through a four-worker engine. One graph in
+// every sixteen panics mid-cone:
 // its table is quarantined with its pages while the rest keep recycling
 // theirs. Every graph of a cone that never fails must compute each of its
 // keys exactly once (a failed graph's last in-flight item may still land a
@@ -323,7 +321,6 @@ func TestPagedArenaSharedPagesStress(t *testing.T) {
 	})
 	e, err := NewEngine(spec, Options{
 		Workers: workers, Policy: NabbitCPolicy(), MaxInflight: submitters,
-		NodeTimeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)

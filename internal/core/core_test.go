@@ -338,7 +338,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"MaxAttempts above cap", Options{Retry: RetryPolicy{MaxAttempts: MaxRetryAttempts + 1}}, "Retry.MaxAttempts"},
 		{"negative BaseBackoff", Options{Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: -time.Millisecond}}, "Retry.BaseBackoff"},
 		{"overflowing BaseBackoff", Options{Retry: RetryPolicy{MaxAttempts: 8, BaseBackoff: 1 << 60}}, "Retry.BaseBackoff"},
-		{"negative NodeTimeout", Options{NodeTimeout: -time.Millisecond}, "NodeTimeout"},
 		{"negative ErrorBudget", Options{ErrorBudget: -1}, "ErrorBudget"},
 		{"unknown Admission", Options{Admission: AdmissionReject + 1}, "admission"},
 	} {

@@ -195,11 +195,11 @@
 // touching the worker: a live run keeps the engine from going quiet, and
 // Execute resets worker state only in the quiet state; a worker won for a
 // run that completed in between is announced parked again untouched.
-// Runs admitted with a ctx, and every run of an engine with the watchdog
-// armed, are never run this way: their Wait must return while a Compute
-// is still stuck. Execute keeps waking a worker and sleeping on the run —
-// measured on the coarse kernels, running the graph from Execute bought
-// nothing once the wake was no longer wasted.
+// Runs admitted with a ctx are never run this way: their Wait must return
+// once the ctx expires, even while a Compute is still stuck. Execute keeps
+// waking a worker and sleeping on the run — measured on the coarse
+// kernels, running the graph from Execute bought nothing once the wake was
+// no longer wasted.
 //
 // The deferred wake. Borrowing alone gains nothing if admission has
 // already woken a worker (60-200 us away, by which time a small graph is
@@ -213,7 +213,7 @@
 //
 //   - every producer that is not the idle engine's own admission: an
 //     admission into an engine with a graph in flight or a worker awake, a
-//     ctx or watchdog run, a due retry;
+//     ctx run, a due retry;
 //   - everybody about to sleep on the engine instead of running its graphs:
 //     Ticket.Done, a Wait that found nobody to borrow, Execute's and Close's
 //     quiesce;
@@ -296,9 +296,8 @@
 // the same goroutine popped straight back. So the engine publishes a
 // one-colour half only when a thief can use it, as lazy binary splitting
 // (Tzannes et al., PPoPP 2010) and lazy task creation (Mohr, Kranz and
-// Halstead, 1991) do. In an engine without a NodeTimeout, a worker runs a
-// range's keys in order, pushing nothing, while all three of these hold
-// (runGroup):
+// Halstead, 1991) do. A worker runs a range's keys in order, pushing
+// nothing, while all three of these hold (runGroup):
 //
 //   - its deque already holds stealable work (Mutex.OwnerLen, a lock-free
 //     read for the owner), or the deferred wake (above) is armed;
@@ -316,16 +315,16 @@
 // or through a wake that takes a searching count (a hand-back's re-check,
 // Close's wakeAll), and the hunger test sees either at the next leaf
 // boundary. So a waiter that runs its own graph on an idle engine pushes
-// only KeepHalf's colour groups. Execute, ctx runs and watchdog runs never
-// arm the deferral, so their splitting is as before. The
-// conditions are read at each leaf boundary; at the first one where one
-// fails, the rest of the range is published as eager splitting would have
-// left it after that key — the right siblings on the key's path through
-// the range's split tree, largest first — and the worker returns to its
-// loop. The fairness stride (seedStride) and a guest whose run has
-// completed end a held range the same way, and the rest of a run that is
-// no longer live is dropped. KeepHalf's colour-group pushes stay eager,
-// so what a colored steal can see does not change.
+// only KeepHalf's colour groups. Execute and ctx runs never arm the
+// deferral, so their splitting is as before. The conditions are read at
+// each leaf boundary; at the first one where one fails, the rest of the
+// range is published as eager splitting would have left it after that key —
+// the right siblings on the key's path through the range's split tree,
+// largest first — and the worker returns to its loop. The fairness stride
+// (seedStride) and a guest whose run has completed end a held range the
+// same way, and the rest of a run that is no longer live is dropped.
+// KeepHalf's colour-group pushes stay eager, so what a colored steal can
+// see does not change.
 //
 // On one worker the engine completes tasks in exactly eager splitting's
 // order. A flat key pushes nothing, so holding the keys before it left
@@ -343,13 +342,11 @@
 // Compute that waits for a sibling leaf therefore waits for its own
 // worker — but such a wait is a dependence the spec does not declare,
 // which the DAG contract (Spec.Predecessors) already rules out. A Compute
-// that hangs is another matter: the watchdog (below) may degrade its key,
-// and the run then needs the rest of the range, which a held range would
-// keep in the stuck worker's locals for good. So with a NodeTimeout set
-// the engine splits every range eagerly (mayHold), as it also keeps a
-// watchdog run off its waiter (graphRun.callerRuns);
-// TestWatchdogDegradesInsideRange stages the hang.
-// WorkerStats.Pushes counts what each worker put on its deque.
+// that hangs keeps the rest of a held range in its worker's locals, but
+// nothing could run that rest to any end: the run cannot complete without
+// the hung key, and its context deadline fails it whole (see the note on
+// the run's deadline below). WorkerStats.Pushes counts what each worker
+// put on its deque.
 //
 // Measured on a 2-core x86 VM (go1.24.0), eager against lazy in
 // alternating runs: BenchmarkSubmitWaitCone17 (a 17-node cone per
@@ -441,8 +438,8 @@
 // Worker-owned. The rng state, WorkerStats, the grouping scratch (its
 // small buffers inline, its colour table bracketed by a line of slack),
 // and the loop counters sit in the worker struct between two lines of
-// padding; the words other goroutines write (park handshake, watchdog
-// publication) come after a third. Deque headers are padded the same way
+// padding; the words other goroutines write (the park handshake) come
+// after a third. Deque headers are padded the same way
 // by internal/deque. What a worker writes to a node table outside the
 // nodes — its creation count, the list of page numbers it installed a
 // page under — is striped per worker, a line apart, in storage of its
@@ -578,13 +575,9 @@
 // decrement on that node's successors: the decrement may be what lets
 // another worker compute the sink, finish the run and recycle the page
 // (computeAndNotify decides sink-ness from the key it read on entry).
-// And the watchdog's monitor, the one outsider that touches a running
-// graph's nodes, pins them by holding stateMu across its runLive check
-// and its claim; the hand-back sits inside finishRun's stateMu section,
-// so it cannot overtake a monitor section that still saw the run live,
-// and until the monitor holds that pin it names the node by the key the
-// worker published, never through the pointer. Failed and hung runs keep
-// their pages with their quarantined table until a proven-quiet point.
+// And no goroutine outside a run's workers reads its nodes at all. Failed
+// runs keep their pages with their quarantined table until a proven-quiet
+// point.
 //
 // One exception keeps an iterative workload from paying for this: a
 // table on its first run, or asked for the same sink as the run before,
@@ -638,8 +631,8 @@
 // Eligibility. All of: the table is checked out by Execute (below); the
 // sink is the one it served last, in the same era, so it still holds that
 // run's pages; that run ended at its sink through finishRun with no node
-// failed, skipped or timed out (release is told, and a failed, canceled,
-// stalled or hung run's table comes back through quarantine, which tells
+// failed or skipped (release is told, and a failed, canceled or stalled
+// run's table comes back through quarantine, which tells
 // it the opposite); and the spec has not been caught returning a different
 // slice (next paragraph). Everything else discovers, exactly as before:
 // every first run, every Submit, the run after a failure, a changed sink,
@@ -739,8 +732,10 @@
 // items of a dead run with a single atomic load at the exec boundary —
 // no deque surgery, no new synchronization on the hot path; a dead
 // graph's items simply drain as they surface. SubmitCtx/ExecuteCtx
-// attach a context by spawning a watcher goroutine that fails the run
-// when the context fires first; admission waits honor the context too.
+// attach a context by registering a callback on it (context.AfterFunc)
+// that fails the run if the context fires first, and unregistering it
+// when the run settles, so a ctx run costs no goroutine; admission waits
+// honor the context too.
 // Cancellation is asynchronous with respect to in-flight nodes: the
 // node a worker has already started runs to completion, but no further
 // nodes of that graph are begun, and once a run is observed dead its
@@ -765,8 +760,8 @@
 //
 // Every failure is typed: *ComputeError for recovered panics and
 // exhausted retries, ErrCanceled (wrapped with the graph id and the
-// context cause) for Cancel and context expiry, *TimeoutError for
-// watchdog kills, *PartialError for degraded completions, *StallError —
+// context cause) for Cancel and context expiry, *PartialError for
+// degraded completions, *StallError —
 // carrying a bounded sample of the still-pending keys — for graphs
 // whose sink can provably never compute, and ErrClosed/ErrSaturated for
 // lifecycle and admission refusals. All compose with
@@ -777,7 +772,7 @@
 //
 // Faults in long-running graph services are often transient — a remote
 // fetch times out, a resource is briefly contended — so killing the
-// graph on first failure wastes everything already computed. Three
+// graph on first failure wastes everything already computed. Two
 // cooperating mechanisms make failure survivable without giving up the
 // model above.
 //
@@ -801,41 +796,42 @@
 // failed attempt performed no markComputed, so no successor ever
 // observed it.
 //
-// The hang watchdog. A Compute that never returns cannot be recovered
-// by retries — nothing unwinds. Instead, each worker publishes its
-// current execution (run, node, start time) in a per-worker seqlock
-// before every Compute and clears it after; a lock-free monitor
-// goroutine, started only when Options.NodeTimeout is set, samples the
-// publications every NodeTimeout/4 (at least 100 µs). An overdue node
-// is failed through the same single-completion CAS as every other
-// failure — the monitor never touches the stuck goroutine, which keeps
-// running until user code returns; its eventual completion lands on a
-// dead run and is dropped at the exec boundary like any canceled item.
-// The monitor keeps seeing a degraded node that still hangs and leaves it
-// alone: the node has had its budget, and its run goes on without it.
-// The publication holds the *Node pointer, so a recycled table can
-// never make the monitor resolve a stale key in a fresh graph, and the
-// key beside it, so the monitor can name the node (TimeoutError.Key,
-// OptionalSpec.Optional) without reading through a pointer whose page
-// may have been recycled since the sample. One consequence: an Execute
-// whose run was hang-degraded skips the quiescence-gated per-worker
-// stats gather (Workers stays nil, as in Submit mode), because
-// quiescing would wait on the stuck goroutine. The watchdog bounds
-// nodes, not runs: a caller bounds a whole run with SubmitCtx or
-// ExecuteCtx and a context deadline, which fails it with ErrCanceled.
+// No hang watchdog: a run's deadline is its context. A Compute that never
+// returns cannot be recovered by retries — nothing unwinds — and Go cannot
+// preempt it, so whatever the engine decides, the stuck goroutine keeps
+// its worker until user code returns. A per-node timer would buy one
+// thing: the run could complete degraded without the hung node, at the
+// price of a per-worker publication on every execution, a monitor
+// goroutine, and no lazy publication or caller-run Wait for any run of the
+// engine (a held range or a waiting goroutine would be stuck with the
+// node). The engine has none. A caller bounds a run with SubmitCtx or
+// ExecuteCtx and a context deadline, which fails the run with ErrCanceled
+// (wrapping context.DeadlineExceeded) as promptly; the hung Compute's
+// eventual return lands on a dead run and is dropped at the exec boundary
+// like any canceled item.
 //
 // Graceful degradation. A spec may mark nodes optional (OptionalSpec /
 // FuncSpec.OptionalFn): best-effort enrichments whose loss should
 // narrow the result, not destroy it. When an optional node exhausts its
-// retries (or overruns NodeTimeout) and the run still has error budget
+// retries and the run still has error budget
 // (Options.ErrorBudget, per run, spent by atomic decrement), the node
 // is not failed — it is skipped: nodeSkipBit is set on it and
 // propagated through its successor cone by the normal join-counter
 // cascade, so exactly the data-dependent downstream nodes are retired
 // unexecuted and independent subgraphs proceed untouched. A degraded
-// run completes with both Stats (Retries, TimedOut, Skipped ledgered)
+// run completes with both Stats (Retries and Skipped ledgered)
 // and a *PartialError listing the failed keys and a bounded sample of
 // the skipped ones. A skipped sink still completes the run — degraded,
 // not failed. Budget exhausted means the next permanent failure fails
 // the run with its ordinary typed error.
+//
+// Every retirement of a node — completion, degradation, a place in the
+// cascade — is made by the one goroutine that owns its execution: the
+// worker whose decrement drained its join, or the worker retrying it. The
+// taint (setSkip) lands only before a join drains, since a predecessor
+// taints its successor before it decrements. So while a node's Compute
+// runs nobody else can taint or retire it, and a failed attempt
+// (computeFailed) goes straight to its retry or degradation without
+// checking whether the node was claimed meanwhile; a hang watchdog's
+// claim would be the one writer that could break this.
 package core

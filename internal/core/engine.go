@@ -63,9 +63,6 @@ type Engine struct {
 	// (see yieldPoint). Tests install it right after NewEngine, while every
 	// worker is parked, to drive interleavings without sleeping.
 	yield func(yieldPoint, *worker)
-	// watchdogOn gates the per-node execution publication (set when
-	// NodeTimeout is positive).
-	watchdogOn bool
 	// closing gates Submit as soon as Close begins; closeFlag tells
 	// workers to exit once Close has drained the in-flight graphs. Both
 	// are written once per engine lifetime.
@@ -86,10 +83,6 @@ type Engine struct {
 	// closedCh unblocks Submit calls parked in blocking admission when
 	// the engine closes.
 	closedCh chan struct{}
-
-	// monStop/monWG manage the watchdog's monitor goroutine.
-	monStop chan struct{}
-	monWG   sync.WaitGroup
 
 	mu     sync.Mutex // serializes Execute and Close
 	closed bool       // guarded by mu
@@ -267,8 +260,8 @@ const seedStride = 64
 // each side so that no word of it can share a cache line with another
 // worker's block, wherever the allocator places the two (pinned by
 // TestWorkerScratchCacheLineIsolated). The few words other goroutines
-// write — the park handshake and the watchdog publication — come last,
-// a line away from the owner's own.
+// write — the park handshake — come last, a line away from the owner's
+// own.
 type worker struct {
 	_ [cacheLine]byte
 
@@ -337,21 +330,6 @@ type worker struct {
 
 	_ [cacheLine]byte
 
-	// pubSeq/pubRun/pubNode/pubStart publish what this worker is
-	// executing to the hang watchdog through a seqlock: pubSeq is odd
-	// while an update is in flight, so the monitor detects and retries
-	// torn reads without ever making the worker wait (see
-	// publishExec/sampleExec in retry.go). Written only when the engine's
-	// watchdog is armed. The node is published as a pointer, so the
-	// monitor never has to look into a node table it cannot prove is
-	// still owned by the run, and its key beside it, so the monitor never
-	// has to read a node it has not yet pinned.
-	pubSeq   atomic.Uint32
-	pubRun   atomic.Pointer[graphRun]
-	pubNode  atomic.Pointer[Node]
-	pubKey   atomic.Int64
-	pubStart atomic.Int64
-
 	// parkState (0 running, 1 parked) plus the one-token parkCh form the
 	// notify slot. A waker that CASes parkState 1→0 owns the wake and
 	// sends exactly one token; the parked worker consumes exactly one
@@ -380,7 +358,6 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 		colored:    opts.Policy.Colored,
 		maxSearch:  max(1, int32(opts.Workers/2)),
 		epoch:      time.Now(),
-		watchdogOn: opts.NodeTimeout > 0,
 		opts:       opts,
 		pending:    make(chan *graphRun, opts.MaxInflight),
 		closedCh:   make(chan struct{}),
@@ -421,11 +398,6 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 		go w.main()
 	}
 	e.startWG.Wait()
-	if e.watchdogOn {
-		e.monStop = make(chan struct{})
-		e.monWG.Add(1)
-		go e.monitor()
-	}
 	return e, nil
 }
 
@@ -521,11 +493,11 @@ func (e *Engine) execute(ctx context.Context, sink Key) (*Stats, error) {
 	}
 	r.start = e.now() // after the quiesce: Elapsed is the run, not the wait for the pool
 	e.admitLocked(r, true)
+	if ctx != nil {
+		e.watchCtxLocked(ctx, r)
+	}
 	e.stateMu.Unlock()
 	e.wakeOne()
-	if ctx != nil {
-		go e.watchCtx(ctx, r)
-	}
 	// The run wait keeps e.mu held: Execute is exclusive-occupancy, and
 	// workers never take e.mu, so the hold cannot deadlock the run.
 	<-e.doneChan(r) //nabbit:lockheld-ok Execute holds e.mu by design
@@ -537,14 +509,6 @@ func (e *Engine) execute(ctx context.Context, sink Key) (*Stats, error) {
 	// *PartialError) did complete — gather normally and return both.
 	if r.stats == nil {
 		return nil, r.err
-	}
-	// A hang-degraded run leaves the timed-out node's goroutine blocked
-	// in user code; quiescing on it would deadlock until the user's
-	// Compute returns. Skip the per-worker gather (Workers stays nil, as
-	// in Submit mode) and return the graph-level stats; the goroutine's
-	// eventual completion lands on a finished run and is dropped.
-	if r.stats.TimedOut > 0 {
-		return r.stats, r.err
 	}
 	// Quiesce again before gathering: the finishing worker unwinds and
 	// parks after closing done, and stats must not be read mid-write.
@@ -637,13 +601,6 @@ func (e *Engine) Close() error {
 	e.exitWG.Wait()
 	if e.deferTimer != nil {
 		e.deferTimer.Stop()
-	}
-	// Stop the watchdog only after the drain: an in-flight graph hung on
-	// a stuck Compute still needs the monitor to time it out, or the
-	// drain loop above would never see the engine go idle.
-	if e.watchdogOn {
-		close(e.monStop)
-		e.monWG.Wait()
 	}
 	return nil
 }
@@ -1122,12 +1079,6 @@ func (w *worker) rescue(r *graphRun) {
 	// A spec callback that panicked inside fill left its slot claimed; the
 	// worker's racers on it must see it published (poisoned) to return.
 	r.nt.abandonFill(w.id)
-	if w.e.watchdogOn {
-		// A panic can unwind between publishExec and clearExec; a stale
-		// publication would read as an ever-growing execution and make
-		// the monitor re-fire forever.
-		w.clearExec()
-	}
 	w.e.failRun(r, &ComputeError{
 		GraphID: r.id,
 		Key:     w.curKey,
@@ -1185,13 +1136,14 @@ func (w *worker) runItem(it item) {
 // splitting would push the upper half of the range until one key is left,
 // then resolve that leaf; here a half is published only when a thief can
 // use it. While the worker may hold work (mayHold: its deque already holds
-// some, nobody is hungry and no watchdog is on), it runs the keys in order without pushing,
-// for as long as each key it resolves is flat — it ran at most one task
-// and opened no range of its own. At the first leaf boundary where that
-// stops (or the fairness stride is due, or a guest's run has completed),
-// the rest of the range is published as eager splitting would have left it
-// (publishRest), and the worker returns to its loop. A rest whose run is
-// no longer live is dropped: its items would only be discarded at exec.
+// some, or the deferred wake is armed, and nobody is hungry), it runs the
+// keys in order without pushing, for as long as each key it resolves is
+// flat — it ran at most one task and opened no range of its own. At the
+// first leaf boundary where that stops (or the fairness stride is due, or
+// a guest's run has completed), the rest of the range is published as
+// eager splitting would have left it (publishRest), and the worker returns
+// to its loop. A rest whose run is no longer live is dropped: its items
+// would only be discarded at exec.
 //
 //nabbit:noalloc
 func (w *worker) runGroup(it item) {
@@ -1243,18 +1195,15 @@ func (w *worker) runLeaf(it item, k int32) {
 // publishes; under one, a thief appears only through wakeNow, which clears
 // the deferral first, or through a wake that takes a searching count (a
 // hand-back's, Close's), and this test sees either at the next boundary.
-// An engine with a NodeTimeout never holds: the watchdog may degrade a key
-// whose Compute hangs, and the rest of its range must then be where
-// another worker can run it, not in the locals of the stuck one.
+// A key whose Compute hangs keeps the rest of a held range in the stuck
+// worker's locals, but nothing could run that rest anyway: the run cannot
+// complete without the hung key, and a ctx deadline fails it whole.
 //
 // The common answer, an empty deque and no deferral, is read from the
 // worker's own counts and a word written once per graph, before the
 // searching count, whose line every hunt and steal writes.
 func (w *worker) mayHold() bool {
 	e := w.e
-	if e.watchdogOn {
-		return false
-	}
 	deferred := e.deferUntil.Load() != 0
 	if !deferred && w.dq.OwnerLen() == 0 {
 		return false
@@ -1346,26 +1295,11 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 		w.skipReady(r, n)
 		return
 	}
-	if e.watchdogOn {
-		w.publishExec(r, n, k)
-	}
 	var cerr error
 	if e.fspec != nil {
 		cerr = e.fspec.ComputeErr(k)
 	} else {
 		e.sv.spec.Compute(k)
-	}
-	if e.watchdogOn {
-		w.clearExec()
-		if n.state.Load()&nodeSkipBit != 0 {
-			// The watchdog claimed this node while it ran (it was
-			// overdue): the claim owns the successor notification and
-			// the run's fate, so this late completion is dropped
-			// harmlessly — the paper-facing guarantee that a stuck (or
-			// merely slow) Compute can never corrupt a graph the
-			// watchdog already acted on.
-			return
-		}
 	}
 	if cerr != nil {
 		w.computeFailed(r, n, cerr)

@@ -437,7 +437,7 @@ func TestArenaEpochReset(t *testing.T) {
 	if !created {
 		t.Fatal("key 5 not re-created after reset")
 	}
-	if n.Computed() {
+	if nodePhase(n.state.Load()) == nodeComputed {
 		t.Fatal("re-created node inherited computed phase from the previous epoch")
 	}
 

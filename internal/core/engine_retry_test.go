@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -124,104 +123,6 @@ func TestRetryExhaustion(t *testing.T) {
 	}
 }
 
-// hangConeEngine builds a 2-graph cone engine (plus opts overrides)
-// whose graph-0 leaf 0 blocks on the returned gate, signalling entered
-// on first arrival.
-func hangConeEngine(t *testing.T, width, workers int, opts Options) (e *Engine, gate chan struct{}, entered chan struct{}) {
-	t.Helper()
-	gate = make(chan struct{})
-	entered = make(chan struct{})
-	var once atomic.Bool
-	spec := coneSpec(2, width, workers, func(k Key) {
-		if k == 0 {
-			if once.CompareAndSwap(false, true) {
-				close(entered)
-			}
-			<-gate
-		}
-	})
-	if opts.Workers == 0 {
-		opts.Workers = workers
-	}
-	if !opts.Policy.Colored {
-		opts.Policy = NabbitCPolicy()
-	}
-	e, err := NewEngine(spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e, gate, entered
-}
-
-// TestWatchdogHang pins the watchdog tentpole: a node that hangs past
-// NodeTimeout fails only its owning graph, with a *TimeoutError naming
-// the node, within 2× NodeTimeout of the hang being detectable; a
-// concurrent healthy graph passes its exactly-once census; the stuck
-// goroutine's eventual return is dropped harmlessly and the engine
-// stays reusable.
-func TestWatchdogHang(t *testing.T) {
-	const width = 8
-	const nodeTimeout = 400 * time.Millisecond
-	stride := width + 1
-	counts := make([]atomic.Int32, 2*stride)
-	gate := make(chan struct{})
-	spec := coneSpec(2, width, 4, func(k Key) {
-		if k == 0 {
-			<-gate
-		}
-		counts[int(k)].Add(1)
-	})
-	e, err := NewEngine(spec, Options{
-		Workers: 4, Policy: NabbitCPolicy(), NodeTimeout: nodeTimeout,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	release := sync.OnceFunc(func() { close(gate) })
-	defer e.Close()
-	defer release() // LIFO: free the stuck worker before Close drains
-
-	start := time.Now()
-	hung, err := e.Submit(coneSink(0, width))
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := e.Submit(coneSink(1, width))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, werr := hung.Wait()
-	elapsed := time.Since(start)
-	if st != nil || werr == nil {
-		t.Fatalf("hung graph Wait = (%v, %v), want (nil, *TimeoutError)", st, werr)
-	}
-	var te *TimeoutError
-	if !errors.As(werr, &te) || !errors.Is(werr, ErrTimeout) {
-		t.Fatalf("hung graph err = %v (%T), want *TimeoutError matching ErrTimeout", werr, werr)
-	}
-	if te.Key != 0 || te.Limit != nodeTimeout {
-		t.Errorf("TimeoutError = %+v, want Key=0 Limit=%v", te, nodeTimeout)
-	}
-	if elapsed > 2*nodeTimeout {
-		t.Errorf("watchdog took %v, want <= 2x NodeTimeout (%v)", elapsed, 2*nodeTimeout)
-	}
-
-	if _, err := good.Wait(); err != nil {
-		t.Fatalf("healthy graph failed beside a hung one: %v", err)
-	}
-	for k := stride; k < 2*stride; k++ {
-		if c := counts[k].Load(); c != 1 {
-			t.Errorf("healthy graph key %d computed %d times, want 1", k, c)
-		}
-	}
-	// Free the stuck goroutine: its late completion lands on a dead run
-	// and must be dropped without corrupting the engine for reuse.
-	release()
-	if _, err := e.Execute(coneSink(1, width)); err != nil {
-		t.Fatalf("Execute after watchdog kill: %v", err)
-	}
-}
-
 // TestRetryBackoff pins the retry schedule: the backoff after failed
 // attempt n is BaseBackoff × 2^(n-1), up to the largest BaseBackoff
 // whose last backoff still fits in a time.Duration (a larger one is
@@ -282,9 +183,8 @@ func TestErrorBudget(t *testing.T) {
 		t.Errorf("PartialError.Skipped = %v (total %d), want [%d] (total 1)",
 			pe.Skipped, pe.SkippedTotal, sink)
 	}
-	if st.Retries != 1 || st.Skipped != 1 || st.TimedOut != 0 {
-		t.Errorf("Stats = retries %d skipped %d timedOut %d, want 1/1/0",
-			st.Retries, st.Skipped, st.TimedOut)
+	if st.Retries != 1 || st.Skipped != 1 {
+		t.Errorf("Stats = retries %d skipped %d, want 1/1", st.Retries, st.Skipped)
 	}
 	// TotalNodes counts only the width-1 healthy leaves that executed.
 	if st.TotalNodes() != int64(width-1) {
@@ -369,81 +269,6 @@ func TestErrorBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestWatchdogDegrade: a hung OPTIONAL node within the error budget is
-// skipped by the monitor instead of failing the run; the graph
-// completes degraded with Stats.TimedOut ledgered, and the stuck
-// goroutine's late return is dropped.
-func TestWatchdogDegrade(t *testing.T) {
-	const width = 8
-	gate := make(chan struct{})
-	spec := coneSpec(1, width, 2, func(k Key) {
-		if k == 0 {
-			<-gate
-		}
-	})
-	spec.OptionalFn = func(k Key) bool { return k == 0 }
-	e, err := NewEngine(spec, Options{
-		Workers: 2, Policy: NabbitCPolicy(),
-		NodeTimeout: 40 * time.Millisecond, ErrorBudget: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	defer close(gate)
-
-	st, werr := e.Execute(coneSink(0, width))
-	var pe *PartialError
-	if st == nil || !errors.As(werr, &pe) {
-		t.Fatalf("hung-optional Execute = (%v, %v), want Stats + *PartialError", st, werr)
-	}
-	if len(pe.Failed) != 1 || pe.Failed[0] != 0 {
-		t.Errorf("Failed = %v, want [0]", pe.Failed)
-	}
-	if st.TimedOut != 1 || st.Skipped != 1 {
-		t.Errorf("Stats = timedOut %d skipped %d, want 1/1", st.TimedOut, st.Skipped)
-	}
-}
-
-// TestWatchdogDegradeSamplesOnce: the monitor keeps sampling a degraded
-// node whose Compute still hangs, and those later samples must leave the
-// run alone. The other leaves, each well within NodeTimeout, keep the
-// second worker busy for several monitor ticks after leaf 0 is degraded,
-// with the error budget spent on leaf 0; the run must still complete
-// degraded, not fail with a *TimeoutError.
-func TestWatchdogDegradeSamplesOnce(t *testing.T) {
-	const width = 13
-	const nodeTimeout = 100 * time.Millisecond
-	gate := make(chan struct{})
-	spec := coneSpec(1, width, 2, func(k Key) {
-		switch {
-		case k == 0:
-			<-gate
-		case k < width:
-			time.Sleep(nodeTimeout / 5)
-		}
-	})
-	spec.OptionalFn = func(k Key) bool { return k == 0 }
-	e, err := NewEngine(spec, Options{
-		Workers: 2, Policy: NabbitCPolicy(),
-		NodeTimeout: nodeTimeout, ErrorBudget: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	defer close(gate)
-
-	st, werr := e.Execute(coneSink(0, width))
-	var pe *PartialError
-	if st == nil || !errors.As(werr, &pe) {
-		t.Fatalf("Execute = (%v, %v), want Stats + *PartialError", st, werr)
-	}
-	if len(pe.Failed) != 1 || pe.Failed[0] != 0 || st.TimedOut != 1 {
-		t.Errorf("Failed = %v, TimedOut = %d, want [0] and 1", pe.Failed, st.TimedOut)
-	}
-}
-
 // TestCancelAfterCompletion: Cancel on a completed ticket reports false
 // and leaves the recorded Stats untouched.
 func TestCancelAfterCompletion(t *testing.T) {
@@ -468,48 +293,6 @@ func TestCancelAfterCompletion(t *testing.T) {
 	st2, werr2 := tk.Wait()
 	if werr2 != nil || st2 != st || st2.NodesCreated != width+1 {
 		t.Fatalf("post-Cancel Wait = (%+v, %v), want the original stats unchanged", st2, werr2)
-	}
-}
-
-// TestCancelVsWatchdog races a user Cancel against the hang watchdog on
-// the same stuck graph: exactly one failure cause wins — Cancel's
-// report agrees with Wait's error — and the engine survives either
-// outcome.
-func TestCancelVsWatchdog(t *testing.T) {
-	const width = 8
-	const nodeTimeout = 30 * time.Millisecond
-	e, gate, entered := hangConeEngine(t, width, 2, Options{
-		Workers: 2, NodeTimeout: nodeTimeout,
-	})
-	release := sync.OnceFunc(func() { close(gate) })
-	defer e.Close()
-	defer release()
-
-	tk, err := e.Submit(coneSink(0, width))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-	time.Sleep(nodeTimeout) // land the Cancel near the watchdog's claim
-	won := tk.Cancel()
-	st, werr := tk.Wait()
-	if st != nil || werr == nil {
-		t.Fatalf("raced Wait = (%v, %v), want a single failure", st, werr)
-	}
-	var te *TimeoutError
-	switch {
-	case won:
-		if !errors.Is(werr, ErrCanceled) {
-			t.Fatalf("Cancel won but Wait err = %v, want ErrCanceled", werr)
-		}
-	case errors.As(werr, &te):
-		// Watchdog won; Cancel correctly reported false.
-	default:
-		t.Fatalf("Cancel lost but Wait err = %v, want *TimeoutError", werr)
-	}
-	release()
-	if _, err := e.Execute(coneSink(1, width)); err != nil {
-		t.Fatalf("Execute after the race: %v", err)
 	}
 }
 
@@ -640,10 +423,10 @@ func TestStallPendingDiagnostics(t *testing.T) {
 }
 
 // TestFailureTaxonomy is the table-driven errors.Is/errors.As contract
-// over all five failure classes: compute failure (error and panic),
-// watchdog timeout, partial completion, dependence stall, and
-// cancellation. Every class must expose its sentinel through errors.Is
-// and its typed detail through errors.As.
+// over all four failure classes: compute failure (error and panic),
+// partial completion, dependence stall, and cancellation. Every class
+// must expose its sentinel through errors.Is and its typed detail
+// through errors.As.
 func TestFailureTaxonomy(t *testing.T) {
 	const width = 4
 	cases := []struct {
@@ -697,30 +480,6 @@ func TestFailureTaxonomy(t *testing.T) {
 			as: func(err error) bool {
 				var ce *ComputeError
 				return errors.As(err, &ce) && ce.Value == "boom" && ce.Attempts == 0
-			},
-		},
-		{
-			name: "timeout",
-			make: func(t *testing.T) error {
-				gate := make(chan struct{})
-				e, err := NewEngine(coneSpec(1, width, 2, func(k Key) {
-					if k == 1 {
-						<-gate
-					}
-				}), Options{Workers: 2, Policy: NabbitCPolicy(), NodeTimeout: 30 * time.Millisecond})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// LIFO: the gate must close before Close drains workers.
-				t.Cleanup(func() { e.Close() })
-				t.Cleanup(func() { close(gate) })
-				_, werr := e.Execute(coneSink(0, width))
-				return werr
-			},
-			is: []error{ErrTimeout},
-			as: func(err error) bool {
-				var te *TimeoutError
-				return errors.As(err, &te) && te.Key == 1
 			},
 		},
 		{

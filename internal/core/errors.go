@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Sentinel failure classes. Every error the engine produces for a run
@@ -33,11 +32,6 @@ var (
 	// ComputeErr kept failing until Options.Retry was exhausted. The
 	// concrete error is a *ComputeError.
 	ErrComputeFailed = errors.New("core: node compute failed")
-
-	// ErrTimeout classifies runs failed by the watchdog: a node overran
-	// Options.NodeTimeout. The concrete error is a *TimeoutError. A run
-	// bounded by a context deadline fails with ErrCanceled instead.
-	ErrTimeout = errors.New("core: graph timed out")
 
 	// ErrPartial classifies runs that completed degraded: every failed
 	// node was optional (OptionalSpec) and within Options.ErrorBudget,
@@ -124,30 +118,13 @@ func (e *ComputeError) Unwrap() []error {
 	return []error{ErrComputeFailed}
 }
 
-// TimeoutError is the watchdog's diagnostic: node Key of graph GraphID
-// overran Options.NodeTimeout = Limit. It unwraps to ErrTimeout.
-type TimeoutError struct {
-	GraphID uint64
-	Key     Key
-	Limit   time.Duration
-}
-
-func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("core: graph %d: node %d exceeded NodeTimeout %v", e.GraphID, e.Key, e.Limit)
-}
-
-// Unwrap ties TimeoutError into the sentinel taxonomy:
-// errors.Is(err, ErrTimeout) holds for every watchdog failure.
-func (e *TimeoutError) Unwrap() error { return ErrTimeout }
-
 // PartialError reports a degraded completion: the run's sink computed
 // (or was itself skipped), Stats are valid, but Failed lists the
-// optional nodes that exhausted their retry budget or were timed out by
-// the watchdog, and Skipped lists the downstream nodes poisoned by
-// those failures — never executed, marked complete so the graph could
-// drain. Both lists are ascending; Skipped is truncated to
-// StallPendingMax entries with the untruncated count in SkippedTotal.
-// It unwraps to ErrPartial.
+// optional nodes that exhausted their retry budget, and Skipped lists
+// the downstream nodes poisoned by those failures — never executed,
+// marked complete so the graph could drain. Both lists are ascending;
+// Skipped is truncated to StallPendingMax entries with the untruncated
+// count in SkippedTotal. It unwraps to ErrPartial.
 type PartialError struct {
 	GraphID      uint64
 	Failed       []Key

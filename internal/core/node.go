@@ -155,13 +155,6 @@ func (n *Node) Color() int { return int(n.color) }
 // Home returns the color whose memory holds the task's data.
 func (n *Node) Home() int { return int(n.home) }
 
-// Preds returns the task's predecessor keys. Callers must not modify the
-// returned slice.
-func (n *Node) Preds() []Key { return n.predKeys() }
-
-// Computed reports whether the task has finished executing.
-func (n *Node) Computed() bool { return nodePhase(n.state.Load()) == nodeComputed }
-
 func (n *Node) predKeys() []Key { return unsafe.Slice(n.preds, n.npreds) }
 
 func (n *Node) setPreds(ps []Key) {
@@ -219,8 +212,9 @@ func (n *Node) addSuccessor(s *Node) bool {
 // and from the instant the computed phase is visible addSuccessor refuses
 // and nobody else touches succs — the list belongs to the caller without
 // ever taking the claim bit. ok=false reports that the node had already
-// been retired (a watchdog claim racing a late completion, or vice versa):
-// nothing changed and the caller owes no notifications.
+// been retired: nothing changed and the caller owes no notifications. The
+// engine never asks twice — every retirement is made by the goroutine that
+// owns the node's execution (see doc.go's degradation note).
 //
 // The list stays where it is, length and all: it is dead to everyone else
 // for the rest of this run, but a table slot that is created again
@@ -258,8 +252,7 @@ func (n *Node) markComputed() []*Node {
 // claimSkip retires a node that must never execute: the phase becomes
 // computed with nodeSkipBit set (attempt bits cleared, epoch preserved)
 // and the drained successor list is returned for notification, exactly
-// like markComputed. ok=false reports that a racing normal completion
-// already computed the node.
+// like markComputed. ok=false reports that the node was already retired.
 //
 //nabbit:noalloc
 func (n *Node) claimSkip() (succs []*Node, ok bool) { return n.retire(nodeSkipBit) }

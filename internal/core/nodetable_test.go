@@ -197,7 +197,7 @@ func TestArenaGetOrCreateRace(t *testing.T) {
 								return
 							}
 							// The node must be published fully initialized.
-							if got := len(n.Preds()); got != int(k)%3 {
+							if got := len(n.predKeys()); got != int(k)%3 {
 								t.Errorf("key %d observed %d preds, want %d", k, got, int(k)%3)
 								return
 							}
@@ -328,7 +328,7 @@ func TestNotifyLifecycleRace(t *testing.T) {
 					round, i, 1-j)
 			}
 		}
-		if !pred.Computed() {
+		if nodePhase(pred.state.Load()) != nodeComputed {
 			t.Fatalf("round %d: pred not computed after markComputed", round)
 		}
 		// Late registration after computed must be refused.

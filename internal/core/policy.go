@@ -227,16 +227,10 @@ type Options struct {
 	// Retry bounds how failed FallibleSpec attempts are retried (see
 	// RetryPolicy). The zero value means no retries.
 	Retry RetryPolicy
-	// NodeTimeout, when positive, arms the hang watchdog: a node whose
-	// compute runs longer than this fails (or, when optional and within
-	// ErrorBudget, degrades) its owning graph with a *TimeoutError; the
-	// stuck goroutine's eventual return is discarded harmlessly.
-	NodeTimeout time.Duration
-	// ErrorBudget is the per-graph count of optional-node permanent
-	// failures (exhausted retries or watchdog timeouts) the run absorbs
-	// by skipping the node's downstream cone instead of failing; such a
-	// run completes with Stats plus a *PartialError. 0 disables
-	// degradation.
+	// ErrorBudget is the per-graph count of optional-node permanent failures
+	// (exhausted retries) the run absorbs by skipping the node's downstream
+	// cone instead of failing; such a run completes with Stats plus a
+	// *PartialError. 0 disables degradation.
 	ErrorBudget int
 }
 
@@ -265,9 +259,6 @@ func (o Options) withDefaults() (Options, error) {
 		return o, err
 	}
 	o.Retry = r
-	if o.NodeTimeout < 0 {
-		return o, fmt.Errorf("core: negative NodeTimeout %v", o.NodeTimeout)
-	}
 	if o.ErrorBudget < 0 {
 		return o, fmt.Errorf("core: negative ErrorBudget %d", o.ErrorBudget)
 	}

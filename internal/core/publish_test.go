@@ -167,91 +167,6 @@ func TestHungryWorkerGetsHeldRange(t *testing.T) {
 	checkQuiet(t, e)
 }
 
-// TestWatchdogDegradesInsideRange stages a hung leaf inside a range that
-// lazy publication would hold. Graph A's one task keeps one worker busy in
-// its Compute, so nobody is searching or parked. The other worker runs
-// graph B, a sink over 16 leaves of one colour: it publishes [8,16) into
-// its empty deque and would then hold [0,8), were the watchdog not on.
-// Leaf 0 is optional and hangs until the test ends; the watchdog degrades
-// it, and B's sink still needs leaves 1..7. Once A's worker is free it
-// must find them on the deque — held, they would sit in the stuck
-// worker's locals and B would never complete.
-func TestWatchdogDegradesInsideRange(t *testing.T) {
-	const width = 16
-	const sinkB, a = Key(width), Key(width + 1)
-	aEntered := make(chan struct{})
-	busy := make(chan struct{})
-	leafEntered := make(chan struct{})
-	gate := make(chan struct{})
-	spec := FuncSpec{
-		PredsFn: func(k Key) []Key {
-			if k != sinkB {
-				return nil
-			}
-			ps := make([]Key, width)
-			for i := range ps {
-				ps[i] = Key(i)
-			}
-			return ps
-		},
-		ColorFn: func(Key) int { return 0 },
-		ComputeFn: func(k Key) {
-			switch k {
-			case a:
-				close(aEntered)
-				<-busy
-			case 0:
-				close(leafEntered)
-				<-gate
-			}
-		},
-		OptionalFn: func(k Key) bool { return k == 0 },
-		BoundFn:    func() int { return width + 2 },
-	}
-	e := waitEngine(t, spec, Options{
-		Workers: 2, NodeTimeout: 40 * time.Millisecond, ErrorBudget: 1,
-	})
-	defer mustClose(t, e)
-	defer close(gate) // LIFO: free the stuck worker before Close drains
-
-	tkA, err := e.Submit(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-aEntered
-	tkB, err := e.Submit(sinkB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-leafEntered
-	close(busy)
-	// A may itself have overrun NodeTimeout while it kept its worker busy;
-	// either outcome leaves that worker free.
-	tkA.Wait()
-
-	type result struct {
-		st  *Stats
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		st, err := tkB.Wait()
-		done <- result{st, err}
-	}()
-	select {
-	case res := <-done:
-		var pe *PartialError
-		if res.st == nil || !errors.As(res.err, &pe) {
-			t.Fatalf("Wait = (%v, %v), want Stats + *PartialError", res.st, res.err)
-		}
-		if len(pe.Failed) != 1 || pe.Failed[0] != 0 {
-			t.Errorf("Failed = %v, want [0]", pe.Failed)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the degraded run did not complete: the leaves after the hung one are not on a deque")
-	}
-}
-
 // hungry reads the engine's hunger test as runGroup's mayHold does: a
 // worker is searching, or one is parked with no deferred wake armed.
 func hungry(e *Engine) bool {

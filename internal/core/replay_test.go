@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -315,31 +316,28 @@ func TestReplayFallback(t *testing.T) {
 		g.execute("and the one after", true)
 	})
 
-	t.Run("timed-out run before", func(t *testing.T) {
+	t.Run("canceled-while-hung run before", func(t *testing.T) {
 		gate := make(chan struct{})
 		var hang atomic.Bool
 		victim := Key(-1)
-		g := rig(t, Options{NodeTimeout: 20 * time.Millisecond, ErrorBudget: 1}, func(k Key) {
+		g := rig(t, Options{}, func(k Key) {
 			if k == victim && hang.Load() {
 				<-gate
 			}
-		}, func(s FuncSpec) Spec {
-			s.OptionalFn = func(k Key) bool { return k == victim }
-			return s
-		})
+		}, nil)
 		victim = g.inner.PredsFn(g.sink)[0]
 		g.execute("first", false)
 		g.execute("second", true)
 		hang.Store(true)
-		st, err := g.e.Execute(g.sink)
-		var pe *PartialError
-		if st == nil || st.TimedOut != 1 || !errors.As(err, &pe) {
-			t.Fatalf("hung replay = (%+v, %v), want Stats with one timeout and a *PartialError", st, err)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		if st, err := g.e.ExecuteCtx(ctx, g.sink); st != nil || !errors.Is(err, ErrCanceled) {
+			t.Fatalf("hung replay past its deadline = (%+v, %v), want (nil, ErrCanceled)", st, err)
 		}
 		hang.Store(false)
 		close(gate)
 		g.discard() // once the released worker has recorded its task and parked
-		g.execute("after the timed-out run", false)
+		g.execute("after the canceled run", false)
 		g.execute("and the one after", true)
 	})
 

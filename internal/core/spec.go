@@ -81,10 +81,9 @@ type FallibleSpec interface {
 
 // OptionalSpec marks tasks whose permanent failure should degrade the
 // graph instead of failing it: when an optional node exhausts its retry
-// budget (or is timed out by the watchdog) and the graph still has
-// Options.ErrorBudget, the engine skips the node and poisons only its
-// downstream cone; the run completes with Stats plus a *PartialError.
-// Non-optional nodes always fail the whole graph.
+// budget and the graph still has Options.ErrorBudget, the engine skips the
+// node and poisons only its downstream cone; the run completes with Stats
+// plus a *PartialError. Non-optional nodes always fail the whole graph.
 type OptionalSpec interface {
 	Spec
 	// Optional reports whether task k may be skipped on permanent

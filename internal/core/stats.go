@@ -335,11 +335,6 @@ type Stats struct {
 	// under Options.Retry (each failed-then-retried attempt counts once;
 	// the final, exhausting failure does not).
 	Retries int64
-	// TimedOut counts nodes the hang watchdog degraded after they overran
-	// Options.NodeTimeout (only optional nodes within ErrorBudget can be
-	// degraded; a non-optional timeout fails the run and produces no
-	// Stats).
-	TimedOut int
 	// Skipped counts downstream nodes retired without executing because a
 	// permanently failed optional ancestor poisoned their cone. The
 	// failed ancestors themselves are listed in the run's *PartialError,

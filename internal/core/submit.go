@@ -65,24 +65,23 @@ type graphRun struct {
 	statsBuf Stats
 	ticket   Ticket
 	// callerRuns marks a run whose Ticket.Wait may run it on the waiting
-	// goroutine: admitted without a ctx into an engine without the
-	// watchdog. Those two promise that Wait returns while a Compute is
-	// still stuck, which a goroutine inside that Compute cannot do.
+	// goroutine: one admitted without a ctx. A ctx run promises that Wait
+	// returns once the ctx expires, even while a Compute is still stuck,
+	// which a goroutine inside that Compute cannot do.
 	callerRuns bool
+	// stopCtx unregisters a ctx run's expiry callback (context.AfterFunc);
+	// set under stateMu at admission, called when the run settles.
+	stopCtx func() bool
 
 	// Transient-failure bookkeeping (see retry.go); all failure-path —
 	// a healthy run only ever loads the counters once, in finishRun.
 	// retries counts re-enqueued failed attempts; failed is the consumed
-	// error budget (CAS-bounded by Options.ErrorBudget); timedOut counts
-	// watchdog degradations, hung those whose worker is still stuck
-	// inside the compute (forcing table quarantine); skippedN counts
+	// error budget (CAS-bounded by Options.ErrorBudget); skippedN counts
 	// cone nodes retired without executing. failMu guards the key lists
 	// behind the run's *PartialError. backoffs, guarded by Engine.retryMu,
 	// holds the run's retry timers for failRun to stop.
 	retries     atomic.Int64
 	failed      atomic.Int32
-	timedOut    atomic.Int32
-	hung        atomic.Int32
 	skippedN    atomic.Int32
 	failMu      sync.Mutex
 	failedKeys  []Key
@@ -110,15 +109,8 @@ func (r *graphRun) takeBudget(budget int) bool {
 	}
 }
 
-// giveBudget refunds a unit whose degrade lost the retire race.
-func (r *graphRun) giveBudget() { r.failed.Add(-1) }
-
-// noteFailed records a permanently failed optional node (timedOut when
-// the watchdog, rather than an exhausted retry budget, retired it).
-func (r *graphRun) noteFailed(k Key, timedOut bool) {
-	if timedOut {
-		r.timedOut.Add(1)
-	}
+// noteFailed records a permanently failed optional node.
+func (r *graphRun) noteFailed(k Key) {
 	r.failMu.Lock()
 	r.failedKeys = append(r.failedKeys, k)
 	r.failMu.Unlock()
@@ -163,13 +155,13 @@ type Ticket struct {
 // Wait blocks until the graph completes and returns its stats. The
 // per-worker counters (Stats.Workers) are nil: workers interleave many
 // graphs, so per-worker activity cannot be attributed to one submission —
-// use Execute for a fully attributed run. Wait may be called any number
-// of times, from any goroutine, including from inside a Compute. On
-// failure the stats are nil and the error is typed: *ComputeError for a
-// recovered panic or an exhausted retry budget, ErrCanceled (wrapped) for
-// Cancel/ctx aborts, *TimeoutError for a watchdog kill, *StallError for a
-// graph whose sink can never compute. A degraded completion returns BOTH
-// non-nil stats and a non-nil *PartialError (see Options.ErrorBudget).
+// use Execute for a fully attributed run. Wait may be called any number of
+// times, from any goroutine, including from inside a Compute. On failure
+// the stats are nil and the error is typed: *ComputeError for a recovered
+// panic or an exhausted retry budget, ErrCanceled (wrapped) for Cancel/ctx
+// aborts, *StallError for a graph whose sink can never compute. A degraded
+// completion returns BOTH non-nil stats and a non-nil *PartialError (see
+// Options.ErrorBudget).
 //
 // Wait does not sleep while it could work: if the run is still live and a
 // worker is parked, the waiting goroutine borrows that worker — it runs
@@ -181,9 +173,8 @@ type Ticket struct {
 // returns at the first leaf boundary after the run completes or is
 // canceled: after the key the worker is resolving, whether it popped that
 // key's item or runs the key in turn from a range it holds (see runGroup).
-// Runs admitted through SubmitCtx, and every run of an engine with
-// NodeTimeout set, only ever block here: their Wait must return even while
-// a Compute is stuck.
+// Runs admitted through SubmitCtx only ever block here: their Wait must
+// return once the ctx expires, even while a Compute is stuck.
 func (t *Ticket) Wait() (*Stats, error) {
 	r, e := t.r, t.e
 	if r.callerRuns {
@@ -234,13 +225,17 @@ func (e *Engine) doneChan(r *graphRun) <-chan struct{} {
 
 // settleLocked ends a completed run's part in admission (caller holds
 // stateMu, and r's stats and err are final): its slot goes back, the
-// settled bit tells Wait's fast path that stats and err may be read, and a
-// done channel somebody made is closed.
+// settled bit tells Wait's fast path that stats and err may be read, a
+// done channel somebody made is closed, and a ctx run stops watching its
+// context.
 func (e *Engine) settleLocked(r *graphRun) {
 	e.releaseSlotLocked()
 	r.state.Or(runSettled)
 	if r.done != nil {
 		close(r.done)
+	}
+	if r.stopCtx != nil {
+		r.stopCtx()
 	}
 }
 
@@ -288,7 +283,7 @@ func (e *Engine) SubmitCtx(ctx context.Context, sink Key) (*Ticket, error) {
 }
 
 // submit is the shared admission path; ctx is nil for plain Submit,
-// keeping the no-ctx fast path free of watcher goroutines and ctx
+// keeping the no-ctx fast path free of context callbacks and ctx
 // plumbing (its steady-state cost is the one graphRun allocation the
 // throughput gate pins).
 func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
@@ -304,7 +299,7 @@ func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 	// the one lock every admission and every completion shares.
 	r := &graphRun{sink: sink, start: e.now()}
 	r.ticket = Ticket{e: e, r: r}
-	r.callerRuns = ctx == nil && !e.watchdogOn
+	r.callerRuns = ctx == nil
 	e.stateMu.Lock()
 	waited, err := e.takeSlotLocked(ctx, e.opts.Admission == AdmissionReject)
 	if err != nil {
@@ -341,6 +336,9 @@ func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 	}
 	idle := e.active.Load() == 0
 	e.admitLocked(r, false)
+	if ctx != nil {
+		e.watchCtxLocked(ctx, r)
+	}
 	// parked is read after the graph is published: a worker that was still
 	// on its way to parking either is counted here or re-checks pending
 	// after its announcement.
@@ -354,9 +352,6 @@ func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 		e.armTimer(deferDelay)
 	} else {
 		e.wakeNow()
-	}
-	if ctx != nil {
-		go e.watchCtx(ctx, r)
 	}
 	return &r.ticket, nil
 }
@@ -416,14 +411,16 @@ func (e *Engine) releaseSlotLocked() {
 	e.slotWaiters = slices.Delete(e.slotWaiters, 0, 1)
 }
 
-// watchCtx fails the run when its context expires before the run
-// completes; either way it exits once the run is over.
-func (e *Engine) watchCtx(ctx context.Context, r *graphRun) {
-	select {
-	case <-ctx.Done():
+// watchCtxLocked arranges for the run to fail when its context expires
+// before the run completes (caller holds stateMu and has registered r).
+// No goroutine waits on the context: the callback runs only if it
+// expires, and settleLocked unregisters it once the run is over. A
+// context that has already expired runs the callback at once, which
+// then waits for stateMu, so it finds the run registered.
+func (e *Engine) watchCtxLocked(ctx context.Context, r *graphRun) {
+	r.stopCtx = context.AfterFunc(ctx, func() {
 		e.failRun(r, cancelErr(r.id, ctx.Err()))
-	case <-e.doneChan(r):
-	}
+	})
 }
 
 // admitLocked registers an admitted graph (caller holds stateMu and the
@@ -488,16 +485,17 @@ func (e *Engine) checkoutTableLocked(sink Key, quiet bool) (*nodeArena, *Node) {
 }
 
 // finishRun completes a graph whose sink just computed, called by the
-// computing worker (wid; -1 from the watchdog's monitor). At this instant
+// computing worker (wid). At this instant
 // no items of the graph remain in any deque (every live item would feed an
 // unresolved join below the sink, contradicting the sink having computed)
 // and no other worker holds a reference into the graph's nodes, so the
 // table's pages go back to the page pool and the table to the table pool
 // immediately — table memory follows the nodes in flight, not the graphs
-// admitted. The hand-back sits inside the stateMu section on purpose: the
-// watchdog pins a live run's nodes by holding stateMu across its runLive
-// check and its claim (nodeOverdue), so a page may not move until any such
-// section that still saw this run live has ended. The run that leaves the
+// admitted. The hand-back sits inside the stateMu section. Nothing holds it
+// there for safety: no goroutine outside the run's workers reads a run's
+// nodes. Moving it out would shorten the hold of the one lock every
+// admission shares, a change that wants a measurement first. The run that
+// leaves the
 // engine idle also trims the page pool (see pagePool.trim), so an idle
 // engine's node memory does not depend on how many pages its busiest
 // moment needed. If a concurrent Cancel/ctx expiry won the completion CAS
@@ -515,7 +513,6 @@ func (e *Engine) finishRun(r *graphRun, wid int) {
 		Replayed:     r.root != nil,
 		Topology:     e.opts.Topology,
 		Retries:      r.retries.Load(),
-		TimedOut:     int(r.timedOut.Load()),
 		Skipped:      int(r.skippedN.Load()),
 	}
 	r.stats = &r.statsBuf
@@ -523,17 +520,8 @@ func (e *Engine) finishRun(r *graphRun, wid int) {
 		r.err = r.partialError()
 	}
 	e.stateMu.Lock()
-	if r.hung.Load() > 0 {
-		// A watchdog-degraded node's worker is still stuck inside its
-		// compute, holding pointers into this run's nodes: quarantine
-		// the table, pages and all, like a failed run's (reclaimed at
-		// the next proven-quiet point) instead of pooling it.
-		e.deadTables = append(e.deadTables, r.nt)
-		e.quarantined.Store(int32(len(e.deadTables)))
-	} else {
-		r.nt.release(wid, r.err == nil) // a degraded run (failed, skipped, timed out) left r.err
-		e.tables = append(e.tables, r.nt)
-	}
+	r.nt.release(wid, r.err == nil) // a degraded run (failed or skipped nodes) left r.err
+	e.tables = append(e.tables, r.nt)
 	e.removeRunLocked(r)
 	if len(e.runs) == 0 && len(e.deadTables) == 0 {
 		e.pool.trim()

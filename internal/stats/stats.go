@@ -1,23 +1,11 @@
-// Package stats provides the small statistics and table-formatting
-// helpers the experiment harness uses.
+// Package stats provides the table-formatting helpers the experiment
+// harness uses.
 package stats
 
 import (
 	"fmt"
 	"strings"
 )
-
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
 
 // Table accumulates rows and renders them with aligned columns.
 type Table struct {

@@ -1,40 +1,9 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("mean of empty not 0")
-	}
-	if m := Mean([]float64{1, 2, 3, 4}); m != 2.5 {
-		t.Fatalf("mean = %v", m)
-	}
-}
-
-func TestQuickMeanBounds(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		min, max := math.Inf(1), math.Inf(-1)
-		for i, r := range raw {
-			xs[i] = float64(r)
-			min = math.Min(min, xs[i])
-			max = math.Max(max, xs[i])
-		}
-		m := Mean(xs)
-		return m >= min-1e-9 && m <= max+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("name", "value")
