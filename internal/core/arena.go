@@ -80,11 +80,11 @@ type nodeArena struct {
 	// position (a multiple of epochUnit), and era the pool clock's count
 	// of stamp wraps when it was issued. A slot whose stamped epoch differs
 	// reads as absent; reset takes a new stamp from the pool instead of
-	// clearing slots. The stamp is unique among the engine's tables within
-	// its era, so a page another table filled reads as empty here. Written
-	// only between runs (all workers quiescent), read by all workers during
-	// a run — the Engine's park/wake handshake provides the happens-before
-	// edge.
+	// clearing slots, except for a replay, which keeps the last run's. The
+	// stamp is unique among the engine's tables within its era, so a page
+	// another table filled reads as empty here. Written only between runs
+	// (all workers quiescent), read by all workers during a run — the
+	// Engine's park/wake handshake provides the happens-before edge.
 	stamp uint32
 	era   uint64
 	// sink is the sink of the table's current (or last) run, and primed
@@ -494,32 +494,30 @@ func (a *nodeArena) drop(wid int) {
 	a.root.setSuccs(nil) // name no node of a page that is gone
 }
 
-// reset readies the table for a run from sink: a fresh stamp from the
-// engine-wide clock makes every slot of every page it holds or will
-// install read as absent — no slot clearing, no allocation. Whatever pages
-// the table kept go back first unless this is the graph they were kept
-// for, and always when the new stamp opens a new era, which no page's
-// words may cross. A table that kept them, was told its last run was clean
-// and is reset in the quiet state tries to replay that run instead (rearm).
-// A pass that gives up half-way has stamped some nodes, so discovery gets a
-// stamp of its own.
+// reset readies the table for a run from sink. A table that kept its pages
+// for this sink, was told its last run was clean and is reset in the quiet
+// state first tries to replay that run (rearm), under the stamp that run
+// had. Otherwise a fresh stamp from the engine-wide clock makes every slot
+// of every page the table holds or will install read as absent — no slot
+// clearing, no allocation — and whatever pages it kept go back first unless
+// this is the graph they were kept for, and always when the new stamp opens
+// a new era, which no page's words may cross.
 func (a *nodeArena) reset(sink Key, quiet bool) *Node {
-	prev, clean, listed := a.stamp, a.clean, a.armed
+	clean, listed := a.clean, a.armed
 	a.clean, a.armed = false, false
-	stamp, era := a.pool.nextStamp()
-	a.repeat = (sink == a.sink || !a.primed) && era == a.era
 	rearmed := 0
-	if quiet && clean && a.repeat && !a.unstable {
-		if rearmed = a.rearm(prev, stamp, listed); rearmed == 0 {
-			stamp, era = a.pool.nextStamp()
-			a.repeat = era == a.era
+	if quiet && clean && sink == a.sink && !a.unstable {
+		rearmed = a.rearm(listed)
+	}
+	if rearmed == 0 {
+		stamp, era := a.pool.nextStamp()
+		a.repeat = (sink == a.sink || !a.primed) && era == a.era
+		if !a.repeat {
+			a.drop(-1)
+			a.unstable = false
 		}
+		a.sink, a.primed, a.stamp, a.era = sink, true, stamp, era
 	}
-	if !a.repeat {
-		a.drop(-1)
-		a.unstable = false
-	}
-	a.sink, a.primed, a.stamp, a.era = sink, true, stamp, era
 	for i := range a.stripes {
 		st := &a.stripes[i]
 		st.created = 0
@@ -537,16 +535,17 @@ func (a *nodeArena) reset(sink Key, quiet bool) *Node {
 }
 
 // rearm is the replay pass (doc.go's replay note has the argument): every
-// node the last run computed — its word is exactly prev|computed — becomes
-// ready under stamp with its join count back at its in-degree, and the ones
-// without predecessors become the root's successors, in page order (slot
-// order for an indexed table). It
+// node the last run computed — its word is exactly stamp|computed — gets its
+// join count back at its in-degree, and the ones without predecessors become
+// the root's successors, in page order (slot order for an indexed table).
+// No lifecycle word is written: the nodes keep reading computed under the
+// stamp the replay keeps, and nothing in a replayed run asks their phase. It
 // returns how many nodes it armed, zero if the run cannot be replayed: the
 // spec no longer returns the very predecessor slice a node recorded
 // (remembered in unstable), a Predecessors call panicked (the discovery
 // that follows meets the panic inside the run's failure boundary), or
 // there is no source. The caller holds the engine's quiet state, which is
-// what makes the pass's plain stores sound (see Node.arm).
+// what makes the pass's plain stores sound.
 //
 // listed says the successor lists are whole, as a replay leaves them and a
 // discovery does not: an edge whose predecessor had computed by the time
@@ -554,7 +553,7 @@ func (a *nodeArena) reset(sink Key, quiet bool) *Node {
 // listed. So the first pass of a streak gathers the table's pages into one
 // sorted list — valid for the streak, a replay installs nothing — and
 // rebuilds every list from the predecessor lists, successors in page order.
-func (a *nodeArena) rearm(prev, stamp uint32, listed bool) (rearmed int) {
+func (a *nodeArena) rearm(listed bool) (rearmed int) {
 	defer func() {
 		if recover() != nil {
 			rearmed = 0
@@ -570,13 +569,13 @@ func (a *nodeArena) rearm(prev, stamp uint32, listed bool) (rearmed int) {
 		slices.Sort(*pages)
 	}
 	spec := a.sv.spec
-	was, now := prev|nodeComputed, stamp|nodeReady
+	done := a.stamp | nodeComputed
 	sources := a.root.succBacking()[:0]
 	for _, pn := range *pages {
 		pg := a.page(pn)
 		for i := range pg {
 			n := &pg[i]
-			if n.state.Load() != was {
+			if n.state.Load() != done {
 				continue
 			}
 			ps := spec.Predecessors(n.key)
@@ -587,7 +586,7 @@ func (a *nodeArena) rearm(prev, stamp uint32, listed bool) (rearmed int) {
 			if !listed {
 				n.nsuccs = 0
 			}
-			n.arm(now)
+			n.join = n.npreds //nabbit:mixed-ok quiet state: the wake that starts the run publishes it
 			if n.npreds == 0 {
 				sources = append(sources, n)
 			}
@@ -603,7 +602,7 @@ func (a *nodeArena) rearm(prev, stamp uint32, listed bool) (rearmed int) {
 			pg := a.page(pn)
 			for i := range pg {
 				n := &pg[i]
-				if n.state.Load() != now {
+				if n.state.Load() != done {
 					continue
 				}
 				for _, pk := range n.predKeys() {

@@ -46,7 +46,8 @@
 // steady-state Execute and Submit cycles allocate only run bookkeeping
 // (single-digit allocations), never per-node storage. An Execute of the
 // sink the table has just served goes further and forgets nothing: it
-// re-arms the last run's nodes where they lie (see the replay note).
+// re-arms the last run's nodes where they lie, under the stamp they carry
+// (see the replay note).
 //
 // # Design note: multi-tenancy — per-graph runs, tables, and admission
 //
@@ -377,7 +378,9 @@
 // # Design note: the node lifecycle word
 //
 // Every Node carries one atomic state word encoding its lifecycle phase
-// plus a successor-list claim bit. The phases are monotonic:
+// plus a successor-list claim bit. The phases are monotonic (a replayed
+// run, which only notifies, leaves every node computed; see the replay
+// note):
 //
 //	absent ──CAS──▶ initializing ──store──▶ ready ──store──▶ computed
 //
@@ -393,7 +396,7 @@
 //     successors register via addSuccessor (append under the claim bit)
 //     and predecessors decrement the join counter. The worker whose
 //     decrement reaches zero computes the node.
-//   - computed: retire (markComputed, or claimSkip for a degraded node)
+//   - computed: retire (claimSkip for a degraded node)
 //     published the computed phase with one CAS from an unlocked word;
 //     from that instant addSuccessor refuses new registrations and the
 //     successor list belongs to the retiring worker alone, so every
@@ -402,7 +405,7 @@
 // The claim bit (succLockBit) is a short CAS-acquired spin lock guarding
 // appends to the successor list — held across one append, never across a
 // spec call. It replaces the per-node sync.Mutex the
-// addSuccessor/markComputed handshake once took: the uncontended cost of
+// addSuccessor/retire handshake once took: the uncontended cost of
 // an append is one CAS + one store, there is no futex slow path, and
 // folding it into the lifecycle word lets one load answer "computed?" on
 // the scan fast path. Retirement never takes the bit at all: a CAS that
@@ -617,11 +620,16 @@
 // item through the deque — about three quarters of what the scheduler
 // spends on it. A repeat Execute therefore replays the last run instead:
 // nodeArena.reset, finding itself eligible, makes one pass over the table's
-// pages (rearm) that leaves every node the last run computed ready again
-// under the new stamp, join count back at its in-degree, and hangs the
-// nodes without predecessors on a table-owned root node as its successor
-// list. worker.seed roots the run with a successor-work item over that
-// root instead of creating the sink, and from there the run is the notify
+// pages (rearm) that puts the join count of every node the last run
+// computed back at its in-degree and hangs the nodes without predecessors
+// on a table-owned root node as its successor list. The pass writes no
+// lifecycle word, and the replay keeps the last run's stamp: every node
+// reads computed from the start of the run to its end, and nothing in a
+// replayed run asks its phase — no node is looked up, no edge registered —
+// while retire's CAS does not look at it, bumpAttempt and setSkip work on a
+// computed word as on a ready one, and retire clears what they set.
+// worker.seed roots the run with a successor-work item over that root
+// instead of creating the sink, and from there the run is the notify
 // cascade that exists anyway — computeAndNotify, decJoin, groupNodes, the
 // deque — from the sources up to the sink, whose completion finishes the
 // run as ever. No node is created, no edge registered, no predecessor item
@@ -629,16 +637,15 @@
 // reports the run as Replayed, with NodesCreated the number re-armed.
 //
 // Eligibility. All of: the table is checked out by Execute (below); the
-// sink is the one it served last, in the same era, so it still holds that
-// run's pages; that run ended at its sink through finishRun with no node
-// failed or skipped (release is told, and a failed, canceled or stalled
-// run's table comes back through quarantine, which tells
-// it the opposite); and the spec has not been caught returning a different
-// slice (next paragraph). Everything else discovers, exactly as before:
-// every first run, every Submit, the run after a failure, a changed sink,
-// the first run of a new era. A pass that gives
-// up half-way has stamped some nodes ready, so the discovery that follows
-// takes a stamp of its own and finds them all absent.
+// sink is the one it served last, so it still holds that run's pages; that
+// run ended at its sink through finishRun with no node failed or skipped
+// (release is told, and a failed, canceled or stalled run's table comes
+// back through quarantine, which tells it the opposite); and the spec has
+// not been caught returning a different slice (next paragraph). Everything
+// else discovers, exactly as before: every first run, every Submit, the run
+// after a failure, a changed sink. Only a discovery takes a stamp from the
+// engine's clock, so a table may replay across a wrap of it, under the era
+// tag it was checked out with (the node-table note).
 //
 // The identity check, and what it cannot see. The pass calls Predecessors
 // once per node, on the goroutine calling Execute, and requires the very
@@ -673,17 +680,19 @@
 // replays in the order it was discovered in.
 //
 // Why only under Execute. The pass is single-threaded, linear in the
-// graph (5-7 ns a node, 0.3-0.4 ms of a 65 536-node run's 2.7-3.1, counted
-// in Elapsed) and writes nodes with plain stores. Execute has already proven the state that makes both
-// acceptable — lockQuiet: no run registered, every worker parked, no wake
-// in flight — so the workers' last writes to those nodes are ordered before
-// the pass by their park announcements, the wake that starts the run
-// publishes the pass to them. The only one kept waiting is a Submit that
-// arrives during the pass, behind stateMu as it would be behind the stats
-// reset in the same section. A Submit's own checkout is the opposite case:
-// it holds stateMu in front of every other tenant's admission and
-// completion while workers are anywhere, so it never replays, and the
-// feature adds no wait, wake or CAS to any protocol.
+// graph (box figures: 12-17 ns a node, 0.82-1.11 ms of a ~10 ms 256x256
+// fine-grid Execute whose first_work_us.fine reads 1 040-1 085 us; counted
+// in Elapsed) and writes join counts — and, on a streak's first pass,
+// successor lists — with plain stores. Execute has already proven the state
+// that makes both acceptable — lockQuiet: no run registered, every worker
+// parked, no wake in flight — so the workers' last writes to those nodes
+// are ordered before the pass by their park announcements, and the wake
+// that starts the run publishes the pass to them. The only one kept waiting
+// is a Submit that arrives during the pass, behind stateMu as it would be
+// behind the stats reset in the same section. A Submit's own checkout is
+// the opposite case: it holds stateMu in front of every other tenant's
+// admission and completion while workers are anywhere, so it never
+// replays, and the feature adds no wait, wake or CAS to any protocol.
 //
 // What it buys, and the grain that is left (2 cores, 2.1 GHz Xeon, 256x256
 // wavefront, task bodies of 5-490 ns): a replayed task costs the scheduler
@@ -780,8 +789,8 @@
 // returning error; FuncSpec.ComputeErrFn) reports failures as values
 // instead of panics. Under Options.Retry, a failed attempt re-arms the
 // node in its lifecycle word: the word reserves bits 2..4 as an attempt
-// counter, and bumpAttempt CASes the counter up while rolling the phase
-// back to ready — the same single-word protocol as the rest of the
+// counter, and bumpAttempt CASes the counter up, phase untouched — the
+// same single-word protocol as the rest of the
 // lifecycle, so no new per-node storage. (Like setSkip, the CAS never
 // lands while succLockBit is held: the holder's unlock store would
 // erase the update.) The re-armed node is then re-enqueued after a
@@ -793,7 +802,7 @@
 // becomes a *ComputeError carrying the attempt count and wrapping both
 // ErrComputeFailed and the spec's own error chain. Re-running an
 // attempted node is safe by the same argument as panic isolation: a
-// failed attempt performed no markComputed, so no successor ever
+// failed attempt performed no retire, so no successor ever
 // observed it.
 //
 // No hang watchdog: a run's deadline is its context. A Compute that never

@@ -428,9 +428,9 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 // computed every node, is replayed rather than discovered: before the run
 // starts, on the calling goroutine, the table calls Predecessors once per
 // node of the last run, and if each returns the very slice it returned
-// then, re-arms those nodes and starts the run from its sources
-// (Stats.Replayed; see doc.go's replay note). The graph is then taken to
-// have the shape it had: state the tasks read may change between calls,
+// then, starts the run from that run's sources (Stats.Replayed; see
+// doc.go's replay note). The graph is then taken to have the shape it
+// had: state the tasks read may change between calls,
 // returned predecessor slices may not (see Spec.Predecessors). Anything
 // else — another sink, a failed or degraded run before, a spec that builds
 // its slices per call — is discovered from the sink as always.
@@ -1332,7 +1332,7 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 	// holds every successor when a later run replays it. The list is only
 	// written while this worker holds a ready successor, which keeps the
 	// run — and so n's storage — alive.
-	succs := n.markComputed()
+	succs := n.retire(0)
 	nready := 0
 	for i, s := range succs {
 		if s.decJoin() {

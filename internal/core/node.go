@@ -11,8 +11,9 @@ import (
 )
 
 // Node lifecycle phases, held in the low two bits of Node.state (see
-// doc.go for the full state machine). The phase is monotonic within a run:
-// absent → initializing → ready → computed.
+// doc.go for the full state machine). The phase is monotonic within a
+// discovered run: absent → initializing → ready → computed. A replayed
+// run's nodes read computed from its start to its end (see nodeArena.rearm).
 const (
 	nodeAbsent   uint32 = iota // slot exists, node not yet created
 	nodeIniting                // creator won the claim and is filling fields
@@ -46,11 +47,11 @@ const (
 //
 // The epoch stamp is how a table forgets a run without touching
 // every slot, and how a page that moves from one graph's table to
-// another's reads as empty there: each table checkout takes a stamp from
-// the engine-wide clock, and any slot whose stamp differs reads as absent
-// (see nodeArena.reset and pagePool). Within a run every lifecycle
-// transition preserves the stamp, so markComputed and addSuccessor never
-// need to know the current epoch.
+// another's reads as empty there: each discovery checkout takes a stamp
+// from the engine-wide clock, a replay keeps its run's, and any slot whose
+// stamp differs reads as absent (see nodeArena.reset and pagePool). Within
+// a run every lifecycle transition preserves the stamp, so retire and
+// addSuccessor never need to know the current epoch.
 //
 // The directive below is machine-checked: nabbitvet's atomicbits
 // analyzer proves these constants carve exactly the declared bit
@@ -114,8 +115,8 @@ type Node struct {
 	preds *Key
 	// succs is the first of csuccs successor slots, nsuccs of them in use.
 	// It may be touched only while holding the claim bit, by the creator
-	// before the ready store, or by the retiring worker after the computed
-	// store (see markComputed).
+	// before the ready store, by the retiring worker after the computed
+	// store (see retire), or by the replay pass in the quiet state.
 	succs  **Node
 	npreds int32
 	nsuccs int32
@@ -165,7 +166,7 @@ func (n *Node) setPreds(ps []Key) {
 }
 
 // succBacking returns the successor storage at full capacity. After
-// markComputed its prefix holds the ready successors (see
+// retire its prefix holds the ready successors (see
 // computeAndNotify), which successor-work items address by index.
 func (n *Node) succBacking() []*Node { return unsafe.Slice(n.succs, n.csuccs) }
 
@@ -211,51 +212,40 @@ func (n *Node) addSuccessor(s *Node) bool {
 // word does all of it: the claim bit was clear, so no append is in flight,
 // and from the instant the computed phase is visible addSuccessor refuses
 // and nobody else touches succs — the list belongs to the caller without
-// ever taking the claim bit. ok=false reports that the node had already
-// been retired: nothing changed and the caller owes no notifications. The
-// engine never asks twice — every retirement is made by the goroutine that
-// owns the node's execution (see doc.go's degradation note).
+// ever taking the claim bit. The CAS does not ask what phase it leaves:
+// every retirement is made by the goroutine that owns the node's execution
+// (see doc.go's degradation note), so none finds the node retired by
+// someone else, and a replayed node, which reads computed all through its
+// run (see nodeArena.rearm), is retired like any other.
 //
 // The list stays where it is, length and all: it is dead to everyone else
 // for the rest of this run, but a table slot that is created again
 // next epoch appends into the same array from the front (fill resets the
 // length), which keeps repeated Execute calls allocation-free on the notify
-// path, and a slot that is re-armed instead (see nodeArena.rearm) notifies
-// the very same list again. So the retiring worker may reorder the list
+// path, and a slot that is replayed instead notifies the very same list
+// again. So the retiring worker may reorder the list
 // (computeAndNotify moves the ready successors to its front) but never
 // drops an entry. The epoch stamp is preserved: stale-slot detection relies
 // on every slot a run touched carrying that run's epoch.
 //
 //nabbit:noalloc
-func (n *Node) retire(extra uint32) (succs []*Node, ok bool) {
+func (n *Node) retire(extra uint32) []*Node {
 	for spins := 0; ; spins++ {
 		v := n.state.Load()
-		if nodePhase(v) == nodeComputed {
-			return nil, false
-		}
 		if v&succLockBit == 0 && n.state.CompareAndSwap(v, v&epochMask|extra|nodeComputed) {
-			return n.succBacking()[:n.nsuccs], true
+			return n.succBacking()[:n.nsuccs]
 		}
 		spinWait(spins)
 	}
 }
 
-// markComputed transitions the node to computed and returns the successor
-// list to notify; every successor is notified exactly once.
-//
-//nabbit:noalloc
-func (n *Node) markComputed() []*Node {
-	succs, _ := n.retire(0)
-	return succs
-}
-
 // claimSkip retires a node that must never execute: the phase becomes
 // computed with nodeSkipBit set (attempt bits cleared, epoch preserved)
 // and the drained successor list is returned for notification, exactly
-// like markComputed. ok=false reports that the node was already retired.
+// like retire(0).
 //
 //nabbit:noalloc
-func (n *Node) claimSkip() (succs []*Node, ok bool) { return n.retire(nodeSkipBit) }
+func (n *Node) claimSkip() []*Node { return n.retire(nodeSkipBit) }
 
 // bumpAttempt records one failed ComputeErr attempt in the state word
 // and returns the total attempt count including it. The 3-bit counter
@@ -301,19 +291,6 @@ func (n *Node) setSkip() {
 		}
 		spinWait(spins)
 	}
-}
-
-// arm makes a computed node ready to compute again, for a replay: the join
-// count back at the in-degree and word — a stamp and the ready phase — as
-// the whole lifecycle word. Both are plain stores, the word's through a cast
-// because an atomic store is a locked exchange, which at one per node was an
-// eighth of a replayed wavefront run. That is sound only where
-// nodeArena.rearm calls it: in the engine's quiet state, with every worker's
-// last access ordered before by its park announcement and the next ordered
-// after by the wake that starts the run.
-func (n *Node) arm(word uint32) {
-	n.join = n.npreds //nabbit:mixed-ok quiet state: the wake that starts the run publishes it
-	*(*uint32)(unsafe.Pointer(&n.state)) = word
 }
 
 // decJoin accounts one predecessor and reports whether the node became

@@ -117,7 +117,7 @@ func BenchmarkGetOrCreateScattered(b *testing.B) {
 }
 
 // BenchmarkNotify measures the lifecycle word's successor handshake — the
-// uncontended addSuccessor / markComputed / decJoin cycle that replaced
+// uncontended addSuccessor / retire / decJoin cycle that replaced
 // the per-node mutex — at small fan-outs. The successor backing array is
 // reused, so steady-state notification allocates nothing.
 func BenchmarkNotify(b *testing.B) {
@@ -138,10 +138,10 @@ func BenchmarkNotify(b *testing.B) {
 				for _, s := range succs {
 					atomic.StoreInt32(&s.join, 1)
 					if !pred.addSuccessor(s) {
-						b.Fatal("addSuccessor refused before markComputed")
+						b.Fatal("addSuccessor refused before retire")
 					}
 				}
-				drained := pred.markComputed()
+				drained := pred.retire(0)
 				for _, s := range drained {
 					s.decJoin()
 				}

@@ -265,7 +265,7 @@ func TestArenaRawKeyEdges(t *testing.T) {
 	}
 	for _, k := range keys[:3] {
 		n, _ := a.get(k)
-		n.markComputed()
+		n.retire(0)
 	}
 	if got := a.pendingKeys(); !slices.Equal(got, keys[3:]) {
 		t.Fatalf("pendingKeys after three computed = %v, want %v", got, keys[3:])
@@ -275,9 +275,9 @@ func TestArenaRawKeyEdges(t *testing.T) {
 	}
 }
 
-// TestNotifyLifecycleRace races addSuccessor against markComputed: every
+// TestNotifyLifecycleRace races addSuccessor against retire: every
 // successor must be accounted exactly once — either registered (and then
-// returned by markComputed) or refused (and accounted by its caller).
+// returned by retire) or refused (and accounted by its caller).
 func TestNotifyLifecycleRace(t *testing.T) {
 	const goroutines = 8
 	for round := 0; round < 200; round++ {
@@ -309,7 +309,7 @@ func TestNotifyLifecycleRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			start.Wait()
-			notified <- pred.markComputed()
+			notified <- pred.retire(0)
 		}()
 		start.Done()
 		wg.Wait()
@@ -329,11 +329,11 @@ func TestNotifyLifecycleRace(t *testing.T) {
 			}
 		}
 		if nodePhase(pred.state.Load()) != nodeComputed {
-			t.Fatalf("round %d: pred not computed after markComputed", round)
+			t.Fatalf("round %d: pred not computed after retire", round)
 		}
 		// Late registration after computed must be refused.
 		if pred.addSuccessor(&Node{}) {
-			t.Fatalf("round %d: addSuccessor succeeded after markComputed", round)
+			t.Fatalf("round %d: addSuccessor succeeded after retire", round)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -274,14 +275,57 @@ func TestReplayFallback(t *testing.T) {
 	})
 
 	t.Run("fresh slices at the era's last stamp", func(t *testing.T) {
-		// The failed pass burns its stamp; here the replacement opens a new
-		// era, which the kept pages may not cross.
+		// A failed pass takes no stamp, so the discovery after it takes the
+		// era's last one and keeps the table's pages; the run after that opens
+		// a new era, which the kept pages may not cross.
 		g := rig(t, Options{}, nil, func(s FuncSpec) Spec { return newFreshSliceSpec(s) })
 		g.execute("first", false)
 		pool := g.e.pool
 		pool.clock.Store((pool.clock.Load()/epochsPerEra+1)*epochsPerEra - 1)
-		g.execute("across the wrap", false)
-		g.execute("after the wrap", false)
+		g.execute("at the era's last stamp", false)
+		g.execute("first of the new era", false)
+	})
+
+	t.Run("one slice swapped mid-streak", func(t *testing.T) {
+		// After two replays the spec starts returning a fresh copy of one
+		// interior key's slice, same keys. The pass finds it, the run
+		// discovers, and the table, which now takes the spec for one that
+		// builds its slices, asks no more while it serves this sink. Given
+		// another graph and this one back it forgets, and the streak resumes
+		// two runs after the return.
+		var swapped atomic.Bool
+		swap := Key(-1)
+		var fresh []Key
+		g := rig(t, Options{}, nil, func(s FuncSpec) Spec {
+			inner := s.PredsFn
+			s.PredsFn = func(k Key) []Key {
+				if k == swap && swapped.Load() {
+					return fresh
+				}
+				return inner(k)
+			}
+			return s
+		})
+		for _, k := range g.keys {
+			if k != g.sink && len(g.inner.PredsFn(k)) > 0 {
+				swap = k
+				break
+			}
+		}
+		fresh = slices.Clone(g.inner.PredsFn(swap))
+		g.execute("first", false)
+		g.execute("second", true)
+		g.execute("third", true)
+		swapped.Store(true)
+		g.execute("swapped", false)
+		g.execute("after the swap", false)
+		if _, err := g.e.Execute(g.keys[len(g.keys)/2]); err != nil {
+			t.Fatal(err)
+		}
+		g.discard()
+		g.execute("back", false)
+		g.execute("back, second in a row", false)
+		g.execute("back, third in a row", true)
 	})
 
 	t.Run("degraded run before", func(t *testing.T) {
@@ -370,14 +414,27 @@ func TestReplayFallback(t *testing.T) {
 	})
 
 	t.Run("era wrap", func(t *testing.T) {
+		// A replay takes no stamp, so a streak runs on across a wrap of the
+		// clock under its table's own era. The table's next discovery takes a
+		// stamp of the new era and hands its pages back, as for a changed sink.
 		g := rig(t, Options{}, nil, nil)
 		g.execute("first", false)
 		g.execute("second", true)
 		pool := g.e.pool
-		pool.clock.Store((pool.clock.Load()/epochsPerEra + 1) * epochsPerEra)
-		g.execute("first of the new era", false)
-		g.execute("second of the new era", false) // pages went back at the wrap, as for a changed sink
-		g.execute("third of the new era", true)
+		wrap := (pool.clock.Load()/epochsPerEra + 1) * epochsPerEra
+		pool.clock.Store(wrap)
+		g.execute("first of the new era", true)
+		g.execute("second of the new era", true)
+		if got := pool.clock.Load(); got != wrap {
+			t.Fatalf("two replays moved the clock from %d to %d", wrap, got)
+		}
+		if _, err := g.e.Execute(g.keys[len(g.keys)/2]); err != nil {
+			t.Fatal(err)
+		}
+		g.discard()
+		g.execute("back", false)
+		g.execute("back, second in a row", false)
+		g.execute("back, third in a row", true)
 	})
 
 	// Not a fallback: the same spec with its bound hidden, every key its
@@ -404,4 +461,80 @@ func TestReplayFallback(t *testing.T) {
 		g.execute("execute after the submits", true)
 		g.execute("and again", true)
 	})
+}
+
+// TestReplayRetryKeepsStreak runs a retry inside every run of a replay
+// streak: one key per run, a different one each time, fails its first
+// attempt under Retry{MaxAttempts: 3}. The failed attempt lands on a node
+// that reads computed (a replay writes no lifecycle word), so every run
+// from the second on must still replay, compute each reachable key exactly
+// once after its predecessors, count the one retry, and leave every node of
+// the table at the streak's stamp, computed, with no attempt bits.
+func TestReplayRetryKeepsStreak(t *testing.T) {
+	const n = 300
+	preds := stablePreds(xrand.New(42), n)
+	for _, workers := range []int{1, 2, 3} {
+		var victim atomic.Int64
+		var failed atomic.Bool
+		g := newReplayRig(t, preds, uniformColors(n, workers), Options{Workers: workers, Retry: RetryPolicy{MaxAttempts: 3}}, nil,
+			func(s FuncSpec) Spec {
+				compute := s.ComputeFn
+				s.ComputeErrFn = func(k Key) error {
+					if int64(k) == victim.Load() && !failed.Swap(true) {
+						return errInjectedTest
+					}
+					compute(k)
+					return nil
+				}
+				return s
+			})
+		stamp := uint32(0)
+		for run := 0; run < 6; run++ {
+			what := fmt.Sprintf("%d workers run %d", workers, run)
+			victim.Store(int64(g.keys[run*97%len(g.keys)]))
+			failed.Store(false)
+			st, err := g.e.Execute(g.sink)
+			g.check(what, st, err, run > 0)
+			if st.Retries != 1 {
+				t.Fatalf("%s: Retries = %d, want 1", what, st.Retries)
+			}
+			got, computed, odd := g.tableWords()
+			if run == 0 {
+				stamp = got
+			} else if got != stamp {
+				t.Fatalf("%s: replay under stamp %#x, the streak's is %#x", what, got, stamp)
+			}
+			if odd != "" {
+				t.Fatalf("%s: %s", what, odd)
+			}
+			if computed != len(g.keys) {
+				t.Fatalf("%s: %d nodes carry the stamp, want %d", what, computed, len(g.keys))
+			}
+		}
+	}
+}
+
+// tableWords reads the engine's one idle node table once the pool is quiet:
+// its stamp, how many nodes carry it, and the first of them whose word is
+// anything but stamp|computed ("" if none).
+func (g *replayRig) tableWords() (stamp uint32, computed int, odd string) {
+	g.e.lockQuiet()
+	defer g.e.stateMu.Unlock()
+	nt := g.e.tables[0]
+	for i := range nt.stripes {
+		for _, pn := range nt.stripes[i].installed {
+			pg := nt.page(pn)
+			for j := range pg {
+				v := pg[j].state.Load()
+				if v&epochMask != nt.stamp {
+					continue
+				}
+				computed++
+				if v != nt.stamp|nodeComputed && odd == "" {
+					odd = fmt.Sprintf("key %d left at %#x, want %#x", pg[j].key, v, nt.stamp|nodeComputed)
+				}
+			}
+		}
+	}
+	return nt.stamp, computed, odd
 }

@@ -132,7 +132,7 @@ func (w *worker) execRetry(r *graphRun, n *Node) {
 // so nobody else can retire it first. It needs no lock — see tryRetry's
 // table-safety argument. wid is the calling worker.
 func (e *Engine) degrade(r *graphRun, n *Node, wid int) {
-	succs, _ := n.claimSkip()
+	succs := n.claimSkip()
 	r.noteFailed(n.key)
 	if e.notifySkipped(r, n, succs) {
 		e.finishRun(r, wid)
@@ -151,11 +151,9 @@ func (e *Engine) notifySkipped(r *graphRun, n *Node, succs []*Node) bool {
 	for _, s := range succs {
 		s.setSkip()
 		if s.decJoin() {
-			if ss, ok := s.claimSkip(); ok {
-				r.noteSkipped(s.key)
-				if e.notifySkipped(r, s, ss) {
-					sinkDone = true
-				}
+			r.noteSkipped(s.key)
+			if e.notifySkipped(r, s, s.claimSkip()) {
+				sinkDone = true
 			}
 		}
 	}
@@ -168,10 +166,8 @@ func (e *Engine) notifySkipped(r *graphRun, n *Node, succs []*Node) bool {
 //
 //nabbit:alloc-ok degraded-completion path: skip bookkeeping may allocate
 func (w *worker) skipReady(r *graphRun, n *Node) {
-	if succs, ok := n.claimSkip(); ok {
-		r.noteSkipped(n.key)
-		if w.e.notifySkipped(r, n, succs) {
-			w.e.finishRun(r, w.id)
-		}
+	r.noteSkipped(n.key)
+	if w.e.notifySkipped(r, n, n.claimSkip()) {
+		w.e.finishRun(r, w.id)
 	}
 }
