@@ -65,9 +65,8 @@ func TestCoreStateLayoutPinned(t *testing.T) {
 	}
 	want := []bitField{
 		{name: "phase", lo: 0, hi: 1},
-		{name: "attempt", lo: 2, hi: 4},
-		{name: "skip", lo: 5, hi: 5},
-		{name: "epoch", lo: 6, hi: 30},
+		{name: "skip", lo: 2, hi: 2},
+		{name: "epoch", lo: 3, hi: 30},
 		{name: "succlock", lo: 31, hi: 31},
 	}
 	if len(decl.fields) != len(want) {

@@ -181,7 +181,7 @@ func TestTransientChaos(t *testing.T) {
 	})
 	e, err := core.NewEngine(spec, core.Options{
 		Workers: workers, Policy: core.NabbitCPolicy(), MaxInflight: 16,
-		Retry: core.RetryPolicy{MaxAttempts: chaos.DefaultTransientFails + 1, BaseBackoff: 100 * time.Microsecond},
+		Retry: core.RetryPolicy{MaxAttempts: chaos.DefaultTransientFails + 1},
 	})
 	if err != nil {
 		t.Fatal(err)

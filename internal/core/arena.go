@@ -98,12 +98,10 @@ type nodeArena struct {
 	// nodes of its last run, which computed every one it created (release
 	// said so). armed: the current run, or between runs the last, is a
 	// replay — which is also when every successor list is whole and stripe 0
-	// lists all the table's pages in page order. unstable: the spec has
-	// returned a different predecessor slice for a key of this sink's
-	// graph, so the table does not ask again. root is the replay root, a
-	// node of no key whose successors are the armed run's sources.
-	clean, armed, unstable bool
-	root                   Node
+	// lists all the table's pages in page order. root is the replay root,
+	// a node of no key whose successors are the armed run's sources.
+	clean, armed bool
+	root         Node
 	// stripes[w] is worker w's share of the run's bookkeeping. A stripe is
 	// written plainly by its worker alone; count and release read them all
 	// once the run's completion has ordered every write before the reader.
@@ -506,7 +504,7 @@ func (a *nodeArena) reset(sink Key, quiet bool) *Node {
 	clean, listed := a.clean, a.armed
 	a.clean, a.armed = false, false
 	rearmed := 0
-	if quiet && clean && sink == a.sink && !a.unstable {
+	if quiet && clean && sink == a.sink {
 		rearmed = a.rearm(listed)
 	}
 	if rearmed == 0 {
@@ -514,7 +512,6 @@ func (a *nodeArena) reset(sink Key, quiet bool) *Node {
 		a.repeat = (sink == a.sink || !a.primed) && era == a.era
 		if !a.repeat {
 			a.drop(-1)
-			a.unstable = false
 		}
 		a.sink, a.primed, a.stamp, a.era = sink, true, stamp, era
 	}
@@ -535,17 +532,17 @@ func (a *nodeArena) reset(sink Key, quiet bool) *Node {
 }
 
 // rearm is the replay pass (doc.go's replay note has the argument): every
-// node the last run computed — its word is exactly stamp|computed — gets its
-// join count back at its in-degree, and the ones without predecessors become
-// the root's successors, in page order (slot order for an indexed table).
-// No lifecycle word is written: the nodes keep reading computed under the
-// stamp the replay keeps, and nothing in a replayed run asks their phase. It
-// returns how many nodes it armed, zero if the run cannot be replayed: the
-// spec no longer returns the very predecessor slice a node recorded
-// (remembered in unstable), a Predecessors call panicked (the discovery
-// that follows meets the panic inside the run's failure boundary), or
-// there is no source. The caller holds the engine's quiet state, which is
-// what makes the pass's plain stores sound.
+// node the last run computed — its word is exactly stamp|computed — gets
+// its join count back at its in-degree, and the ones without predecessors
+// become the root's successors, in page order (slot order for an indexed
+// table). No lifecycle word is written: the nodes keep reading computed
+// under the stamp the replay keeps, and nothing in a replayed run asks
+// their phase. It returns how many nodes it armed, zero if the run cannot
+// be replayed: the spec no longer returns the very predecessor slice a node
+// recorded, a Predecessors call panicked (the discovery that follows meets
+// the panic inside the run's failure boundary), or there is no source. The
+// caller holds the engine's quiet state, which is what makes the pass's
+// plain stores sound.
 //
 // listed says the successor lists are whole, as a replay leaves them and a
 // discovery does not: an edge whose predecessor had computed by the time
@@ -580,7 +577,6 @@ func (a *nodeArena) rearm(listed bool) (rearmed int) {
 			}
 			ps := spec.Predecessors(n.key)
 			if len(ps) != int(n.npreds) || len(ps) > 0 && unsafe.SliceData(ps) != n.preds {
-				a.unstable = true
 				return 0
 			}
 			if !listed {

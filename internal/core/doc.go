@@ -35,11 +35,11 @@
 // Submit them concurrently and let workers interleave.
 //
 // Between graphs a node table must forget the previous occupant. It does
-// this in O(1): the node state word reserves bits 6..30
+// this in O(1): the node state word reserves bits 3..30
 // for an epoch stamp, every lifecycle transition preserves the stamp,
 // and reset just takes the table a new stamp from the engine's clock — a
 // slot stamped with any other epoch reads as absent, so there is no
-// per-slot clearing loop (what happens when the 25-bit stamp wraps is
+// per-slot clearing loop (what happens when the 28-bit stamp wraps is
 // the page pool's business; see the node-table note below). Successor-list
 // backing arrays survive the same way: retirement leaves them in place,
 // and they stay with their slot wherever its page goes next, so
@@ -70,20 +70,18 @@
 // a new graph waits behind a busy one.
 //
 // Admission is a count of slots, at most Options.MaxInflight, kept under
-// stateMu, which admission and completion hold anyway. AdmissionBlock
-// (the default) makes Submit wait for a slot: it queues a wake-up channel
-// of its own, and a completion hands its slot straight to the oldest one;
-// AdmissionReject makes it fail fast with ErrSaturated. Execute uses the
-// same slots — it blocks until it holds one, then waits for the
-// engine to go quiet before taking exclusive occupancy, which is what
-// entitles it to per-worker stats resets (and the lastGrows snapshot
-// that keeps a failed run from corrupting the next run's DequeGrows
-// deltas). A graph whose exploration dies without computing its sink
-// (a dependency cycle) is detected by the last worker to park: if every
-// worker is parked, nothing is pending, and no deque has work while runs
-// are still registered, the stall sweep fails every registered run and
-// releases its slot — the engine stays reusable, byte-identical to a
-// fresh one.
+// stateMu, which admission and completion hold anyway. Submit waits for a
+// slot: it queues a wake-up channel of its own, and a completion hands its
+// slot straight to the oldest one. Execute uses the same slots — it blocks
+// until it holds one, then waits for the engine to go quiet before taking
+// exclusive occupancy, which is what entitles it to per-worker stats resets
+// (and the lastGrows snapshot that keeps a failed run from corrupting the
+// next run's DequeGrows deltas). A graph whose exploration dies without
+// computing its sink (a dependency cycle) is detected by the last worker to
+// park: if every worker is parked, nothing is pending, and no deque has
+// work while runs are still registered, the stall sweep fails every
+// registered run and releases its slot — the engine stays reusable,
+// byte-identical to a fresh one.
 //
 // What a graph costs. Apart from its tasks, a Submit→Wait round trip
 // pays for admission, seeding and completion, and nobody blocks in it
@@ -132,7 +130,7 @@
 // slot: an atomic parkState flag plus a one-token channel. A worker that
 // completes spinBeforePark unsuccessful probe sweeps parks: it announces
 // parkState (and the global parked count), re-checks its wake condition
-// (shutdown / pending submissions / due retries / any deque non-empty),
+// (shutdown / pending submissions / any deque non-empty),
 // and only then blocks on the channel. A waker CASes parkState
 // parked→running and, on winning, decrements the parked count and sends
 // exactly one token; losing the CAS means someone else owns the wake.
@@ -155,23 +153,23 @@
 // worker that has run out of local work and is hunting, one for each wake
 // from the instant its waker wins the CAS until the woken worker finds
 // work or parks again. Every wake for published work is decided in one
-// function, Engine.signal: a producer — a deque push, an admission, a due
-// retry — wakes a parked worker only if it reads the count zero (and the
+// function, Engine.signal: a producer — a deque push, an admission —
+// wakes a parked worker only if it reads the count zero (and the
 // deferred wake below not armed); otherwise whoever holds a count owes
 // the next wake, and pays it when the count is given up:
 //
 //   - A searcher that finds work by stealing and was the last one
 //     searching wakes another worker (the victim pushed those items
 //     earlier, so no push is coming to signal for the rest); one that
-//     finds work by seeding a pending graph or claiming a retry does so
-//     only if more work is visible — the graph it seeds signals for
+//     finds work by seeding a pending graph does so only if more work is
+//     visible — the graph it seeds signals for
 //     itself with its first push.
 //   - A searcher that gives up parks: it drops its count first, announces,
 //     and the full re-check covers whatever a producer left to it.
 //   - At most max(1, P/2) workers search at once. A worker that runs dry
 //     while that many already hold a count does not hunt: it yields its P
-//     a few times (yieldBeforePark), polling the pending and retry queues
-//     in between, then parks, re-checking only for shutdown — the
+//     a few times (yieldBeforePark), polling the pending queue in
+//     between, then parks, re-checking only for shutdown — the
 //     searchers, not it, answer for what is there.
 //
 // This is the Go runtime's spinning-M rule, and the same argument carries
@@ -189,7 +187,7 @@
 // worker would park, and hands the worker back by performing the park
 // announcement on the sleeping goroutine's behalf (worker.handBack):
 // announce, run the stall-sweep check, re-check shutdown / pending /
-// retries / deques, and — where the goroutine itself would have abandoned
+// deques, and — where the goroutine itself would have abandoned
 // the park — wake it through the ordinary CAS, which a concurrent waker
 // may win instead. Either way exactly one token follows an announcement
 // that needed one. The run is re-checked between winning the CAS and
@@ -213,8 +211,8 @@
 // anything waits. Who calls it:
 //
 //   - every producer that is not the idle engine's own admission: an
-//     admission into an engine with a graph in flight or a worker awake, a
-//     ctx run, a due retry;
+//     admission into an engine with a graph in flight or a worker awake, or
+//     a ctx run;
 //   - everybody about to sleep on the engine instead of running its graphs:
 //     Ticket.Done, a Wait that found nobody to borrow, Execute's and Close's
 //     quiesce;
@@ -255,9 +253,7 @@
 // enforcement. The all-parked state doubles as the engine's quiescence
 // barrier — Execute takes occupancy and gathers stats only when every
 // worker is parked and nothing can wake one (quietLocked: no pending graph,
-// no deque work, no retry due or in backoff, since a backoff timer's enqueue
-// wakes a worker; a failed run's timers are stopped, not waited out), which
-// is what makes resetting per-worker
+// no deque work), which is what makes resetting per-worker
 // stats race-free without locking the hot paths; the same predicate gates
 // the stall sweep above. Parks, Wakes, and SpinRounds are reported per worker
 // in WorkerStats (a tenancy is neither a park nor a wake); a worker no
@@ -475,8 +471,9 @@
 // spec and its resolved faces, the colour → domain table, the policy
 // flags, OnComplete, the worker slice, the close flags — forms the head of
 // the struct and is never written while graphs run. The words that are
-// (parked, read by every push; the admission state; the retry counters)
-// follow, each group at least a line from that block and from each other.
+// (parked, read by every push; the admission state; the deferred wake)
+// follow, each group at least a line from that block, from each other and
+// from the end of the struct.
 //
 // Copied per push/pop. A deque item owns no storage: it is an index range
 // into the owner node's predecessor keys or into the ready successors the
@@ -596,7 +593,7 @@
 // should not carry the high-water mark of its worst moment.
 //
 // Stamps and the wrap rule. Stamps come from one engine-wide clock that
-// counts table checkouts: the stamp is the count modulo 2^25 and the era
+// counts table checkouts: the stamp is the count modulo 2^28 and the era
 // is the quotient. Within an era no two tables have the same stamp, so a
 // page still carrying another run's words reads as empty to its next
 // table without anyone clearing it. Across eras a stamp can repeat, so no
@@ -626,8 +623,8 @@
 // lifecycle word, and the replay keeps the last run's stamp: every node
 // reads computed from the start of the run to its end, and nothing in a
 // replayed run asks its phase — no node is looked up, no edge registered —
-// while retire's CAS does not look at it, bumpAttempt and setSkip work on a
-// computed word as on a ready one, and retire clears what they set.
+// while retire's CAS does not look at it, setSkip works on a computed word
+// as on a ready one, and retire clears what it set.
 // worker.seed roots the run with a successor-work item over that root
 // instead of creating the sink, and from there the run is the notify
 // cascade that exists anyway — computeAndNotify, decJoin, groupNodes, the
@@ -656,8 +653,9 @@
 // replayed with the old edges' join counts and successor lists and the new
 // keys' values — not detected, therefore forbidden. A spec that builds a
 // new slice per call is fine: the first node with predecessors fails the
-// check, the table remembers (unstable) and never asks again for that
-// sink, so such a spec pays for one short pass, not one per Execute. A
+// check, so such a spec pays for one short pass per Execute — and one
+// that swapped a slice once replays again from the run after the
+// discovery that recorded the new slice. A
 // Predecessors that panics aborts the pass too; the discovery run meets
 // the same panic inside a worker's rescue boundary, where it fails the
 // graph with the usual *ComputeError.
@@ -772,8 +770,8 @@
 // context cause) for Cancel and context expiry, *PartialError for
 // degraded completions, *StallError —
 // carrying a bounded sample of the still-pending keys — for graphs
-// whose sink can provably never compute, and ErrClosed/ErrSaturated for
-// lifecycle and admission refusals. All compose with
+// whose sink can provably never compute, and ErrClosed for lifecycle
+// refusals. All compose with
 // errors.Is/errors.As. Package chaos provides the seeded
 // fault-injection harness that drives this model deterministically.
 //
@@ -785,25 +783,21 @@
 // cooperating mechanisms make failure survivable without giving up the
 // model above.
 //
-// Retry with backoff. A spec that implements FallibleSpec (ComputeErr
+// Retry in place. A spec that implements FallibleSpec (ComputeErr
 // returning error; FuncSpec.ComputeErrFn) reports failures as values
-// instead of panics. Under Options.Retry, a failed attempt re-arms the
-// node in its lifecycle word: the word reserves bits 2..4 as an attempt
-// counter, and bumpAttempt CASes the counter up, phase untouched — the
-// same single-word protocol as the rest of the
-// lifecycle, so no new per-node storage. (Like setSkip, the CAS never
-// lands while succLockBit is held: the holder's unlock store would
-// erase the update.) The re-armed node is then re-enqueued after a
-// backoff that doubles per retry — BaseBackoff << (attempt-1), the same
-// for every run of the same policy — via a timer that appends to an
-// engine retry queue; workers drain the queue on the same park/wake
-// protocol as fresh submissions, so a retry behaves exactly like newly
-// discovered work. When the counter reaches MaxAttempts the failure
+// instead of panics. Under Options.Retry, the worker that owns the node's
+// execution calls ComputeErr again at once, inside computeAndNotify,
+// counting attempts in a local variable: no queue, no timer, no per-node
+// storage, and no other worker ever sees the node between attempts. It
+// stops early if the run is no longer live (a Cancel or a deadline, which
+// own the cleanup). When MaxAttempts attempts have failed the failure
 // becomes a *ComputeError carrying the attempt count and wrapping both
 // ErrComputeFailed and the spec's own error chain. Re-running an
 // attempted node is safe by the same argument as panic isolation: a
-// failed attempt performed no retire, so no successor ever
-// observed it.
+// failed attempt performed no retire, so no successor ever observed it.
+// The engine offers no backoff: a spec whose failures want a delay
+// before the next attempt waits inside ComputeErr, on its own clock, and
+// bounds the whole run with a context deadline if the wait may be long.
 //
 // No hang watchdog: a run's deadline is its context. A Compute that never
 // returns cannot be recovered by retries — nothing unwinds — and Go cannot
@@ -836,11 +830,11 @@
 //
 // Every retirement of a node — completion, degradation, a place in the
 // cascade — is made by the one goroutine that owns its execution: the
-// worker whose decrement drained its join, or the worker retrying it. The
-// taint (setSkip) lands only before a join drains, since a predecessor
+// worker whose decrement drained its join, which also makes every retry.
+// The taint (setSkip) lands only before a join drains, since a predecessor
 // taints its successor before it decrements. So while a node's Compute
 // runs nobody else can taint or retire it, and a failed attempt
-// (computeFailed) goes straight to its retry or degradation without
+// goes straight to its retry or degradation (computeFailed) without
 // checking whether the node was claimed meanwhile; a hang watchdog's
 // claim would be the one writer that could break this.
 package core

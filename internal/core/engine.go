@@ -28,9 +28,9 @@ import (
 //
 // Graphs enter through two front doors:
 //
-//   - Submit/Wait: admit a graph (subject to Options.MaxInflight and
-//     Options.Admission) and return a Ticket immediately; any number of
-//     graphs may be in flight concurrently, from any goroutines.
+//   - Submit/Wait: admit a graph (subject to Options.MaxInflight) and
+//     return a Ticket immediately; any number of graphs may be in flight
+//     concurrently, from any goroutines.
 //   - Execute: run one graph with exclusive occupancy of the pool and
 //     full per-worker statistics. Concurrent Execute calls are safe and
 //     simply serialize (they also serialize against Close).
@@ -41,16 +41,17 @@ type Engine struct {
 	// The first block is everything the per-task path reads from the
 	// engine, and nothing a run writes: it stays shared-clean in every
 	// worker's cache. The words the engine does write while graphs run —
-	// the parked count, the admission state, the retry counters — sit
-	// below, each group a full line away from this block and from each
-	// other (pinned by TestEngineWrittenWordsIsolated).
+	// the parked count, the admission state, the deferred wake — sit
+	// below, each group a full line away from this block, from each
+	// other and from the end of the struct (pinned by
+	// TestEngineWrittenWordsIsolated).
 	//
 	// sv is the spec's read-mostly face (HomeSpec resolved, colour →
 	// domain table) that node creation and the locality accounting
 	// consult. fspec/ospec are the spec's fallible and optional faces,
 	// resolved once at construction (nil when the spec does not implement
 	// them): with fspec set the workers call ComputeErr instead of Compute
-	// and retry failures under opts.Retry; ospec marks nodes whose
+	// and retry failures in place under opts.Retry; ospec marks nodes whose
 	// permanent failure degrades the graph instead of failing it.
 	sv         *specView
 	fspec      FallibleSpec
@@ -157,19 +158,9 @@ type Engine struct {
 	deferTimer *time.Timer
 	epoch      time.Time
 
+	// The deferral's words end the struct: the padding keeps whatever the
+	// allocator puts next off their line.
 	_ [cacheLine]byte
-
-	// retryMu guards retryQ, the due-retry list: nodes whose failed
-	// ComputeErr attempt has served its backoff and must be re-executed.
-	// retryDue mirrors len(retryQ) and retryOut counts backoff timers
-	// that have not fired yet; both are atomics so the park/bail/stall
-	// conditions can consult them without the lock. All of this is
-	// failure-path state — a run with no failed attempts never touches
-	// it.
-	retryMu  sync.Mutex
-	retryQ   []retryEntry
-	retryDue atomic.Int32
-	retryOut atomic.Int32
 }
 
 // maxIndexedKeys is the largest declared key bound whose keys get records
@@ -222,7 +213,7 @@ const spinBeforePark = 64
 
 // yieldBeforePark is the budget of a worker that runs dry while enough
 // others are searching, and so may not search itself: yields of its P, each
-// followed by a poll of the pending and retry queues, before it parks. What
+// followed by a poll of the pending queue, before it parks. What
 // dried it up is often a submitter that a worker has just readied by
 // completing a graph and that cannot run — and submit more — until a worker
 // lets go of its P; a few yields let it, where parking at once costs the
@@ -466,7 +457,7 @@ func (e *Engine) execute(ctx context.Context, sink Key) (*Stats, error) {
 	// Execute/Close serialize on e.mu while Submit traffic proceeds under
 	// stateMu.
 	e.stateMu.Lock()
-	if _, err := e.takeSlotLocked(ctx, false); err != nil {
+	if _, err := e.takeSlotLocked(ctx); err != nil {
 		return nil, err
 	}
 	e.stateMu.Unlock()
@@ -529,16 +520,13 @@ func (e *Engine) execute(ctx context.Context, sink Key) (*Stats, error) {
 // quietLocked reports, for a caller holding stateMu, that no worker runs
 // and nothing already in motion can wake one: nothing pending, every
 // worker parked (which, with the waker-side parked decrement, implies no
-// wake token is in flight either), every deque empty, and no retry due or
-// in backoff — a backoff timer's enqueue wakes a worker. failRun stops a
-// failed run's timers, so of those only one already firing is waited for.
-// It is the one quiet predicate: the stall sweep and lockQuiet both ask it.
+// wake token is in flight either), and every deque empty. It is the one
+// quiet predicate: the stall sweep and lockQuiet both ask it.
 // The deques are asked under their locks: quiet is where worker state is
 // reset and tables are recycled, so it takes exact lengths, not the flags
 // anyWork reads.
 func (e *Engine) quietLocked() bool {
-	if e.parked.Load() != int32(len(e.workers)) || len(e.pending) > 0 ||
-		e.retryDue.Load() > 0 || e.retryOut.Load() != 0 {
+	if e.parked.Load() != int32(len(e.workers)) || len(e.pending) > 0 {
 		return false
 	}
 	for _, w := range e.workers {
@@ -634,9 +622,9 @@ func (e *Engine) anyWork() bool {
 }
 
 // hasWork reports whether anything is waiting for a worker: a graph to
-// seed, a due retry, or a stealable item.
+// seed or a stealable item.
 func (e *Engine) hasWork() bool {
-	return len(e.pending) > 0 || e.retryDue.Load() > 0 || e.anyWork()
+	return len(e.pending) > 0 || e.anyWork()
 }
 
 // yieldPoint names a hand-over point of the park protocol for the
@@ -674,8 +662,8 @@ func (e *Engine) signal() {
 // wakeNow retires the deferred wake, armed or not, and signals for whatever
 // is waiting for a worker. It is the one call for everybody who must not
 // wait the deferral out: a producer that is not the idle engine's own
-// admission (a further admission, a due retry), anybody about to sleep on
-// the engine rather than run its graphs (Done, a Wait that cannot borrow,
+// admission (a further admission), anybody about to sleep on the engine
+// rather than run its graphs (Done, a Wait that cannot borrow,
 // Execute, Close), and whoever finds the deadline passed (the timer, a
 // running worker's stride poll). Retiring is a plain store of zero, so any
 // number of these may race each other and an arming admission: the store
@@ -908,9 +896,6 @@ func (w *worker) loop() {
 			if w.trySeed() {
 				continue
 			}
-			if w.tryRetry() {
-				continue
-			}
 		}
 		if ent, ok := w.dq.PopBottom(); ok {
 			w.streak++
@@ -919,9 +904,6 @@ func (w *worker) loop() {
 		}
 		w.streak = 0
 		if w.trySeed() {
-			continue
-		}
-		if w.tryRetry() {
 			continue
 		}
 		if !w.searching {
@@ -987,11 +969,10 @@ func (w *worker) stopSearching(stolen bool) {
 
 // bail reports whether the worker should abandon its current hunt and
 // return to the main loop: the engine is closing, or a pending graph is
-// waiting to be seeded, or a retry has come due (both beat stealing —
-// they are guaranteed work).
+// waiting to be seeded (which beats stealing — it is guaranteed work).
 func (w *worker) bail() bool {
 	e := w.e
-	return e.closeFlag.Load() || len(e.pending) > 0 || e.retryDue.Load() > 0
+	return e.closeFlag.Load() || len(e.pending) > 0
 }
 
 // trySeed polls the pending queue and, on a hit, roots the graph: create
@@ -1295,15 +1276,27 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 		w.skipReady(r, n)
 		return
 	}
-	var cerr error
 	if e.fspec != nil {
-		cerr = e.fspec.ComputeErr(k)
+		// A failed attempt is retried in place, at once: nothing of it was
+		// retired, so no successor ever observed it. A run that died
+		// meanwhile (a Cancel from inside ComputeErr, say) is not retried;
+		// the failure that killed it owns the cleanup.
+		for attempts := 1; ; attempts++ {
+			cerr := e.fspec.ComputeErr(k)
+			if cerr == nil {
+				break
+			}
+			if attempts >= e.opts.Retry.MaxAttempts {
+				w.computeFailed(r, n, cerr, attempts)
+				return
+			}
+			r.retries.Add(1)
+			if r.state.Load() != runLive {
+				return
+			}
+		}
 	} else {
 		e.sv.spec.Compute(k)
-	}
-	if cerr != nil {
-		w.computeFailed(r, n, cerr)
-		return
 	}
 
 	// Counted only for the successful attempt — failed ComputeErr

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 var errInjectedTest = errors.New("injected test failure")
@@ -30,60 +27,65 @@ func flakyConeSpec(width, workers int, flaky Key, fails int32, counts []atomic.I
 }
 
 // TestRetryMatrix pins the retry tentpole across both slot rules × worker
-// count: a transiently failing node (2
-// failures, MaxAttempts 3, real backoff timers) recovers, the graph and
-// a concurrent healthy graph both complete with an exactly-once census,
-// Stats.Retries ledgers exactly the injected failures, and the engine
-// stays reusable.
+// count: a transiently failing node recovers — 2 failures under
+// MaxAttempts 3, and 11 under 12, since the attempt budget has no cap —
+// the graph and a concurrent healthy graph both
+// complete with an exactly-once census, Stats.Retries ledgers exactly the
+// injected failures, and the engine stays reusable.
 func TestRetryMatrix(t *testing.T) {
 	const width = 24
 	stride := width + 1
 	flaky := Key(3) // leaf 3 of graph 0
 	faultMatrix(t, func(t *testing.T, row tableRow, workers int) {
-		counts := make([]atomic.Int32, 2*stride)
-		var attempts atomic.Int32
-		e, err := NewEngine(row.spec(flakyConeSpec(width, workers, flaky, 2, counts, &attempts)), Options{
-			Workers: workers, Policy: NabbitCPolicy(),
-			Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: 200 * time.Microsecond},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-
-		bad, err := e.Submit(coneSink(0, width))
-		if err != nil {
-			t.Fatal(err)
-		}
-		good, err := e.Submit(coneSink(1, width))
-		if err != nil {
-			t.Fatal(err)
-		}
-		bst, berr := bad.Wait()
-		if berr != nil {
-			t.Fatalf("flaky graph failed despite retry budget: %v", berr)
-		}
-		if bst.Retries != 2 {
-			t.Errorf("flaky graph Stats.Retries = %d, want 2", bst.Retries)
-		}
-		gst, gerr := good.Wait()
-		if gerr != nil {
-			t.Fatalf("healthy graph failed beside a retrying one: %v", gerr)
-		}
-		if gst.Retries != 0 {
-			t.Errorf("healthy graph Stats.Retries = %d, want 0", gst.Retries)
-		}
-		for k := range counts { // failed attempts never run the node body
-			if c := counts[k].Load(); c != 1 {
-				t.Errorf("key %d computed %d times, want 1", k, c)
+		for _, budget := range []struct {
+			attempts int
+			fails    int32
+		}{{3, 2}, {12, 11}} {
+			counts := make([]atomic.Int32, 2*stride)
+			var attempts atomic.Int32
+			e, err := NewEngine(row.spec(flakyConeSpec(width, workers, flaky, budget.fails, counts, &attempts)), Options{
+				Workers: workers, Policy: NabbitCPolicy(),
+				Retry: RetryPolicy{MaxAttempts: budget.attempts},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		st, err := e.Execute(coneSink(0, width)) // transient budget spent: clean reuse
-		if err != nil {
-			t.Fatalf("Execute after recovered run: %v", err)
-		}
-		if st.Retries != 0 {
-			t.Errorf("reuse run Stats.Retries = %d, want 0", st.Retries)
+			what := fmt.Sprintf("MaxAttempts %d, %d failures", budget.attempts, budget.fails)
+			bad, err := e.Submit(coneSink(0, width))
+			if err != nil {
+				t.Fatal(err)
+			}
+			good, err := e.Submit(coneSink(1, width))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bst, berr := bad.Wait()
+			if berr != nil {
+				t.Fatalf("%s: flaky graph failed despite retry budget: %v", what, berr)
+			}
+			if bst.Retries != int64(budget.fails) {
+				t.Errorf("%s: flaky graph Stats.Retries = %d, want %d", what, bst.Retries, budget.fails)
+			}
+			gst, gerr := good.Wait()
+			if gerr != nil {
+				t.Fatalf("%s: healthy graph failed beside a retrying one: %v", what, gerr)
+			}
+			if gst.Retries != 0 {
+				t.Errorf("%s: healthy graph Stats.Retries = %d, want 0", what, gst.Retries)
+			}
+			for k := range counts { // failed attempts never run the node body
+				if c := counts[k].Load(); c != 1 {
+					t.Errorf("%s: key %d computed %d times, want 1", what, k, c)
+				}
+			}
+			st, err := e.Execute(coneSink(0, width)) // transient budget spent: clean reuse
+			if err != nil {
+				t.Fatalf("%s: Execute after recovered run: %v", what, err)
+			}
+			if st.Retries != 0 {
+				t.Errorf("%s: reuse run Stats.Retries = %d, want 0", what, st.Retries)
+			}
+			e.Close()
 		}
 	})
 }
@@ -120,28 +122,6 @@ func TestRetryExhaustion(t *testing.T) {
 	}
 	if _, err := e.Execute(coneSink(0, width)); !errors.As(err, &ce) {
 		t.Fatalf("re-Execute of the poisoned graph = %v, want *ComputeError again", err)
-	}
-}
-
-// TestRetryBackoff pins the retry schedule: the backoff after failed
-// attempt n is BaseBackoff × 2^(n-1), up to the largest BaseBackoff
-// whose last backoff still fits in a time.Duration (a larger one is
-// rejected: TestOptionsValidation), and a zero BaseBackoff re-enqueues
-// every retry at once.
-func TestRetryBackoff(t *testing.T) {
-	for _, base := range []time.Duration{0, time.Millisecond, math.MaxInt64 >> (MaxRetryAttempts - 2)} {
-		e, err := NewEngine(FuncSpec{}, Options{Workers: 1, Retry: RetryPolicy{MaxAttempts: MaxRetryAttempts, BaseBackoff: base}})
-		if err != nil {
-			t.Fatalf("BaseBackoff %v: %v", base, err)
-		}
-		want := base
-		for n := 1; n < MaxRetryAttempts; n++ {
-			if got := e.retryBackoff(n); got != want {
-				t.Errorf("BaseBackoff %v: backoff after attempt %d = %v, want %v", base, n, got, want)
-			}
-			want *= 2
-		}
-		e.Close()
 	}
 }
 
@@ -296,80 +276,50 @@ func TestCancelAfterCompletion(t *testing.T) {
 	}
 }
 
-// cancelInBackoff returns an engine whose last run, a single node that
-// fails once and retries after backoff, was canceled while the retry was
-// in backoff.
-func cancelInBackoff(t *testing.T, backoff time.Duration) *Engine {
-	t.Helper()
-	spec := FuncSpec{ComputeErrFn: func(k Key) error {
-		if k == 0 {
+// TestRetryStopsOnDeadRun: a ComputeErr that cancels its own run and then
+// fails is not called again, whatever attempts remain — the retry loop
+// stops once the run is no longer live — and Wait returns ErrCanceled. The
+// engine stays reusable.
+func TestRetryStopsOnDeadRun(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		var calls atomic.Int32
+		var tk atomic.Pointer[Ticket]
+		admitted := make(chan struct{})
+		spec := FuncSpec{ComputeErrFn: func(k Key) error {
+			if k != 0 {
+				return nil
+			}
+			<-admitted
+			if calls.Add(1) == 1 {
+				tk.Load().Cancel()
+			}
 			return errInjectedTest
+		}}
+		e, err := NewEngine(spec, Options{
+			Workers: workers, Policy: NabbitCPolicy(), Retry: RetryPolicy{MaxAttempts: 5},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}}
-	e, err := NewEngine(spec, Options{
-		Workers: 2, Policy: NabbitCPolicy(), Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: backoff},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		for e.retryOut.Load() == 0 && ctx.Err() == nil {
-			time.Sleep(10 * time.Microsecond)
+		ticket, err := e.Submit(0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		cancel() // key 0's retry is now in backoff
-	}()
-	if _, err := e.ExecuteCtx(ctx, 0); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled run = %v, want ErrCanceled", err)
+		tk.Store(ticket)
+		close(admitted)
+		if _, err := ticket.Wait(); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%d workers: run canceled inside ComputeErr = %v, want ErrCanceled", workers, err)
+		}
+		st, err := e.Execute(1)
+		if err != nil || st.TotalNodes() != 1 {
+			t.Fatalf("%d workers: Execute after the canceled run = (%v, %v), want one node", workers, st, err)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Errorf("%d workers: ComputeErr called %d times on the canceled run, want 1", workers, n)
+		}
+		checkQuiet(t, e)
+		e.Close()
 	}
-	return e
-}
-
-// TestQuietWaitsForBackoffRetry: a run canceled while one of its retries
-// is in backoff must not leave a live timer behind, because the timer's
-// enqueue wakes a worker, which writes its stats. The next Execute — a
-// single-node graph that finishes long before the backoff — resets and
-// gathers the workers' stats in the quiet state, which holds no retry in
-// backoff. Taking the pool for quiet with the retry still out let the
-// gather read a worker's stats that the timer's wake then wrote, with
-// nothing ordering the two: a -race report.
-func TestQuietWaitsForBackoffRetry(t *testing.T) {
-	e := cancelInBackoff(t, 20*time.Millisecond)
-	st, err := e.Execute(1)
-	if err != nil || st.TotalNodes() != 1 {
-		t.Fatalf("Execute after the canceled run = (%v, %v), want one node", st, err)
-	}
-	if e.retryOut.Load() != 0 || e.retryDue.Load() != 0 {
-		t.Error("Execute ran while the canceled run's retry was still out")
-	}
-	// Let a live backoff timer fire and its wake settle before the test
-	// ends, so an Execute that ran beside it races with it here.
-	for e.retryOut.Load() != 0 || e.retryDue.Load() != 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	checkQuiet(t, e)
-}
-
-// TestCancelStopsBackoff: canceling a run stops its retries' backoff
-// timers, so the next Execute goes ahead at once instead of waiting a long
-// backoff out for the engine to go quiet.
-func TestCancelStopsBackoff(t *testing.T) {
-	const backoff = 10 * time.Second
-	e := cancelInBackoff(t, backoff)
-	if n := e.retryOut.Load(); n != 0 {
-		t.Fatalf("canceled run left %d backoff timers running", n)
-	}
-	start := time.Now()
-	st, err := e.Execute(1)
-	if err != nil || st.TotalNodes() != 1 {
-		t.Fatalf("Execute after the canceled run = (%v, %v), want one node", st, err)
-	}
-	if took := time.Since(start); took > backoff/2 {
-		t.Fatalf("Execute after the canceled run took %v, waiting out the %v backoff", took, backoff)
-	}
-	checkQuiet(t, e)
 }
 
 // TestStallPendingDiagnostics pins StallError's shape on a graph whose

@@ -157,44 +157,42 @@ func gatedSpec(graphs int, gate <-chan struct{}) FuncSpec {
 	}
 }
 
-// TestSubmitSaturation pins AdmissionReject at every MaxInflight: with
-// the admitted graphs' computes gated shut, exactly MaxInflight of the
-// offered graphs are admitted and every further Submit fails fast with
-// ErrSaturated; once the gate opens every admitted graph drains, and the
-// freed slots admit a previously rejected graph.
-func TestSubmitSaturation(t *testing.T) {
-	const offered = 9
+// TestSubmitBackpressureBlocks pins admission at every MaxInflight: with
+// the admitted graphs' computes gated shut, exactly MaxInflight Submits
+// return at once and the next one blocks until a slot frees; once the gate
+// opens every admitted graph drains, and the blocked graph is admitted and
+// completes.
+func TestSubmitBackpressureBlocks(t *testing.T) {
 	for _, inflight := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("inflight-%d", inflight), func(t *testing.T) {
 			gate := make(chan struct{})
-			e, err := NewEngine(gatedSpec(offered, gate), Options{
-				Workers: 2, Policy: NabbitCPolicy(),
-				MaxInflight: inflight, Admission: AdmissionReject,
+			e, err := NewEngine(gatedSpec(inflight+1, gate), Options{
+				Workers: 1, Policy: NabbitCPolicy(), MaxInflight: inflight,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer e.Close()
 
-			var admitted []*Ticket
-			rejected := 0
-			for g := 0; g < offered; g++ {
-				tk, err := e.Submit(Key(g))
-				switch {
-				case err == nil:
-					admitted = append(admitted, tk)
-				case errors.Is(err, ErrSaturated):
-					rejected++
-				default:
-					t.Fatalf("submit %d: %v", g, err)
+			admitted := make([]*Ticket, inflight)
+			for g := range admitted {
+				if admitted[g], err = e.Submit(Key(g)); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if len(admitted) != inflight || rejected != offered-inflight {
-				close(gate)
-				t.Fatalf("admitted %d and rejected %d of %d graphs, want %d and %d",
-					len(admitted), rejected, offered, inflight, offered-inflight)
+			blocked := make(chan *Ticket)
+			go func() {
+				tk, err := e.Submit(Key(inflight))
+				if err != nil {
+					t.Errorf("blocked submit: %v", err)
+				}
+				blocked <- tk
+			}()
+			select {
+			case <-blocked:
+				t.Fatal("Submit beyond MaxInflight returned while every slot was held")
+			case <-time.After(20 * time.Millisecond):
 			}
-
 			close(gate)
 			for g, tk := range admitted {
 				st, err := tk.Wait()
@@ -205,57 +203,14 @@ func TestSubmitSaturation(t *testing.T) {
 					t.Errorf("graph %d: NodesCreated = %d, want 1", g, st.NodesCreated)
 				}
 			}
-			// Slots freed: the last rejected graph is admissible now.
-			tk, err := e.Submit(Key(offered - 1))
-			if err != nil {
-				t.Fatalf("submit after drain: %v", err)
+			tk := <-blocked
+			if tk == nil {
+				t.Fatal("blocked Submit failed")
 			}
 			if _, err := tk.Wait(); err != nil {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestSubmitBackpressureBlocks pins AdmissionBlock (the default): a
-// Submit beyond MaxInflight blocks until a slot frees, then completes.
-func TestSubmitBackpressureBlocks(t *testing.T) {
-	gate := make(chan struct{})
-	e, err := NewEngine(gatedSpec(2, gate), Options{
-		Workers: 1, Policy: NabbitCPolicy(), MaxInflight: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	t1, err := e.Submit(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocked := make(chan *Ticket)
-	go func() {
-		t2, err := e.Submit(1)
-		if err != nil {
-			t.Errorf("blocked submit: %v", err)
-		}
-		blocked <- t2
-	}()
-	select {
-	case <-blocked:
-		t.Fatal("Submit beyond MaxInflight returned while the slot was held")
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(gate)
-	if _, err := t1.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	t2 := <-blocked
-	if t2 == nil {
-		t.Fatal("blocked Submit failed")
-	}
-	if _, err := t2.Wait(); err != nil {
-		t.Fatal(err)
 	}
 }
 

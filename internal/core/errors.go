@@ -6,9 +6,8 @@ import (
 )
 
 // Sentinel failure classes. Every error the engine produces for a run
-// wraps exactly one of these (or ErrSaturated, see submit.go), so
-// callers classify failures with errors.Is and recover diagnostics with
-// errors.As against the typed errors below.
+// wraps exactly one of these, so callers classify failures with errors.Is
+// and recover diagnostics with errors.As against the typed errors below.
 var (
 	// ErrClosed is returned by Submit, SubmitCtx, Execute, and
 	// ExecuteCtx once Close has begun.

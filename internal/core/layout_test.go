@@ -168,9 +168,10 @@ func TestWorkerScratchCacheLineIsolated(t *testing.T) {
 
 // TestEngineWrittenWordsIsolated pins the Engine's own split: the words
 // written while graphs run (parked; the admission state; the deferred
-// wake, which lazy publication reads per range; the retry counters) are at
-// least a full line from the read-mostly block the per-task path reads,
-// and from each other, whatever the allocation's alignment.
+// wake, which lazy publication reads per range) are at least a full line
+// from the read-mostly block the per-task path reads, from each other, and
+// from the end of the struct, so no other allocation shares the deferred
+// wake's line, whatever the allocation's alignment.
 func TestEngineWrittenWordsIsolated(t *testing.T) {
 	var e Engine
 	end := func(off, size uintptr) uintptr { return off + size }
@@ -182,7 +183,7 @@ func TestEngineWrittenWordsIsolated(t *testing.T) {
 		{"parked", unsafe.Offsetof(e.parked), end(unsafe.Offsetof(e.parked), unsafe.Sizeof(e.parked))},
 		{"admission state", unsafe.Offsetof(e.nextID), end(unsafe.Offsetof(e.active), unsafe.Sizeof(e.active))},
 		{"deferred wake", unsafe.Offsetof(e.deferUntil), end(unsafe.Offsetof(e.epoch), unsafe.Sizeof(e.epoch))},
-		{"retry state", unsafe.Offsetof(e.retryMu), end(unsafe.Offsetof(e.retryOut), unsafe.Sizeof(e.retryOut))},
+		{"end of the Engine", unsafe.Sizeof(e), unsafe.Sizeof(e)},
 	}
 	for i := 1; i < len(groups); i++ {
 		if gap := groups[i].lo - groups[i-1].hi; groups[i].lo < groups[i-1].hi || gap < cacheLine {

@@ -21,12 +21,11 @@ const (
 	nodeComputed               // Compute finished; successor list drained
 )
 
-// The state word carves a uint32 into five fields:
+// The state word carves a uint32 into four fields:
 //
 //	bit  31     succLockBit — successor-list claim bit
-//	bits 6..30  epoch stamp — which Engine.Execute the slot belongs to
-//	bit  5      nodeSkipBit — degraded: this node must not execute
-//	bits 2..4   attempt counter — failed ComputeErr attempts so far
+//	bits 3..30  epoch stamp — which Engine.Execute the slot belongs to
+//	bit  2      nodeSkipBit — degraded: this node must not execute
 //	bits 0..1   lifecycle phase
 //
 // succLockBit is a short CAS-acquired spin lock guarding appends to succs,
@@ -36,14 +35,13 @@ const (
 // a single CAS from an unlocked word, without acquiring the bit at all
 // (see Node.retire).
 //
-// The attempt counter re-arms a fallible node for retry without any side
-// storage: a failed ComputeErr bumps it (bumpAttempt) and the node —
-// still ready, join already zero — is simply re-enqueued. nodeSkipBit is
-// the graceful-degradation taint: a permanently failed optional node is
-// retired computed+skipped, and the bit propagates to its downstream
-// cone so no descendant executes user code (see Engine.degrade). Both
-// fields are cleared by the computed CAS (retire uses epochMask, which
-// masks them out) and by the table's fresh-epoch fill.
+// nodeSkipBit is the graceful-degradation taint: a permanently failed
+// optional node is retired computed+skipped, and the bit propagates to
+// its downstream cone so no descendant executes user code (see
+// Engine.degrade). It is cleared by the computed CAS (retire keeps only the
+// old word's epoch) and by the table's fresh-epoch fill. A failed attempt
+// leaves no mark in the word: the worker that owns the node retries it in
+// place and counts its attempts itself (see computeAndNotify).
 //
 // The epoch stamp is how a table forgets a run without touching
 // every slot, and how a page that moves from one graph's table to
@@ -58,17 +56,13 @@ const (
 // ranges, disjointly, and that no code manipulates the word with raw
 // literal masks. Change the layout and the directive together.
 //
-//nabbit:bitfield word=state width=32 layout=phase:0-1,attempt:2-4,skip:5,epoch:6-30,succlock:31
+//nabbit:bitfield word=state width=32 layout=phase:0-1,skip:2,epoch:3-30,succlock:31
 const (
-	phaseMask    uint32 = 0b11
-	attemptShift        = 2
-	attemptUnit  uint32 = 1 << attemptShift
-	attemptMask  uint32 = 0b111 << attemptShift
-	attemptMax   uint32 = attemptMask >> attemptShift
-	nodeSkipBit  uint32 = 1 << 5
-	succLockBit  uint32 = 1 << 31
-	epochMask    uint32 = ^(phaseMask | attemptMask | nodeSkipBit | succLockBit)
-	epochUnit    uint32 = 1 << 6 // one epoch increment, pre-shifted
+	phaseMask   uint32 = 0b11
+	nodeSkipBit uint32 = 1 << 2
+	succLockBit uint32 = 1 << 31
+	epochMask   uint32 = ^(phaseMask | nodeSkipBit | succLockBit)
+	epochUnit   uint32 = 1 << 3 // one epoch increment, pre-shifted
 )
 
 // nodePhase extracts the lifecycle phase from a state-word value.
@@ -240,40 +234,16 @@ func (n *Node) retire(extra uint32) []*Node {
 }
 
 // claimSkip retires a node that must never execute: the phase becomes
-// computed with nodeSkipBit set (attempt bits cleared, epoch preserved)
+// computed with nodeSkipBit set (epoch preserved)
 // and the drained successor list is returned for notification, exactly
 // like retire(0).
 //
 //nabbit:noalloc
 func (n *Node) claimSkip() []*Node { return n.retire(nodeSkipBit) }
 
-// bumpAttempt records one failed ComputeErr attempt in the state word
-// and returns the total attempt count including it. The 3-bit counter
-// saturates at attemptMax; a saturated counter reports attemptMax+1
-// (= MaxRetryAttempts), which every legal Options.Retry.MaxAttempts
-// treats as exhausted. Only the worker that owns the node's execution
-// calls this, but the word itself sees concurrent traffic: the CAS must
-// not land while succLockBit is held, because the holder's unlock store
-// writes back its captured pre-lock value and would erase the bump.
-//
-//nabbit:noalloc
-func (n *Node) bumpAttempt() int {
-	for spins := 0; ; spins++ {
-		v := n.state.Load()
-		a := (v & attemptMask) >> attemptShift
-		if a == attemptMax {
-			return int(a) + 1
-		}
-		if v&succLockBit == 0 && n.state.CompareAndSwap(v, v+attemptUnit) {
-			return int(a) + 1
-		}
-		spinWait(spins)
-	}
-}
-
 // setSkip taints the node: a skipped ancestor can no longer produce its
 // inputs, so when this node's join drains it must be retired, not
-// executed. Like bumpAttempt, the CAS waits out a succLockBit holder
+// executed. The CAS waits out a succLockBit holder
 // (whose unlock store would erase a mid-hold write); racing lifecycle
 // transitions are otherwise safe — the computed store clears the bit,
 // and a node both tainted and ready is routed to the skip path at the

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
-	"time"
 
 	"nabbitc/internal/numa"
 )
@@ -133,47 +131,14 @@ func (b NodeTableBackend) String() string {
 	}
 }
 
-// AdmissionPolicy selects what Submit does when MaxInflight graphs are
-// already in flight.
-type AdmissionPolicy int
-
-const (
-	// AdmissionBlock (the default) blocks Submit until an in-flight
-	// graph completes and frees a slot (or the engine closes).
-	AdmissionBlock AdmissionPolicy = iota
-	// AdmissionReject makes Submit fail fast with ErrSaturated.
-	AdmissionReject
-)
-
-// String names the admission policy.
-func (a AdmissionPolicy) String() string {
-	switch a {
-	case AdmissionBlock:
-		return "block"
-	case AdmissionReject:
-		return "reject"
-	default:
-		return fmt.Sprintf("admission(%d)", int(a))
-	}
-}
-
-// MaxRetryAttempts caps RetryPolicy.MaxAttempts: the per-node attempt
-// counter lives in 3 bits of the node lifecycle word (see node.go), so
-// a node can fail at most 8 times before the budget is exhausted.
-const MaxRetryAttempts = 8
-
 // RetryPolicy bounds how a FallibleSpec node's failed attempts are
-// retried. The backoff before attempt n (n ≥ 2) is BaseBackoff << (n-2):
-// it doubles per retry, and equal policies back off identically.
+// retried: the worker that owns the node calls ComputeErr again at once,
+// with no backoff (see doc.go's transient-fault note).
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget per node, including the
-	// first (≤ MaxRetryAttempts). 0 defaults to 1: no retries, a
-	// ComputeErr failure immediately fails (or degrades) the graph.
+	// first. 0 defaults to 1: no retries, a ComputeErr failure immediately
+	// fails (or degrades) the graph.
 	MaxAttempts int
-	// BaseBackoff is the delay before the first retry; 0 re-enqueues
-	// every retry immediately. The last backoff,
-	// BaseBackoff << (MaxAttempts-2), must fit in a time.Duration.
-	BaseBackoff time.Duration
 }
 
 func (r RetryPolicy) withDefaults() (RetryPolicy, error) {
@@ -182,17 +147,6 @@ func (r RetryPolicy) withDefaults() (RetryPolicy, error) {
 	}
 	if r.MaxAttempts == 0 {
 		r.MaxAttempts = 1
-	}
-	if r.MaxAttempts > MaxRetryAttempts {
-		return r, fmt.Errorf("core: Retry.MaxAttempts %d exceeds MaxRetryAttempts %d",
-			r.MaxAttempts, MaxRetryAttempts)
-	}
-	if r.BaseBackoff < 0 {
-		return r, fmt.Errorf("core: negative Retry.BaseBackoff %v", r.BaseBackoff)
-	}
-	if r.MaxAttempts > 1 && r.BaseBackoff > math.MaxInt64>>(r.MaxAttempts-2) {
-		return r, fmt.Errorf("core: Retry.BaseBackoff %v overflows time.Duration by attempt %d",
-			r.BaseBackoff, r.MaxAttempts)
 	}
 	return r, nil
 }
@@ -217,13 +171,9 @@ type Options struct {
 	OnComplete func(worker int, k Key)
 	// MaxInflight bounds how many admitted graphs may be in flight at
 	// once (Submit tickets not yet completed, plus any Execute in
-	// progress). Admission beyond the bound blocks or rejects per
-	// Admission. Defaults to 4 × Workers.
+	// progress). Admission beyond the bound blocks until a slot frees.
+	// Defaults to 4 × Workers.
 	MaxInflight int
-	// Admission selects Submit's behavior at the MaxInflight bound:
-	// AdmissionBlock (default) waits for a slot, AdmissionReject fails
-	// fast with ErrSaturated. Execute always blocks.
-	Admission AdmissionPolicy
 	// Retry bounds how failed FallibleSpec attempts are retried (see
 	// RetryPolicy). The zero value means no retries.
 	Retry RetryPolicy
@@ -240,9 +190,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 4 * o.Workers
-	}
-	if o.Admission != AdmissionBlock && o.Admission != AdmissionReject {
-		return o, fmt.Errorf("core: unknown admission policy %v", o.Admission)
 	}
 	if o.Topology == (numa.Topology{}) {
 		o.Topology = numa.Paper(o.Workers)

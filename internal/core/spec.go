@@ -63,9 +63,9 @@ type CostSpec interface {
 // FallibleSpec is implemented by specs whose tasks can fail without
 // panicking. When a spec implements it, the engine calls ComputeErr
 // instead of Compute; a non-nil return marks the attempt failed and the
-// node is retried under Options.Retry (deterministic seeded backoff)
-// until the attempt budget is exhausted, at which point the run fails
-// with a *ComputeError — or degrades, if the node is optional
+// node's worker calls it again at once, under Options.Retry, until the
+// attempt budget is exhausted, at which point the run fails with a
+// *ComputeError — or degrades, if the node is optional
 // (OptionalSpec) and the graph has Options.ErrorBudget left.
 //
 // ComputeErr must be idempotent up to its own side effects: a failed

@@ -331,7 +331,7 @@ type Stats struct {
 	Replayed bool
 	// Topology is the topology the run was accounted against.
 	Topology numa.Topology
-	// Retries counts failed FallibleSpec attempts that were re-enqueued
+	// Retries counts failed FallibleSpec attempts that were tried again
 	// under Options.Retry (each failed-then-retried attempt counts once;
 	// the final, exhausting failure does not).
 	Retries int64

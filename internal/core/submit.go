@@ -2,16 +2,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// ErrSaturated is returned by Submit under Options.AdmissionReject when
-// Options.MaxInflight graphs are already in flight.
-var ErrSaturated = errors.New("core: engine saturated (MaxInflight graphs in flight)")
 
 // graphRun completion states, held in graphRun.state. A run completes
 // exactly once: the sink's computing worker (runDone), or whichever of
@@ -75,18 +70,16 @@ type graphRun struct {
 
 	// Transient-failure bookkeeping (see retry.go); all failure-path —
 	// a healthy run only ever loads the counters once, in finishRun.
-	// retries counts re-enqueued failed attempts; failed is the consumed
-	// error budget (CAS-bounded by Options.ErrorBudget); skippedN counts
-	// cone nodes retired without executing. failMu guards the key lists
-	// behind the run's *PartialError. backoffs, guarded by Engine.retryMu,
-	// holds the run's retry timers for failRun to stop.
+	// retries counts failed attempts that were tried again; failed is the
+	// consumed error budget (CAS-bounded by Options.ErrorBudget); skippedN
+	// counts cone nodes retired without executing. failMu guards the key lists
+	// behind the run's *PartialError.
 	retries     atomic.Int64
 	failed      atomic.Int32
 	skippedN    atomic.Int32
 	failMu      sync.Mutex
 	failedKeys  []Key
 	skippedKeys []Key
-	backoffs    []*time.Timer
 
 	// regIdx is the run's position in Engine.runs while it is registered
 	// (guarded by stateMu), so completion removes it without a scan. It is
@@ -253,22 +246,21 @@ func (t *Ticket) Cancel() bool {
 	return t.e.failRun(t.r, cancelErr(t.r.id, nil))
 }
 
-// Submit admits the task graph whose completion is marked by the sink
-// task and returns immediately with a Ticket; workers compute the graph
+// Submit admits the task graph whose completion is marked by the sink task
+// and returns immediately with a Ticket; workers compute the graph
 // concurrently with any other in-flight submissions — and so does a
 // goroutine that calls Ticket.Wait while the graph is live, under a parked
 // worker's id (see Wait). A graph submitted to an idle engine is left to
 // such a waiter before a worker is woken for it: for deferDelay if anybody
-// looks at the engine in the meantime (Wait, Done, another Submit, Execute),
-// for about a millisecond — the Go runtime's timer granularity on an idle
-// process — if nobody does. It completes whether or not anybody waits; a
-// caller that will not Wait and minds the millisecond calls Done. Admission is
-// bounded by Options.MaxInflight: when the bound is reached, Submit
-// blocks until a slot frees (Options.AdmissionBlock, the default) or
-// fails fast with ErrSaturated (Options.AdmissionReject). A graph whose
-// sink can never compute (cycle, unsatisfiable predecessor) fails its
-// Ticket with a *StallError once the pool has provably stalled, leaving
-// the engine reusable. Submit on a closed engine returns ErrClosed.
+// looks at the engine in the meantime (Wait, Done, another Submit,
+// Execute), for about a millisecond — the Go runtime's timer granularity on
+// an idle process — if nobody does. It completes whether or not anybody
+// waits; a caller that will not Wait and minds the millisecond calls Done.
+// Admission is bounded by Options.MaxInflight: when the bound is reached,
+// Submit blocks until a slot frees. A graph whose sink can never compute
+// (cycle, unsatisfiable predecessor) fails its Ticket with a *StallError
+// once the pool has provably stalled, leaving the engine reusable. Submit
+// on a closed engine returns ErrClosed.
 func (e *Engine) Submit(sink Key) (*Ticket, error) {
 	return e.submit(nil, sink)
 }
@@ -301,7 +293,7 @@ func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 	r.ticket = Ticket{e: e, r: r}
 	r.callerRuns = ctx == nil
 	e.stateMu.Lock()
-	waited, err := e.takeSlotLocked(ctx, e.opts.Admission == AdmissionReject)
+	waited, err := e.takeSlotLocked(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -358,20 +350,15 @@ func (e *Engine) submit(ctx context.Context, sink Key) (*Ticket, error) {
 
 // takeSlotLocked takes one of the MaxInflight admission slots for a caller
 // holding stateMu, and reports whether it had to wait for it. With a slot
-// free that is one increment. Otherwise reject fails fast with
-// ErrSaturated; else the caller queues a wake-up channel of its own, FIFO,
-// and sleeps on it, on closedCh and on ctx (nil for none) with stateMu
-// released — a completion hands its slot straight to the queue's head
-// (releaseSlotLocked). On success stateMu is held again; on error it is
-// released and the caller holds no slot.
-func (e *Engine) takeSlotLocked(ctx context.Context, reject bool) (waited bool, err error) {
+// free that is one increment. Otherwise the caller queues a wake-up channel
+// of its own, FIFO, and sleeps on it, on closedCh and on ctx (nil for none)
+// with stateMu released — a completion hands its slot straight to the
+// queue's head (releaseSlotLocked). On success stateMu is held again; on
+// error it is released and the caller holds no slot.
+func (e *Engine) takeSlotLocked(ctx context.Context) (waited bool, err error) {
 	if e.inflight < e.opts.MaxInflight {
 		e.inflight++
 		return false, nil
-	}
-	if reject {
-		e.stateMu.Unlock()
-		return false, ErrSaturated
 	}
 	wake := make(chan struct{})
 	e.slotWaiters = append(e.slotWaiters, wake)
@@ -536,8 +523,7 @@ func (e *Engine) finishRun(r *graphRun, wid int) {
 // winner. Safe to call from any goroutine. Items of the failed graph
 // still sitting in deques are discarded by the workers at the exec
 // boundary (one atomic load per item), which is how a dead graph's work
-// drains out of every deque with no queue surgery; its retries in backoff
-// are stopped. The node table is
+// drains out of every deque with no queue surgery. The node table is
 // quarantined rather than pooled: workers may still be mid-item on the
 // graph's nodes, so the table — and every page it holds — is recycled
 // only at a proven-quiet point (see reclaimTablesLocked).
@@ -546,17 +532,6 @@ func (e *Engine) failRun(r *graphRun, err error) bool {
 		return false
 	}
 	r.err = err
-	// Stop the run's backoff timers, now that scheduleRetry adds none: their
-	// retries would only be discarded, and quiet need not wait them out. A
-	// timer Stop misses is already firing and drops retryOut itself.
-	e.retryMu.Lock()
-	for _, t := range r.backoffs {
-		if t.Stop() {
-			e.retryOut.Add(-1)
-		}
-	}
-	r.backoffs = nil
-	e.retryMu.Unlock()
 	e.stateMu.Lock()
 	e.removeRunLocked(r)
 	e.deadTables = append(e.deadTables, r.nt)
@@ -585,13 +560,12 @@ func (e *Engine) removeRunLocked(r *graphRun) {
 // announcement made the whole pool parked while graphs were still
 // registered (or failed-run tables still quarantined). In the quiet state
 // (quietLocked) no registered graph can ever make progress — their sinks
-// are unreachable (a cycle, an unsatisfiable predecessor); a due or
-// in-backoff retry, by contrast, is future work, and its enqueue will wake
-// a worker. Each stalled graph is failed with a *StallError naming its
-// never-computed nodes, and every quarantined table is reclaimed, so the
-// engine stays usable. The state is re-verified under stateMu: a racing
-// admission either registered before the sweep locked (and is visible in
-// pending) or after (and misses the sweep entirely).
+// are unreachable (a cycle, an unsatisfiable predecessor). Each stalled
+// graph is failed with a *StallError naming its never-computed nodes, and
+// every quarantined table is reclaimed, so the engine stays usable. The
+// state is re-verified under stateMu: a racing admission either registered
+// before the sweep locked (and is visible in pending) or after (and misses
+// the sweep entirely).
 func (e *Engine) failStalled() {
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
