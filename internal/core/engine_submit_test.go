@@ -157,44 +157,59 @@ func gatedSpec(graphs int, gate <-chan struct{}) FuncSpec {
 	}
 }
 
-// TestSubmitBackpressureBlocks pins admission at every MaxInflight: with
-// the admitted graphs' computes gated shut, exactly MaxInflight Submits
-// return at once and the next one blocks until a slot frees; once the gate
-// opens every admitted graph drains, and the blocked graph is admitted and
-// completes.
-func TestSubmitBackpressureBlocks(t *testing.T) {
+// TestSubmitSaturation pins admission at every MaxInflight: with the
+// admitted graphs' computes gated shut, exactly MaxInflight of the offered
+// graphs' Submits return and every further one blocks; once the gate opens
+// every admitted graph drains, and the freed slots admit every blocked
+// graph, which then completes.
+func TestSubmitSaturation(t *testing.T) {
+	const offered = 9
 	for _, inflight := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("inflight-%d", inflight), func(t *testing.T) {
 			gate := make(chan struct{})
-			e, err := NewEngine(gatedSpec(inflight+1, gate), Options{
-				Workers: 1, Policy: NabbitCPolicy(), MaxInflight: inflight,
+			e, err := NewEngine(gatedSpec(offered, gate), Options{
+				Workers: 2, Policy: NabbitCPolicy(), MaxInflight: inflight,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer e.Close()
 
-			admitted := make([]*Ticket, inflight)
-			for g := range admitted {
-				if admitted[g], err = e.Submit(Key(g)); err != nil {
-					t.Fatal(err)
+			// A failed Submit sends a nil Ticket; the test reports it, not
+			// the goroutine, which may outlive a failed test.
+			returned := make(chan *Ticket, offered)
+			for g := 0; g < offered; g++ {
+				go func() {
+					tk, _ := e.Submit(Key(g))
+					returned <- tk
+				}()
+			}
+			var admitted []*Ticket
+			for len(admitted) < inflight {
+				select {
+				case tk := <-returned:
+					admitted = append(admitted, tk)
+				case <-time.After(5 * time.Second):
+					close(gate)
+					t.Fatalf("%d of %d Submits returned with free slots, want %d",
+						len(admitted), offered, inflight)
 				}
 			}
-			blocked := make(chan *Ticket)
-			go func() {
-				tk, err := e.Submit(Key(inflight))
-				if err != nil {
-					t.Errorf("blocked submit: %v", err)
-				}
-				blocked <- tk
-			}()
 			select {
-			case <-blocked:
-				t.Fatal("Submit beyond MaxInflight returned while every slot was held")
+			case <-returned:
+				close(gate)
+				t.Fatalf("more than %d Submits returned while every slot was held", inflight)
 			case <-time.After(20 * time.Millisecond):
 			}
+
 			close(gate)
+			for len(admitted) < offered {
+				admitted = append(admitted, <-returned)
+			}
 			for g, tk := range admitted {
+				if tk == nil {
+					t.Fatalf("graph %d: Submit failed", g)
+				}
 				st, err := tk.Wait()
 				if err != nil {
 					t.Fatalf("wait %d: %v", g, err)
@@ -203,14 +218,49 @@ func TestSubmitBackpressureBlocks(t *testing.T) {
 					t.Errorf("graph %d: NodesCreated = %d, want 1", g, st.NodesCreated)
 				}
 			}
-			tk := <-blocked
-			if tk == nil {
-				t.Fatal("blocked Submit failed")
-			}
-			if _, err := tk.Wait(); err != nil {
-				t.Fatal(err)
-			}
 		})
+	}
+}
+
+// TestSubmitBackpressureBlocks pins blocking admission: a Submit beyond
+// MaxInflight blocks until a slot frees, then completes.
+func TestSubmitBackpressureBlocks(t *testing.T) {
+	gate := make(chan struct{})
+	e, err := NewEngine(gatedSpec(2, gate), Options{
+		Workers: 1, Policy: NabbitCPolicy(), MaxInflight: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	t1, err := e.Submit(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked := make(chan *Ticket)
+	go func() {
+		t2, err := e.Submit(1)
+		if err != nil {
+			t.Errorf("blocked submit: %v", err)
+		}
+		blocked <- t2
+	}()
+	select {
+	case <-blocked:
+		t.Fatal("Submit beyond MaxInflight returned while the slot was held")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	if _, err := t1.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	t2 := <-blocked
+	if t2 == nil {
+		t.Fatal("blocked Submit failed")
+	}
+	if _, err := t2.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 
