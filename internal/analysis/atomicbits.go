@@ -18,7 +18,7 @@ import (
 //
 // A const block opts in with a directive of the form
 //
-//	//nabbit:bitfield word=state width=32 layout=phase:0-1,skip:2,epoch:3-30,succlock:31
+//	//nabbit:bitfield word=state width=32 layout=phase:0-1,epoch:2-30,succlock:31
 //
 // attached to (or immediately above) the declaration. The analyzer then
 // proves, from the type-checker's exact constant values:

@@ -65,8 +65,7 @@ func TestCoreStateLayoutPinned(t *testing.T) {
 	}
 	want := []bitField{
 		{name: "phase", lo: 0, hi: 1},
-		{name: "skip", lo: 2, hi: 2},
-		{name: "epoch", lo: 3, hi: 30},
+		{name: "epoch", lo: 2, hi: 30},
 		{name: "succlock", lo: 31, hi: 31},
 	}
 	if len(decl.fields) != len(want) {

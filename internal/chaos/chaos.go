@@ -40,8 +40,7 @@ const (
 	Cancel
 	// Error makes the target node's ComputeErr fail (wrapping
 	// ErrInjected) on every attempt: retries never help, so the graph
-	// fails with an exhausted-budget *core.ComputeError — or degrades,
-	// if the node is optional and the run has error budget.
+	// fails with an exhausted-budget *core.ComputeError.
 	Error
 	// Transient makes the target node's ComputeErr fail its first
 	// Injector.TransientFails attempts and then succeed — the

@@ -335,7 +335,6 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"mismatched topology", Options{Workers: 4, Topology: numa.Topology{Workers: 8, CoresPerDomain: 10}}, "topology"},
 		{"negative MaxAttempts", Options{Retry: RetryPolicy{MaxAttempts: -1}}, "Retry.MaxAttempts"},
-		{"negative ErrorBudget", Options{ErrorBudget: -1}, "ErrorBudget"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.opts.Workers = max(tc.opts.Workers, 1)

@@ -392,8 +392,8 @@
 //     successors register via addSuccessor (append under the claim bit)
 //     and predecessors decrement the join counter. The worker whose
 //     decrement reaches zero computes the node.
-//   - computed: retire (claimSkip for a degraded node)
-//     published the computed phase with one CAS from an unlocked word;
+//   - computed: retire published the computed phase with one CAS from an
+//     unlocked word;
 //     from that instant addSuccessor refuses new registrations and the
 //     successor list belongs to the retiring worker alone, so every
 //     successor is notified exactly once.
@@ -623,8 +623,7 @@
 // lifecycle word, and the replay keeps the last run's stamp: every node
 // reads computed from the start of the run to its end, and nothing in a
 // replayed run asks its phase — no node is looked up, no edge registered —
-// while retire's CAS does not look at it, setSkip works on a computed word
-// as on a ready one, and retire clears what it set.
+// while retire's CAS does not look at it.
 // worker.seed roots the run with a successor-work item over that root
 // instead of creating the sink, and from there the run is the notify
 // cascade that exists anyway — computeAndNotify, decJoin, groupNodes, the
@@ -635,8 +634,8 @@
 //
 // Eligibility. All of: the table is checked out by Execute (below); the
 // sink is the one it served last, so it still holds that run's pages; that
-// run ended at its sink through finishRun with no node failed or skipped
-// (release is told, and a failed, canceled or stalled run's table comes
+// run ended at its sink through finishRun (release is told, and a failed,
+// canceled or stalled run's table comes
 // back through quarantine, which tells it the opposite); and the spec has
 // not been caught returning a different slice (next paragraph). Everything
 // else discovers, exactly as before: every first run, every Submit, the run
@@ -767,8 +766,7 @@
 //
 // Every failure is typed: *ComputeError for recovered panics and
 // exhausted retries, ErrCanceled (wrapped with the graph id and the
-// context cause) for Cancel and context expiry, *PartialError for
-// degraded completions, *StallError —
+// context cause) for Cancel and context expiry, *StallError —
 // carrying a bounded sample of the still-pending keys — for graphs
 // whose sink can provably never compute, and ErrClosed for lifecycle
 // refusals. All compose with
@@ -779,9 +777,8 @@
 //
 // Faults in long-running graph services are often transient — a remote
 // fetch times out, a resource is briefly contended — so killing the
-// graph on first failure wastes everything already computed. Two
-// cooperating mechanisms make failure survivable without giving up the
-// model above.
+// graph on first failure wastes everything already computed. Retry makes
+// such a failure survivable without giving up the model above.
 //
 // Retry in place. A spec that implements FallibleSpec (ComputeErr
 // returning error; FuncSpec.ComputeErrFn) reports failures as values
@@ -803,7 +800,7 @@
 // returns cannot be recovered by retries — nothing unwinds — and Go cannot
 // preempt it, so whatever the engine decides, the stuck goroutine keeps
 // its worker until user code returns. A per-node timer would buy one
-// thing: the run could complete degraded without the hung node, at the
+// thing: the run could give up on the hung node itself, at the
 // price of a per-worker publication on every execution, a monitor
 // goroutine, and no lazy publication or caller-run Wait for any run of the
 // engine (a held range or a waiting goroutine would be stuck with the
@@ -813,28 +810,23 @@
 // eventual return lands on a dead run and is dropped at the exec boundary
 // like any canceled item.
 //
-// Graceful degradation. A spec may mark nodes optional (OptionalSpec /
-// FuncSpec.OptionalFn): best-effort enrichments whose loss should
-// narrow the result, not destroy it. When an optional node exhausts its
-// retries and the run still has error budget
-// (Options.ErrorBudget, per run, spent by atomic decrement), the node
-// is not failed — it is skipped: nodeSkipBit is set on it and
-// propagated through its successor cone by the normal join-counter
-// cascade, so exactly the data-dependent downstream nodes are retired
-// unexecuted and independent subgraphs proceed untouched. A degraded
-// run completes with both Stats (Retries and Skipped ledgered)
-// and a *PartialError listing the failed keys and a bounded sample of
-// the skipped ones. A skipped sink still completes the run — degraded,
-// not failed. Budget exhausted means the next permanent failure fails
-// the run with its ordinary typed error.
+// A failed task fails its graph. The engine has no notion of a task the
+// graph may lose: a node that has exhausted its attempts fails the run
+// with its *ComputeError, as a panic does. A graph that can do without a
+// task's result says so in its own code. The task's ComputeErr records
+// the failure in the spec's state (a flag or an error slot per key) and
+// returns nil, and every successor that reads the result checks that
+// state first and does its fallback work. To the engine the task
+// succeeded: the run completes with Stats, and a later Execute of the
+// same sink replays it (TestOptionalTaskInUserCode).
 //
-// Every retirement of a node — completion, degradation, a place in the
-// cascade — is made by the one goroutine that owns its execution: the
-// worker whose decrement drained its join, which also makes every retry.
-// The taint (setSkip) lands only before a join drains, since a predecessor
-// taints its successor before it decrements. So while a node's Compute
-// runs nobody else can taint or retire it, and a failed attempt
-// goes straight to its retry or degradation (computeFailed) without
-// checking whether the node was claimed meanwhile; a hang watchdog's
-// claim would be the one writer that could break this.
+// Single retirer. A node is retired only when it completes, and only by
+// the one goroutine that owns its execution: the worker whose decrement
+// drained its join, which also makes every retry. A failed run retires
+// nothing more; its items are dropped at the exec boundary. So while a
+// node's Compute runs nobody else can retire it, retire's CAS need not
+// ask what phase it leaves, and a failed attempt goes straight to its
+// retry or to computeFailed without checking whether the node was
+// claimed meanwhile; a hang watchdog's claim would be the one writer that
+// could break this.
 package core

@@ -48,11 +48,10 @@ type Engine struct {
 	//
 	// sv is the spec's read-mostly face (HomeSpec resolved, colour →
 	// domain table) that node creation and the locality accounting
-	// consult. fspec/ospec are the spec's fallible and optional faces,
-	// resolved once at construction (nil when the spec does not implement
-	// them): with fspec set the workers call ComputeErr instead of Compute
-	// and retry failures in place under opts.Retry; ospec marks nodes whose
-	// permanent failure degrades the graph instead of failing it.
+	// consult. fspec is the spec's fallible face, resolved once at
+	// construction (nil when the spec does not implement it): with fspec
+	// set the workers call ComputeErr instead of Compute and retry failures
+	// in place under opts.Retry.
 	sv         *specView
 	fspec      FallibleSpec
 	onComplete func(worker int, k Key) // opts.OnComplete
@@ -70,8 +69,7 @@ type Engine struct {
 	closing   atomic.Bool
 	closeFlag atomic.Bool
 
-	ospec OptionalSpec
-	opts  Options
+	opts Options
 	// pool is the engine-wide page pool and stamp clock; every table the
 	// engine builds draws its pages from it.
 	pool *pagePool
@@ -354,7 +352,6 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 		closedCh:   make(chan struct{}),
 	}
 	e.fspec, _ = spec.(FallibleSpec)
-	e.ospec, _ = spec.(OptionalSpec)
 	// Build the first table eagerly: spec problems surface here rather
 	// than on some later Submit, and the single-tenant Execute loop
 	// reuses this one instance forever.
@@ -399,9 +396,7 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 // reachable from the sink is computed exactly once, and a task computes
 // only after all its predecessors. The graph must be acyclic (see
 // TopoOrder); a graph whose sink can never compute returns an error and
-// leaves the engine reusable. A degraded completion (optional nodes
-// skipped under Options.ErrorBudget) returns BOTH non-nil Stats and a
-// non-nil *PartialError naming the failed and skipped nodes.
+// leaves the engine reusable. Exactly one of the two results is non-nil.
 //
 // Execute takes exclusive occupancy: it waits for in-flight Submit
 // graphs to drain, then runs alone so the per-worker statistics describe
@@ -423,7 +418,7 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 // doc.go's replay note). The graph is then taken to have the shape it
 // had: state the tasks read may change between calls,
 // returned predecessor slices may not (see Spec.Predecessors). Anything
-// else — another sink, a failed or degraded run before, a spec that builds
+// else — another sink, a failed run before, a spec that builds
 // its slices per call — is discovered from the sink as always.
 func (e *Engine) Execute(sink Key) (*Stats, error) {
 	return e.execute(nil, sink)
@@ -496,8 +491,7 @@ func (e *Engine) execute(ctx context.Context, sink Key) (*Stats, error) {
 	// A failed run has no per-worker stats to gather, and waiting for
 	// quiescence here could block on a canceled graph's still-in-flight
 	// Compute; return right away. The next execute/Close quiesces before
-	// touching shared state anyway. A degraded run (non-nil stats AND a
-	// *PartialError) did complete — gather normally and return both.
+	// touching shared state anyway.
 	if r.stats == nil {
 		return nil, r.err
 	}
@@ -514,7 +508,7 @@ func (e *Engine) execute(ctx context.Context, sink Key) (*Stats, error) {
 		w.stats.DequeGrows = w.dq.Grows() - w.lastGrows
 		st.Workers[i] = w.stats
 	}
-	return st, r.err
+	return st, nil
 }
 
 // quietLocked reports, for a caller holding stateMu, that no worker runs
@@ -1233,13 +1227,7 @@ func (w *worker) tryInitCompute(r *graphRun, owner *Node, pkey Key) {
 	if pred.addSuccessor(owner) {
 		return // notification will account this predecessor
 	}
-	// pred had already computed. If it was retired skipped (a degraded
-	// cascade ran before this edge registered), no notification will
-	// ever carry the taint to owner — propagate it here, or owner would
-	// execute with a missing input.
-	if pred.state.Load()&nodeSkipBit != 0 {
-		owner.setSkip()
-	}
+	// pred had already computed: account it here.
 	if owner.decJoin() {
 		w.computeAndNotify(r, owner)
 	}
@@ -1269,13 +1257,6 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 	k := n.key
 	w.curKey = k
 	e := w.e
-	if n.state.Load()&nodeSkipBit != 0 {
-		// A skipped ancestor tainted this node before its join drained:
-		// retire it without executing and continue the degradation
-		// cascade (see degrade in retry.go).
-		w.skipReady(r, n)
-		return
-	}
 	if e.fspec != nil {
 		// A failed attempt is retried in place, at once: nothing of it was
 		// retired, so no successor ever observed it. A run that died
@@ -1325,7 +1306,7 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 	// holds every successor when a later run replays it. The list is only
 	// written while this worker holds a ready successor, which keeps the
 	// run — and so n's storage — alive.
-	succs := n.retire(0)
+	succs := n.retire()
 	nready := 0
 	for i, s := range succs {
 		if s.decJoin() {
@@ -1351,6 +1332,17 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 	default:
 		w.runItem(w.groupNodes(r, n, nready))
 	}
+}
+
+// computeFailed fails the run with the last failed ComputeErr attempt of a
+// node this worker owns, the attempts-th: a failed task fails its graph.
+// It is kept out of line so the error it builds stays off the noalloc
+// per-task path that calls it.
+//
+//go:noinline
+//nabbit:alloc-ok failure path: error construction may allocate
+func (w *worker) computeFailed(r *graphRun, n *Node, cerr error, attempts int) {
+	w.e.failRun(r, &ComputeError{GraphID: r.id, Key: n.key, Err: cerr, Attempts: attempts})
 }
 
 // noteProbeFailed starts the idle clock if it is not already running.

@@ -419,7 +419,7 @@ func TestArenaEpochReset(t *testing.T) {
 	createAll(a, "fresh arena")
 	// Drive some nodes to computed so retired slots carry varied phases.
 	n, _ := a.getOrCreate(5, 0, nil)
-	n.retire(0)
+	n.retire()
 
 	reset(a)
 	if a.count() != 0 {

@@ -125,127 +125,62 @@ func TestRetryExhaustion(t *testing.T) {
 	}
 }
 
-// TestErrorBudget pins graceful degradation: an optional node that
-// exhausts its retries is skipped along with its downstream cone, the
-// rest of the graph completes, and Wait returns BOTH Stats and a
-// *PartialError naming the failed and skipped keys.
-func TestErrorBudget(t *testing.T) {
-	const width = 8
-	spec := coneSpec(1, width, 1, nil)
-	spec.ComputeErrFn = func(k Key) error {
-		if k == 2 {
-			return fmt.Errorf("permanent: %w", errInjectedTest)
-		}
-		return nil
-	}
-	spec.OptionalFn = func(k Key) bool { return k == 2 }
-	e, err := NewEngine(spec, Options{
-		Workers: 1, Policy: NabbitCPolicy(),
-		Retry: RetryPolicy{MaxAttempts: 2}, ErrorBudget: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	st, werr := e.Execute(coneSink(0, width))
-	if st == nil || werr == nil {
-		t.Fatalf("degraded Execute = (%v, %v), want Stats AND *PartialError", st, werr)
-	}
-	var pe *PartialError
-	if !errors.As(werr, &pe) || !errors.Is(werr, ErrPartial) {
-		t.Fatalf("degraded err = %v (%T), want *PartialError matching ErrPartial", werr, werr)
-	}
-	sink := coneSink(0, width)
-	if len(pe.Failed) != 1 || pe.Failed[0] != 2 {
-		t.Errorf("PartialError.Failed = %v, want [2]", pe.Failed)
-	}
-	if len(pe.Skipped) != 1 || pe.Skipped[0] != sink || pe.SkippedTotal != 1 {
-		t.Errorf("PartialError.Skipped = %v (total %d), want [%d] (total 1)",
-			pe.Skipped, pe.SkippedTotal, sink)
-	}
-	if st.Retries != 1 || st.Skipped != 1 {
-		t.Errorf("Stats = retries %d skipped %d, want 1/1", st.Retries, st.Skipped)
-	}
-	// TotalNodes counts only the width-1 healthy leaves that executed.
-	if st.TotalNodes() != int64(width-1) {
-		t.Errorf("TotalNodes = %d, want %d", st.TotalNodes(), width-1)
-	}
-	// A fresh run of the same graph degrades again — budgets are
-	// per-run, not per-engine.
-	if st2, err2 := e.Execute(sink); st2 == nil || !errors.As(err2, &pe) {
-		t.Fatalf("second degraded Execute = (%v, %v), want Stats + *PartialError", st2, err2)
-	}
-}
-
-// TestErrorBudgetCascade: the degradation cascade poisons the whole
-// downstream cone of a skipped node, not just its immediate successor.
-func TestErrorBudgetCascade(t *testing.T) {
-	// Chain 3 <- 2 <- 1 <- 0: node 1 fails permanently, so 2 and 3 are
-	// skipped while leaf 0 still executes.
-	var executed atomic.Int32
+// TestOptionalTaskInUserCode pins the pattern doc.go documents for a task
+// the graph can do without: the engine knows no optional task, so the
+// task's ComputeErr records its own failure in the spec's state and
+// returns nil, and the successor that reads its result checks that state.
+// The run ends clean — every key runs once, no retry is counted — and so
+// the next Execute of the sink replays it.
+func TestOptionalTaskInUserCode(t *testing.T) {
+	// 0 → {1, 2}, 1 → 3, {2, 3} → 4: key 1 is the optional enrichment,
+	// key 3 its reader. Every slice is built once, so a repeat replays.
+	preds := [][]Key{nil, {0}, {0}, {1}, {3, 2}}
+	const optional, reader, sink = Key(1), Key(3), Key(4)
+	var (
+		runs       [5]atomic.Int32
+		optErr     error // written by the optional task, read by its successor
+		sawFailure atomic.Int32
+	)
 	spec := FuncSpec{
-		PredsFn: func(k Key) []Key {
-			if k == 0 {
-				return nil
-			}
-			return []Key{k - 1}
-		},
+		PredsFn: func(k Key) []Key { return preds[k] },
+		ColorFn: func(k Key) int { return int(k) % 2 },
 		ComputeErrFn: func(k Key) error {
-			if k == 1 {
-				return errInjectedTest
+			runs[k].Add(1)
+			switch k {
+			case optional:
+				optErr = fmt.Errorf("enrichment unavailable: %w", errInjectedTest)
+			case reader:
+				if errors.Is(optErr, errInjectedTest) {
+					sawFailure.Add(1) // the fallback path
+				}
 			}
-			executed.Add(1)
 			return nil
 		},
-		OptionalFn: func(k Key) bool { return k == 1 },
-		BoundFn:    func() int { return 4 },
+		BoundFn: func() int { return len(preds) },
 	}
 	e, err := NewEngine(spec, Options{
-		Workers: 2, Policy: NabbitCPolicy(), Retry: RetryPolicy{MaxAttempts: 1}, ErrorBudget: 1,
+		Workers: 2, Policy: NabbitCPolicy(), Retry: RetryPolicy{MaxAttempts: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	st, werr := e.Execute(3)
-	var pe *PartialError
-	if st == nil || !errors.As(werr, &pe) {
-		t.Fatalf("chain Execute = (%v, %v), want Stats + *PartialError", st, werr)
-	}
-	if len(pe.Failed) != 1 || pe.Failed[0] != 1 {
-		t.Errorf("Failed = %v, want [1]", pe.Failed)
-	}
-	if len(pe.Skipped) != 2 || pe.Skipped[0] != 2 || pe.Skipped[1] != 3 || pe.SkippedTotal != 2 {
-		t.Errorf("Skipped = %v (total %d), want [2 3] (total 2)", pe.Skipped, pe.SkippedTotal)
-	}
-	if got := executed.Load(); got != 1 {
-		t.Errorf("executed %d nodes, want 1 (leaf 0 only)", got)
-	}
-}
-
-// TestErrorBudgetExhausted: with more permanent optional failures than
-// budget, the over-budget failure fails the run outright.
-func TestErrorBudgetExhausted(t *testing.T) {
-	const width = 8
-	spec := coneSpec(1, width, 1, nil)
-	spec.ComputeErrFn = func(k Key) error {
-		if k == 2 || k == 5 {
-			return errInjectedTest
+	for i, replayed := range []bool{false, true} {
+		st, err := e.Execute(sink)
+		if err != nil || st == nil {
+			t.Fatalf("run %d = (%v, %v), want Stats and no error", i, st, err)
 		}
-		return nil
-	}
-	spec.OptionalFn = func(k Key) bool { return true }
-	e, err := NewEngine(spec, Options{
-		Workers: 1, Policy: NabbitCPolicy(), Retry: RetryPolicy{MaxAttempts: 1}, ErrorBudget: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	st, werr := e.Execute(coneSink(0, width))
-	var ce *ComputeError
-	if st != nil || !errors.As(werr, &ce) {
-		t.Fatalf("over-budget Execute = (%v, %v), want (nil, *ComputeError)", st, werr)
+		if st.Replayed != replayed || st.Retries != 0 {
+			t.Errorf("run %d: Replayed %v Retries %d, want %v and 0", i, st.Replayed, st.Retries, replayed)
+		}
+		for k := range runs {
+			if c := runs[k].Load(); c != int32(i+1) {
+				t.Errorf("run %d: key %d ran %d times in all, want %d", i, k, c, i+1)
+			}
+		}
+		if got := sawFailure.Load(); got != int32(i+1) {
+			t.Errorf("run %d: the reader saw the optional task's failure %d times, want %d", i, got, i+1)
+		}
 	}
 }
 
@@ -374,9 +309,9 @@ func TestStallPendingDiagnostics(t *testing.T) {
 
 // TestFailureTaxonomy is the table-driven errors.Is/errors.As contract
 // over all four failure classes: compute failure (error and panic),
-// partial completion, dependence stall, and cancellation. Every class
-// must expose its sentinel through errors.Is and its typed detail
-// through errors.As.
+// dependence stall, cancellation, and a closed engine. Every class
+// must expose its sentinel through errors.Is and its typed detail, where
+// it has one, through errors.As; ErrClosed is returned bare.
 func TestFailureTaxonomy(t *testing.T) {
 	const width = 4
 	cases := []struct {
@@ -433,34 +368,6 @@ func TestFailureTaxonomy(t *testing.T) {
 			},
 		},
 		{
-			name: "partial",
-			make: func(t *testing.T) error {
-				spec := coneSpec(1, width, 1, nil)
-				spec.ComputeErrFn = func(k Key) error {
-					if k == 1 {
-						return errInjectedTest
-					}
-					return nil
-				}
-				spec.OptionalFn = func(k Key) bool { return k == 1 }
-				e, err := NewEngine(spec, Options{
-					Workers: 1, Policy: NabbitCPolicy(),
-					Retry: RetryPolicy{MaxAttempts: 1}, ErrorBudget: 1,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer e.Close()
-				_, werr := e.Execute(coneSink(0, width))
-				return werr
-			},
-			is: []error{ErrPartial},
-			as: func(err error) bool {
-				var pe *PartialError
-				return errors.As(err, &pe) && len(pe.Failed) == 1 && pe.Failed[0] == 1
-			},
-		},
-		{
 			name: "stalled",
 			make: func(t *testing.T) error {
 				spec := FuncSpec{
@@ -507,6 +414,20 @@ func TestFailureTaxonomy(t *testing.T) {
 			},
 			is: []error{ErrCanceled},
 			as: func(err error) bool { return true },
+		},
+		{
+			name: "closed",
+			make: func(t *testing.T) error {
+				e, err := NewEngine(coneSpec(1, width, 1, nil), Options{Workers: 1, Policy: NabbitCPolicy()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.Close()
+				_, serr := e.Submit(coneSink(0, width))
+				return serr
+			},
+			is: []error{ErrClosed},
+			as: func(err error) bool { return err == ErrClosed },
 		},
 	}
 	for _, tc := range cases {

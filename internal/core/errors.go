@@ -31,13 +31,6 @@ var (
 	// ComputeErr kept failing until Options.Retry was exhausted. The
 	// concrete error is a *ComputeError.
 	ErrComputeFailed = errors.New("core: node compute failed")
-
-	// ErrPartial classifies runs that completed degraded: every failed
-	// node was optional (OptionalSpec) and within Options.ErrorBudget,
-	// so the sink's cone that survived ran to completion while the
-	// failed nodes' downstream cones were skipped. The concrete error is
-	// a *PartialError, returned alongside non-nil Stats.
-	ErrPartial = errors.New("core: graph completed partially")
 )
 
 // StallPendingMax bounds StallError.Pending: a stalled million-node
@@ -116,29 +109,6 @@ func (e *ComputeError) Unwrap() []error {
 	}
 	return []error{ErrComputeFailed}
 }
-
-// PartialError reports a degraded completion: the run's sink computed
-// (or was itself skipped), Stats are valid, but Failed lists the
-// optional nodes that exhausted their retry budget, and Skipped lists
-// the downstream nodes poisoned by those failures — never executed,
-// marked complete so the graph could drain. Both lists are ascending;
-// Skipped is truncated to StallPendingMax entries with the untruncated
-// count in SkippedTotal. It unwraps to ErrPartial.
-type PartialError struct {
-	GraphID      uint64
-	Failed       []Key
-	Skipped      []Key
-	SkippedTotal int
-}
-
-func (e *PartialError) Error() string {
-	return fmt.Sprintf("core: graph %d completed partially: %d failed %v, %d skipped downstream",
-		e.GraphID, len(e.Failed), e.Failed, e.SkippedTotal)
-}
-
-// Unwrap ties PartialError into the sentinel taxonomy:
-// errors.Is(err, ErrPartial) holds for every degraded completion.
-func (e *PartialError) Unwrap() error { return ErrPartial }
 
 // cancelErr builds a run's cancellation error. The result matches
 // errors.Is(err, ErrCanceled); when cause is non-nil (a ctx expiry) it

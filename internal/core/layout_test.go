@@ -88,6 +88,16 @@ func TestNodeLayout(t *testing.T) {
 	}
 }
 
+// TestGraphRunSize pins the per-graph allocation: a Submit→Wait round trip
+// allocates only the graphRun, so BenchmarkSubmitWaitNode1's and Cone17's
+// B/op is the size class Go rounds the run up to, 208 B at 208 bytes or
+// less. One more field pushes every graph into the next class (224 B).
+func TestGraphRunSize(t *testing.T) {
+	if sz := unsafe.Sizeof(graphRun{}); sz > 208 {
+		t.Errorf("graphRun is %d bytes, want <= 208 (the 208 B size class)", sz)
+	}
+}
+
 // TestCreateStripeLayout pins the arena's per-worker stripes (creation
 // count, installed-page list): consecutive workers' stripes are a cache
 // line apart, with a spare stripe on either side of the ones in use.

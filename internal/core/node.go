@@ -21,11 +21,10 @@ const (
 	nodeComputed               // Compute finished; successor list drained
 )
 
-// The state word carves a uint32 into four fields:
+// The state word carves a uint32 into three fields:
 //
 //	bit  31     succLockBit — successor-list claim bit
-//	bits 3..30  epoch stamp — which Engine.Execute the slot belongs to
-//	bit  2      nodeSkipBit — degraded: this node must not execute
+//	bits 2..30  epoch stamp — which Engine.Execute the slot belongs to
 //	bits 0..1   lifecycle phase
 //
 // succLockBit is a short CAS-acquired spin lock guarding appends to succs,
@@ -35,13 +34,9 @@ const (
 // a single CAS from an unlocked word, without acquiring the bit at all
 // (see Node.retire).
 //
-// nodeSkipBit is the graceful-degradation taint: a permanently failed
-// optional node is retired computed+skipped, and the bit propagates to
-// its downstream cone so no descendant executes user code (see
-// Engine.degrade). It is cleared by the computed CAS (retire keeps only the
-// old word's epoch) and by the table's fresh-epoch fill. A failed attempt
-// leaves no mark in the word: the worker that owns the node retries it in
-// place and counts its attempts itself (see computeAndNotify).
+// A failed attempt leaves no mark in the word: the worker that owns the
+// node retries it in place and counts its attempts itself, and a node
+// whose last attempt fails fails its run (see computeAndNotify).
 //
 // The epoch stamp is how a table forgets a run without touching
 // every slot, and how a page that moves from one graph's table to
@@ -56,13 +51,12 @@ const (
 // ranges, disjointly, and that no code manipulates the word with raw
 // literal masks. Change the layout and the directive together.
 //
-//nabbit:bitfield word=state width=32 layout=phase:0-1,skip:2,epoch:3-30,succlock:31
+//nabbit:bitfield word=state width=32 layout=phase:0-1,epoch:2-30,succlock:31
 const (
 	phaseMask   uint32 = 0b11
-	nodeSkipBit uint32 = 1 << 2
 	succLockBit uint32 = 1 << 31
-	epochMask   uint32 = ^(phaseMask | nodeSkipBit | succLockBit)
-	epochUnit   uint32 = 1 << 3 // one epoch increment, pre-shifted
+	epochMask   uint32 = ^(phaseMask | succLockBit)
+	epochUnit   uint32 = 1 << 2 // one epoch increment, pre-shifted
 )
 
 // nodePhase extracts the lifecycle phase from a state-word value.
@@ -201,14 +195,13 @@ func (n *Node) addSuccessor(s *Node) bool {
 	}
 }
 
-// retire moves the node to computed (OR-ing in extra, the skip taint or
-// zero) and returns the successor list to notify. One CAS from an unlocked
-// word does all of it: the claim bit was clear, so no append is in flight,
-// and from the instant the computed phase is visible addSuccessor refuses
-// and nobody else touches succs — the list belongs to the caller without
-// ever taking the claim bit. The CAS does not ask what phase it leaves:
+// retire moves the node to computed and returns the successor list to
+// notify. One CAS from an unlocked word does all of it: the claim bit was
+// clear, so no append is in flight, and from the instant the computed
+// phase is visible addSuccessor refuses and nobody else touches succs —
+// the list belongs to the caller without ever taking the claim bit. The CAS does not ask what phase it leaves:
 // every retirement is made by the goroutine that owns the node's execution
-// (see doc.go's degradation note), so none finds the node retired by
+// (see doc.go's single-retirer note), so none finds the node retired by
 // someone else, and a replayed node, which reads computed all through its
 // run (see nodeArena.rearm), is retired like any other.
 //
@@ -223,41 +216,11 @@ func (n *Node) addSuccessor(s *Node) bool {
 // on every slot a run touched carrying that run's epoch.
 //
 //nabbit:noalloc
-func (n *Node) retire(extra uint32) []*Node {
+func (n *Node) retire() []*Node {
 	for spins := 0; ; spins++ {
 		v := n.state.Load()
-		if v&succLockBit == 0 && n.state.CompareAndSwap(v, v&epochMask|extra|nodeComputed) {
+		if v&succLockBit == 0 && n.state.CompareAndSwap(v, v&epochMask|nodeComputed) {
 			return n.succBacking()[:n.nsuccs]
-		}
-		spinWait(spins)
-	}
-}
-
-// claimSkip retires a node that must never execute: the phase becomes
-// computed with nodeSkipBit set (epoch preserved)
-// and the drained successor list is returned for notification, exactly
-// like retire(0).
-//
-//nabbit:noalloc
-func (n *Node) claimSkip() []*Node { return n.retire(nodeSkipBit) }
-
-// setSkip taints the node: a skipped ancestor can no longer produce its
-// inputs, so when this node's join drains it must be retired, not
-// executed. The CAS waits out a succLockBit holder
-// (whose unlock store would erase a mid-hold write); racing lifecycle
-// transitions are otherwise safe — the computed store clears the bit,
-// and a node both tainted and ready is routed to the skip path at the
-// compute entry point.
-//
-//nabbit:noalloc
-func (n *Node) setSkip() {
-	for spins := 0; ; spins++ {
-		v := n.state.Load()
-		if v&nodeSkipBit != 0 {
-			return
-		}
-		if v&succLockBit == 0 && n.state.CompareAndSwap(v, v|nodeSkipBit) {
-			return
 		}
 		spinWait(spins)
 	}

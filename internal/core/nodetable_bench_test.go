@@ -141,7 +141,7 @@ func BenchmarkNotify(b *testing.B) {
 						b.Fatal("addSuccessor refused before retire")
 					}
 				}
-				drained := pred.retire(0)
+				drained := pred.retire()
 				for _, s := range drained {
 					s.decJoin()
 				}

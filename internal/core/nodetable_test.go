@@ -265,7 +265,7 @@ func TestArenaRawKeyEdges(t *testing.T) {
 	}
 	for _, k := range keys[:3] {
 		n, _ := a.get(k)
-		n.retire(0)
+		n.retire()
 	}
 	if got := a.pendingKeys(); !slices.Equal(got, keys[3:]) {
 		t.Fatalf("pendingKeys after three computed = %v, want %v", got, keys[3:])
@@ -309,7 +309,7 @@ func TestNotifyLifecycleRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			start.Wait()
-			notified <- pred.retire(0)
+			notified <- pred.retire()
 		}()
 		start.Done()
 		wg.Wait()

@@ -137,7 +137,7 @@ func (b NodeTableBackend) String() string {
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget per node, including the
 	// first. 0 defaults to 1: no retries, a ComputeErr failure immediately
-	// fails (or degrades) the graph.
+	// fails the graph.
 	MaxAttempts int
 }
 
@@ -177,11 +177,6 @@ type Options struct {
 	// Retry bounds how failed FallibleSpec attempts are retried (see
 	// RetryPolicy). The zero value means no retries.
 	Retry RetryPolicy
-	// ErrorBudget is the per-graph count of optional-node permanent failures
-	// (exhausted retries) the run absorbs by skipping the node's downstream
-	// cone instead of failing; such a run completes with Stats plus a
-	// *PartialError. 0 disables degradation.
-	ErrorBudget int
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -206,9 +201,6 @@ func (o Options) withDefaults() (Options, error) {
 		return o, err
 	}
 	o.Retry = r
-	if o.ErrorBudget < 0 {
-		return o, fmt.Errorf("core: negative ErrorBudget %d", o.ErrorBudget)
-	}
 	o.Policy = o.Policy.WithDefaults()
 	return o, nil
 }

@@ -320,11 +320,12 @@ func TestReplayFallback(t *testing.T) {
 		g.execute("second after the swap", true)
 	})
 
-	t.Run("degraded run before", func(t *testing.T) {
+	t.Run("failed run before", func(t *testing.T) {
+		// A replayed run whose node exhausts its retries fails with a
+		// *ComputeError; the run after it discovers, the next replays.
 		var broken atomic.Bool
-		broken.Store(true)
 		victim := Key(-1)
-		g := rig(t, Options{Retry: RetryPolicy{MaxAttempts: 1}, ErrorBudget: 1}, nil, func(s FuncSpec) Spec {
+		g := rig(t, Options{Retry: RetryPolicy{MaxAttempts: 2}}, nil, func(s FuncSpec) Spec {
 			compute := s.ComputeFn
 			s.ComputeErrFn = func(k Key) error {
 				if k == victim && broken.Load() {
@@ -333,22 +334,20 @@ func TestReplayFallback(t *testing.T) {
 				compute(k)
 				return nil
 			}
-			s.OptionalFn = func(k Key) bool { return k == victim }
 			return s
 		})
 		victim = g.inner.PredsFn(g.sink)[0]
-		broken.Store(false)
 		g.execute("first", false)
 		g.execute("second", true)
 		broken.Store(true)
 		st, err := g.e.Execute(g.sink)
-		var pe *PartialError
-		if st == nil || !st.Replayed || st.Skipped == 0 || !errors.As(err, &pe) {
-			t.Fatalf("degraded replay = (%+v, %v), want replayed Stats with skips and a *PartialError", st, err)
+		var ce *ComputeError
+		if st != nil || !errors.As(err, &ce) || ce.Key != victim || ce.Attempts != 2 {
+			t.Fatalf("failing replay = (%+v, %v), want nil Stats and node %d's *ComputeError after 2 attempts", st, err, victim)
 		}
 		broken.Store(false)
 		g.discard()
-		g.execute("after the degraded run", false)
+		g.execute("after the failed run", false)
 		g.execute("and the one after", true)
 	})
 

@@ -65,8 +65,10 @@ type CostSpec interface {
 // instead of Compute; a non-nil return marks the attempt failed and the
 // node's worker calls it again at once, under Options.Retry, until the
 // attempt budget is exhausted, at which point the run fails with a
-// *ComputeError — or degrades, if the node is optional
-// (OptionalSpec) and the graph has Options.ErrorBudget left.
+// *ComputeError. A failed task fails its graph: a task whose loss the
+// graph can absorb records its failure in the spec's own state and
+// returns nil, and its successors read that state (see doc.go's failure
+// note).
 //
 // ComputeErr must be idempotent up to its own side effects: a failed
 // attempt may have run partially, and the engine re-invokes it from
@@ -77,18 +79,6 @@ type FallibleSpec interface {
 	// once per attempt; attempts beyond the first happen only after a
 	// previous attempt returned an error.
 	ComputeErr(k Key) error
-}
-
-// OptionalSpec marks tasks whose permanent failure should degrade the
-// graph instead of failing it: when an optional node exhausts its retry
-// budget and the graph still has Options.ErrorBudget, the engine skips the
-// node and poisons only its downstream cone; the run completes with Stats
-// plus a *PartialError. Non-optional nodes always fail the whole graph.
-type OptionalSpec interface {
-	Spec
-	// Optional reports whether task k may be skipped on permanent
-	// failure.
-	Optional(k Key) bool
 }
 
 // HomeSpec is implemented by specs whose data placement differs from the
@@ -174,9 +164,6 @@ type FuncSpec struct {
 	// retries non-nil returns under Options.Retry. When nil, ComputeErr
 	// runs ComputeFn and reports success.
 	ComputeErrFn func(Key) error
-	// OptionalFn, when set, marks tasks skippable on permanent failure
-	// (see OptionalSpec); nil means no task is optional.
-	OptionalFn func(Key) bool
 	// BoundFn, when set, declares the dense key universe [0, BoundFn())
 	// (see BoundedSpec); nil or non-positive means unbounded.
 	BoundFn func() int
@@ -213,12 +200,6 @@ func (s FuncSpec) ComputeErr(k Key) error {
 		return nil
 	}
 	return s.ComputeErrFn(k)
-}
-
-// Optional implements OptionalSpec; a nil OptionalFn marks nothing
-// optional.
-func (s FuncSpec) Optional(k Key) bool {
-	return s.OptionalFn != nil && s.OptionalFn(k)
 }
 
 // FootprintOf implements CostSpec.

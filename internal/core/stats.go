@@ -325,7 +325,7 @@ type Stats struct {
 	// the sink the engine's node table had just served, in a run that
 	// computed every node, and the table re-armed that run's nodes instead
 	// of discovering them again (see doc.go's replay note). False for every
-	// first run, every Submit, the run after a failed or degraded one, and
+	// first run, every Submit, the run after a failed one, and
 	// a spec that returns a fresh predecessor slice per call. Not part of
 	// Metrics.
 	Replayed bool
@@ -335,11 +335,6 @@ type Stats struct {
 	// under Options.Retry (each failed-then-retried attempt counts once;
 	// the final, exhausting failure does not).
 	Retries int64
-	// Skipped counts downstream nodes retired without executing because a
-	// permanently failed optional ancestor poisoned their cone. The
-	// failed ancestors themselves are listed in the run's *PartialError,
-	// not counted here.
-	Skipped int
 }
 
 // DequeGrows returns the total deque buffer growths across all workers.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -68,75 +67,15 @@ type graphRun struct {
 	// set under stateMu at admission, called when the run settles.
 	stopCtx func() bool
 
-	// Transient-failure bookkeeping (see retry.go); all failure-path —
-	// a healthy run only ever loads the counters once, in finishRun.
-	// retries counts failed attempts that were tried again; failed is the
-	// consumed error budget (CAS-bounded by Options.ErrorBudget); skippedN
-	// counts cone nodes retired without executing. failMu guards the key lists
-	// behind the run's *PartialError.
-	retries     atomic.Int64
-	failed      atomic.Int32
-	skippedN    atomic.Int32
-	failMu      sync.Mutex
-	failedKeys  []Key
-	skippedKeys []Key
+	// retries counts failed attempts that were tried again (see
+	// computeAndNotify); a healthy run only loads it once, in finishRun.
+	retries atomic.Int64
 
 	// regIdx is the run's position in Engine.runs while it is registered
 	// (guarded by stateMu), so completion removes it without a scan. It is
 	// rewritten when another run's removal moves this one, so it sits down
 	// here, off the lines the workers running this graph read.
 	regIdx int
-}
-
-// takeBudget consumes one unit of the graph's error budget, reporting
-// whether any remained. budget <= 0 disables degradation entirely.
-func (r *graphRun) takeBudget(budget int) bool {
-	for {
-		c := r.failed.Load()
-		if int(c) >= budget {
-			return false
-		}
-		if r.failed.CompareAndSwap(c, c+1) {
-			return true
-		}
-	}
-}
-
-// noteFailed records a permanently failed optional node.
-func (r *graphRun) noteFailed(k Key) {
-	r.failMu.Lock()
-	r.failedKeys = append(r.failedKeys, k)
-	r.failMu.Unlock()
-}
-
-// noteSkipped records one downstream node poisoned by a failed
-// ancestor; the sample list is bounded, the count is not.
-func (r *graphRun) noteSkipped(k Key) {
-	r.skippedN.Add(1)
-	r.failMu.Lock()
-	if len(r.skippedKeys) < StallPendingMax {
-		r.skippedKeys = append(r.skippedKeys, k)
-	}
-	r.failMu.Unlock()
-}
-
-// partialError builds the degraded-completion diagnostic. Safe at
-// finishRun time: every degrade's bookkeeping happens-before its
-// cascade reaches the sink, and the sink's retirement is what triggered
-// this call.
-func (r *graphRun) partialError() *PartialError {
-	r.failMu.Lock()
-	failed := append([]Key(nil), r.failedKeys...)
-	skipped := append([]Key(nil), r.skippedKeys...)
-	r.failMu.Unlock()
-	slices.Sort(failed)
-	slices.Sort(skipped)
-	return &PartialError{
-		GraphID:      r.id,
-		Failed:       failed,
-		Skipped:      skipped,
-		SkippedTotal: int(r.skippedN.Load()),
-	}
 }
 
 // Ticket is a handle to a submitted graph.
@@ -152,9 +91,8 @@ type Ticket struct {
 // times, from any goroutine, including from inside a Compute. On failure
 // the stats are nil and the error is typed: *ComputeError for a recovered
 // panic or an exhausted retry budget, ErrCanceled (wrapped) for Cancel/ctx
-// aborts, *StallError for a graph whose sink can never compute. A degraded
-// completion returns BOTH non-nil stats and a non-nil *PartialError (see
-// Options.ErrorBudget).
+// aborts, *StallError for a graph whose sink can never compute. Exactly
+// one of the two results is non-nil.
 //
 // Wait does not sleep while it could work: if the run is still live and a
 // worker is parked, the waiting goroutine borrows that worker — it runs
@@ -487,8 +425,6 @@ func (e *Engine) checkoutTableLocked(sink Key, quiet bool) (*nodeArena, *Node) {
 // engine's node memory does not depend on how many pages its busiest
 // moment needed. If a concurrent Cancel/ctx expiry won the completion CAS
 // first, that winner owns the cleanup and the computed result is discarded.
-//
-//nabbit:alloc-ok once-per-graph epilogue: a degraded run builds its PartialError
 func (e *Engine) finishRun(r *graphRun, wid int) {
 	if !r.state.CompareAndSwap(runLive, runDone) {
 		return
@@ -500,14 +436,10 @@ func (e *Engine) finishRun(r *graphRun, wid int) {
 		Replayed:     r.root != nil,
 		Topology:     e.opts.Topology,
 		Retries:      r.retries.Load(),
-		Skipped:      int(r.skippedN.Load()),
 	}
 	r.stats = &r.statsBuf
-	if r.failed.Load() > 0 {
-		r.err = r.partialError()
-	}
 	e.stateMu.Lock()
-	r.nt.release(wid, r.err == nil) // a degraded run (failed or skipped nodes) left r.err
+	r.nt.release(wid, true)
 	e.tables = append(e.tables, r.nt)
 	e.removeRunLocked(r)
 	if len(e.runs) == 0 && len(e.deadTables) == 0 {
