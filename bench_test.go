@@ -255,13 +255,92 @@ func BenchmarkRealHeatNabbitCHier(b *testing.B) {
 	}
 }
 
-// sizedHeatRun is the deque-sizing pin shared by the test (which CI
-// runs) and the benchmark: a heat run on a bound-declaring spec must
-// finish with zero deque growths. Two workers keep
-// bound/workers (385/2+1 = 193) well above the historical default
-// capacity of 64, so the bound-derived size — not the old default — is
-// what the assertion exercises (the clamp policy itself is pinned by
-// core's TestDequeCapacitySizing).
+// TestDequeGrowthFirstRunOnly pins the deque's sizing contract: a worker
+// deque starts small and grows with the frontier of open spawns, and the
+// ring keeps its size, so growth is a first-run cost only. On one engine
+// (one worker, so every run's frontier is the same), the first discovery
+// of a 96×96 wavefront must grow the deque; a replay of that run and the
+// discovery of a second sink, whose frontier would grow a new engine's
+// deque too, must grow it no more. Every key the sink needs computes
+// exactly once per run, and no other key at all.
+func TestDequeGrowthFirstRunOnly(t *testing.T) {
+	const n = 96
+	preds := make([][]core.Key, n*n)
+	for k := range preds {
+		if k >= n {
+			preds[k] = append(preds[k], core.Key(k-n))
+		}
+		if k%n > 0 {
+			preds[k] = append(preds[k], core.Key(k-1))
+		}
+	}
+	counts := make([]atomic.Int32, n*n)
+	spec := core.FuncSpec{
+		PredsFn:   func(k core.Key) []core.Key { return preds[k] },
+		ColorFn:   func(core.Key) int { return 0 },
+		BoundFn:   func() int { return n * n },
+		ComputeFn: func(k core.Key) { counts[k].Add(1) },
+	}
+	opts := core.Options{Workers: 1, Policy: core.NabbitCPolicy()}
+	last, second := core.Key(n*n-1), core.Key(n*n-2)
+	run := func(e *core.Engine, sink core.Key) *core.Stats {
+		t.Helper()
+		st, err := e.Execute(sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		si, sj := int(sink)/n, int(sink)%n
+		for k := range counts {
+			want := int32(0)
+			if k/n <= si && k%n <= sj {
+				want = 1
+			}
+			if got := counts[k].Swap(0); got != want {
+				t.Fatalf("sink %d: key %d computed %d times, want %d", sink, k, got, want)
+			}
+		}
+		return st
+	}
+
+	cold, err := core.NewEngine(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	if g := run(cold, second).DequeGrows(); g == 0 {
+		t.Fatalf("sink %d's discovery did not grow a new engine's deque; the second-sink check is vacuous", second)
+	}
+
+	e, err := core.NewEngine(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if g := run(e, last).DequeGrows(); g == 0 {
+		t.Fatal("the first discovery did not grow the deque; the test is vacuous")
+	}
+	st := run(e, last)
+	if !st.Replayed {
+		t.Fatal("the repeat Execute did not replay")
+	}
+	if g := st.DequeGrows(); g != 0 {
+		t.Errorf("the replay grew the deque %d times, want 0", g)
+	}
+	st = run(e, second)
+	if st.Replayed {
+		t.Fatal("a new sink's run replayed")
+	}
+	if g := st.DequeGrows(); g != 0 {
+		t.Errorf("the discovery of sink %d grew the deque %d times, want 0", second, g)
+	}
+}
+
+// sizedHeatRun is the heat pin shared by the test (which CI runs) and
+// the benchmark: a heat run on a bound-declaring spec at two workers
+// must finish with zero deque growths, because its frontier of open
+// spawns stays within the 64-entry deque a new engine starts with.
+// Growth where a frontier does outrun that size is pinned by
+// TestDequeGrowthFirstRunOnly.
 func sizedHeatRun(fatalf func(format string, args ...any)) {
 	r := stencil.Heat(bench.ScaleSmall).NewReal()
 	spec, sink := r.Spec(2)
@@ -271,7 +350,7 @@ func sizedHeatRun(fatalf func(format string, args ...any)) {
 		return
 	}
 	if g := st.DequeGrows(); g != 0 {
-		fatalf("%d deque growths on a bound-sized run, want 0", g)
+		fatalf("%d deque growths on a heat run, want 0", g)
 	}
 }
 
@@ -282,7 +361,7 @@ func TestRealHeatDequeSizing(t *testing.T) {
 	t.Run("mutex", func(t *testing.T) { sizedHeatRun(t.Fatalf) })
 }
 
-// BenchmarkRealHeatDequeSizing times the same sized run.
+// BenchmarkRealHeatDequeSizing times the same run.
 func BenchmarkRealHeatDequeSizing(b *testing.B) {
 	b.Run("mutex", func(b *testing.B) {
 		b.ReportAllocs()

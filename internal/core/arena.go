@@ -51,7 +51,7 @@ func (pg *nodePage) scrub() {
 //
 // A key finds its slot by one of two rules (slotOf). A spec that declares a
 // bound of at most maxIndexedKeys has a record per key on the specView,
-// laid out home-major (HomeMajorIndex) so tasks whose data lives at the
+// laid out home-major (indexKeys) so tasks whose data lives at the
 // same color are contiguous in memory — the cache/NUMA-locality layout the
 // paper's locality-aware variant assumes — and its directory is one flat
 // leaf of a page per 64 slots, so create-or-get is a record load, a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,6 +98,53 @@ func TestSubmitFootprintTracksInflight(t *testing.T) {
 		if held := nt.held(); held > perCone {
 			t.Errorf("an idle table holds %d pages, want at most the %d of one cone it may serve again", held, perCone)
 		}
+	}
+}
+
+// TestNewEngineFootprint pins what NewEngine allocates for a bounded spec:
+// the key records (8 bytes a key, 12 with a HomeSpec's homes) and little
+// else — a worker's deque starts at dequeInit entries and grows with the
+// frontier, not with the key space, and the records are laid out in place
+// without a key-sized scratch array.
+func TestNewEngineFootprint(t *testing.T) {
+	const keys = 1 << 17
+	bounded := FuncSpec{
+		ColorFn: func(k Key) int { return int(k) % 8 },
+		BoundFn: func() int { return keys },
+	}
+	homed := Recolored{Spec: bounded, ColorFn: func(k Key) int { return int(k+1) % 8 }}
+	rows := []struct {
+		name    string
+		spec    Spec
+		workers int
+		perKey  uint64
+	}{
+		{"1w", bounded, 1, 8},
+		{"2w", bounded, 2, 8},
+		{"8w", bounded, 8, 8},
+		{"HomeSpec-2w", homed, 2, 12},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			e, err := NewEngine(row.spec, Options{Workers: row.workers, Policy: NabbitCPolicy()})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got := after.TotalAlloc - before.TotalAlloc
+			limit := row.perKey*keys + uint64(row.workers)*16<<10 + 64<<10
+			t.Logf("%d B, %d B over the records", got, got-row.perKey*keys)
+			if got > limit {
+				t.Errorf("NewEngine allocated %d B for %d keys on %d workers, want <= %d (%d B a key + 16 KB a worker + 64 KB)",
+					got, keys, row.workers, limit, row.perKey)
+			}
+		})
 	}
 }
 

@@ -520,12 +520,15 @@
 //
 //   - Indexed. A spec that declares a bound of at most 2^21 keys
 //     (BoundedSpec / FuncSpec.BoundFn) gets a record per key, built once
-//     per engine, assigning slots home-major (HomeMajorIndex): tasks whose
-//     data lives at the same color sit contiguously, so a worker sweeping
-//     its own color's tasks walks dense memory — the paper's assumption
-//     that task data clusters at its home color, applied to the
-//     scheduler's own metadata. The directory is one flat leaf of a page
-//     per 64 slots that never grows, so a lookup is three dependent loads:
+//     per engine, assigning slots home-major: tasks whose data lives at
+//     the same color sit contiguously, so a worker sweeping its own
+//     color's tasks walks dense memory — the paper's assumption that task
+//     data clusters at its home color, applied to the scheduler's own
+//     metadata. indexKeys lays the records out in place, two passes over
+//     them with a count per home between, so construction costs one
+//     Color (and Home) call and 8 bytes a key (12 with a HomeSpec), and no
+//     scratch array. The directory is one flat leaf of a page per 64
+//     slots that never grows, so a lookup is three dependent loads:
 //     record, directory entry, state word. A key outside the declared
 //     bound is a spec error, reported as such. All benchmark workloads
 //     (stencil grids, CSR blocks, wavefronts) declare bounds.

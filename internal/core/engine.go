@@ -167,6 +167,13 @@ type Engine struct {
 // without a bound, every key is its own slot.
 const maxIndexedKeys = 1 << 21
 
+// dequeInit is every worker deque's first capacity. A deque holds the
+// frontier of open spawns, whose depth follows their nesting and fan-in,
+// not the key space; a deeper frontier doubles the ring under its lock
+// (counted in WorkerStats.DequeGrows), and the ring keeps that size for
+// the engine's life, so growth is a first-run cost.
+const dequeInit = 64
+
 // newTableShared builds what all node tables of one engine share: the
 // spec view, with a record per key when the spec's bound allows, and the
 // page pool the tables draw from.
@@ -176,30 +183,6 @@ func newTableShared(spec Spec, topo numa.Topology) (*specView, *pagePool) {
 		sv.indexKeys(b)
 	}
 	return sv, newPagePool(topo.Workers)
-}
-
-// dequeCapacity sizes a worker's initial deque from the spec's key bound
-// when one is declared: the deepest a deque gets tracks the worker's
-// share of the graph's frontier, so bound/workers (clamped to the old
-// default below and a growth-irrelevant ceiling above) preallocates past
-// any growth churn on the first run. Unbounded specs keep the historical
-// default.
-func dequeCapacity(bound, workers int) int {
-	const (
-		defaultCap = 64
-		maxCap     = 8192
-	)
-	if bound <= 0 {
-		return defaultCap
-	}
-	c := bound/workers + 1
-	if c < defaultCap {
-		return defaultCap
-	}
-	if c > maxCap {
-		return maxCap
-	}
-	return c
 }
 
 // spinBeforePark is the bounded-spin budget: consecutive unsuccessful
@@ -357,7 +340,6 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 	// reuses this one instance forever.
 	e.tables = []*nodeArena{newNodeArena(sv, pool)}
 	p := opts.Policy
-	dqCap := dequeCapacity(KeyBoundOf(spec), opts.Workers)
 	e.workers = make([]*worker, opts.Workers)
 	for i := range e.workers {
 		w := &worker{
@@ -365,7 +347,7 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 			color:  int32(i),
 			domain: e.sv.domainOf(int32(i)),
 			e:      e,
-			dq:     deque.NewMutex[item](dqCap),
+			dq:     deque.NewMutex[item](dequeInit),
 			parkCh: make(chan struct{}, 1),
 		}
 		if opts.Workers > 1 {

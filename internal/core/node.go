@@ -264,8 +264,8 @@ type specView struct {
 	spinning func(k Key)
 }
 
-// keyRec is the static half of an indexed key's node: the slot
-// HomeMajorIndex assigned to the key and the colour the spec gave it.
+// keyRec is the static half of an indexed key's node: the home-major slot
+// indexKeys assigned to the key and the colour the spec gave it.
 type keyRec struct {
 	slot  int32
 	color int32
@@ -280,21 +280,41 @@ func newSpecView(spec Spec, topo numa.Topology) *specView {
 	return sv
 }
 
-// indexKeys builds the key records for the universe [0, bound): one pass
-// caches every key's colour and true home, then the layout function shared
-// with the simulator turns the homes into slot assignments.
+// indexKeys builds the key records for the universe [0, bound) in place,
+// home-major: slots ordered by home (keys with one home contiguous, homes
+// ascending), stable by key within a home, and homes outside [0, workers)
+// — colours the scheduler cannot localize anyway — in one bucket after the
+// real ones. The first pass stores each key's colour and home bucket in
+// its record and counts the buckets; after a prefix sum the second turns
+// each bucket into the key's slot. Nothing key-sized is allocated but the
+// records, and homes for a HomeSpec: 8 bytes a key, 12 with one.
 func (sv *specView) indexKeys(bound int) {
+	workers := int32(len(sv.domains))
 	sv.recs = make([]keyRec, bound)
-	homes := make([]int32, bound)
-	for k := range sv.recs {
-		sv.recs[k].color, homes[k] = sv.colorHome(Key(k))
-	}
-	idx := HomeMajorIndex(bound, len(sv.domains), func(k Key) int { return int(homes[k]) })
-	for k := range sv.recs {
-		sv.recs[k].slot = idx[k]
-	}
 	if sv.hspec != nil {
-		sv.homes = homes
+		sv.homes = make([]int32, bound)
+	}
+	starts := make([]int32, workers+2)
+	for k := range sv.recs {
+		c, h := sv.colorHome(Key(k))
+		if sv.homes != nil {
+			sv.homes[k] = h
+		}
+		b := workers
+		if uint32(h) < uint32(workers) {
+			b = h
+		}
+		sv.recs[k] = keyRec{slot: b, color: c}
+		starts[b+1]++
+	}
+	for b := 1; b < len(starts); b++ {
+		starts[b] += starts[b-1]
+	}
+	for k := range sv.recs {
+		r := &sv.recs[k]
+		b := r.slot
+		r.slot = starts[b]
+		starts[b]++
 	}
 }
 
@@ -362,36 +382,6 @@ func PredSummary(i int, pc, pd, c, d int32) (int32, int32) {
 		pd = PredMixed
 	}
 	return pc, pd
-}
-
-// HomeMajorIndex computes an indexed table's key → slot assignment: slots
-// are ordered by home color (keys with the same home contiguous, homes
-// ascending), stable by key within a home. Homes outside [0, workers) —
-// colors the scheduler cannot localize anyway — share one overflow bucket
-// after the real homes. Both the real engine's arena and the simulator's
-// mirror call this one function, so their layouts can never drift apart.
-func HomeMajorIndex(bound, workers int, homeOf func(Key) int) []int32 {
-	buckets := workers + 1
-	bucketOf := make([]int32, bound)
-	starts := make([]int32, buckets+1)
-	for k := 0; k < bound; k++ {
-		b := int32(workers)
-		if h := homeOf(Key(k)); h >= 0 && h < workers {
-			b = int32(h)
-		}
-		bucketOf[k] = b
-		starts[b+1]++
-	}
-	for b := 0; b < buckets; b++ {
-		starts[b+1] += starts[b]
-	}
-	idx := make([]int32, bound)
-	for k := 0; k < bound; k++ {
-		b := bucketOf[k]
-		idx[k] = starts[b]
-		starts[b]++
-	}
-	return idx
 }
 
 // NodeStore is an exported handle to a node table outside any engine run

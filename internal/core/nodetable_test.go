@@ -74,9 +74,12 @@ func TestKeyBoundOf(t *testing.T) {
 	}
 }
 
-// TestHomeMajorLayout checks the arena's layout contract: slots sorted by
-// home, stable by key within a home, out-of-range homes in one trailing
-// bucket, and index a bijection.
+// TestHomeMajorLayout checks the arena's layout contract on the key
+// records indexKeys builds: slots sorted by home, stable by key within a
+// home, out-of-range homes (-1 and past the workers) in one trailing
+// bucket, and the slots a bijection. Every record keeps the key's colour,
+// and homes are kept apart from the colours only for a HomeSpec. A created
+// node must land in its record's slot with key, colour and home filled in.
 func TestHomeMajorLayout(t *testing.T) {
 	const bound, workers = 64, 4
 	home := func(k Key) int {
@@ -89,60 +92,70 @@ func TestHomeMajorLayout(t *testing.T) {
 			return int(k) % workers
 		}
 	}
-	idx := HomeMajorIndex(bound, workers, home)
-	if len(idx) != bound {
-		t.Fatalf("index length %d, want %d", len(idx), bound)
+	homeColored := FuncSpec{ColorFn: home}
+	rotated := func(k Key) int { return int(k+1) % workers }
+	rows := []struct {
+		name  string
+		spec  Spec
+		color func(Key) int
+	}{
+		{"homes are colours", homeColored, home},
+		{"HomeSpec", Recolored{Spec: homeColored, ColorFn: rotated}, rotated},
 	}
-	seen := make([]bool, bound)
-	for _, s := range idx {
-		if s < 0 || int(s) >= bound {
-			t.Fatalf("slot %d out of range", s)
-		}
-		if seen[s] {
-			t.Fatalf("slot %d assigned twice", s)
-		}
-		seen[s] = true
-	}
-	// Reconstruct the slot order and verify home-major, key-stable.
-	keyAt := make([]Key, bound)
-	for k, s := range idx {
-		keyAt[s] = Key(k)
-	}
-	bucket := func(k Key) int {
-		if h := home(k); h >= 0 && h < workers {
-			return h
-		}
-		return workers
-	}
-	for s := 1; s < bound; s++ {
-		b0, b1 := bucket(keyAt[s-1]), bucket(keyAt[s])
-		if b0 > b1 {
-			t.Fatalf("slot %d (home bucket %d) after slot %d (bucket %d): not home-major",
-				s, b1, s-1, b0)
-		}
-		if b0 == b1 && keyAt[s-1] >= keyAt[s] {
-			t.Fatalf("keys %d, %d not ascending within home bucket %d",
-				keyAt[s-1], keyAt[s], b0)
-		}
-	}
-
-	// The key records must agree with the index, and a created node must
-	// land in its slot with key/color/home filled in.
-	spec := FuncSpec{ColorFn: func(k Key) int { return home(k) }}
-	a := testArena(spec, workers, bound)
-	for k := 0; k < bound; k++ {
-		if got := a.sv.recs[k]; got.slot != idx[k] || int(got.color) != home(Key(k)) {
-			t.Fatalf("key %d recorded as slot=%d color=%d, want slot=%d color=%d",
-				k, got.slot, got.color, idx[k], home(Key(k)))
-		}
-		n, _ := a.getOrCreate(Key(k), 0, nil)
-		if pg := a.dir[idx[k]>>pageShift].Load(); n != &pg[idx[k]&pageMask] {
-			t.Fatalf("key %d not created in slot %d", k, idx[k])
-		}
-		if n.key != Key(k) || n.Home() != home(Key(k)) || n.Color() != home(Key(k)) {
-			t.Fatalf("node for key %d filled as key=%d color=%d home=%d",
-				k, n.key, n.color, n.home)
-		}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			a := testArena(row.spec, workers, bound)
+			recs := a.sv.recs
+			if len(recs) != bound {
+				t.Fatalf("%d records, want %d", len(recs), bound)
+			}
+			if _, hs := row.spec.(HomeSpec); hs != (a.sv.homes != nil) {
+				t.Fatalf("homes kept = %v for a spec with HomeSpec = %v", a.sv.homes != nil, hs)
+			}
+			keyAt := make([]Key, bound)
+			seen := make([]bool, bound)
+			for k, r := range recs {
+				if r.slot < 0 || int(r.slot) >= bound {
+					t.Fatalf("key %d: slot %d out of range", k, r.slot)
+				}
+				if seen[r.slot] {
+					t.Fatalf("slot %d assigned twice", r.slot)
+				}
+				seen[r.slot] = true
+				keyAt[r.slot] = Key(k)
+				if int(r.color) != row.color(Key(k)) {
+					t.Fatalf("key %d recorded colour %d, want %d", k, r.color, row.color(Key(k)))
+				}
+			}
+			bucket := func(k Key) int {
+				if h := home(k); h >= 0 && h < workers {
+					return h
+				}
+				return workers
+			}
+			for s := 1; s < bound; s++ {
+				b0, b1 := bucket(keyAt[s-1]), bucket(keyAt[s])
+				if b0 > b1 {
+					t.Fatalf("slot %d (home bucket %d) after slot %d (bucket %d): not home-major",
+						s, b1, s-1, b0)
+				}
+				if b0 == b1 && keyAt[s-1] >= keyAt[s] {
+					t.Fatalf("keys %d, %d not ascending within home bucket %d",
+						keyAt[s-1], keyAt[s], b0)
+				}
+			}
+			for k := 0; k < bound; k++ {
+				slot := recs[k].slot
+				n, _ := a.getOrCreate(Key(k), 0, nil)
+				if pg := a.dir[slot>>pageShift].Load(); n != &pg[slot&pageMask] {
+					t.Fatalf("key %d not created in slot %d", k, slot)
+				}
+				if n.key != Key(k) || n.Home() != home(Key(k)) || n.Color() != row.color(Key(k)) {
+					t.Fatalf("node for key %d filled as key=%d color=%d home=%d",
+						k, n.key, n.color, n.home)
+				}
+			}
+		})
 	}
 }
 
@@ -456,22 +469,5 @@ func TestArenaZeroAlloc(t *testing.T) {
 		a.getOrCreate(0, 0, nil)
 	}); avg != 0 {
 		t.Fatalf("arena lookup: %v allocs/op, want 0", avg)
-	}
-}
-
-// TestDequeCapacitySizing pins the bound → initial-capacity policy.
-func TestDequeCapacitySizing(t *testing.T) {
-	cases := []struct {
-		bound, workers, want int
-	}{
-		{0, 8, 64},   // unbounded: historical default
-		{100, 8, 64}, // small bound: never below the default
-		{10241, 8, 1281},
-		{1 << 30, 8, 8192}, // huge bound: growth-irrelevant ceiling
-	}
-	for _, c := range cases {
-		if got := dequeCapacity(c.bound, c.workers); got != c.want {
-			t.Errorf("dequeCapacity(%d, %d) = %d, want %d", c.bound, c.workers, got, c.want)
-		}
 	}
 }

@@ -295,9 +295,10 @@ type WorkerStats struct {
 	Pushes int64
 
 	// DequeGrows counts buffer growths of this worker's deque during the
-	// run. With a spec-declared key bound the initial capacity is sized
-	// to cover the run, so this should stay zero (pinned by the root
-	// package's TestRealHeatDequeSizing).
+	// run. A deque starts at 64 entries and keeps what it grows to, so a
+	// deeper frontier than any before it costs growths once, on the
+	// engine's first such run, and later runs read zero (pinned by the
+	// root package's TestDequeGrowthFirstRunOnly).
 	DequeGrows int64
 }
 
