@@ -41,41 +41,48 @@ func (pg *nodePage) scrub() {
 
 // nodeArena is the engine's node table, the atomic create-or-get that
 // Nabbit's on-demand exploration relies on (the paper's "atomically attempt
-// to create a predecessor with key pkey"): a two-level table over the key
-// space's slots. The first level is a directory, page number → page; a
-// page is installed by CAS the first time a worker names a key in its
-// range, drawn from the engine-wide pagePool, and handed back when the run
-// is over (release; a table serving the same graph again keeps them). A
-// graph therefore costs memory for the nodes it names, not for its key
-// space.
+// to create a predecessor with key pkey"): a table of the pages its graph
+// has named a key in, page number → page. A page is drawn from the
+// engine-wide pagePool the first time a worker names a key in its range
+// (install) and handed back when the run is over (release; a table serving
+// the same graph again keeps them). A graph therefore costs memory for the
+// nodes it names, not for its key space, and so does the table itself: its
+// first listPages pages sit in a list inline in the table, and only a graph
+// that installs more makes the table a directory (outgrow), which the table
+// then keeps for life.
 //
 // A key finds its slot by one of two rules (slotOf). A spec that declares a
 // bound of at most maxIndexedKeys has a record per key on the specView,
 // laid out home-major (indexKeys) so tasks whose data lives at the
 // same color are contiguous in memory — the cache/NUMA-locality layout the
 // paper's locality-aware variant assumes — and its directory is one flat
-// leaf of a page per 64 slots, so create-or-get is a record load, a
-// directory load and a single CAS on the node's lifecycle word. Any other
-// key is its own slot, and its page number indexes a radix tree of
-// directory levels (see walk). Either way there is no lock, no hashing and
-// no allocation per node (the predecessor slice comes from the spec).
+// leaf of a page per 64 slots of the bound. Any other key is its own slot,
+// and its page number indexes a radix tree of directory levels (see walk).
+// Either way a lookup takes no lock and hashes nothing: a record load, the
+// page (the directory entry, or a scan of at most listPages listed page
+// numbers) and a single CAS on the node's lifecycle word to create; and
+// nothing is allocated per node (the predecessor slice comes from the
+// spec).
 //
-// Every field but top is read-only during a run, and every lookup reads
-// them, so nothing a run writes per node or per page may share their cache
-// line: what a worker writes per creation and per installed page lives in
-// per-worker stripes a line apart, in storage of its own. top is written
-// once per level a raw-key tree grows by, at most ten times in the
-// table's life.
+// Every lookup reads the first block of fields, and during a run only the
+// install path writes to it — dir and top, and the leaf's header once, when
+// the directory is made — so nothing a run writes per node or per page may
+// share its cache lines. What a worker writes per creation lives in
+// per-worker stripes a line apart, in storage of its own; what an install
+// writes — the lock, the list, the chain — sits a line past the block
+// (pinned by TestTableInstallWordsIsolated).
 type nodeArena struct {
 	sv   *specView
 	pool *pagePool
-	// dir is the leaf for page numbers [0, len(dir)): an indexed table's
-	// whole directory, and a raw-key table's first leaf, which stays child 0
-	// of child 0 all the way down however far the tree grows. leaf is that
-	// level, and top the tree's root, &leaf until the tree grows.
-	dir  []atomic.Pointer[nodePage]
-	leaf dirLevel
+	// dir is nil while the table's pages fit its list, and &leaf from the
+	// install that outgrows the list on: then lookups read the directory
+	// alone. leaf is an indexed table's whole directory, and a raw-key
+	// table's first leaf, which stays child 0 of child 0 all the way down
+	// however far the tree grows; top is the tree's root, &leaf until the
+	// tree grows. A dropped table keeps them, empty.
+	dir  atomic.Pointer[dirLevel]
 	top  atomic.Pointer[dirLevel]
+	leaf dirLevel
 	// stamp is the current run's epoch, pre-shifted into state-word
 	// position (a multiple of epochUnit), and era the pool clock's count
 	// of stamp wraps when it was issued. A slot whose stamped epoch differs
@@ -89,58 +96,91 @@ type nodeArena struct {
 	era   uint64
 	// sink is the sink of the table's current (or last) run, and primed
 	// whether there was one. repeat says the run before the current one had
-	// the same sink, or there was none. A table that is asked for the same
-	// graph again — an iterative workload's Execute loop — keeps its pages
-	// over the run boundary (see release).
-	sink           Key
-	primed, repeat bool
+	// the same sink, or there was none, and quiet that the current run was
+	// checked out in the engine's quiet state (Execute). A table that is
+	// asked for the same graph again — an iterative workload's Execute
+	// loop — keeps its pages over the run boundary (see release).
+	sink                  Key
+	primed, repeat, quiet bool
 	// What a replay rests on (see rearm). clean: the table still holds the
 	// nodes of its last run, which computed every one it created (release
 	// said so). armed: the current run, or between runs the last, is a
-	// replay — which is also when every successor list is whole and stripe 0
+	// replay — which is also when every successor list is whole and order
 	// lists all the table's pages in page order. root is the replay root,
 	// a node of no key whose successors are the armed run's sources.
 	clean, armed bool
 	root         Node
+	order        []uint64
 	// stripes[w] is worker w's share of the run's bookkeeping. A stripe is
 	// written plainly by its worker alone; count and release read them all
 	// once the run's completion has ordered every write before the reader.
 	stripes []arenaStripe
+
+	_ [cacheLine]byte
+	// The install path's own words. installs is its lock and the list's
+	// count in one word: bit 0 is set while an install runs, and the rest
+	// counts the listed pages. An install takes the bit by CAS and drops it
+	// with the store that publishes its page, so a page costs two locked
+	// operations (a sync.Mutex beside a count of its own made it three),
+	// and lookups take no lock. The list holds the table's
+	// first pages: entries below the count are published, each written
+	// before the store that counts it, and a lookup reads the count, then
+	// the page numbers. Once the directory exists the list is dead storage
+	// until drop empties it, and the pages installed since the last drop
+	// are chained through their directory entries instead: last is the
+	// newest page number, each entry's prev the one installed before it,
+	// chained how many there are.
+	installs atomic.Uint32
+	chained  int
+	last     uint64
+	listPN   [listPages]uint64
+	listPg   [listPages]*nodePage
+	_        [cacheLine]byte
 }
 
+// listPages is how many pages a table holds before it makes a directory: a
+// graph whose keys fall in at most eight pages — every cone the submit
+// workloads run — never allocates one.
+const listPages = 8
+
 // dirFan is the fan-out of an interior directory level, and of a raw-key
-// table's leaves: 64 entries, one 512-byte allocation.
+// table's leaves: 64 entries.
 const (
 	dirShift = 6
 	dirFan   = 1 << dirShift
 )
 
 // dirLevel is one level of the page directory. A leaf (shift 0) holds page
-// pointers; an interior level holds dirFan children, each covering
+// entries; an interior level holds dirFan children, each covering
 // 1<<shift page numbers. Only a raw-key table's tree grows past its first
 // leaf, and its leaves are dirFan wide, so every shift is a multiple of
 // dirShift.
 type dirLevel struct {
 	shift uint
-	pages []atomic.Pointer[nodePage]
+	pages []dirEntry
 	kids  []atomic.Pointer[dirLevel]
 }
 
+// dirEntry is a directory's entry for one page number: the page under it,
+// and, while it holds one, the page number installed just before it, which
+// is how release finds a directory's pages without a list of its own.
+type dirEntry struct {
+	pg   atomic.Pointer[nodePage]
+	prev uint64 // written under the table's install bit
+}
+
 // arenaStripe is what one worker writes outside the nodes of a table:
-// created counts the nodes it created this run, and installed lists the
-// page numbers it put a page under, so release costs O(pages touched), not
-// O(key space). (One list behind a shared atomic cursor — a locked add per
-// page, on a line both workers want — cost the wavefront benchmark 8 %.)
-// The list's storage is kept across runs. Stripes are padded so that
+// created counts the nodes it created this run, so that a creation writes
+// no word another worker writes (the single creation counter of old
+// invalidated the line every lookup reads). Stripes are padded so that
 // consecutive ones are a cache line apart (pinned by
 // TestCreateStripeLayout). spawns is made the first time the worker groups
 // a multi-coloured spawn of one of the table's runs.
 type arenaStripe struct {
-	created   int64
-	installed []uint64
-	spawns    *spawnSlab
-	filling   *Node // the slot fill is running the spec for, nil outside fill
-	_         [cacheLine - 48]byte
+	created int64
+	spawns  *spawnSlab
+	filling *Node // the slot fill is running the spec for, nil outside fill
+	_       [cacheLine - 24]byte
 }
 
 // spawnSlab holds the groupings one worker made in a table's run, and
@@ -182,25 +222,16 @@ func carve[T any](pool *[]T, n int) []T {
 // carveBlock caps the growth of a spawn slab's blocks, in elements.
 const carveBlock = 4096
 
-// newNodeArena builds an empty table for sv's keys: a directory leaf of a
-// page per 64 slots when sv indexes them, of dirFan pages otherwise.
+// newNodeArena builds an empty table for sv's keys: no directory, no pages.
 func newNodeArena(sv *specView, pool *pagePool) *nodeArena {
 	workers := len(sv.domains)
-	npages := dirFan
-	if sv.recs != nil {
-		npages = (len(sv.recs) + pageNodes - 1) >> pageShift
-	}
-	dir := make([]atomic.Pointer[nodePage], npages)
 	a := &nodeArena{
 		sv:   sv,
 		pool: pool,
-		dir:  dir,
-		leaf: dirLevel{pages: dir},
 		// A spare stripe on each side keeps the first and last worker's
 		// off whatever the allocator placed next to the array.
 		stripes: make([]arenaStripe, workers+2)[1 : workers+1],
 	}
-	a.top.Store(&a.leaf)
 	a.stamp, a.era = pool.nextStamp()
 	return a
 }
@@ -220,26 +251,47 @@ func (a *nodeArena) slotOf(k Key) (pn uint64, i int, ok bool) {
 	return uint64(p<<1) ^ uint64(p>>63), int(k & pageMask), a.sv.recs == nil
 }
 
+// page returns the page under page number pn, nil if there is none. It
+// takes no lock: a table with a directory reads the directory alone, and
+// one without reads the list's published count, then as many page
+// numbers. A nil answer during a run may be stale; install asks again
+// under the lock.
+func (a *nodeArena) page(pn uint64) *nodePage {
+	if a.dir.Load() != nil {
+		if e := a.entry(pn, false); e != nil {
+			return e.pg.Load()
+		}
+		return nil
+	}
+	for i := range a.installs.Load() >> 1 {
+		if a.listPN[i] == pn {
+			return a.listPg[i]
+		}
+	}
+	return nil
+}
+
 // entry returns the directory entry of page number pn: straight from the
 // first leaf when it is in range — always, for an indexed table — else
-// through walk.
-func (a *nodeArena) entry(pn uint64, grow bool) *atomic.Pointer[nodePage] {
-	if pn < uint64(len(a.dir)) {
-		return &a.dir[pn]
+// through walk, which with grow (the install path) adds the levels it lacks
+// and otherwise yields nil for a missing one.
+func (a *nodeArena) entry(pn uint64, grow bool) *dirEntry {
+	//nabbit:mixed-ok only the leaf's address is published atomically (dir, top)
+	if pn < uint64(len(a.leaf.pages)) {
+		return &a.leaf.pages[pn] //nabbit:mixed-ok as above
 	}
 	return a.walk(pn, grow)
 }
 
 // walk finds page number pn's entry in the radix tree, the shape of the Go
-// runtime's heap-arena map. Levels are installed by CAS the first time a
-// page number under them is named and never freed while the table lives,
-// so a reader needs no more than the atomic loads on its way down. A page
-// number past the root's reach grows the tree upwards: a new root whose
-// child 0 is the old one, CASed in. Either CAS's loser drops its level and
-// takes the winner's. Without grow a missing level yields nil.
+// runtime's heap-arena map. Levels are added by the install path alone,
+// published by atomic stores and never freed while the table lives, so a
+// lookup needs no more than the atomic loads on its way down.
+// A page number past the root's reach grows the tree upwards: a new root
+// whose child 0 is the old one. Without grow a missing level yields nil.
 //
 //nabbit:alloc-ok directory growth: one level per 64 of the level below, kept for the table's life
-func (a *nodeArena) walk(pn uint64, grow bool) *atomic.Pointer[nodePage] {
+func (a *nodeArena) walk(pn uint64, grow bool) *dirEntry {
 	d := a.top.Load()
 	for pn>>d.shift >= uint64(len(d.pages)+len(d.kids)) {
 		if !grow {
@@ -247,9 +299,7 @@ func (a *nodeArena) walk(pn uint64, grow bool) *atomic.Pointer[nodePage] {
 		}
 		up := &dirLevel{shift: d.shift + dirShift, kids: make([]atomic.Pointer[dirLevel], dirFan)}
 		up.kids[0].Store(d)
-		if !a.top.CompareAndSwap(d, up) {
-			up = a.top.Load()
-		}
+		a.top.Store(up)
 		d = up
 	}
 	for d.shift > 0 {
@@ -263,23 +313,13 @@ func (a *nodeArena) walk(pn uint64, grow bool) *atomic.Pointer[nodePage] {
 			if d.shift > dirShift {
 				next = &dirLevel{shift: d.shift - dirShift, kids: make([]atomic.Pointer[dirLevel], dirFan)}
 			} else {
-				next = &dirLevel{pages: make([]atomic.Pointer[nodePage], dirFan)}
+				next = &dirLevel{pages: make([]dirEntry, dirFan)}
 			}
-			if !e.CompareAndSwap(nil, next) {
-				next = e.Load()
-			}
+			e.Store(next)
 		}
 		d = next
 	}
 	return &d.pages[pn]
-}
-
-// page returns the page under page number pn, nil if there is none.
-func (a *nodeArena) page(pn uint64) *nodePage {
-	if e := a.entry(pn, false); e != nil {
-		return e.Load()
-	}
-	return nil
 }
 
 // getOrCreate returns the node for k, creating it if absent; the boolean
@@ -304,10 +344,23 @@ func (a *nodeArena) getOrCreate(k Key, wid int, succ *Node) (*Node, bool) {
 		//nabbit:alloc-ok panic-only formatting
 		panic(fmt.Sprintf("core: key %d outside the spec's declared bound %d", k, len(a.sv.recs)))
 	}
-	e := a.entry(pn, true)
-	pg := e.Load()
+	// page, written out: every lookup takes this path, and on 17-node
+	// graphs the call alone is measurable.
+	var pg *nodePage
+	if a.dir.Load() != nil {
+		if e := a.entry(pn, false); e != nil {
+			pg = e.pg.Load()
+		}
+	} else {
+		for j := range a.installs.Load() >> 1 {
+			if a.listPN[j] == pn {
+				pg = a.listPg[j]
+				break
+			}
+		}
+	}
 	if pg == nil {
-		pg = a.install(e, pn, wid)
+		pg = a.install(pn, wid)
 	}
 	n := &pg[i]
 	cur := a.stamp
@@ -343,19 +396,80 @@ func (a *nodeArena) getOrCreate(k Key, wid int, succ *Node) (*Node, bool) {
 	}
 }
 
-// install puts a page under directory entry e, page number pn: take one
-// from the pool, CAS it in, and record pn for release. A loser of the CAS
-// gives its page straight back — nothing was stamped on it — and uses the
-// winner's.
-func (a *nodeArena) install(e *atomic.Pointer[nodePage], pn uint64, wid int) *nodePage {
-	pg := a.pool.take(wid, a.era)
-	if e.CompareAndSwap(nil, pg) {
-		st := &a.stripes[wid]
-		st.installed = append(st.installed, pn)
-		return pg
+// install is the one path that puts a page under a table, whichever rule
+// places its keys. It takes the table's install bit, asks again for pn's
+// page — a racer may have installed it since the caller looked — and
+// otherwise takes one from the pool and records it: in the list while
+// there is room, else under its directory entry, chained for release. The
+// install that finds the list full makes the directory first (outgrow).
+// The store that drops the bit publishes a listed page's count.
+func (a *nodeArena) install(pn uint64, wid int) *nodePage {
+	v := a.installs.Load()
+	for spins := 0; v&1 != 0 || !a.installs.CompareAndSwap(v, v|1); spins++ {
+		spinWait(spins)
+		v = a.installs.Load()
 	}
-	a.pool.give(wid, a.era, pg)
-	return e.Load()
+	pg := a.page(pn)
+	if pg == nil {
+		pg = a.pool.take(wid, a.era)
+		switch n := v >> 1; {
+		case a.dir.Load() != nil:
+			a.chain(pn, pg)
+		case n < listPages:
+			a.listPN[n], a.listPg[n] = pn, pg
+			v += 2
+		default:
+			a.outgrow()
+			a.chain(pn, pg)
+		}
+	}
+	a.installs.Store(v)
+	return pg
+}
+
+// outgrow makes the table's directory, once in its life: the flat leaf of
+// a page per 64 slots for an indexed table, the tree's first leaf for a
+// raw-key one. The listed pages are copied in before the directory is
+// published, so from then on a lookup that finds it needs nothing else.
+// The caller holds the install bit.
+//
+//nabbit:alloc-ok once per table life
+func (a *nodeArena) outgrow() {
+	n := dirFan
+	if a.sv.recs != nil {
+		n = (len(a.sv.recs) + pageMask) >> pageShift
+	}
+	a.leaf.pages = make([]dirEntry, n) //nabbit:mixed-ok before dir publishes its address
+	a.top.Store(&a.leaf)
+	for i, pn := range a.listPN {
+		a.chain(pn, a.listPg[i])
+	}
+	a.dir.Store(&a.leaf)
+}
+
+// chain puts pg under page number pn's directory entry and makes it the
+// newest link of the chain release walks. The caller holds the install
+// bit.
+func (a *nodeArena) chain(pn uint64, pg *nodePage) {
+	e := a.entry(pn, true)
+	e.prev, a.last = a.last, pn
+	a.chained++
+	e.pg.Store(pg)
+}
+
+// pages appends the page numbers the table holds to dst: the list's, or
+// the directory's chain, newest first. Callers are quiescent, or hold the
+// install bit.
+func (a *nodeArena) pages(dst []uint64) []uint64 {
+	if a.dir.Load() == nil {
+		return append(dst, a.listPN[:a.installs.Load()>>1]...)
+	}
+	pn := a.last
+	for n := a.chained; n > 0; n-- {
+		dst = append(dst, pn)
+		pn = a.entry(pn, false).prev
+	}
+	return dst
 }
 
 // fill completes a slot whose creation CAS the caller just won: write the
@@ -446,14 +560,12 @@ func (a *nodeArena) count() int {
 // off every hot path.
 func (a *nodeArena) pendingKeys() []Key {
 	var keys []Key
-	for i := range a.stripes {
-		for _, pn := range a.stripes[i].installed {
-			pg := a.page(pn)
-			for j := range pg {
-				n := &pg[j]
-				if v := n.state.Load(); a.live(v) && nodePhase(v) != nodeComputed {
-					keys = append(keys, n.key)
-				}
+	for _, pn := range a.pages(nil) {
+		pg := a.page(pn)
+		for j := range pg {
+			n := &pg[j]
+			if v := n.state.Load(); a.live(v) && nodePhase(v) != nodeComputed {
+				keys = append(keys, n.key)
 			}
 		}
 	}
@@ -463,32 +575,40 @@ func (a *nodeArena) pendingKeys() []Key {
 
 // release ends a run: the table's pages go back to the pool — O(pages
 // touched) — so that table memory follows the nodes in flight. The
-// exception is a run whose graph the table had served the time before, or
-// the table's first: the next run will most likely want the same pages
-// under the same entries, every node's successor array already the right
-// size and its lines where the workers' caches last saw them (handing the
-// wavefront benchmark's pages back and drawing them again in another order
-// costs it 8 %) — and, asked inside Execute, can replay the run outright —
-// so they stay, and reset hands them back if the guess was wrong. Pages
-// that go back keep their stamps: no other table of this era can mistake
-// them for its own, and a table of a later era clears them on the way in
-// (see pagePool).
+// exceptions are a run whose graph the table had served the time before,
+// the table's first, and any run of Execute: the next run will most likely
+// want the same pages under the same entries, every node's successor array
+// already the right size and its lines where the workers' caches last saw
+// them (handing the wavefront benchmark's pages back and drawing them again
+// in another order costs it 8 %) — and, asked inside Execute, can replay
+// the run outright, from the second run of a sink on — so they stay, and
+// reset hands them back if the guess was wrong. Pages that go back keep
+// their stamps: no other table of this era can mistake them for its own,
+// and a table of a later era clears them on the way in (see pagePool).
 func (a *nodeArena) release(wid int, clean bool) {
-	a.clean = clean && a.repeat
-	if !a.repeat {
+	keep := a.repeat || a.quiet
+	a.clean = clean && keep
+	if !keep {
 		a.drop(wid)
 	}
 }
 
-// drop hands every page back and empties the directory.
+// drop hands every page back and empties the list; a directory stays, with
+// every entry empty.
 func (a *nodeArena) drop(wid int) {
-	for i := range a.stripes {
-		st := &a.stripes[i]
-		for _, pn := range st.installed {
-			a.pool.give(wid, a.era, a.entry(pn, false).Swap(nil))
+	if a.dir.Load() == nil {
+		for _, pg := range a.listPg[:a.installs.Load()>>1] {
+			a.pool.give(wid, a.era, pg)
 		}
-		st.installed = st.installed[:0]
+	} else {
+		for pn := a.last; a.chained > 0; a.chained-- {
+			e := a.entry(pn, false)
+			a.pool.give(wid, a.era, e.pg.Swap(nil))
+			pn = e.prev
+		}
 	}
+	a.installs.Store(0)
+	clear(a.listPg[:])
 	a.root.setSuccs(nil) // name no node of a page that is gone
 }
 
@@ -502,7 +622,7 @@ func (a *nodeArena) drop(wid int) {
 // a new era, which no page's words may cross.
 func (a *nodeArena) reset(sink Key, quiet bool) *Node {
 	clean, listed := a.clean, a.armed
-	a.clean, a.armed = false, false
+	a.clean, a.armed, a.quiet = false, false, quiet
 	rearmed := 0
 	if quiet && clean && sink == a.sink {
 		rearmed = a.rearm(listed)
@@ -556,13 +676,9 @@ func (a *nodeArena) rearm(listed bool) (rearmed int) {
 			rearmed = 0
 		}
 	}()
-	pages := &a.stripes[0].installed
+	pages := &a.order
 	if !listed {
-		for i := 1; i < len(a.stripes); i++ {
-			st := &a.stripes[i]
-			*pages = append(*pages, st.installed...)
-			st.installed = st.installed[:0]
-		}
+		*pages = a.pages((*pages)[:0])
 		slices.Sort(*pages)
 	}
 	spec := a.sv.spec

@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // pagesOfCone counts the directory entries cone g's keys fall under.
@@ -98,6 +100,67 @@ func TestSubmitFootprintTracksInflight(t *testing.T) {
 		if held := nt.held(); held > perCone {
 			t.Errorf("an idle table holds %d pages, want at most the %d of one cone it may serve again", held, perCone)
 		}
+	}
+}
+
+// TestSubmitTableFootprint pins what a node table costs beyond its pages:
+// 64 cone graphs of 17 nodes admitted at once check out 64 tables, which
+// stay idle once the graphs are done, each holding the pages of the cone
+// it ran (a table keeps them for a repeat). Whatever the key bound, the
+// engine's heap may grow by the pages its pool owns and at most 2 KB a
+// table: a table's memory follows the pages its graph installs, not the
+// bound.
+func TestSubmitTableFootprint(t *testing.T) {
+	const width, workers, window, perTable = 16, 2, 64, 2 << 10
+	for _, cones := range []int{1 << 10, 1 << 14, 1 << 16} {
+		bound := cones * (width + 1)
+		t.Run(fmt.Sprintf("%d keys", bound), func(t *testing.T) {
+			gate := make(chan struct{})
+			spec := conesSpecPre(cones, width, workers, func(Key) { <-gate })
+			e, err := NewEngine(spec, Options{Workers: workers, Policy: NabbitCPolicy(), MaxInflight: window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			tks := make([]*Ticket, window)
+			heap := func() uint64 {
+				var ms runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				return ms.HeapAlloc
+			}
+			before := heap()
+			// Every graph is admitted, and so holds a table of its own, before
+			// any task may finish.
+			for i := range tks {
+				if tks[i], err = e.Submit(coneSink(i*cones/window, width)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(gate)
+			for _, tk := range tks {
+				if st, err := tk.Wait(); err != nil || st.NodesCreated != width+1 {
+					t.Fatalf("stats %+v, err %v", st, err)
+				}
+			}
+			clear(tks)
+			after := heap()
+			e.stateMu.Lock()
+			tables := len(e.tables)
+			e.stateMu.Unlock()
+			if tables != window {
+				t.Fatalf("%d idle tables, want the %d the graphs in flight checked out", tables, window)
+			}
+			e.pool.mu.Lock()
+			pages := uint64(len(e.pool.slabs) * slabPages * int(unsafe.Sizeof(nodePage{})))
+			e.pool.mu.Unlock()
+			grown := int64(after) - int64(before) - int64(pages)
+			t.Logf("heap grew %d B: %d B of pool pages, %d B a table beyond them", after-before, pages, grown/window)
+			if grown > window*perTable {
+				t.Errorf("%d tables cost %d B beyond the pool's %d B of pages, %d B a table; want <= %d",
+					window, grown, pages, grown/window, perTable)
+			}
+		})
 	}
 }
 

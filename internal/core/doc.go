@@ -56,18 +56,18 @@
 // below). A table resolves keys for one graph at a time, so concurrent
 // graphs cannot share one — instead the engine keeps a pool of idle table
 // instances under its state lock; admission checks one out (reset to a
-// fresh stamp) and completion returns it. A table is little more than a
-// directory: the nodes themselves live in 64-node pages that every table of
-// the engine draws from one page pool and hands back when its run ends, so
-// what 128 graphs in flight cost is the pages their nodes fall in, not 128
-// copies of the key universe. The recycle point is safe by a scheduling
-// invariant: when a run's sink computes, no deque can still hold an item of
-// that run, because any such item would be feeding a join below the
-// not-yet-computed sink. Every deque item carries its *graphRun, so workers
-// are graph-oblivious: steals and pops interleave whatever mix of graphs is
-// in flight, and a worker seeds a newly admitted graph from the pending
-// queue on a fixed stride (seedStride) of local pops, which bounds how long
-// a new graph waits behind a busy one.
+// fresh stamp) and completion returns it. A table is little more than the
+// list of pages it holds: the nodes themselves live in 64-node pages that
+// every table of the engine draws from one page pool and hands back when
+// its run ends, so what 128 graphs in flight cost is the pages their nodes
+// fall in, not 128 copies of the key universe. The recycle point is safe
+// by a scheduling invariant: when a run's sink computes, no deque can
+// still hold an item of that run, because any such item would be feeding
+// a join below the not-yet-computed sink. Every deque item carries its
+// *graphRun, so workers are graph-oblivious: steals and pops interleave
+// whatever mix of graphs is in flight, and a worker seeds a newly admitted
+// graph from the pending queue on a fixed stride (seedStride) of local
+// pops, which bounds how long a new graph waits behind a busy one.
 //
 // Admission is a count of slots, at most Options.MaxInflight, kept under
 // stateMu, which admission and completion hold anyway. Submit waits for a
@@ -439,26 +439,28 @@
 // and the loop counters sit in the worker struct between two lines of
 // padding; the words other goroutines write (the park handshake) come
 // after a third. Deque headers are padded the same way
-// by internal/deque. What a worker writes to a node table outside the
-// nodes — its creation count, the list of page numbers it installed a
-// page under — is striped per worker, a line apart, in storage of its
-// own: nodeArena.getOrCreate takes the worker id, the stripe is a plain
-// increment or append, count() and release() read the stripes once the
-// run's completion has ordered every write before the reader, and reset
-// clears the counts with the stamp. A counter or list cursor shared by
-// the workers sits on a line every one of them writes: the single
-// creation counter of old invalidated the line every lookup reads, and a
-// shared cursor for the installed list — one locked add per page, 1 024
-// per run — cost the wavefront benchmark 8 %. The page pool follows the
+// by internal/deque. What a worker writes to a node table per creation
+// — its creation count — is striped per worker, a line apart, in storage
+// of its own: nodeArena.getOrCreate takes the worker id, the stripe is a
+// plain increment, count() reads the stripes once the run's completion has
+// ordered every write before the reader, and reset clears the counts with
+// the stamp. A counter shared by the workers sits on a line every one of
+// them writes: the single creation counter of old invalidated the line
+// every lookup reads. What a table writes per installed page — its
+// install lock, its list of pages, the chain through its directory — is
+// shared, but a line away from the fields every lookup reads, and written
+// once per page, not per node. The page pool follows the
 // same rule: each worker pushes and pops a private stack of pages, and
 // trades half a stack at a time with the locked shared list.
 //
 // What a table owns and what the engine shares:
 //
-//	per table    directory (one pointer per 64 slots, or a radix tree of
-//	             them; see the node-table note); stamp, era and last
-//	             sink; one stripe per worker (creation count, installed
-//	             page numbers)
+//	per table    about 0.5 KB inline: an install lock and a list of its
+//	             first eight pages, stamp, era and last sink; one stripe
+//	             per worker (creation count); once a graph installs a
+//	             ninth page, a directory for life (16 bytes per 64 slots
+//	             of the bound, or a radix tree of them; see the
+//	             node-table note)
 //	per engine   key records on the specView (slot, colour; homes only
 //	             for a HomeSpec) — 8 bytes a key, read-only, one line
 //	             serves a key's lookup, its fill and the summary of its
@@ -507,16 +509,18 @@
 // # Design note: one node table, two slot rules
 //
 // The paper asks of the node store nothing but an atomic create-or-get,
-// whatever the key space, and the engine has one: nodeArena, a directory
-// of 64-node pages. A table is empty at checkout; the first worker to
-// name a key in a page's range takes a page from the engine-wide pool and
-// CASes it in, and getOrCreate is then a walk to the directory entry and
-// one atomic load of the slot's state word (lookup) or one CAS (create):
-// no hashing, no locks, no per-node allocation. Nabbit creates nodes on
-// demand, and so does the table its storage: a 17-node graph out of a
-// million-key universe costs the two or three pages its keys fall in.
-// Page pool, epoch stamps, hand-back and replay are one mechanism for
-// every spec. What differs is how a key finds its slot (slotOf):
+// whatever the key space, and the engine has one: nodeArena, a table of
+// 64-node pages. A table is empty at checkout; the first worker to name a
+// key in a page's range takes a page from the engine-wide pool and
+// installs it, and getOrCreate is then a look-up of the page and one
+// atomic load of the slot's state word (lookup) or one CAS (create): no
+// hashing, no locks on the way, no per-node allocation. Nabbit creates
+// nodes on demand, and so does the table its storage: a 17-node graph out
+// of a million-key universe costs the two or three pages its keys fall in,
+// and the table that holds them a list of eight page numbers, whatever
+// the bound. Page pool, epoch stamps, hand-back and replay are one
+// mechanism for every spec. What differs is how a key finds its slot
+// (slotOf):
 //
 //   - Indexed. A spec that declares a bound of at most 2^21 keys
 //     (BoundedSpec / FuncSpec.BoundFn) gets a record per key, built once
@@ -527,25 +531,43 @@
 //     metadata. indexKeys lays the records out in place, two passes over
 //     them with a count per home between, so construction costs one
 //     Color (and Home) call and 8 bytes a key (12 with a HomeSpec), and no
-//     scratch array. The directory is one flat leaf of a page per 64
-//     slots that never grows, so a lookup is three dependent loads:
-//     record, directory entry, state word. A key outside the declared
+//     scratch array. A directory is one flat leaf of a page per 64 slots
+//     of the bound, so a lookup is a record load, the directory entry (or
+//     a scan of the list) and the state word. A key outside the declared
 //     bound is a spec error, reported as such. All benchmark workloads
 //     (stencil grids, CSR blocks, wavefronts) declare bounds.
 //   - Raw. Any other key — no bound, or a bound past 2^21 — is its own
 //     slot: index k&63 of page k>>6, the page number zigzag-folded so that
 //     keys of small magnitude, negative or not, stay shallow. Page numbers
-//     index a radix tree in the shape of the Go runtime's heap-arena map:
-//     64-way levels, installed by CAS the first time a page number under
-//     them is named and never freed while the table lives, the root grown
-//     upwards by CASing in a new level whose child 0 is the old root. The
-//     first 64 pages (keys -2048..2047) answer from the first leaf
-//     without a walk; page numbers past it cost one load per level, up to
-//     ten for keys near ±2^63. Colour and home come from the spec at fill.
+//     index a radix tree in the shape of the Go runtime's heap-arena map
+//     once the table outgrows its list: 64-way levels, added by the
+//     install path the first time a page number under them is named and
+//     never freed while the table lives, the root grown upwards by a new
+//     level whose child 0 is the old root. The first 64 pages (keys
+//     -2048..2047) answer from the first leaf without a walk; page
+//     numbers past it cost one load per level, up to ten for keys near
+//     ±2^63. Colour and home come from the spec at fill.
 //     Creating a raw key costs ~48 ns and looking one up ~9 ns against
 //     ~240 ns and ~26 ns in the sharded RWMutex map this table replaced
 //     (BenchmarkGetOrCreate/GetOrCreateLookup, 2-CPU Xeon VM; indexed keys
 //     ~45 ns and ~4.4 ns), and raw-key graphs replay like indexed ones.
+//
+// One install path. Every page a table gets goes through install, under a
+// lock of the table's own: it asks again whether the page is there, takes
+// one from the pool, and records it. The first eight go in a list inline
+// in the table, published by a count that a lookup reads before it scans
+// the page numbers; the lock is a bit in the count's word, so the store
+// that releases it publishes the page, and a page costs two locked
+// operations. The ninth page makes the directory (outgrow) — an indexed
+// table's one allocation in its life, a raw-key table's first leaf —
+// copies the listed pages into it, and only then publishes it, so a
+// lookup that sees the directory reads nothing else; every later page goes
+// under its directory entry, and the entries chain the installed page
+// numbers for release. A table keeps its
+// directory across runs, emptied, as it keeps its pages for a repeat. The
+// lock is taken once per page, never per node, and sits a line away from
+// the fields a lookup reads. Lookups take no lock: a racer that looked
+// too early finds the page on its own way through install.
 //
 // The memory trade. A page is 4 KB whichever rule placed its keys, so a
 // key space the graph fills densely costs its 64 B a node, and a sparse
@@ -561,12 +583,14 @@
 // schedules that do not depend on whether a spec declares its bound
 // (TestQuickHiddenBoundScheduleIdentity in internal/sim).
 //
-// The directory's two CAS installs — an interior level under a nil
-// entry, and a new root over the old — are a protocol of their own: every
-// racer must end on the winner's level, and no page may be installed
-// under a level that lost. TestArenaGetOrCreateRace's unbounded row
-// stresses them; they are a target for a deterministic interleaving
-// explorer once the repository has one.
+// The install path is the only writer of a table's list, directory levels
+// and root, so the protocol a racer must get right is the lock-free
+// lookup's: a list entry is written before the count that covers it, a
+// directory is whole before it is published, and a level before the entry
+// or root that names it. TestArenaGetOrCreateRace's rows cross the
+// list-to-directory copy and the tree's growth under eight racers; they
+// are a target for a deterministic interleaving explorer once the
+// repository has one.
 //
 // Handing pages back. The worker that completes a run (finishRun) gives
 // the table's pages back to the pool before the table itself goes back
@@ -583,11 +607,12 @@
 // point.
 //
 // One exception keeps an iterative workload from paying for this: a
-// table on its first run, or asked for the same sink as the run before,
-// keeps its pages, and reset hands them back if the next graph turns out
-// to be another one. An Execute loop therefore finds every node where it
-// left it — line, successor array and all — while a stream of different
-// graphs hands back at every finish.
+// table on its first run, asked for the same sink as the run before, or
+// checked out by Execute keeps its pages, and reset hands them back if the
+// next graph turns out to be another one. An Execute loop therefore finds
+// every node where it left it — line, successor array and all — from the
+// second run of a sink on, however often it has switched sinks before,
+// while a stream of different Submitted graphs hands back at every finish.
 //
 // The pool itself grows a slab at a time while graphs are in flight and
 // falls back to a fixed few slabs when the last of them finishes

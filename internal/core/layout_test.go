@@ -43,13 +43,7 @@ func (a *nodeArena) get(k Key) (*Node, bool) {
 }
 
 // held counts the pages a table currently holds.
-func (a *nodeArena) held() int {
-	n := 0
-	for i := range a.stripes {
-		n += len(a.stripes[i].installed)
-	}
-	return n
-}
+func (a *nodeArena) held() int { return len(a.pages(nil)) }
 
 // TestNodeLayout pins the per-task path's size budget: a Node is exactly
 // one cache line and a page exactly 64 of them, and every page the pool
@@ -80,9 +74,9 @@ func TestNodeLayout(t *testing.T) {
 		if got, want := a.held(), (bound+pageNodes-1)/pageNodes; got != want {
 			t.Errorf("universe of %d keys holds %d pages, want %d", bound, got, want)
 		}
-		for i := range a.dir {
-			if off := uintptr(unsafe.Pointer(a.dir[i].Load())) % cacheLine; off != 0 {
-				t.Errorf("universe of %d keys: page %d starts %d bytes into a cache line", bound, i, off)
+		for _, pn := range a.pages(nil) {
+			if off := uintptr(unsafe.Pointer(a.page(pn))) % cacheLine; off != 0 {
+				t.Errorf("universe of %d keys: page %d starts %d bytes into a cache line", bound, pn, off)
 			}
 		}
 	}
@@ -99,7 +93,7 @@ func TestGraphRunSize(t *testing.T) {
 }
 
 // TestCreateStripeLayout pins the arena's per-worker stripes (creation
-// count, installed-page list): consecutive workers' stripes are a cache
+// count, spawn slab, the slot being filled): consecutive workers' stripes are a cache
 // line apart, with a spare stripe on either side of the ones in use.
 func TestCreateStripeLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(arenaStripe{}); sz != cacheLine {
@@ -201,4 +195,40 @@ func TestEngineWrittenWordsIsolated(t *testing.T) {
 				groups[i-1].name, groups[i-1].hi, groups[i].name, groups[i].lo, cacheLine)
 		}
 	}
+}
+
+// TestTableInstallWordsIsolated pins the node table's split: the words the
+// install path writes — its lock, the list's count and entries, the chain —
+// are at least a full line from the fields every lookup reads (sv, the
+// directory pointers and first leaf, stamp, era) and from the end of the
+// struct, so an install invalidates no line a lookup of this table, or of
+// whatever is allocated next to it, needs.
+func TestTableInstallWordsIsolated(t *testing.T) {
+	var a nodeArena
+	end := func(off, size uintptr) uintptr { return off + size }
+	groups := []struct {
+		name   string
+		lo, hi uintptr
+	}{
+		{"lookup fields", unsafe.Offsetof(a.sv), end(unsafe.Offsetof(a.era), unsafe.Sizeof(a.era))},
+		{"install words", unsafe.Offsetof(a.installs), end(unsafe.Offsetof(a.listPg), unsafe.Sizeof(a.listPg))},
+		{"end of the table", unsafe.Sizeof(a), unsafe.Sizeof(a)},
+	}
+	for _, f := range []uintptr{unsafe.Offsetof(a.dir), unsafe.Offsetof(a.top), unsafe.Offsetof(a.stamp)} {
+		if f < groups[0].lo || f >= groups[0].hi {
+			t.Errorf("a field lookups read sits at offset %d, outside the lookup block [%d, %d)", f, groups[0].lo, groups[0].hi)
+		}
+	}
+	for _, f := range []uintptr{unsafe.Offsetof(a.chained), unsafe.Offsetof(a.last), unsafe.Offsetof(a.listPN)} {
+		if f < groups[1].lo || f >= groups[1].hi {
+			t.Errorf("an install word sits at offset %d, outside the install block [%d, %d)", f, groups[1].lo, groups[1].hi)
+		}
+	}
+	for i := 1; i < len(groups); i++ {
+		if gap := groups[i].lo - groups[i-1].hi; groups[i].lo < groups[i-1].hi || gap < cacheLine {
+			t.Errorf("%s ends at offset %d, %s starts at %d: want >= %d bytes between them",
+				groups[i-1].name, groups[i-1].hi, groups[i].name, groups[i].lo, cacheLine)
+		}
+	}
+	t.Logf("nodeArena is %d bytes", unsafe.Sizeof(a))
 }

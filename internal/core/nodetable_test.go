@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -147,7 +148,7 @@ func TestHomeMajorLayout(t *testing.T) {
 			for k := 0; k < bound; k++ {
 				slot := recs[k].slot
 				n, _ := a.getOrCreate(Key(k), 0, nil)
-				if pg := a.dir[slot>>pageShift].Load(); n != &pg[slot&pageMask] {
+				if pg := a.page(uint64(slot >> pageShift)); n != &pg[slot&pageMask] {
 					t.Fatalf("key %d not created in slot %d", k, slot)
 				}
 				if n.key != Key(k) || n.Home() != home(Key(k)) || n.Color() != row.color(Key(k)) {
@@ -160,35 +161,44 @@ func TestHomeMajorLayout(t *testing.T) {
 }
 
 // TestArenaGetOrCreateRace hammers concurrent create-or-get over the
-// lifecycle word: every key must be created exactly once, and every
-// returned node must already be fully initialized (run with -race). The
-// unbounded row's keys are 64 apart from 2^40 up, each on a page of its
-// own and all past a fresh tree's reach, so the workers' first creations
-// race to grow the root and to install the same interior levels.
+// lifecycle word and the install path: every key must be created exactly
+// once, and every returned node must already be fully initialized (run
+// with -race). The first bounded row's 512 keys fill exactly the table's
+// list of pages; the second's 4 096 span 64 pages, so the racers cross the
+// install that copies the list into the directory and then install under
+// it. The unbounded row's keys are 64 apart from 2^40 up, each on a page of
+// its own and all past the first leaf's reach, so its racers cross the copy
+// too, and then grow the root and the interior levels under the lock while
+// others look pages up without it.
 func TestArenaGetOrCreateRace(t *testing.T) {
-	const keys = 512
 	const goroutines = 8
-	spec := FuncSpec{
-		PredsFn: func(k Key) []Key {
-			ps := make([]Key, int(k)%3)
-			for i := range ps {
-				ps[i] = Key(i)
-			}
-			return ps
-		},
-		ColorFn: func(k Key) int { return int(k) % goroutines },
-		BoundFn: func() int { return keys },
+	spec := func(bound int) FuncSpec {
+		return FuncSpec{
+			PredsFn: func(k Key) []Key {
+				ps := make([]Key, int(k)%3)
+				for i := range ps {
+					ps[i] = Key(i)
+				}
+				return ps
+			},
+			ColorFn: func(k Key) int { return int(k) % goroutines },
+			BoundFn: func() int { return bound },
+		}
 	}
 	rows := []struct {
 		name  string
+		keys  int
+		pages int
 		table func() *nodeArena
 		key   func(i int) Key
 	}{
-		{"bounded", func() *nodeArena { return testArena(spec, goroutines, keys) }, func(i int) Key { return Key(i) }},
-		{"unbounded", func() *nodeArena { return testRawArena(spec, goroutines) }, func(i int) Key { return 1<<40 + Key(i)*pageNodes }},
+		{"bounded", listPages * pageNodes, listPages, func() *nodeArena { return testArena(spec(listPages*pageNodes), goroutines, listPages*pageNodes) }, func(i int) Key { return Key(i) }},
+		{"bounded past the list", 64 * pageNodes, 64, func() *nodeArena { return testArena(spec(64*pageNodes), goroutines, 64*pageNodes) }, func(i int) Key { return Key(i) }},
+		{"unbounded", 512, 512, func() *nodeArena { return testRawArena(spec(0), goroutines) }, func(i int) Key { return 1<<40 + Key(i)*pageNodes }},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
+			keys := row.keys
 			for round := 0; round < 10; round++ {
 				a := row.table()
 				var created atomic.Int64
@@ -219,11 +229,14 @@ func TestArenaGetOrCreateRace(t *testing.T) {
 				}
 				start.Done()
 				wg.Wait()
-				if created.Load() != keys {
+				if created.Load() != int64(keys) {
 					t.Fatalf("round %d: %d creations for %d keys", round, created.Load(), keys)
 				}
 				if a.count() != keys {
 					t.Fatalf("round %d: count = %d, want %d", round, a.count(), keys)
+				}
+				if got := a.held(); got != row.pages {
+					t.Fatalf("round %d: table holds %d pages, want %d", round, got, row.pages)
 				}
 			}
 		})
@@ -448,26 +461,57 @@ func TestNodeStorePanicPoisonsSlot(t *testing.T) {
 	}
 }
 
-// TestArenaZeroAlloc pins the indexed table's headline property: after
-// construction, create-or-get allocates nothing (the predecessor slice
-// here is nil; spec-owned allocations are the spec's business).
+// TestArenaZeroAlloc pins the indexed table's allocation budget: a table
+// allocates at most once in its life — its directory, on the install that
+// outgrows the list — and after that create-or-get allocates nothing (the
+// predecessor slice here is nil; spec-owned allocations are the spec's
+// business). The mallocs are counted directly, over a whole run and then
+// over a second one, on a pool that a first table has already grown to the
+// pages a run needs, so that only the table's own allocations count.
 func TestArenaZeroAlloc(t *testing.T) {
 	const bound = 4096
 	spec := FuncSpec{
 		ColorFn: func(k Key) int { return int(k) % 8 },
 		BoundFn: func() int { return bound },
 	}
-	a := testArena(spec, 8, bound)
-	next := 0
-	if avg := testing.AllocsPerRun(bound/2, func() {
-		a.getOrCreate(Key(next), 0, nil)
-		next++
-	}); avg != 0 {
-		t.Fatalf("arena create: %v allocs/op, want 0", avg)
+	warm := testArena(spec, 8, bound)
+	createAll := func(a *nodeArena) {
+		for k := Key(0); k < bound; k++ {
+			a.getOrCreate(k, 0, nil)
+		}
 	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		a.getOrCreate(0, 0, nil)
-	}); avg != 0 {
-		t.Fatalf("arena lookup: %v allocs/op, want 0", avg)
+	// Each table is checked out for sink 1 first, as an engine would, so
+	// that a reset for another sink hands its pages back.
+	warm.reset(1, false)
+	createAll(warm)
+	warm.reset(2, false)
+	a := newNodeArena(warm.sv, warm.pool)
+	a.reset(1, false)
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	if got := mallocs(func() { createAll(a) }); got != 1 {
+		t.Fatalf("a table's first run of %d pages: %d allocations, want 1 (its directory)", bound/pageNodes, got)
+	}
+	if got := mallocs(func() { createAll(a) }); got != 0 {
+		t.Fatalf("%d lookups: %d allocations, want 0", bound, got)
+	}
+	a.reset(2, false) // another sink: the pages go back, the directory stays
+	if got := mallocs(func() { createAll(a) }); got != 0 {
+		t.Fatalf("a run on a table that has its directory: %d allocations, want 0", got)
+	}
+	a.reset(3, false)
+	small := newNodeArena(warm.sv, warm.pool)
+	small.reset(1, false)
+	if got := mallocs(func() {
+		for k := Key(0); k < listPages*pageNodes; k++ {
+			small.getOrCreate(k, 0, nil)
+		}
+	}); got != 0 {
+		t.Fatalf("a run of %d pages, the list's: %d allocations, want 0", listPages, got)
 	}
 }

@@ -248,12 +248,24 @@ func TestReplayFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		g.discard()
+		// The table gave its pages up when it was asked for another graph,
+		// so the first run back discovers. An Execute's table keeps its
+		// pages whatever its last sink, so the second run back replays.
 		g.execute("back", false)
-		// The table gave its pages up when it was asked for another graph and
-		// keeps them again from the second run in a row (PR 15's rule), so
-		// there is nothing to re-arm yet.
-		g.execute("back, second in a row", false)
+		g.execute("back, second in a row", true)
 		g.execute("back, third in a row", true)
+	})
+
+	t.Run("sink switched for good", func(t *testing.T) {
+		// A, B, B: the new sink's first run discovers and its second
+		// replays, as on an engine that started on B.
+		g := rig(t, Options{}, nil, nil)
+		g.execute("first", false)
+		other := g.keys[len(g.keys)/2]
+		g.sink, g.keys = other, reachable(g.inner, other)
+		g.execute("new sink", false)
+		g.execute("new sink, second in a row", true)
+		g.execute("new sink, third in a row", true)
 	})
 
 	t.Run("fresh slices", func(t *testing.T) {
@@ -424,7 +436,7 @@ func TestReplayFallback(t *testing.T) {
 		}
 		g.discard()
 		g.execute("back", false)
-		g.execute("back, second in a row", false)
+		g.execute("back, second in a row", true)
 		g.execute("back, third in a row", true)
 	})
 
@@ -512,18 +524,16 @@ func (g *replayRig) tableWords() (stamp uint32, computed int, odd string) {
 	g.e.lockQuiet()
 	defer g.e.stateMu.Unlock()
 	nt := g.e.tables[0]
-	for i := range nt.stripes {
-		for _, pn := range nt.stripes[i].installed {
-			pg := nt.page(pn)
-			for j := range pg {
-				v := pg[j].state.Load()
-				if v&epochMask != nt.stamp {
-					continue
-				}
-				computed++
-				if v != nt.stamp|nodeComputed && odd == "" {
-					odd = fmt.Sprintf("key %d left at %#x, want %#x", pg[j].key, v, nt.stamp|nodeComputed)
-				}
+	for _, pn := range nt.pages(nil) {
+		pg := nt.page(pn)
+		for j := range pg {
+			v := pg[j].state.Load()
+			if v&epochMask != nt.stamp {
+				continue
+			}
+			computed++
+			if v != nt.stamp|nodeComputed && odd == "" {
+				odd = fmt.Sprintf("key %d left at %#x, want %#x", pg[j].key, v, nt.stamp|nodeComputed)
 			}
 		}
 	}
